@@ -5,7 +5,7 @@ PYTHON ?= python
 
 .PHONY: test test-faults cov lint typecheck check-plans bench bench-unified \
 	bench-program bench-planner bench-resilience bench-mp bench-service \
-	bench-reset clean-scratch serve
+	bench-suite bench-reset clean-scratch serve
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
@@ -91,6 +91,13 @@ bench-mp:
 # 4-worker service must be at least 2x faster than the serial loop.
 bench-service:
 	$(PYTHON) -m benchmarks.bench_service --json BENCH_service.json
+
+# The benchmark suite BENCHMARK.json names (benchmarks/suite), at its smoke
+# scale: every workload end to end with the suite's own output checks, the
+# charged totals compared bit for bit with benchmarks/suite/baseline.json.
+# Drop `--scale tiny` by hand for the full-size numbers (about 90 s).
+bench-suite:
+	$(PYTHON) -m benchmarks.suite --scale tiny
 
 # Run the compile-and-run job server (HOST/PORT/WORKERS overridable):
 #   make serve PORT=8642 WORKERS=4

@@ -17,7 +17,7 @@ distribution.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -157,15 +157,36 @@ class ArrayDescriptor:
         (as for every array in the paper's program); in that case the owner of
         an element is determined by that one coordinate.
         """
-        distributed = self.distributed_dims()
-        if distributed != (dim,):
-            raise DistributionError(
-                f"owner_of_dim({dim}) is only defined when dimension {dim} is the unique "
-                f"distributed dimension; array {self.name!r} distributes {distributed}"
-            )
+        self._require_sole_distributed_dim(dim)
         index = [0] * self.ndim
         index[dim] = gindex
         return self.owner_of(index)
+
+    def owner_table(self, dim: int) -> Tuple[np.ndarray, np.ndarray]:
+        """``(owner rank, owner-local index)`` of every global index along ``dim``.
+
+        The vector form of :meth:`owner_of_dim` and :meth:`global_to_local`
+        (same restriction: ``dim`` is the sole distributed dimension), built
+        from the distribution's closed forms so a loop over result columns
+        looks both up in a table instead of translating per column.
+        """
+        self._require_sole_distributed_dim(dim)
+        dist = self._dists[dim]
+        coords = [0] * self.grid.ndim
+        grid_dim = self.template.grid_dim(self.alignment.specs[dim].target)  # type: ignore[arg-type]
+        rank_of_proc = np.empty(dist.nprocs, dtype=np.int64)
+        for proc in range(dist.nprocs):
+            coords[grid_dim] = proc
+            rank_of_proc[proc] = self.grid.rank_of(coords)
+        return rank_of_proc[dist.owners()], dist.local_positions()
+
+    def _require_sole_distributed_dim(self, dim: int) -> None:
+        distributed = self.distributed_dims()
+        if distributed != (dim,):
+            raise DistributionError(
+                f"ownership along dimension {dim} is only defined when it is the unique "
+                f"distributed dimension; array {self.name!r} distributes {distributed}"
+            )
 
     def global_to_local(self, index: Sequence[int]) -> Tuple[int, ...]:
         """Translate a global index into the owner's local index."""
@@ -174,19 +195,24 @@ class ArrayDescriptor:
 
     def local_to_global(self, rank: int, lindex: Sequence[int]) -> Tuple[int, ...]:
         """Translate processor ``rank``'s local index into a global index."""
+        return tuple(
+            dist.local_to_global(proc, local)
+            for (dist, proc), local in zip(self._dim_procs(rank), lindex, strict=True)
+        )
+
+    def _dim_procs(self, rank: int) -> Iterator[Tuple[Distribution, int]]:
+        """Each dimension's distribution with ``rank``'s coordinate along it."""
         coords = self.grid.coordinates(rank)
-        out = []
-        for dim, spec in enumerate(self.alignment.specs):
-            dist = self._dists[dim]
+        for dist, spec in zip(self._dists, self.alignment.specs, strict=True):
             if dist.is_distributed():
-                grid_dim = self.template.grid_dim(spec.target)  # type: ignore[arg-type]
-                out.append(dist.local_to_global(coords[grid_dim], lindex[dim]))
+                yield dist, coords[self.template.grid_dim(spec.target)]  # type: ignore[arg-type,index]
             else:
-                out.append(dist.local_to_global(0, lindex[dim]))
-        return tuple(out)
+                yield dist, 0
 
     def local_shape(self, rank: int) -> Tuple[int, ...]:
         """Shape of the local array on processor ``rank``."""
+        # Spelled out rather than built on _dim_procs: the planner asks for
+        # local shapes several hundred thousand times per compile sweep.
         coords = self.grid.coordinates(rank)
         shape = []
         for dim, spec in enumerate(self.alignment.specs):
@@ -212,16 +238,30 @@ class ArrayDescriptor:
 
     def local_index_ranges(self, rank: int) -> Tuple[np.ndarray, ...]:
         """Global indices owned by ``rank`` along each dimension."""
-        coords = self.grid.coordinates(rank)
-        ranges = []
-        for dim, spec in enumerate(self.alignment.specs):
-            dist = self._dists[dim]
-            if dist.is_distributed():
-                grid_dim = self.template.grid_dim(spec.target)  # type: ignore[arg-type]
-                ranges.append(dist.local_indices(coords[grid_dim]))
-            else:
-                ranges.append(dist.local_indices(0))
-        return tuple(ranges)
+        return tuple(dist.local_indices(proc) for dist, proc in self._dim_procs(rank))
+
+    def local_slices(self, rank: int) -> Tuple[slice | np.ndarray, ...]:
+        """``rank``'s owned set along each dimension, as a slice where one exists.
+
+        Same sets as :meth:`local_index_ranges`; a dimension whose
+        distribution has no slice form (``CYCLIC(k)``) keeps its index array.
+        """
+        owned = []
+        for dist, proc in self._dim_procs(rank):
+            as_slice = dist.local_slice(proc)
+            owned.append(dist.local_indices(proc) if as_slice is None else as_slice)
+        return tuple(owned)
+
+    def _local_selector(self, rank: int) -> tuple:
+        """Index expression picking ``rank``'s part out of a dense global array.
+
+        All slices — one strided view — unless some dimension is
+        ``CYCLIC(k)``, which needs the ``np.ix_`` mesh of index arrays.
+        """
+        slices = tuple(dist.local_slice(proc) for dist, proc in self._dim_procs(rank))
+        if None in slices:
+            return np.ix_(*self.local_index_ranges(rank))
+        return slices
 
     def _check_index(self, index: Sequence[int]) -> Tuple[int, ...]:
         index = tuple(int(i) for i in index)
@@ -239,22 +279,25 @@ class ArrayDescriptor:
     # ------------------------------------------------------------------
     # scatter / gather of dense data
     # ------------------------------------------------------------------
-    def scatter(self, global_array: np.ndarray) -> Dict[int, np.ndarray]:
+    def scatter(
+        self, global_array: np.ndarray, ranks: Optional[Iterable[int]] = None
+    ) -> Dict[int, np.ndarray]:
         """Split a dense global array into per-processor local arrays.
 
-        Works for any supported distribution by fancy-indexing with the owned
-        global indices along each dimension.
+        Each part is one strided copy (cast to the descriptor's dtype on the
+        way) of the slices ``rank`` owns; ``CYCLIC(k)`` dimensions fall back
+        to fancy indexing.  ``ranks`` limits the result to those processors'
+        parts (default: all) — a rank worker copies only what it owns.
         """
-        global_array = np.asarray(global_array, dtype=self.dtype)
+        global_array = np.asarray(global_array)
         if global_array.shape != self.shape:
             raise DistributionError(
                 f"scatter: array shape {global_array.shape} does not match descriptor shape {self.shape}"
             )
-        locals_: Dict[int, np.ndarray] = {}
-        for rank in range(self.nprocs):
-            ranges = self.local_index_ranges(rank)
-            locals_[rank] = global_array[np.ix_(*ranges)].copy() if self.ndim else global_array.copy()
-        return locals_
+        return {
+            rank: np.array(global_array[self._local_selector(rank)], dtype=self.dtype, order="C")
+            for rank in (range(self.nprocs) if ranks is None else ranks)
+        }
 
     def gather(self, local_arrays: Dict[int, np.ndarray]) -> np.ndarray:
         """Reassemble a dense global array from per-processor local arrays."""
@@ -262,14 +305,13 @@ class ArrayDescriptor:
         for rank in range(self.nprocs):
             if rank not in local_arrays:
                 raise DistributionError(f"gather: missing local array for rank {rank}")
-            ranges = self.local_index_ranges(rank)
-            expected = tuple(len(r) for r in ranges)
-            local = np.asarray(local_arrays[rank], dtype=self.dtype)
+            expected = self.local_shape(rank)
+            local = np.asarray(local_arrays[rank])
             if local.shape != expected:
                 raise DistributionError(
                     f"gather: rank {rank} local shape {local.shape} does not match expected {expected}"
                 )
-            out[np.ix_(*ranges)] = local
+            out[self._local_selector(rank)] = local
         return out
 
     # ------------------------------------------------------------------

@@ -26,7 +26,14 @@ All distributions expose the same interface used by the compiler and runtime:
   owner's local index,
 * :meth:`Distribution.local_to_global` — inverse translation,
 * :meth:`Distribution.local_size` — extent of the local array on a rank,
-* :meth:`Distribution.local_indices` — the global indices owned by a rank.
+* :meth:`Distribution.local_indices` — the global indices owned by a rank,
+* :meth:`Distribution.local_slice` — the same set as a ``slice``, where the
+  pattern has one (everything but ``CYCLIC(k)``).
+
+The scalar translations check their arguments and define the mapping; the
+whole-set queries (``local_indices``, ``local_slice``, ``owners``,
+``local_positions``) are closed forms over ``np.arange`` that never call them,
+so staging an array costs a few vector expressions, not one call per index.
 
 Indices are zero-based throughout the library (the paper's Fortran examples
 are one-based; the front end converts).
@@ -36,7 +43,7 @@ from __future__ import annotations
 
 import abc
 import math
-from typing import Iterator, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -104,12 +111,21 @@ class Distribution(abc.ABC):
             )
         return lindex
 
+    @abc.abstractmethod
+    def local_slice(self, proc: int) -> Optional[slice]:
+        """The global indices owned by ``proc`` as a ``slice``, or ``None``.
+
+        ``BLOCK`` owns ``lo:hi``, ``CYCLIC`` owns ``proc::nprocs`` and a
+        replicated dimension owns ``0:extent``, so indexing a dense array
+        with the slice is one strided view.  The bounds are always explicit
+        and within ``[0, extent]``; a processor that owns nothing gets an
+        empty slice.  ``CYCLIC(k)`` has no such form and returns ``None`` —
+        callers fall back to :meth:`local_indices`.
+        """
+
     def local_indices(self, proc: int) -> np.ndarray:
         """Return the (sorted) global indices owned by processor ``proc``."""
-        proc = self._check_proc(proc)
-        return np.asarray(
-            [self.local_to_global(proc, l) for l in range(self.local_size(proc))], dtype=np.int64
-        )
+        return np.arange(self.extent, dtype=np.int64)[self.local_slice(proc)]
 
     def is_distributed(self) -> bool:
         """True when different processors own different indices."""
@@ -119,9 +135,20 @@ class Distribution(abc.ABC):
         """Largest local extent over all processors (used for buffer sizing)."""
         return max(self.local_size(p) for p in range(self.nprocs))
 
+    @abc.abstractmethod
     def owners(self) -> np.ndarray:
         """Vector of owners for every global index (length ``extent``)."""
-        return np.asarray([self.owner(g) for g in range(self.extent)], dtype=np.int64)
+
+    def local_positions(self) -> np.ndarray:
+        """Vector of owner-local indices for every global index.
+
+        The vector form of :meth:`global_to_local`: entry ``g`` is the local
+        index of ``g`` on ``owners()[g]``.
+        """
+        positions = np.empty(self.extent, dtype=np.int64)
+        for proc in range(self.nprocs):
+            positions[self.local_indices(proc)] = np.arange(self.local_size(proc))
+        return positions
 
     def iter_owned(self) -> Iterator[Tuple[int, np.ndarray]]:
         """Yield ``(proc, global_indices)`` pairs for every processor."""
@@ -190,6 +217,12 @@ class BlockDistribution(Distribution):
         stop = min(start + self.block, self.extent)
         return start, stop
 
+    def local_slice(self, proc: int) -> slice:
+        return slice(*self.local_bounds(proc))
+
+    def owners(self) -> np.ndarray:
+        return np.arange(self.extent, dtype=np.int64) // max(self.block, 1)
+
     def _signature(self) -> Tuple:
         return (self.block,)
 
@@ -216,6 +249,12 @@ class CyclicDistribution(Distribution):
             return 0
         full, rem = divmod(self.extent, self.nprocs)
         return full + (1 if proc < rem else 0)
+
+    def local_slice(self, proc: int) -> slice:
+        return slice(min(self._check_proc(proc), self.extent), self.extent, self.nprocs)
+
+    def owners(self) -> np.ndarray:
+        return np.arange(self.extent, dtype=np.int64) % self.nprocs
 
 
 class BlockCyclicDistribution(Distribution):
@@ -264,6 +303,18 @@ class BlockCyclicDistribution(Distribution):
             size -= self.block - tail
         return size
 
+    def local_slice(self, proc: int) -> Optional[slice]:
+        self._check_proc(proc)
+        return None
+
+    def local_indices(self, proc: int) -> np.ndarray:
+        lindex = np.arange(self.local_size(proc), dtype=np.int64)
+        global_block = lindex // self.block * self.nprocs + proc
+        return global_block * self.block + lindex % self.block
+
+    def owners(self) -> np.ndarray:
+        return np.arange(self.extent, dtype=np.int64) // self.block % self.nprocs
+
     def _signature(self) -> Tuple:
         return (self.block,)
 
@@ -290,6 +341,13 @@ class ReplicatedDistribution(Distribution):
     def local_size(self, proc: int) -> int:
         self._check_proc(proc)
         return self.extent
+
+    def local_slice(self, proc: int) -> slice:
+        self._check_proc(proc)
+        return slice(0, self.extent)
+
+    def owners(self) -> np.ndarray:
+        return np.zeros(self.extent, dtype=np.int64)
 
     def is_distributed(self) -> bool:
         return False

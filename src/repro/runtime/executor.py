@@ -238,6 +238,12 @@ def _uniform_local_shape(descriptor: ArrayDescriptor) -> Tuple[int, int]:
     return next(iter(shapes))
 
 
+def _column_owner_table(descriptor: ArrayDescriptor) -> Tuple[list, list]:
+    """``(owner rank, owner-local column)`` per global column, built once per statement."""
+    owners, local_cols = descriptor.owner_table(1)
+    return owners.tolist(), local_cols.tolist()
+
+
 def _plan_for(compiled: "CompiledProgram", strategy: SlabbingStrategy) -> "AccessPlan":
     """The compiled plan for ``strategy``, falling back through the decision."""
     if compiled.plan.strategy is strategy:
@@ -365,6 +371,8 @@ def run_reduction_column(
         for col in range(slab.col_start, slab.col_stop):
             c_slab_of_col[col] = slab
 
+    c_owner, c_local_col = _column_owner_table(c_desc)
+
     perform = vm.perform_io
     c_buffers: Dict[int, np.ndarray] = {
         rank: np.zeros(c_shape, dtype=c_desc.dtype) for rank in vm.ranks
@@ -414,8 +422,7 @@ def run_reduction_column(
                 shape=(n_rows,),
                 itemsize=itemsize,
             )
-            owner = c_desc.owner_of_dim(1, j)
-            local_j = c_desc.global_to_local((0, j))[1]
+            owner, local_j = c_owner[j], c_local_col[j]
             c_slab = c_slab_of_col[local_j]
             if perform and owner in c_buffers:
                 c_buffers[owner][:, local_j] = column.astype(c_desc.dtype)
@@ -456,6 +463,8 @@ def run_reduction_row(
 
     s_slabs = row_slabs(s_shape, s_entry.lines_per_slab)
     b_slabs = column_slabs(b_shape, b_entry.lines_per_slab)
+
+    c_owner, c_local_col = _column_owner_table(c_desc)
 
     perform = vm.perform_io
 
@@ -503,10 +512,9 @@ def run_reduction_row(
                     shape=(s_slab.nrows,),
                     itemsize=itemsize,
                 )
-                owner = c_desc.owner_of_dim(1, j)
-                local_j = c_desc.global_to_local((0, j))[1]
+                owner = c_owner[j]
                 if perform and owner in c_buffer:
-                    c_buffer[owner][:, local_j] = subcolumn.astype(c_desc.dtype)
+                    c_buffer[owner][:, c_local_col[j]] = subcolumn.astype(c_desc.dtype)
         # the row slab of the result is complete on every owner: flush it
         c_row_slab = Slab(
             index=s_slab.index,
@@ -542,6 +550,7 @@ def run_reduction_incore(
     n_cols = c_desc.shape[1]
     itemsize = c_desc.itemsize
     perform = vm.perform_io
+    c_owner, c_local_col = _column_owner_table(c_desc)
 
     a_data = {rank: ooc_s.local(rank).fetch_all() for rank in vm.ranks}
     b_data = {rank: ooc_b.local(rank).fetch_all() for rank in vm.ranks}
@@ -567,11 +576,8 @@ def run_reduction_incore(
         for rank in vm.ranks:
             vm.charge_compute(rank, per_column_flops)
         column = vm.comm.global_sum(contributions, shape=(n_rows,), itemsize=itemsize)
-        if perform:
-            owner = c_desc.owner_of_dim(1, j)
-            local_j = c_desc.global_to_local((0, j))[1]
-            if owner in c_local:
-                c_local[owner][:, local_j] = column.astype(c_desc.dtype)
+        if perform and c_owner[j] in c_local:
+            c_local[c_owner[j]][:, c_local_col[j]] = column.astype(c_desc.dtype)
 
     for rank in vm.ranks:
         ooc_c.local(rank).store_all(c_local.get(rank) if perform else None)
@@ -632,7 +638,9 @@ def run_reduction_single_operand(
                 a64[rank][slab.row_slice, slab.col_slice] = data
 
     # Global column indices owned by each rank (the reduce dimension of `a`).
-    owned_cols = {rank: s_desc.local_index_ranges(rank)[1] for rank in vm.ranks}
+    owned_cols = {rank: s_desc.local_slices(rank)[1] for rank in vm.ranks}
+    s_owner, s_local_col = _column_owner_table(s_desc)
+    c_owner, c_local_col = _column_owner_table(c_desc)
 
     c_buffers: Dict[int, np.ndarray] = {
         rank: np.zeros(c_shape, dtype=c_desc.dtype) for rank in vm.ranks
@@ -646,8 +654,7 @@ def run_reduction_single_operand(
     for j in range(n_cols):
         # The owner of column j of `a` broadcasts it; every rank slices the
         # rows matching its owned reduce indices and forms the partial.
-        coeff_owner = s_desc.owner_of_dim(1, j)
-        coeff_local_j = s_desc.global_to_local((0, j))[1]
+        coeff_owner, coeff_local_j = s_owner[j], s_local_col[j]
         column_j = vm.comm.broadcast(
             coeff_owner,
             a64[coeff_owner][:, coeff_local_j]
@@ -663,8 +670,7 @@ def run_reduction_single_operand(
         for rank in vm.ranks:
             vm.charge_compute(rank, 2.0 * s_shape[0] * s_shape[1])
         column = vm.comm.global_sum(contributions, shape=(n_rows,), itemsize=itemsize)
-        owner = c_desc.owner_of_dim(1, j)
-        local_j = c_desc.global_to_local((0, j))[1]
+        owner, local_j = c_owner[j], c_local_col[j]
         c_slab = c_slab_of_col[local_j]
         if perform and owner in c_buffers:
             c_buffers[owner][:, local_j] = column.astype(c_desc.dtype)
@@ -860,6 +866,13 @@ def run_transpose_plan(
             for rank in vm.ranks
         }
 
+    # Hoisted out of the slab loops: rank r's local column c of src is global
+    # column src_cols[r][c], and the rows of src that rank q needs are its
+    # global columns of dst (a slice; an index array under CYCLIC(k)).
+    all_cols = np.arange(src_desc.shape[1])
+    src_cols = [all_cols[src_desc.local_slices(rank)[1]] for rank in range(nprocs)]
+    dst_cols = [dst_desc.local_slices(rank)[1] for rank in range(nprocs)]
+
     for src in range(nprocs):
         local_shape = src_desc.local_shape(src)
         for slab in column_slabs(local_shape, cols_per_slab):
@@ -872,20 +885,18 @@ def run_transpose_plan(
             vm.comm.charge_all_to_all(payload_bytes)
             if not vm.perform_io:
                 continue
-            global_cols = src_desc.local_index_ranges(src)[1][slab.col_start:slab.col_stop]
+            global_cols = src_cols[src][slab.col_start:slab.col_stop]
             # Columns of dst owned by ``dest`` correspond to global rows of
             # src with the same indices; the slab contributes
             # dst[g, j] = src[j, g] for every global column g in the slab
             # and every j on ``dest``.
             pieces = {
-                dest: block[dst_desc.local_index_ranges(dest)[1], :]
-                for dest in range(nprocs)
+                dest: block[dst_cols[dest], :] for dest in range(nprocs)
             } if block is not None else None
             delivered = vm.comm.scatter(src, pieces)
             for dest, piece in delivered.items():
                 # piece has shape (|dest columns|, |slab columns|)
-                for offset, gcol in enumerate(global_cols):
-                    result_locals[dest][gcol, :] = piece[:, offset]
+                result_locals[dest][global_cols, :] = piece.T
 
     # write the transposed local arrays slab by slab
     for rank in vm.ranks:

@@ -16,8 +16,9 @@ I/O engine can charge request counts faithfully.
 Fast path: a LAF keeps one lazily opened, persistent ``np.memmap`` handle
 and reuses it across slab accesses instead of paying a file open plus memmap
 construction per access.  The handle is invalidated by :meth:`close` /
-:meth:`delete` (and flushed there, so writes can skip per-access ``flush``
-calls unless ``sync=True`` is requested).  A :class:`LafHandleCache` bounds
+:meth:`delete`; ``close`` flushes it (so writes can skip per-access ``flush``
+calls unless ``sync=True`` is requested) while ``delete`` drops it unflushed,
+because the file goes with it.  A :class:`LafHandleCache` bounds
 how many handles are simultaneously open so runs with hundreds of LAFs do
 not exhaust file descriptors; evicted handles are flushed and transparently
 reopened on the next access.  None of this changes what the simulated
@@ -244,31 +245,22 @@ class LocalArrayFile:
                 pass
 
     def delete(self) -> None:
-        """Close and remove the backing file and its checksum sidecar.
+        """Drop the mapping and remove the backing file and its checksum sidecar.
 
-        Idempotent (a missing file is not an error) and never *masks* a
-        pending flush failure: the files are removed either way, then the
-        flush error — which names the array and rank — is re-raised.
+        Nothing is written back: the dirty pages belong to a file that is
+        unlinked here, so an ``msync`` (or saving the sidecar) would be I/O
+        for data nobody can read again.  Only :meth:`close` and :meth:`flush`
+        write back, and only they can raise a flush error.  Idempotent: a
+        missing file is not an error and repeat calls are no-ops.
         """
-        flush_error: Optional[IOEngineError] = None
-        # Persisting the manifest sidecar just to unlink it would be wasted
-        # work: detach it before close so sync_manifest has nothing to save.
+        self._closed = True
+        self._mm = None
+        if self._handle_cache is not None:
+            self._handle_cache.discard(self)
         manifest, self.manifest = self.manifest, None
-        try:
-            self.close()
-        except IOEngineError as exc:
-            flush_error = exc
-        try:
-            self.path.unlink()
-        except FileNotFoundError:
-            pass
+        self.path.unlink(missing_ok=True)
         if manifest is not None and manifest.path is not None:
-            try:
-                manifest.path.unlink()
-            except FileNotFoundError:
-                pass
-        if flush_error is not None:
-            raise flush_error
+            manifest.path.unlink(missing_ok=True)
 
     def sync_manifest(self) -> None:
         """Persist the checksum manifest sidecar if it has unsaved entries."""

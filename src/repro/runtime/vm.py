@@ -208,15 +208,15 @@ class VirtualMachine:
                 f"{descriptor.name!r} has {descriptor.ndim} dimensions"
             )
         locals_: Dict[int, OutOfCoreLocalArray] = {}
-        scattered: Optional[Dict[int, np.ndarray]] = None
-        if self.perform_io and initial is not None:
-            scattered = descriptor.scatter(initial)
-        # A rank worker creates (and charges) only its own local part; the
-        # scatter above is deterministic, so every worker slices the same
+        # A rank worker creates, scatters and charges only its own local
+        # part; scatter is deterministic, so every worker slices the same
         # dense data identically to the simulator's scatter.
         owned = (
             tuple(range(descriptor.nprocs)) if self.rank is None else (self.rank,)
         )
+        scattered: Optional[Dict[int, np.ndarray]] = None
+        if self.perform_io and initial is not None:
+            scattered = descriptor.scatter(initial, owned)
         for rank in owned:
             local_shape = descriptor.local_shape(rank)
             if self.perform_io:

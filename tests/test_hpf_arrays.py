@@ -252,3 +252,87 @@ def test_local_shapes_partition_global(n, p):
     template = Template("d", n, grid, ["block"])
     desc = ArrayDescriptor("x", (n, n), Alignment(template, ["*", ":"]))
     assert sum(desc.local_size(r) for r in range(p)) == n * n
+
+
+# ---------------------------------------------------------------------------
+# property tests: the closed-form data plane for every distribution kind
+# ---------------------------------------------------------------------------
+_DIM_KINDS = {
+    "block": DimDistributionSpec("block"),
+    "cyclic": DimDistributionSpec("cyclic"),
+    "cyclic3": DimDistributionSpec("cyclic", block=3),
+}
+
+
+def _descriptor_2d(kinds, procs, shape, dtype=np.float64):
+    """A 2-D descriptor with dimension ``d`` distributed ``kinds[d]`` (or ``"*"``)."""
+    distributed = [d for d, kind in enumerate(kinds) if kind != "*"]
+    grid = ProcessorGrid("G", tuple(procs[d] for d in distributed) or (procs[0],))
+    if not distributed:
+        # Fully replicated: align both dimensions away from a 1-D template.
+        template = Template("t", 1, grid, ["block"])
+        return ArrayDescriptor("x", shape, Alignment(template, ["*", "*"]), dtype=dtype)
+    template = Template("t", tuple(shape[d] for d in distributed), grid,
+                        [_DIM_KINDS[kinds[d]] for d in distributed])
+    targets = iter(range(len(distributed)))
+    align = Alignment(template, ["*" if kind == "*" else next(targets) for kind in kinds])
+    return ArrayDescriptor("x", shape, align, dtype=dtype)
+
+
+_kind = st.sampled_from(["block", "cyclic", "cyclic3", "*"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kinds=st.tuples(_kind, _kind),
+    procs=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+    shape=st.tuples(st.integers(0, 17), st.integers(0, 17)),
+)
+def test_scatter_gather_round_trip_every_kind(kinds, procs, shape):
+    """gather(scatter(x)) == x, and each part is what the index sets say.
+
+    Covers BLOCK / CYCLIC slices, the CYCLIC(k) fancy-index fallback,
+    replicated dimensions, 2-D grids, P not dividing N, zero extents and
+    ranks that own nothing.
+    """
+    desc = _descriptor_2d(kinds, procs, shape, dtype=np.float32)
+    dense = np.arange(shape[0] * shape[1], dtype=np.float64).reshape(shape)
+    locals_ = desc.scatter(dense)
+    assert sorted(locals_) == list(range(desc.nprocs))
+    for rank, local in locals_.items():
+        rows, cols = desc.local_index_ranges(rank)
+        assert local.dtype == np.float32 and local.shape == desc.local_shape(rank)
+        np.testing.assert_array_equal(local, dense[np.ix_(rows, cols)])
+        assert not np.shares_memory(local, dense)
+        for owned, indices, extent in zip(desc.local_slices(rank), (rows, cols), shape,
+                                          strict=True):
+            as_indices = np.arange(extent)[owned] if isinstance(owned, slice) else owned
+            np.testing.assert_array_equal(as_indices, indices)
+        for lindex in np.ndindex(*local.shape):
+            assert desc.local_to_global(rank, lindex) == (rows[lindex[0]], cols[lindex[1]])
+    np.testing.assert_array_equal(desc.gather(locals_), dense)
+    some = [r for r in range(desc.nprocs) if r % 2 == 0]
+    subset = desc.scatter(dense, some)
+    assert sorted(subset) == some
+    for rank in some:
+        np.testing.assert_array_equal(subset[rank], locals_[rank])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(["block", "cyclic", "cyclic3"]),
+    n=st.integers(1, 40),
+    p=st.integers(1, 8),
+    column_distributed=st.booleans(),
+)
+def test_owner_table_matches_per_index_translation(kind, n, p, column_distributed):
+    kinds = ("*", kind) if column_distributed else (kind, "*")
+    desc = _descriptor_2d(kinds, (p, p), (n, n))
+    dim = 1 if column_distributed else 0
+    owners, positions = desc.owner_table(dim)
+    for g in range(n):
+        index = (0, g) if column_distributed else (g, 0)
+        assert owners[g] == desc.owner_of_dim(dim, g)
+        assert positions[g] == desc.global_to_local(index)[dim]
+    with pytest.raises(DistributionError):
+        desc.owner_table(1 - dim)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.exceptions import DistributionError
 from repro.hpf.distribution import (
@@ -155,6 +155,8 @@ def _build(kind: str, extent: int, nprocs: int):
         return CyclicDistribution(extent, nprocs)
     if kind == "cyclic2":
         return BlockCyclicDistribution(extent, nprocs, block=2)
+    if kind == "replicated":
+        return ReplicatedDistribution(extent, nprocs)
     return BlockCyclicDistribution(extent, nprocs, block=3)
 
 
@@ -208,3 +210,44 @@ def test_block_locality_of_block_distribution(kind, extent, nprocs):
         indices = dist.local_indices(p)
         if len(indices) > 1:
             assert np.all(np.diff(indices) == 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(["block", "cyclic", "cyclic2", "cyclic3", "replicated"]),
+    extent=st.integers(0, 200),
+    nprocs=st.integers(1, 17),
+)
+@example(kind="block", extent=4, nprocs=8)    # trailing ranks own nothing
+@example(kind="block", extent=10, nprocs=4)   # P does not divide N
+@example(kind="cyclic", extent=3, nprocs=5)   # more processors than indices
+@example(kind="cyclic3", extent=7, nprocs=2)  # partial last block
+@example(kind="cyclic2", extent=0, nprocs=4)
+@example(kind="replicated", extent=5, nprocs=3)
+def test_closed_forms_match_elementwise_definitions(kind, extent, nprocs):
+    """The vectorised set queries equal the scalar, checked translations.
+
+    ``local_to_global`` / ``owner`` / ``global_to_local`` define the mapping
+    one index at a time; ``local_indices``, ``local_slice``, ``owners`` and
+    ``local_positions`` must describe exactly the same sets.
+    """
+    dist = _build(kind, extent, nprocs)
+    owners, positions = dist.owners(), dist.local_positions()
+    assert owners.dtype == positions.dtype == np.int64
+    assert owners.tolist() == [dist.owner(g) for g in range(extent)]
+    assert positions.tolist() == [dist.global_to_local(g) for g in range(extent)]
+    for p in range(nprocs):
+        expected = [dist.local_to_global(p, i) for i in range(dist.local_size(p))]
+        indices = dist.local_indices(p)
+        assert indices.dtype == np.int64
+        assert indices.tolist() == expected
+        owned = dist.local_slice(p)
+        if isinstance(dist, BlockCyclicDistribution):
+            assert owned is None
+        else:
+            assert 0 <= owned.start <= owned.stop <= extent
+            assert list(range(extent)[owned]) == expected
+    with pytest.raises(DistributionError):
+        dist.local_slice(nprocs)
+    with pytest.raises(DistributionError):
+        dist.local_indices(-1)

@@ -125,6 +125,44 @@ class Tamper:
         assert [v.rule for v in out] == ["frozen-mutation"]
 
 
+class TestLoopIndexTranslation:
+    PER_COLUMN = """
+for j in range(n_cols):
+    owner = c_desc.owner_of_dim(1, j)
+    local_j = c_desc.global_to_local((0, j))[1]
+"""
+    HOISTED = """
+owners, local_cols = c_desc.owner_table(1)
+ranges = src_desc.local_index_ranges(src)
+for j in c_desc.local_index_ranges(0)[1]:
+    owner = owners[j]
+else:
+    last = c_desc.local_to_global(0, (0, 0))
+"""
+
+    def test_calls_in_a_for_body_are_flagged(self):
+        out = findings(lint.check_loop_index_translation, self.PER_COLUMN, "executor.py")
+        assert [(v.rule, v.line) for v in out] == [
+            ("loop-index-translation", 3), ("loop-index-translation", 4),
+        ]
+
+    def test_nested_loops_flag_each_call_once(self):
+        source = "for a in x:\n    for b in y:\n        d.local_to_global(r, (a, b))\n"
+        out = findings(lint.check_loop_index_translation, source, "executor.py")
+        assert [v.line for v in out] == [3]
+
+    def test_comprehensions_are_flagged(self):
+        source = "cols = {r: d.local_index_ranges(r)[1] for r in ranks}\n"
+        out = findings(lint.check_loop_index_translation, source, "executor.py")
+        assert [v.rule for v in out] == ["loop-index-translation"]
+
+    def test_hoisted_lookups_and_loop_iterables_are_allowed(self):
+        assert findings(lint.check_loop_index_translation, self.HOISTED, "executor.py") == []
+
+    def test_only_the_executor_is_checked(self):
+        assert findings(lint.check_loop_index_translation, self.PER_COLUMN, "vm.py") == []
+
+
 def test_repository_is_clean():
     violations = lint.lint_tree(REPO)
     assert violations == [], "\n".join(v.render() for v in violations)

@@ -196,17 +196,41 @@ class TestCloseDelete:
         laf.close()
 
     def test_delete_never_masks_flush_error(self, tmp_path, monkeypatch):
-        laf = LocalArrayFile(
-            tmp_path / "a.dat", (4, 4), np.float32, array_name="a", rank=0
-        )
-        laf.write_full(np.zeros((4, 4), dtype=np.float32))
-        monkeypatch.setattr(
-            type(laf._mm), "flush",
-            lambda self: (_ for _ in ()).throw(OSError("disk gone")),
-        )
-        with pytest.raises(IOEngineError, match="disk gone"):
-            laf.delete()
-        assert not laf.path.exists()  # removed despite the flush failure
+        """``delete()`` has no flush error to mask: it never writes back.
+
+        The file is unlinked, so its dirty pages are dropped, not synced;
+        flush failures surface from ``close()`` (and ``flush()``) only.
+        """
+        flushes = []
+
+        def failing_flush(self):
+            flushes.append(self)
+            raise OSError("disk gone")
+
+        def dirty_laf(name):
+            laf = LocalArrayFile(
+                tmp_path / name, (4, 4), np.float32, array_name="a", rank=0,
+                manifest=SlabManifest(tmp_path / f"{name}.sums.json"),
+            )
+            laf.write_full(np.ones((4, 4), dtype=np.float32))
+            return laf
+
+        doomed, kept = dirty_laf("doomed.dat"), dirty_laf("kept.dat")
+        monkeypatch.setattr(type(doomed._mm), "flush", failing_flush)
+        doomed.delete()
+        assert flushes == []
+        assert not doomed.handle_open
+        assert not doomed.path.exists()
+        assert not (tmp_path / "doomed.dat.sums.json").exists()  # never saved either
+        doomed.delete()  # idempotent
+        with pytest.raises(IOEngineError, match="closed"):
+            doomed.read_full()
+        # close() still writes back, and still names array and rank on failure.
+        with pytest.raises(IOEngineError, match=r"a\[p0\].*disk gone"):
+            kept.close()
+        assert len(flushes) == 1
+        kept.delete()  # after a failed close: still removes the file, silently
+        assert not kept.path.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,16 @@ discipline statically (stdlib ``ast`` only, no third-party dependencies):
     on this to keep its resident intermediate EXECUTE-only while both modes
     charge identical counters.
 
+``loop-index-translation``
+    In ``src/repro/runtime/executor.py`` no ``owner_of_dim`` /
+    ``global_to_local`` / ``local_to_global`` / ``local_index_ranges`` call
+    may sit lexically inside a ``for`` body or a comprehension: the engines
+    look ownership up in tables and slices built once per statement
+    (``owner_table``, ``local_slices``), so host time does not grow with one
+    checked Python call per column per slab.  Host-side only — no charge
+    depends on it — but it guards the measured data-plane speed-up without
+    reading a clock.
+
 Run: ``python tools/lint_charge_discipline.py [root]`` — exits non-zero on
 any violation.  Wired into ``make lint`` and CI.
 """
@@ -63,6 +73,10 @@ NUMPY_ALIASES = {"np", "numpy"}
 WALL_CLOCK_CALLS = {"time", "perf_counter", "perf_counter_ns", "monotonic",
                     "monotonic_ns", "now", "utcnow", "clock_gettime"}
 RETRY_EXCEPTIONS = {"TransientIOError", "OSError", "IOError"}
+INDEX_TRANSLATION_FILE = "executor.py"
+INDEX_TRANSLATION_CALLS = {"owner_of_dim", "global_to_local", "local_to_global",
+                           "local_index_ranges"}
+_COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 
 class Violation(NamedTuple):
@@ -256,6 +270,34 @@ def check_estimate_parity(tree: ast.AST, path: Path) -> Iterator[Violation]:
     yield from visit(tree, False)
 
 
+def check_loop_index_translation(tree: ast.AST, path: Path) -> Iterator[Violation]:
+    if path.name != INDEX_TRANSLATION_FILE:
+        return
+
+    def visit(node: ast.AST, in_loop: bool) -> Iterator[Violation]:
+        if (
+            in_loop
+            and isinstance(node, ast.Call)
+            and _call_name(node) in INDEX_TRANSLATION_CALLS
+        ):
+            yield Violation(
+                "loop-index-translation", str(path), node.lineno,
+                f"{_call_name(node)!r} inside a loop translates indices one "
+                "call at a time; hoist an owner_table()/local_slices() "
+                "lookup out of the loop",
+            )
+        if isinstance(node, (ast.For, ast.AsyncFor)):
+            # The iterable and the else branch run once; only the body repeats.
+            for child in ast.iter_child_nodes(node):
+                yield from visit(child, in_loop or child in node.body)
+            return
+        in_loop = in_loop or isinstance(node, _COMPREHENSIONS)
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, in_loop)
+
+    yield from visit(tree, False)
+
+
 # ---------------------------------------------------------------------------
 # driver
 # ---------------------------------------------------------------------------
@@ -267,6 +309,7 @@ def lint_file(path: Path, *, runtime: bool) -> List[Violation]:
         violations.extend(check_wall_clock(tree, path))
         violations.extend(check_retry_charges(tree, path))
         violations.extend(check_estimate_parity(tree, path))
+        violations.extend(check_loop_index_translation(tree, path))
     violations.extend(check_frozen_mutation(tree, path))
     return violations
 
