@@ -5,7 +5,7 @@ PYTHON ?= python
 
 .PHONY: test test-faults cov lint typecheck check-plans bench bench-unified \
 	bench-program bench-planner bench-resilience bench-mp bench-service \
-	bench-suite bench-reset clean-scratch serve
+	bench-suite ab bench-reset clean-scratch serve
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
@@ -98,6 +98,13 @@ bench-service:
 # Drop `--scale tiny` by hand for the full-size numbers (about 90 s).
 bench-suite:
 	$(PYTHON) -m benchmarks.suite --scale tiny
+
+# Paired parent/change runs of that suite (tools/ab_pairs.py): PARENT is a
+# checkout of the parent commit (git clone, not a worktree), W a workload name.
+#   make ab PARENT=/root/scratch/parent W=gaxpy_col_1k
+PAIRS ?= 10
+ab:
+	$(PYTHON) tools/ab_pairs.py --parent $(PARENT) --workload $(W) --pairs $(PAIRS)
 
 # Run the compile-and-run job server (HOST/PORT/WORKERS overridable):
 #   make serve PORT=8642 WORKERS=4

@@ -112,11 +112,11 @@ class TransposeWorkload(Workload):
         if point.slab_ratio is not None:
             # Read the real (ceil-based block distribution) local width from
             # the descriptor; n // nprocs would under-size it for uneven n.
-            local_cols = max(descriptor.local_shape(r)[1] for r in range(point.nprocs))
+            local_cols = max(shape[1] for shape in descriptor.local_shapes())
             lines = max(int(local_cols * point.slab_ratio), 1)
         else:
             lines = int(point.option("cols_per_slab", 8))
-        rows = max(descriptor.local_shape(r)[0] for r in range(point.nprocs))
+        rows = max(shape[0] for shape in descriptor.local_shapes())
         slab = max(lines, 1) * max(rows, 1)
         return Lowering(ir=ir, slab_elements={"t_src": slab, "t_dst": slab})
 
@@ -169,10 +169,7 @@ class ElementwiseWorkload(Workload):
         if point.slab_ratio is not None:
             # Size against the real (ceil-based block distribution) local
             # array; n * (n // nprocs) would under-size it for uneven n.
-            local_elements = max(
-                descriptor.local_shape(r)[0] * descriptor.local_shape(r)[1]
-                for r in range(point.nprocs)
-            )
+            local_elements = max(rows * cols for rows, cols in descriptor.local_shapes())
             slab = max(int(local_elements * point.slab_ratio), 1)
         else:
             slab = int(point.option("slab_elements", 4096))

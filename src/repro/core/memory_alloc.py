@@ -48,8 +48,7 @@ __all__ = [
 
 
 def _local_geometry(analysis: InCorePhaseResult, name: str) -> Tuple[int, int]:
-    descriptor = analysis.program.arrays[name]
-    shapes = [descriptor.local_shape(r) for r in range(descriptor.nprocs)]
+    shapes = analysis.program.arrays[name].local_shapes()
     return max(shapes, key=lambda s: s[0] * s[1])
 
 

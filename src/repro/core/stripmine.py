@@ -116,11 +116,9 @@ def build_plan_entry(
     strategy = SlabbingStrategy.from_name(strategy)
     if slab_elements < 1:
         raise CompilationError(f"slab_elements must be positive, got {slab_elements}")
-    nprocs = descriptor.nprocs
-    local_shapes = [descriptor.local_shape(rank) for rank in range(nprocs)]
     # Plan against the largest local array (ranks with smaller parts simply
     # have fewer slabs at run time).
-    rows, cols = max(local_shapes, key=lambda shape: shape[0] * shape[1])
+    rows, cols = max(descriptor.local_shapes(), key=lambda shape: shape[0] * shape[1])
     if strategy is SlabbingStrategy.COLUMN:
         per_line = max(rows, 1)
         lines = max(1, min(max(cols, 1), slab_elements // per_line or 1))

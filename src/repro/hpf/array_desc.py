@@ -17,6 +17,7 @@ distribution.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -93,6 +94,7 @@ class ArrayDescriptor:
                     f"template dimension {spec.target} of extent {template_extent}"
                 )
             self._dists.append(self.template.distribution(spec.target))
+        self._local_shapes: Optional[Tuple[Tuple[int, ...], ...]] = None
 
     # ------------------------------------------------------------------
     # basic geometry
@@ -224,6 +226,17 @@ class ArrayDescriptor:
                 shape.append(dist.local_size(0))
         return tuple(shape)
 
+    def local_shapes(self) -> Tuple[Tuple[int, ...], ...]:
+        """Every rank's local shape, in rank order.
+
+        Computed on first use and kept: a descriptor is never mutated after
+        construction, and the compiler, planner and engines all ask for the
+        whole table (uniformity checks, maxima) many times per compile.
+        """
+        if self._local_shapes is None:
+            self._local_shapes = tuple(self.local_shape(r) for r in range(self.nprocs))
+        return self._local_shapes
+
     def local_size(self, rank: int) -> int:
         total = 1
         for extent in self.local_shape(rank):
@@ -234,7 +247,7 @@ class ArrayDescriptor:
         return self.local_size(rank) * self.itemsize
 
     def max_local_nbytes(self) -> int:
-        return max(self.local_nbytes(r) for r in range(self.nprocs))
+        return max(math.prod(shape) for shape in self.local_shapes()) * self.itemsize
 
     def local_index_ranges(self, rank: int) -> Tuple[np.ndarray, ...]:
         """Global indices owned by ``rank`` along each dimension."""

@@ -39,7 +39,7 @@ from repro.machine.network import NetworkModel
 from repro.machine.processor import ProcessorModel
 from repro.machine.clock import ProcessorClock, ClockSet
 from repro.machine.metrics import OperationCounters, MetricsSet
-from repro.machine.cluster import Machine
+from repro.machine.cluster import ColumnLane, Machine
 
 __all__ = [
     "DiskParameters",
@@ -59,5 +59,6 @@ __all__ = [
     "ClockSet",
     "OperationCounters",
     "MetricsSet",
+    "ColumnLane",
     "Machine",
 ]

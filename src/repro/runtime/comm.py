@@ -15,12 +15,13 @@ The engines in :mod:`repro.runtime.executor` reach every collective through
   merged per-processor statistics stay bit-identical to a simulated run.
 
 A backend is bound to a machine once (``bind``), then serves ``global_sum`` /
-``broadcast`` / ``charge_all_to_all`` / ``scatter`` for the life of the VM.
+``global_sum_columns`` / ``broadcast`` / ``charge_all_to_all`` / ``scatter``
+for the life of the VM.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -46,6 +47,23 @@ class CommBackend:
         shape: Sequence[int],
         itemsize: int,
     ) -> Optional[np.ndarray]:
+        raise NotImplementedError
+
+    def global_sum_columns(
+        self,
+        contributions: Optional[Dict[int, np.ndarray]],
+        steps: Mapping[int, Sequence[tuple]],
+        *,
+        ncols: int,
+        rows: int,
+        itemsize: int,
+        prefetch=None,
+    ) -> Optional[np.ndarray]:
+        """A column block: see :func:`repro.runtime.collectives.global_sum_columns`.
+
+        ``contributions`` and ``steps`` are keyed by the ranks this backend
+        serves; ``prefetch`` is the VM's overlap policy, or ``None``.
+        """
         raise NotImplementedError
 
     def broadcast(
@@ -79,6 +97,13 @@ class SimulatedComm(CommBackend):
     def global_sum(self, contributions, *, shape, itemsize):
         return collectives.global_sum(
             self.machine, contributions, shape=shape, itemsize=itemsize
+        )
+
+    def global_sum_columns(self, contributions, steps, *, ncols, rows, itemsize,
+                           prefetch=None):
+        return collectives.global_sum_columns(
+            self.machine, contributions, steps,
+            ncols=ncols, rows=rows, itemsize=itemsize, prefetch=prefetch,
         )
 
     def broadcast(self, root, data, *, shape, itemsize):

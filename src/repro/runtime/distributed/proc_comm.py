@@ -15,7 +15,16 @@ friends) applies to that row in the simulator:
 * the collective seconds come from the same :class:`NetworkModel` formula
   with the same arguments, so they are the same float on every rank;
 * the float64 accumulation of a global sum happens at rank 0 in rank order,
-  reproducing the simulator's summation order bit-for-bit.
+  reproducing the simulator's summation order bit-for-bit;
+* a column block (:meth:`ProcessComm.global_sum_columns`) is one gather and
+  one broadcast: every rank sends its :class:`~repro.machine.cluster.ColumnLane`
+  (clock, prefetch window, per-column step seconds) with its product matrix,
+  rank 0 sums the matrices and sends all lanes back, and each worker replays
+  every rank's clock through the block so the per-column synchronisation
+  maxima are the simulator's, writing back only its own row.
+
+Every collective validates what it was given (and, for a broadcast, what it
+received) before it charges.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ import numpy as np
 
 from repro.exceptions import CollectiveError
 from repro.machine.cluster import Machine
-from repro.runtime.collectives import payload_bytes
+from repro.runtime.collectives import payload_bytes, sum_in_rank_order
 from repro.runtime.comm import CommBackend
 from repro.runtime.distributed.transport import PipeTransport
 
@@ -66,11 +75,17 @@ class ProcessComm(CommBackend):
         )
         self.machine.clocks[self.rank].advance(seconds, "comm")
 
-    def _check_shape(self, piece: np.ndarray, shape) -> np.ndarray:
+    def _own_piece(self, what: str, contributions, shape) -> np.ndarray:
+        if contributions is None or self.rank not in contributions:
+            raise CollectiveError(
+                f"the distributed backend runs EXECUTE mode only; {what} "
+                "needs this rank's contribution"
+            )
+        piece = np.asarray(contributions[self.rank])
         expected = tuple(int(s) for s in shape)
         if piece.shape != expected:
             raise CollectiveError(
-                f"global_sum: rank {self.rank} contributed shape {piece.shape}, "
+                f"{what}: rank {self.rank} contributed shape {piece.shape}, "
                 f"expected {expected}"
             )
         return piece
@@ -81,27 +96,14 @@ class ProcessComm(CommBackend):
         nprocs = machine.nprocs
         nbytes = payload_bytes(shape, itemsize)
         nelements = nbytes // max(int(itemsize), 1)
-        if contributions is None or self.rank not in contributions:
-            raise CollectiveError(
-                "the distributed backend runs EXECUTE mode only; global_sum "
-                "needs this rank's contribution"
-            )
-        piece = self._check_shape(np.asarray(contributions[self.rank]), shape)
+        piece = self._own_piece("global_sum", contributions, shape)
 
         # One combined round trip: root receives (now, piece) from everyone,
         # reduces both, and broadcasts (global_now, total).
         gathered = self.transport.gather_to_root((self._own_now(), piece), 0)
         if self.transport.rank == 0:
             global_now = max(now for now, _ in gathered)
-            total: Optional[np.ndarray] = None
-            for rank in range(nprocs):
-                contribution = np.asarray(gathered[rank][1])
-                total = (
-                    contribution.astype(np.float64, copy=True)
-                    if total is None
-                    else total + contribution
-                )
-            reply = (global_now, total)
+            reply = (global_now, sum_in_rank_order([np.asarray(p) for _, p in gathered]))
         else:
             reply = None
         global_now, total = self.transport.broadcast_from(reply, 0)
@@ -113,17 +115,39 @@ class ProcessComm(CommBackend):
         return np.asarray(total)
 
     # ------------------------------------------------------------------
+    def global_sum_columns(self, contributions, steps, *, ncols, rows, itemsize,
+                           prefetch=None):
+        machine = self.machine
+        nbytes = payload_bytes((rows,), itemsize)
+        nelements = nbytes // max(int(itemsize), 1)
+        piece = self._own_piece("global_sum_columns", contributions, (rows, ncols))
+        lane = machine.column_lane(self.rank, steps.get(self.rank, ()), prefetch)
+
+        # One round trip per block: root receives (lane, piece) from everyone,
+        # sums the pieces in rank order, and broadcasts (all lanes, total).
+        gathered = self.transport.gather_to_root((lane, piece), 0)
+        if self.transport.rank == 0:
+            reply = (
+                [entry[0] for entry in gathered],
+                sum_in_rank_order([np.asarray(entry[1]) for entry in gathered]),
+            )
+        else:
+            reply = None
+        lanes, total = self.transport.broadcast_from(reply, 0)
+
+        machine.charge_column_block(
+            lanes, ncols, nbytes, nelements, prefetch=prefetch, owned=(self.rank,)
+        )
+        return np.asarray(total)
+
+    # ------------------------------------------------------------------
     def broadcast(self, root, data, *, shape, itemsize):
         machine = self.machine
         nprocs = machine.nprocs
         nbytes = payload_bytes(shape, itemsize)
 
-        global_now = float(self.transport.allreduce(self._own_now(), max))
-        self._synchronize_to(global_now)
-        seconds = machine.network.broadcast(nbytes, nprocs)
-        rounds = machine.network.params.collective_rounds(nprocs)
-        self._charge_collective(seconds, rounds, nbytes)
-
+        # Deliver and check the payload first: a rejected broadcast must not
+        # have moved this rank's clock or counters.
         payload = self.transport.broadcast_from(
             np.asarray(data) if self.rank == root else None, root
         )
@@ -138,6 +162,12 @@ class ProcessComm(CommBackend):
             raise CollectiveError(
                 f"broadcast: data shape {value.shape}, expected {expected}"
             )
+
+        global_now = float(self.transport.allreduce(self._own_now(), max))
+        self._synchronize_to(global_now)
+        seconds = machine.network.broadcast(nbytes, nprocs)
+        rounds = machine.network.params.collective_rounds(nprocs)
+        self._charge_collective(seconds, rounds, nbytes)
         return value
 
     # ------------------------------------------------------------------

@@ -38,7 +38,7 @@ import dataclasses
 import os
 import signal
 from pathlib import Path
-from typing import Callable, Dict, Optional, Tuple, TYPE_CHECKING
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 import numpy as np
 
@@ -228,7 +228,7 @@ def _recovery_budget(vm: VirtualMachine, narrays: int) -> int:
 # shared reduction helpers
 # ---------------------------------------------------------------------------
 def _uniform_local_shape(descriptor: ArrayDescriptor) -> Tuple[int, int]:
-    shapes = {descriptor.local_shape(r) for r in range(descriptor.nprocs)}
+    shapes = set(descriptor.local_shapes())
     if len(shapes) != 1:
         raise RuntimeExecutionError(
             f"the executable kernels require identical local shapes on every processor; "
@@ -242,6 +242,72 @@ def _column_owner_table(descriptor: ArrayDescriptor) -> Tuple[list, list]:
     """``(owner rank, owner-local column)`` per global column, built once per statement."""
     owners, local_cols = descriptor.owner_table(1)
     return owners.tolist(), local_cols.tolist()
+
+
+def _column_blocks(
+    c_desc: ArrayDescriptor,
+    column_ranges: Sequence[Tuple[int, int]],
+    c_lines_per_slab: Optional[int] = None,
+) -> List[List[Tuple[int, int, int, int]]]:
+    """The column blocks of a reduction, one list per range of result columns.
+
+    A block ``(lo, hi, owner, local_lo)`` is a maximal run of global result
+    columns ``lo:hi`` inside one of ``column_ranges`` (the columns of one
+    coefficient slab) that one rank owns as the consecutive local columns
+    ``local_lo:local_lo + hi - lo`` and — when the result is written in
+    column slabs of ``c_lines_per_slab`` columns — that lie in one result
+    slab.  Blocks end there because that is where the per-column schedule
+    does something else than "steps, global sum": the owner's ``store_slab``
+    is charged between the last column of a result slab and the next, and the
+    summed block lands in one owner's buffer with one assignment.
+    """
+    owners, local_cols = c_desc.owner_table(1)
+    cut = (np.diff(owners) != 0) | (np.diff(local_cols) != 1)
+    if c_lines_per_slab is not None:
+        cut |= np.diff(local_cols // c_lines_per_slab) != 0
+    starts = np.flatnonzero(cut) + 1
+    blocks = []
+    for start, stop in column_ranges:
+        inner = starts[(starts > start) & (starts < stop)].tolist()
+        edges = [start, *inner, stop]
+        blocks.append([
+            (lo, hi, int(owners[lo]), int(local_cols[lo]))
+            for lo, hi in zip(edges, edges[1:], strict=False)
+            if hi > lo
+        ])
+    return blocks
+
+
+def _reduce_column_block(
+    vm: VirtualMachine,
+    block: Tuple[int, int, int, int],
+    steps: Dict[int, list],
+    products: Dict[int, np.ndarray],
+    first_col: int,
+    buffers: Dict[int, np.ndarray],
+    *,
+    rows: int,
+    itemsize: int,
+) -> None:
+    """Charge one column block, sum it and deliver it to its owner's buffer.
+
+    ``products[rank][:, j - first_col]`` is the rank's contribution to global
+    result column ``j`` (EXECUTE only); the summed ``rows x ncols`` block is
+    assigned to the owner's local columns in ``buffers`` in one go.
+    """
+    lo, hi, owner, local_lo = block
+    perform = vm.perform_io
+    summed = vm.comm.global_sum_columns(
+        {rank: products[rank][:, lo - first_col: hi - first_col] for rank in vm.ranks}
+        if perform else None,
+        steps,
+        ncols=hi - lo,
+        rows=rows,
+        itemsize=itemsize,
+        prefetch=vm.prefetch_policy,
+    )
+    if perform and owner in buffers:
+        buffers[owner][:, local_lo: local_lo + hi - lo] = summed
 
 
 def _plan_for(compiled: "CompiledProgram", strategy: SlabbingStrategy) -> "AccessPlan":
@@ -366,23 +432,33 @@ def run_reduction_column(
     s_slabs = column_slabs(s_shape, s_entry.lines_per_slab)
     b_slabs = column_slabs(b_shape, b_entry.lines_per_slab)
     c_slabs = column_slabs(c_shape, c_entry.lines_per_slab)
-    c_slab_of_col = {}
-    for slab in c_slabs:
-        for col in range(slab.col_start, slab.col_stop):
-            c_slab_of_col[col] = slab
-
-    c_owner, c_local_col = _column_owner_table(c_desc)
+    blocks = _column_blocks(
+        c_desc, [(slab.col_start, slab.col_stop) for slab in b_slabs], c_entry.lines_per_slab
+    )
 
     perform = vm.perform_io
     c_buffers: Dict[int, np.ndarray] = {
         rank: np.zeros(c_shape, dtype=c_desc.dtype) for rank in vm.ranks
     } if perform else {}
 
-    # Fast path: the streamed array is read-only, so each slab is loaded from
-    # disk once into a float64 staging buffer; every later re-stream of the
-    # same slab is charged to the machine (identically to a real re-read) but
-    # served from memory.  The arithmetic for all columns of a coefficient
-    # slab is then one BLAS-3 GEMM per rank instead of ncols BLAS-2 matvecs.
+    # What every result column charges each rank (Figure 9's inner loop):
+    # re-stream each slab of the streamed array and multiply it in.
+    steps = {
+        rank: [
+            step
+            for s_slab in s_slabs
+            for step in (ooc_s.local(rank).fetch_step(s_slab),
+                         ("compute", 2.0 * s_slab.nelements))
+        ]
+        for rank in vm.ranks
+    }
+
+    # Fast path: the streamed array is read-only, so each slab is really read
+    # once, into a float64 staging buffer; that read and every re-stream of
+    # the slab are charged by the column blocks (identically to real
+    # re-reads) and served from memory.  The arithmetic for all columns of a
+    # coefficient slab is then one BLAS-3 GEMM per rank instead of ncols
+    # BLAS-2 matvecs.
     a64: Dict[int, np.ndarray] = {}
     products64: Dict[int, np.ndarray] = {}
     if perform:
@@ -391,46 +467,30 @@ def run_reduction_column(
         products64 = {
             rank: np.empty((n_rows, max_b_cols), dtype=np.float64) for rank in vm.ranks
         }
-    a_loaded: set = set()
+        for s_slab in s_slabs:
+            for rank in vm.ranks:
+                a64[rank][:, s_slab.col_slice] = ooc_s.local(rank).load_slab(s_slab)
 
-    global_col = 0
-    for b_slab in b_slabs:
+    for b_slab, b_blocks in zip(b_slabs, blocks, strict=True):
         b_data = {rank: ooc_b.local(rank).fetch_slab(b_slab) for rank in vm.ranks}
-        b64 = {
-            rank: b_data[rank].astype(np.float64) for rank in vm.ranks
-        } if perform else {}
-        products: Optional[Dict[int, np.ndarray]] = None
-        for m in range(b_slab.ncols):
-            j = global_col
-            global_col += 1
-            for s_slab in s_slabs:
-                for rank in vm.ranks:
-                    if perform and (rank, s_slab.index) not in a_loaded:
-                        a64[rank][:, s_slab.col_slice] = ooc_s.local(rank).fetch_slab(s_slab)
-                        a_loaded.add((rank, s_slab.index))
-                    else:
-                        ooc_s.local(rank).charge_fetch(s_slab)
-                    vm.charge_compute(rank, 2.0 * s_slab.nelements)
-            if perform and products is None:
-                products = {
-                    rank: np.matmul(a64[rank], b64[rank],
-                                    out=products64[rank][:, : b_slab.ncols])
-                    for rank in vm.ranks
-                }
-            column = vm.comm.global_sum(
-                {rank: products[rank][:, m] for rank in vm.ranks} if perform else None,
-                shape=(n_rows,),
-                itemsize=itemsize,
-            )
-            owner, local_j = c_owner[j], c_local_col[j]
-            c_slab = c_slab_of_col[local_j]
+        products: Dict[int, np.ndarray] = {}
+        if perform:
+            products = {
+                rank: np.matmul(a64[rank], b_data[rank].astype(np.float64),
+                                out=products64[rank][:, : b_slab.ncols])
+                for rank in vm.ranks
+            }
+        for block in b_blocks:
+            _reduce_column_block(vm, block, steps, products, b_slab.col_start, c_buffers,
+                                 rows=n_rows, itemsize=itemsize)
+            lo, hi, owner, local_lo = block
+            c_slab = c_slabs[local_lo // c_entry.lines_per_slab]
+            if local_lo + hi - lo < c_slab.col_stop:
+                continue
+            # the block completed a column slab of the result: its owner stores it
             if perform and owner in c_buffers:
-                c_buffers[owner][:, local_j] = column.astype(c_desc.dtype)
-                if local_j == c_slab.col_stop - 1:
-                    ooc_c.local(owner).store_slab(
-                        c_slab, c_buffers[owner][:, c_slab.col_slice]
-                    )
-            elif not perform and local_j == c_slab.col_stop - 1:
+                ooc_c.local(owner).store_slab(c_slab, c_buffers[owner][:, c_slab.col_slice])
+            elif not perform:
                 ooc_c.local(owner).store_slab(c_slab, None)
 
     return _finish_reduction(vm, "column-slab", ooc_c, inputs, verify)
@@ -464,7 +524,7 @@ def run_reduction_row(
     s_slabs = row_slabs(s_shape, s_entry.lines_per_slab)
     b_slabs = column_slabs(b_shape, b_entry.lines_per_slab)
 
-    c_owner, c_local_col = _column_owner_table(c_desc)
+    blocks = _column_blocks(c_desc, [(slab.col_start, slab.col_stop) for slab in b_slabs])
 
     perform = vm.perform_io
 
@@ -490,10 +550,12 @@ def run_reduction_row(
                 rank: np.zeros((s_slab.nrows, c_shape[1]), dtype=c_desc.dtype)
                 for rank in vm.ranks
             }
-        global_col = 0
-        for b_slab in b_slabs:
+        # What every result subcolumn charges each rank (Figure 12's inner
+        # loop): multiply the resident row slab in.
+        steps = {rank: [("compute", 2.0 * s_slab.nelements)] for rank in vm.ranks}
+        for b_slab, b_blocks in zip(b_slabs, blocks, strict=True):
             b_data = {rank: ooc_b.local(rank).fetch_slab(b_slab) for rank in vm.ranks}
-            products: Optional[Dict[int, np.ndarray]] = None
+            products: Dict[int, np.ndarray] = {}
             if perform:
                 # One BLAS-3 GEMM per rank covers every column of this
                 # coefficient slab against the resident streamed slab.
@@ -502,19 +564,9 @@ def run_reduction_row(
                                     out=products64[rank][: s_slab.nrows, : b_slab.ncols])
                     for rank in vm.ranks
                 }
-            for m in range(b_slab.ncols):
-                j = global_col
-                global_col += 1
-                for rank in vm.ranks:
-                    vm.charge_compute(rank, 2.0 * s_slab.nelements)
-                subcolumn = vm.comm.global_sum(
-                    {rank: products[rank][:, m] for rank in vm.ranks} if perform else None,
-                    shape=(s_slab.nrows,),
-                    itemsize=itemsize,
-                )
-                owner = c_owner[j]
-                if perform and owner in c_buffer:
-                    c_buffer[owner][:, c_local_col[j]] = subcolumn.astype(c_desc.dtype)
+            for block in b_blocks:
+                _reduce_column_block(vm, block, steps, products, b_slab.col_start, c_buffer,
+                                     rows=s_slab.nrows, itemsize=itemsize)
         # the row slab of the result is complete on every owner: flush it
         c_row_slab = Slab(
             index=s_slab.index,
@@ -550,7 +602,6 @@ def run_reduction_incore(
     n_cols = c_desc.shape[1]
     itemsize = c_desc.itemsize
     perform = vm.perform_io
-    c_owner, c_local_col = _column_owner_table(c_desc)
 
     a_data = {rank: ooc_s.local(rank).fetch_all() for rank in vm.ranks}
     b_data = {rank: ooc_b.local(rank).fetch_all() for rank in vm.ranks}
@@ -558,8 +609,8 @@ def run_reduction_incore(
         rank: np.zeros(c_shape, dtype=c_desc.dtype) for rank in vm.ranks
     } if perform else {}
 
-    # One whole-local-array GEMM per rank; the per-column loop below only
-    # charges costs and runs the (per-column) global sums.
+    # One whole-local-array GEMM per rank; the column blocks below only
+    # charge costs and run the global sums.
     products: Dict[int, np.ndarray] = {}
     if perform:
         products = {
@@ -567,17 +618,12 @@ def run_reduction_incore(
             for rank in vm.ranks
         }
 
-    flops_per_proc = analysis.flops_per_proc
-    per_column_flops = flops_per_proc / max(n_cols, 1)
-    for j in range(n_cols):
-        contributions = None
-        if perform:
-            contributions = {rank: products[rank][:, j] for rank in vm.ranks}
-        for rank in vm.ranks:
-            vm.charge_compute(rank, per_column_flops)
-        column = vm.comm.global_sum(contributions, shape=(n_rows,), itemsize=itemsize)
-        if perform and c_owner[j] in c_local:
-            c_local[c_owner[j]][:, c_local_col[j]] = column.astype(c_desc.dtype)
+    per_column_flops = analysis.flops_per_proc / max(n_cols, 1)
+    steps = {rank: [("compute", per_column_flops)] for rank in vm.ranks}
+    (blocks,) = _column_blocks(c_desc, [(0, n_cols)])
+    for block in blocks:
+        _reduce_column_block(vm, block, steps, products, 0, c_local,
+                             rows=n_rows, itemsize=itemsize)
 
     for rank in vm.ranks:
         ooc_c.local(rank).store_all(c_local.get(rank) if perform else None)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 import time
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -167,25 +167,38 @@ class IOEngine:
             return 1
         return laf.contiguous_chunks(slab)
 
+    def read_step(self, laf: LocalArrayFile, slab: Slab) -> Tuple[str, int, int]:
+        """What one read of ``slab`` charges, as a column-block step.
+
+        ``("read", nbytes, nrequests)`` with the request count still derived
+        from :meth:`LocalArrayFile.contiguous_chunks`; nothing is charged.
+        """
+        return ("read", slab.nbytes(laf.dtype.itemsize), self._request_count(laf, slab))
+
     def charge_read_slab(self, rank: int, laf: LocalArrayFile, slab: Slab) -> None:
         """Charge the machine as if ``slab`` were read, without moving data.
 
-        Used by kernels that re-stream a slab they already hold in memory
-        (e.g. the column-slab GAXPY re-fetching the streamed array for every
-        result column): the simulated machine pays the full re-read — request
-        counts still derived from :meth:`LocalArrayFile.contiguous_chunks` —
-        while the host skips the redundant file access.
+        The charge half of :meth:`read_slab`: the simulated machine pays the
+        full read while the host skips the file access.
         """
-        nrequests = self._request_count(laf, slab)
-        nbytes = slab.nbytes(laf.dtype.itemsize)
+        _, nbytes, nrequests = self.read_step(laf, slab)
         self._charge_read(rank, nbytes, nrequests)
+
+    def load_slab(self, rank: int, laf: LocalArrayFile, slab: Slab) -> Optional[np.ndarray]:
+        """Move ``slab``'s data without charging: the data half of :meth:`read_slab`.
+
+        For a caller that charges the read itself — the column-slab reduction
+        holds each streamed slab in memory after one real read and charges
+        that read, with every re-stream, in its column blocks.
+        """
+        if not self.perform_io:
+            return None
+        return self._attempt(lambda: laf.read_slab(slab), "read", laf)
 
     def read_slab(self, rank: int, laf: LocalArrayFile, slab: Slab) -> Optional[np.ndarray]:
         """Read ``slab`` of processor ``rank``'s LAF; charge and return the data."""
         self.charge_read_slab(rank, laf, slab)
-        if not self.perform_io:
-            return None
-        return self._attempt(lambda: laf.read_slab(slab), "read", laf)
+        return self.load_slab(rank, laf, slab)
 
     def write_slab(
         self, rank: int, laf: LocalArrayFile, slab: Slab, data: Optional[np.ndarray]

@@ -10,7 +10,7 @@ kernels and generated node programs read like the paper's pseudo-code
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -85,6 +85,20 @@ class OutOfCoreLocalArray:
             self.icla.hits += 1
             return
         self.engine.charge_read_slab(self.rank, self.laf, slab)
+
+    def fetch_step(self, slab: Slab) -> Tuple[str, int, int]:
+        """The column-block step (``("read", nbytes, nrequests)``) of one fetch of ``slab``.
+
+        With :meth:`load_slab` this is :meth:`fetch_slab` taken apart for an
+        engine whose column blocks charge every re-stream of a slab it reads
+        once; the ICLA reuse buffer is not consulted (no engine attaches one
+        to a streamed operand).
+        """
+        return self.engine.read_step(self.laf, slab)
+
+    def load_slab(self, slab: Slab) -> Optional[np.ndarray]:
+        """Read a slab's data uncharged; the caller charges :meth:`fetch_step`."""
+        return self.engine.load_slab(self.rank, self.laf, slab)
 
     def store_slab(self, slab: Slab, data: Optional[np.ndarray]) -> None:
         """Write a slab through the I/O engine and invalidate any stale ICLA copy."""

@@ -45,6 +45,14 @@ class PrefetchPolicy:
         """Fraction of the overlap window usable for hiding I/O (0..1)."""
         return 0.0
 
+    def window(self, rank: int) -> float:
+        """Compute seconds ``rank`` has banked for hiding its next reads."""
+        return self._available.get(rank, 0.0)
+
+    def set_window(self, rank: int, seconds: float) -> None:
+        """Store ``rank``'s window after a column block replayed its arithmetic."""
+        self._available[rank] = seconds
+
     def charge_read(self, machine: Machine, rank: int, nbytes: int, nrequests: int) -> float:
         """Charge a (possibly partially hidden) read; returns visible seconds."""
         full = machine.params.disk.read_time(nbytes, nrequests, contention=machine.nprocs)

@@ -165,6 +165,57 @@ class TestChargeParity:
         assert comparable(dist) == comparable(sim)
         assert sim.resilience["retries"] > 0, "the policy injected nothing"
 
+    def test_one_transport_round_trip_per_column_block(self, tmp_path, monkeypatch):
+        """Row-slab N=128 P=2: 4 row slabs x 4 coefficient slabs, each inside
+        one owner's columns, is 16 column blocks for 512 result subcolumns —
+        and 16 gathers at the root, every charged field still the simulator's."""
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("counting calls inside the workers needs fork")
+        from repro.runtime.executor import _column_blocks, _plan_for
+        from repro.runtime.slab import SlabbingStrategy
+
+        point = WorkloadPoint("gaxpy", n=128, nprocs=2, slab_ratio=0.25, version="row")
+        compiled = get_workload("gaxpy").compile(point, MachineParameters())
+        program = compiled.program
+        plan = _plan_for(program, SlabbingStrategy.ROW)
+        b_lines = plan.entry(program.analysis.coefficient).lines_per_slab
+        per_pass = _column_blocks(
+            program.program.arrays[program.analysis.result],
+            [(lo, min(lo + b_lines, 128)) for lo in range(0, 128, b_lines)],
+        )
+        blocks = plan.entry(program.analysis.streamed).num_slabs * sum(map(len, per_pass))
+        assert blocks == 16
+
+        # fork-started workers inherit both the patch and the shared counter
+        root_gathers = multiprocessing.get_context("fork").Value("i", 0)
+        gather = PipeTransport.gather_to_root
+
+        def counting_gather(self, value, root=0):
+            if self.rank == root:
+                with root_gathers.get_lock():
+                    root_gathers.value += 1
+            return gather(self, value, root)
+
+        monkeypatch.setattr(PipeTransport, "gather_to_root", counting_gather)
+        config = run_config(tmp_path)
+        dist = execute_distributed(compiled, config, verify=True, start_method="fork")
+        assert root_gathers.value == blocks
+        monkeypatch.undo()
+        assert comparable(dist) == comparable(simulated_record(compiled, config))
+        assert dist.verified is True
+
+    @pytest.mark.parametrize("version", ["column", "row"])
+    def test_overlap_prefetch_matches_simulator(self, tmp_path, version):
+        """Column blocks ship each rank's prefetch window with its clock."""
+        point = WorkloadPoint("gaxpy", n=64, nprocs=4, slab_ratio=0.25, version=version)
+        compiled = get_workload("gaxpy").compile(point, MachineParameters())
+        config = run_config(tmp_path, prefetch="overlap", prefetch_efficiency=0.5)
+        sim = simulated_record(compiled, config)
+        dist = execute_distributed(compiled, config, verify=True)
+        assert comparable(dist) == comparable(sim)
+        assert sim.simulated_seconds < simulated_record(
+            compiled, run_config(tmp_path)).simulated_seconds
+
     def test_session_backend_routes_execute(self, tmp_path):
         point = WorkloadPoint("gaxpy", n=64, nprocs=4, slab_ratio=0.25,
                               version="column")

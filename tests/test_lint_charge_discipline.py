@@ -163,6 +163,65 @@ else:
         assert findings(lint.check_loop_index_translation, self.PER_COLUMN, "vm.py") == []
 
 
+class TestPerColumnCharge:
+    # the three per-column bodies the column blocks replaced, abridged
+    PER_COLUMN = """
+def run_reduction_column(vm, compiled):
+    for b_slab in b_slabs:
+        for m in range(b_slab.ncols):
+            for s_slab in s_slabs:
+                for rank in vm.ranks:
+                    ooc_s.local(rank).charge_fetch(s_slab)
+                    vm.charge_compute(rank, 2.0 * s_slab.nelements)
+            column = vm.comm.global_sum(parts, shape=(n_rows,), itemsize=itemsize)
+
+def run_reduction_row(vm, compiled):
+    for s_slab in s_slabs:
+        for b_slab in b_slabs:
+            for m in range(b_slab.ncols):
+                for rank in vm.ranks:
+                    vm.charge_compute(rank, 2.0 * s_slab.nelements)
+                subcolumn = vm.comm.global_sum(parts, shape=(rows,), itemsize=itemsize)
+
+def run_reduction_incore(vm, compiled):
+    for j in range(n_cols):
+        for rank in vm.ranks:
+            vm.charge_compute(rank, per_column_flops)
+        column = vm.comm.global_sum(parts, shape=(n_rows,), itemsize=itemsize)
+"""
+    BLOCKED = """
+def run_reduction_row(vm, compiled):
+    for s_slab in s_slabs:
+        steps = {rank: [("compute", 2.0 * s_slab.nelements)] for rank in vm.ranks}
+        for b_slab, b_blocks in zip(b_slabs, blocks):
+            for block in b_blocks:
+                _reduce_column_block(vm, block, steps, products, 0, c_buffer,
+                                     rows=s_slab.nrows, itemsize=itemsize)
+
+def run_reduction_single_operand(vm, compiled):
+    for j in range(n_cols):
+        for rank in vm.ranks:
+            vm.charge_compute(rank, flops)
+        column = vm.comm.global_sum(parts, shape=(n_rows,), itemsize=itemsize)
+"""
+
+    def test_the_per_column_loops_are_flagged(self):
+        out = findings(lint.check_per_column_charge, self.PER_COLUMN, "executor.py")
+        assert [(v.rule, v.line) for v in out] == [
+            ("per-column-charge", line) for line in (7, 8, 9, 16, 17, 22, 23)
+        ]
+
+    def test_block_engines_and_other_engines_are_allowed(self):
+        assert findings(lint.check_per_column_charge, self.BLOCKED, "executor.py") == []
+
+    def test_a_charge_outside_any_loop_is_allowed(self):
+        source = "def run_reduction_incore(vm):\n    vm.charge_compute(0, 1.0)\n"
+        assert findings(lint.check_per_column_charge, source, "executor.py") == []
+
+    def test_only_the_executor_is_checked(self):
+        assert findings(lint.check_per_column_charge, self.PER_COLUMN, "kernels.py") == []
+
+
 def test_repository_is_clean():
     violations = lint.lint_tree(REPO)
     assert violations == [], "\n".join(v.render() for v in violations)

@@ -52,6 +52,16 @@ discipline statically (stdlib ``ast`` only, no third-party dependencies):
     depends on it — but it guards the measured data-plane speed-up without
     reading a clock.
 
+``per-column-charge``
+    In ``run_reduction_column`` / ``run_reduction_row`` /
+    ``run_reduction_incore`` no ``charge_compute`` / ``charge_fetch`` /
+    ``global_sum`` call may sit lexically inside a ``for`` body: those
+    engines charge and sum a whole *column block* per call
+    (``comm.global_sum_columns``), so one scalar charge per result column —
+    the 584k Python calls of an N=1024 column-slab pass — cannot creep back.
+    Host-side only, like ``loop-index-translation``; the scalar methods stay
+    the block's checked definition and the other engines keep using them.
+
 Run: ``python tools/lint_charge_discipline.py [root]`` — exits non-zero on
 any violation.  Wired into ``make lint`` and CI.
 """
@@ -73,9 +83,11 @@ NUMPY_ALIASES = {"np", "numpy"}
 WALL_CLOCK_CALLS = {"time", "perf_counter", "perf_counter_ns", "monotonic",
                     "monotonic_ns", "now", "utcnow", "clock_gettime"}
 RETRY_EXCEPTIONS = {"TransientIOError", "OSError", "IOError"}
-INDEX_TRANSLATION_FILE = "executor.py"
+EXECUTOR_FILE = "executor.py"
 INDEX_TRANSLATION_CALLS = {"owner_of_dim", "global_to_local", "local_to_global",
                            "local_index_ranges"}
+BLOCK_ENGINES = {"run_reduction_column", "run_reduction_row", "run_reduction_incore"}
+PER_COLUMN_CALLS = {"charge_compute", "charge_fetch", "global_sum"}
 _COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 
@@ -270,32 +282,52 @@ def check_estimate_parity(tree: ast.AST, path: Path) -> Iterator[Violation]:
     yield from visit(tree, False)
 
 
-def check_loop_index_translation(tree: ast.AST, path: Path) -> Iterator[Violation]:
-    if path.name != INDEX_TRANSLATION_FILE:
-        return
+def _calls_in_loops(root: ast.AST, names: set, comprehensions: bool = False) -> Iterator[ast.Call]:
+    """Calls to any of ``names`` lexically inside a ``for`` body under ``root``.
 
-    def visit(node: ast.AST, in_loop: bool) -> Iterator[Violation]:
-        if (
-            in_loop
-            and isinstance(node, ast.Call)
-            and _call_name(node) in INDEX_TRANSLATION_CALLS
-        ):
-            yield Violation(
-                "loop-index-translation", str(path), node.lineno,
-                f"{_call_name(node)!r} inside a loop translates indices one "
-                "call at a time; hoist an owner_table()/local_slices() "
-                "lookup out of the loop",
-            )
+    A loop's iterable and ``else`` branch run once, so only its body counts;
+    ``comprehensions`` makes a comprehension count as a loop too.
+    """
+
+    def visit(node: ast.AST, in_loop: bool) -> Iterator[ast.Call]:
+        if in_loop and isinstance(node, ast.Call) and _call_name(node) in names:
+            yield node
         if isinstance(node, (ast.For, ast.AsyncFor)):
-            # The iterable and the else branch run once; only the body repeats.
             for child in ast.iter_child_nodes(node):
                 yield from visit(child, in_loop or child in node.body)
             return
-        in_loop = in_loop or isinstance(node, _COMPREHENSIONS)
+        in_loop = in_loop or (comprehensions and isinstance(node, _COMPREHENSIONS))
         for child in ast.iter_child_nodes(node):
             yield from visit(child, in_loop)
 
-    yield from visit(tree, False)
+    yield from visit(root, False)
+
+
+def check_loop_index_translation(tree: ast.AST, path: Path) -> Iterator[Violation]:
+    if path.name != EXECUTOR_FILE:
+        return
+    for node in _calls_in_loops(tree, INDEX_TRANSLATION_CALLS, comprehensions=True):
+        yield Violation(
+            "loop-index-translation", str(path), node.lineno,
+            f"{_call_name(node)!r} inside a loop translates indices one "
+            "call at a time; hoist an owner_table()/local_slices() "
+            "lookup out of the loop",
+        )
+
+
+def check_per_column_charge(tree: ast.AST, path: Path) -> Iterator[Violation]:
+    if path.name != EXECUTOR_FILE:
+        return
+    for function in ast.walk(tree):
+        if not (isinstance(function, ast.FunctionDef) and function.name in BLOCK_ENGINES):
+            continue
+        for node in _calls_in_loops(function, PER_COLUMN_CALLS):
+            yield Violation(
+                "per-column-charge", str(path), node.lineno,
+                f"{_call_name(node)!r} inside a loop of a column-block engine "
+                "charges one result column per call; put it in the block's "
+                "step list (comm.global_sum_columns)",
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +342,7 @@ def lint_file(path: Path, *, runtime: bool) -> List[Violation]:
         violations.extend(check_retry_charges(tree, path))
         violations.extend(check_estimate_parity(tree, path))
         violations.extend(check_loop_index_translation(tree, path))
+        violations.extend(check_per_column_charge(tree, path))
     violations.extend(check_frozen_mutation(tree, path))
     return violations
 
