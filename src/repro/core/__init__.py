@@ -14,8 +14,14 @@ Compilation proceeds in the two phases of Figure 7 of the paper:
    node + message-passing + I/O program (:mod:`repro.core.codegen`,
    :mod:`repro.core.node_program`).
 
-:mod:`repro.core.pipeline` drives the whole sequence and returns a
-:class:`~repro.core.pipeline.CompiledProgram`.
+:mod:`repro.core.pipeline` drives the whole sequence in two steps:
+:func:`~repro.core.pipeline.plan_statement` *prices* a statement (everything
+above up to the chosen :class:`~repro.core.reorganize.AccessPlan` and its
+predicted cost — :meth:`CostModel.price` is the scalar arithmetic the
+allocation policies and the plan search compare candidates with), and
+:func:`~repro.core.pipeline.lower` turns the priced plan into the node program
+and returns a :class:`~repro.core.pipeline.CompiledProgram`.
+``compile_program`` is the two in sequence.
 """
 
 from repro.core.ir import (
@@ -34,7 +40,7 @@ from repro.core.ir import (
 )
 from repro.core.analysis import ArrayRole, InCorePhaseResult, analyze_program
 from repro.core.stripmine import SlabPlanEntry, slab_elements_from_ratio, slab_elements_from_bytes
-from repro.core.cost_model import ArrayIOCost, PlanCost, CostModel
+from repro.core.cost_model import ArrayIOCost, PlanCost, Price, CostModel
 from repro.core.memory_alloc import (
     AllocationPolicy,
     EqualAllocation,
@@ -47,9 +53,12 @@ from repro.core.codegen import ProgramSchedule, generate_node_program, generate_
 from repro.core.pipeline import (
     CompiledProgram,
     CompiledWholeProgram,
+    StatementPlan,
     compile_program,
     compile_whole_program,
     compile_gaxpy,
+    lower,
+    plan_statement,
 )
 
 __all__ = [
@@ -73,6 +82,7 @@ __all__ = [
     "slab_elements_from_bytes",
     "ArrayIOCost",
     "PlanCost",
+    "Price",
     "CostModel",
     "AllocationPolicy",
     "EqualAllocation",
@@ -86,8 +96,11 @@ __all__ = [
     "generate_node_program",
     "ProgramSchedule",
     "generate_program_schedule",
+    "StatementPlan",
     "CompiledProgram",
     "CompiledWholeProgram",
+    "plan_statement",
+    "lower",
     "compile_program",
     "compile_whole_program",
     "compile_gaxpy",

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import math
 from typing import Dict, Optional, Tuple, Union
 
 from repro.exceptions import CompilationError
@@ -238,7 +239,7 @@ def _analyze_elementwise(program: ProgramIR) -> ElementwisePhaseResult:
             f"elementwise arrays must conform; found shapes {sorted(shapes)}"
         )
     result_desc = program.arrays[result]
-    local = max(result_desc.local_size(r) for r in range(result_desc.nprocs))
+    local = math.prod(result_desc.max_local_shape())
     return ElementwisePhaseResult(
         program=program,
         result=result,
@@ -261,7 +262,7 @@ def _analyze_transpose(program: ProgramIR) -> TransposePhaseResult:
         raise CompilationError(
             f"transpose target {target!r} must conform with source {source!r}"
         )
-    local = max(src_desc.local_size(r) for r in range(src_desc.nprocs))
+    local = math.prod(src_desc.max_local_shape())
     return TransposePhaseResult(
         program=program,
         source=source,
@@ -335,7 +336,7 @@ def analyze_program(program: ProgramIR) -> PhaseResult:
             outer_dim=outer_dim,
             full_dims=ref.full_range_dims(),
             distributed_dims=descriptor.distributed_dims(),
-            max_local_elements=max(descriptor.local_size(r) for r in range(descriptor.nprocs)),
+            max_local_elements=math.prod(descriptor.max_local_shape()),
         )
 
     access[statement.result.array] = build_info(statement.result, ArrayRole.RESULT)

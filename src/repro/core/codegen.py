@@ -85,7 +85,7 @@ def _generate_fused(analysis: FusedElementwisePhase, plan: AccessPlan) -> NodePr
     consumer's compute op directly: the loop body carries *no* I/O op for the
     intermediate, so the generated program's static operation totals — and
     therefore the verifier's symbolic ledger — charge it zero requests and
-    zero bytes, matching :meth:`CostModel.estimate_fused`.
+    zero bytes, matching the fused rows of :meth:`CostModel.estimate`.
     """
     p, c = analysis.producer, analysis.consumer
     p_lhs, p_rhs = p.operands

@@ -33,20 +33,40 @@ slab.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional, Sequence
+import math
+from typing import Dict, Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.exceptions import CostModelError
 from repro.core.analysis import (
     ElementwisePhaseResult,
     FusedElementwisePhase,
     InCorePhaseResult,
+    PhaseResult,
     TransposePhaseResult,
 )
+from repro.core.ir import ProgramIR
 from repro.core.stripmine import SlabPlanEntry
 from repro.machine.parameters import MachineParameters
 from repro.runtime.slab import SlabbingStrategy
 
-__all__ = ["ArrayIOCost", "PlanCost", "CostModel", "combine_plan_costs"]
+__all__ = ["ArrayIOCost", "PlanCost", "Price", "CostModel", "combine_plan_costs", "local_elements"]
+
+
+class Price(NamedTuple):
+    """The scalars of a predicted per-processor cost — all the plan search
+    and the allocation policies ever compare."""
+
+    io_time: float
+    compute_time: float
+    comm_time: float
+    #: the paper's ``T_data`` summed over arrays (reads + writes)
+    io_elements: float
+    #: the paper's ``T_fetch`` summed over arrays (reads + writes)
+    io_requests: float
+
+    @property
+    def total_time(self) -> float:
+        return self.io_time + self.compute_time + self.comm_time
 
 
 @dataclasses.dataclass(frozen=True)
@@ -106,6 +126,12 @@ class PlanCost:
     @property
     def io_bytes(self) -> float:
         return self.io_elements * self.itemsize
+
+    @property
+    def price(self) -> Price:
+        return Price(
+            self.io_time, self.compute_time, self.comm_time, self.io_elements, self.io_requests
+        )
 
     def dominant_array(self) -> str:
         """The array with the largest data volume (the paper: "determine which
@@ -184,8 +210,85 @@ def combine_plan_costs(costs: Sequence[PlanCost]) -> PlanCost:
     )
 
 
+Row = Tuple[float, float, float, float]
+"""One array's ``(fetch_requests, fetch_elements, write_requests, write_elements)``."""
+
+
+def _read(slabs: float, elements: float) -> Row:
+    return (float(slabs), elements, 0.0, 0.0)
+
+
+def _write(slabs: float, elements: float) -> Row:
+    return (0.0, 0.0, float(slabs), elements)
+
+
+def _merge(accesses: Iterable[Tuple[str, Row]]) -> Dict[str, Row]:
+    """Per-array rows, first access first; an array accessed twice is charged twice."""
+    rows: Dict[str, Row] = {}
+    for name, row in accesses:
+        if name in rows:
+            a, b, c, d = rows[name]
+            row = (a + row[0], b + row[1], c + row[2], d + row[3])
+        rows[name] = row
+    return rows
+
+
+def local_elements(program: ProgramIR) -> Dict[str, float]:
+    """Per-array maximal local element counts: the geometry :meth:`CostModel.price` reads."""
+    return {
+        name: float(math.prod(descriptor.max_local_shape()))
+        for name, descriptor in program.arrays.items()
+    }
+
+
+def _entry_geometry(
+    entries: Mapping[str, SlabPlanEntry]
+) -> Tuple[Dict[str, int], Dict[str, float]]:
+    slabs = {name: entry.num_slabs for name, entry in entries.items()}
+    local = {
+        name: float(entry.local_shape[0] * entry.local_shape[1])
+        for name, entry in entries.items()
+    }
+    return slabs, local
+
+
+def _fused_reads(
+    producer: ElementwisePhaseResult, consumer: ElementwisePhaseResult
+) -> Tuple[str, ...]:
+    """Operand references a fused pair reads: the producer's, then the
+    consumer's except the intermediate (never materialized: zero requests,
+    zero elements).  An array read by both statements is read twice."""
+    return (*producer.operands, *(n for n in consumer.operands if n != producer.result))
+
+
+def _column_length(analysis: InCorePhaseResult) -> float:
+    result_desc = analysis.program.arrays[analysis.result]
+    full_dims = analysis.access[analysis.result].full_dims
+    return float(result_desc.shape[full_dims[0]]) if full_dims else 1.0
+
+
+class _Counts(NamedTuple):
+    """What a statement moves and computes, before machine parameters apply."""
+
+    rows: Dict[str, Row]
+    flops: float
+    collective_count: float
+    collective_elements_each: float
+    itemsize: int
+    #: the collectives are all-to-all exchanges (transpose), not global sums
+    exchange: bool = False
+
+
 class CostModel:
-    """Converts an access plan into the paper's I/O metrics and a time estimate."""
+    """Converts slab counts into the paper's I/O metrics and a time estimate.
+
+    The access formulas of every statement kind live in ``_reduction_rows`` /
+    ``_counts`` and the seconds in :meth:`_price`, once.  :meth:`price` returns
+    the resulting scalars — what the allocation policies probe with and the
+    plan search compares; :meth:`estimate` wraps the very same numbers into
+    the :class:`PlanCost` an :class:`~repro.core.reorganize.AccessPlan`
+    carries.
+    """
 
     def __init__(self, params: MachineParameters, nprocs: int) -> None:
         if nprocs < 1:
@@ -194,311 +297,255 @@ class CostModel:
         self.nprocs = int(nprocs)
 
     # ------------------------------------------------------------------
-    # raw count estimation
+    # access counts per statement kind
     # ------------------------------------------------------------------
-    def _counts(
+    def _reduction_rows(
         self,
         analysis: InCorePhaseResult,
         strategy: SlabbingStrategy,
-        entries: Dict[str, SlabPlanEntry],
-    ) -> Dict[str, ArrayIOCost]:
-        streamed = analysis.streamed
-        coefficient = analysis.coefficient
-        result = analysis.result
+        slabs: Mapping[str, int],
+        local: Mapping[str, float],
+    ) -> Dict[str, Row]:
+        streamed, coefficient, result = analysis.streamed, analysis.coefficient, analysis.result
         for name in (streamed, coefficient, result):
-            if name not in entries:
+            if name not in slabs:
                 raise CostModelError(f"no slab plan entry for array {name!r}")
-
-        s_entry = entries[streamed]
-        b_entry = entries[coefficient]
-        c_entry = entries[result]
-        s_local = float(s_entry.local_shape[0] * s_entry.local_shape[1])
-        b_local = float(b_entry.local_shape[0] * b_entry.local_shape[1])
-        c_local = float(c_entry.local_shape[0] * c_entry.local_shape[1])
         n_outer = float(analysis.outer_loop.extent)
-
-        costs: Dict[str, ArrayIOCost] = {}
         if strategy is SlabbingStrategy.COLUMN:
             # Column slabs of the streamed array: the whole local part is
             # re-fetched for every result column (equations 3 and 4).
-            streamed_cost = ArrayIOCost(
-                array=streamed,
-                fetch_requests=n_outer * s_entry.num_slabs,
-                fetch_elements=n_outer * s_local,
-                write_requests=0.0,
-                write_elements=0.0,
-            )
-            coefficient_cost = ArrayIOCost(
-                array=coefficient,
-                fetch_requests=float(b_entry.num_slabs),
-                fetch_elements=b_local,
-                write_requests=0.0,
-                write_elements=0.0,
-            )
+            streamed_row = (n_outer * slabs[streamed], n_outer * local[streamed], 0.0, 0.0)
+            coefficient_row = _read(slabs[coefficient], local[coefficient])
         elif strategy is SlabbingStrategy.ROW:
             # Row slabs of the streamed array: each slab is fetched exactly
             # once (equations 5 and 6); the coefficient array is re-read once
             # per streamed slab because the loops are reordered around the
             # slab loop.
-            streamed_cost = ArrayIOCost(
-                array=streamed,
-                fetch_requests=float(s_entry.num_slabs),
-                fetch_elements=s_local,
-                write_requests=0.0,
-                write_elements=0.0,
-            )
-            coefficient_cost = ArrayIOCost(
-                array=coefficient,
-                fetch_requests=float(s_entry.num_slabs * b_entry.num_slabs),
-                fetch_elements=float(s_entry.num_slabs) * b_local,
-                write_requests=0.0,
-                write_elements=0.0,
+            streamed_row = _read(slabs[streamed], local[streamed])
+            coefficient_row = (
+                float(slabs[streamed] * slabs[coefficient]),
+                float(slabs[streamed]) * local[coefficient],
+                0.0,
+                0.0,
             )
         else:  # pragma: no cover - guarded by the public methods
             raise CostModelError(f"unsupported strategy {strategy!r}")
-
-        if coefficient == streamed:
-            # Degenerate single-operand statement: the array is both streamed
-            # and re-read as the coefficient, so its entry must carry the sum
-            # of both access patterns (dropping the coefficient re-read here
-            # would undercharge the plan).
-            costs[streamed] = ArrayIOCost(
-                array=streamed,
-                fetch_requests=streamed_cost.fetch_requests + coefficient_cost.fetch_requests,
-                fetch_elements=streamed_cost.fetch_elements + coefficient_cost.fetch_elements,
-                write_requests=0.0,
-                write_elements=0.0,
-            )
-        else:
-            costs[streamed] = streamed_cost
-            costs[coefficient] = coefficient_cost
-
-        costs[result] = ArrayIOCost(
-            array=result,
-            fetch_requests=0.0,
-            fetch_elements=0.0,
-            write_requests=float(c_entry.num_slabs),
-            write_elements=c_local,
+        # A single-operand statement streams and re-reads one array: merging
+        # keeps the sum of both access patterns on its row.
+        return _merge(
+            [
+                (streamed, streamed_row),
+                (coefficient, coefficient_row),
+                (result, _write(slabs[result], local[result])),
+            ]
         )
-        return costs
+
+    def _counts(
+        self,
+        analysis: PhaseResult,
+        strategy: SlabbingStrategy,
+        slabs: Mapping[str, int],
+        local: Mapping[str, float],
+    ) -> _Counts:
+        arrays = analysis.program.arrays
+        if isinstance(analysis, InCorePhaseResult):
+            n_outer = float(analysis.outer_loop.extent)
+            column_length = _column_length(analysis)
+            if not analysis.needs_global_sum:
+                collective = (0.0, 0.0)
+            elif strategy is SlabbingStrategy.COLUMN:
+                collective = (n_outer, column_length)
+            else:
+                n = slabs[analysis.streamed]
+                collective = (n_outer * n, column_length / n if n else column_length)
+            return _Counts(
+                self._reduction_rows(analysis, strategy, slabs, local),
+                analysis.flops_per_proc,
+                *collective,
+                arrays[analysis.streamed].itemsize,
+            )
+        if isinstance(analysis, TransposePhaseResult):
+            # One read pass, one all-to-all per slab, one write pass.  Every
+            # processor swaps 1/P of each streamed slab with every peer, and
+            # each processor's slab loop triggers one exchange, so the machine
+            # performs P x num_slabs collectives.  The per-pair payload is
+            # averaged over the slab loop: the executor exchanges the *actual*
+            # slab extent each iteration, so it must telescope to local / P in
+            # total, not num_slabs x nominal_slab / P (which overcounts
+            # whenever the last slab is partial).
+            source, target = analysis.source, analysis.target
+            pairs = slabs[source] * self.nprocs
+            return _Counts(
+                {
+                    source: _read(slabs[source], local[source]),
+                    target: _write(slabs[target], local[target]),
+                },
+                0.0,
+                float(pairs) if analysis.needs_exchange else 0.0,
+                local[source] / max(pairs, 1),
+                arrays[source].itemsize,
+                exchange=True,
+            )
+        reads = (
+            _fused_reads(analysis.producer, analysis.consumer)
+            if isinstance(analysis, FusedElementwisePhase)
+            else analysis.operands
+        )
+        return self._stream_counts(
+            reads, analysis.result, analysis.flops_per_proc,
+            arrays[analysis.result].itemsize, slabs, local,
+        )
+
+    @staticmethod
+    def _stream_counts(
+        reads: Iterable[str],
+        result: str,
+        flops: float,
+        itemsize: int,
+        slabs: Mapping[str, int],
+        local: Mapping[str, float],
+    ) -> _Counts:
+        """Elementwise statements and fused pairs: one pass per operand
+        reference, one write pass, no communication (all arrays share one
+        distribution).  The volume is slabbing-invariant; only the request
+        counts depend on the slab size."""
+        accesses = [(name, _read(slabs[name], local[name])) for name in reads]
+        accesses.append((result, _write(slabs[result], local[result])))
+        return _Counts(_merge(accesses), flops, 0.0, 0.0, itemsize)
 
     # ------------------------------------------------------------------
-    # public estimation entry points
+    # counts -> seconds
     # ------------------------------------------------------------------
-    def estimate(
-        self,
-        analysis: InCorePhaseResult,
-        strategy: SlabbingStrategy | str,
-        entries: Dict[str, SlabPlanEntry],
-    ) -> PlanCost:
-        """Estimate the cost of running the statement with the given slabbing."""
-        strategy = SlabbingStrategy.from_name(strategy)
-        costs = self._counts(analysis, strategy, entries)
-        itemsize = analysis.program.arrays[analysis.streamed].itemsize
-
-        # Collective traffic.
-        result_desc = analysis.program.arrays[analysis.result]
-        result_info = analysis.access[analysis.result]
-        full_dims = result_info.full_dims
-        column_length = float(result_desc.shape[full_dims[0]]) if full_dims else 1.0
-        n_outer = float(analysis.outer_loop.extent)
-        if not analysis.needs_global_sum:
-            collective_count = 0.0
-            collective_elements = 0.0
-        elif strategy is SlabbingStrategy.COLUMN:
-            collective_count = n_outer
-            collective_elements = column_length
-        else:
-            slabs = entries[analysis.streamed].num_slabs
-            collective_count = n_outer * slabs
-            collective_elements = column_length / slabs if slabs else column_length
-
-        return self._finalize(strategy, costs, analysis.flops_per_proc, collective_count,
-                              collective_elements, itemsize)
-
-    def estimate_elementwise(
-        self,
-        analysis: ElementwisePhaseResult,
-        strategy: SlabbingStrategy | str,
-        entries: Dict[str, SlabPlanEntry],
-    ) -> PlanCost:
-        """Cost of ``c = op(a, b)``: one pass over each operand, one write pass.
-
-        The I/O volume is independent of the slabbing dimension (each array
-        is touched exactly once); only the request counts depend on the slab
-        size.  No communication is required when all arrays share one
-        distribution.
-        """
-        strategy = SlabbingStrategy.from_name(strategy)
-        costs: Dict[str, ArrayIOCost] = {}
-        for name in analysis.operands:
-            entry = entries[name]
-            local = float(entry.local_shape[0] * entry.local_shape[1])
-            costs[name] = ArrayIOCost(name, float(entry.num_slabs), local, 0.0, 0.0)
-        result_entry = entries[analysis.result]
-        result_local = float(result_entry.local_shape[0] * result_entry.local_shape[1])
-        costs[analysis.result] = ArrayIOCost(
-            analysis.result, 0.0, 0.0, float(result_entry.num_slabs), result_local
+    def _price(self, counts: _Counts) -> Price:
+        itemsize = counts.itemsize
+        read_requests, read_elements, write_requests, write_elements = map(
+            sum, zip(*counts.rows.values(), strict=True)
         )
-        itemsize = analysis.program.arrays[analysis.result].itemsize
-        return self._finalize(strategy, costs, analysis.flops_per_proc, 0.0, 0.0, itemsize)
-
-    def estimate_fused(
-        self,
-        analysis: FusedElementwisePhase,
-        strategy: SlabbingStrategy | str,
-        entries: Dict[str, SlabPlanEntry],
-    ) -> PlanCost:
-        """Cost of a fused elementwise pair: the intermediate moves zero bytes.
-
-        The producer's operands and the consumer's non-intermediate operand
-        are each read once; the final result is written once; the
-        intermediate — written and read back by the unfused plan — carries
-        *no* :class:`ArrayIOCost` entry at all, which is exactly the saving
-        fusion buys (a full write+read round-trip plus its seeks).  An array
-        read by both statements is charged for both passes.
-        """
-        strategy = SlabbingStrategy.from_name(strategy)
-        reads: Dict[str, list] = {}
-        for operand in analysis.producer.operands:
-            entry = entries[operand]
-            local = float(entry.local_shape[0] * entry.local_shape[1])
-            reads.setdefault(operand, []).append(
-                ArrayIOCost(operand, float(entry.num_slabs), local, 0.0, 0.0)
-            )
-        for operand in analysis.consumer.operands:
-            if operand == analysis.intermediate:
-                continue  # never materialized: zero requests, zero elements
-            entry = entries[operand]
-            local = float(entry.local_shape[0] * entry.local_shape[1])
-            reads.setdefault(operand, []).append(
-                ArrayIOCost(operand, float(entry.num_slabs), local, 0.0, 0.0)
-            )
-        costs = {name: _sum_array_costs(name, parts) for name, parts in reads.items()}
-        result = analysis.result
-        result_entry = entries[result]
-        result_local = float(result_entry.local_shape[0] * result_entry.local_shape[1])
-        costs[result] = ArrayIOCost(
-            result, 0.0, 0.0, float(result_entry.num_slabs), result_local
-        )
-        itemsize = analysis.program.arrays[result].itemsize
-        cost = self._finalize(strategy, costs, analysis.flops_per_proc, 0.0, 0.0, itemsize)
-        return dataclasses.replace(cost, label=f"fused {strategy.value}-slab")
-
-    def estimate_transpose(
-        self,
-        analysis: TransposePhaseResult,
-        entries: Dict[str, SlabPlanEntry],
-    ) -> PlanCost:
-        """Cost of ``dst = src^T``: one read pass, one all-to-all per slab, one write pass.
-
-        The exchange is charged as every processor swapping ``1/P`` of each
-        streamed slab with every peer; since each processor's slab loop
-        triggers one exchange, the machine performs ``P x num_slabs``
-        collectives in total.
-        """
-        src_entry = entries[analysis.source]
-        dst_entry = entries[analysis.target]
-        src_local = float(src_entry.local_shape[0] * src_entry.local_shape[1])
-        dst_local = float(dst_entry.local_shape[0] * dst_entry.local_shape[1])
-        costs = {
-            analysis.source: ArrayIOCost(
-                analysis.source, float(src_entry.num_slabs), src_local, 0.0, 0.0
-            ),
-            analysis.target: ArrayIOCost(
-                analysis.target, 0.0, 0.0, float(dst_entry.num_slabs), dst_local
-            ),
-        }
-        itemsize = analysis.program.arrays[analysis.source].itemsize
         disk = self.params.disk
         io_time = disk.read_time(
-            src_local * itemsize, int(src_entry.num_slabs), contention=self.nprocs
+            read_elements * itemsize, int(round(read_requests)), contention=self.nprocs
         )
         io_time += disk.write_time(
-            dst_local * itemsize, int(dst_entry.num_slabs), contention=self.nprocs
+            write_elements * itemsize, int(round(write_requests)), contention=self.nprocs
         )
-        # Averaged over the slab loop: the executor exchanges the *actual*
-        # slab extent each iteration, so the per-pair payload must telescope
-        # to src_local / P in total, not num_slabs x nominal_slab / P (which
-        # overcounts whenever the last slab is partial).
-        elements_per_pair = src_local / max(src_entry.num_slabs * self.nprocs, 1)
+        network = self.params.network
+        each = counts.collective_elements_each
         comm_time = 0.0
-        collective_count = 0.0
-        if analysis.needs_exchange:
-            collective_count = float(src_entry.num_slabs * self.nprocs)
-            per_exchange = (self.nprocs - 1) * self.params.network.point_to_point_time(
-                int(elements_per_pair * itemsize)
+        if counts.exchange:
+            comm_time = counts.collective_count * (
+                (self.nprocs - 1) * network.point_to_point_time(int(each * itemsize))
             )
-            comm_time = collective_count * per_exchange
-        return PlanCost(
-            strategy=SlabbingStrategy.COLUMN,
-            arrays=costs,
-            flops=0.0,
-            collective_count=collective_count,
-            collective_elements_each=elements_per_pair,
-            itemsize=itemsize,
-            nprocs=self.nprocs,
-            io_time=io_time,
-            compute_time=0.0,
-            comm_time=comm_time,
+        elif counts.collective_count and self.nprocs > 1:
+            comm_time = counts.collective_count * network.reduce_time(
+                each * itemsize, self.nprocs, nelements=each
+            )
+        return Price(
+            io_time,
+            self.params.processor.compute_time(counts.flops),
+            comm_time,
+            read_elements + write_elements,
+            read_requests + write_requests,
         )
+
+    def _plan_cost(
+        self, strategy: Optional[SlabbingStrategy], counts: _Counts, label: Optional[str] = None
+    ) -> PlanCost:
+        price = self._price(counts)
+        return PlanCost(
+            strategy=strategy,
+            arrays={name: ArrayIOCost(name, *row) for name, row in counts.rows.items()},
+            flops=counts.flops,
+            collective_count=counts.collective_count,
+            collective_elements_each=counts.collective_elements_each,
+            itemsize=counts.itemsize,
+            nprocs=self.nprocs,
+            io_time=price.io_time,
+            compute_time=price.compute_time,
+            comm_time=price.comm_time,
+            label=label,
+        )
+
+    # ------------------------------------------------------------------
+    # public entry points
+    # ------------------------------------------------------------------
+    def price(
+        self,
+        analysis: PhaseResult,
+        strategy: SlabbingStrategy | str,
+        slabs: Mapping[str, int],
+        local: Optional[Mapping[str, float]] = None,
+    ) -> Price:
+        """Scalar cost of a statement of any kind from integer slab counts.
+
+        ``slabs`` maps each array to the number of slabs its local part is cut
+        into; ``local`` is :func:`local_elements` of the statement's program
+        (pass it when pricing the same statement repeatedly).  No plan entry,
+        per-array cost or :class:`PlanCost` is built — and the numbers are
+        exactly those :meth:`estimate` reports for entries with these counts.
+        """
+        if local is None:
+            local = local_elements(analysis.program)
+        return self._price(
+            self._counts(analysis, SlabbingStrategy.from_name(strategy), slabs, local)
+        )
+
+    def price_fused(
+        self,
+        producer: ElementwisePhaseResult,
+        consumer: ElementwisePhaseResult,
+        entries: Mapping[str, SlabPlanEntry],
+    ) -> Price:
+        """:meth:`price` of the pair fused, from the two statements' analyses
+        and merged plan entries — what the plan search needs to rank a fusion
+        mask, without the pair's program, phase or node program."""
+        slabs, local = _entry_geometry(entries)
+        return self._price(
+            self._stream_counts(
+                _fused_reads(producer, consumer),
+                consumer.result,
+                producer.flops_per_proc + consumer.flops_per_proc,
+                consumer.program.arrays[consumer.result].itemsize,
+                slabs,
+                local,
+            )
+        )
+
+    def estimate(
+        self,
+        analysis: PhaseResult,
+        strategy: SlabbingStrategy | str,
+        entries: Mapping[str, SlabPlanEntry],
+    ) -> PlanCost:
+        """Estimate the cost of running the statement with the given slabbing.
+
+        For a fused pair the intermediate — written and read back by the
+        unfused plan — carries *no* :class:`ArrayIOCost` at all, which is
+        exactly the saving fusion buys (a full write+read round-trip plus its
+        seeks).  The transpose lowering always streams column slabs.
+        """
+        strategy = SlabbingStrategy.from_name(strategy)
+        counts = self._counts(analysis, strategy, *_entry_geometry(entries))
+        if isinstance(analysis, FusedElementwisePhase):
+            return self._plan_cost(strategy, counts, f"fused {strategy.value}-slab")
+        if isinstance(analysis, TransposePhaseResult):
+            strategy = SlabbingStrategy.COLUMN
+        return self._plan_cost(strategy, counts)
 
     def estimate_incore(self, analysis: InCorePhaseResult) -> PlanCost:
         """Cost of the in-core baseline: read each operand once, write the result once."""
-        itemsize = analysis.program.arrays[analysis.streamed].itemsize
-        costs: Dict[str, ArrayIOCost] = {}
-        for name, info in analysis.access.items():
-            descriptor = analysis.program.arrays[name]
-            local = float(max(descriptor.local_size(r) for r in range(descriptor.nprocs)))
-            if info.role.value == "result":
-                costs[name] = ArrayIOCost(name, 0.0, 0.0, 1.0, local)
-            else:
-                costs[name] = ArrayIOCost(name, 1.0, local, 0.0, 0.0)
-        result_desc = analysis.program.arrays[analysis.result]
-        result_info = analysis.access[analysis.result]
-        full_dims = result_info.full_dims
-        column_length = float(result_desc.shape[full_dims[0]]) if full_dims else 1.0
+        local = local_elements(analysis.program)
+        rows = {
+            name: (_write if info.role.value == "result" else _read)(1, local[name])
+            for name, info in analysis.access.items()
+        }
         collective_count = float(analysis.outer_loop.extent) if analysis.needs_global_sum else 0.0
-        return self._finalize(None, costs, analysis.flops_per_proc, collective_count,
-                              column_length, itemsize)
-
-    # ------------------------------------------------------------------
-    def _finalize(
-        self,
-        strategy: Optional[SlabbingStrategy],
-        costs: Dict[str, ArrayIOCost],
-        flops: float,
-        collective_count: float,
-        collective_elements_each: float,
-        itemsize: int,
-    ) -> PlanCost:
-        disk = self.params.disk
-        read_bytes = sum(c.fetch_elements for c in costs.values()) * itemsize
-        read_requests = sum(c.fetch_requests for c in costs.values())
-        write_bytes = sum(c.write_elements for c in costs.values()) * itemsize
-        write_requests = sum(c.write_requests for c in costs.values())
-        io_time = disk.read_time(read_bytes, int(round(read_requests)), contention=self.nprocs)
-        io_time += disk.write_time(write_bytes, int(round(write_requests)), contention=self.nprocs)
-
-        compute_time = self.params.processor.compute_time(flops)
-
-        payload = collective_elements_each * itemsize
-        comm_time = 0.0
-        if collective_count and self.nprocs > 1:
-            per_collective = self.params.network.reduce_time(
-                payload, self.nprocs, nelements=collective_elements_each
-            )
-            comm_time = collective_count * per_collective
-
-        return PlanCost(
-            strategy=strategy,
-            arrays=costs,
-            flops=flops,
-            collective_count=collective_count,
-            collective_elements_each=collective_elements_each,
-            itemsize=itemsize,
-            nprocs=self.nprocs,
-            io_time=io_time,
-            compute_time=compute_time,
-            comm_time=comm_time,
+        return self._plan_cost(
+            None,
+            _Counts(
+                rows,
+                analysis.flops_per_proc,
+                collective_count,
+                _column_length(analysis),
+                analysis.program.arrays[analysis.streamed].itemsize,
+            ),
         )

@@ -29,15 +29,13 @@ from __future__ import annotations
 
 import abc
 import dataclasses
-from typing import Dict, TYPE_CHECKING, Tuple
+from typing import Callable, Dict, Tuple
 
 from repro.exceptions import MemoryAllocationError
 from repro.core.analysis import InCorePhaseResult
-from repro.core.stripmine import SlabPlanEntry, build_plan_entry
+from repro.core.cost_model import CostModel, Price, local_elements
+from repro.core.stripmine import SlabPlanEntry, build_plan_entry, slab_lines
 from repro.runtime.slab import SlabbingStrategy
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
-    from repro.core.cost_model import CostModel
 
 __all__ = [
     "AllocationPolicy",
@@ -48,8 +46,8 @@ __all__ = [
 
 
 def _local_geometry(analysis: InCorePhaseResult, name: str) -> Tuple[int, int]:
-    shapes = analysis.program.arrays[name].local_shapes()
-    return max(shapes, key=lambda s: s[0] * s[1])
+    rows, cols = analysis.program.arrays[name].max_local_shape()
+    return rows, cols
 
 
 def _result_reserve(analysis: InCorePhaseResult) -> int:
@@ -76,7 +74,7 @@ class AllocationPolicy(abc.ABC):
         analysis: InCorePhaseResult,
         strategy: SlabbingStrategy,
         budget_elements: int,
-        cost_model: "CostModel",
+        cost_model: CostModel,
     ) -> Dict[str, int]:
         """Return slab sizes in elements for the streamed, coefficient and result arrays."""
 
@@ -124,7 +122,7 @@ class EqualAllocation(AllocationPolicy):
         analysis: InCorePhaseResult,
         strategy: "SlabbingStrategy | str",
         budget_elements: int,
-        cost_model: "CostModel",
+        cost_model: CostModel,
     ) -> Dict[str, int]:
         strategy = SlabbingStrategy.from_name(strategy)
         budget_elements = self._validate_budget(analysis, strategy, budget_elements)
@@ -154,23 +152,19 @@ class ProportionalAllocation(AllocationPolicy):
         analysis: InCorePhaseResult,
         strategy: "SlabbingStrategy | str",
         budget_elements: int,
-        cost_model: "CostModel",
+        cost_model: CostModel,
     ) -> Dict[str, int]:
         strategy = SlabbingStrategy.from_name(strategy)
         budget_elements = self._validate_budget(analysis, strategy, budget_elements)
         available = budget_elements - _result_reserve(analysis)
         baseline = EqualAllocation().split(analysis, strategy, budget_elements, cost_model)
-        baseline_cost = cost_model.estimate(
-            analysis, strategy, _entries_from_split(analysis, strategy, baseline)
-        )
+        price_of = _prober(analysis, strategy, cost_model)
+        baseline_io = price_of(baseline).io_time
 
         def savings(array: str) -> float:
             probe = dict(baseline)
             probe[array] = self._clamp(analysis, array, probe[array] * 2)
-            probe_cost = cost_model.estimate(
-                analysis, strategy, _entries_from_split(analysis, strategy, probe)
-            )
-            return max(baseline_cost.io_time - probe_cost.io_time, 0.0)
+            return max(baseline_io - price_of(probe).io_time, 0.0)
 
         streamed_gain = savings(analysis.streamed)
         coefficient_gain = savings(analysis.coefficient)
@@ -198,13 +192,14 @@ class SearchAllocation(AllocationPolicy):
         analysis: InCorePhaseResult,
         strategy: "SlabbingStrategy | str",
         budget_elements: int,
-        cost_model: "CostModel",
+        cost_model: CostModel,
     ) -> Dict[str, int]:
         strategy = SlabbingStrategy.from_name(strategy)
         budget_elements = self._validate_budget(analysis, strategy, budget_elements)
         available = budget_elements - _result_reserve(analysis)
         best: Dict[str, int] | None = None
         best_time = float("inf")
+        price_of = _prober(analysis, strategy, cost_model)
         for step in range(1, self.fractions + 1):
             fraction = step / (self.fractions + 1)
             streamed_elements = max(
@@ -215,14 +210,22 @@ class SearchAllocation(AllocationPolicy):
                 available - streamed_elements,
             )
             split = self._package(analysis, strategy, streamed_elements, coefficient_elements)
-            entries = _entries_from_split(analysis, strategy, split)
-            cost = cost_model.estimate(analysis, strategy, entries)
-            if cost.total_time < best_time:
-                best_time = cost.total_time
+            total_time = price_of(split).total_time
+            if total_time < best_time:
+                best_time = total_time
                 best = split
         if best is None:  # pragma: no cover - fractions >= 1 always yields a candidate
             raise MemoryAllocationError("search allocation produced no candidate")
         return best
+
+
+def _entry_strategy(
+    analysis: InCorePhaseResult, strategy: SlabbingStrategy, name: str
+) -> SlabbingStrategy:
+    """The streamed array uses the candidate strategy; the coefficient and
+    result arrays are always staged by whole local columns (their access
+    order in both of the paper's program versions)."""
+    return strategy if name == analysis.streamed else SlabbingStrategy.COLUMN
 
 
 def _entries_from_split(
@@ -230,15 +233,41 @@ def _entries_from_split(
     strategy: SlabbingStrategy,
     split: Dict[str, int],
 ) -> Dict[str, SlabPlanEntry]:
-    """Build slab plan entries for a {array: slab_elements} split.
+    """Build slab plan entries for a {array: slab_elements} split."""
+    return {
+        name: build_plan_entry(
+            analysis.program.arrays[name], _entry_strategy(analysis, strategy, name), elements
+        )
+        for name, elements in split.items()
+    }
 
-    The streamed array uses the candidate strategy; the coefficient and result
-    arrays are always staged by whole local columns (their access order in
-    both of the paper's program versions).
+
+def _prober(
+    analysis: InCorePhaseResult, strategy: SlabbingStrategy, cost_model: CostModel
+) -> Callable[[Dict[str, int]], Price]:
+    """The policies' probe: ``split -> Price`` for one statement and strategy.
+
+    The statement's geometry is read once; a probe then strip-mines with
+    :func:`slab_lines` and asks :meth:`CostModel.price` for scalars — the
+    entries and :class:`PlanCost` :func:`_entries_from_split` +
+    :meth:`CostModel.estimate` would build for the same split carry exactly
+    these numbers.  Memoised on the lines-per-slab tuple: many element splits
+    round to the same whole lines.
     """
-    entries = {}
-    for name, elements in split.items():
-        descriptor = analysis.program.arrays[name]
-        entry_strategy = strategy if name == analysis.streamed else SlabbingStrategy.COLUMN
-        entries[name] = build_plan_entry(descriptor, entry_strategy, elements)
-    return entries
+    local = local_elements(analysis.program)
+    geometry = {
+        name: (descriptor.max_local_shape(), _entry_strategy(analysis, strategy, name))
+        for name, descriptor in analysis.program.arrays.items()
+    }
+    memo: Dict[Tuple[int, ...], Price] = {}
+
+    def price_of(split: Dict[str, int]) -> Price:
+        cuts = [slab_lines(*geometry[name], elements) for name, elements in split.items()]
+        key = tuple(lines for _, lines, _ in cuts)
+        price = memo.get(key)
+        if price is None:
+            slabs = {name: cut[2] for name, cut in zip(split, cuts, strict=True)}
+            price = memo[key] = cost_model.price(analysis, strategy, slabs, local)
+        return price
+
+    return price_of

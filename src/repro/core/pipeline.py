@@ -1,10 +1,14 @@
 """The compilation pipeline driver.
 
-``compile_program`` runs the full sequence of Figure 7 — in-core phase,
-strip-mining, cost estimation, data access reorganization, memory allocation
-and code generation — and returns a :class:`CompiledProgram` bundling every
-intermediate result so callers (executor, experiments, tests) can inspect the
-compiler's reasoning.
+``compile_program`` runs the full sequence of Figure 7 in two steps.
+:func:`plan_statement` *prices*: in-core phase, strip-mining, cost
+estimation, data access reorganization and memory allocation yield a
+:class:`StatementPlan` — the chosen :class:`AccessPlan` with its predicted
+cost, which is all the paper's compiler (and the plan search) ever compares.
+:func:`lower` *lowers*: code generation turns that plan into the node program
+and returns a :class:`CompiledProgram` bundling every intermediate result so
+callers (executor, experiments, tests) can inspect the compiler's reasoning.
+The plan optimizer prices every candidate and lowers only its winner.
 
 ``compile_gaxpy`` is a convenience wrapper that builds the paper's GAXPY
 program first.
@@ -16,7 +20,7 @@ import dataclasses
 import functools
 import time
 import warnings
-from typing import Dict, Optional, Sequence, Tuple, TYPE_CHECKING, Union
+from typing import Any, Dict, Optional, Sequence, Tuple, TYPE_CHECKING, Union
 
 import numpy as np
 
@@ -25,20 +29,23 @@ from repro.core.analysis import (
     ElementwisePhaseResult,
     FusedElementwisePhase,
     InCorePhaseResult,
+    PhaseResult,
     analyze_program,
 )
 from repro.core.codegen import ProgramSchedule, generate_node_program, generate_program_schedule
-from repro.core.cost_model import CostModel, PlanCost, combine_plan_costs
+from repro.core.cost_model import CostModel, PlanCost, Price, combine_plan_costs
 from repro.core.ir import ProgramIR, build_gaxpy_ir
 from repro.core.memory_alloc import AllocationPolicy, ProportionalAllocation
 from repro.core.node_program import NodeProgram
 from repro.core.reorganize import (
     AccessPlan,
     ReorganizationDecision,
+    choose_plan,
     plan_from_slab_elements,
     reorganize,
 )
 from repro.core.stripmine import (
+    SlabPlanEntry,
     build_plan_entry,
     slab_elements_from_bytes,
     slab_elements_from_ratio,
@@ -52,15 +59,43 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (planner imports us)
     from repro.planner.search import PlanDecision
 
 __all__ = [
+    "StatementPlan",
     "CompiledProgram",
     "CompiledWholeProgram",
+    "plan_statement",
+    "lower",
     "compile_program",
     "compile_whole_program",
     "compile_gaxpy",
     "compile_gaxpy_cached",
     "fuse_statement_pair",
+    "price_fused_pair",
     "normalize_fusion",
 ]
+
+
+@dataclasses.dataclass(frozen=True)
+class StatementPlan:
+    """A priced statement: what :func:`plan_statement` decided, not yet lowered.
+
+    Carries everything :func:`lower` needs to generate the node program, and
+    everything the plan search compares (``cost``).
+    """
+
+    program: ProgramIR
+    analysis: PhaseResult
+    decision: Optional[ReorganizationDecision]
+    plan: AccessPlan
+    params: MachineParameters
+    nprocs: int
+    #: host seconds spent pricing; :func:`lower` adds its own on top
+    compile_seconds: float = dataclasses.field(compare=False)
+    #: the memory budget the statement was planned against, when one was given
+    memory_budget_bytes: Optional[int] = None
+
+    @property
+    def cost(self) -> PlanCost:
+        return self.plan.cost
 
 
 @dataclasses.dataclass(frozen=True)
@@ -249,12 +284,11 @@ def _plan_data_movement(
     entries = {
         name: build_plan_entry(program.arrays[name], strategy, sizes[name]) for name in names
     }
-    if isinstance(analysis, ElementwisePhaseResult):
-        cost = cost_model.estimate_elementwise(analysis, strategy, entries)
-    else:
-        cost = cost_model.estimate_transpose(analysis, entries)
     return AccessPlan(
-        strategy=strategy, entries=entries, allocation={n: int(sizes[n]) for n in names}, cost=cost
+        strategy=strategy,
+        entries=entries,
+        allocation={n: int(sizes[n]) for n in names},
+        cost=cost_model.estimate(analysis, strategy, entries),
     )
 
 
@@ -273,22 +307,17 @@ def normalize_fusion(fusion: Optional[str]) -> str:
     return "auto" if fusion == "on" else fusion
 
 
-def fuse_statement_pair(
-    program: ProgramIR,
+def _fusable_pair(
     index: int,
-    producer: CompiledProgram,
-    consumer: CompiledProgram,
-    params: MachineParameters,
-) -> CompiledProgram:
-    """Compile statements ``index`` and ``index + 1`` into one fused unit.
+    producer: "StatementPlan | CompiledProgram",
+    consumer: "StatementPlan | CompiledProgram",
+) -> Tuple[ElementwisePhaseResult, ElementwisePhaseResult, Dict[str, SlabPlanEntry]]:
+    """The two analyses and merged plan entries of a pair that fuses.
 
-    ``producer`` and ``consumer`` are the statements' individually compiled
-    units under the budgets the planner assigned them; fusion reuses their
-    access plans and only replaces the loop structure, so the slab extents the
-    cost model priced are exactly the extents the fused loop streams.  Raises
-    :class:`CompilationError` when the intermediate's slabs are not conformal
-    across the pair (different strategy, extents or storage order) — the
-    planner treats that as "this candidate does not fuse".
+    Raises :class:`CompilationError` when the pair is not elementwise or the
+    intermediate's slabs are not conformal across it (different strategy,
+    extents or storage order) — the planner treats that as "this candidate
+    does not fuse".
     """
     p_analysis = producer.analysis
     c_analysis = consumer.analysis
@@ -315,7 +344,41 @@ def fuse_statement_pair(
             f"({p_entry.storage_order}) vs {c_entry.slab_elements} x "
             f"{c_entry.num_slabs} ({c_entry.storage_order})"
         )
+    return p_analysis, c_analysis, {**producer.plan.entries, **consumer.plan.entries}
 
+
+def price_fused_pair(
+    index: int,
+    producer: "StatementPlan | CompiledProgram",
+    consumer: "StatementPlan | CompiledProgram",
+    cost_model: CostModel,
+) -> Price:
+    """What :func:`fuse_statement_pair` of the same pair would cost.
+
+    The plan search ranks fusion masks with this; it builds no program,
+    phase or node program, and raises exactly when the pair builder would.
+    """
+    return cost_model.price_fused(*_fusable_pair(index, producer, consumer))
+
+
+def fuse_statement_pair(
+    program: ProgramIR,
+    index: int,
+    producer: "StatementPlan | CompiledProgram",
+    consumer: "StatementPlan | CompiledProgram",
+    params: MachineParameters,
+) -> CompiledProgram:
+    """Compile statements ``index`` and ``index + 1`` into one fused unit.
+
+    ``producer`` and ``consumer`` are the statements' individual plans (priced
+    or already lowered) under the budgets the planner assigned them; fusion
+    reuses their access plans and only replaces the loop structure, so the
+    slab extents the cost model priced are exactly the extents the fused loop
+    streams.  Raises :class:`CompilationError` when the pair does not fuse
+    (see :func:`_fusable_pair`).
+    """
+    start = time.perf_counter()
+    p_analysis, c_analysis, entries = _fusable_pair(index, producer, consumer)
     statements = program.statements[index : index + 2]
     arrays = {}
     for statement in statements:
@@ -331,29 +394,31 @@ def fuse_statement_pair(
         program=fused_ir,
         producer=p_analysis,
         consumer=c_analysis,
-        intermediate=intermediate,
+        intermediate=p_analysis.result,
     )
-    entries = dict(producer.plan.entries)
-    entries.update(consumer.plan.entries)
-    allocation = dict(producer.plan.allocation)
-    allocation.update(consumer.plan.allocation)
+    strategy = producer.plan.strategy
     nprocs = program.nprocs()
-    cost = CostModel(params, nprocs).estimate_fused(phase, producer.plan.strategy, entries)
     plan = AccessPlan(
-        strategy=producer.plan.strategy, entries=entries, allocation=allocation, cost=cost
+        strategy=strategy,
+        entries=entries,
+        allocation={**producer.plan.allocation, **consumer.plan.allocation},
+        cost=CostModel(params, nprocs).estimate(phase, strategy, entries),
     )
     budgets = (producer.memory_budget_bytes, consumer.memory_budget_bytes)
     budget = sum(budgets) if all(b is not None for b in budgets) else None
-    return CompiledProgram(
-        program=fused_ir,
-        analysis=phase,
-        decision=None,
-        plan=plan,
-        node_program=generate_node_program(phase, plan),
-        params=params,
-        nprocs=nprocs,
-        compile_seconds=producer.compile_seconds + consumer.compile_seconds,
-        memory_budget_bytes=budget,
+    return lower(
+        StatementPlan(
+            program=fused_ir,
+            analysis=phase,
+            decision=None,
+            plan=plan,
+            params=params,
+            nprocs=nprocs,
+            compile_seconds=producer.compile_seconds
+            + consumer.compile_seconds
+            + (time.perf_counter() - start),
+            memory_budget_bytes=budget,
+        )
     )
 
 
@@ -389,66 +454,30 @@ def _apply_check(
     return compiled
 
 
-def compile_program(
+_SLABBINGS = (SlabbingStrategy.COLUMN, SlabbingStrategy.ROW)
+
+
+def plan_statement(
     program: ProgramIR,
     params: Optional[MachineParameters] = None,
     *,
+    analysis: Optional[PhaseResult] = None,
     memory_budget_bytes: Optional[int] = None,
     slab_ratio: Optional[float] = None,
     slab_elements: Optional[Dict[str, int]] = None,
     policy: Optional[AllocationPolicy] = None,
     force_strategy: Optional[SlabbingStrategy | str] = None,
-    strategies: Sequence[SlabbingStrategy | str] = (SlabbingStrategy.COLUMN, SlabbingStrategy.ROW),
-    optimizer: Optional[str] = None,
-    plan_cache: Optional["PlanCache"] = None,
-    check: str = "off",
-    fusion: str = "off",
-) -> CompiledProgram:
-    """Compile a program for out-of-core execution.
+    strategies: Sequence[SlabbingStrategy | str] = _SLABBINGS,
+) -> StatementPlan:
+    """Price one statement: slab specification + policy → :class:`StatementPlan`.
 
-    Exactly one of the slab-size specifications must be given:
-
-    * ``memory_budget_bytes`` — the compiler divides the budget between the
-      arrays with ``policy`` (default: proportional allocation) and picks the
-      cheapest strategy (unless ``force_strategy`` is given);
-    * ``slab_ratio`` — every array gets a slab of ``ratio x`` its local size
-      (the convention of the paper's Figure 10 / Table 1 sweeps);
-    * ``slab_elements`` — explicit per-array slab sizes in elements
-      (the convention of Table 2).
-
-    ``optimizer`` (``"none"`` | ``"greedy"`` | ``"beam"`` | ``"exhaustive"``)
-    hands the memory-budget case to the plan optimizer
-    (:mod:`repro.planner`), which searches allocation policies — and, for
-    whole programs, per-statement budget splits — using the cost model as
-    the objective; the chosen plan is never worse than the even split.  It
-    only applies when ``memory_budget_bytes`` is given and ``policy`` is not
-    pinned.  ``plan_cache`` (or the ambient Session cache) replays previous
-    search winners.
-
-    ``check`` (``"off"`` | ``"warn"`` | ``"error"``) runs the static plan
-    verifier (:mod:`repro.check`) over the compiled result and attaches its
-    frozen :class:`~repro.check.report.CheckReport` as ``.check``; ``"error"``
-    raises :class:`~repro.exceptions.PlanVerificationError` on any finding.
-
-    Multi-statement programs are dispatched to :func:`compile_whole_program`
-    (and return a :class:`CompiledWholeProgram`).
+    The pricing half of :func:`compile_program` (which documents the slab
+    specifications): everything up to and including the choice of the
+    :class:`AccessPlan`, nothing of code generation.  ``analysis`` is the
+    statement's :func:`analyze_program` result when the caller already holds
+    it — the plan search prices one statement under many budgets and analyzes
+    it once.
     """
-    if program.is_multi_statement():
-        return compile_whole_program(
-            program,
-            params,
-            memory_budget_bytes=memory_budget_bytes,
-            slab_ratio=slab_ratio,
-            slab_elements=slab_elements,
-            policy=policy,
-            force_strategy=force_strategy,
-            strategies=strategies,
-            optimizer=optimizer,
-            plan_cache=plan_cache,
-            check=check,
-            fusion=fusion,
-        )
-    normalize_fusion(fusion)  # validated even where it cannot apply
     params = params or touchstone_delta()
     start = time.perf_counter()
     specified = sum(x is not None for x in (memory_budget_bytes, slab_ratio, slab_elements))
@@ -456,36 +485,12 @@ def compile_program(
         raise CompilationError(
             "specify exactly one of memory_budget_bytes, slab_ratio or slab_elements"
         )
-    if (
-        optimizer is not None
-        and optimizer != "none"
-        and memory_budget_bytes is not None
-        and policy is None
-    ):
-        from repro.planner.plan_cache import active_plan_cache
-        from repro.planner.search import plan_whole_program
-
-        cache = plan_cache if plan_cache is not None else active_plan_cache()
-        decision, units = plan_whole_program(
-            program,
-            params,
-            int(memory_budget_bytes),
-            optimizer=optimizer,
-            strategies=strategies,
-            force_strategy=force_strategy,
-            plan_cache=cache,
-            fusion=fusion,
-        )
-        compiled = dataclasses.replace(
-            units[0],
-            planner=decision,
-            compile_seconds=time.perf_counter() - start,
-        )
-        return _apply_check(compiled, check)
-    analysis = analyze_program(program)
+    if analysis is None:
+        analysis = analyze_program(program)
     nprocs = program.nprocs()
     cost_model = CostModel(params, nprocs)
 
+    decision: Optional[ReorganizationDecision] = None
     if not isinstance(analysis, InCorePhaseResult):
         plan = _plan_data_movement(
             program,
@@ -496,24 +501,7 @@ def compile_program(
             slab_elements=slab_elements,
             force_strategy=force_strategy,
         )
-        node_program = generate_node_program(analysis, plan)
-        compiled = CompiledProgram(
-            program=program,
-            analysis=analysis,
-            decision=None,
-            plan=plan,
-            node_program=node_program,
-            params=params,
-            nprocs=nprocs,
-            compile_seconds=time.perf_counter() - start,
-            memory_budget_bytes=(
-                int(memory_budget_bytes) if memory_budget_bytes is not None else None
-            ),
-        )
-        return _apply_check(compiled, check)
-
-    decision: Optional[ReorganizationDecision] = None
-    if memory_budget_bytes is not None:
+    elif memory_budget_bytes is not None:
         decision = reorganize(
             analysis,
             params,
@@ -549,35 +537,139 @@ def compile_program(
                 matching = [plan_from_slab_elements(analysis, wanted, sizes, cost_model)]
             plan = matching[0]
         else:
-            reference = max(candidates, key=lambda p: p.cost.io_time)
-            dominant = reference.cost.dominant_array()
-            plan = min(
-                candidates,
-                key=lambda p: (p.cost.arrays[dominant].total_elements, p.cost.io_time),
-            )
-            decision = ReorganizationDecision(
-                candidates=candidates,
-                chosen=plan,
-                incore_cost=cost_model.estimate_incore(analysis),
-                dominant_array=dominant,
-            )
-
-    node_program = generate_node_program(analysis, plan)
-    elapsed = time.perf_counter() - start
-    compiled = CompiledProgram(
+            decision = choose_plan(analysis, candidates, cost_model)
+            plan = decision.chosen
+    return StatementPlan(
         program=program,
         analysis=analysis,
         decision=decision,
         plan=plan,
-        node_program=node_program,
         params=params,
         nprocs=nprocs,
-        compile_seconds=elapsed,
+        compile_seconds=time.perf_counter() - start,
         memory_budget_bytes=(
             int(memory_budget_bytes) if memory_budget_bytes is not None else None
         ),
     )
+
+
+def lower(planned: StatementPlan, check: str = "off") -> CompiledProgram:
+    """Lower a priced statement: generate its node program (and verify it).
+
+    The lowering half of :func:`compile_program`; ``check`` is its ``check``.
+    """
+    start = time.perf_counter()
+    node_program = generate_node_program(planned.analysis, planned.plan)
+    compiled = CompiledProgram(
+        program=planned.program,
+        analysis=planned.analysis,
+        decision=planned.decision,
+        plan=planned.plan,
+        node_program=node_program,
+        params=planned.params,
+        nprocs=planned.nprocs,
+        compile_seconds=planned.compile_seconds + (time.perf_counter() - start),
+        memory_budget_bytes=planned.memory_budget_bytes,
+    )
     return _apply_check(compiled, check)
+
+
+def compile_program(
+    program: ProgramIR,
+    params: Optional[MachineParameters] = None,
+    *,
+    memory_budget_bytes: Optional[int] = None,
+    slab_ratio: Optional[float] = None,
+    slab_elements: Optional[Dict[str, int]] = None,
+    policy: Optional[AllocationPolicy] = None,
+    force_strategy: Optional[SlabbingStrategy | str] = None,
+    strategies: Sequence[SlabbingStrategy | str] = _SLABBINGS,
+    optimizer: Optional[str] = None,
+    plan_cache: Optional["PlanCache"] = None,
+    check: str = "off",
+    fusion: str = "off",
+) -> CompiledProgram:
+    """Compile a program for out-of-core execution.
+
+    Exactly one of the slab-size specifications must be given:
+
+    * ``memory_budget_bytes`` — the compiler divides the budget between the
+      arrays with ``policy`` (default: proportional allocation) and picks the
+      cheapest strategy (unless ``force_strategy`` is given);
+    * ``slab_ratio`` — every array gets a slab of ``ratio x`` its local size
+      (the convention of the paper's Figure 10 / Table 1 sweeps);
+    * ``slab_elements`` — explicit per-array slab sizes in elements
+      (the convention of Table 2).
+
+    A statement is compiled by :func:`plan_statement` (pricing) followed by
+    :func:`lower` (code generation) — the one path every caller, the plan
+    optimizer included, goes through.
+
+    ``optimizer`` (``"none"`` | ``"greedy"`` | ``"beam"`` | ``"exhaustive"``)
+    hands the memory-budget case to the plan optimizer
+    (:mod:`repro.planner`), which searches allocation policies — and, for
+    whole programs, per-statement budget splits — using the cost model as
+    the objective; the chosen plan is never worse than the even split.  It
+    only applies when ``memory_budget_bytes`` is given and ``policy`` is not
+    pinned.  ``plan_cache`` (or the ambient Session cache) replays previous
+    search winners.
+
+    ``check`` (``"off"`` | ``"warn"`` | ``"error"``) runs the static plan
+    verifier (:mod:`repro.check`) over the compiled result and attaches its
+    frozen :class:`~repro.check.report.CheckReport` as ``.check``; ``"error"``
+    raises :class:`~repro.exceptions.PlanVerificationError` on any finding.
+
+    Multi-statement programs are dispatched to :func:`compile_whole_program`
+    (and return a :class:`CompiledWholeProgram`).
+    """
+    slabbing: Dict[str, Any] = dict(
+        memory_budget_bytes=memory_budget_bytes,
+        slab_ratio=slab_ratio,
+        slab_elements=slab_elements,
+        policy=policy,
+        force_strategy=force_strategy,
+        strategies=strategies,
+    )
+    if program.is_multi_statement():
+        return compile_whole_program(
+            program,
+            params,
+            **slabbing,
+            optimizer=optimizer,
+            plan_cache=plan_cache,
+            check=check,
+            fusion=fusion,
+        )
+    normalize_fusion(fusion)  # validated even where it cannot apply
+    if (
+        optimizer not in (None, "none")
+        and memory_budget_bytes is not None
+        and policy is None
+        and slab_ratio is None
+        and slab_elements is None
+    ):
+        from repro.planner.plan_cache import active_plan_cache
+        from repro.planner.search import plan_whole_program
+
+        start = time.perf_counter()
+        planner_decision, units = plan_whole_program(
+            program,
+            params or touchstone_delta(),
+            int(memory_budget_bytes),
+            optimizer=optimizer,
+            strategies=strategies,
+            force_strategy=force_strategy,
+            plan_cache=plan_cache if plan_cache is not None else active_plan_cache(),
+            check=check,
+            fusion=fusion,
+        )
+        compiled = dataclasses.replace(
+            units[0],
+            planner=planner_decision,
+            compile_seconds=time.perf_counter() - start,
+        )
+        return _apply_check(compiled, check)
+    return lower(plan_statement(program, params, **slabbing), check)
 
 
 def compile_whole_program(
@@ -589,7 +681,7 @@ def compile_whole_program(
     slab_elements: Optional[Dict[str, int]] = None,
     policy: Optional[AllocationPolicy] = None,
     force_strategy: Optional[SlabbingStrategy | str] = None,
-    strategies: Sequence[SlabbingStrategy | str] = (SlabbingStrategy.COLUMN, SlabbingStrategy.ROW),
+    strategies: Sequence[SlabbingStrategy | str] = _SLABBINGS,
     optimizer: Optional[str] = None,
     plan_cache: Optional["PlanCache"] = None,
     check: str = "off",
@@ -636,6 +728,7 @@ def compile_whole_program(
         )
     statement_budgets: Optional[Sequence[int]] = None
     planner_decision = None
+    units: Sequence[CompiledProgram] = ()
     if memory_budget_bytes is not None:
         from repro.planner.budget import split_evenly
         from repro.planner.plan_cache import active_plan_cache
@@ -660,58 +753,46 @@ def compile_whole_program(
                 check=check,
                 fusion=fusion,
             )
-            schedule = generate_program_schedule(program, list(units))
-            cost = combine_plan_costs([unit.plan.cost for unit in units])
-            whole = CompiledWholeProgram(
-                program=program,
-                statements=tuple(units),
-                schedule=schedule,
-                cost=cost,
-                params=params,
-                nprocs=program.nprocs(),
-                compile_seconds=time.perf_counter() - start,
-                planner=planner_decision,
-                memory_budget_bytes=int(memory_budget_bytes),
-            )
-            return _apply_check(whole, check)
-        # A pinned allocation policy bypasses the search: even budget split
-        # (exact — the remainder is redistributed, not dropped).
-        statement_budgets = split_evenly(int(memory_budget_bytes), len(statements))
+        else:
+            # A pinned allocation policy bypasses the search: even budget split
+            # (exact — the remainder is redistributed, not dropped).
+            statement_budgets = split_evenly(int(memory_budget_bytes), len(statements))
 
-    compiled_statements = []
-    for index in range(len(statements)):
-        sub_program = program.statement_program(index)
-        sub_slabs: Optional[Dict[str, int]] = None
-        if slab_elements is not None:
-            referenced = sub_program.statement.referenced_arrays()
-            sub_slabs = {
-                name: int(slab_elements[name]) for name in referenced if name in slab_elements
-            }
-        compiled_statements.append(
-            compile_program(
-                sub_program,
-                params,
-                memory_budget_bytes=(
-                    statement_budgets[index] if statement_budgets is not None else None
-                ),
-                slab_ratio=slab_ratio,
-                slab_elements=sub_slabs,
-                policy=policy,
-                force_strategy=force_strategy,
-                strategies=strategies,
+    if planner_decision is None:
+        compiled_statements = []
+        for index in range(len(statements)):
+            sub_program = program.statement_program(index)
+            sub_slabs: Optional[Dict[str, int]] = None
+            if slab_elements is not None:
+                referenced = sub_program.statement.referenced_arrays()
+                sub_slabs = {
+                    name: int(slab_elements[name]) for name in referenced if name in slab_elements
+                }
+            compiled_statements.append(
+                compile_program(
+                    sub_program,
+                    params,
+                    memory_budget_bytes=(
+                        statement_budgets[index] if statement_budgets is not None else None
+                    ),
+                    slab_ratio=slab_ratio,
+                    slab_elements=sub_slabs,
+                    policy=policy,
+                    force_strategy=force_strategy,
+                    strategies=strategies,
+                )
             )
-        )
+        units = compiled_statements
 
-    schedule = generate_program_schedule(program, compiled_statements)
-    cost = combine_plan_costs([compiled.plan.cost for compiled in compiled_statements])
     whole = CompiledWholeProgram(
         program=program,
-        statements=tuple(compiled_statements),
-        schedule=schedule,
-        cost=cost,
+        statements=tuple(units),
+        schedule=generate_program_schedule(program, list(units)),
+        cost=combine_plan_costs([unit.plan.cost for unit in units]),
         params=params,
         nprocs=program.nprocs(),
         compile_seconds=time.perf_counter() - start,
+        planner=planner_decision,
         memory_budget_bytes=(
             int(memory_budget_bytes) if memory_budget_bytes is not None else None
         ),
@@ -808,22 +889,7 @@ def compile_gaxpy_cached(
     )
     if memory_budget_bytes is not None and policy is None:
         policy = ProportionalAllocation()
-    try:
-        hash(policy)
-    except TypeError:
-        return compile_gaxpy(
-            n,
-            nprocs,
-            params,
-            dtype=dtype,
-            slab_ratio=slab_ratio,
-            slab_elements=slab_elements,
-            memory_budget_bytes=memory_budget_bytes,
-            policy=policy,
-            force_strategy=force_name,
-            optimizer=optimizer,
-        )
-    return _compile_gaxpy_cached(
+    key = (
         int(n),
         int(nprocs),
         params,
@@ -835,3 +901,8 @@ def compile_gaxpy_cached(
         force_name,
         optimizer,
     )
+    try:
+        hash(policy)
+    except TypeError:
+        return _compile_gaxpy_cached.__wrapped__(*key)
+    return _compile_gaxpy_cached(*key)

@@ -29,7 +29,13 @@ from repro.core.stripmine import SlabPlanEntry
 from repro.machine.parameters import MachineParameters
 from repro.runtime.slab import SlabbingStrategy
 
-__all__ = ["AccessPlan", "ReorganizationDecision", "reorganize", "plan_from_slab_elements"]
+__all__ = [
+    "AccessPlan",
+    "ReorganizationDecision",
+    "reorganize",
+    "choose_plan",
+    "plan_from_slab_elements",
+]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -144,20 +150,24 @@ def reorganize(
         )
     if not candidates:
         raise CompilationError("no candidate strategies were provided")
+    return choose_plan(analysis, candidates, cost_model)
 
-    # Figure 14: find the array with the largest I/O requirement, then pick the
-    # strategy that minimises its cost (ties and practical sanity are resolved
-    # with the full predicted I/O time).
+
+def choose_plan(
+    analysis: InCorePhaseResult, candidates: List[AccessPlan], cost_model: CostModel
+) -> ReorganizationDecision:
+    """Figure 14: find the array with the largest I/O requirement, then pick the
+    strategy that minimises its cost (ties and practical sanity are resolved
+    with the full predicted I/O time)."""
     reference = max(candidates, key=lambda plan: plan.cost.io_time)
     dominant_array = reference.cost.dominant_array()
     chosen = min(
         candidates,
         key=lambda plan: (plan.cost.arrays[dominant_array].total_elements, plan.cost.io_time),
     )
-    incore_cost = cost_model.estimate_incore(analysis)
     return ReorganizationDecision(
         candidates=candidates,
         chosen=chosen,
-        incore_cost=incore_cost,
+        incore_cost=cost_model.estimate_incore(analysis),
         dominant_array=dominant_array,
     )

@@ -30,12 +30,13 @@ __all__ = [
     "slab_elements_from_bytes",
     "slab_ratio_from_elements",
     "SlabPlanEntry",
+    "slab_lines",
     "build_plan_entry",
 ]
 
 
 def _max_local_elements(descriptor: ArrayDescriptor) -> int:
-    return max(descriptor.local_size(rank) for rank in range(descriptor.nprocs))
+    return math.prod(descriptor.max_local_shape())
 
 
 def slab_elements_from_ratio(descriptor: ArrayDescriptor, ratio: float) -> int:
@@ -100,6 +101,23 @@ class SlabPlanEntry:
         )
 
 
+def slab_lines(
+    local_shape: Tuple[int, ...], strategy: SlabbingStrategy, slab_elements: int
+) -> Tuple[int, int, int]:
+    """``(elements per line, lines per slab, number of slabs)`` of one slabbing.
+
+    The slab size is rounded to whole columns (column slabbing) or whole rows
+    (row slabbing), never less than one line.  This is all of a slabbing the
+    cost model needs, so pricing (:meth:`CostModel.price`) strip-mines with
+    three integer operations and no :class:`SlabPlanEntry`.
+    """
+    rows, cols = local_shape
+    per_line, count = (rows, cols) if strategy is SlabbingStrategy.COLUMN else (cols, rows)
+    per_line = max(per_line, 1)
+    lines = max(1, min(max(count, 1), slab_elements // per_line or 1))
+    return per_line, lines, (math.ceil(count / lines) if count else 1)
+
+
 def build_plan_entry(
     descriptor: ArrayDescriptor,
     strategy: SlabbingStrategy | str,
@@ -107,36 +125,24 @@ def build_plan_entry(
 ) -> SlabPlanEntry:
     """Derive the concrete slabbing of one array from a strategy and a size.
 
-    The slab size is rounded to whole columns (column slabbing) or whole rows
-    (row slabbing), never less than one line.  The storage order is picked so
-    that every slab is one contiguous extent of the Local Array File: 'F'
-    (column-major) for column slabs, 'C' (row-major) for row slabs — this is
-    the on-disk data reorganization of the paper.
+    The line rounding is :func:`slab_lines`, applied to the largest local
+    array (ranks with smaller parts simply have fewer slabs at run time).
+    The storage order is picked so that every slab is one contiguous extent
+    of the Local Array File: 'F' (column-major) for column slabs, 'C'
+    (row-major) for row slabs — this is the on-disk data reorganization of
+    the paper.
     """
     strategy = SlabbingStrategy.from_name(strategy)
     if slab_elements < 1:
         raise CompilationError(f"slab_elements must be positive, got {slab_elements}")
-    # Plan against the largest local array (ranks with smaller parts simply
-    # have fewer slabs at run time).
-    rows, cols = max(descriptor.local_shapes(), key=lambda shape: shape[0] * shape[1])
-    if strategy is SlabbingStrategy.COLUMN:
-        per_line = max(rows, 1)
-        lines = max(1, min(max(cols, 1), slab_elements // per_line or 1))
-        num_slabs = math.ceil(cols / lines) if cols else 1
-        effective = lines * per_line
-        order = "F"
-    else:
-        per_line = max(cols, 1)
-        lines = max(1, min(max(rows, 1), slab_elements // per_line or 1))
-        num_slabs = math.ceil(rows / lines) if rows else 1
-        effective = lines * per_line
-        order = "C"
+    rows, cols = descriptor.max_local_shape()
+    per_line, lines, num_slabs = slab_lines((rows, cols), strategy, slab_elements)
     return SlabPlanEntry(
         array=descriptor.name,
         strategy=strategy,
-        slab_elements=effective,
+        slab_elements=lines * per_line,
         local_shape=(rows, cols),
         num_slabs=num_slabs,
         lines_per_slab=lines,
-        storage_order=order,
+        storage_order="F" if strategy is SlabbingStrategy.COLUMN else "C",
     )

@@ -95,6 +95,7 @@ class ArrayDescriptor:
                 )
             self._dists.append(self.template.distribution(spec.target))
         self._local_shapes: Optional[Tuple[Tuple[int, ...], ...]] = None
+        self._max_local_shape: Optional[Tuple[int, ...]] = None
 
     # ------------------------------------------------------------------
     # basic geometry
@@ -237,6 +238,17 @@ class ArrayDescriptor:
             self._local_shapes = tuple(self.local_shape(r) for r in range(self.nprocs))
         return self._local_shapes
 
+    def max_local_shape(self) -> Tuple[int, ...]:
+        """The largest local shape over all ranks (first rank on ties).
+
+        What the compiler plans against — ranks with smaller parts simply run
+        fewer slabs.  Kept like :meth:`local_shapes`: strip-mining, the cost
+        model and the allocation policies ask for it on every probe.
+        """
+        if self._max_local_shape is None:
+            self._max_local_shape = max(self.local_shapes(), key=math.prod)
+        return self._max_local_shape
+
     def local_size(self, rank: int) -> int:
         total = 1
         for extent in self.local_shape(rank):
@@ -247,7 +259,7 @@ class ArrayDescriptor:
         return self.local_size(rank) * self.itemsize
 
     def max_local_nbytes(self) -> int:
-        return max(math.prod(shape) for shape in self.local_shapes()) * self.itemsize
+        return math.prod(self.max_local_shape()) * self.itemsize
 
     def local_index_ranges(self, rank: int) -> Tuple[np.ndarray, ...]:
         """Global indices owned by ``rank`` along each dimension."""

@@ -10,8 +10,9 @@ actually was.  This package turns those decisions into a search problem:
   from the Figure-14 reorganizer per candidate),
 * :mod:`repro.planner.search` — the strategies (``greedy`` hill-climbing,
   ``beam``, full ``exhaustive`` grids) pricing candidates with the existing
-  :class:`~repro.core.cost_model.PlanCost` model; every search seeds with the
-  even split and returns a provably-no-worse plan,
+  cost model (:meth:`~repro.core.cost_model.CostModel.price`) and lowering
+  only the winner; every search seeds with the even split and returns a
+  provably-no-worse plan,
 * :mod:`repro.planner.budget` — exact integer budget splitting (the old
   ``//`` splits silently dropped remainder bytes),
 * :mod:`repro.planner.plan_cache` — a persistent on-disk store of search

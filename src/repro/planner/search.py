@@ -1,41 +1,55 @@
 """Plan-space search strategies: greedy, exhaustive and beam.
 
-Every search prices candidates with the *existing* cost model — a candidate
-is evaluated by compiling each statement under its assigned budget and policy
-through the unchanged Figure-7 pipeline and summing the per-statement
-:class:`~repro.core.cost_model.PlanCost` with
-:func:`~repro.core.cost_model.combine_plan_costs`.  Because every search
-seeds with the even-split baseline and only ever replaces it with a strictly
-cheaper candidate, the returned plan is provably no worse than the legacy
-even split under the model.
+Every search *prices* candidates with the existing cost model and lowers
+nothing but its winner — as the paper's compiler chooses the access plan from
+closed-form counts (eqs. 3–6, Figure 14, Table 2) and never generates a node
+program to find out what one would cost.  A statement is analyzed once; a
+candidate assigns each statement a budget and a policy, each
+``(statement, budget, policy)`` is priced by
+:func:`~repro.core.pipeline.plan_statement` (strip-mining, allocation probes
+and Figure-14 reorganization on scalar :meth:`CostModel.price` calls), and
+the candidate's cost key is the per-statement costs summed in the order
+:func:`~repro.core.cost_model.combine_plan_costs` sums them.  Only the
+returned plan goes through :func:`~repro.core.pipeline.lower` (code
+generation) — unless the search was asked to verify, in which case every
+priced statement is lowered and checked on the spot so an unverifiable plan
+is never ranked.  Because every search seeds with the even-split baseline
+and only ever replaces it with a strictly cheaper candidate, the returned
+plan is provably no worse than the legacy even split under the model.
 
 * ``"none"`` — the even split itself (the legacy behaviour, remainder fixed);
 * ``"greedy"`` — hill-climbing quantum transfers between statements with a
   halving step size, plus a per-statement allocation-policy refinement;
 * ``"exhaustive"`` — a full grid over the budget simplex with per-statement
-  best policies (compile-time is paid for; the grid and the
+  best policies (search time is paid for; the grid and the
   :class:`~repro.core.memory_alloc.SearchAllocation` fraction set are finer);
 * ``"beam"`` — greedy's neighbourhood expansion keeping the best
   ``BEAM_WIDTH`` states per round (escapes single-path local minima at a
-  bounded multiple of greedy's compile cost).
+  bounded multiple of greedy's pricing cost).
 
-Per-statement compilations are memoized on ``(statement, budget, policy)``,
-so the searches share work: an exhaustive grid over three statements costs a
-few dozen statement compilations, not thousands.
+Statement plans are memoized on ``(statement, budget, policy)``, so the
+searches share work: an exhaustive grid over three statements prices a few
+dozen statement plans, and every further candidate is a handful of dictionary
+lookups and float additions.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, TYPE_CHECKING, Union
 
-from repro.core.cost_model import PlanCost, combine_plan_costs
-from repro.exceptions import (
-    CompilationError,
-    CostModelError,
-    MemoryAllocationError,
-    ReproError,
+from repro.core.analysis import analyze_program
+from repro.core.cost_model import CostModel, PlanCost, Price, combine_plan_costs
+from repro.core.pipeline import (
+    CompiledProgram,
+    StatementPlan,
+    fuse_statement_pair,
+    lower,
+    normalize_fusion,
+    plan_statement,
+    price_fused_pair,
 )
+from repro.exceptions import CompilationError, CostModelError, MemoryAllocationError
 from repro.machine.parameters import MachineParameters
 from repro.planner.plan_cache import PlanCache, plan_fingerprint
 from repro.planner.space import (
@@ -52,9 +66,8 @@ from repro.planner.space import (
 )
 from repro.runtime.slab import SlabbingStrategy
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
+if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.ir import ProgramIR
-    from repro.core.pipeline import CompiledProgram
 
 __all__ = ["OPTIMIZERS", "PlanDecision", "normalize_optimizer", "plan_whole_program"]
 
@@ -134,26 +147,58 @@ class PlanDecision:
         return "\n".join(lines)
 
 
-def _cost_key(cost: PlanCost) -> Tuple[float, float, float]:
-    """Total order over plan costs: time first, I/O time, then data volume."""
-    return (cost.total_time, cost.io_time, cost.io_bytes)
+CostKey = Tuple[float, float, float]
+"""Total order over plan costs: time first, I/O time, then data volume."""
+
+#: a statement under one budget and policy: priced, or lowered as well when
+#: the search verifies its candidates
+_Unit = Union[StatementPlan, CompiledProgram]
+
+#: the share of a :data:`CostKey` one unit contributes:
+#: ``(io_time, compute_time, comm_time, io_bytes)``
+_Part = Tuple[float, float, float, float]
+
+
+def _part(price: Price, itemsize: int) -> _Part:
+    return (price.io_time, price.compute_time, price.comm_time, price.io_elements * itemsize)
+
+
+def _key(parts: Sequence[_Part]) -> CostKey:
+    """``(total_time, io_time, io_bytes)`` of the units contributing ``parts``.
+
+    Bit for bit what :func:`combine_plan_costs` of the units' costs reports:
+    times are summed in unit order, and element counts are whole numbers, so
+    their sum does not depend on how it is grouped.
+    """
+    io_time = sum(part[0] for part in parts)
+    compute_time = sum(part[1] for part in parts)
+    comm_time = sum(part[2] for part in parts)
+    return (io_time + compute_time + comm_time, io_time, sum(part[3] for part in parts))
+
+
+def _units_under(mask: Sequence[int], statements: int) -> Iterator[Tuple[int, bool]]:
+    """``(first statement, is a fused pair)`` of each unit when ``mask`` fuses."""
+    index = 0
+    while index < statements:
+        is_pair = index in mask
+        yield index, is_pair
+        index += 2 if is_pair else 1
 
 
 @dataclasses.dataclass
 class _Evaluation:
-    """One priced candidate: its cost, knobs and compiled statements."""
+    """One priced candidate: its cost key, knobs and per-statement plans."""
 
-    cost: PlanCost
+    key: CostKey
     budgets: Tuple[int, ...]
     policies: Tuple[str, ...]
-    compiled: Tuple[object, ...]  # CompiledProgram per executable unit
-    #: producer indices whose pair compiled into one fused unit; when
-    #: non-empty, ``compiled`` has fewer units than the program has statements
+    units: Tuple[_Unit, ...]  # one per statement, fused or not
+    #: producer indices whose pair is priced (and will be lowered) fused
     fused_edges: Tuple[int, ...] = ()
 
 
 class _ProgramEvaluator:
-    """Compiles and prices plan candidates, memoized per statement knob."""
+    """Prices plan candidates, memoized per statement knob; lowers the winner."""
 
     def __init__(
         self,
@@ -172,44 +217,51 @@ class _ProgramEvaluator:
         self.force_strategy = force_strategy
         self.fine = fine
         #: statically legal fusion edges (dataflow only); conformality of the
-        #: chosen slab extents is re-checked per candidate by the pair builder
+        #: chosen slab extents is re-checked per candidate by the pair pricer
         self.fusable = fusable_edges(program) if fusion != "off" else ()
         # Any enabled check mode becomes "error" inside the search: a
-        # candidate whose compiled plan fails static verification raises
+        # statement plan whose lowering fails static verification raises
         # PlanVerificationError (a CompilationError), lands in the except
-        # clause below, and is rejected like any other infeasible candidate —
-        # the search only ever returns verified plans.
+        # clause of _priced, and is rejected like any other infeasible
+        # candidate — the search only ever returns verified plans.
         self.check = "error" if check != "off" else "off"
         self.kinds = statement_kinds(program)
         self.subs = [
             program.statement_program(index)
             for index in range(len(program.statements))
         ]
-        self._statement_memo: Dict[Tuple[int, int, str], Optional[Tuple]] = {}
-        self._best_memo: Dict[Tuple[int, int], Optional[Tuple]] = {}
+        self.analyses = [analyze_program(sub) for sub in self.subs]
+        self.cost_model = CostModel(params, program.nprocs())
+        self._statement_memo: Dict[Tuple[int, int, str], Optional[Tuple[_Part, _Unit]]] = {}
+        self._best_memo: Dict[Tuple[int, int], Optional[Tuple[_Part, str, _Unit]]] = {}
         self.candidates_evaluated = 0
 
     # ------------------------------------------------------------------
-    def _compile_statement(
+    def _plan(self, index: int, budget: int, policy_name: str) -> _Unit:
+        """Price one statement under one budget/policy; raises if infeasible."""
+        planned = plan_statement(
+            self.subs[index],
+            self.params,
+            analysis=self.analyses[index],
+            memory_budget_bytes=int(budget),
+            policy=policy_instance(policy_name, fine=self.fine),
+            force_strategy=self.force_strategy,
+            strategies=self.strategies,
+        )
+        return planned if self.check == "off" else lower(planned, self.check)
+
+    def _priced(
         self, index: int, budget: int, policy_name: str
-    ) -> "Optional[Tuple[PlanCost, CompiledProgram]]":
-        """Price one statement under one budget/policy; ``None`` if infeasible."""
+    ) -> Optional[Tuple[_Part, _Unit]]:
+        """Memoized :meth:`_plan` with its price; ``None`` if infeasible."""
         key = (index, int(budget), policy_name)
         if key in self._statement_memo:
             return self._statement_memo[key]
-        from repro.core.pipeline import compile_program
-
+        result: Optional[Tuple[_Part, _Unit]]
         try:
-            compiled = compile_program(
-                self.subs[index],
-                self.params,
-                memory_budget_bytes=int(budget),
-                policy=policy_instance(policy_name, fine=self.fine),
-                force_strategy=self.force_strategy,
-                strategies=self.strategies,
-                check=self.check,
-            )
-            result = (compiled.plan.cost, compiled)
+            unit = self._plan(index, budget, policy_name)
+            cost: PlanCost = unit.plan.cost
+            result = (_part(cost.price, cost.itemsize), unit)
         except (CompilationError, MemoryAllocationError, CostModelError):
             result = None
         self._statement_memo[key] = result
@@ -217,54 +269,56 @@ class _ProgramEvaluator:
 
     def _best_statement(
         self, index: int, budget: int
-    ) -> "Optional[Tuple[PlanCost, str, CompiledProgram]]":
-        """Cheapest (cost, policy, compiled) for one statement at one budget."""
+    ) -> Optional[Tuple[_Part, str, _Unit]]:
+        """Cheapest (price, policy, plan) for one statement at one budget."""
         key = (index, int(budget))
         if key in self._best_memo:
             return self._best_memo[key]
         names = POLICY_NAMES if self.kinds[index] else (NO_POLICY,)
         best = None
         for name in names:
-            priced = self._compile_statement(index, budget, name)
+            priced = self._priced(index, budget, name)
             if priced is None:
                 continue
-            cost, compiled = priced
-            if best is None or _cost_key(cost) < _cost_key(best[0]):
-                best = (cost, name, compiled)
+            if best is None or _key(priced[:1]) < _key(best[:1]):
+                best = (priced[0], name, priced[1])
         self._best_memo[key] = best
         return best
 
-    def _fuse_units(
-        self, mask: Tuple[int, ...], compiled: Sequence
-    ) -> Optional[Tuple]:
-        """Fused unit list for ``mask`` over per-statement units, or ``None``.
+    def _fused_parts(
+        self, mask: Tuple[int, ...], parts: Sequence[_Part], units: Sequence[_Unit]
+    ) -> Optional[List[_Part]]:
+        """Per-unit prices with the pairs of ``mask`` fused, or ``None``.
 
         ``None`` means some chosen edge is not conformal under these budgets
-        (the pair builder refused); the candidate simply does not fuse there.
+        (the pair pricer refused); the candidate simply does not fuse there.
         """
-        from repro.core.pipeline import fuse_statement_pair
+        fused: List[_Part] = []
+        for index, is_pair in _units_under(mask, len(units)):
+            if not is_pair:
+                fused.append(parts[index])
+                continue
+            consumer = units[index + 1]
+            try:
+                price = price_fused_pair(index, units[index], consumer, self.cost_model)
+            except (CompilationError, CostModelError):
+                return None
+            # The fused unit is costed in its result's item size: the consumer's.
+            fused.append(_part(price, consumer.plan.cost.itemsize))
+        return fused
 
-        units: List = []
-        index = 0
-        while index < len(compiled):
-            if index in mask:
-                try:
-                    units.append(
-                        fuse_statement_pair(
-                            self.program,
-                            index,
-                            compiled[index],
-                            compiled[index + 1],
-                            self.params,
-                        )
-                    )
-                except (CompilationError, CostModelError):
-                    return None
-                index += 2
-            else:
-                units.append(compiled[index])
-                index += 1
-        return tuple(units)
+    def lower(self, evaluation: _Evaluation) -> Tuple[CompiledProgram, ...]:
+        """Lower ``evaluation`` — the one candidate that reaches code generation."""
+        units = evaluation.units
+        lowered: List[CompiledProgram] = []
+        for index, is_pair in _units_under(evaluation.fused_edges, len(units)):
+            unit = units[index]
+            if is_pair:
+                unit = fuse_statement_pair(
+                    self.program, index, unit, units[index + 1], self.params
+                )
+            lowered.append(unit if isinstance(unit, CompiledProgram) else lower(unit))
+        return tuple(lowered)
 
     # ------------------------------------------------------------------
     def evaluate(
@@ -285,73 +339,58 @@ class _ProgramEvaluator:
 
         The fusion dimension rides along: with ``allow_fusion`` (and legal
         edges) every non-overlapping fusion mask is priced on top of the
-        per-statement units and the cheapest wins, so each budget vector the
+        per-statement plans and the cheapest wins, so each budget vector the
         searches visit is automatically evaluated fused *and* unfused.
         ``fused_edges`` pins one exact mask instead (cache replays); a pinned
         mask that is not conformal under these budgets degrades to unfused.
+
+        ``must_succeed`` (the baseline) re-raises the error that made a
+        statement infeasible instead of returning ``None``.
         """
         self.candidates_evaluated += 1
-        costs: List[PlanCost] = []
+        parts: List[_Part] = []
         chosen_policies: List[str] = []
-        compiled: List = []
+        units: List[_Unit] = []
         for index, budget in enumerate(budgets):
             if policies is not None:
-                priced = self._compile_statement(index, budget, policies[index])
+                priced = self._priced(index, budget, policies[index])
                 entry = (priced[0], policies[index], priced[1]) if priced else None
             else:
                 entry = self._best_statement(index, budget)
             if entry is None:
                 if must_succeed:
-                    # Surface the real error, exactly as the legacy path would.
-                    from repro.core.pipeline import compile_program
-
-                    compile_program(
-                        self.subs[index],
-                        self.params,
-                        memory_budget_bytes=int(budget),
-                        policy=policy_instance(
-                            policies[index] if policies is not None else NO_POLICY
-                        ),
-                        force_strategy=self.force_strategy,
-                        strategies=self.strategies,
-                        check=self.check,
-                    )
-                    raise ReproError(  # pragma: no cover - the line above raises
-                        "statement compilation failed without an error"
-                    )
+                    # Surface the error the search hit, from the same call.
+                    self._plan(index, budget, policies[index] if policies else NO_POLICY)
                 return None
-            cost, name, unit = entry
-            costs.append(cost)
-            chosen_policies.append(name)
-            compiled.append(unit)
+            parts.append(entry[0])
+            chosen_policies.append(entry[1])
+            units.append(entry[2])
+        if must_succeed:
+            # Refuse mixed item sizes here, where the search starts, with the
+            # error assembling the program would raise after it.
+            combine_plan_costs([unit.plan.cost for unit in units])
         best = _Evaluation(
-            cost=combine_plan_costs(costs),
+            key=_key(parts),
             budgets=tuple(int(b) for b in budgets),
             policies=tuple(chosen_policies),
-            compiled=tuple(compiled),
+            units=tuple(units),
         )
         if fused_edges is not None:
             masks: Sequence[Tuple[int, ...]] = [tuple(sorted(int(i) for i in fused_edges))]
         elif allow_fusion and self.fusable:
-            masks = [mask for mask in fusion_masks(self.fusable) if mask]
+            masks = list(fusion_masks(self.fusable))
         else:
             masks = []
         for mask in masks:
             if not mask:
                 continue
-            units = self._fuse_units(mask, compiled)
-            if units is None:
+            fused = self._fused_parts(mask, parts, units)
+            if fused is None:
                 continue
             self.candidates_evaluated += 1
-            fused_cost = combine_plan_costs([unit.plan.cost for unit in units])
-            if _cost_key(fused_cost) < _cost_key(best.cost) or fused_edges is not None:
-                best = _Evaluation(
-                    cost=fused_cost,
-                    budgets=best.budgets,
-                    policies=best.policies,
-                    compiled=units,
-                    fused_edges=mask,
-                )
+            key = _key(fused)
+            if key < best.key or fused_edges is not None:
+                best = dataclasses.replace(best, key=key, fused_edges=mask)
         return best
 
 
@@ -376,9 +415,9 @@ def _search_greedy(
             priced = evaluator.evaluate(candidate)
             if priced is None:
                 continue
-            if winner is None or _cost_key(priced.cost) < _cost_key(winner.cost):
+            if winner is None or priced.key < winner.key:
                 winner = priced
-        if winner is not None and _cost_key(winner.cost) < _cost_key(best.cost):
+        if winner is not None and winner.key < best.key:
             best = winner
         else:
             quantum //= 2
@@ -409,8 +448,8 @@ def _search_beam(
                 priced = evaluator.evaluate(candidate)
                 if priced is not None:
                     frontier[candidate] = priced
-        ranked = sorted(frontier.values(), key=lambda e: _cost_key(e.cost))
-        improved = _cost_key(ranked[0].cost) < _cost_key(best.cost)
+        ranked = sorted(frontier.values(), key=lambda e: e.key)
+        improved = ranked[0].key < best.key
         if improved:
             best = ranked[0]
         beam = ranked[:BEAM_WIDTH]
@@ -428,13 +467,13 @@ def _search_exhaustive(
     if nstatements < 2:
         # Only the policy choice exists; evaluate() already optimized it.
         refined = evaluator.evaluate(start.budgets)
-        if refined is not None and _cost_key(refined.cost) < _cost_key(best.cost):
+        if refined is not None and refined.key < best.key:
             best = refined
         return best
     steps = 12 if nstatements <= 3 else max(2 * nstatements, 8)
     for budgets in budget_grid(total, nstatements, steps):
         priced = evaluator.evaluate(budgets)
-        if priced is not None and _cost_key(priced.cost) < _cost_key(best.cost):
+        if priced is not None and priced.key < best.key:
             best = priced
     # Polish the grid winner with fine-grained transfers: the grid quantum is
     # total/steps, far coarser than greedy's final halved step.
@@ -462,7 +501,7 @@ def plan_whole_program(
     plan_cache: Optional[PlanCache] = None,
     check: str = "off",
     fusion: str = "off",
-) -> Tuple[PlanDecision, Tuple[object, ...]]:
+) -> Tuple[PlanDecision, Tuple[CompiledProgram, ...]]:
     """Search the plan space of ``program`` under one node byte budget.
 
     Returns the :class:`PlanDecision` plus the winning candidate's compiled
@@ -479,8 +518,6 @@ def plan_whole_program(
     the search re-runs.
     """
     optimizer = normalize_optimizer(optimizer)
-    from repro.core.pipeline import normalize_fusion
-
     fusion = normalize_fusion(fusion)
     total = int(memory_budget_bytes)
     evaluator = _ProgramEvaluator(
@@ -503,7 +540,7 @@ def plan_whole_program(
     cache_status = "off"
 
     if optimizer == "none":
-        return _decision(optimizer, best, baseline, evaluator, cache_status), best.compiled
+        return _decision(optimizer, best, baseline, evaluator, cache_status), evaluator.lower(best)
 
     key = None
     if plan_cache is not None:
@@ -534,11 +571,11 @@ def plan_whole_program(
                 fused_edges=cached.fused_edges,
             )
             if replay is not None:
-                if _cost_key(replay.cost) < _cost_key(best.cost):
+                if replay.key < best.key:
                     best = replay
                 return (
                     _decision(optimizer, best, baseline, evaluator, "hit"),
-                    best.compiled,
+                    evaluator.lower(best),
                 )
         cache_status = "miss"
 
@@ -546,10 +583,10 @@ def plan_whole_program(
     # take its cheapest allocation policy (costs are separable, so this is
     # exact), then search budget transfers from there.
     start = evaluator.evaluate(even.statement_budgets)
-    if start is None or _cost_key(baseline.cost) < _cost_key(start.cost):
+    if start is None or baseline.key < start.key:
         start = baseline
     best = _SEARCHES[optimizer](evaluator, start, total)
-    if _cost_key(baseline.cost) < _cost_key(best.cost):  # pragma: no cover - safety net
+    if baseline.key < best.key:  # pragma: no cover - safety net
         best = baseline
     if key is not None and plan_cache is not None:
         plan_cache.store(
@@ -557,12 +594,12 @@ def plan_whole_program(
             PlanChoice(best.budgets, best.policies, best.fused_edges),
             metadata={
                 "optimizer": optimizer,
-                "predicted_total_time": best.cost.total_time,
-                "predicted_io_bytes": best.cost.io_bytes,
-                "even_total_time": baseline.cost.total_time,
+                "predicted_total_time": best.key[0],
+                "predicted_io_bytes": best.key[2],
+                "even_total_time": baseline.key[0],
             },
         )
-    return _decision(optimizer, best, baseline, evaluator, cache_status), best.compiled
+    return _decision(optimizer, best, baseline, evaluator, cache_status), evaluator.lower(best)
 
 
 def _decision(
@@ -576,12 +613,12 @@ def _decision(
         optimizer=optimizer,
         statement_budgets=best.budgets,
         policies=best.policies,
-        predicted_total_time=best.cost.total_time,
-        predicted_io_time=best.cost.io_time,
-        predicted_io_bytes=best.cost.io_bytes,
-        even_total_time=baseline.cost.total_time,
-        even_io_time=baseline.cost.io_time,
-        even_io_bytes=baseline.cost.io_bytes,
+        predicted_total_time=best.key[0],
+        predicted_io_time=best.key[1],
+        predicted_io_bytes=best.key[2],
+        even_total_time=baseline.key[0],
+        even_io_time=baseline.key[1],
+        even_io_bytes=baseline.key[2],
         candidates_evaluated=evaluator.candidates_evaluated,
         cache_status=cache_status,
         fused_edges=best.fused_edges,

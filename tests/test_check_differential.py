@@ -216,6 +216,25 @@ class TestSurfacedDefects:
         assert per_column.lines_of == "" and per_column.slabs_of == ""
         assert per_column.trip_count == 16  # all n columns, not n / P
 
+    def test_repeated_elementwise_operand_is_charged_per_reference(self):
+        # ``c = a + a`` generates two slab reads of ``a`` per iteration; the
+        # cost model used to keep one row per array *name*, so the second
+        # reference overwrote the first and the plan was undercharged
+        # (a ledger-drift finding).  Rows now accumulate per reference, as
+        # they always did for fused pairs.
+        source = SINGLE_OPERAND_SOURCE.replace(
+            "  do j = 1, n\n    forall (k = 1 : n)\n"
+            "      c(:, j) = sum(a(:, k) * a(k, j))\n    end forall\n  end do\n",
+            "  c(:, :) = add(a(:, :), a(:, :))\n",
+        )
+        compiled = compile_program(frontend_to_ir(parse_program(source)), slab_ratio=0.5)
+        report = check_compiled(compiled)
+        assert report.ok, report.describe()
+        entry = compiled.plan.entries["a"]
+        rows, cols = entry.local_shape
+        assert compiled.plan.cost.arrays["a"].fetch_requests == 2 * entry.num_slabs
+        assert compiled.plan.cost.arrays["a"].fetch_elements == 2 * rows * cols
+
 
 # ---------------------------------------------------------------------------
 # Session integration: check modes, report attachment, run records
@@ -383,3 +402,32 @@ class TestPlannerUnderCheck:
                 optimizer="greedy",
                 check="error",
             )
+
+    def test_single_statement_search_rejects_unverifiable_candidate(self, monkeypatch):
+        # The single-statement search used to run unchecked and verify only
+        # its winner, so one unverifiable candidate that happened to win
+        # raised instead of losing to a healthy one.
+        import repro.check
+
+        winner = compile_program(
+            build_gaxpy_ir(64, 4), memory_budget_bytes=2048, optimizer="greedy"
+        )
+        assert winner.planner.policies == ("search",)  # not the even baseline
+
+        real_check = repro.check.check_compiled
+        monkeypatch.setattr(
+            repro.check,
+            "check_compiled",
+            lambda compiled: (
+                failing_report()
+                if compiled.plan.allocation == winner.plan.allocation
+                else real_check(compiled)
+            ),
+        )
+        checked = compile_program(
+            build_gaxpy_ir(64, 4), memory_budget_bytes=2048, optimizer="greedy", check="error"
+        )
+        assert checked.check is not None and checked.check.ok
+        assert checked.planner.policies != ("search",)
+        assert checked.plan.allocation != winner.plan.allocation
+        assert checked.planner.predicted_total_time <= checked.planner.even_total_time

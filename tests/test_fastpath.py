@@ -267,15 +267,20 @@ def test_single_operand_statement_keeps_coefficient_reread_cost(strategy):
         "c": _entry("c", strategy, (16, 8), num_slabs=4, lines=2),
     }
     model = CostModel(touchstone_delta(), nprocs=4)
-    costs = model._counts(analysis, strategy, entries)
-    assert set(costs) == {"a", "c"}
-    merged = costs["a"]
     local = 16.0 * 8.0
+    rows = model._reduction_rows(
+        analysis,
+        strategy,
+        {name: entry.num_slabs for name, entry in entries.items()},
+        {name: local for name in entries},
+    )
+    assert set(rows) == {"a", "c"}
+    fetch_requests, fetch_elements, _, _ = rows["a"]
     if strategy is SlabbingStrategy.COLUMN:
         # streamed role: refetched per result column; coefficient role: once.
-        assert merged.fetch_requests == 16 * 4 + 4
-        assert merged.fetch_elements == 16 * local + local
+        assert fetch_requests == 16 * 4 + 4
+        assert fetch_elements == 16 * local + local
     else:
         # streamed role: each slab once; coefficient role: once per streamed slab.
-        assert merged.fetch_requests == 4 + 4 * 4
-        assert merged.fetch_elements == local + 4 * local
+        assert fetch_requests == 4 + 4 * 4
+        assert fetch_elements == local + 4 * local

@@ -11,14 +11,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import ExecutionMode, RunConfig
+from repro.core.analysis import FusedElementwisePhase
+from repro.core.cost_model import CostModel, local_elements
 from repro.core.ir import (
     build_elementwise_ir,
     build_gaxpy_ir,
     build_pipeline_ir,
     build_transpose_ir,
 )
-from repro.core.pipeline import compile_program, compile_whole_program
-from repro.exceptions import CompilationError
+from repro.core.memory_alloc import EqualAllocation, ProportionalAllocation, SearchAllocation
+from repro.core.pipeline import (
+    compile_program,
+    compile_whole_program,
+    fuse_statement_pair,
+    plan_statement,
+    price_fused_pair,
+)
+from repro.core.stripmine import slab_lines
+from repro.exceptions import CompilationError, ReproError
 from repro.hpf.frontend import frontend_to_ir
 from repro.hpf.parser import parse_program
 from repro.planner import (
@@ -31,6 +41,7 @@ from repro.planner import (
     split_evenly,
     transfer_neighbors,
 )
+from repro.runtime.slab import SlabbingStrategy
 from repro.runtime.vm import VirtualMachine
 
 from tests.test_differential import (
@@ -326,8 +337,6 @@ class TestSearchStrategies:
         assert set(OPTIMIZERS) == {"none", "greedy", "beam", "exhaustive"}
 
     def test_pinned_policy_bypasses_the_search(self):
-        from repro.core.memory_alloc import EqualAllocation
-
         compiled = compile_whole_program(
             build_pipeline_ir(64, 4),
             memory_budget_bytes=32 * 1024,
@@ -354,8 +363,6 @@ class TestSearchStrategies:
         # 16 bytes over two statements: each statement's split cannot cover
         # one slab line per array, and the planner must surface the original
         # allocation error instead of swallowing it as "infeasible".
-        from repro.exceptions import ReproError
-
         with pytest.raises(ReproError):
             compile_whole_program(
                 build_pipeline_ir(64, 4), memory_budget_bytes=16, optimizer="greedy"
@@ -384,3 +391,194 @@ def test_three_statement_chain_executes_under_every_optimizer(tmp_path):
         outputs = assert_matches_oracle(compiled, tmp_path / optimizer)
         assert set(outputs) == {"t", "u", "c"}
         assert np.isfinite(compiled.cost.total_time)
+
+
+# ---------------------------------------------------------------------------
+# pricing and lowering are one path: price == plan_statement == compile_program
+# ---------------------------------------------------------------------------
+BUILDERS = {
+    "gaxpy": build_gaxpy_ir,
+    "elementwise": build_elementwise_ir,
+    "transpose": build_transpose_ir,
+}
+
+
+def _price(unit):
+    """``CostModel.price`` of a planned or compiled unit from its slab counts alone."""
+    slabs = {name: entry.num_slabs for name, entry in unit.plan.entries.items()}
+    return CostModel(unit.params, unit.nprocs).price(unit.analysis, unit.plan.strategy, slabs)
+
+
+def assert_price_is_plan_is_compile(build, **spec):
+    """price == plan_statement(...).cost == compile_program(...).plan.cost, exactly."""
+    try:
+        planned = plan_statement(build(), **spec)
+    except ReproError as refused:
+        with pytest.raises(type(refused)):
+            compile_program(build(), **spec)
+        return None
+    compiled = compile_program(build(), **spec)
+    assert planned.cost == compiled.plan.cost  # every field, the arrays dict included
+    assert planned.plan == compiled.plan
+    assert planned.decision == compiled.decision
+    cost = planned.cost
+    price = _price(planned)
+    assert price == cost.price == _price(compiled)
+    assert tuple(price) == (
+        cost.io_time, cost.compute_time, cost.comm_time, cost.io_elements, cost.io_requests
+    )
+    assert price.total_time == cost.total_time
+    return compiled
+
+
+class TestPriceEqualsPlanEqualsCompile:
+    @given(
+        kind=st.sampled_from(sorted(BUILDERS)),
+        n=st.integers(4, 40),
+        nprocs=st.sampled_from([1, 2, 3, 4]),
+        dtype=st.sampled_from(["float32", "float64"]),
+        budget=st.integers(64, 16 * 1024),
+        policy=st.sampled_from(
+            [None, EqualAllocation(), ProportionalAllocation(),
+             SearchAllocation(), SearchAllocation(fractions=31)]
+        ),
+        strategies=st.sampled_from([("column", "row"), ("row", "column"), ("column",), ("row",)]),
+        force=st.sampled_from([None, "column", "row"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_under_a_memory_budget(
+        self, kind, n, nprocs, dtype, budget, policy, strategies, force
+    ):
+        if force is not None and force not in strategies:
+            return  # the reorganizer only forces a strategy it enumerated
+        assert_price_is_plan_is_compile(
+            lambda: BUILDERS[kind](n, nprocs, dtype=dtype),
+            memory_budget_bytes=budget,
+            policy=policy,
+            strategies=strategies,
+            force_strategy=force,
+        )
+
+    @pytest.mark.parametrize("kind", sorted(BUILDERS))
+    def test_on_the_seeded_slab_ratio_grid(self, kind):
+        import random
+
+        from tests.test_compile_properties import SEED, _random_configs
+
+        for n, nprocs, slab_ratio in _random_configs(random.Random(SEED), 12):
+            for force in (None, "column", "row"):
+                assert_price_is_plan_is_compile(
+                    lambda n=n, nprocs=nprocs: BUILDERS[kind](n, nprocs),
+                    slab_ratio=slab_ratio,
+                    force_strategy=force,
+                )
+
+    def test_fused_pairs(self):
+        from tests.test_fusion import BUDGET as FUSION_BUDGET
+        from tests.test_fusion import ELEMENTWISE_PAIR_SOURCE, _chain_source
+
+        fused_units = 0
+        for source in (ELEMENTWISE_PAIR_SOURCE, _chain_source(2), _chain_source(3)):
+            ir = frontend_to_ir(parse_program(source))
+            compiled = compile_whole_program(
+                ir, memory_budget_bytes=FUSION_BUDGET, optimizer="greedy", fusion="on"
+            )
+            decision = compiled.planner
+            model = CostModel(compiled.params, compiled.nprocs)
+            fused = [u for u in compiled.statements
+                     if isinstance(u.analysis, FusedElementwisePhase)]
+            assert len(fused) == len(decision.fused_edges) > 0
+            for edge, unit in zip(decision.fused_edges, fused, strict=True):
+                members = [
+                    plan_statement(
+                        ir.statement_program(i),
+                        compiled.params,
+                        memory_budget_bytes=decision.statement_budgets[i],
+                    )
+                    for i in (edge, edge + 1)
+                ]
+                price = price_fused_pair(edge, *members, model)
+                rebuilt = fuse_statement_pair(ir, edge, *members, compiled.params)
+                assert rebuilt.plan == unit.plan
+                assert rebuilt.node_program == unit.node_program
+                assert price == unit.plan.cost.price == _price(unit)
+                fused_units += 1
+            # the decision's numbers are the assembled program's, bit for bit
+            assert decision.predicted_total_time == compiled.cost.total_time
+            assert decision.predicted_io_time == compiled.cost.io_time
+            assert decision.predicted_io_bytes == compiled.cost.io_bytes
+        assert fused_units >= 3
+
+
+class TestPriceMonotonicity:
+    """Table 2's premise: at a fixed strategy, a larger slab of any one array
+    never costs more I/O time nor more requests."""
+
+    @given(
+        kind=st.sampled_from(sorted(BUILDERS)),
+        n=st.integers(4, 36),
+        nprocs=st.sampled_from([1, 2, 3, 4]),
+        strategy=st.sampled_from(list(SlabbingStrategy)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_io_time_and_requests_fall_with_lines_per_slab(self, kind, n, nprocs, strategy):
+        if kind == "transpose":
+            strategy = SlabbingStrategy.COLUMN  # the only slabbing it has
+        ir = BUILDERS[kind](n, nprocs)
+        planned = plan_statement(ir, slab_ratio=1.0, force_strategy=strategy)
+        model = CostModel(planned.params, planned.nprocs)
+        local = local_elements(ir)
+        entries = planned.plan.entries
+
+        def slabs_with(name, lines):
+            counts = {other: 1 for other in entries}
+            entry = entries[name]
+            per_line, _, _ = slab_lines(entry.local_shape, entry.strategy, 1)
+            _, got, counts[name] = slab_lines(entry.local_shape, entry.strategy, lines * per_line)
+            assert got == lines
+            return counts
+
+        for name, entry in entries.items():
+            rows, cols = entry.local_shape
+            most = max(cols if entry.strategy is SlabbingStrategy.COLUMN else rows, 1)
+            prices = [
+                model.price(planned.analysis, strategy, slabs_with(name, lines), local)
+                for lines in range(1, most + 1)
+            ]
+            for smaller, larger in zip(prices, prices[1:]):
+                assert larger.io_time <= smaller.io_time
+                assert larger.io_requests <= smaller.io_requests
+                assert larger.io_elements <= smaller.io_elements
+            # one slab per array is the in-core volume: nothing is read twice
+            assert prices[-1].io_requests >= len(entries)
+
+
+class TestSearchLowersOnlyTheWinner:
+    @pytest.mark.parametrize("optimizer", ["greedy", "exhaustive"])
+    def test_one_codegen_per_unit_one_analysis_per_statement(self, monkeypatch, optimizer):
+        import repro.core.pipeline as pipeline
+        import repro.planner.search as search
+
+        calls = {"generate_node_program": 0, "analyze_program": 0}
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            pipeline, "generate_node_program",
+            counted("generate_node_program", pipeline.generate_node_program),
+        )
+        analyze = counted("analyze_program", pipeline.analyze_program)
+        monkeypatch.setattr(pipeline, "analyze_program", analyze)
+        monkeypatch.setattr(search, "analyze_program", analyze)
+
+        ir = frontend_to_ir(parse_program(THREE_STATEMENT_SOURCE))
+        compiled = compile_program(
+            ir, memory_budget_bytes=9 * 1024, optimizer=optimizer, fusion="on"
+        )
+        assert compiled.planner.candidates_evaluated > len(ir.statements)
+        assert calls["generate_node_program"] <= len(compiled.statements)
+        assert calls["analyze_program"] == len(ir.statements)

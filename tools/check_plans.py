@@ -1,14 +1,18 @@
 #!/usr/bin/env python
 """CI driver for the static plan verifier: ``make check-plans``.
 
-Proves, over the full workload differential matrix, that the three charge
+Proves, over the full workload differential matrix, that the four charge
 oracles agree on every compiled plan:
 
 1. the **symbolic ledger** (:func:`repro.check.check_compiled` walking the
    node program without executing it),
 2. the cost model's **PlanCost** (exact equality is part of the verifier's
-   report — any disagreement is a ``ledger-drift`` finding), and
-3. the **executed machine counters** (an ``ESTIMATE`` drive of the real
+   report — any disagreement is a ``ledger-drift`` finding),
+3. the scalar **price** (:meth:`repro.core.cost_model.CostModel.price` from
+   nothing but each unit's slab counts — what the plan search ranks
+   candidates on — equal to the PlanCost field for field and to the ledger's
+   bytes and requests in total), and
+4. the **executed machine counters** (an ``ESTIMATE`` drive of the real
    executor; ESTIMATE and EXECUTE charge identically by construction).
 
 Matrix: every workload builder x strategy x P in {1, 4} x even/uneven slab
@@ -35,6 +39,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.check import check_compiled  # noqa: E402
 from repro.config import ExecutionMode, RunConfig  # noqa: E402
+from repro.core.cost_model import CostModel  # noqa: E402
 from repro.core.ir import (  # noqa: E402
     build_elementwise_ir,
     build_gaxpy_ir,
@@ -133,18 +138,40 @@ def executed_statistics(compiled):
             return vm.io_statistics()
 
 
+def units_of(compiled):
+    return compiled.statements if hasattr(compiled, "statements") else (compiled,)
+
+
 def uses_row_reduction(compiled):
-    units = compiled.statements if hasattr(compiled, "statements") else (compiled,)
-    return any(unit.node_program.strategy == "row-slab" for unit in units)
+    return any(unit.node_program.strategy == "row-slab" for unit in units_of(compiled))
+
+
+def verify_price(label, compiled, ledger):
+    """price == PlanCost per unit, and == the ledger's totals over the plan."""
+    model = CostModel(compiled.params, compiled.nprocs)
+    io_bytes = io_requests = 0.0
+    for unit in units_of(compiled):
+        cost = unit.plan.cost
+        slabs = {name: entry.num_slabs for name, entry in unit.plan.entries.items()}
+        price = model.price(unit.analysis, unit.plan.strategy, slabs)
+        if price != cost.price:
+            raise Failure(f"{label}: price {price} != PlanCost {cost.price}")
+        io_bytes += price.io_elements * cost.itemsize
+        io_requests += price.io_requests
+    totals = (ledger.read_bytes + ledger.write_bytes,
+              ledger.read_requests + ledger.write_requests)
+    if (io_bytes, io_requests) != totals:
+        raise Failure(f"{label}: price totals {(io_bytes, io_requests)} != ledger {totals}")
 
 
 def verify_one(label, compiled, *, execute):
     report = check_compiled(compiled)
     if not report.ok:
         raise Failure(f"{label}: {report.describe()}")
+    ledger = report.ledger
+    verify_price(label, compiled, ledger)
     if not execute:
         return
-    ledger = report.ledger
     stats = executed_statistics(compiled)
     checks = [
         ("bytes_read_per_proc", ledger.read_bytes),
@@ -251,7 +278,7 @@ def main(argv=None):
         verify_one(label, compiled, execute=False)
         checked += 1
     print(f"static matrix: {checked} plans verified "
-          f"(ledger == PlanCost), {skipped} non-compilable skipped")
+          f"(ledger == PlanCost == price), {skipped} non-compilable skipped")
 
     executed = 0
     for label, ir, kwargs in executed_matrix():
