@@ -3,7 +3,7 @@
 
 PYTHON ?= python
 
-.PHONY: test test-faults cov lint typecheck check-plans bench bench-unified \
+.PHONY: test test-faults cov lint typecheck check-plans bench \
 	bench-program bench-planner bench-resilience bench-mp bench-service \
 	bench-suite ab bench-reset clean-scratch serve
 
@@ -23,7 +23,8 @@ cov:
 
 # Static checks: ruff (rule selection lives in ruff.toml) plus the
 # charge-discipline AST lint (raw I/O confinement, wall-clock reads, charges
-# inside retry loops, frozen-object mutation — see the tool's docstring).
+# inside retry loops, frozen-object mutation, process-wide caches — see the
+# tool's docstring).
 lint:
 	ruff check .
 	$(PYTHON) tools/lint_charge_discipline.py
@@ -50,11 +51,6 @@ check-plans:
 # time).  The script guards its own sys.path, so no install is needed.
 bench:
 	$(PYTHON) -m benchmarks.bench_fastpath --json BENCH_fastpath.json
-
-# Proves the generic executor matches the PR-1 fast-path wall clock within
-# 10% (and charges identical statistics) on the N=256 P=4 EXECUTE sweep.
-bench-unified:
-	$(PYTHON) -m benchmarks.bench_unified_lowering --json BENCH_unified.json
 
 # Whole-program pipeline (t = a @ b; c = t + d): EXECUTE wall clock plus a
 # drift check over the charged statistics, including the per-statement

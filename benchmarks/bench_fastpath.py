@@ -21,7 +21,6 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import sys
 import tempfile
@@ -32,7 +31,7 @@ _SRC = Path(__file__).resolve().parents[1] / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
-from repro.analysis.sweep import SweepPoint, sweep_gaxpy  # noqa: E402
+from repro.api import Session, WorkloadPoint  # noqa: E402
 from repro.config import ExecutionMode, RunConfig  # noqa: E402
 
 N = 256
@@ -40,33 +39,42 @@ NPROCS = 4
 SLAB_RATIO = 0.25
 VERSIONS = ("column", "row")
 
-SIMULATED_FIELDS = ("time", "io_time", "compute_time", "comm_time",
-                    "io_requests_per_proc", "io_bytes_per_proc")
+#: field name in the JSON file (kept from the first baseline) -> RunRecord attribute
+SIMULATED_FIELDS = {
+    "time": "simulated_seconds",
+    "io_time": "io_time",
+    "compute_time": "compute_time",
+    "comm_time": "comm_time",
+    "io_requests_per_proc": "io_requests_per_proc",
+    "io_bytes_per_proc": "io_bytes_per_proc",
+}
 
 
 def _points():
-    return [SweepPoint(n=N, nprocs=NPROCS, version=version, slab_ratio=SLAB_RATIO)
+    return [WorkloadPoint("gaxpy", n=N, nprocs=NPROCS, version=version,
+                          slab_ratio=SLAB_RATIO)
             for version in VERSIONS]
 
 
 def measure(workers: int = 1, repeats: int = 1) -> dict:
     """Run the fixed sweep ``repeats`` times and return the best wall clock."""
-    kwargs = {}
-    if "workers" in inspect.signature(sweep_gaxpy).parameters:
-        kwargs["workers"] = workers
     best_wall = None
     records = None
     for _ in range(max(1, repeats)):
         with tempfile.TemporaryDirectory(prefix="bench-fastpath-") as scratch:
-            config = RunConfig(scratch_dir=scratch)
             start = time.perf_counter()
-            records = sweep_gaxpy(_points(), mode=ExecutionMode.EXECUTE,
-                                  config=config, **kwargs)
+            # A fresh Session per repeat: compilation is inside the window.
+            with Session(config=RunConfig(scratch_dir=scratch)) as session:
+                records = session.sweep(_points(), mode=ExecutionMode.EXECUTE,
+                                        workers=workers)
             wall = time.perf_counter() - start
         if best_wall is None or wall < best_wall:
             best_wall = wall
     simulated = {
-        record["version"]: {field: record[field] for field in SIMULATED_FIELDS}
+        record.version: {
+            field: getattr(record, attribute)
+            for field, attribute in SIMULATED_FIELDS.items()
+        }
         for record in records
     }
     return {
@@ -74,7 +82,7 @@ def measure(workers: int = 1, repeats: int = 1) -> dict:
         "workers": workers,
         "repeats": repeats,
         "simulated": simulated,
-        "verified": all(record.get("verified", 0.0) == 1.0 for record in records),
+        "verified": all(record.verified is True for record in records),
     }
 
 

@@ -26,13 +26,11 @@ The layers underneath remain importable directly:
 
 * a mini-HPF front end (:mod:`repro.hpf`),
 * a simulated distributed-memory machine (:mod:`repro.machine`),
-* a PASSION-style out-of-core runtime (:mod:`repro.runtime`),
+* a PASSION-style out-of-core runtime and the execution engines of every
+  statement kind (:mod:`repro.runtime`),
 * the out-of-core compiler with I/O cost estimation, access reorganization
   and memory allocation (:mod:`repro.core`),
-* out-of-core kernels including the paper's GAXPY matrix multiplication
-  (:mod:`repro.kernels`),
-* analytic cost formulas and deprecated sweep shims (:mod:`repro.analysis`),
-  and
+* analytic cost formulas and report formatting (:mod:`repro.analysis`), and
 * the experiment harness regenerating every table and figure of the paper
   (:mod:`repro.experiments`).
 """

@@ -1,10 +1,7 @@
-"""Analytic formulas, sweep drivers and report formatting.
+"""Analytic formulas and report formatting.
 
 * :mod:`repro.analysis.io_cost` — the closed-form I/O cost formulas of the
   paper (equations 3–6) for cross-checking the compiler's cost model.
-* :mod:`repro.analysis.sweep` — deprecated GAXPY-only sweep shims; use
-  :class:`repro.api.Session` and :class:`repro.api.WorkloadPoint`, which
-  sweep every registered workload through one surface.
 * :mod:`repro.analysis.report` — plain-text table formatting used by the
   experiment harness and the examples.
 """
@@ -17,7 +14,6 @@ from repro.analysis.io_cost import (
     paper_io_costs,
 )
 from repro.analysis.report import format_table, format_time
-from repro.analysis.sweep import SweepPoint, run_gaxpy_point, sweep_gaxpy
 
 __all__ = [
     "column_slab_fetch_requests",
@@ -27,7 +23,4 @@ __all__ = [
     "paper_io_costs",
     "format_table",
     "format_time",
-    "SweepPoint",
-    "run_gaxpy_point",
-    "sweep_gaxpy",
 ]

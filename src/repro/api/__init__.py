@@ -3,8 +3,7 @@
 One kernel-agnostic surface over the whole library — every workload goes
 through the same compile → run → sweep machinery:
 
-* :class:`WorkloadPoint` — one configuration of one registered workload
-  (the generalisation of the GAXPY-only ``SweepPoint``),
+* :class:`WorkloadPoint` — one configuration of one registered workload,
 * :class:`Workload` + :func:`register_workload` — the contract a kernel
   family implements to become sweepable: a thin ``build_ir(point, params)``
   builder returning a :class:`Lowering`, from which the base class drives
@@ -16,10 +15,8 @@ through the same compile → run → sweep machinery:
 * :class:`RunRecord` — the shared, typed result schema (simulated seconds,
   time breakdown, per-processor I/O statistics, verified flag), and
 * :class:`Session` — the facade owning machine parameters, run
-  configuration, the compile LRU cache and the thread-pool sweep driver.
-
-The legacy GAXPY-specific entry points (``repro.analysis.sweep.sweep_gaxpy``
-and friends) remain as thin deprecated shims over this package.
+  configuration, the compile LRU cache — the only cache of compiled
+  workloads there is — and the thread-pool sweep driver.
 """
 
 from repro.api.records import RunRecord

@@ -25,9 +25,7 @@ class RunRecord:
     ----------
     workload / label / version:
         Which registered workload produced the record, the point's display
-        label, and the program version (e.g. ``"row"``); all strings — the
-        legacy sweep records stuffed the version string into a
-        ``Dict[str, float]``, which this schema replaces.
+        label, and the program version (e.g. ``"row"``); all strings.
     mode:
         ``"estimate"`` or ``"execute"``.
     n / nprocs / dtype / slab_ratio:

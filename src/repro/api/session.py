@@ -83,26 +83,23 @@ class Session:
         ``"greedy"``).  A point's own ``optimize`` field, or the per-call
         override of :meth:`compile` / :meth:`run` / :meth:`sweep`, wins over
         this default.  The effective choice is folded into the point before
-        it keys any compile cache, so different budget-allocation policies
+        it keys the compile cache, so different budget-allocation policies
         never share a cached compilation.
     plan_cache_dir:
         Directory of the persistent plan cache.  ``None`` (the default)
         keeps search winners in memory only; with a directory, winners are
         written to disk and replayed by any later Session pointed at it.
-    plan_cache_size:
-        In-memory entry capacity of the plan cache.
     plan_cache:
         An existing :class:`~repro.planner.plan_cache.PlanCache` instance to
-        use *instead of* constructing one from ``plan_cache_dir`` /
-        ``plan_cache_size``.  Lets several sessions (e.g. the simulated and
-        the ``"processes"`` sessions of one job service) share one plan
-        store, so a plan searched on behalf of one tenant is replayed for
-        every other.
+        use *instead of* constructing one from ``plan_cache_dir``.  Lets
+        several sessions (e.g. the simulated and the ``"processes"``
+        sessions of one job service) share one plan store, so a plan
+        searched on behalf of one tenant is replayed for every other.
     check:
         The session's default static-verification mode (``"off"`` |
         ``"warn"`` | ``"error"``; default ``"warn"``).  Every compilation is
         walked by the static plan verifier (:mod:`repro.check`) *after* the
-        compile caches are consulted — the frozen
+        compile cache is consulted — the frozen
         :class:`~repro.check.report.CheckReport` is attached to the
         :class:`CompiledWorkload` (and its compiled program) without
         touching any cache key.  ``"error"`` raises
@@ -139,7 +136,6 @@ class Session:
         compile_cache_size: int = 128,
         optimize: str = "greedy",
         plan_cache_dir: Optional[Path | str] = None,
-        plan_cache_size: int = 256,
         plan_cache: Optional[PlanCache] = None,
         check: str = "warn",
         reap_max_age_s: Optional[float] = DEFAULT_MAX_AGE_S,
@@ -168,11 +164,7 @@ class Session:
         self.config = config or RunConfig()
         self.optimize = normalize_optimizer(optimize)
         self.check = check
-        self.plan_cache = (
-            plan_cache
-            if plan_cache is not None
-            else PlanCache(plan_cache_dir, capacity=plan_cache_size)
-        )
+        self.plan_cache = plan_cache if plan_cache is not None else PlanCache(plan_cache_dir)
         self._cache: "collections.OrderedDict[WorkloadPoint, CompiledWorkload]" = (
             collections.OrderedDict()
         )
@@ -223,9 +215,9 @@ class Session:
 
         ``check`` overrides the session's static-verification mode for this
         call (``"off"`` | ``"warn"`` | ``"error"``).  Verification runs
-        *after* the compile caches — the report is attached to the returned
+        *after* the compile cache — the report is attached to the returned
         (possibly cached) object with :func:`dataclasses.replace`, so cache
-        keys and cached instances shared with other sessions are untouched.
+        keys never depend on the check mode.
         """
         self._ensure_open()
         if point is not None and (source is not None or point_kwargs):
@@ -464,9 +456,8 @@ class Session:
         order.  Threads pay off in ``EXECUTE`` mode, where the heavy work —
         BLAS kernels and file I/O — releases the GIL.
 
-        Unlike the legacy ``sweep_gaxpy`` driver, the ``verify`` flag is
-        forwarded to every point on both the sequential and the thread-pool
-        paths.
+        The ``verify`` flag is forwarded to every point on both the
+        sequential and the thread-pool paths.
 
         ``optimize`` sets the plan-optimizer choice: one string applies to
         every point, a sequence gives a per-point override (``None`` entries

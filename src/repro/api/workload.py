@@ -29,9 +29,7 @@ travel through one sweep.
 from __future__ import annotations
 
 import abc
-import collections
 import dataclasses
-import threading
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.exceptions import WorkloadError
@@ -87,12 +85,11 @@ def _freeze_mapping(value, field: str) -> Optional[Tuple[Tuple[str, object], ...
 class WorkloadPoint:
     """One configuration of one registered workload.
 
-    The generalisation of the GAXPY-only ``SweepPoint``: ``workload`` names a
-    registered :class:`Workload`, the remaining fields describe one
-    configuration of it.  Points are frozen and hashable so they can key the
-    Session's compile cache; mapping-valued fields are normalised to sorted
-    tuples of pairs (use :meth:`slab_elements_dict` / :meth:`options_dict`
-    to read them back as dictionaries).
+    ``workload`` names a registered :class:`Workload`, the remaining fields
+    describe one configuration of it.  Points are frozen and hashable so they
+    can key the Session's compile cache; mapping-valued fields are normalised
+    to sorted tuples of pairs (use :meth:`slab_elements_dict` /
+    :meth:`options_dict` to read them back as dictionaries).
     """
 
     workload: str
@@ -226,20 +223,6 @@ class CompiledWorkload:
         return self.workload.execute(self, vm, verify)
 
 
-# Cross-session compile cache: compiled workloads are frozen and shareable,
-# so independent Sessions (and the deprecated per-call sweep shims) reuse one
-# CompiledWorkload per (workload instance, point, machine parameters).  This
-# deliberately sits *below* the Session's per-instance LRU — the same
-# two-layer structure the fast path used (Session cache over
-# compile_gaxpy_cached), generalized to every workload: the Session layer
-# provides per-session hit/miss metrics and bounded lifetime, this layer
-# provides process-wide sharing.  Session.cache_info() therefore reports
-# session-local reuse, not whether a compile was served from here.
-_COMPILE_CACHE: "collections.OrderedDict[tuple, CompiledWorkload]" = collections.OrderedDict()
-_COMPILE_CACHE_LOCK = threading.Lock()
-_COMPILE_CACHE_CAPACITY = 256
-
-
 class Workload(abc.ABC):
     """The uniform contract every registered kernel family implements.
 
@@ -284,22 +267,11 @@ class Workload(abc.ABC):
     # compilation through the unified pipeline
     # ------------------------------------------------------------------
     def compile(self, point: WorkloadPoint, params: MachineParameters) -> CompiledWorkload:
-        """Lower the point's IR through the full pipeline (globally cached)."""
-        key = (self, point, params)
-        with _COMPILE_CACHE_LOCK:
-            cached = _COMPILE_CACHE.get(key)
-            if cached is not None:
-                _COMPILE_CACHE.move_to_end(key)
-                return cached
-        compiled = self._compile_uncached(point, params)
-        with _COMPILE_CACHE_LOCK:
-            _COMPILE_CACHE[key] = compiled
-            _COMPILE_CACHE.move_to_end(key)
-            while len(_COMPILE_CACHE) > _COMPILE_CACHE_CAPACITY:
-                _COMPILE_CACHE.popitem(last=False)
-        return compiled
+        """Lower the point's IR through the full pipeline.
 
-    def _compile_uncached(self, point: WorkloadPoint, params: MachineParameters) -> CompiledWorkload:
+        Nothing is cached here: :meth:`repro.api.Session.compile` owns the
+        one :class:`CompiledWorkload` cache.
+        """
         from repro.core.pipeline import compile_program
 
         lowering = self.build_ir(point, params)

@@ -21,8 +21,7 @@ result array, which is only written, and divide the remainder between the
 streamed and coefficient arrays.
 
 The concrete policies are frozen (hashable, value-compared) dataclasses, so
-they can take part in compile-cache keys such as
-:func:`repro.core.pipeline.compile_gaxpy_cached`.
+two compilations under equal policies produce equal plans.
 """
 
 from __future__ import annotations

@@ -14,8 +14,8 @@ The representation serves three purposes:
   multiplies each operation by the trip counts of its enclosing loops, which
   the tests cross-check against the analytic cost model; and
 * it **drives execution** — the executor walks the same structure when
-  running the program on the virtual machine (delegating the innermost
-  arithmetic to the kernels module).
+  running the program on the virtual machine (the innermost arithmetic is
+  the engines' batched NumPy in :mod:`repro.runtime.executor`).
 """
 
 from __future__ import annotations

@@ -17,12 +17,9 @@ program first.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import time
 import warnings
 from typing import Any, Dict, Optional, Sequence, Tuple, TYPE_CHECKING, Union
-
-import numpy as np
 
 from repro.exceptions import CompilationError, PlanVerificationError
 from repro.core.analysis import (
@@ -67,7 +64,6 @@ __all__ = [
     "compile_program",
     "compile_whole_program",
     "compile_gaxpy",
-    "compile_gaxpy_cached",
     "fuse_statement_pair",
     "price_fused_pair",
     "normalize_fusion",
@@ -102,9 +98,8 @@ class StatementPlan:
 class CompiledProgram:
     """Everything the compiler produced for one program.
 
-    Frozen on purpose: :func:`compile_gaxpy_cached` and the Session API's
-    compile cache hand the *same* instance to many runs (and threads), so
-    executors must never mutate it.
+    Frozen on purpose: the Session API's compile cache hands the *same*
+    instance to many runs (and threads), so executors must never mutate it.
     """
 
     program: ProgramIR
@@ -825,84 +820,3 @@ def compile_gaxpy(
         force_strategy=force_strategy,
         optimizer=optimizer,
     )
-
-
-@functools.lru_cache(maxsize=256)
-def _compile_gaxpy_cached(
-    n: int,
-    nprocs: int,
-    params: MachineParameters,
-    dtype: str,
-    slab_ratio: Optional[float],
-    slab_items: Optional[Tuple[Tuple[str, int], ...]],
-    memory_budget_bytes: Optional[int],
-    policy: Optional[AllocationPolicy],
-    force_name: Optional[str],
-    optimizer: Optional[str],
-) -> CompiledProgram:
-    return compile_gaxpy(
-        n,
-        nprocs,
-        params,
-        dtype=dtype,
-        slab_ratio=slab_ratio,
-        slab_elements=dict(slab_items) if slab_items is not None else None,
-        memory_budget_bytes=memory_budget_bytes,
-        policy=policy,
-        force_strategy=force_name,
-        optimizer=optimizer,
-    )
-
-
-def compile_gaxpy_cached(
-    n: int,
-    nprocs: int,
-    params: Optional[MachineParameters] = None,
-    *,
-    dtype: str = "float32",
-    slab_ratio: Optional[float] = None,
-    slab_elements: Optional[Dict[str, int]] = None,
-    memory_budget_bytes: Optional[int] = None,
-    policy: Optional[AllocationPolicy] = None,
-    force_strategy: Optional[SlabbingStrategy | str] = None,
-    optimizer: Optional[str] = None,
-) -> CompiledProgram:
-    """LRU-cached :func:`compile_gaxpy` for sweep drivers.
-
-    Keyed on ``(n, nprocs, machine parameters, dtype, slab configuration,
-    memory budget, allocation policy, forced strategy, plan optimizer)``;
-    sweeps that revisit
-    a configuration (or evaluate the same point in several modes) share one
-    :class:`CompiledProgram`.  The returned object is shared between callers —
-    treat it as immutable.  Memory-budget compilation is cached too: the
-    built-in allocation policies are frozen (hashable) dataclasses, and an
-    unspecified policy defaults to a :class:`ProportionalAllocation` so equal
-    calls key identically.  A custom unhashable policy is the one case that
-    falls back to an uncached :func:`compile_gaxpy`.
-    """
-    params = params or touchstone_delta()
-    slab_items = (
-        tuple(sorted(slab_elements.items())) if slab_elements is not None else None
-    )
-    force_name = (
-        SlabbingStrategy.from_name(force_strategy).value if force_strategy is not None else None
-    )
-    if memory_budget_bytes is not None and policy is None:
-        policy = ProportionalAllocation()
-    key = (
-        int(n),
-        int(nprocs),
-        params,
-        np.dtype(dtype).name,
-        slab_ratio,
-        slab_items,
-        int(memory_budget_bytes) if memory_budget_bytes is not None else None,
-        policy,
-        force_name,
-        optimizer,
-    )
-    try:
-        hash(policy)
-    except TypeError:
-        return _compile_gaxpy_cached.__wrapped__(*key)
-    return _compile_gaxpy_cached(*key)

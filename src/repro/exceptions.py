@@ -25,7 +25,6 @@ __all__ = [
     "SlabCorruptionError",
     "CollectiveError",
     "MachineConfigurationError",
-    "ExperimentError",
     "WorkloadError",
 ]
 
@@ -155,10 +154,6 @@ class CollectiveError(ReproError):
 
 class MachineConfigurationError(ReproError):
     """Raised for invalid machine-model parameters (negative bandwidth etc.)."""
-
-
-class ExperimentError(ReproError):
-    """Raised by the experiment harness for inconsistent sweep configurations."""
 
 
 class WorkloadError(ReproError):

@@ -35,6 +35,7 @@ from repro.config import RunConfig
 from repro.exceptions import DistributedExecutionError
 from repro.resilience.reaper import write_owner_file
 from repro.runtime.distributed.worker import WorkerSpec, run_worker
+from repro.runtime.executor import verify_outputs
 from repro.runtime.laf import LocalArrayFile
 
 __all__ = ["execute_distributed", "default_start_method"]
@@ -103,7 +104,7 @@ def _merge_statements(payloads: List[Dict[str, object]]) -> Tuple[Dict[str, floa
 
 
 # ---------------------------------------------------------------------------
-# gathering and verifying results
+# gathering results
 # ---------------------------------------------------------------------------
 def _gather_results(compiled, payloads: List[Dict[str, object]]) -> Dict[str, np.ndarray]:
     """Reassemble each materialized result array from the workers' LAFs."""
@@ -128,65 +129,6 @@ def _gather_results(compiled, payloads: List[Dict[str, object]]) -> Dict[str, np
                 laf.close()
         gathered[name] = descriptor.gather(locals_)
     return gathered
-
-
-def _verify(
-    compiled, config: RunConfig, outputs: Dict[str, np.ndarray]
-) -> Tuple[Optional[bool], Optional[float]]:
-    """Verify gathered results exactly the way the simulated engines do.
-
-    Applies the per-kind reference arithmetic and tolerance of the
-    corresponding engine, so a distributed record is comparable
-    field-by-field with a simulated one.
-    """
-    from repro.runtime.executor import (
-        NodeProgramExecutor,
-        ReductionInputs,
-        program_reference,
-        reduction_reference,
-    )
-
-    program = compiled.program
-    workload = compiled.workload
-    inputs = workload.generate_inputs(compiled, config.seed)
-
-    if workload._is_whole_program(program):
-        dense = dict(inputs)
-        reference = program_reference(program.program, dense)
-        max_err = 0.0
-        verified = True
-        for name, result in outputs.items():
-            expected = reference[name]
-            err = float(np.max(np.abs(
-                result.astype(np.float64) - expected
-            ))) if expected.size else 0.0
-            scale = float(np.max(np.abs(expected))) or 1.0
-            tolerance = (
-                1e-3 if np.dtype(program.program.arrays[name].dtype).itemsize <= 4
-                else 1e-9
-            )
-            max_err = max(max_err, err)
-            if err > tolerance * scale:
-                verified = False
-        return verified, max_err
-
-    (result,) = outputs.values()
-    kind = (
-        "reduction" if compiled.baseline == "incore"
-        else NodeProgramExecutor(program)._statement_kind()
-    )
-    if kind == "reduction":
-        assert isinstance(inputs, ReductionInputs)
-        reference = reduction_reference(inputs.streamed, inputs.coefficient)
-        max_err = float(np.max(np.abs(result.astype(np.float64) - reference)))
-        scale = float(np.max(np.abs(reference))) or 1.0
-        return bool(max_err <= 1e-3 * scale), max_err
-    # elementwise / fused-elementwise / transpose: the engines compare with
-    # allclose and report no max_abs_error.
-    (name,) = outputs.keys()
-    expected = program_reference(program.program, dict(inputs))[name]
-    tolerance = 1e-5 if kind == "transpose" else 1e-4
-    return bool(np.allclose(result, expected, rtol=tolerance, atol=tolerance)), None
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +260,14 @@ def execute_distributed(
     max_err: Optional[float] = None
     try:
         if verify:
-            outputs = _gather_results(compiled, merged_payloads)
-            verified, max_err = _verify(compiled, config, outputs)
+            # The same seeded inputs every worker generated, checked by the
+            # same routine as the simulated engines: the records compare
+            # field by field.
+            verified, max_err = verify_outputs(
+                program,
+                compiled.workload.generate_inputs(compiled, config.seed),
+                _gather_results(compiled, merged_payloads),
+            )
     finally:
         if not config.keep_files:
             shutil.rmtree(job_dir, ignore_errors=True)

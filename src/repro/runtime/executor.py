@@ -22,8 +22,8 @@ Both paths report the same :class:`ExecutionResult` structure so experiment
 harnesses can switch between them freely.  The engine functions
 (:func:`run_reduction_column` and friends) are generic over the statement's
 array names — they read the roles from the compiled analysis — so any
-program of the right class runs through them; the historical per-kernel
-entry points in :mod:`repro.kernels` are thin wrappers over this module.
+program of the right class runs through them.  Whatever ran, one routine
+(:func:`verify_outputs`) decides whether its gathered result is correct.
 
 Multi-statement programs run through :class:`ProgramExecutor`, which drives
 the per-statement engines in order on one virtual machine so intermediates
@@ -38,7 +38,7 @@ import dataclasses
 import os
 import signal
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, TYPE_CHECKING
 
 import numpy as np
 
@@ -63,6 +63,7 @@ __all__ = [
     "ReductionInputs",
     "reduction_reference",
     "program_reference",
+    "verify_outputs",
     "NodeProgramExecutor",
     "ProgramExecutor",
     "run_reduction_column",
@@ -105,7 +106,7 @@ def reduction_reference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return c
 
 
-_REFERENCE_OPS = {
+_ELEMENTWISE_OPS: Dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
     "add": np.add,
     "multiply": np.multiply,
     "subtract": np.subtract,
@@ -147,7 +148,7 @@ def program_reference(
             env[statement.result.array] = env[streamed] @ env[coefficient]
         elif isinstance(statement, ElementwiseStatement):
             lhs, rhs = statement.operands
-            env[statement.result.array] = _REFERENCE_OPS[statement.op](
+            env[statement.result.array] = _ELEMENTWISE_OPS[statement.op](
                 env[lhs.array], env[rhs.array]
             )
         elif isinstance(statement, TransposeStatement):
@@ -157,6 +158,90 @@ def program_reference(
                 f"no reference evaluation for statement of type {type(statement).__name__}"
             )
     return env
+
+
+def _statement_kind(compiled: "CompiledProgram") -> str:
+    """Which engine (and which verification tolerance) a compiled statement gets."""
+    from repro.core.analysis import FusedElementwisePhase
+    from repro.core.ir import ElementwiseStatement, ReductionStatement, TransposeStatement
+
+    if isinstance(compiled.analysis, FusedElementwisePhase):
+        return "fused-elementwise"
+    statement = compiled.program.statement
+    if isinstance(statement, ReductionStatement):
+        return "reduction"
+    if isinstance(statement, ElementwiseStatement):
+        return "elementwise"
+    if isinstance(statement, TransposeStatement):
+        return "transpose"
+    raise RuntimeExecutionError(
+        f"no executor for statement of type {type(statement).__name__}"
+    )
+
+
+#: the kinds compared with ``allclose`` (they report no ``max_abs_error``)
+_ALLCLOSE_TOLERANCE = {"elementwise": 1e-4, "fused-elementwise": 1e-4, "transpose": 1e-5}
+
+
+def _within_tolerance(
+    kind: str, expected: Mapping[str, np.ndarray], outputs: Mapping[str, np.ndarray]
+) -> Tuple[bool, Optional[float]]:
+    """Compare gathered ``outputs`` with the oracle's ``expected`` arrays.
+
+    The tolerance half of :func:`verify_outputs`.  Reductions and whole
+    programs bound the maximum absolute error relative to the reference's
+    scale and report it: ``1e-3`` for a lone reduction, and per array of a
+    whole program ``1e-3`` for items of at most four bytes, ``1e-9`` above.
+    """
+    if kind in _ALLCLOSE_TOLERANCE:
+        tolerance = _ALLCLOSE_TOLERANCE[kind]
+        return all(
+            np.allclose(result, expected[name], rtol=tolerance, atol=tolerance)
+            for name, result in outputs.items()
+        ), None
+    verified, errors = True, [0.0]
+    for name, result in outputs.items():
+        reference = expected[name]
+        err = (
+            float(np.max(np.abs(result.astype(np.float64) - reference)))
+            if reference.size else 0.0
+        )
+        scale = float(np.max(np.abs(reference))) or 1.0
+        tolerance = 1e-3 if kind == "reduction" or result.dtype.itemsize <= 4 else 1e-9
+        errors.append(err)
+        verified = verified and err <= tolerance * scale  # a NaN error fails
+    return verified, float(np.max(errors))  # ... and is reported as NaN
+
+
+def verify_outputs(
+    compiled: "CompiledProgram | CompiledWholeProgram",
+    inputs: "ReductionInputs | Mapping[str, np.ndarray]",
+    outputs: Mapping[str, np.ndarray],
+) -> Tuple[bool, Optional[float]]:
+    """Whether what a run of ``compiled`` on ``inputs`` gathered is correct.
+
+    The one oracle-and-tolerance routine behind every ``verified`` flag —
+    the engines that run a compiled program, :class:`ProgramExecutor` and
+    the distributed backend's parent all call it, so their records agree
+    field for field.  ``outputs`` maps result array names to gathered dense
+    data.  A lone reduction is checked against :func:`reduction_reference`,
+    everything else against :func:`program_reference`; returns ``(verified,
+    max_abs_error)`` under the statement kind's tolerance (see
+    :func:`_within_tolerance`, which the two descriptor-driven engines call
+    with their own oracle).
+    """
+    from repro.core.pipeline import CompiledWholeProgram
+
+    if isinstance(compiled, CompiledWholeProgram):
+        kind = "program"
+    else:
+        kind = _statement_kind(compiled)
+    if kind == "reduction":
+        (name,) = outputs
+        expected = {name: reduction_reference(inputs.streamed, inputs.coefficient)}
+    else:
+        expected = program_reference(compiled.program, dict(inputs))
+    return _within_tolerance(kind, expected, outputs)
 
 
 @dataclasses.dataclass
@@ -332,8 +417,8 @@ def _require_distinct_operands(compiled: "CompiledProgram") -> None:
         raise RuntimeExecutionError(
             "the two-operand reduction engines need distinct streamed and "
             f"coefficient arrays; {analysis.streamed!r} plays both roles — "
-            "use run_reduction_single_operand (or the NodeProgramExecutor / "
-            "run_compiled_gaxpy dispatchers, which select it automatically)"
+            "use run_reduction_single_operand (or NodeProgramExecutor, "
+            "which selects it automatically)"
         )
 
 
@@ -373,6 +458,7 @@ def _setup_reduction_arrays(
 
 def _finish_reduction(
     vm: VirtualMachine,
+    compiled: "CompiledProgram",
     strategy: str,
     ooc_c: OutOfCoreArray,
     inputs: Optional[ReductionInputs],
@@ -386,10 +472,9 @@ def _finish_reduction(
     if vm.perform_io and vm.rank is None:
         result_dense = vm.to_dense(ooc_c)
         if verify and inputs is not None:
-            reference = reduction_reference(inputs.streamed, inputs.coefficient)
-            max_err = float(np.max(np.abs(result_dense.astype(np.float64) - reference)))
-            scale = float(np.max(np.abs(reference))) or 1.0
-            verified = bool(max_err <= 1e-3 * scale)
+            verified, max_err = verify_outputs(
+                compiled, inputs, {ooc_c.descriptor.name: result_dense}
+            )
     return ExecutionResult(
         strategy=strategy,
         mode=_mode(vm),
@@ -493,7 +578,7 @@ def run_reduction_column(
             elif not perform:
                 ooc_c.local(owner).store_slab(c_slab, None)
 
-    return _finish_reduction(vm, "column-slab", ooc_c, inputs, verify)
+    return _finish_reduction(vm, compiled, "column-slab", ooc_c, inputs, verify)
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +663,7 @@ def run_reduction_row(
         for rank in vm.ranks:
             ooc_c.local(rank).store_slab(c_row_slab, c_buffer.get(rank) if perform else None)
 
-    return _finish_reduction(vm, "row-slab", ooc_c, inputs, verify)
+    return _finish_reduction(vm, compiled, "row-slab", ooc_c, inputs, verify)
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +713,7 @@ def run_reduction_incore(
     for rank in vm.ranks:
         ooc_c.local(rank).store_all(c_local.get(rank) if perform else None)
 
-    return _finish_reduction(vm, "in-core", ooc_c, inputs, verify)
+    return _finish_reduction(vm, compiled, "in-core", ooc_c, inputs, verify)
 
 
 # ---------------------------------------------------------------------------
@@ -725,7 +810,7 @@ def run_reduction_single_operand(
         elif not perform and local_j == c_slab.col_stop - 1:
             ooc_c.local(owner).store_slab(c_slab, None)
 
-    return _finish_reduction(vm, f"{plan.strategy.value}-slab single-operand",
+    return _finish_reduction(vm, compiled, f"{plan.strategy.value}-slab single-operand",
                              ooc_c, inputs, verify)
 
 
@@ -738,8 +823,8 @@ def run_elementwise_plan(
     b_desc: ArrayDescriptor,
     c_desc: ArrayDescriptor,
     *,
-    op: Callable[[np.ndarray, np.ndarray], np.ndarray] = np.add,
-    slab_elements: int = 4096,
+    op: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    slab_elements: int,
     strategy: SlabbingStrategy | str = SlabbingStrategy.COLUMN,
     a_dense: Optional[np.ndarray] = None,
     b_dense: Optional[np.ndarray] = None,
@@ -775,8 +860,12 @@ def run_elementwise_plan(
     result = vm.to_dense(ooc_c) if vm.perform_io and vm.rank is None else None
     verified: Optional[bool] = None
     if verify and result is not None and a_dense is not None and b_dense is not None:
+        # This engine is handed descriptors and ``op``, not a compiled
+        # program: ``op`` in float64 is its oracle.
         expected = op(np.asarray(a_dense, dtype=np.float64), np.asarray(b_dense, dtype=np.float64))
-        verified = bool(np.allclose(result, expected, rtol=1e-4, atol=1e-4))
+        verified, _ = _within_tolerance(
+            "elementwise", {c_desc.name: expected}, {c_desc.name: result}
+        )
     return ExecutionResult(
         strategy=f"{strategy.value}-slab elementwise",
         mode=_mode(vm),
@@ -860,12 +949,8 @@ def run_fused_elementwise_plan(
 
     result_dense = vm.to_dense(ooc[result]) if vm.perform_io and vm.rank is None else None
     verified: Optional[bool] = None
-    needed = {p_lhs, p_rhs, other}
-    if verify and result_dense is not None and needed <= set(dense):
-        as64 = {name: np.asarray(dense[name], dtype=np.float64) for name in needed}
-        mid64 = p_op(as64[p_lhs], as64[p_rhs])
-        expected = c_op(mid64, as64[other]) if mid_is_lhs else c_op(as64[other], mid64)
-        verified = bool(np.allclose(result_dense, expected, rtol=1e-4, atol=1e-4))
+    if verify and result_dense is not None and {p_lhs, p_rhs, other} <= set(dense):
+        verified, _ = verify_outputs(compiled, dense, {result: result_dense})
     return ExecutionResult(
         strategy=f"fused {strategy.value}-slab elementwise",
         mode=_mode(vm),
@@ -885,7 +970,7 @@ def run_transpose_plan(
     src_desc: ArrayDescriptor,
     dst_desc: ArrayDescriptor,
     *,
-    cols_per_slab: int = 8,
+    cols_per_slab: int,
     a_dense: Optional[np.ndarray] = None,
     verify: bool = True,
 ) -> ExecutionResult:
@@ -958,7 +1043,10 @@ def run_transpose_plan(
     result = vm.to_dense(target) if vm.perform_io and vm.rank is None else None
     verified: Optional[bool] = None
     if verify and result is not None and a_dense is not None:
-        verified = bool(np.allclose(result, np.asarray(a_dense).T, rtol=1e-5, atol=1e-5))
+        # Descriptors, not a compiled program: the oracle is NumPy's transpose.
+        verified, _ = _within_tolerance(
+            "transpose", {dst_desc.name: np.asarray(a_dense).T}, {dst_desc.name: result}
+        )
     return ExecutionResult(
         strategy="column-slab transpose",
         mode=_mode(vm),
@@ -973,36 +1061,11 @@ def run_transpose_plan(
 # ---------------------------------------------------------------------------
 # the dispatching executor
 # ---------------------------------------------------------------------------
-_ELEMENTWISE_OPS: Dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
-    "add": np.add,
-    "multiply": np.multiply,
-    "subtract": np.subtract,
-}
-
-
 class NodeProgramExecutor:
     """Runs or estimates compiled programs of any statement kind."""
 
     def __init__(self, compiled: "CompiledProgram"):
         self.compiled = compiled
-
-    # ------------------------------------------------------------------
-    def _statement_kind(self) -> str:
-        from repro.core.analysis import FusedElementwisePhase
-        from repro.core.ir import ElementwiseStatement, ReductionStatement, TransposeStatement
-
-        if isinstance(self.compiled.analysis, FusedElementwisePhase):
-            return "fused-elementwise"
-        statement = self.compiled.program.statement
-        if isinstance(statement, ReductionStatement):
-            return "reduction"
-        if isinstance(statement, ElementwiseStatement):
-            return "elementwise"
-        if isinstance(statement, TransposeStatement):
-            return "transpose"
-        raise RuntimeExecutionError(
-            f"no executor for statement of type {type(statement).__name__}"
-        )
 
     # ------------------------------------------------------------------
     # mode-honoring interpretation of the compiled plan
@@ -1061,7 +1124,7 @@ class NodeProgramExecutor:
         inputs: Optional[object] = None,
         verify: bool = True,
     ) -> ExecutionResult:
-        kind = self._statement_kind()
+        kind = _statement_kind(self.compiled)
         if kind == "reduction":
             return self._run_reduction(vm, inputs, verify)
         if kind == "elementwise":
@@ -1075,7 +1138,7 @@ class NodeProgramExecutor:
     def _run_reduction(self, vm, inputs, verify) -> ExecutionResult:
         if inputs is not None and not isinstance(inputs, ReductionInputs):
             raise RuntimeExecutionError(
-                "execute expects GaxpyInputs/ReductionInputs for reduction-class programs"
+                "execute expects ReductionInputs for reduction-class programs"
             )
         compiled = self.compiled
         if compiled.analysis.coefficient == compiled.analysis.streamed:
@@ -1147,7 +1210,7 @@ class NodeProgramExecutor:
         is the cost model; pass a VM to :meth:`run` instead to control the
         run configuration.
         """
-        if self._statement_kind() != "reduction":
+        if _statement_kind(self.compiled) != "reduction":
             if machine is not None:
                 raise RuntimeExecutionError(
                     "bulk estimation applies to reduction programs only; drive "
@@ -1366,22 +1429,7 @@ class ProgramExecutor:
             outputs = {name: vm.to_dense(name) for name in gather}
             result_dense = outputs[materialized[-1]]
             if verify:
-                reference = program_reference(program, dense)
-                max_err = 0.0
-                verified = True
-                for name in materialized:
-                    expected = reference[name]
-                    err = float(np.max(np.abs(
-                        outputs[name].astype(np.float64) - expected
-                    ))) if expected.size else 0.0
-                    scale = float(np.max(np.abs(expected))) or 1.0
-                    tolerance = (
-                        1e-3 if np.dtype(program.arrays[name].dtype).itemsize <= 4
-                        else 1e-9
-                    )
-                    max_err = max(max_err, err)
-                    if err > tolerance * scale:
-                        verified = False
+                verified, max_err = verify_outputs(self.compiled, dense, outputs)
 
         strategies = "+".join(
             compiled.plan.strategy.value for compiled in self.compiled.statements

@@ -5,11 +5,10 @@ layer (:mod:`repro.service.server`) is a thin codec over it.  Design points:
 
 * **One shared compile path.**  Every tenant's points compile through one
   :class:`~repro.api.Session` per backend, all sessions sharing one
-  :class:`~repro.planner.plan_cache.PlanCache` (and the process-wide compile
-  LRU below the session layer), so the expensive strip-mining / cost-model /
-  plan-search work is paid once per distinct program across *all* tenants —
-  the paper's up-front compilation cost amortized across millions of
-  requests.
+  :class:`~repro.planner.plan_cache.PlanCache`, so the expensive
+  strip-mining / cost-model / plan-search work is paid once per distinct
+  program across *all* tenants — the paper's up-front compilation cost
+  amortized across millions of requests.
 * **Blocking work off the loop.**  ``Session.compile`` and ``Session.run``
   are blocking; workers run them in threads (``asyncio.to_thread``).  The
   heavy parts — BLAS kernels and file I/O — release the GIL, so a pool of

@@ -194,22 +194,6 @@ class TestCompileCache:
 # session: single runs per workload
 # ---------------------------------------------------------------------------
 class TestSessionRun:
-    def test_gaxpy_matches_legacy_shim(self, tmp_path):
-        from repro.analysis.sweep import SweepPoint, run_gaxpy_point
-
-        point = WorkloadPoint("gaxpy", n=64, nprocs=4, version="row", slab_ratio=0.25)
-        record = make_session(tmp_path).run(point, mode=ExecutionMode.EXECUTE)
-        with pytest.warns(DeprecationWarning):
-            legacy = run_gaxpy_point(
-                SweepPoint(n=64, nprocs=4, version="row", slab_ratio=0.25),
-                mode=ExecutionMode.EXECUTE,
-                config=RunConfig(scratch_dir=tmp_path),
-            )
-        assert record.simulated_seconds == legacy["time"]
-        assert record.io_requests_per_proc == legacy["io_requests_per_proc"]
-        assert record.io_bytes_per_proc == legacy["io_bytes_per_proc"]
-        assert record.verified is True and legacy["verified"] == 1.0
-
     @pytest.mark.parametrize("workload,kwargs", [
         ("transpose", {}),
         ("elementwise", {"version": "column"}),
@@ -385,7 +369,7 @@ class TestMixedSweep:
             assert all(r.verified is None for r in sequential)
 
     def test_sweep_forwards_verify_flag(self, tmp_path):
-        """The legacy driver dropped verify; Session.sweep must not."""
+        """``verify=False`` reaches every point, on the thread-pool path too."""
         session = make_session(tmp_path)
         records = session.sweep(_mixed_points(), mode=ExecutionMode.EXECUTE,
                                 workers=4, verify=False)

@@ -30,6 +30,7 @@ from repro.runtime.executor import (
     ProgramExecutor,
     ReductionInputs,
     program_reference,
+    verify_outputs,
 )
 from repro.runtime.vm import VirtualMachine
 
@@ -269,3 +270,50 @@ def test_harness_is_seed_deterministic(tmp_path):
     np.testing.assert_array_equal(first["c"], second["c"])
     third = assert_matches_oracle(compiled, tmp_path / "three", seed=4)
     assert not np.array_equal(first["c"], third["c"])
+
+
+# ---------------------------------------------------------------------------
+# verify_outputs: the one routine behind every record's ``verified`` flag
+# ---------------------------------------------------------------------------
+def _verification_case(build, dtype):
+    """A compiled program, its inputs, and oracle-exact outputs in its dtypes."""
+    compiled = compile_program(build(N, 4, dtype=dtype), slab_ratio=0.5)
+    program = compiled.program
+    dense = generate_dense_inputs(program)
+    if isinstance(compiled, CompiledWholeProgram):
+        inputs, names = dense, program.result_arrays()
+    else:
+        inputs = _single_statement_inputs(compiled, dense)
+        names = (program.statement.result.array,)
+    oracle = program_reference(program, dense)
+    exact = {name: oracle[name].astype(program.arrays[name].dtype) for name in names}
+    return compiled, inputs, exact
+
+
+@pytest.mark.parametrize("build,dtype,reports_error,passes,fails", [
+    (build_gaxpy_ir, "float32", True, 1e-4, 1e-2),         # lone reduction: 1e-3 x scale ...
+    (build_gaxpy_ir, "float64", True, 1e-4, 1e-2),         # ... whatever the dtype
+    (build_elementwise_ir, "float32", False, 1e-5, 1e-3),  # allclose at 1e-4
+    (build_transpose_ir, "float32", False, 1e-6, 1e-4),    # allclose at 1e-5
+    (build_pipeline_ir, "float32", True, 1e-4, 1e-2),      # whole program: 1e-3 x scale ...
+    (build_pipeline_ir, "float64", True, 1e-10, 1e-6),     # ... 1e-9 x scale above 4 bytes
+])
+def test_verify_outputs_applies_each_kinds_tolerance(build, dtype, reports_error, passes, fails):
+    compiled, inputs, exact = _verification_case(build, dtype)
+    for relative, expected in ((0.0, True), (passes, True), (fails, False)):
+        outputs = {
+            name: (value + relative * np.max(np.abs(value))).astype(value.dtype)
+            for name, value in exact.items()
+        }
+        verified, max_abs_error = verify_outputs(compiled, inputs, outputs)
+        assert verified is expected, relative
+        assert (max_abs_error is not None) == reports_error
+
+
+@pytest.mark.parametrize("build", [build_gaxpy_ir, build_elementwise_ir, build_pipeline_ir])
+def test_verify_outputs_rejects_nan(build):
+    compiled, inputs, outputs = _verification_case(build, "float32")
+    next(iter(outputs.values()))[0, 0] = np.nan
+    verified, max_abs_error = verify_outputs(compiled, inputs, outputs)
+    assert verified is False
+    assert max_abs_error is None or np.isnan(max_abs_error)

@@ -11,9 +11,9 @@ import pytest
 
 from repro.analysis.io_cost import paper_io_costs
 from repro.analysis.report import format_markdown_table, format_table, format_time
-from repro.analysis.sweep import SweepPoint, run_gaxpy_point, sweep_gaxpy
+from repro.api import Session, WorkloadPoint
 from repro.config import ExecutionMode, RunConfig
-from repro.exceptions import CostModelError, ExperimentError
+from repro.exceptions import CostModelError, WorkloadError
 from repro.experiments import (
     Figure10Config,
     MemoryAllocationAblationConfig,
@@ -73,34 +73,36 @@ class TestReportFormatting:
 # ---------------------------------------------------------------------------
 class TestSweep:
     def test_invalid_version_rejected(self):
-        with pytest.raises(ExperimentError):
-            SweepPoint(n=64, nprocs=4, version="diagonal", slab_ratio=0.5)
+        with pytest.raises(WorkloadError):
+            Session().compile(
+                WorkloadPoint("gaxpy", n=64, nprocs=4, version="diagonal", slab_ratio=0.5)
+            )
 
     def test_out_of_core_point_needs_slab_spec(self):
-        with pytest.raises(ExperimentError):
-            SweepPoint(n=64, nprocs=4, version="row")
+        with pytest.raises(WorkloadError):
+            Session().compile(WorkloadPoint("gaxpy", n=64, nprocs=4, version="row"))
 
     def test_estimate_and_execute_agree_on_io_counters(self, tmp_path):
-        point = SweepPoint(n=64, nprocs=4, version="row", slab_ratio=0.25)
-        estimate = run_gaxpy_point(point, mode=ExecutionMode.ESTIMATE)
-        execute = run_gaxpy_point(
-            point, mode=ExecutionMode.EXECUTE, config=RunConfig(scratch_dir=tmp_path)
+        session = Session(config=RunConfig(scratch_dir=tmp_path))
+        point = WorkloadPoint("gaxpy", n=64, nprocs=4, version="row", slab_ratio=0.25)
+        estimate = session.run(point, mode=ExecutionMode.ESTIMATE)
+        execute = session.run(point, mode=ExecutionMode.EXECUTE)
+        assert execute.io_requests_per_proc == pytest.approx(
+            estimate.io_requests_per_proc, rel=0.05
         )
-        assert execute["io_requests_per_proc"] == pytest.approx(
-            estimate["io_requests_per_proc"], rel=0.05
-        )
-        assert execute["verified"] == 1.0
+        assert execute.verified is True
 
     def test_sweep_returns_one_record_per_point(self):
         points = [
-            SweepPoint(n=64, nprocs=2, version=v, slab_ratio=0.5) for v in ("column", "row")
-        ] + [SweepPoint(n=64, nprocs=2, version="incore")]
-        records = sweep_gaxpy(points)
+            WorkloadPoint("gaxpy", n=64, nprocs=2, version=v, slab_ratio=0.5)
+            for v in ("column", "row")
+        ] + [WorkloadPoint("gaxpy", n=64, nprocs=2, version="incore")]
+        records = Session().sweep(points, mode=ExecutionMode.ESTIMATE)
         assert len(records) == 3
-        assert {r["version"] for r in records} == {"column", "row", "incore"}
+        assert {r.version for r in records} == {"column", "row", "incore"}
 
     def test_point_label(self):
-        point = SweepPoint(n=64, nprocs=4, version="row", slab_ratio=0.5)
+        point = WorkloadPoint("gaxpy", n=64, nprocs=4, version="row", slab_ratio=0.5)
         assert "row" in point.label()
 
 

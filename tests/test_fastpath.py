@@ -1,7 +1,7 @@
 """Tests for the fast-path execution engine.
 
 Covers the persistent LAF memmap handles and their LRU cache, the
-charge-only re-read used by the batched kernels, the parallel cached sweep
+charge-only re-read used by the batched engines, the parallel cached sweep
 driver, and the cost-model fix for single-operand statements.
 """
 
@@ -10,10 +10,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.analysis.sweep import SweepPoint, sweep_gaxpy
+from repro.api import Session, WorkloadPoint
 from repro.config import ExecutionMode, RunConfig
 from repro.core.cost_model import CostModel
-from repro.core.pipeline import compile_gaxpy_cached
 from repro.core.stripmine import SlabPlanEntry
 from repro.exceptions import IOEngineError
 from repro.machine import Machine
@@ -23,10 +22,12 @@ from repro.runtime import (
     IOEngine,
     LafHandleCache,
     LocalArrayFile,
+    ReductionInputs,
     Slab,
     SlabbingStrategy,
     VirtualMachine,
 )
+from repro.runtime.executor import run_reduction_row
 
 
 # ---------------------------------------------------------------------------
@@ -102,11 +103,11 @@ class TestPersistentHandles:
 
     def test_vm_cleanup_empties_handle_cache(self, tmp_path):
         from repro.core import compile_gaxpy
-        from repro.kernels import generate_gaxpy_inputs, run_gaxpy_row_slab
 
         compiled = compile_gaxpy(32, 2, slab_ratio=0.5)
         vm = VirtualMachine(2, compiled.params, RunConfig(scratch_dir=tmp_path))
-        run_gaxpy_row_slab(vm, compiled, generate_gaxpy_inputs(32), verify=False)
+        ones = np.ones((32, 32), dtype=np.float32)
+        run_reduction_row(vm, compiled, ReductionInputs(ones, ones), verify=False)
         assert len(vm.handle_cache) > 0
         vm.cleanup()
         assert len(vm.handle_cache) == 0
@@ -198,46 +199,43 @@ def test_charge_fetch_is_free_when_icla_holds_the_slab(tmp_path):
 # ---------------------------------------------------------------------------
 def _sweep_grid():
     return [
-        SweepPoint(n=n, nprocs=p, version=version, slab_ratio=0.5)
+        WorkloadPoint("gaxpy", n=n, nprocs=p, version=version, slab_ratio=0.5)
         for n, p in ((32, 2), (64, 4))
         for version in ("column", "row", "incore")
     ]
 
 
 def test_parallel_execute_sweep_matches_sequential(tmp_path):
-    config = RunConfig(scratch_dir=tmp_path)
-    sequential = sweep_gaxpy(_sweep_grid(), mode=ExecutionMode.EXECUTE, config=config)
-    parallel = sweep_gaxpy(_sweep_grid(), mode=ExecutionMode.EXECUTE, config=config, workers=4)
+    session = Session(config=RunConfig(scratch_dir=tmp_path))
+    sequential = session.sweep(_sweep_grid(), mode=ExecutionMode.EXECUTE)
+    parallel = session.sweep(_sweep_grid(), mode=ExecutionMode.EXECUTE, workers=4)
     assert len(sequential) == len(parallel) == 6
+    assert all(record.verified is True for record in sequential)
     for seq, par in zip(sequential, parallel, strict=True):
-        assert set(seq) == set(par)
-        for field in seq:
-            if isinstance(seq[field], float) and np.isnan(seq[field]):
-                assert np.isnan(par[field]), field
-            else:
-                assert seq[field] == par[field], field
+        assert seq == par  # RunRecord is a dataclass: per-field equality
 
 
 def test_parallel_estimate_sweep_matches_sequential():
-    sequential = sweep_gaxpy(_sweep_grid())
-    parallel = sweep_gaxpy(_sweep_grid(), workers=4)
+    session = Session()
+    sequential = session.sweep(_sweep_grid(), mode=ExecutionMode.ESTIMATE)
+    parallel = session.sweep(_sweep_grid(), mode=ExecutionMode.ESTIMATE, workers=4)
     for seq, par in zip(sequential, parallel, strict=True):
-        for field in seq:
-            if isinstance(seq[field], float) and np.isnan(seq[field]):
-                assert np.isnan(par[field]), field
-            else:
-                assert seq[field] == par[field], field
+        assert seq == par
 
 
 def test_compile_cache_shares_programs():
-    params = touchstone_delta()
-    one = compile_gaxpy_cached(64, 4, params, slab_ratio=0.25, force_strategy="row")
-    two = compile_gaxpy_cached(64, 4, params, slab_ratio=0.25,
-                               force_strategy=SlabbingStrategy.ROW)
-    other = compile_gaxpy_cached(64, 4, params, slab_ratio=0.5, force_strategy="row")
+    session = Session(params=touchstone_delta())
+    point = WorkloadPoint("gaxpy", n=64, nprocs=4, version="row", slab_ratio=0.25)
+    one = session.compile(point)
+    two = session.compile(
+        WorkloadPoint("gaxpy", n=64, nprocs=4, version="row", slab_ratio=0.25)
+    )
+    other = session.compile(
+        WorkloadPoint("gaxpy", n=64, nprocs=4, version="row", slab_ratio=0.5)
+    )
     assert one is two
     assert other is not one
-    assert one.plan.strategy is SlabbingStrategy.ROW
+    assert one.program.plan.strategy is SlabbingStrategy.ROW
 
 
 # ---------------------------------------------------------------------------

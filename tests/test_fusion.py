@@ -23,7 +23,6 @@ Guarantees pinned here:
 import pytest
 
 from repro.api import Session, WorkloadPoint
-from repro.api.workload import get_workload
 from repro.check import check_compiled
 from repro.config import ExecutionMode, RunConfig
 from repro.core.analysis import FusedElementwisePhase
@@ -441,20 +440,19 @@ class TestFusionCaching:
         assert first.predicted_io_bytes == second.predicted_io_bytes
 
     def test_compile_cache_key_includes_fusion(self):
-        workload = get_workload("hpf")
-        params = MachineParameters()
+        session = Session(params=MachineParameters())
         base = dict(source=_chain_source(2), memory_budget_bytes=BUDGET)
         point_off = WorkloadPoint("hpf", optimize="greedy", options=base)
         point_on = WorkloadPoint(
             "hpf", optimize="greedy", options={**base, "fusion": "on"},
         )
-        compiled_off = workload.compile(point_off, params)
-        compiled_on = workload.compile(point_on, params)
+        compiled_off = session.compile(point_off)
+        compiled_on = session.compile(point_on)
         assert compiled_off is not compiled_on
         assert compiled_off.program.planner.fused_edges == ()
         assert compiled_on.program.planner.fused_edges == (1,)
-        # Same point again: served from the LRU, same object.
-        assert workload.compile(point_on, params) is compiled_on
+        # Same point again: served from the Session LRU, same object.
+        assert session.compile(point_on) is compiled_on
 
 
 # ---------------------------------------------------------------------------

@@ -169,12 +169,17 @@ class TestFrontend:
 # executing a program that came in through the front end
 # ---------------------------------------------------------------------------
 def test_frontend_program_executes_and_verifies(tmp_path):
+    import numpy as np
+
     from repro.config import RunConfig
-    from repro.kernels import generate_gaxpy_inputs
-    from repro.runtime import NodeProgramExecutor, VirtualMachine
+    from repro.runtime import NodeProgramExecutor, ReductionInputs, VirtualMachine
 
     compiled = compile_source(GAXPY_SOURCE, slab_ratio=0.5)
-    inputs = generate_gaxpy_inputs(64)
+    rng = np.random.default_rng(1994)
+    inputs = ReductionInputs(
+        streamed=rng.standard_normal((64, 64)).astype("float32"),
+        coefficient=rng.standard_normal((64, 64)).astype("float32"),
+    )
     with VirtualMachine(4, compiled.params, RunConfig(scratch_dir=tmp_path)) as vm:
         result = NodeProgramExecutor(compiled).execute(vm, inputs)
     assert result.verified is True

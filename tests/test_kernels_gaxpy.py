@@ -1,4 +1,4 @@
-"""Correctness and consistency tests for the executable GAXPY kernels."""
+"""Correctness and consistency tests for the executable reduction (GAXPY) engines."""
 
 import numpy as np
 import pytest
@@ -7,17 +7,21 @@ from hypothesis import given, settings, strategies as st
 from repro.config import ExecutionMode, RunConfig
 from repro.core import compile_gaxpy
 from repro.exceptions import RuntimeExecutionError
-from repro.kernels import (
-    GaxpyInputs,
-    generate_gaxpy_inputs,
-    gaxpy_reference,
-    run_gaxpy_column_slab,
-    run_gaxpy_incore,
-    run_gaxpy_row_slab,
-    run_compiled_gaxpy,
+from repro.runtime import NodeProgramExecutor, ReductionInputs, VirtualMachine, reduction_reference
+from repro.runtime.executor import (
+    run_reduction_column,
+    run_reduction_incore,
+    run_reduction_row,
 )
-from repro.runtime import NodeProgramExecutor, VirtualMachine
 from repro.runtime.slab import SlabbingStrategy
+
+
+def generate_gaxpy_inputs(n, seed=1994):
+    """Reproducible dense ``n x n`` float32 operands."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n)).astype("float32")
+    b = rng.standard_normal((n, n)).astype("float32")
+    return ReductionInputs(streamed=a, coefficient=b)
 
 
 def make_vm(nprocs, params, tmp_path, mode=ExecutionMode.EXECUTE):
@@ -32,7 +36,7 @@ class TestReference:
         rng = np.random.default_rng(0)
         a = rng.standard_normal((16, 16))
         b = rng.standard_normal((16, 16))
-        np.testing.assert_allclose(gaxpy_reference(a, b), a @ b, rtol=1e-10)
+        np.testing.assert_allclose(reduction_reference(a, b), a @ b, rtol=1e-10)
 
     def test_inputs_are_reproducible(self):
         one = generate_gaxpy_inputs(32, seed=7)
@@ -44,7 +48,7 @@ class TestReference:
 # ---------------------------------------------------------------------------
 # numerical correctness of every program version
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("runner", [run_gaxpy_column_slab, run_gaxpy_row_slab, run_gaxpy_incore])
+@pytest.mark.parametrize("runner", [run_reduction_column, run_reduction_row, run_reduction_incore])
 @pytest.mark.parametrize("n,p,ratio", [(32, 2, 0.5), (64, 4, 0.25), (48, 4, 1.0)])
 def test_versions_match_dense_reference(tmp_path, runner, n, p, ratio):
     compiled = compile_gaxpy(n, p, slab_ratio=ratio)
@@ -52,7 +56,7 @@ def test_versions_match_dense_reference(tmp_path, runner, n, p, ratio):
     with make_vm(p, compiled.params, tmp_path) as vm:
         result = runner(vm, compiled, inputs)
     assert result.verified is True
-    reference = gaxpy_reference(inputs.streamed, inputs.coefficient)
+    reference = reduction_reference(inputs.streamed, inputs.coefficient)
     np.testing.assert_allclose(result.result, reference, rtol=2e-3, atol=1e-3)
 
 
@@ -61,8 +65,8 @@ def test_all_versions_agree_with_each_other(tmp_path):
     compiled = compile_gaxpy(n, p, slab_ratio=0.25)
     inputs = generate_gaxpy_inputs(n)
     results = {}
-    for name, runner in [("column", run_gaxpy_column_slab), ("row", run_gaxpy_row_slab),
-                         ("incore", run_gaxpy_incore)]:
+    for name, runner in [("column", run_reduction_column), ("row", run_reduction_row),
+                         ("incore", run_reduction_incore)]:
         with make_vm(p, compiled.params, tmp_path / name) as vm:
             results[name] = runner(vm, compiled, inputs).result
     np.testing.assert_allclose(results["column"], results["row"], rtol=1e-4, atol=1e-4)
@@ -73,8 +77,8 @@ def test_all_versions_agree_with_each_other(tmp_path):
 # I/O accounting matches the compiler's predictions
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("strategy,runner", [
-    (SlabbingStrategy.COLUMN, run_gaxpy_column_slab),
-    (SlabbingStrategy.ROW, run_gaxpy_row_slab),
+    (SlabbingStrategy.COLUMN, run_reduction_column),
+    (SlabbingStrategy.ROW, run_reduction_row),
 ])
 def test_executed_io_counts_match_cost_model(tmp_path, strategy, runner):
     n, p, ratio = 64, 4, 0.25
@@ -97,9 +101,9 @@ def test_row_slab_does_order_of_magnitude_less_io(tmp_path):
     compiled = compile_gaxpy(n, p, slab_ratio=ratio)
     inputs = generate_gaxpy_inputs(n)
     with make_vm(p, compiled.params, tmp_path / "c") as vm:
-        column = run_gaxpy_column_slab(vm, compiled, inputs, verify=False)
+        column = run_reduction_column(vm, compiled, inputs, verify=False)
     with make_vm(p, compiled.params, tmp_path / "r") as vm:
-        row = run_gaxpy_row_slab(vm, compiled, inputs, verify=False)
+        row = run_reduction_row(vm, compiled, inputs, verify=False)
     # At the full 1K size the ratio is ~N; at this test size it is still several-fold.
     assert column.io_statistics["bytes_read_per_proc"] > 5 * row.io_statistics["bytes_read_per_proc"]
     assert column.io_statistics["io_read_requests_per_proc"] > 5 * row.io_statistics["io_read_requests_per_proc"]
@@ -109,17 +113,17 @@ def test_row_slab_does_order_of_magnitude_less_io(tmp_path):
 def test_estimate_mode_charges_without_files(tmp_path):
     compiled = compile_gaxpy(64, 4, slab_ratio=0.25, force_strategy="row")
     with make_vm(4, compiled.params, tmp_path, mode=ExecutionMode.ESTIMATE) as vm:
-        result = run_gaxpy_row_slab(vm, compiled, None, verify=False)
+        result = run_reduction_row(vm, compiled, None, verify=False)
     assert result.result is None
     assert result.simulated_seconds > 0
     assert not list(tmp_path.rglob("*.dat"))
 
 
 def test_executor_estimate_matches_kernel_charges(tmp_path):
-    """The bulk estimator and the loop-by-loop estimate-mode kernel agree closely."""
+    """The bulk estimator and the loop-by-loop estimate-mode engine agree closely."""
     compiled = compile_gaxpy(64, 4, slab_ratio=0.25, force_strategy="column")
     with make_vm(4, compiled.params, tmp_path, mode=ExecutionMode.ESTIMATE) as vm:
-        kernel_estimate = run_gaxpy_column_slab(vm, compiled, None, verify=False)
+        kernel_estimate = run_reduction_column(vm, compiled, None, verify=False)
     bulk = NodeProgramExecutor(compiled).estimate()
     assert bulk.simulated_seconds == pytest.approx(kernel_estimate.simulated_seconds, rel=0.05)
     assert bulk.io_statistics["io_requests_per_proc"] == pytest.approx(
@@ -156,26 +160,26 @@ class TestExecutor:
         result = NodeProgramExecutor(compiled).estimate()
         assert "estimate" in result.describe()
 
-    def test_run_compiled_dispatcher(self, tmp_path):
+    def test_dispatches_to_forced_strategy(self, tmp_path):
         compiled = compile_gaxpy(32, 2, slab_ratio=0.5, force_strategy="column")
         inputs = generate_gaxpy_inputs(32)
         with make_vm(2, compiled.params, tmp_path) as vm:
-            result = run_compiled_gaxpy(vm, compiled, inputs)
+            result = NodeProgramExecutor(compiled).execute(vm, inputs)
         assert result.strategy == "column-slab"
 
 
 # ---------------------------------------------------------------------------
-# kernel guards
+# engine guards
 # ---------------------------------------------------------------------------
 def test_uneven_distribution_rejected(tmp_path):
     compiled = compile_gaxpy(30, 4, slab_ratio=0.5)  # 30 not divisible by 4
-    inputs = GaxpyInputs(
+    inputs = ReductionInputs(
         streamed=np.zeros((30, 30), dtype=np.float32),
         coefficient=np.zeros((30, 30), dtype=np.float32),
     )
     with make_vm(4, compiled.params, tmp_path) as vm:
         with pytest.raises(RuntimeExecutionError):
-            run_gaxpy_row_slab(vm, compiled, inputs)
+            run_reduction_row(vm, compiled, inputs)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +199,7 @@ def test_property_out_of_core_product_is_correct(tmp_path_factory, blocks, p, ra
                              force_strategy="row" if row else "column")
     inputs = generate_gaxpy_inputs(n, seed=seed)
     scratch = tmp_path_factory.mktemp("prop")
-    runner = run_gaxpy_row_slab if row else run_gaxpy_column_slab
+    runner = run_reduction_row if row else run_reduction_column
     with make_vm(p, compiled.params, scratch) as vm:
         result = runner(vm, compiled, inputs, verify=True)
     assert result.verified is True

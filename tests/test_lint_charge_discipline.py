@@ -222,6 +222,54 @@ def run_reduction_single_operand(vm, compiled):
         assert findings(lint.check_per_column_charge, self.PER_COLUMN, "kernels.py") == []
 
 
+class TestProcessWideCache:
+    # what this rule was written against: the two caches that sat in front
+    # of the Session LRU, one per form the rule knows
+    PROCESS_WIDE = """
+import collections
+import functools
+
+_PROGRAM_CACHE: "collections.OrderedDict[tuple, object]" = collections.OrderedDict()
+_KERNEL_CACHE = {}
+
+@functools.lru_cache(maxsize=256)
+def _compile_cached(n, nprocs):
+    return compile(n, nprocs)
+
+class Planner:
+    @functools.cache
+    def price(self, budget):
+        return budget
+"""
+
+    # what the repository does instead: caches are state of the object that
+    # owns the results, and the ambient plan cache is a ContextVar
+    OWNED = """
+import collections
+import contextvars
+
+_ACTIVE_CACHE = contextvars.ContextVar("plan_cache", default=None)
+_REGISTRY = {}
+
+class Session:
+    def __init__(self):
+        self._cache = collections.OrderedDict()
+
+def search():
+    LOCAL_CACHE = {}
+    return LOCAL_CACHE
+"""
+
+    def test_decorators_and_module_level_containers_are_flagged(self):
+        out = findings(lint.check_process_wide_cache, self.PROCESS_WIDE, "workload.py")
+        assert [(v.rule, v.line) for v in out] == [
+            ("process-wide-cache", line) for line in (8, 13, 5, 6)
+        ]
+
+    def test_owned_caches_and_the_context_variable_are_allowed(self):
+        assert findings(lint.check_process_wide_cache, self.OWNED, "session.py") == []
+
+
 def test_repository_is_clean():
     violations = lint.lint_tree(REPO)
     assert violations == [], "\n".join(v.render() for v in violations)

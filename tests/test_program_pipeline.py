@@ -25,7 +25,6 @@ from repro.exceptions import CompilationError, HPFSemanticError
 from repro.core.ir import build_pipeline_ir
 from repro.core.pipeline import (
     CompiledWholeProgram,
-    compile_gaxpy_cached,
     compile_program,
     compile_whole_program,
 )
@@ -451,14 +450,13 @@ class TestSessionWholeProgram:
 # ---------------------------------------------------------------------------
 class TestMemoryBudgetCompileCache:
     def test_budget_compiles_hit_the_cache(self):
-        from repro.core.pipeline import _compile_gaxpy_cached
-
-        before = _compile_gaxpy_cached.cache_info()
-        first = compile_gaxpy_cached(48, 4, memory_budget_bytes=96 * 1024)
-        second = compile_gaxpy_cached(48, 4, memory_budget_bytes=96 * 1024)
-        after = _compile_gaxpy_cached.cache_info()
+        session = Session()
+        first = session.compile(source=TWO_STATEMENT_SOURCE,
+                                options={"memory_budget_bytes": 96 * 1024})
+        second = session.compile(source=TWO_STATEMENT_SOURCE,
+                                 options={"memory_budget_bytes": 96 * 1024})
         assert second is first
-        assert after.hits == before.hits + 1
+        assert session.cache_info()["hits"] == 1
 
     def test_policies_are_hashable_and_value_compared(self):
         from repro.core.memory_alloc import (
@@ -473,21 +471,10 @@ class TestMemoryBudgetCompileCache:
         assert SearchAllocation(fractions=5) != SearchAllocation(fractions=9)
 
     def test_distinct_budgets_do_not_collide(self):
-        a = compile_gaxpy_cached(48, 4, memory_budget_bytes=96 * 1024)
-        b = compile_gaxpy_cached(48, 4, memory_budget_bytes=192 * 1024)
+        session = Session()
+        a = session.compile(source=TWO_STATEMENT_SOURCE,
+                            options={"memory_budget_bytes": 96 * 1024})
+        b = session.compile(source=TWO_STATEMENT_SOURCE,
+                            options={"memory_budget_bytes": 192 * 1024})
         assert a is not b
-
-    def test_unhashable_policy_falls_back_uncached(self):
-        from repro.core.memory_alloc import ProportionalAllocation
-
-        class UnhashablePolicy(ProportionalAllocation):
-            __hash__ = None
-
-        first = compile_gaxpy_cached(
-            48, 4, memory_budget_bytes=96 * 1024, policy=UnhashablePolicy()
-        )
-        second = compile_gaxpy_cached(
-            48, 4, memory_budget_bytes=96 * 1024, policy=UnhashablePolicy()
-        )
-        assert first is not second
-        assert first.plan.strategy is second.plan.strategy
+        assert a.program.memory_budget_bytes != b.program.memory_budget_bytes

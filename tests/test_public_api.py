@@ -1,8 +1,10 @@
 """Smoke tests for the package-level public API and configuration objects."""
 
+import numpy as np
 
 import repro
 from repro.config import ExecutionMode, RunConfig, default_config
+from repro.runtime import ReductionInputs
 
 
 class TestPackageExports:
@@ -38,9 +40,11 @@ class TestPackageExports:
 
     def test_end_to_end_through_top_level_names(self, tmp_path):
         compiled = repro.compile_gaxpy(32, 2, slab_ratio=0.5)
-        from repro.kernels import generate_gaxpy_inputs
-
-        inputs = generate_gaxpy_inputs(32)
+        rng = np.random.default_rng(1994)
+        inputs = ReductionInputs(
+            streamed=rng.standard_normal((32, 32)).astype("float32"),
+            coefficient=rng.standard_normal((32, 32)).astype("float32"),
+        )
         with repro.VirtualMachine(2, compiled.params, RunConfig(scratch_dir=tmp_path)) as vm:
             result = repro.NodeProgramExecutor(compiled).execute(vm, inputs)
         assert result.verified is True

@@ -4,7 +4,6 @@ budget-allocation policies must never share one cached compilation)."""
 
 import pytest
 
-import repro.api.workload as workload_module
 from repro.api import Session, WorkloadPoint
 from repro.config import RunConfig
 from repro.exceptions import CompilationError, WorkloadError
@@ -42,16 +41,6 @@ def _budget_point(**kwargs) -> WorkloadPoint:
         options={"source": PIPELINE_SOURCE, "memory_budget_bytes": BUDGET},
         **kwargs,
     )
-
-
-@pytest.fixture(autouse=True)
-def _fresh_global_compile_cache():
-    """Isolate the process-wide compile cache so planner stats are observable."""
-    with workload_module._COMPILE_CACHE_LOCK:
-        workload_module._COMPILE_CACHE.clear()
-    yield
-    with workload_module._COMPILE_CACHE_LOCK:
-        workload_module._COMPILE_CACHE.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +164,6 @@ class TestSweepOptimize:
         assert result.summary["optimizers"] == {"greedy": 3}
         # A second sweep replays the session plan cache for fresh compiles.
         session.clear_cache()
-        with workload_module._COMPILE_CACHE_LOCK:
-            workload_module._COMPILE_CACHE.clear()
         again = session.sweep(points[:1], mode="estimate", optimize="greedy")
         assert again.summary["planner_hits"] == 1
 
@@ -210,13 +197,29 @@ class TestSessionPlanCachePersistence:
         first.compile(_budget_point())
         assert first.cache_info()["planner_stores"] == 1
 
-        with workload_module._COMPILE_CACHE_LOCK:
-            workload_module._COMPILE_CACHE.clear()
         second = Session(plan_cache_dir=cache_dir)
         compiled = second.compile(_budget_point())
         info = second.cache_info()
         assert info["planner_hits"] == 1 and info["planner_misses"] == 0
         assert compiled.program.planner.cache_status == "hit"
+
+    def test_earlier_session_does_not_shadow_a_later_plan_cache(self, tmp_path):
+        """A Session's plan cache sees every search of that Session, whatever
+        other Sessions of the process compiled before it."""
+        point = _budget_point(optimize="greedy")
+        Session().compile(point)
+
+        cache_dir = tmp_path / "plans"
+        second = Session(plan_cache_dir=cache_dir)
+        second.compile(point)
+        info = second.cache_info()
+        assert info["planner_misses"] == 1 and info["planner_stores"] == 1
+        assert len(list(cache_dir.iterdir())) == 1
+
+        third = Session(plan_cache_dir=cache_dir)
+        record = third.estimate(point)
+        assert third.cache_info()["planner_hits"] == 1
+        assert record.plan["planner_cache"] == "hit"
 
     def test_executed_record_matches_estimate_counters(self, tmp_path):
         """ESTIMATE == EXECUTE parity holds for planner-chosen plans."""

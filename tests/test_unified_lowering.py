@@ -5,8 +5,8 @@ through one ``ProgramIR → strip-mine → cost model → reorganize → NodePro
 → executor`` pipeline in both ESTIMATE and EXECUTE modes.  These tests pin
 
 * that every built-in compiles to a real node program,
-* that the unified path charges *bit-identical* statistics to the historical
-  per-kernel entry points,
+* that the unified path charges *bit-identical* statistics to the engines
+  driven directly from array descriptors,
 * that single-operand HPF programs (``c = a @ a``) execute with verified
   numerics, and
 * that the prefetch policies only ever touch the simulated clock.
@@ -29,10 +29,12 @@ from repro.core.ir import (
 from repro.core.pipeline import compile_program
 from repro.exceptions import CompilationError, RuntimeExecutionError
 from repro.hpf import Alignment, ArrayDescriptor, ProcessorGrid, Template
-from repro.kernels.elementwise import run_elementwise
-from repro.kernels.transpose import run_transpose
 from repro.runtime import NodeProgramExecutor, ReductionInputs, VirtualMachine
-from repro.runtime.executor import run_reduction_single_operand
+from repro.runtime.executor import (
+    run_elementwise_plan,
+    run_reduction_single_operand,
+    run_transpose_plan,
+)
 
 SINGLE_OPERAND_SOURCE = """
 program square
@@ -145,7 +147,8 @@ class TestEveryWorkloadLowers:
 
 
 # ---------------------------------------------------------------------------
-# the unified path charges bit-identical statistics to the legacy kernels
+# the unified path charges bit-identical statistics to the engines driven
+# from bare descriptors (no compiler in between)
 # ---------------------------------------------------------------------------
 class TestChargeParityWithKernels:
     @pytest.mark.parametrize("mode", [ExecutionMode.ESTIMATE, ExecutionMode.EXECUTE])
@@ -156,13 +159,16 @@ class TestChargeParityWithKernels:
                           options={"op": "multiply", "slab_elements": slab}),
             mode=mode,
         )
-        desc = column_block_descriptor(n, p, name="e")
+        descriptors = [column_block_descriptor(n, p, name=name) for name in ("ea", "eb", "ec")]
         rng = np.random.default_rng(1994)
         a = rng.standard_normal((n, n)).astype(np.float32)
         b = rng.standard_normal((n, n)).astype(np.float32)
         dense = (a, b) if mode is ExecutionMode.EXECUTE else (None, None)
         with VirtualMachine(p, None, RunConfig(scratch_dir=tmp_path / "k", mode=mode)) as vm:
-            kernel = run_elementwise(vm, desc, *dense, op=np.multiply, slab_elements=slab)
+            kernel = run_elementwise_plan(
+                vm, *descriptors, op=np.multiply, slab_elements=slab,
+                a_dense=dense[0], b_dense=dense[1],
+            )
         assert record.simulated_seconds == kernel.simulated_seconds
         assert record.io_requests_per_proc == kernel.io_statistics["io_requests_per_proc"]
         assert record.io_read_bytes_per_proc == kernel.io_statistics["bytes_read_per_proc"]
@@ -175,11 +181,11 @@ class TestChargeParityWithKernels:
             WorkloadPoint("transpose", n=n, nprocs=p, options={"cols_per_slab": cols}),
             mode=mode,
         )
-        desc = column_block_descriptor(n, p, name="t")
+        src, dst = column_block_descriptor(n, p, name="ts"), column_block_descriptor(n, p, name="td")
         rng = np.random.default_rng(1994)
         dense = rng.standard_normal((n, n)).astype(np.float32) if mode is ExecutionMode.EXECUTE else None
         with VirtualMachine(p, None, RunConfig(scratch_dir=tmp_path / "k", mode=mode)) as vm:
-            kernel = run_transpose(vm, desc, dense, cols_per_slab=cols)
+            kernel = run_transpose_plan(vm, src, dst, cols_per_slab=cols, a_dense=dense)
         assert record.simulated_seconds == kernel.simulated_seconds
         assert record.io_requests_per_proc == kernel.io_statistics["io_requests_per_proc"]
         assert record.io_read_bytes_per_proc == kernel.io_statistics["bytes_read_per_proc"]

@@ -62,6 +62,15 @@ discipline statically (stdlib ``ast`` only, no third-party dependencies):
     Host-side only, like ``loop-index-translation``; the scalar methods stay
     the block's checked definition and the other engines keep using them.
 
+``process-wide-cache``
+    Anywhere under ``src/repro``: no ``functools.lru_cache`` /
+    ``functools.cache`` decorator, and no module-level ``dict`` /
+    ``OrderedDict`` bound to a name ending in ``CACHE``.  The Session LRU is
+    the one cache of compiled workloads and ``PlanCache`` the one plan store;
+    a cache owned by the process instead of a Session is shared by every
+    Session in it, so a later Session's plan cache and ``cache_info()`` stop
+    telling the truth about what was compiled.
+
 Run: ``python tools/lint_charge_discipline.py [root]`` — exits non-zero on
 any violation.  Wired into ``make lint`` and CI.
 """
@@ -88,6 +97,8 @@ INDEX_TRANSLATION_CALLS = {"owner_of_dim", "global_to_local", "local_to_global",
                            "local_index_ranges"}
 BLOCK_ENGINES = {"run_reduction_column", "run_reduction_row", "run_reduction_incore"}
 PER_COLUMN_CALLS = {"charge_compute", "charge_fetch", "global_sum"}
+CACHE_DECORATORS = {"lru_cache", "cache"}
+CACHE_CONTAINERS = {"dict", "OrderedDict"}
 _COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 
@@ -101,14 +112,18 @@ class Violation(NamedTuple):
         return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
 
 
-def _call_name(node: ast.Call) -> str:
-    """The rightmost name of the called expression (``np.memmap`` -> ``memmap``)."""
-    func = node.func
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    if isinstance(func, ast.Name):
-        return func.id
+def _rightmost_name(node: ast.AST) -> str:
+    """The rightmost name of a dotted expression (``np.memmap`` -> ``memmap``)."""
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Name):
+        return node.id
     return ""
+
+
+def _call_name(node: ast.Call) -> str:
+    """The rightmost name of the called expression."""
+    return _rightmost_name(node.func)
 
 
 def _is_object_setattr(node: ast.Call) -> bool:
@@ -330,6 +345,39 @@ def check_per_column_charge(tree: ast.AST, path: Path) -> Iterator[Violation]:
             )
 
 
+def check_process_wide_cache(tree: ast.AST, path: Path) -> Iterator[Violation]:
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for decorator in node.decorator_list:
+            called = decorator.func if isinstance(decorator, ast.Call) else decorator
+            if _rightmost_name(called) in CACHE_DECORATORS:
+                yield Violation(
+                    "process-wide-cache", str(path), decorator.lineno,
+                    f"@{_rightmost_name(called)} on {node.name!r} caches for the "
+                    "whole process; cache in the Session (or PlanCache) that "
+                    "owns the result",
+                )
+    for node in getattr(tree, "body", []):  # module level only
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        is_container = isinstance(value, (ast.Dict, ast.DictComp)) or (
+            isinstance(value, ast.Call) and _call_name(value) in CACHE_CONTAINERS
+        )
+        for target in targets:
+            if is_container and isinstance(target, ast.Name) and target.id.endswith("CACHE"):
+                yield Violation(
+                    "process-wide-cache", str(path), node.lineno,
+                    f"module-level cache {target.id!r} is shared by every "
+                    "Session of the process; make it state of the object "
+                    "that owns the results",
+                )
+
+
 # ---------------------------------------------------------------------------
 # driver
 # ---------------------------------------------------------------------------
@@ -344,6 +392,7 @@ def lint_file(path: Path, *, runtime: bool) -> List[Violation]:
         violations.extend(check_loop_index_translation(tree, path))
         violations.extend(check_per_column_charge(tree, path))
     violations.extend(check_frozen_mutation(tree, path))
+    violations.extend(check_process_wide_cache(tree, path))
     return violations
 
 
