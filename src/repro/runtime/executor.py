@@ -38,7 +38,9 @@ import dataclasses
 import os
 import signal
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import (
+    Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, TYPE_CHECKING,
+)
 
 import numpy as np
 
@@ -95,14 +97,54 @@ class ReductionInputs:
         return self.streamed.shape[0]
 
 
+#: bytes of float64 reference in one oracle panel (256 result columns at
+#: N = 1024): the oracle computes, and the comparison holds, a panel at a time
+_PANEL_BYTES = 2 << 20
+
+#: ``(result array, its column slice, freshly allocated float64 reference panel)``
+_Panels = Iterator[Tuple[str, slice, np.ndarray]]
+
+
+def _column_panels(shape: Tuple[int, int]) -> Iterator[slice]:
+    """Column slices covering a ``shape`` result, ``_PANEL_BYTES`` of float64 each."""
+    rows, cols = shape
+    width = max(1, _PANEL_BYTES // (8 * max(rows, 1)))
+    for start in range(0, cols, width):
+        yield slice(start, min(start + width, cols))
+
+
+def _float64(array: np.ndarray) -> np.ndarray:
+    return np.asarray(array, dtype=np.float64)
+
+
+def _reduction_panels(name: str, streamed: np.ndarray, coefficient: np.ndarray) -> _Panels:
+    """``A B`` (equation 1): one float64 BLAS-3 GEMM per column panel of ``B``,
+    past the float64 copy of ``A`` — the oracle's one operand-sized allocation."""
+    streamed = _float64(streamed)
+    for cols in _column_panels((streamed.shape[0], coefficient.shape[1])):
+        yield name, cols, streamed @ _float64(coefficient[:, cols])
+
+
+def _elementwise_panels(
+    name: str, op: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    lhs: np.ndarray, rhs: np.ndarray,
+) -> _Panels:
+    for cols in _column_panels(lhs.shape):
+        yield name, cols, op(_float64(lhs[:, cols]), _float64(rhs[:, cols]))
+
+
+def _transpose_panels(name: str, source: np.ndarray) -> _Panels:
+    for cols in _column_panels(source.shape[::-1]):
+        yield name, cols, source[cols, :].T.astype(np.float64)  # a copy, never a view
+
+
 def reduction_reference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dense GAXPY product ``C = A B`` computed column by column (equation 1)."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    n = a.shape[0]
-    c = np.zeros((n, b.shape[1]), dtype=np.float64)
-    for j in range(b.shape[1]):
-        c[:, j] = a @ b[:, j]
+    """Dense float64 GAXPY product ``C = A B`` (equation 1), assembled from
+    the column-panel GEMMs :func:`verify_outputs` folds over."""
+    a, b = np.asarray(a), np.asarray(b)
+    c = np.empty((a.shape[0], b.shape[1]), dtype=np.float64)
+    for _, cols, panel in _reduction_panels("c", a, b):
+        c[:, cols] = panel
     return c
 
 
@@ -113,27 +155,29 @@ _ELEMENTWISE_OPS: Dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
 }
 
 
-def program_reference(
-    program: "ProgramIR", inputs: Dict[str, np.ndarray]
-) -> Dict[str, np.ndarray]:
-    """The in-core NumPy oracle: evaluate the statement list on dense inputs.
+def _reference_panels(program: "ProgramIR", env: Dict[str, np.ndarray]) -> _Panels:
+    """The in-core NumPy oracle, streamed: every statement result in panels.
 
-    Returns the environment after the last statement — program inputs (cast to
-    ``float64``) plus every statement result.  This is what the differential
-    tests and the whole-program executor's verification compare against.
+    Evaluates the statement list in order on ``env`` (array name -> dense
+    data of any dtype); each panel is the consumer's to overwrite.  Only a
+    result a later statement reads is also assembled densely, in ``env``,
+    which drops every array after its last reader.
     """
     from repro.core.ir import ElementwiseStatement, ReductionStatement, TransposeStatement
 
-    env: Dict[str, np.ndarray] = {
-        name: np.asarray(value, dtype=np.float64) for name, value in inputs.items()
+    last_reader = {
+        ref.array: index
+        for index, statement in enumerate(program.statements)
+        for ref in statement.operands
     }
-    for statement in program.statements:
+    for index, statement in enumerate(program.statements):
         missing = [ref.array for ref in statement.operands if ref.array not in env]
         if missing:
             raise RuntimeExecutionError(
                 f"program_reference is missing dense data for {sorted(set(missing))} "
                 f"(statement {statement.describe()})"
             )
+        name = statement.result.array
         if isinstance(statement, ReductionStatement):
             streamed = next(
                 (
@@ -145,18 +189,44 @@ def program_reference(
             )
             others = [ref.array for ref in statement.operands if ref.array != streamed]
             coefficient = others[0] if others else streamed
-            env[statement.result.array] = env[streamed] @ env[coefficient]
+            panels = _reduction_panels(name, env[streamed], env[coefficient])
         elif isinstance(statement, ElementwiseStatement):
             lhs, rhs = statement.operands
-            env[statement.result.array] = _ELEMENTWISE_OPS[statement.op](
-                env[lhs.array], env[rhs.array]
+            panels = _elementwise_panels(
+                name, _ELEMENTWISE_OPS[statement.op], env[lhs.array], env[rhs.array]
             )
         elif isinstance(statement, TransposeStatement):
-            env[statement.result.array] = env[statement.operand.array].T.copy()
+            panels = _transpose_panels(name, env[statement.operand.array])
         else:
             raise RuntimeExecutionError(
                 f"no reference evaluation for statement of type {type(statement).__name__}"
             )
+        if last_reader.get(name, -1) > index:
+            env[name] = np.empty(program.arrays[name].shape, dtype=np.float64)
+            for _, cols, panel in panels:
+                env[name][:, cols] = panel
+                yield name, cols, panel
+        else:
+            yield from panels
+        for operand in [n for n, reader in last_reader.items() if reader == index]:
+            del env[operand]
+
+
+def program_reference(
+    program: "ProgramIR", inputs: Dict[str, np.ndarray]
+) -> Dict[str, np.ndarray]:
+    """The in-core NumPy oracle: evaluate the statement list on dense inputs.
+
+    Returns the environment after the last statement — program inputs (cast to
+    ``float64``) plus every statement result.  This is what the differential
+    tests compare against; :func:`verify_outputs` folds over the same panels
+    (:func:`_reference_panels`) without assembling them.
+    """
+    env = {name: _float64(value) for name, value in inputs.items()}
+    for name in program.result_arrays():
+        env[name] = np.empty(program.arrays[name].shape, dtype=np.float64)
+    for name, cols, panel in _reference_panels(program, dict(inputs)):
+        env[name][:, cols] = panel
     return env
 
 
@@ -183,34 +253,46 @@ def _statement_kind(compiled: "CompiledProgram") -> str:
 _ALLCLOSE_TOLERANCE = {"elementwise": 1e-4, "fused-elementwise": 1e-4, "transpose": 1e-5}
 
 
-def _within_tolerance(
-    kind: str, expected: Mapping[str, np.ndarray], outputs: Mapping[str, np.ndarray]
+def _fold_panels(
+    kind: str, panels: _Panels, outputs: Mapping[str, np.ndarray]
 ) -> Tuple[bool, Optional[float]]:
-    """Compare gathered ``outputs`` with the oracle's ``expected`` arrays.
+    """Compare gathered ``outputs`` with the oracle's reference ``panels``.
 
-    The tolerance half of :func:`verify_outputs`.  Reductions and whole
-    programs bound the maximum absolute error relative to the reference's
-    scale and report it: ``1e-3`` for a lone reduction, and per array of a
-    whole program ``1e-3`` for items of at most four bytes, ``1e-9`` above.
+    The tolerance half of :func:`verify_outputs`, one panel at a time: a
+    panel is overwritten with its own error, and only the verdict and each
+    array's running maximum error and reference scale outlive it.
+    Reductions and whole programs bound the maximum absolute error relative
+    to the reference's scale and report it: ``1e-3`` for a lone reduction,
+    and per array of a whole program ``1e-3`` for items of at most four
+    bytes, ``1e-9`` above.  The maxima fold with ``np.maximum``: unlike
+    ``max`` it keeps a NaN.
     """
-    if kind in _ALLCLOSE_TOLERANCE:
-        tolerance = _ALLCLOSE_TOLERANCE[kind]
-        return all(
-            np.allclose(result, expected[name], rtol=tolerance, atol=tolerance)
-            for name, result in outputs.items()
-        ), None
-    verified, errors = True, [0.0]
+    allclose = _ALLCLOSE_TOLERANCE.get(kind)
+    close = True
+    error = dict.fromkeys(outputs, 0.0)
+    scale = dict.fromkeys(outputs, 0.0)
+    unchecked = set(outputs)
+    for name, cols, reference in panels:
+        if name not in outputs:
+            continue
+        unchecked.discard(name)
+        gathered = outputs[name][:, cols]
+        if allclose is not None:
+            close = close and bool(np.allclose(gathered, reference, rtol=allclose, atol=allclose))
+            continue
+        scale[name] = np.maximum(scale[name], np.maximum(reference.max(), -reference.min()))
+        np.subtract(reference, gathered, out=reference)
+        np.abs(reference, out=reference)
+        error[name] = np.maximum(error[name], reference.max())
+    if unchecked:
+        raise RuntimeExecutionError(f"the oracle computes no array named {sorted(unchecked)}")
+    if allclose is not None:
+        return close, None
+    verified = True
     for name, result in outputs.items():
-        reference = expected[name]
-        err = (
-            float(np.max(np.abs(result.astype(np.float64) - reference)))
-            if reference.size else 0.0
-        )
-        scale = float(np.max(np.abs(reference))) or 1.0
         tolerance = 1e-3 if kind == "reduction" or result.dtype.itemsize <= 4 else 1e-9
-        errors.append(err)
-        verified = verified and err <= tolerance * scale  # a NaN error fails
-    return verified, float(np.max(errors))  # ... and is reported as NaN
+        verified = verified and bool(error[name] <= tolerance * (scale[name] or 1.0))  # NaN fails
+    return verified, float(np.max([0.0, *error.values()]))  # ... and is reported as NaN
 
 
 def verify_outputs(
@@ -224,11 +306,15 @@ def verify_outputs(
     the engines that run a compiled program, :class:`ProgramExecutor` and
     the distributed backend's parent all call it, so their records agree
     field for field.  ``outputs`` maps result array names to gathered dense
-    data.  A lone reduction is checked against :func:`reduction_reference`,
-    everything else against :func:`program_reference`; returns ``(verified,
-    max_abs_error)`` under the statement kind's tolerance (see
-    :func:`_within_tolerance`, which the two descriptor-driven engines call
-    with their own oracle).
+    data.  Every element of every output is compared with an independent
+    float64 NumPy evaluation of the statement list on the dense inputs,
+    streamed in column panels (:func:`_reference_panels`) so that it
+    allocates the float64 copy of a reduction's streamed operand, the
+    intermediates later statements still read and a constant number of
+    panels — never a whole reference or difference.  Returns ``(verified,
+    max_abs_error)`` under the statement kind's tolerance (:func:`_fold_panels`,
+    which the two descriptor-driven engines call with their own oracle's
+    panels).
     """
     from repro.core.pipeline import CompiledWholeProgram
 
@@ -237,11 +323,11 @@ def verify_outputs(
     else:
         kind = _statement_kind(compiled)
     if kind == "reduction":
-        (name,) = outputs
-        expected = {name: reduction_reference(inputs.streamed, inputs.coefficient)}
+        analysis = compiled.analysis
+        env = {analysis.streamed: inputs.streamed, analysis.coefficient: inputs.coefficient}
     else:
-        expected = program_reference(compiled.program, dict(inputs))
-    return _within_tolerance(kind, expected, outputs)
+        env = dict(inputs)
+    return _fold_panels(kind, _reference_panels(compiled.program, env), outputs)
 
 
 @dataclasses.dataclass
@@ -451,8 +537,9 @@ def _setup_reduction_arrays(
         ooc_b = ooc_s
     else:
         ooc_b = vm.ensure_array(b_desc, initial=coefficient_dense, storage_order="F")
-    ooc_c = vm.ensure_array(c_desc, initial=None if not vm.perform_io else
-                            np.zeros(c_desc.shape, dtype=c_desc.dtype), storage_order=result_order)
+    # No initial data: a new LAF is created zero-filled and the engine
+    # overwrites every slab of its result.
+    ooc_c = vm.ensure_array(c_desc, initial=None, storage_order=result_order)
     return ooc_s, ooc_b, ooc_c
 
 
@@ -842,8 +929,7 @@ def run_elementwise_plan(
     order = "F" if strategy is SlabbingStrategy.COLUMN else "C"
     ooc_a = vm.ensure_array(a_desc, initial=a_dense, storage_order=order)
     ooc_b = vm.ensure_array(b_desc, initial=b_dense, storage_order=order)
-    zeros = np.zeros(c_desc.shape, dtype=c_desc.dtype) if vm.perform_io else None
-    ooc_c = vm.ensure_array(c_desc, initial=zeros, storage_order=order)
+    ooc_c = vm.ensure_array(c_desc, initial=None, storage_order=order)
 
     flops_per_element = 1.0
     for rank in vm.ranks:
@@ -862,10 +948,8 @@ def run_elementwise_plan(
     if verify and result is not None and a_dense is not None and b_dense is not None:
         # This engine is handed descriptors and ``op``, not a compiled
         # program: ``op`` in float64 is its oracle.
-        expected = op(np.asarray(a_dense, dtype=np.float64), np.asarray(b_dense, dtype=np.float64))
-        verified, _ = _within_tolerance(
-            "elementwise", {c_desc.name: expected}, {c_desc.name: result}
-        )
+        panels = _elementwise_panels(c_desc.name, op, np.asarray(a_dense), np.asarray(b_dense))
+        verified, _ = _fold_panels("elementwise", panels, {c_desc.name: result})
     return ExecutionResult(
         strategy=f"{strategy.value}-slab elementwise",
         mode=_mode(vm),
@@ -925,8 +1009,7 @@ def run_fused_elementwise_plan(
                 arrays[name], initial=dense.get(name), storage_order=order
             )
     result_desc = arrays[result]
-    zeros = np.zeros(result_desc.shape, dtype=result_desc.dtype) if vm.perform_io else None
-    ooc[result] = vm.ensure_array(result_desc, initial=zeros, storage_order=order)
+    ooc[result] = vm.ensure_array(result_desc, initial=None, storage_order=order)
 
     mid_dtype = arrays[mid].dtype
     slab_elements = plan.allocation[result]
@@ -987,8 +1070,7 @@ def run_transpose_plan(
     itemsize = src_desc.itemsize
 
     source = vm.ensure_array(src_desc, initial=a_dense, storage_order="F")
-    zeros = np.zeros(dst_desc.shape, dtype=dst_desc.dtype) if vm.perform_io else None
-    target = vm.ensure_array(dst_desc, initial=zeros, storage_order="F")
+    target = vm.ensure_array(dst_desc, initial=None, storage_order="F")
 
     result_locals: Dict[int, np.ndarray] = {}
     if vm.perform_io:
@@ -1044,9 +1126,8 @@ def run_transpose_plan(
     verified: Optional[bool] = None
     if verify and result is not None and a_dense is not None:
         # Descriptors, not a compiled program: the oracle is NumPy's transpose.
-        verified, _ = _within_tolerance(
-            "transpose", {dst_desc.name: np.asarray(a_dense).T}, {dst_desc.name: result}
-        )
+        panels = _transpose_panels(dst_desc.name, np.asarray(a_dense))
+        verified, _ = _fold_panels("transpose", panels, {dst_desc.name: result})
     return ExecutionResult(
         strategy="column-slab transpose",
         mode=_mode(vm),

@@ -204,13 +204,14 @@ class IOEngine:
         self, rank: int, laf: LocalArrayFile, slab: Slab, data: Optional[np.ndarray]
     ) -> None:
         """Write ``slab`` of processor ``rank``'s LAF; charge the machine."""
+        if self.perform_io and (data is None or np.shape(data) != slab.shape):
+            # refused before the charge: an error leaves the machine as it was
+            raise IOEngineError(f"write_slab needs data of shape {slab.shape} to perform I/O")
         nrequests = self._request_count(laf, slab)
         nbytes = slab.nbytes(laf.dtype.itemsize)
         self.machine.charge_write(rank, nbytes, nrequests)
         if not self.perform_io:
             return
-        if data is None:
-            raise IOEngineError("write_slab needs data when perform_io is enabled")
         self._attempt(lambda: laf.write_slab(slab, data), "write", laf)
         self._maybe_corrupt(laf, slab)
 
@@ -224,11 +225,11 @@ class IOEngine:
 
     def write_full(self, rank: int, laf: LocalArrayFile, data: Optional[np.ndarray]) -> None:
         """Write an entire LAF as one request (used by the in-core baseline)."""
+        if self.perform_io and (data is None or np.shape(data) != laf.shape):
+            raise IOEngineError(f"write_full needs data of shape {laf.shape} to perform I/O")
         nbytes = laf.nbytes
         self.machine.charge_write(rank, nbytes, 1 if nbytes else 0)
         if not self.perform_io:
             return
-        if data is None:
-            raise IOEngineError("write_full needs data when perform_io is enabled")
         self._attempt(lambda: laf.write_full(data), "write", laf)
         self._maybe_corrupt(laf, self._full_slab(laf))

@@ -236,6 +236,33 @@ def test_process_comm_validates_before_charging():
     assert charged_state(vm) == charged_state(twin)
 
 
+def test_io_engine_validates_before_charging(tmp_path):
+    """A write EXECUTE mode cannot perform — no data, or data of another shape
+    than its target — is rejected before the machine is charged for it."""
+    from repro.core.ir import build_gaxpy_ir
+    from repro.exceptions import IOEngineError
+    from repro.runtime import Slab
+
+    descriptor = build_gaxpy_ir(16, 2).arrays["c"]
+    with VirtualMachine(2, "delta", RunConfig(scratch_dir=tmp_path)) as vm:
+        laf = vm.create_array(descriptor).local(1).laf
+        slab = Slab(index=0, row_start=0, row_stop=laf.shape[0], col_start=0, col_stop=2)
+        vm.machine.charge_read(1, 4096, 1)
+        before = charged_state(vm)
+        rejected = [
+            lambda: vm.engine.write_slab(1, laf, slab, None),
+            lambda: vm.engine.write_slab(1, laf, slab, np.ones((laf.shape[0], 3), laf.dtype)),
+            lambda: vm.engine.write_full(1, laf, None),
+            lambda: vm.engine.write_full(1, laf, np.ones(slab.shape, laf.dtype)),
+        ]
+        for call in rejected:
+            with pytest.raises(IOEngineError):
+                call()
+            assert charged_state(vm) == before
+        vm.engine.write_slab(1, laf, slab, np.ones(slab.shape, laf.dtype))
+        assert charged_state(vm) != before
+
+
 # ---------------------------------------------------------------------------
 # (c) the engines: results and charges equal to the per-column schedule
 # ---------------------------------------------------------------------------

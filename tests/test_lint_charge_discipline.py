@@ -270,6 +270,39 @@ def search():
         assert findings(lint.check_process_wide_cache, self.OWNED, "session.py") == []
 
 
+class TestDenseZeroInitial:
+    # what this rule was written against: the result arrays of the four
+    # engines, in the two spellings they used
+    ZERO_FILLED = """
+import numpy as np
+
+def setup(vm, c_desc, order):
+    ooc_c = vm.ensure_array(c_desc, initial=None if not vm.perform_io else
+                            np.zeros(c_desc.shape, dtype=c_desc.dtype), storage_order=order)
+    zeros = np.zeros(c_desc.shape, dtype=c_desc.dtype) if vm.perform_io else None
+    return ooc_c, vm.create_array(c_desc, initial=zeros, storage_order=order)
+"""
+
+    # operands carry data; a result starts as the zero-filled file it is
+    DATA_OR_NOTHING = """
+import numpy as np
+
+def setup(vm, a_desc, c_desc, a_dense):
+    buffers = np.zeros(c_desc.shape, dtype=c_desc.dtype)
+    ooc_a = vm.ensure_array(a_desc, initial=a_dense, storage_order="F")
+    return ooc_a, vm.create_array(c_desc, initial=None), buffers
+"""
+
+    def test_zeros_inline_and_through_a_name_are_flagged(self):
+        out = findings(lint.check_dense_zero_initial, self.ZERO_FILLED, "executor.py")
+        assert [(v.rule, v.line) for v in out] == [
+            ("dense-zero-initial", line) for line in (5, 8)
+        ]
+
+    def test_dense_operands_and_bare_results_are_allowed(self):
+        assert findings(lint.check_dense_zero_initial, self.DATA_OR_NOTHING, "executor.py") == []
+
+
 def test_repository_is_clean():
     violations = lint.lint_tree(REPO)
     assert violations == [], "\n".join(v.render() for v in violations)

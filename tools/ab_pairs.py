@@ -102,10 +102,13 @@ def main(argv: List[str] | None = None) -> int:
                 attempted[side] += int(result["attempted"])
                 for m in metrics:
                     samples[side][m["name"]].append(float(result["metrics"][m["name"]]["value"]))
+            latest = "  ".join(
+                f"{name} parent {samples['parent'][name][-1]:.4f} "
+                f"change {samples['change'][name][-1]:.4f}"
+                for name in ("run_s", "verified_run_s")
+            )
             print(f"# {workload} pair {pair + 1}/{args.pairs} seed {seed0 + pair} "
-                  f"first {order[0]}: run_s parent "
-                  f"{samples['parent']['run_s'][-1]:.4f} change "
-                  f"{samples['change']['run_s'][-1]:.4f}", flush=True)
+                  f"first {order[0]}: {latest}", flush=True)
         print(f"## {workload}  pairs={args.pairs}  seeds {seed0}..{seed0 + args.pairs - 1}  "
               f"failed parent {failed['parent']}/{attempted['parent']} "
               f"change {failed['change']}/{attempted['change']}")

@@ -71,6 +71,14 @@ discipline statically (stdlib ``ast`` only, no third-party dependencies):
     Session in it, so a later Session's plan cache and ``cache_info()`` stop
     telling the truth about what was compiled.
 
+``dense-zero-initial``
+    Anywhere under ``src/repro``: no ``create_array`` / ``ensure_array``
+    call whose ``initial=`` is ``np.zeros(...)``, directly, through a
+    conditional, or through a name assigned from one.  A new Local Array File
+    is created zero-filled, and every engine overwrites every slab of its
+    result; a dense zero ``initial`` allocates the whole array on the host,
+    scatters it and writes and checksums zeros the file already holds.
+
 Run: ``python tools/lint_charge_discipline.py [root]`` — exits non-zero on
 any violation.  Wired into ``make lint`` and CI.
 """
@@ -97,6 +105,7 @@ INDEX_TRANSLATION_CALLS = {"owner_of_dim", "global_to_local", "local_to_global",
                            "local_index_ranges"}
 BLOCK_ENGINES = {"run_reduction_column", "run_reduction_row", "run_reduction_incore"}
 PER_COLUMN_CALLS = {"charge_compute", "charge_fetch", "global_sum"}
+ARRAY_CONSTRUCTORS = {"create_array", "ensure_array"}
 CACHE_DECORATORS = {"lru_cache", "cache"}
 CACHE_CONTAINERS = {"dict", "OrderedDict"}
 _COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
@@ -378,6 +387,41 @@ def check_process_wide_cache(tree: ast.AST, path: Path) -> Iterator[Violation]:
                 )
 
 
+def _builds_zeros(node: ast.AST) -> bool:
+    """True when the expression contains an ``np.zeros(...)`` call."""
+    return any(
+        isinstance(sub, ast.Call)
+        and _call_name(sub) == "zeros"
+        and isinstance(sub.func, ast.Attribute)
+        and isinstance(sub.func.value, ast.Name)
+        and sub.func.value.id in NUMPY_ALIASES
+        for sub in ast.walk(node)
+    )
+
+
+def check_dense_zero_initial(tree: ast.AST, path: Path) -> Iterator[Violation]:
+    zero_names = {
+        target.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and _builds_zeros(node.value)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and _call_name(node) in ARRAY_CONSTRUCTORS):
+            continue
+        for keyword in node.keywords:
+            if keyword.arg != "initial":
+                continue
+            value = keyword.value
+            if _builds_zeros(value) or (isinstance(value, ast.Name) and value.id in zero_names):
+                yield Violation(
+                    "dense-zero-initial", str(path), node.lineno,
+                    f"{_call_name(node)!r} is handed dense zeros: a new Local "
+                    "Array File is already zero-filled, pass initial=None",
+                )
+
+
 # ---------------------------------------------------------------------------
 # driver
 # ---------------------------------------------------------------------------
@@ -393,6 +437,7 @@ def lint_file(path: Path, *, runtime: bool) -> List[Violation]:
         violations.extend(check_per_column_charge(tree, path))
     violations.extend(check_frozen_mutation(tree, path))
     violations.extend(check_process_wide_cache(tree, path))
+    violations.extend(check_dense_zero_initial(tree, path))
     return violations
 
 
