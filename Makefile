@@ -5,7 +5,7 @@ PYTHON ?= python
 
 .PHONY: test test-faults cov lint typecheck check-plans bench \
 	bench-program bench-planner bench-resilience bench-mp bench-service \
-	bench-suite ab bench-reset clean-scratch serve
+	bench-suite ab diff-parent bench-reset clean-scratch serve
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
@@ -101,6 +101,19 @@ bench-suite:
 PAIRS ?= 10
 ab:
 	$(PYTHON) tools/ab_pairs.py --parent $(PARENT) --workload $(W) --pairs $(PAIRS)
+
+# Every charged number of a fixed configuration set (tools/charged_dump.py:
+# the check-plans matrices, the reduction engines, a processes-backend
+# point; EXECUTE and ESTIMATE) charged by PARENT's src/ and by this tree's,
+# then the first differing field per configuration.  Prints nothing when no
+# charged number moved.
+#   make diff-parent PARENT=../parent
+diff-parent:
+	@dir=$$(mktemp -d) && \
+	$(PYTHON) tools/charged_dump.py --src $(PARENT)/src --out $$dir/parent.jsonl && \
+	$(PYTHON) tools/charged_dump.py --out $$dir/tree.jsonl && \
+	$(PYTHON) tools/charged_dump.py --compare $$dir/parent.jsonl $$dir/tree.jsonl; \
+	status=$$?; rm -rf $$dir; exit $$status
 
 # Run the compile-and-run job server (HOST/PORT/WORKERS overridable):
 #   make serve PORT=8642 WORKERS=4

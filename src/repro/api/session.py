@@ -65,13 +65,9 @@ class Session:
     config:
         Base :class:`~repro.config.RunConfig`; its ``mode`` is the default
         for :meth:`run` and :meth:`sweep`, its ``seed`` drives workload input
-        generation, its ``scratch_dir`` hosts the Local Array Files, and its
-        ``prefetch`` policy (``"none"`` | ``"overlap"``) flows into every
-        virtual machine the session creates, so the executor's slab reads
-        can hide behind computation when overlap prefetching is enabled
-        (in slab-driven runs — every ``EXECUTE``-mode evaluation and the
-        elementwise/transpose ``ESTIMATE`` path; the bulk analytic
-        reduction estimate has no slab loop and reports unhidden time).
+        generation, its ``scratch_dir`` hosts the Local Array Files, and the
+        whole config (checksums, fault policy, retries) flows into every
+        virtual machine the session creates.
     compile_cache_size:
         Capacity of the per-session LRU cache of :class:`CompiledWorkload`
         objects (keyed on the full :class:`WorkloadPoint`).  Cached programs

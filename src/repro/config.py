@@ -43,6 +43,10 @@ class ExecutionMode(enum.Enum):
 class RunConfig:
     """Configuration for one run of the out-of-core runtime.
 
+    Every slab read is charged in full to the simulated clock: the paper's
+    measured configuration, where no read hides behind computation and no
+    slab is served from a reuse buffer.
+
     Parameters
     ----------
     scratch_dir:
@@ -58,20 +62,6 @@ class RunConfig:
         machine shuts down.
     seed:
         Seed for workload generators so experiments are reproducible.
-    prefetch:
-        Prefetching policy applied to slab reads: ``"none"`` (the paper's
-        measured configuration — every read is fully visible; the default)
-        or ``"overlap"`` (software prefetching hides reads behind the
-        preceding computation, scaled by ``prefetch_efficiency``).  Only the
-        simulated clock changes; I/O request and byte counters are identical
-        under every policy.  The policy applies wherever slab loops drive
-        the virtual machine — every ``EXECUTE``-mode run and the
-        elementwise/transpose ``ESTIMATE`` path; the bulk analytic
-        ``ESTIMATE`` of reduction programs charges statically counted totals
-        (no loop to overlap), so it reports the unhidden paper-model time.
-    prefetch_efficiency:
-        Fraction of the preceding compute window usable for hiding I/O when
-        ``prefetch="overlap"`` (1.0 = perfect overlap).
     checksums:
         When true (the default) every ``EXECUTE``-mode Local Array File keeps
         a sidecar manifest of slab checksums, written on slab writes and
@@ -96,8 +86,6 @@ class RunConfig:
     verify: bool = True
     keep_files: bool = False
     seed: int = 1994  # year of the technical report
-    prefetch: str = "none"
-    prefetch_efficiency: float = 1.0
     checksums: bool = True
     fault_policy: "object | None" = None  # FaultPolicy; untyped to avoid an import cycle
     io_retries: int = 4
@@ -107,10 +95,6 @@ class RunConfig:
         self.scratch_dir = Path(self.scratch_dir)
         if isinstance(self.mode, str):  # accept plain strings for convenience
             self.mode = ExecutionMode(self.mode)
-        if self.prefetch not in ("none", "overlap"):
-            raise ValueError(
-                f"unknown prefetch policy {self.prefetch!r} (choose 'none' or 'overlap')"
-            )
         if self.io_retries < 0:
             raise ValueError(f"io_retries must be non-negative, got {self.io_retries}")
         if self.io_retry_backoff_s < 0:

@@ -8,8 +8,8 @@
   2K x 2K matrices on 16 processors (Table 2).
 * :mod:`repro.experiments.ablations` — additional studies: equal vs.
   proportional vs. searched memory allocation, per-slab vs. per-chunk I/O
-  accounting (the value of reorganizing the on-disk storage order), and
-  prefetch overlap.
+  accounting (the value of reorganizing the on-disk storage order), and an
+  analytic prefetch-overlap what-if the runtime does not model.
 
 Every experiment has a paper-scale configuration (the defaults, evaluated
 with the analytic estimator) and a scaled-down configuration used by the

@@ -12,7 +12,9 @@ Three ablations are provided:
   (storage left in the arrival order, one request per partial column/row).
 * **Prefetch overlap** (the "prefetching/caching strategies" knob of the
   compilation model): how much of the row-slab version's remaining I/O time
-  can be hidden behind computation.
+  could be hidden behind computation — an analytic what-if on the plan's
+  ``PlanCost``; the runtime does not model prefetching and charges every
+  read in full.
 """
 
 from __future__ import annotations
@@ -181,10 +183,13 @@ def run_prefetch_ablation(
     config: Optional[PrefetchAblationConfig] = None,
     params: Optional[MachineParameters] = None,
 ) -> Dict[str, object]:
-    """Estimate how much of the row-slab plan's I/O can hide behind compute.
+    """Estimate how much of the row-slab plan's I/O could hide behind compute.
 
-    The overlap model is conservative: each slab read can be hidden by at most
-    ``efficiency x`` the compute time of the preceding slab.
+    An analytic what-if, arithmetic on the compiled plan's ``PlanCost``: the
+    runtime does not model prefetching (every charged read is fully visible),
+    so nothing here is executed or charged.  The overlap model is
+    conservative: each slab read can be hidden by at most ``efficiency x``
+    the compute time of the preceding slab.
     """
     config = config or PrefetchAblationConfig()
     params = params or touchstone_delta()

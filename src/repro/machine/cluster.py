@@ -36,14 +36,13 @@ class ColumnLane:
     """One rank's side of a column block (see :meth:`Machine.charge_column_block`).
 
     ``steps`` are the rank's per-column charges resolved to
-    ``(is_read, seconds, flops)``; ``now`` and ``window`` are the clock and the
-    prefetch overlap window the rank enters the block with.  Plain data, so
-    the process backend ships lanes between rank workers.
+    ``(is_read, seconds, flops)``; ``now`` is the clock the rank enters the
+    block with.  Plain data, so the process backend ships lanes between rank
+    workers.
     """
 
     rank: int
     now: float
-    window: float
     steps: Tuple[Tuple[bool, float, float], ...]
     read_nbytes: int
     read_requests: int
@@ -135,13 +134,12 @@ class Machine:
     # ------------------------------------------------------------------
     # column blocks: ncols x (per-rank steps, synchronise, global sum)
     # ------------------------------------------------------------------
-    def column_lane(self, rank: int, steps: Sequence[tuple], prefetch=None) -> ColumnLane:
+    def column_lane(self, rank: int, steps: Sequence[tuple]) -> ColumnLane:
         """Resolve ``rank``'s per-column step list to seconds, once per block.
 
         A step is ``("read", nbytes, nrequests)`` or ``("compute", flops)``,
         checked and priced exactly as :meth:`charge_read` /
-        :meth:`charge_compute` would; nothing is charged yet.  ``prefetch`` is
-        the run's overlap policy (or ``None``), read for the rank's window.
+        :meth:`charge_compute` would; nothing is charged yet.
         """
         self._check_rank(rank)
         resolved = []
@@ -161,8 +159,7 @@ class Machine:
                 resolved.append((False, self.params.processor.compute_time(flops), flops))
             else:
                 raise MachineConfigurationError(f"unknown column-block step {step!r}")
-        window = prefetch.window(rank) if prefetch is not None else 0.0
-        return ColumnLane(rank, self.clocks[rank].now, window, tuple(resolved),
+        return ColumnLane(rank, self.clocks[rank].now, tuple(resolved),
                           read_nbytes, read_requests)
 
     def charge_column_block(
@@ -172,20 +169,16 @@ class Machine:
         nbytes: int,
         nelements: Optional[int] = None,
         *,
-        prefetch=None,
         owned: Optional[Iterable[int]] = None,
     ) -> None:
         """Charge ``ncols`` result columns: each rank's steps, then a global sum.
 
         Equivalent, bit for bit, to ``ncols`` repetitions of "every rank's
         :meth:`charge_read` / :meth:`charge_compute` steps in order, then
-        :meth:`charge_global_sum` ``(nbytes, nelements)``" — with reads routed
-        through ``prefetch`` (and computes feeding its window) when a policy
-        is given.  Clocks and busy times are floats, so their running sums
-        cannot be closed: the same additions are replayed in the same
-        per-rank order on local floats (no policy is the window arithmetic
-        with hidden fraction 0.0, which hides nothing and leaves every sum
-        unchanged), while the integer counters are added in closed form.
+        :meth:`charge_global_sum` ``(nbytes, nelements)``".  Clocks and busy
+        times are floats, so their running sums cannot be closed: the same
+        additions are replayed in the same per-rank order on local floats,
+        while the integer counters are added in closed form.
 
         ``lanes`` holds one :class:`ColumnLane` per rank in rank order, built
         by :meth:`column_lane` right before the call.  Every lane takes part
@@ -208,12 +201,10 @@ class Machine:
             self._check_rank(rank)
         sum_seconds = self.params.network.reduce_time(nbytes, nprocs, nelements)
         rounds = self.params.network.collective_rounds(nprocs)
-        fraction = prefetch.hidden_fraction() if prefetch is not None else 0.0
 
         ranks = range(nprocs)
         lane_steps = [lane.steps for lane in lanes]
         now = [lane.now for lane in lanes]
-        window = [lane.window for lane in lanes]
         io_time = [self.clocks[r].io_time for r in ranks]
         compute_time = [self.clocks[r].compute_time for r in ranks]
         comm_time = [self.clocks[r].comm_time for r in ranks]
@@ -226,32 +217,22 @@ class Machine:
 
         for _ in range(ncols):
             for r in ranks:
-                t, w = now[r], window[r]
+                t = now[r]
                 io, disk = io_time[r], disk_busy[r]
                 compute, busy = compute_time[r], proc_busy[r]
                 done, counted = proc_flops[r], counted_flops[r]
                 for is_read, seconds, flops in lane_steps[r]:
                     if is_read:
-                        # min(seconds, w * fraction) and max(0.0, w - hidden),
-                        # spelled as the comparisons the built-ins make
-                        hidden = w * fraction
-                        if not hidden < seconds:
-                            hidden = seconds
-                        visible = seconds - hidden
                         disk += seconds
-                        t += visible
-                        io += visible
-                        w -= hidden
-                        if not w > 0.0:
-                            w = 0.0
+                        t += seconds
+                        io += seconds
                     else:
                         done += flops
                         busy += seconds
                         counted += flops
                         t += seconds
                         compute += seconds
-                        w += seconds
-                now[r], window[r] = t, w
+                now[r] = t
                 io_time[r], disk_busy[r] = io, disk
                 compute_time[r], proc_busy[r] = compute, busy
                 proc_flops[r], counted_flops[r] = done, counted
@@ -287,8 +268,6 @@ class Machine:
             clock.now = now[r]
             clock.io_time, clock.compute_time = io_time[r], compute_time[r]
             clock.comm_time, clock.idle_time = comm_time[r], idle_time[r]
-            if prefetch is not None and ncols and lane.steps:
-                prefetch.set_window(r, window[r])
 
     def charge_broadcast(self, nbytes: int) -> float:
         """Charge every processor for a broadcast of ``nbytes``."""

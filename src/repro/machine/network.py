@@ -2,7 +2,7 @@
 
 Models point-to-point messages and the collective operations used by the
 compiled node programs (global sum reductions, broadcasts, personalized
-all-to-all for redistribution).  Collectives follow binomial-tree cost
+all-to-all for the transpose).  Collectives follow binomial-tree cost
 formulas, which is what the NX library on the Touchstone Delta and early MPI
 implementations used.
 """
@@ -67,7 +67,7 @@ class NetworkModel:
         return seconds
 
     def all_to_all(self, nbytes_per_pair: int, nprocs: int) -> float:
-        """Account for a personalized all-to-all (used by disk redistribution).
+        """Account for a personalized all-to-all (one transpose slab exchange).
 
         Modelled as ``nprocs - 1`` point-to-point exchanges per processor.
         """

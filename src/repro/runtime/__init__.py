@@ -4,16 +4,13 @@ This subpackage implements the data storage model of the paper (Section 2.3):
 
 * each processor's out-of-core local array (OCLA) lives in its own
   **Local Array File** (:mod:`repro.runtime.laf`),
-* the portion currently being computed on is staged through an
-  **In-core Local Array** (:mod:`repro.runtime.icla`),
-* computation is strip-mined into **slabs** (:mod:`repro.runtime.slab`),
+* computation is strip-mined into **slabs** (:mod:`repro.runtime.slab`); the
+  slab currently being computed on is the paper's In-core Local Array, an
+  array in memory,
 * slab reads/writes go through an accounting **I/O engine**
-  (:mod:`repro.runtime.io_engine`),
+  (:mod:`repro.runtime.io_engine`), which charges every read in full,
 * inter-processor data movement uses simulated **collectives**
-  (:mod:`repro.runtime.collectives`),
-* initial **redistribution** reorganizes data arriving on disk in a layout
-  that does not match the program's distribution
-  (:mod:`repro.runtime.redistribution`), and
+  (:mod:`repro.runtime.collectives`), and
 * a **virtual machine** (:mod:`repro.runtime.vm`) ties the pieces to the
   machine cost model, with an **executor** (:mod:`repro.runtime.executor`)
   that runs compiled node programs.
@@ -21,11 +18,9 @@ This subpackage implements the data storage model of the paper (Section 2.3):
 
 from repro.runtime.slab import Slab, SlabbingStrategy, column_slabs, row_slabs, make_slabs
 from repro.runtime.laf import LafHandleCache, LocalArrayFile
-from repro.runtime.icla import InCoreLocalArray
 from repro.runtime.ocla import OutOfCoreLocalArray
 from repro.runtime.io_engine import IOEngine, IOAccounting
 from repro.runtime.collectives import global_sum, broadcast, point_to_point
-from repro.runtime.prefetch import NoPrefetch, OverlapPrefetch, PrefetchPolicy
 from repro.runtime.vm import VirtualMachine, OutOfCoreArray
 from repro.runtime.executor import (
     ExecutionResult,
@@ -44,7 +39,6 @@ __all__ = [
     "make_slabs",
     "LafHandleCache",
     "LocalArrayFile",
-    "InCoreLocalArray",
     "OutOfCoreLocalArray",
     "IOEngine",
     "IOAccounting",
@@ -59,7 +53,4 @@ __all__ = [
     "ReductionInputs",
     "reduction_reference",
     "program_reference",
-    "PrefetchPolicy",
-    "NoPrefetch",
-    "OverlapPrefetch",
 ]

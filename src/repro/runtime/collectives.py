@@ -7,7 +7,8 @@ The compiled node programs need these communication primitives:
 * :func:`global_sum_columns` — a *column block*: a run of those result
   columns, each rank's per-column charges and the per-column global sums
   charged in one replay and the contributions summed as one matrix,
-* :func:`broadcast` — used by redistribution and some kernels, and
+* :func:`broadcast` — one processor's data delivered to all (the
+  single-operand reduction's schedule), and
 * :func:`point_to_point` — a single send/receive pair.
 
 Because all simulated processors live in one OS process, the data movement is
@@ -115,7 +116,6 @@ def global_sum_columns(
     ncols: int,
     rows: int,
     itemsize: int,
-    prefetch=None,
 ) -> Optional[np.ndarray]:
     """``ncols`` result columns of ``rows`` elements as one column block.
 
@@ -135,10 +135,9 @@ def global_sum_columns(
             "global_sum_columns", machine.nprocs, contributions, (rows, ncols)
         )
     lanes = [
-        machine.column_lane(rank, steps.get(rank, ()), prefetch)
-        for rank in range(machine.nprocs)
+        machine.column_lane(rank, steps.get(rank, ())) for rank in range(machine.nprocs)
     ]
-    machine.charge_column_block(lanes, ncols, nbytes, nelements, prefetch=prefetch)
+    machine.charge_column_block(lanes, ncols, nbytes, nelements)
     return None if pieces is None else sum_in_rank_order(pieces)
 
 

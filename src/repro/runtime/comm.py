@@ -57,12 +57,11 @@ class CommBackend:
         ncols: int,
         rows: int,
         itemsize: int,
-        prefetch=None,
     ) -> Optional[np.ndarray]:
         """A column block: see :func:`repro.runtime.collectives.global_sum_columns`.
 
         ``contributions`` and ``steps`` are keyed by the ranks this backend
-        serves; ``prefetch`` is the VM's overlap policy, or ``None``.
+        serves.
         """
         raise NotImplementedError
 
@@ -99,11 +98,9 @@ class SimulatedComm(CommBackend):
             self.machine, contributions, shape=shape, itemsize=itemsize
         )
 
-    def global_sum_columns(self, contributions, steps, *, ncols, rows, itemsize,
-                           prefetch=None):
+    def global_sum_columns(self, contributions, steps, *, ncols, rows, itemsize):
         return collectives.global_sum_columns(
-            self.machine, contributions, steps,
-            ncols=ncols, rows=rows, itemsize=itemsize, prefetch=prefetch,
+            self.machine, contributions, steps, ncols=ncols, rows=rows, itemsize=itemsize
         )
 
     def broadcast(self, root, data, *, shape, itemsize):

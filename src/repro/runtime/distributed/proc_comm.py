@@ -18,7 +18,7 @@ friends) applies to that row in the simulator:
   reproducing the simulator's summation order bit-for-bit;
 * a column block (:meth:`ProcessComm.global_sum_columns`) is one gather and
   one broadcast: every rank sends its :class:`~repro.machine.cluster.ColumnLane`
-  (clock, prefetch window, per-column step seconds) with its product matrix,
+  (clock and per-column step seconds) with its product matrix,
   rank 0 sums the matrices and sends all lanes back, and each worker replays
   every rank's clock through the block so the per-column synchronisation
   maxima are the simulator's, writing back only its own row.
@@ -29,7 +29,7 @@ received) before it charges.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -115,13 +115,12 @@ class ProcessComm(CommBackend):
         return np.asarray(total)
 
     # ------------------------------------------------------------------
-    def global_sum_columns(self, contributions, steps, *, ncols, rows, itemsize,
-                           prefetch=None):
+    def global_sum_columns(self, contributions, steps, *, ncols, rows, itemsize):
         machine = self.machine
         nbytes = payload_bytes((rows,), itemsize)
         nelements = nbytes // max(int(itemsize), 1)
         piece = self._own_piece("global_sum_columns", contributions, (rows, ncols))
-        lane = machine.column_lane(self.rank, steps.get(self.rank, ()), prefetch)
+        lane = machine.column_lane(self.rank, steps.get(self.rank, ()))
 
         # One round trip per block: root receives (lane, piece) from everyone,
         # sums the pieces in rank order, and broadcasts (all lanes, total).
@@ -135,9 +134,7 @@ class ProcessComm(CommBackend):
             reply = None
         lanes, total = self.transport.broadcast_from(reply, 0)
 
-        machine.charge_column_block(
-            lanes, ncols, nbytes, nelements, prefetch=prefetch, owned=(self.rank,)
-        )
+        machine.charge_column_block(lanes, ncols, nbytes, nelements, owned=(self.rank,))
         return np.asarray(total)
 
     # ------------------------------------------------------------------

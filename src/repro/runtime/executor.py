@@ -475,7 +475,6 @@ def _reduce_column_block(
         ncols=hi - lo,
         rows=rows,
         itemsize=itemsize,
-        prefetch=vm.prefetch_policy,
     )
     if perform and owner in buffers:
         buffers[owner][:, local_lo: local_lo + hi - lo] = summed
@@ -886,7 +885,7 @@ def run_reduction_single_operand(
                 rank: a64[rank] @ column_j[owned_cols[rank]] for rank in vm.ranks
             }
         for rank in vm.ranks:
-            vm.charge_compute(rank, 2.0 * s_shape[0] * s_shape[1])
+            vm.machine.charge_compute(rank, 2.0 * s_shape[0] * s_shape[1])
         column = vm.comm.global_sum(contributions, shape=(n_rows,), itemsize=itemsize)
         owner, local_j = c_owner[j], c_local_col[j]
         c_slab = c_slab_of_col[local_j]
@@ -937,7 +936,7 @@ def run_elementwise_plan(
         for slab in make_slabs(local_shape, strategy, slab_elements):
             a_block = ooc_a.local(rank).fetch_slab(slab)
             b_block = ooc_b.local(rank).fetch_slab(slab)
-            vm.charge_compute(rank, flops_per_element * slab.nelements)
+            vm.machine.charge_compute(rank, flops_per_element * slab.nelements)
             if vm.perform_io:
                 ooc_c.local(rank).store_slab(slab, op(a_block, b_block).astype(c_desc.dtype))
             else:
@@ -1018,12 +1017,12 @@ def run_fused_elementwise_plan(
         for slab in make_slabs(local_shape, strategy, slab_elements):
             a_block = ooc[p_lhs].local(rank).fetch_slab(slab)
             b_block = ooc[p_rhs].local(rank).fetch_slab(slab)
-            vm.charge_compute(rank, 1.0 * slab.nelements)
+            vm.machine.charge_compute(rank, 1.0 * slab.nelements)
             mid_block = (
                 p_op(a_block, b_block).astype(mid_dtype) if vm.perform_io else None
             )
             o_block = ooc[other].local(rank).fetch_slab(slab)
-            vm.charge_compute(rank, 1.0 * slab.nelements)
+            vm.machine.charge_compute(rank, 1.0 * slab.nelements)
             if vm.perform_io:
                 out = c_op(mid_block, o_block) if mid_is_lhs else c_op(o_block, mid_block)
                 ooc[result].local(rank).store_slab(slab, out.astype(result_desc.dtype))
@@ -1764,7 +1763,7 @@ class ProgramExecutor:
                 manifest=manifest,
             )
             laf.verify_checksums()
-            locals_[rank] = OutOfCoreLocalArray(descriptor, rank, laf, vm.engine, None)
+            locals_[rank] = OutOfCoreLocalArray(descriptor, rank, laf, vm.engine)
         return OutOfCoreArray(descriptor, locals_)
 
     # ------------------------------------------------------------------

@@ -62,13 +62,9 @@ class IOEngine:
         Request-counting policy (see :class:`IOAccounting`).
     perform_io:
         When false (``ESTIMATE`` mode) no file is touched; only costs are
-        charged and ``read_slab`` returns ``None``.
-    prefetch:
-        Optional :class:`~repro.runtime.prefetch.PrefetchPolicy`.  When set,
-        read charges route through the policy so part of the read time can
-        hide behind preceding computation; counters always see the full
-        traffic, only the simulated clock benefits.  ``None`` (the default)
-        keeps the exact direct-charge path.
+        charged and ``read_slab`` returns ``None``.  Either way every read is
+        charged in full to the machine's clock, as in the paper's measured
+        configuration (no read hides behind computation).
     injector:
         Optional :class:`~repro.resilience.faults.FaultInjector` consulted
         before each host file access (and after writes, for corruption).
@@ -79,7 +75,10 @@ class IOEngine:
         Bounded-retry budget for transient failures of a single file
         operation and the base of the exponential host-side backoff between
         attempts.  Charging is untouched by retries: every logical access is
-        charged exactly once, *before* the first attempt.
+        charged exactly once, *before* the first attempt — and only after
+        the access is known to be one the file accepts: an out-of-bounds
+        slab (either mode) or a closed file (``EXECUTE``) is refused first,
+        so an error leaves the machine as it was.
     """
 
     def __init__(
@@ -87,7 +86,6 @@ class IOEngine:
         machine: Machine,
         accounting: IOAccounting | str = IOAccounting.PER_SLAB,
         perform_io: bool = True,
-        prefetch=None,
         *,
         injector=None,
         stats=None,
@@ -97,7 +95,6 @@ class IOEngine:
         self.machine = machine
         self.accounting = IOAccounting.from_name(accounting)
         self.perform_io = bool(perform_io)
-        self.prefetch = prefetch
         self.injector = injector
         self.stats = stats if stats is not None else (
             injector.stats if injector is not None else None
@@ -153,11 +150,12 @@ class IOEngine:
         return Slab(index=0, row_start=0, row_stop=laf.shape[0],
                     col_start=0, col_stop=laf.shape[1])
 
-    def _charge_read(self, rank: int, nbytes: int, nrequests: int) -> None:
-        if self.prefetch is not None:
-            self.prefetch.charge_read(self.machine, rank, nbytes, nrequests)
-        else:
-            self.machine.charge_read(rank, nbytes, nrequests)
+    def _check(self, laf: LocalArrayFile, slab: Optional[Slab] = None) -> None:
+        """Refuse, before anything is charged, an access the file would refuse."""
+        if slab is not None:
+            laf._check_slab(slab)
+        if self.perform_io:
+            laf._check_open()
 
     # ------------------------------------------------------------------
     def _request_count(self, laf: LocalArrayFile, slab: Slab) -> int:
@@ -175,15 +173,6 @@ class IOEngine:
         """
         return ("read", slab.nbytes(laf.dtype.itemsize), self._request_count(laf, slab))
 
-    def charge_read_slab(self, rank: int, laf: LocalArrayFile, slab: Slab) -> None:
-        """Charge the machine as if ``slab`` were read, without moving data.
-
-        The charge half of :meth:`read_slab`: the simulated machine pays the
-        full read while the host skips the file access.
-        """
-        _, nbytes, nrequests = self.read_step(laf, slab)
-        self._charge_read(rank, nbytes, nrequests)
-
     def load_slab(self, rank: int, laf: LocalArrayFile, slab: Slab) -> Optional[np.ndarray]:
         """Move ``slab``'s data without charging: the data half of :meth:`read_slab`.
 
@@ -197,13 +186,16 @@ class IOEngine:
 
     def read_slab(self, rank: int, laf: LocalArrayFile, slab: Slab) -> Optional[np.ndarray]:
         """Read ``slab`` of processor ``rank``'s LAF; charge and return the data."""
-        self.charge_read_slab(rank, laf, slab)
+        self._check(laf, slab)
+        _, nbytes, nrequests = self.read_step(laf, slab)
+        self.machine.charge_read(rank, nbytes, nrequests)
         return self.load_slab(rank, laf, slab)
 
     def write_slab(
         self, rank: int, laf: LocalArrayFile, slab: Slab, data: Optional[np.ndarray]
     ) -> None:
         """Write ``slab`` of processor ``rank``'s LAF; charge the machine."""
+        self._check(laf, slab)
         if self.perform_io and (data is None or np.shape(data) != slab.shape):
             # refused before the charge: an error leaves the machine as it was
             raise IOEngineError(f"write_slab needs data of shape {slab.shape} to perform I/O")
@@ -217,14 +209,16 @@ class IOEngine:
 
     def read_full(self, rank: int, laf: LocalArrayFile) -> Optional[np.ndarray]:
         """Read an entire LAF as one request (used by the in-core baseline)."""
+        self._check(laf)
         nbytes = laf.nbytes
-        self._charge_read(rank, nbytes, 1 if nbytes else 0)
+        self.machine.charge_read(rank, nbytes, 1 if nbytes else 0)
         if not self.perform_io:
             return None
         return self._attempt(laf.read_full, "read", laf)
 
     def write_full(self, rank: int, laf: LocalArrayFile, data: Optional[np.ndarray]) -> None:
         """Write an entire LAF as one request (used by the in-core baseline)."""
+        self._check(laf)
         if self.perform_io and (data is None or np.shape(data) != laf.shape):
             raise IOEngineError(f"write_full needs data of shape {laf.shape} to perform I/O")
         nbytes = laf.nbytes

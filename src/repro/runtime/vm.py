@@ -34,11 +34,9 @@ from repro.resilience.faults import FaultInjector, ResilienceStats
 from repro.resilience.journal import CheckpointJournal
 from repro.resilience.reaper import write_owner_file
 from repro.runtime.comm import CommBackend, SimulatedComm
-from repro.runtime.icla import InCoreLocalArray
 from repro.runtime.io_engine import IOAccounting, IOEngine
 from repro.runtime.laf import LafHandleCache, LocalArrayFile
 from repro.runtime.ocla import OutOfCoreLocalArray
-from repro.runtime.prefetch import OverlapPrefetch, PrefetchPolicy
 
 __all__ = ["OutOfCoreArray", "VirtualMachine"]
 
@@ -105,14 +103,6 @@ class VirtualMachine:
         self.ranks: tuple = tuple(range(self.machine.nprocs)) if rank is None else (rank,)
         self.comm: CommBackend = comm if comm is not None else SimulatedComm()
         self.comm.bind(self.machine)
-        # Prefetch policy: None keeps the exact direct-charge path (the
-        # paper's measured configuration); "overlap" hides slab reads behind
-        # preceding computation without touching any I/O counter.
-        self.prefetch_policy: Optional[PrefetchPolicy] = (
-            OverlapPrefetch(efficiency=self.config.prefetch_efficiency)
-            if getattr(self.config, "prefetch", "none") == "overlap"
-            else None
-        )
         # Resilience: host-side counters, and (EXECUTE only) the optional
         # seeded fault injector.  Neither touches any charged statistic.
         self.resilience = ResilienceStats()
@@ -125,7 +115,6 @@ class VirtualMachine:
             self.machine,
             accounting=accounting,
             perform_io=self.perform_io,
-            prefetch=self.prefetch_policy,
             injector=self.fault_injector,
             stats=self.resilience,
             retries=self.config.io_retries,
@@ -178,8 +167,6 @@ class VirtualMachine:
         descriptor: ArrayDescriptor,
         initial: Optional[np.ndarray] = None,
         storage_order: str = "F",
-        icla_elements: Optional[int] = None,
-        charge_initial_write: bool = False,
     ) -> OutOfCoreArray:
         """Create the Local Array Files of a distributed out-of-core array.
 
@@ -194,11 +181,6 @@ class VirtualMachine:
         storage_order:
             On-disk element order of every LAF (``'F'`` or ``'C'``); the
             compiler picks this to match the slabbing it selected.
-        icla_elements:
-            Capacity of the reuse buffer attached to each OCLA (optional).
-        charge_initial_write:
-            When true the initial scatter is charged to the machine (used when
-            an experiment wants to include the initial data staging cost).
         """
         if descriptor.name in self.arrays:
             raise RuntimeExecutionError(f"array {descriptor.name!r} already exists in this VM")
@@ -246,14 +228,7 @@ class VirtualMachine:
                     order=storage_order,
                     create=False,
                 )
-            icla = (
-                InCoreLocalArray(icla_elements, descriptor.dtype)
-                if icla_elements is not None
-                else None
-            )
-            locals_[rank] = OutOfCoreLocalArray(descriptor, rank, laf, self.engine, icla)
-            if charge_initial_write:
-                self.machine.charge_write(rank, descriptor.local_nbytes(rank), 1)
+            locals_[rank] = OutOfCoreLocalArray(descriptor, rank, laf, self.engine)
         array = OutOfCoreArray(descriptor, locals_)
         self.arrays[descriptor.name] = array
         return array
@@ -280,8 +255,6 @@ class VirtualMachine:
         descriptor: ArrayDescriptor,
         initial: Optional[np.ndarray] = None,
         storage_order: str = "F",
-        icla_elements: Optional[int] = None,
-        charge_initial_write: bool = False,
     ) -> OutOfCoreArray:
         """Create the array, or — inside :meth:`array_reuse` — return the existing one.
 
@@ -295,13 +268,7 @@ class VirtualMachine:
         """
         existing = self.arrays.get(descriptor.name)
         if existing is None or not self.allow_array_reuse:
-            return self.create_array(
-                descriptor,
-                initial=initial,
-                storage_order=storage_order,
-                icla_elements=icla_elements,
-                charge_initial_write=charge_initial_write,
-            )
+            return self.create_array(descriptor, initial=initial, storage_order=storage_order)
         held = existing.descriptor
         if held.shape != descriptor.shape or str(held.dtype) != str(descriptor.dtype):
             raise RuntimeExecutionError(
@@ -336,21 +303,6 @@ class VirtualMachine:
         return array.descriptor.gather(locals_)
 
     # ------------------------------------------------------------------
-    # charging helpers
-    # ------------------------------------------------------------------
-    def charge_compute(self, rank: int, flops: float) -> float:
-        """Charge ``rank`` for ``flops`` and feed the prefetch overlap window.
-
-        Identical to ``machine.charge_compute`` when no prefetch policy is
-        active; with ``prefetch="overlap"`` the computed seconds become the
-        window subsequent slab reads may hide behind.
-        """
-        seconds = self.machine.charge_compute(rank, flops)
-        if self.prefetch_policy is not None:
-            self.prefetch_policy.begin_compute(rank, seconds)
-        return seconds
-
-    # ------------------------------------------------------------------
     # charge snapshot/restore (charge-neutral fault recovery)
     # ------------------------------------------------------------------
     def snapshot_charges(self) -> dict:
@@ -361,16 +313,13 @@ class VirtualMachine:
         regenerated statement charges the machine exactly once — faulted runs
         stay bit-identical to clean runs in every charged statistic.
         """
-        state = {
+        return copy.deepcopy({
             "processors": self.machine.processors,
             "disks": self.machine.disks,
             "network": self.machine.network,
             "clocks": self.machine.clocks,
             "metrics": self.machine.metrics,
-        }
-        if self.prefetch_policy is not None:
-            state["prefetch_available"] = self.prefetch_policy._available
-        return copy.deepcopy(state)
+        })
 
     def restore_charges(self, snapshot: dict) -> None:
         """Reset the simulated machine's charges to a snapshot (reusable)."""
@@ -380,8 +329,6 @@ class VirtualMachine:
         self.machine.network = state["network"]
         self.machine.clocks = state["clocks"]
         self.machine.metrics = state["metrics"]
-        if self.prefetch_policy is not None:
-            self.prefetch_policy._available = state.get("prefetch_available", {})
 
     # ------------------------------------------------------------------
     # reporting and lifecycle

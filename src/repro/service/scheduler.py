@@ -78,7 +78,7 @@ class JobService:
     ----------
     params / config:
         Forwarded to the sessions the service creates (machine model, run
-        configuration: seed, prefetch, checksums ...).  The config's
+        configuration: seed, checksums, fault policy ...).  The config's
         ``scratch_dir`` is only the *root*; every job runs under its own
         subdirectory.
     policy:

@@ -31,7 +31,6 @@ from repro.runtime.executor import (
     run_reduction_incore,
     run_reduction_row,
 )
-from repro.runtime.prefetch import PrefetchPolicy
 from repro.runtime.slab import SlabbingStrategy, column_slabs
 
 ENGINES = {
@@ -49,8 +48,7 @@ class PerColumnComm(SimulatedComm):
         super().__init__()
         self.block_widths = []
 
-    def global_sum_columns(self, contributions, steps, *, ncols, rows, itemsize,
-                           prefetch=None):
+    def global_sum_columns(self, contributions, steps, *, ncols, rows, itemsize):
         machine = self.machine
         self.block_widths.append(ncols)
         columns = []
@@ -59,14 +57,10 @@ class PerColumnComm(SimulatedComm):
             # charges each rank what the engines' slab-major order did
             for rank in sorted(steps):
                 for step in steps[rank]:
-                    if step[0] == "read" and prefetch is not None:
-                        prefetch.charge_read(machine, rank, step[1], step[2])
-                    elif step[0] == "read":
+                    if step[0] == "read":
                         machine.charge_read(rank, step[1], step[2])
                     else:
-                        seconds = machine.charge_compute(rank, step[1])
-                        if prefetch is not None:
-                            prefetch.begin_compute(rank, seconds)
+                        machine.charge_compute(rank, step[1])
             columns.append(self.global_sum(
                 None if contributions is None
                 else {rank: piece[:, m] for rank, piece in contributions.items()},
@@ -86,17 +80,11 @@ def charged_state(vm):
         "network": snap["network"],
         "clocks": snap["clocks"].clocks,
         "metrics": snap["metrics"].counters,
-        "prefetch": snap.get("prefetch_available"),
     }
 
 
-def estimate_vm(nprocs, efficiency=None, preset="delta", comm=None):
-    config = RunConfig(
-        mode=ExecutionMode.ESTIMATE,
-        prefetch="none" if efficiency is None else "overlap",
-        prefetch_efficiency=1.0 if efficiency is None else efficiency,
-    )
-    return VirtualMachine(nprocs, preset, config, comm=comm)
+def estimate_vm(nprocs, preset="delta", comm=None):
+    return VirtualMachine(nprocs, preset, RunConfig(mode=ExecutionMode.ESTIMATE), comm=comm)
 
 
 # ---------------------------------------------------------------------------
@@ -118,17 +106,15 @@ preludes = st.lists(
 
 
 def apply_prelude(vm, prelude):
-    """Scalar charges that leave the ranks' clocks, windows and busy times uneven."""
+    """Scalar charges that leave the ranks' clocks and busy times uneven."""
     for kind, rank, amount in prelude:
         rank %= vm.nprocs
-        if kind == "read" and vm.prefetch_policy is not None:
-            vm.prefetch_policy.charge_read(vm.machine, rank, amount, 1)
-        elif kind == "read":
+        if kind == "read":
             vm.machine.charge_read(rank, amount, 1)
         elif kind == "write":
             vm.machine.charge_write(rank, amount, 2)
         elif kind == "compute":
-            vm.charge_compute(rank, amount * 1.37)
+            vm.machine.charge_compute(rank, amount * 1.37)
         else:
             vm.comm.global_sum(None, shape=(amount % 97,), itemsize=4)
 
@@ -136,7 +122,6 @@ def apply_prelude(vm, prelude):
 @settings(max_examples=150, deadline=None)
 @given(
     nprocs=st.integers(1, 4),
-    efficiency=st.sampled_from([None, 0.0, 0.5, 1.0]),
     preset=st.sampled_from(["delta", "sp1"]),
     steps=st.dictionaries(st.integers(0, 3), step_lists, max_size=4),
     ncols=st.integers(0, 7),
@@ -144,15 +129,14 @@ def apply_prelude(vm, prelude):
     itemsize=st.sampled_from([4, 8]),
     prelude=preludes,
 )
-def test_block_replay_equals_scalar_sequence(nprocs, efficiency, preset, steps, ncols,
-                                             rows, itemsize, prelude):
+def test_block_replay_equals_scalar_sequence(nprocs, preset, steps, ncols, rows, itemsize,
+                                             prelude):
     steps = {rank: list(lane) for rank, lane in steps.items() if rank < nprocs}
     states = []
     for comm in (PerColumnComm(), SimulatedComm()):
-        vm = estimate_vm(nprocs, efficiency, preset, comm)
+        vm = estimate_vm(nprocs, preset, comm)
         apply_prelude(vm, prelude)
-        vm.comm.global_sum_columns(None, steps, ncols=ncols, rows=rows, itemsize=itemsize,
-                                   prefetch=vm.prefetch_policy)
+        vm.comm.global_sum_columns(None, steps, ncols=ncols, rows=rows, itemsize=itemsize)
         # ... and the block leaves the machine ready for more scalar charges
         apply_prelude(vm, prelude[:2])
         states.append(charged_state(vm))
@@ -175,9 +159,8 @@ def test_block_rejects_what_the_scalar_charges_reject():
 # ---------------------------------------------------------------------------
 # a rejected collective leaves the machine where it was
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("efficiency", [None, 0.5])
-def test_collective_error_leaves_charges_unchanged(efficiency):
-    vm = estimate_vm(3, efficiency)
+def test_collective_error_leaves_charges_unchanged():
+    vm = estimate_vm(3)
     apply_prelude(vm, [("read", 0, 4096), ("compute", 1, 900), ("sum", 0, 40)])
     before = charged_state(vm)
     good = {rank: np.ones(5) for rank in range(3)}
@@ -190,13 +173,11 @@ def test_collective_error_leaves_charges_unchanged(efficiency):
         lambda: vm.comm.global_sum({**good, 2: np.ones(6)}, shape=(5,), itemsize=4),
         lambda: vm.comm.broadcast(0, np.ones(6), shape=(5,), itemsize=4),
         lambda: vm.comm.global_sum_columns({0: block[0]}, steps, ncols=2, rows=5,
-                                           itemsize=4, prefetch=vm.prefetch_policy),
+                                           itemsize=4),
         lambda: vm.comm.global_sum_columns({**block, 1: np.ones((5, 3))}, steps, ncols=2,
-                                           rows=5, itemsize=4,
-                                           prefetch=vm.prefetch_policy),
+                                           rows=5, itemsize=4),
         lambda: vm.comm.global_sum_columns(block, {0: [("read", -1, 1)]}, ncols=2,
-                                           rows=5, itemsize=4,
-                                           prefetch=vm.prefetch_policy),
+                                           rows=5, itemsize=4),
     ]
     for call in rejected:
         with pytest.raises(ReproError) as excinfo:
@@ -237,30 +218,51 @@ def test_process_comm_validates_before_charging():
 
 
 def test_io_engine_validates_before_charging(tmp_path):
-    """A write EXECUTE mode cannot perform — no data, or data of another shape
-    than its target — is rejected before the machine is charged for it."""
+    """An access the file would refuse — a write with no data or data of another
+    shape than its target, a slab outside the local array, a closed file — is
+    rejected before the machine is charged for it; ESTIMATE mode refuses the
+    slab outside the local array too."""
     from repro.core.ir import build_gaxpy_ir
     from repro.exceptions import IOEngineError
     from repro.runtime import Slab
 
     descriptor = build_gaxpy_ir(16, 2).arrays["c"]
-    with VirtualMachine(2, "delta", RunConfig(scratch_dir=tmp_path)) as vm:
-        laf = vm.create_array(descriptor).local(1).laf
-        slab = Slab(index=0, row_start=0, row_stop=laf.shape[0], col_start=0, col_stop=2)
-        vm.machine.charge_read(1, 4096, 1)
-        before = charged_state(vm)
-        rejected = [
-            lambda: vm.engine.write_slab(1, laf, slab, None),
-            lambda: vm.engine.write_slab(1, laf, slab, np.ones((laf.shape[0], 3), laf.dtype)),
-            lambda: vm.engine.write_full(1, laf, None),
-            lambda: vm.engine.write_full(1, laf, np.ones(slab.shape, laf.dtype)),
-        ]
-        for call in rejected:
-            with pytest.raises(IOEngineError):
-                call()
-            assert charged_state(vm) == before
-        vm.engine.write_slab(1, laf, slab, np.ones(slab.shape, laf.dtype))
-        assert charged_state(vm) != before
+
+    def check(mode):
+        with VirtualMachine(2, "delta", RunConfig(scratch_dir=tmp_path, mode=mode)) as vm:
+            array = vm.create_array(descriptor)
+            laf, closed = array.local(1).laf, array.local(0).laf
+            rows, cols = laf.shape
+            slab = Slab(index=0, row_start=0, row_stop=rows, col_start=0, col_stop=2)
+            outside = Slab(index=1, row_start=0, row_stop=rows,
+                           col_start=cols - 1, col_stop=cols + 1)
+            rejected = [
+                lambda: vm.engine.read_slab(1, laf, outside),
+                lambda: vm.engine.write_slab(1, laf, outside, np.ones(outside.shape, laf.dtype)),
+            ]
+            if mode is ExecutionMode.EXECUTE:
+                closed.close()
+                rejected += [
+                    lambda: vm.engine.write_slab(1, laf, slab, None),
+                    lambda: vm.engine.write_slab(1, laf, slab, np.ones((rows, 3), laf.dtype)),
+                    lambda: vm.engine.write_full(1, laf, None),
+                    lambda: vm.engine.write_full(1, laf, np.ones(slab.shape, laf.dtype)),
+                    lambda: vm.engine.read_slab(0, closed, slab),
+                    lambda: vm.engine.write_slab(0, closed, slab, np.ones(slab.shape, laf.dtype)),
+                    lambda: vm.engine.read_full(0, closed),
+                    lambda: vm.engine.write_full(0, closed, np.ones(closed.shape, laf.dtype)),
+                ]
+            vm.machine.charge_read(1, 4096, 1)
+            before = charged_state(vm)
+            for call in rejected:
+                with pytest.raises(IOEngineError):
+                    call()
+                assert charged_state(vm) == before
+            vm.engine.write_slab(1, laf, slab, np.ones(slab.shape, laf.dtype))
+            assert charged_state(vm) != before
+
+    check(ExecutionMode.EXECUTE)
+    check(ExecutionMode.ESTIMATE)
 
 
 # ---------------------------------------------------------------------------
@@ -299,23 +301,20 @@ def dense_inputs(n, seed):
 
 @pytest.mark.parametrize("engine", sorted(ENGINES))
 @pytest.mark.parametrize(
-    "n,p,dist,ratio,prefetch",
+    "n,p,dist,ratio",
     [
-        (24, 4, "block", 0.7, "none"),   # result slabs of 4 columns: N % (P * 4) != 0
-        (40, 4, "block", 0.45, "none"),  # 10 local columns in slabs of 4, b slabs of 18
-        (24, 4, "cyclic", 0.5, "none"),  # every result column changes owner
-        (24, 2, "cyclic", 0.3, "overlap"),
-        (40, 4, "block", 0.3, "overlap"),
+        (24, 4, "block", 0.7),   # result slabs of 4 columns: N % (P * 4) != 0
+        (40, 4, "block", 0.45),  # 10 local columns in slabs of 4, b slabs of 18
+        (24, 4, "cyclic", 0.5),  # every result column changes owner
     ],
-    ids=["block-24", "block-40-partial", "cyclic", "cyclic-overlap", "block-overlap"],
+    ids=["block-24", "block-40-partial", "cyclic"],
 )
-def test_engine_matches_per_column_schedule(tmp_path, engine, n, p, dist, ratio, prefetch):
+def test_engine_matches_per_column_schedule(tmp_path, engine, n, p, dist, ratio):
     program = compile_gaxpy(n, p, dist, ratio)
     inputs = dense_inputs(n, n * p)
     runs = {}
     for name, comm in (("reference", PerColumnComm()), ("block", SimulatedComm())):
-        config = RunConfig(scratch_dir=tmp_path / name, prefetch=prefetch,
-                           prefetch_efficiency=0.5)
+        config = RunConfig(scratch_dir=tmp_path / name)
         with VirtualMachine(p, MachineParameters(), config, comm=comm) as vm:
             result = ENGINES[engine](vm, program, inputs)
             runs[name] = (result, charged_state(vm), comm)
@@ -408,7 +407,6 @@ def charge_calls(monkeypatch):
 
     counting(Machine, "charge_compute")
     counting(Machine, "charge_read")
-    counting(PrefetchPolicy, "charge_read")
     counting(SimulatedComm, "global_sum")
     return calls
 

@@ -204,18 +204,6 @@ class TestChargeParity:
         assert comparable(dist) == comparable(simulated_record(compiled, config))
         assert dist.verified is True
 
-    @pytest.mark.parametrize("version", ["column", "row"])
-    def test_overlap_prefetch_matches_simulator(self, tmp_path, version):
-        """Column blocks ship each rank's prefetch window with its clock."""
-        point = WorkloadPoint("gaxpy", n=64, nprocs=4, slab_ratio=0.25, version=version)
-        compiled = get_workload("gaxpy").compile(point, MachineParameters())
-        config = run_config(tmp_path, prefetch="overlap", prefetch_efficiency=0.5)
-        sim = simulated_record(compiled, config)
-        dist = execute_distributed(compiled, config, verify=True)
-        assert comparable(dist) == comparable(sim)
-        assert sim.simulated_seconds < simulated_record(
-            compiled, run_config(tmp_path)).simulated_seconds
-
     def test_session_backend_routes_execute(self, tmp_path):
         point = WorkloadPoint("gaxpy", n=64, nprocs=4, slab_ratio=0.25,
                               version="column")

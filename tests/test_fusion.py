@@ -334,7 +334,7 @@ class TestPlannerFusion:
 
 
 # ---------------------------------------------------------------------------
-# execution: parity, numerics, prefetch composition
+# execution: parity, numerics
 # ---------------------------------------------------------------------------
 class TestFusedExecution:
     @pytest.mark.parametrize("n_elementwise", [1, 2, 3])
@@ -377,16 +377,6 @@ class TestFusedExecution:
             ProgramExecutor(compiled).execute(vm, dense, verify=True)
             assert "r0" not in vm.arrays  # never materialized
             assert "t" in vm.arrays  # the reduction's result still is
-
-    def test_composes_with_prefetch_overlap(self, tmp_path):
-        compiled = _compile(_chain_source(2), fusion="on")
-        dense = generate_dense_inputs(compiled.program)
-        with VirtualMachine(
-            compiled.nprocs, compiled.params,
-            RunConfig(scratch_dir=tmp_path, prefetch="overlap"),
-        ) as vm:
-            result = ProgramExecutor(compiled).execute(vm, dense, verify=True)
-        assert result.verified is True
 
 
 # ---------------------------------------------------------------------------

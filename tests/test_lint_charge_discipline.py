@@ -41,11 +41,11 @@ class TestIOConfinement:
                         "handle = open('x.bin', 'wb')", "io_engine.py") == []
 
     def test_non_file_load_is_not_flagged(self):
-        # SlabManifest.load / icla.load are in-memory, not host file I/O.
+        # SlabManifest.load / a buffer's load are in-memory, not host file I/O.
         assert findings(lint.check_io_confinement,
                         "manifest = SlabManifest.load(path)", "executor.py") == []
         assert findings(lint.check_io_confinement,
-                        "self.icla.load(slab, data)", "ocla.py") == []
+                        "self.buffer.load(slab, data)", "ocla.py") == []
 
 
 class TestWallClock:
@@ -171,8 +171,8 @@ def run_reduction_column(vm, compiled):
         for m in range(b_slab.ncols):
             for s_slab in s_slabs:
                 for rank in vm.ranks:
-                    ooc_s.local(rank).charge_fetch(s_slab)
-                    vm.charge_compute(rank, 2.0 * s_slab.nelements)
+                    vm.machine.charge_read(rank, s_slab.nbytes(itemsize), 1)
+                    vm.machine.charge_compute(rank, 2.0 * s_slab.nelements)
             column = vm.comm.global_sum(parts, shape=(n_rows,), itemsize=itemsize)
 
 def run_reduction_row(vm, compiled):
@@ -180,13 +180,13 @@ def run_reduction_row(vm, compiled):
         for b_slab in b_slabs:
             for m in range(b_slab.ncols):
                 for rank in vm.ranks:
-                    vm.charge_compute(rank, 2.0 * s_slab.nelements)
+                    vm.machine.charge_compute(rank, 2.0 * s_slab.nelements)
                 subcolumn = vm.comm.global_sum(parts, shape=(rows,), itemsize=itemsize)
 
 def run_reduction_incore(vm, compiled):
     for j in range(n_cols):
         for rank in vm.ranks:
-            vm.charge_compute(rank, per_column_flops)
+            vm.machine.charge_compute(rank, per_column_flops)
         column = vm.comm.global_sum(parts, shape=(n_rows,), itemsize=itemsize)
 """
     BLOCKED = """
@@ -201,7 +201,7 @@ def run_reduction_row(vm, compiled):
 def run_reduction_single_operand(vm, compiled):
     for j in range(n_cols):
         for rank in vm.ranks:
-            vm.charge_compute(rank, flops)
+            vm.machine.charge_compute(rank, flops)
         column = vm.comm.global_sum(parts, shape=(n_rows,), itemsize=itemsize)
 """
 
@@ -215,7 +215,7 @@ def run_reduction_single_operand(vm, compiled):
         assert findings(lint.check_per_column_charge, self.BLOCKED, "executor.py") == []
 
     def test_a_charge_outside_any_loop_is_allowed(self):
-        source = "def run_reduction_incore(vm):\n    vm.charge_compute(0, 1.0)\n"
+        source = "def run_reduction_incore(vm):\n    vm.machine.charge_compute(0, 1.0)\n"
         assert findings(lint.check_per_column_charge, source, "executor.py") == []
 
     def test_only_the_executor_is_checked(self):

@@ -1,27 +1,13 @@
-"""Direct tests for :mod:`repro.runtime.collectives` and
-:mod:`repro.runtime.redistribution` (previously covered only indirectly
-through the kernels)."""
+"""Direct tests for :mod:`repro.runtime.collectives` (previously covered only
+indirectly through the kernels)."""
 
 import numpy as np
 import pytest
 
-from repro.config import ExecutionMode, RunConfig
-from repro.exceptions import CollectiveError, RuntimeExecutionError
-from repro.hpf import Alignment, ArrayDescriptor, ProcessorGrid, Template
+from repro.exceptions import CollectiveError
 from repro.machine import Machine
-from repro.runtime import VirtualMachine, broadcast, global_sum, point_to_point
+from repro.runtime import broadcast, global_sum, point_to_point
 from repro.runtime.collectives import payload_bytes
-from repro.runtime.redistribution import (
-    arrival_layout_rows,
-    redistribute_to_descriptor,
-    redistribution_cost,
-)
-
-
-def column_block_descriptor(n, p, name="x", dtype=np.float32):
-    grid = ProcessorGrid("Pr", p)
-    template = Template("d", n, grid, ["block"])
-    return ArrayDescriptor(name, (n, n), Alignment(template, ["*", ":"]), dtype=dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -109,57 +95,3 @@ class TestPointToPoint:
         machine = Machine(2)
         with pytest.raises(MachineConfigurationError):
             point_to_point(machine, 0, 5, None, nbytes=8)
-
-
-# ---------------------------------------------------------------------------
-# redistribution
-# ---------------------------------------------------------------------------
-class TestRedistributionCost:
-    def test_per_processor_counts(self):
-        desc = column_block_descriptor(32, 4)
-        costs = redistribution_cost(desc)
-        stripe = desc.nbytes // 4
-        assert costs["read_bytes_per_proc"] == stripe
-        assert costs["read_requests_per_proc"] == 1
-        assert costs["alltoall_bytes_per_pair"] == stripe // 4
-        assert costs["write_bytes_per_proc"] == desc.local_nbytes(0)
-        assert costs["write_requests_per_proc"] == 1
-
-    def test_arrival_layout_stripes_rows(self):
-        layout = arrival_layout_rows(16, 4)
-        assert layout.owner(0) == 0
-        assert layout.owner(15) == 3
-
-
-class TestRedistributeToDescriptor:
-    def test_execute_round_trips_the_data(self, tmp_path):
-        n, p = 16, 4
-        desc = column_block_descriptor(n, p, name="r")
-        rng = np.random.default_rng(3)
-        dense = rng.standard_normal((n, n)).astype(np.float32)
-        with VirtualMachine(p, None, RunConfig(scratch_dir=tmp_path)) as vm:
-            array = redistribute_to_descriptor(vm, desc, dense)
-            np.testing.assert_array_equal(vm.to_dense(array), dense)
-            stats = vm.io_statistics()
-            assert stats["io_read_requests_per_proc"] == 1
-            assert stats["io_write_requests_per_proc"] == 1
-            assert vm.machine.network.collectives == 1
-
-    def test_estimate_mode_charges_the_analytic_cost(self):
-        n, p = 32, 4
-        desc = column_block_descriptor(n, p, name="r")
-        vm = VirtualMachine(p, None, RunConfig(mode=ExecutionMode.ESTIMATE))
-        redistribute_to_descriptor(vm, desc)
-        costs = redistribution_cost(desc)
-        stats = vm.io_statistics()
-        assert stats["bytes_read_per_proc"] == costs["read_bytes_per_proc"]
-        assert stats["bytes_written_per_proc"] == costs["write_bytes_per_proc"]
-        assert stats["io_requests_per_proc"] == 2  # one read + one write
-        assert vm.machine.network.collectives == 1
-        assert vm.elapsed() > 0
-
-    def test_execute_mode_requires_arrival_data(self, tmp_path):
-        desc = column_block_descriptor(8, 2, name="r")
-        with VirtualMachine(2, None, RunConfig(scratch_dir=tmp_path)) as vm:
-            with pytest.raises(RuntimeExecutionError, match="arrival data"):
-                redistribute_to_descriptor(vm, desc)

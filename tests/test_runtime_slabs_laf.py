@@ -1,15 +1,14 @@
-"""Tests for slabs, Local Array Files, ICLAs and the I/O engine."""
+"""Tests for slabs, Local Array Files and the I/O engine."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.exceptions import IOEngineError, RuntimeExecutionError
+from repro.exceptions import IOEngineError
 from repro.machine import Machine
 from repro.runtime import (
     IOAccounting,
     IOEngine,
-    InCoreLocalArray,
     LocalArrayFile,
     Slab,
     SlabbingStrategy,
@@ -170,45 +169,6 @@ class TestLocalArrayFile:
         laf.write_full(data)
         np.testing.assert_allclose(laf.read_full(), data)
         laf.delete()
-
-
-# ---------------------------------------------------------------------------
-# InCoreLocalArray
-# ---------------------------------------------------------------------------
-class TestICLA:
-    def test_load_and_get(self):
-        icla = InCoreLocalArray(64)
-        slab = Slab(index=0, row_start=0, row_stop=4, col_start=0, col_stop=4)
-        data = np.ones((4, 4))
-        icla.load(slab, data)
-        assert icla.holds(slab)
-        np.testing.assert_array_equal(icla.get(slab), data)
-        assert icla.loads == 1 and icla.hits == 1
-
-    def test_capacity_enforced(self):
-        icla = InCoreLocalArray(8)
-        slab = Slab(index=0, row_start=0, row_stop=4, col_start=0, col_stop=4)
-        with pytest.raises(RuntimeExecutionError):
-            icla.load(slab, np.ones((4, 4)))
-
-    def test_get_wrong_slab(self):
-        icla = InCoreLocalArray(64)
-        s1 = Slab(index=0, row_start=0, row_stop=2, col_start=0, col_stop=2)
-        s2 = Slab(index=1, row_start=2, row_stop=4, col_start=0, col_stop=2)
-        icla.load(s1, np.zeros((2, 2)))
-        with pytest.raises(RuntimeExecutionError):
-            icla.get(s2)
-
-    def test_invalidate(self):
-        icla = InCoreLocalArray(64)
-        slab = Slab(index=0, row_start=0, row_stop=2, col_start=0, col_stop=2)
-        icla.load(slab, np.zeros((2, 2)))
-        icla.invalidate()
-        assert not icla.holds(slab)
-
-    def test_zero_capacity_rejected(self):
-        with pytest.raises(RuntimeExecutionError):
-            InCoreLocalArray(0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Tests for the virtual machine, collectives, redistribution and prefetching."""
+"""Tests for the virtual machine and its collectives."""
 
 import numpy as np
 import pytest
@@ -8,12 +8,6 @@ from repro.exceptions import CollectiveError, RuntimeExecutionError
 from repro.hpf import Alignment, ArrayDescriptor, ProcessorGrid, Template
 from repro.machine import Machine
 from repro.runtime import VirtualMachine, global_sum, broadcast, point_to_point
-from repro.runtime.prefetch import NoPrefetch, OverlapPrefetch
-from repro.runtime.redistribution import (
-    arrival_layout_rows,
-    redistribute_to_descriptor,
-    redistribution_cost,
-)
 
 
 def make_descriptor(n=16, p=4, column=True, name="x", dtype=np.float32):
@@ -128,11 +122,8 @@ class TestVirtualMachine:
         assert len(list(tmp_path.rglob("*.dat"))) == 4
 
     def test_initial_write_charging(self, tmp_path):
+        """Staging the initial data is not part of the program: never charged."""
         desc = make_descriptor()
-        with VirtualMachine(4, "delta", RunConfig(scratch_dir=tmp_path)) as vm:
-            vm.create_array(desc, initial=np.zeros((16, 16), dtype=np.float32),
-                            charge_initial_write=True)
-            assert vm.machine.metrics[0].io_write_requests == 1
         with VirtualMachine(4, "delta", RunConfig(scratch_dir=tmp_path)) as vm:
             vm.create_array(desc, initial=np.zeros((16, 16), dtype=np.float32))
             assert vm.machine.metrics[0].io_write_requests == 0
@@ -146,81 +137,3 @@ class TestVirtualMachine:
             vm.reset_costs()
             assert vm.elapsed() == 0.0
             np.testing.assert_array_equal(vm.to_dense(array), dense)
-
-
-# ---------------------------------------------------------------------------
-# redistribution
-# ---------------------------------------------------------------------------
-class TestRedistribution:
-    def test_arrival_layout(self):
-        dist = arrival_layout_rows(16, 4)
-        assert dist.local_size(0) == 4
-
-    def test_cost_fields(self):
-        desc = make_descriptor()
-        cost = redistribution_cost(desc)
-        assert cost["read_bytes_per_proc"] == desc.nbytes // 4
-        assert cost["write_bytes_per_proc"] == desc.local_nbytes(0)
-
-    def test_execute_mode_produces_correct_distribution(self, tmp_path):
-        desc = make_descriptor()
-        dense = np.arange(256, dtype=np.float32).reshape(16, 16)
-        with VirtualMachine(4, "delta", RunConfig(scratch_dir=tmp_path)) as vm:
-            array = redistribute_to_descriptor(vm, desc, dense)
-            np.testing.assert_array_equal(vm.to_dense(array), dense)
-            # reads + all-to-all + writes were charged
-            assert vm.machine.metrics[0].io_read_requests >= 1
-            assert vm.machine.metrics[0].io_write_requests >= 1
-            assert vm.machine.network.collectives >= 1
-
-    def test_execute_mode_requires_data(self, tmp_path):
-        desc = make_descriptor()
-        with VirtualMachine(4, "delta", RunConfig(scratch_dir=tmp_path)) as vm:
-            with pytest.raises(RuntimeExecutionError):
-                redistribute_to_descriptor(vm, desc, None)
-
-    def test_estimate_mode_charges_only(self, tmp_path):
-        desc = make_descriptor()
-        config = RunConfig(scratch_dir=tmp_path, mode=ExecutionMode.ESTIMATE)
-        vm = VirtualMachine(4, "delta", config)
-        redistribute_to_descriptor(vm, desc)
-        assert vm.elapsed() > 0
-        vm.cleanup()
-
-
-# ---------------------------------------------------------------------------
-# prefetching
-# ---------------------------------------------------------------------------
-class TestPrefetch:
-    def test_no_prefetch_charges_full_read(self):
-        machine = Machine(2)
-        policy = NoPrefetch()
-        policy.begin_compute(0, 100.0)
-        visible = policy.charge_read(machine, 0, 1_000_000, 1)
-        expected = machine.params.disk.read_time(1_000_000, 1, contention=2)
-        assert visible == pytest.approx(expected)
-
-    def test_overlap_hides_reads_behind_compute(self):
-        machine = Machine(2)
-        policy = OverlapPrefetch(efficiency=1.0)
-        policy.begin_compute(0, 1000.0)
-        visible = policy.charge_read(machine, 0, 1_000_000, 1)
-        assert visible == pytest.approx(0.0)
-        # counters still see the full traffic
-        assert machine.metrics[0].bytes_read == 1_000_000
-
-    def test_partial_overlap(self):
-        machine = Machine(1)
-        policy = OverlapPrefetch(efficiency=0.5)
-        full = machine.params.disk.read_time(10_000_000, 1, contention=1)
-        policy.begin_compute(0, full)  # only half the window may be used
-        visible = policy.charge_read(machine, 0, 10_000_000, 1)
-        assert visible == pytest.approx(full * 0.5, rel=1e-6)
-
-    def test_invalid_efficiency(self):
-        with pytest.raises(RuntimeExecutionError):
-            OverlapPrefetch(efficiency=1.5)
-
-    def test_negative_window_rejected(self):
-        with pytest.raises(RuntimeExecutionError):
-            NoPrefetch().begin_compute(0, -1.0)

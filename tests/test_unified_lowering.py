@@ -8,8 +8,7 @@ through one ``ProgramIR → strip-mine → cost model → reorganize → NodePro
 * that the unified path charges *bit-identical* statistics to the engines
   driven directly from array descriptors,
 * that single-operand HPF programs (``c = a @ a``) execute with verified
-  numerics, and
-* that the prefetch policies only ever touch the simulated clock.
+  numerics.
 """
 
 import numpy as np
@@ -272,46 +271,6 @@ class TestBuildIrOnlyWorkload:
                 Session().compile(WorkloadPoint("unit-empty", n=8, nprocs=2))
         finally:
             unregister_workload("unit-empty")
-
-
-# ---------------------------------------------------------------------------
-# prefetch policies flow Session -> VM -> executor
-# ---------------------------------------------------------------------------
-class TestPrefetchWiring:
-    def test_default_is_none_and_unchanged(self, tmp_path):
-        baseline = make_session(tmp_path / "a").run(
-            WorkloadPoint("gaxpy", n=32, nprocs=2, version="column", slab_ratio=0.5),
-            mode=ExecutionMode.EXECUTE,
-        )
-        explicit = make_session(tmp_path / "b", prefetch="none").run(
-            WorkloadPoint("gaxpy", n=32, nprocs=2, version="column", slab_ratio=0.5),
-            mode=ExecutionMode.EXECUTE,
-        )
-        assert baseline == explicit
-
-    def test_overlap_hides_io_but_keeps_counters(self, tmp_path):
-        point = WorkloadPoint("gaxpy", n=32, nprocs=2, version="column", slab_ratio=0.25)
-        baseline = make_session(tmp_path / "a").run(point, mode=ExecutionMode.EXECUTE)
-        overlapped = make_session(tmp_path / "b", prefetch="overlap").run(
-            point, mode=ExecutionMode.EXECUTE
-        )
-        assert overlapped.simulated_seconds < baseline.simulated_seconds
-        assert overlapped.io_requests_per_proc == baseline.io_requests_per_proc
-        assert overlapped.io_read_bytes_per_proc == baseline.io_read_bytes_per_proc
-        assert overlapped.io_write_bytes_per_proc == baseline.io_write_bytes_per_proc
-        assert overlapped.verified is True
-
-    def test_partial_efficiency_hides_less(self, tmp_path):
-        point = WorkloadPoint("gaxpy", n=32, nprocs=2, version="column", slab_ratio=0.25)
-        full = make_session(tmp_path / "a", prefetch="overlap").run(
-            point, mode=ExecutionMode.EXECUTE)
-        half = make_session(tmp_path / "b", prefetch="overlap",
-                            prefetch_efficiency=0.5).run(point, mode=ExecutionMode.EXECUTE)
-        assert full.simulated_seconds <= half.simulated_seconds
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError, match="prefetch"):
-            RunConfig(prefetch="psychic")
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,278 @@
+#!/usr/bin/env python
+"""Dump every charged number of a fixed configuration set, and diff two dumps.
+
+``make diff-parent PARENT=<checkout>`` runs this twice — once against the
+parent checkout's ``src/``, once against this tree's — and prints the first
+field that differs per configuration.  Empty output means no charged number
+moved between the two trees.
+
+Each output line is one JSON object ``{"config": label, "fields": {...}}``.
+Fields are every quantity of ``VirtualMachine.snapshot_charges()`` (clocks,
+busy times, counters of every processor, disk and the network), flattened to
+dotted names, plus the run's simulated seconds, time breakdown, I/O
+statistics and per-statement breakdown.  Every number is written with
+``repr``, so floats compare exactly.  A configuration the tree refuses
+(compile or run error) records the error text instead.
+
+Configurations, each charged in EXECUTE and in ESTIMATE (and, for a lone
+reduction, the bulk ``NodeProgramExecutor.estimate``):
+
+* the four matrices of ``tools/check_plans.py`` (static, executed, fused,
+  seeded fuzz);
+* the three reduction engines (column, row, in-core) over the block, partial
+  and cyclic GAXPY points of ``tests/test_column_blocks.py``;
+* one GAXPY point run through ``Session`` on the ``processes`` backend and
+  on the simulated one (the full ``RunRecord`` of each).
+
+Usage::
+
+    python tools/charged_dump.py --src <checkout>/src --out parent.jsonl
+    python tools/charged_dump.py --src src --out tree.jsonl
+    python tools/charged_dump.py --compare parent.jsonl tree.jsonl
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import importlib.util
+import json
+import sys
+import tempfile
+import types
+from pathlib import Path
+
+TOOLS = Path(__file__).resolve().parent
+
+GAXPY_SOURCE = """
+program g
+  parameter (n = {n}, nprocs = {p})
+  real a(n, n), b(n, n), c(n, n)
+!hpf$ processors Pr(nprocs)
+!hpf$ template tmpl(n)
+!hpf$ distribute tmpl({dist}) onto Pr
+!hpf$ align a(*, :) with tmpl
+!hpf$ align c(*, :) with tmpl
+!hpf$ align b(:, *) with tmpl
+  do j = 1, n
+    forall (k = 1 : n)
+      c(:, j) = sum(a(:, k) * b(k, j))
+    end forall
+  end do
+end program
+"""
+
+#: (n, P, distribution, slab ratio) of tests/test_column_blocks.py's engine matrix
+ENGINE_POINTS = [(24, 4, "block", 0.7), (40, 4, "block", 0.45), (24, 4, "cyclic", 0.5)]
+
+
+def flatten(value, prefix, out):
+    """Every leaf of ``value`` under a dotted name, numbers as ``repr``."""
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        value = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+    elif hasattr(value, "__dict__") and not isinstance(value, (type, types.ModuleType)):
+        value = vars(value)
+    if isinstance(value, dict):
+        for key in sorted(value, key=str):
+            flatten(value[key], f"{prefix}.{key}" if prefix else str(key), out)
+    elif isinstance(value, (list, tuple)):
+        for index, item in enumerate(value):
+            flatten(item, f"{prefix}[{index}]", out)
+    else:
+        out[prefix] = repr(value)
+    return out
+
+
+def load_repro(src):
+    """Import ``repro`` from ``src``, then the check_plans matrices."""
+    src = Path(src).resolve()
+    sys.path.insert(0, str(src))
+    import repro  # noqa: F401 — pins the package (and its submodules) to ``src``
+
+    spec = importlib.util.spec_from_file_location("check_plans", TOOLS / "check_plans.py")
+    check_plans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(check_plans)
+    return src, check_plans
+
+
+def assert_from(src):
+    """Refuse a dump that mixed modules of two trees."""
+    for name, module in list(sys.modules.items()):
+        path = getattr(module, "__file__", None)
+        if name.split(".")[0] == "repro" and path and src not in Path(path).resolve().parents:
+            raise SystemExit(f"{name} was imported from {path}, not from {src}")
+
+
+def run_fields(vm, result):
+    fields = flatten(vm.snapshot_charges(), "", {})
+    fields.update(flatten({
+        "simulated_seconds": result.simulated_seconds,
+        "time_breakdown": result.time_breakdown,
+        "io_statistics": result.io_statistics,
+        "statements": result.statements,
+        "verified": result.verified,
+    }, "result", {}))
+    return fields
+
+
+def charged_runs(compiled, scratch):
+    """``{mode: fields}`` for one compiled program."""
+    from repro.api import get_workload
+    from repro.config import ExecutionMode, RunConfig
+    from repro.machine.cluster import Machine
+    from repro.runtime import NodeProgramExecutor, VirtualMachine
+    from repro.runtime.executor import ProgramExecutor, _statement_kind
+
+    whole = hasattr(compiled, "statements")
+    executor = (ProgramExecutor if whole else NodeProgramExecutor)(compiled)
+    runs = {}
+    for mode in (ExecutionMode.ESTIMATE, ExecutionMode.EXECUTE):
+        config = RunConfig(scratch_dir=Path(scratch), mode=mode)
+        try:
+            with VirtualMachine(compiled.nprocs, compiled.params, config) as vm:
+                inputs = None
+                if mode is ExecutionMode.EXECUTE:
+                    holder = types.SimpleNamespace(program=compiled)
+                    inputs = get_workload("hpf").generate_inputs(holder, 7)
+                result = executor.run(vm, inputs, verify=mode is ExecutionMode.EXECUTE)
+                runs[mode.value] = run_fields(vm, result)
+        except Exception as exc:  # a refusal is a charged outcome too
+            runs[mode.value] = {"error": f"{type(exc).__name__}: {exc}"}
+    if not whole and _statement_kind(compiled) == "reduction":
+        machine = Machine(compiled.nprocs, compiled.params)
+        try:
+            result = executor.estimate(machine)
+            fields = flatten({"processors": machine.processors, "disks": machine.disks,
+                              "network": machine.network, "clocks": machine.clocks,
+                              "metrics": machine.metrics}, "", {})
+            fields["result.simulated_seconds"] = repr(result.simulated_seconds)
+            runs["bulk"] = fields
+        except Exception as exc:
+            runs["bulk"] = {"error": f"{type(exc).__name__}: {exc}"}
+    return runs
+
+
+def plan_configs(check_plans):
+    from repro.core.pipeline import compile_program
+
+    matrices = [check_plans.static_matrix(), check_plans.executed_matrix(),
+                check_plans.fused_matrix(), check_plans.fuzz_matrix(40, 1997)]
+    for matrix in matrices:
+        for label, ir, kwargs in matrix:
+            try:
+                yield label, compile_program(ir, **kwargs)
+            except Exception as exc:
+                yield label, f"{type(exc).__name__}: {exc}"
+
+
+def engine_configs(scratch):
+    import numpy as np
+
+    from repro.api import WorkloadPoint, get_workload
+    from repro.config import ExecutionMode, RunConfig
+    from repro.machine.parameters import MachineParameters
+    from repro.runtime import VirtualMachine
+    from repro.runtime.executor import (
+        ReductionInputs,
+        run_reduction_column,
+        run_reduction_incore,
+        run_reduction_row,
+    )
+
+    engines = {"column": run_reduction_column, "row": run_reduction_row,
+               "incore": run_reduction_incore}
+    for n, p, dist, ratio in ENGINE_POINTS:
+        point = WorkloadPoint("hpf", slab_ratio=ratio, options={
+            "source": GAXPY_SOURCE.format(n=n, p=p, dist=dist)})
+        program = get_workload("hpf").compile(point, MachineParameters()).program
+        rng = np.random.default_rng(n * p)
+        inputs = ReductionInputs(rng.standard_normal((n, n)).astype("float32"),
+                                 rng.standard_normal((n, n)).astype("float32"))
+        for name, engine in engines.items():
+            runs = {}
+            for mode in (ExecutionMode.ESTIMATE, ExecutionMode.EXECUTE):
+                config = RunConfig(scratch_dir=Path(scratch), mode=mode)
+                with VirtualMachine(p, MachineParameters(), config) as vm:
+                    result = engine(vm, program,
+                                    inputs if mode is ExecutionMode.EXECUTE else None)
+                    runs[mode.value] = run_fields(vm, result)
+            yield f"engine {name} n={n} P={p} {dist} r={ratio}", runs
+
+
+def session_configs(scratch):
+    from repro.api import Session, WorkloadPoint
+    from repro.config import RunConfig
+
+    point = WorkloadPoint("gaxpy", n=64, nprocs=4, version="column", slab_ratio=0.25)
+    for backend in ("simulated", "processes"):
+        with Session(config=RunConfig(scratch_dir=Path(scratch)), backend=backend) as session:
+            record = session.run(point, mode="execute")
+        fields = flatten(dataclasses.asdict(record), "record", {})
+        yield f"session gaxpy n=64 P=4 column {backend}", {"execute": fields}
+
+
+def dump(src, out):
+    src, check_plans = load_repro(src)
+    with tempfile.TemporaryDirectory() as scratch, open(out, "w") as sink:
+        def emit(label, runs):
+            for mode, fields in runs.items():
+                sink.write(json.dumps({"config": f"{label} [{mode}]", "fields": fields}) + "\n")
+
+        for label, compiled in plan_configs(check_plans):
+            if isinstance(compiled, str):
+                emit(label, {"compile": {"error": compiled}})
+            else:
+                emit(label, charged_runs(compiled, scratch))
+        for label, runs in engine_configs(scratch):
+            emit(label, runs)
+        for label, runs in session_configs(scratch):
+            emit(label, runs)
+    assert_from(src)
+
+
+def read_dump(path):
+    with open(path) as handle:
+        return [json.loads(line) for line in handle]
+
+
+def compare(before_path, after_path):
+    """Print the first differing field per configuration; return the count."""
+    before, after = read_dump(before_path), read_dump(after_path)
+    after_by_config = {entry["config"]: entry["fields"] for entry in after}
+    differing = 0
+    for entry in before:
+        config, old = entry["config"], entry["fields"]
+        new = after_by_config.pop(config, None)
+        if new is None:
+            print(f"{config}: only in {before_path}")
+            differing += 1
+            continue
+        for key in sorted(set(old) | set(new)):
+            if old.get(key) != new.get(key):
+                print(f"{config}: {key} {old.get(key)} -> {new.get(key)}")
+                differing += 1
+                break
+    for config in after_by_config:
+        print(f"{config}: only in {after_path}")
+        differing += 1
+    return differing
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default=str(TOOLS.parent / "src"),
+                        help="the src/ directory whose repro package is charged")
+    parser.add_argument("--out", help="JSON-lines file to write")
+    parser.add_argument("--compare", nargs=2, metavar=("BEFORE", "AFTER"),
+                        help="diff two dumps instead of writing one")
+    args = parser.parse_args(argv)
+    if args.compare:
+        return 1 if compare(*args.compare) else 0
+    if not args.out:
+        parser.error("--out is required unless --compare is given")
+    dump(args.src, args.out)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

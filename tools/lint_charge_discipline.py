@@ -54,7 +54,7 @@ discipline statically (stdlib ``ast`` only, no third-party dependencies):
 
 ``per-column-charge``
     In ``run_reduction_column`` / ``run_reduction_row`` /
-    ``run_reduction_incore`` no ``charge_compute`` / ``charge_fetch`` /
+    ``run_reduction_incore`` no ``charge_read`` / ``charge_compute`` /
     ``global_sum`` call may sit lexically inside a ``for`` body: those
     engines charge and sum a whole *column block* per call
     (``comm.global_sum_columns``), so one scalar charge per result column —
@@ -94,7 +94,7 @@ IO_CONFINEMENT_ALLOWED = {"io_engine.py", "laf.py"}
 #: unqualified calls that always mean host file access
 RAW_IO_NAMES = {"open", "read_bytes", "write_bytes", "open_memmap"}
 #: numpy file routines — only when actually called off the numpy module
-#: (``SlabManifest.load`` or an ICLA's in-memory ``load`` are not file I/O)
+#: (``SlabManifest.load``, an in-memory ``load``, is not file I/O)
 NUMPY_IO_NAMES = {"memmap", "save", "load", "savez", "fromfile", "tofile"}
 NUMPY_ALIASES = {"np", "numpy"}
 WALL_CLOCK_CALLS = {"time", "perf_counter", "perf_counter_ns", "monotonic",
@@ -104,7 +104,7 @@ EXECUTOR_FILE = "executor.py"
 INDEX_TRANSLATION_CALLS = {"owner_of_dim", "global_to_local", "local_to_global",
                            "local_index_ranges"}
 BLOCK_ENGINES = {"run_reduction_column", "run_reduction_row", "run_reduction_incore"}
-PER_COLUMN_CALLS = {"charge_compute", "charge_fetch", "global_sum"}
+PER_COLUMN_CALLS = {"charge_read", "charge_compute", "global_sum"}
 ARRAY_CONSTRUCTORS = {"create_array", "ensure_array"}
 CACHE_DECORATORS = {"lru_cache", "cache"}
 CACHE_CONTAINERS = {"dict", "OrderedDict"}
