@@ -36,11 +36,14 @@ from repro.exceptions import WorkloadError
 from repro.machine.parameters import MachineParameters
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
+
     from repro.api.records import RunRecord
     from repro.check.report import CheckReport
     from repro.core.ir import ProgramIR
     from repro.core.pipeline import CompiledProgram
     from repro.hpf.array_desc import ArrayDescriptor
+    from repro.runtime.executor import ExecutionResult
     from repro.runtime.vm import VirtualMachine
 
 __all__ = [
@@ -416,69 +419,74 @@ class Workload(abc.ABC):
     # ------------------------------------------------------------------
     # input generation (EXECUTE mode)
     # ------------------------------------------------------------------
-    def generate_inputs(self, compiled: CompiledWorkload, seed: int):
-        """Reproducible dense operands for one EXECUTE-mode run.
+    def generate_inputs(self, compiled: CompiledWorkload, seed: int) -> Dict[str, np.ndarray]:
+        """Reproducible dense operands for one EXECUTE-mode run, by array name.
 
-        Reduction programs get a
-        :class:`~repro.runtime.executor.ReductionInputs` (streamed operand
-        drawn first, then the coefficient; single-operand statements share
-        one draw); other statements get a mapping of operand array name to
-        dense data, drawn in statement order.
+        One standard-normal draw per *program input*, in first-use order —
+        except that a reduction draws its streamed operand first, then the
+        coefficient (a single-operand statement ``c = a @ a`` draws once).
+        Intermediates are produced by the run itself and reused from their
+        LAFs.
         """
         import numpy as np
 
         from repro.core.ir import ReductionStatement
-        from repro.runtime.executor import ReductionInputs
 
         program = compiled.program
-        arrays = program.program.arrays
+        ir = program.program
+        names = ir.input_arrays()
+        if not self._is_whole_program(program) and isinstance(ir.statement, ReductionStatement):
+            names = (program.analysis.streamed, program.analysis.coefficient)
         rng = np.random.default_rng(seed)
-        if self._is_whole_program(program):
-            # Dense data for the *program inputs* only: intermediates are
-            # produced by the run itself and reused from their LAFs.
-            return {
-                name: rng.standard_normal(arrays[name].shape).astype(arrays[name].dtype)
-                for name in program.program.input_arrays()
-            }
-        statement = program.program.statement
-        if isinstance(statement, ReductionStatement):
-            analysis = program.analysis
-            s_desc = arrays[analysis.streamed]
-            streamed = rng.standard_normal(s_desc.shape).astype(s_desc.dtype)
-            if analysis.coefficient == analysis.streamed:
-                coefficient = streamed
-            else:
-                b_desc = arrays[analysis.coefficient]
-                coefficient = rng.standard_normal(b_desc.shape).astype(b_desc.dtype)
-            return ReductionInputs(streamed=streamed, coefficient=coefficient)
-        dense = {}
-        for ref in statement.operands:
-            if ref.array not in dense:
-                desc = arrays[ref.array]
-                dense[ref.array] = rng.standard_normal(desc.shape).astype(desc.dtype)
+        dense: Dict[str, np.ndarray] = {}
+        for name in names:
+            if name not in dense:
+                desc = ir.arrays[name]
+                dense[name] = rng.standard_normal(desc.shape).astype(desc.dtype)
         return dense
 
     # ------------------------------------------------------------------
     # the two evaluation modes
     # ------------------------------------------------------------------
+    def drive(
+        self,
+        compiled: CompiledWorkload,
+        vm: "VirtualMachine",
+        inputs: Optional[Mapping[str, np.ndarray]],
+        verify: bool,
+    ) -> "ExecutionResult":
+        """Run ``compiled`` on ``vm`` in the VM's mode: the one fork between the
+        in-core baseline, a whole program and a single statement."""
+        from repro.runtime.executor import (
+            NodeProgramExecutor,
+            ProgramExecutor,
+            run_reduction_incore,
+        )
+
+        program = self._require_program(compiled)
+        if compiled.baseline == "incore":
+            return run_reduction_incore(vm, program, inputs, verify)
+        if self._is_whole_program(program):
+            return ProgramExecutor(program).run(vm, inputs, verify)
+        return NodeProgramExecutor(program).run(vm, inputs, verify)
+
     def estimate(self, compiled: CompiledWorkload, vm: "VirtualMachine") -> "RunRecord":
         """Charge ``vm``'s machine analytically and return the record."""
         from repro.core.ir import ReductionStatement
-        from repro.runtime.executor import NodeProgramExecutor, ProgramExecutor
+        from repro.runtime.executor import NodeProgramExecutor
 
         program = self._require_program(compiled)
         if compiled.baseline == "incore":
             return self._estimate_incore(compiled)
-        if self._is_whole_program(program):
-            # Whole programs drive every statement's slab loops charge-only,
-            # so ESTIMATE counters equal an EXECUTE run's exactly.
-            result = ProgramExecutor(program).estimate(vm)
-        elif isinstance(program.program.statement, ReductionStatement):
+        if not self._is_whole_program(program) and isinstance(
+            program.program.statement, ReductionStatement
+        ):
             result = NodeProgramExecutor(program).estimate(machine=vm.machine)
         else:
-            # Elementwise/transpose loop structure *is* the cost model: run
-            # the same slab loops charge-only on the caller's VM.
-            result = NodeProgramExecutor(program).run(vm, None, verify=False)
+            # Every other program's loop structure *is* the cost model: run
+            # the same slab loops charge-only on the caller's VM, so ESTIMATE
+            # counters equal an EXECUTE run's exactly.
+            result = self.drive(compiled, vm, None, verify=False)
         return self._record(
             compiled,
             mode="estimate",
@@ -510,20 +518,8 @@ class Workload(abc.ABC):
 
     def execute(self, compiled: CompiledWorkload, vm: "VirtualMachine", verify: bool) -> "RunRecord":
         """Really execute on ``vm`` and return the record."""
-        from repro.runtime.executor import (
-            NodeProgramExecutor,
-            ProgramExecutor,
-            run_reduction_incore,
-        )
-
-        program = self._require_program(compiled)
         inputs = self.generate_inputs(compiled, vm.config.seed)
-        if compiled.baseline == "incore":
-            result = run_reduction_incore(vm, program, inputs, verify)
-        elif self._is_whole_program(program):
-            result = ProgramExecutor(program).execute(vm, inputs, verify)
-        else:
-            result = NodeProgramExecutor(program).execute(vm, inputs, verify)
+        result = self.drive(compiled, vm, inputs, verify)
         return self._record(
             compiled,
             mode="execute",

@@ -239,6 +239,8 @@ def _analyze_elementwise(program: ProgramIR) -> ElementwisePhaseResult:
             f"elementwise arrays must conform; found shapes {sorted(shapes)}"
         )
     result_desc = program.arrays[result]
+    if result_desc.ndim != 2:
+        raise CompilationError("the elementwise lowering handles two-dimensional arrays")
     local = math.prod(result_desc.max_local_shape())
     return ElementwisePhaseResult(
         program=program,

@@ -26,7 +26,6 @@ from repro.runtime.executor import (
     ExecutionResult,
     NodeProgramExecutor,
     ProgramExecutor,
-    ReductionInputs,
     program_reference,
     reduction_reference,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "NodeProgramExecutor",
     "ProgramExecutor",
     "ExecutionResult",
-    "ReductionInputs",
     "reduction_reference",
     "program_reference",
 ]

@@ -57,11 +57,6 @@ def _materialized_names(program) -> tuple:
 def _run(rank: int, nprocs: int, spec: WorkerSpec, transport) -> Dict[str, object]:
     from repro.api.workload import get_workload
     from repro.runtime.distributed.proc_comm import ProcessComm
-    from repro.runtime.executor import (
-        NodeProgramExecutor,
-        ProgramExecutor,
-        run_reduction_incore,
-    )
     from repro.runtime.vm import VirtualMachine
 
     workload = get_workload(spec.workload_name)
@@ -79,12 +74,7 @@ def _run(rank: int, nprocs: int, spec: WorkerSpec, transport) -> Dict[str, objec
         comm=ProcessComm(transport),
     )
     inputs = workload.generate_inputs(compiled, config.seed)
-    if compiled.baseline == "incore":
-        result = run_reduction_incore(vm, program, inputs, verify=False)
-    elif workload._is_whole_program(program):
-        result = ProgramExecutor(program).execute(vm, inputs, verify=False)
-    else:
-        result = NodeProgramExecutor(program).execute(vm, inputs, verify=False)
+    result = workload.drive(compiled, vm, inputs, verify=False)
 
     results_meta: Dict[str, Dict[str, str]] = {}
     for name in _materialized_names(program):

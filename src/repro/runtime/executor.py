@@ -11,19 +11,24 @@ this module runs it:
   NumPy arithmetic, verified result), driving the slab loops of the
   compiled access plan with the BLAS-3 batched inner kernels of the fast
   path; and
-* :meth:`NodeProgramExecutor.estimate` **estimates** the program by charging
+* :meth:`NodeProgramExecutor.estimate` **estimates** a reduction by charging
   the machine model with the statically counted operations of the generated
-  node program (reduction statements) or by driving the same slab loops in
-  charge-only mode (elementwise and transpose statements, whose loop
-  structure *is* the cost model) — the fast path used to regenerate the
-  paper-scale experiments without moving gigabytes through the filesystem.
+  node program — the fast path used to regenerate the paper-scale
+  experiments without moving gigabytes through the filesystem; every other
+  program is estimated by :meth:`NodeProgramExecutor.run` on an
+  ``ESTIMATE``-mode VM, which drives the same slab loops charge-only (their
+  loop structure *is* the cost model).
 
 Both paths report the same :class:`ExecutionResult` structure so experiment
-harnesses can switch between them freely.  The engine functions
-(:func:`run_reduction_column` and friends) are generic over the statement's
-array names — they read the roles from the compiled analysis — so any
-program of the right class runs through them.  Whatever ran, one routine
-(:func:`verify_outputs`) decides whether its gathered result is correct.
+harnesses can switch between them freely.  Every engine function
+(:func:`run_reduction_column` and friends) has one contract, ``(vm,
+compiled, inputs, verify)``: it takes a compiled program, reads the array
+roles and slab sizes from its analysis and plan, and looks its dense
+operands up by name in ``inputs`` (an operand that is absent — an
+intermediate of a whole program — is already in the VM).  Whatever ran, one
+routine (:func:`verify_outputs`) decides whether its gathered result is
+correct, and one loop (:func:`_run_recovering`) recovers a statement from
+slab corruption.
 
 Multi-statement programs run through :class:`ProgramExecutor`, which drives
 the per-statement engines in order on one virtual machine so intermediates
@@ -62,7 +67,6 @@ if TYPE_CHECKING:  # pragma: no cover - avoids a circular import at runtime
 
 __all__ = [
     "ExecutionResult",
-    "ReductionInputs",
     "reduction_reference",
     "program_reference",
     "verify_outputs",
@@ -73,7 +77,6 @@ __all__ = [
     "run_reduction_incore",
     "run_reduction_single_operand",
     "run_elementwise_plan",
-    "run_fused_elementwise_plan",
     "run_transpose_plan",
 ]
 
@@ -81,21 +84,8 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # inputs, references, results
 # ---------------------------------------------------------------------------
-@dataclasses.dataclass
-class ReductionInputs:
-    """Dense input operands for one reduction (GAXPY-class) run.
-
-    For single-operand statements (``c = a @ a``) ``streamed`` and
-    ``coefficient`` are the same array.
-    """
-
-    streamed: np.ndarray     # the matrix whose columns are combined (A)
-    coefficient: np.ndarray  # the matrix providing the combination weights (B)
-
-    @property
-    def n(self) -> int:
-        return self.streamed.shape[0]
-
+#: dense operands by array name; ``None`` (or an absent name) creates nothing
+Inputs = Optional[Mapping[str, np.ndarray]]
 
 #: bytes of float64 reference in one oracle panel (256 result columns at
 #: N = 1024): the oracle computes, and the comparison holds, a panel at a time
@@ -297,7 +287,7 @@ def _fold_panels(
 
 def verify_outputs(
     compiled: "CompiledProgram | CompiledWholeProgram",
-    inputs: "ReductionInputs | Mapping[str, np.ndarray]",
+    inputs: Mapping[str, np.ndarray],
     outputs: Mapping[str, np.ndarray],
 ) -> Tuple[bool, Optional[float]]:
     """Whether what a run of ``compiled`` on ``inputs`` gathered is correct.
@@ -306,28 +296,19 @@ def verify_outputs(
     the engines that run a compiled program, :class:`ProgramExecutor` and
     the distributed backend's parent all call it, so their records agree
     field for field.  ``outputs`` maps result array names to gathered dense
-    data.  Every element of every output is compared with an independent
+    data, ``inputs`` the dense operands by array name.  Every element of
+    every output is compared with an independent
     float64 NumPy evaluation of the statement list on the dense inputs,
     streamed in column panels (:func:`_reference_panels`) so that it
     allocates the float64 copy of a reduction's streamed operand, the
     intermediates later statements still read and a constant number of
     panels — never a whole reference or difference.  Returns ``(verified,
-    max_abs_error)`` under the statement kind's tolerance (:func:`_fold_panels`,
-    which the two descriptor-driven engines call with their own oracle's
-    panels).
+    max_abs_error)`` under the statement kind's tolerance (:func:`_fold_panels`).
     """
     from repro.core.pipeline import CompiledWholeProgram
 
-    if isinstance(compiled, CompiledWholeProgram):
-        kind = "program"
-    else:
-        kind = _statement_kind(compiled)
-    if kind == "reduction":
-        analysis = compiled.analysis
-        env = {analysis.streamed: inputs.streamed, analysis.coefficient: inputs.coefficient}
-    else:
-        env = dict(inputs)
-    return _fold_panels(kind, _reference_panels(compiled.program, env), outputs)
+    kind = "program" if isinstance(compiled, CompiledWholeProgram) else _statement_kind(compiled)
+    return _fold_panels(kind, _reference_panels(compiled.program, dict(inputs)), outputs)
 
 
 @dataclasses.dataclass
@@ -393,6 +374,49 @@ def _recovery_budget(vm: VirtualMachine, narrays: int) -> int:
     if injector is not None and injector.policy.active:
         budget += 2 * injector.policy.max_failures_per_site * vm.nprocs * narrays
     return budget
+
+
+def _run_recovering(
+    vm: VirtualMachine,
+    narrays: int,
+    attempt: Callable[[], ExecutionResult],
+    repair: Callable[[SlabCorruptionError], None] = lambda error: None,
+) -> ExecutionResult:
+    """Run ``attempt``, recovering from slab corruption charge-neutrally.
+
+    The executor's one recovery loop.  Every attempt is bracketed by a
+    charge snapshot: on a :class:`SlabCorruptionError` the corruption is
+    counted, the charges roll back, the loop gives up once the budget
+    (:func:`_recovery_budget`) is spent, and otherwise ``repair`` restores
+    the corrupted array before the retry.  A retry finds the statement's
+    arrays already created; the reuse scope lets the engines overwrite them
+    in place.  A successful run therefore charges the machine exactly once,
+    bit-identical to a fault-free run.  ``ESTIMATE`` runs read no data and
+    run once.
+    """
+    if not vm.perform_io:
+        return attempt()
+    budget = _recovery_budget(vm, narrays)
+    failures = 0
+    error: Optional[SlabCorruptionError] = None
+    while True:
+        snapshot = vm.snapshot_charges()
+        try:
+            if error is None:
+                return attempt()
+            vm.resilience.slabs_recovered += 1
+            repair(error)
+            with vm.array_reuse():
+                result = attempt()
+            vm.resilience.statements_recovered += 1
+            return result
+        except SlabCorruptionError as exc:
+            failures += 1
+            vm.resilience.corruptions_detected += 1
+            vm.restore_charges(snapshot)
+            if failures >= budget:
+                raise
+            error = exc
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +534,7 @@ def _require_distinct_operands(compiled: "CompiledProgram") -> None:
 def _setup_reduction_arrays(
     vm: VirtualMachine,
     compiled: "CompiledProgram",
-    inputs: Optional[ReductionInputs],
+    inputs: Inputs,
     result_order: str,
     streamed_order: str,
 ) -> Tuple[OutOfCoreArray, OutOfCoreArray, OutOfCoreArray]:
@@ -526,40 +550,40 @@ def _setup_reduction_arrays(
             f"the result array {c_desc.name!r} aliases an operand; in-place "
             "reductions are not executable"
         )
-    streamed_dense = inputs.streamed if inputs is not None else None
-    coefficient_dense = inputs.coefficient if inputs is not None else None
+    dense = inputs or {}
     # ensure_array (not create_array): in a whole-program run an operand that
     # is a previous statement's result already lives in its LAFs and is reused.
-    ooc_s = vm.ensure_array(s_desc, initial=streamed_dense, storage_order=streamed_order)
+    ooc_s = vm.ensure_array(s_desc, initial=dense.get(s_desc.name), storage_order=streamed_order)
     if b_desc.name == s_desc.name:
         # Single-operand statement: one array plays both roles.
         ooc_b = ooc_s
     else:
-        ooc_b = vm.ensure_array(b_desc, initial=coefficient_dense, storage_order="F")
+        ooc_b = vm.ensure_array(b_desc, initial=dense.get(b_desc.name), storage_order="F")
     # No initial data: a new LAF is created zero-filled and the engine
     # overwrites every slab of its result.
     ooc_c = vm.ensure_array(c_desc, initial=None, storage_order=result_order)
     return ooc_s, ooc_b, ooc_c
 
 
-def _finish_reduction(
+def _finish(
     vm: VirtualMachine,
     compiled: "CompiledProgram",
     strategy: str,
-    ooc_c: OutOfCoreArray,
-    inputs: Optional[ReductionInputs],
+    result: OutOfCoreArray,
+    inputs: Inputs,
     verify: bool,
 ) -> ExecutionResult:
+    """Every engine's ending: gather the result and verify it (``EXECUTE`` only)."""
     result_dense: Optional[np.ndarray] = None
     verified: Optional[bool] = None
     max_err: Optional[float] = None
     # A rank worker of the distributed backend (vm.rank set) owns only its
     # own local files — the parent gathers and verifies instead.
     if vm.perform_io and vm.rank is None:
-        result_dense = vm.to_dense(ooc_c)
+        result_dense = vm.to_dense(result)
         if verify and inputs is not None:
             verified, max_err = verify_outputs(
-                compiled, inputs, {ooc_c.descriptor.name: result_dense}
+                compiled, inputs, {result.descriptor.name: result_dense}
             )
     return ExecutionResult(
         strategy=strategy,
@@ -579,7 +603,7 @@ def _finish_reduction(
 def run_reduction_column(
     vm: VirtualMachine,
     compiled: "CompiledProgram",
-    inputs: Optional[ReductionInputs] = None,
+    inputs: Inputs = None,
     verify: bool = True,
 ) -> ExecutionResult:
     """Execute the column-slab (naive) out-of-core reduction node program."""
@@ -596,7 +620,6 @@ def run_reduction_column(
     s_shape = _uniform_local_shape(s_desc)
     b_shape = _uniform_local_shape(ooc_b.descriptor)
     c_shape = _uniform_local_shape(c_desc)
-    nprocs = vm.nprocs
     n_rows = c_desc.shape[0]
     itemsize = c_desc.itemsize
 
@@ -664,7 +687,7 @@ def run_reduction_column(
             elif not perform:
                 ooc_c.local(owner).store_slab(c_slab, None)
 
-    return _finish_reduction(vm, compiled, "column-slab", ooc_c, inputs, verify)
+    return _finish(vm, compiled, "column-slab", ooc_c, inputs, verify)
 
 
 # ---------------------------------------------------------------------------
@@ -673,7 +696,7 @@ def run_reduction_column(
 def run_reduction_row(
     vm: VirtualMachine,
     compiled: "CompiledProgram",
-    inputs: Optional[ReductionInputs] = None,
+    inputs: Inputs = None,
     verify: bool = True,
 ) -> ExecutionResult:
     """Execute the reorganized (row-slab) out-of-core reduction node program."""
@@ -689,7 +712,6 @@ def run_reduction_row(
     s_shape = _uniform_local_shape(s_desc)
     b_shape = _uniform_local_shape(ooc_b.descriptor)
     c_shape = _uniform_local_shape(c_desc)
-    nprocs = vm.nprocs
     itemsize = c_desc.itemsize
 
     s_slabs = row_slabs(s_shape, s_entry.lines_per_slab)
@@ -749,7 +771,7 @@ def run_reduction_row(
         for rank in vm.ranks:
             ooc_c.local(rank).store_slab(c_row_slab, c_buffer.get(rank) if perform else None)
 
-    return _finish_reduction(vm, compiled, "row-slab", ooc_c, inputs, verify)
+    return _finish(vm, compiled, "row-slab", ooc_c, inputs, verify)
 
 
 # ---------------------------------------------------------------------------
@@ -758,7 +780,7 @@ def run_reduction_row(
 def run_reduction_incore(
     vm: VirtualMachine,
     compiled: "CompiledProgram",
-    inputs: Optional[ReductionInputs] = None,
+    inputs: Inputs = None,
     verify: bool = True,
 ) -> ExecutionResult:
     """Execute the in-core baseline: read every local array once, keep it in memory."""
@@ -768,7 +790,6 @@ def run_reduction_incore(
                                                   result_order="F", streamed_order="F")
     c_desc = ooc_c.descriptor
     c_shape = _uniform_local_shape(c_desc)
-    nprocs = vm.nprocs
     n_rows = c_desc.shape[0]
     n_cols = c_desc.shape[1]
     itemsize = c_desc.itemsize
@@ -799,7 +820,7 @@ def run_reduction_incore(
     for rank in vm.ranks:
         ooc_c.local(rank).store_all(c_local.get(rank) if perform else None)
 
-    return _finish_reduction(vm, compiled, "in-core", ooc_c, inputs, verify)
+    return _finish(vm, compiled, "in-core", ooc_c, inputs, verify)
 
 
 # ---------------------------------------------------------------------------
@@ -808,7 +829,7 @@ def run_reduction_incore(
 def run_reduction_single_operand(
     vm: VirtualMachine,
     compiled: "CompiledProgram",
-    inputs: Optional[ReductionInputs] = None,
+    inputs: Inputs = None,
     verify: bool = True,
 ) -> ExecutionResult:
     """Execute a reduction whose streamed and coefficient operands are one array.
@@ -838,7 +859,6 @@ def run_reduction_single_operand(
     s_desc, c_desc = ooc_s.descriptor, ooc_c.descriptor
     s_shape = _uniform_local_shape(s_desc)
     c_shape = _uniform_local_shape(c_desc)
-    nprocs = vm.nprocs
     n_rows = c_desc.shape[0]
     n_cols = c_desc.shape[1]
     itemsize = c_desc.itemsize
@@ -896,8 +916,8 @@ def run_reduction_single_operand(
         elif not perform and local_j == c_slab.col_stop - 1:
             ooc_c.local(owner).store_slab(c_slab, None)
 
-    return _finish_reduction(vm, compiled, f"{plan.strategy.value}-slab single-operand",
-                             ooc_c, inputs, verify)
+    return _finish(vm, compiled, f"{plan.strategy.value}-slab single-operand",
+                   ooc_c, inputs, verify)
 
 
 # ---------------------------------------------------------------------------
@@ -905,143 +925,63 @@ def run_reduction_single_operand(
 # ---------------------------------------------------------------------------
 def run_elementwise_plan(
     vm: VirtualMachine,
-    a_desc: ArrayDescriptor,
-    b_desc: ArrayDescriptor,
-    c_desc: ArrayDescriptor,
-    *,
-    op: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    slab_elements: int,
-    strategy: SlabbingStrategy | str = SlabbingStrategy.COLUMN,
-    a_dense: Optional[np.ndarray] = None,
-    b_dense: Optional[np.ndarray] = None,
-    verify: bool = True,
-) -> ExecutionResult:
-    """Compute ``c = op(a, b)`` out of core, slab by slab.
-
-    All three descriptors must conform (shape, dtype, distribution); the
-    dense inputs are required in ``EXECUTE`` mode and ignored otherwise.
-    """
-    strategy = SlabbingStrategy.from_name(strategy)
-    if a_desc.ndim != 2:
-        raise RuntimeExecutionError("the elementwise engine handles two-dimensional arrays")
-
-    order = "F" if strategy is SlabbingStrategy.COLUMN else "C"
-    ooc_a = vm.ensure_array(a_desc, initial=a_dense, storage_order=order)
-    ooc_b = vm.ensure_array(b_desc, initial=b_dense, storage_order=order)
-    ooc_c = vm.ensure_array(c_desc, initial=None, storage_order=order)
-
-    flops_per_element = 1.0
-    for rank in vm.ranks:
-        local_shape = a_desc.local_shape(rank)
-        for slab in make_slabs(local_shape, strategy, slab_elements):
-            a_block = ooc_a.local(rank).fetch_slab(slab)
-            b_block = ooc_b.local(rank).fetch_slab(slab)
-            vm.machine.charge_compute(rank, flops_per_element * slab.nelements)
-            if vm.perform_io:
-                ooc_c.local(rank).store_slab(slab, op(a_block, b_block).astype(c_desc.dtype))
-            else:
-                ooc_c.local(rank).store_slab(slab, None)
-
-    result = vm.to_dense(ooc_c) if vm.perform_io and vm.rank is None else None
-    verified: Optional[bool] = None
-    if verify and result is not None and a_dense is not None and b_dense is not None:
-        # This engine is handed descriptors and ``op``, not a compiled
-        # program: ``op`` in float64 is its oracle.
-        panels = _elementwise_panels(c_desc.name, op, np.asarray(a_dense), np.asarray(b_dense))
-        verified, _ = _fold_panels("elementwise", panels, {c_desc.name: result})
-    return ExecutionResult(
-        strategy=f"{strategy.value}-slab elementwise",
-        mode=_mode(vm),
-        simulated_seconds=vm.elapsed(),
-        time_breakdown=vm.time_breakdown(),
-        io_statistics=vm.io_statistics(),
-        result=result,
-        verified=verified,
-    )
-
-
-# ---------------------------------------------------------------------------
-# fused elementwise engine
-# ---------------------------------------------------------------------------
-def run_fused_elementwise_plan(
-    vm: VirtualMachine,
     compiled: "CompiledProgram",
-    inputs: Optional[Dict[str, np.ndarray]] = None,
+    inputs: Inputs = None,
     verify: bool = True,
 ) -> ExecutionResult:
-    """Execute a fused elementwise pair: the intermediate never touches disk.
+    """Run a unit's elementwise statement — or its fused pair — slab by slab.
 
-    One slab loop runs both statements' per-slab work: the producer's result
-    slab is computed into a resident buffer and handed straight to the
-    consumer's compute, so the intermediate array gets no Local Array Files,
-    no write pass and no read pass — in ``EXECUTE`` *and* ``ESTIMATE`` mode
-    alike, which is what keeps the two modes' charged counters identical.
-    The resident slab is cast to the intermediate's declared dtype before the
-    consumer uses it, reproducing the unfused schedule's rounding exactly.
+    One slab loop runs the unit's statements in order: each operand
+    *reference* fetches its slab (``c = a + a`` reads ``a`` twice), while
+    each operand *name* gets its arrays created once.  A fused pair's
+    intermediate is the exception: the producer's result slab stays in a
+    resident buffer, cast to the intermediate's declared dtype (reproducing
+    the unfused schedule's rounding exactly), and is handed straight to the
+    consumer's compute — no Local Array Files, no write pass and no read
+    pass, in ``EXECUTE`` *and* ``ESTIMATE`` mode alike, which is what keeps
+    the two modes' charged counters identical.
     """
-    from repro.core.analysis import FusedElementwisePhase
-
-    analysis = compiled.analysis
-    if not isinstance(analysis, FusedElementwisePhase):
-        raise RuntimeExecutionError(
-            "run_fused_elementwise_plan needs a fused elementwise unit; got "
-            f"analysis of type {type(analysis).__name__}"
-        )
-    plan = compiled.plan
-    arrays = compiled.program.arrays
-    producer, consumer = analysis.producer, analysis.consumer
-    p_lhs, p_rhs = producer.operands
-    mid = analysis.intermediate
-    result = analysis.result
-    mid_is_lhs = consumer.operands[0] == mid
-    other = consumer.operands[1] if mid_is_lhs else consumer.operands[0]
-    p_op = _ELEMENTWISE_OPS[producer.op]
-    c_op = _ELEMENTWISE_OPS[consumer.op]
-    dense = dict(inputs or {})
-    strategy = plan.strategy
+    program = compiled.program
+    arrays = program.arrays
+    statements = program.statements
+    result = statements[-1].result.array
+    strategy = compiled.plan.strategy
     order = "F" if strategy is SlabbingStrategy.COLUMN else "C"
+    dense = inputs or {}
 
     ooc: Dict[str, OutOfCoreArray] = {}
-    for name in (p_lhs, p_rhs, other):
-        if name not in ooc:
-            ooc[name] = vm.ensure_array(
-                arrays[name], initial=dense.get(name), storage_order=order
-            )
-    result_desc = arrays[result]
-    ooc[result] = vm.ensure_array(result_desc, initial=None, storage_order=order)
+    resident = set()
+    for statement in statements:
+        for ref in statement.operands:
+            if ref.array not in resident and ref.array not in ooc:
+                ooc[ref.array] = vm.ensure_array(
+                    arrays[ref.array], initial=dense.get(ref.array), storage_order=order
+                )
+        resident.add(statement.result.array)
+    ooc[result] = vm.ensure_array(arrays[result], initial=None, storage_order=order)
 
-    mid_dtype = arrays[mid].dtype
-    slab_elements = plan.allocation[result]
+    perform = vm.perform_io
+    slab_elements = compiled.plan.allocation[result]
     for rank in vm.ranks:
-        local_shape = result_desc.local_shape(rank)
-        for slab in make_slabs(local_shape, strategy, slab_elements):
-            a_block = ooc[p_lhs].local(rank).fetch_slab(slab)
-            b_block = ooc[p_rhs].local(rank).fetch_slab(slab)
-            vm.machine.charge_compute(rank, 1.0 * slab.nelements)
-            mid_block = (
-                p_op(a_block, b_block).astype(mid_dtype) if vm.perform_io else None
-            )
-            o_block = ooc[other].local(rank).fetch_slab(slab)
-            vm.machine.charge_compute(rank, 1.0 * slab.nelements)
-            if vm.perform_io:
-                out = c_op(mid_block, o_block) if mid_is_lhs else c_op(o_block, mid_block)
-                ooc[result].local(rank).store_slab(slab, out.astype(result_desc.dtype))
-            else:
-                ooc[result].local(rank).store_slab(slab, None)
+        for slab in make_slabs(arrays[result].local_shape(rank), strategy, slab_elements):
+            blocks: Dict[str, Optional[np.ndarray]] = {}
+            for statement in statements:
+                operands = [
+                    blocks[ref.array] if ref.array in blocks
+                    else ooc[ref.array].local(rank).fetch_slab(slab)
+                    for ref in statement.operands
+                ]
+                vm.machine.charge_compute(rank, 1.0 * slab.nelements)
+                name = statement.result.array
+                blocks[name] = (
+                    _ELEMENTWISE_OPS[statement.op](*operands).astype(arrays[name].dtype)
+                    if perform else None
+                )
+            ooc[result].local(rank).store_slab(slab, blocks[result] if perform else None)
 
-    result_dense = vm.to_dense(ooc[result]) if vm.perform_io and vm.rank is None else None
-    verified: Optional[bool] = None
-    if verify and result_dense is not None and {p_lhs, p_rhs, other} <= set(dense):
-        verified, _ = verify_outputs(compiled, dense, {result: result_dense})
-    return ExecutionResult(
-        strategy=f"fused {strategy.value}-slab elementwise",
-        mode=_mode(vm),
-        simulated_seconds=vm.elapsed(),
-        time_breakdown=vm.time_breakdown(),
-        io_statistics=vm.io_statistics(),
-        result=result_dense,
-        verified=verified,
-    )
+    fused = "fused " if len(statements) > 1 else ""
+    return _finish(vm, compiled, f"{fused}{strategy.value}-slab elementwise",
+                   ooc[result], inputs, verify)
 
 
 # ---------------------------------------------------------------------------
@@ -1049,26 +989,27 @@ def run_fused_elementwise_plan(
 # ---------------------------------------------------------------------------
 def run_transpose_plan(
     vm: VirtualMachine,
-    src_desc: ArrayDescriptor,
-    dst_desc: ArrayDescriptor,
-    *,
-    cols_per_slab: int,
-    a_dense: Optional[np.ndarray] = None,
+    compiled: "CompiledProgram",
+    inputs: Inputs = None,
     verify: bool = True,
 ) -> ExecutionResult:
-    """Compute ``dst = src^T`` out of core with both arrays column-block distributed.
+    """Compute ``dst = src^T`` out of core in column slabs of the plan's width.
 
     Each processor streams its local columns of the source in slabs, the rows
     of each slab destined for processor ``q`` form the exchange payload
     (all-to-all), and ``q`` writes the transposed piece into its local
     columns of the target.
     """
-    if src_desc.ndim != 2 or src_desc.shape[0] != src_desc.shape[1]:
-        raise RuntimeExecutionError("the transpose engine handles square two-dimensional arrays")
+    analysis = compiled.analysis
+    src_desc = compiled.program.arrays[analysis.source]
+    dst_desc = compiled.program.arrays[analysis.target]
+    cols_per_slab = compiled.plan.entry(analysis.source).lines_per_slab
     nprocs = vm.nprocs
     itemsize = src_desc.itemsize
 
-    source = vm.ensure_array(src_desc, initial=a_dense, storage_order="F")
+    source = vm.ensure_array(
+        src_desc, initial=(inputs or {}).get(analysis.source), storage_order="F"
+    )
     target = vm.ensure_array(dst_desc, initial=None, storage_order="F")
 
     result_locals: Dict[int, np.ndarray] = {}
@@ -1121,26 +1062,35 @@ def run_transpose_plan(
             else:
                 target.local(rank).store_slab(slab, None)
 
-    result = vm.to_dense(target) if vm.perform_io and vm.rank is None else None
-    verified: Optional[bool] = None
-    if verify and result is not None and a_dense is not None:
-        # Descriptors, not a compiled program: the oracle is NumPy's transpose.
-        panels = _transpose_panels(dst_desc.name, np.asarray(a_dense))
-        verified, _ = _fold_panels("transpose", panels, {dst_desc.name: result})
-    return ExecutionResult(
-        strategy="column-slab transpose",
-        mode=_mode(vm),
-        simulated_seconds=vm.elapsed(),
-        time_breakdown=vm.time_breakdown(),
-        io_statistics=vm.io_statistics(),
-        result=result,
-        verified=verified,
-    )
+    return _finish(vm, compiled, "column-slab transpose", target, inputs, verify)
 
 
 # ---------------------------------------------------------------------------
 # the dispatching executor
 # ---------------------------------------------------------------------------
+def _run_statement(
+    vm: VirtualMachine, compiled: "CompiledProgram", inputs: Inputs, verify: bool
+) -> ExecutionResult:
+    """The kind dispatch: run one compiled unit on the engine of its statement kind."""
+    if inputs is not None and not isinstance(inputs, Mapping):
+        raise RuntimeExecutionError(
+            f"inputs map array names to dense data; got {type(inputs).__name__}"
+        )
+    kind = _statement_kind(compiled)
+    if kind == "reduction":
+        if compiled.analysis.coefficient == compiled.analysis.streamed:
+            engine = run_reduction_single_operand
+        elif compiled.plan.strategy is SlabbingStrategy.ROW:
+            engine = run_reduction_row
+        else:
+            engine = run_reduction_column
+    elif kind == "transpose":
+        engine = run_transpose_plan
+    else:
+        engine = run_elementwise_plan
+    return engine(vm, compiled, inputs, verify)
+
+
 class NodeProgramExecutor:
     """Runs or estimates compiled programs of any statement kind."""
 
@@ -1153,111 +1103,22 @@ class NodeProgramExecutor:
     def run(
         self,
         vm: VirtualMachine,
-        inputs: Optional[object] = None,
+        inputs: Inputs = None,
         verify: bool = True,
-        recover: bool = True,
     ) -> ExecutionResult:
         """Drive ``vm`` through the compiled plan's slab loops.
 
         Honors the virtual machine's execution mode: in ``EXECUTE`` mode the
         arithmetic and file traffic are real; in ``ESTIMATE`` mode the same
-        loops run charge-only.  ``inputs`` is a :class:`ReductionInputs` for
-        reduction programs or a mapping of array name to dense operand for
-        elementwise/transpose programs (``None`` generates nothing — required
-        only for verified ``EXECUTE`` runs).
-
-        When a fault injector is active and ``recover`` is true (the
-        default), a mid-statement checksum mismatch triggers a
-        charge-neutral re-execution: charges are restored to the
-        pre-statement snapshot so the retried statement is charged exactly
-        once.  :class:`ProgramExecutor` passes ``recover=False`` — it owns
-        recovery across statements (it can regenerate corrupted
-        intermediates from their producers, which a single statement
-        cannot).
+        loops run charge-only.  ``inputs`` maps operand array names to dense
+        data (``None`` generates nothing — required only for verified
+        ``EXECUTE`` runs).  A mid-statement checksum mismatch triggers a
+        charge-neutral re-execution (:func:`_run_recovering`).
         """
-        if not (recover and vm.perform_io and vm.fault_injector is not None):
-            return self._run_once(vm, inputs, verify)
-        budget = _recovery_budget(vm, len(self.compiled.program.arrays))
-        attempts = 0
-        while True:
-            snapshot = vm.snapshot_charges()
-            try:
-                if attempts == 0:
-                    return self._run_once(vm, inputs, verify)
-                # A retry finds the statement's arrays already created; the
-                # reuse scope lets the engines overwrite them in place.
-                with vm.array_reuse():
-                    result = self._run_once(vm, inputs, verify)
-                vm.resilience.statements_recovered += 1
-                return result
-            except SlabCorruptionError:
-                attempts += 1
-                vm.resilience.corruptions_detected += 1
-                vm.restore_charges(snapshot)
-                if attempts >= budget:
-                    raise
-                vm.resilience.slabs_recovered += 1
-
-    def _run_once(
-        self,
-        vm: VirtualMachine,
-        inputs: Optional[object] = None,
-        verify: bool = True,
-    ) -> ExecutionResult:
-        kind = _statement_kind(self.compiled)
-        if kind == "reduction":
-            return self._run_reduction(vm, inputs, verify)
-        if kind == "elementwise":
-            return self._run_elementwise(vm, inputs, verify)
-        if kind == "fused-elementwise":
-            return run_fused_elementwise_plan(
-                vm, self.compiled, dict(inputs or {}), verify
-            )
-        return self._run_transpose(vm, inputs, verify)
-
-    def _run_reduction(self, vm, inputs, verify) -> ExecutionResult:
-        if inputs is not None and not isinstance(inputs, ReductionInputs):
-            raise RuntimeExecutionError(
-                "execute expects ReductionInputs for reduction-class programs"
-            )
         compiled = self.compiled
-        if compiled.analysis.coefficient == compiled.analysis.streamed:
-            return run_reduction_single_operand(vm, compiled, inputs, verify)
-        if compiled.plan.strategy is SlabbingStrategy.ROW:
-            return run_reduction_row(vm, compiled, inputs, verify)
-        return run_reduction_column(vm, compiled, inputs, verify)
-
-    def _run_elementwise(self, vm, inputs, verify) -> ExecutionResult:
-        compiled = self.compiled
-        analysis = compiled.analysis
-        arrays = compiled.program.arrays
-        dense = dict(inputs or {})
-        lhs, rhs = analysis.operands
-        return run_elementwise_plan(
-            vm,
-            arrays[lhs],
-            arrays[rhs],
-            arrays[analysis.result],
-            op=_ELEMENTWISE_OPS[analysis.op],
-            slab_elements=compiled.plan.allocation[analysis.result],
-            strategy=compiled.plan.strategy,
-            a_dense=dense.get(lhs),
-            b_dense=dense.get(rhs),
-            verify=verify,
-        )
-
-    def _run_transpose(self, vm, inputs, verify) -> ExecutionResult:
-        compiled = self.compiled
-        analysis = compiled.analysis
-        arrays = compiled.program.arrays
-        dense = dict(inputs or {})
-        return run_transpose_plan(
-            vm,
-            arrays[analysis.source],
-            arrays[analysis.target],
-            cols_per_slab=compiled.plan.entry(analysis.source).lines_per_slab,
-            a_dense=dense.get(analysis.source),
-            verify=verify,
+        return _run_recovering(
+            vm, len(compiled.program.arrays),
+            lambda: _run_statement(vm, compiled, inputs, verify),
         )
 
     # ------------------------------------------------------------------
@@ -1266,7 +1127,7 @@ class NodeProgramExecutor:
     def execute(
         self,
         vm: VirtualMachine,
-        inputs: Optional[object] = None,
+        inputs: Inputs = None,
         verify: bool = True,
     ) -> ExecutionResult:
         """Execute the compiled program on ``vm`` (which must be in EXECUTE mode)."""
@@ -1281,27 +1142,18 @@ class NodeProgramExecutor:
     # analytic estimation
     # ------------------------------------------------------------------
     def estimate(self, machine: Optional[Machine] = None) -> ExecutionResult:
-        """Charge a machine with the node program's statically counted operations.
+        """Charge a machine with a reduction's statically counted operations.
 
-        Reduction programs are charged in bulk from the generated node
-        program's operation totals (the paper-scale fast path).  Elementwise
-        and transpose programs run their slab loops in charge-only mode on a
-        fresh ``ESTIMATE``-mode virtual machine, because their loop structure
-        is the cost model; pass a VM to :meth:`run` instead to control the
-        run configuration.
+        The paper-scale fast path: the generated node program's operation
+        totals are charged in bulk.  Elementwise and transpose programs have
+        no bulk charge — their loop structure *is* the cost model — so
+        :meth:`run` them on an ``ESTIMATE``-mode virtual machine instead.
         """
         if _statement_kind(self.compiled) != "reduction":
-            if machine is not None:
-                raise RuntimeExecutionError(
-                    "bulk estimation applies to reduction programs only; drive "
-                    "run() with an ESTIMATE-mode VirtualMachine instead"
-                )
-            vm = VirtualMachine(
-                self.compiled.nprocs,
-                self.compiled.params,
-                RunConfig(mode=ExecutionMode.ESTIMATE),
+            raise RuntimeExecutionError(
+                "bulk estimation applies to reduction programs only; drive "
+                "run() with an ESTIMATE-mode VirtualMachine instead"
             )
-            return self.run(vm, None, verify=False)
 
         compiled = self.compiled
         machine = machine or Machine(compiled.nprocs, compiled.params)
@@ -1367,41 +1219,13 @@ class ProgramExecutor:
     (one write by the producer, one read by the consumer) and the data is
     never regenerated or re-scattered.
 
-    Both modes drive the same per-statement slab loops through
-    :class:`NodeProgramExecutor` (``ESTIMATE`` runs them charge-only), so the
-    charged I/O counters of the two modes are identical by construction.
+    Both modes drive the same per-statement engines through the kind
+    dispatch (``ESTIMATE`` runs them charge-only), so the charged I/O
+    counters of the two modes are identical by construction.
     """
 
     def __init__(self, compiled: "CompiledWholeProgram"):
         self.compiled = compiled
-
-    # ------------------------------------------------------------------
-    def _statement_inputs(self, compiled_statement: "CompiledProgram",
-                          dense: Dict[str, np.ndarray]):
-        """Per-statement inputs: dense data for program inputs only.
-
-        Operands that are earlier results resolve to ``None`` here — the
-        engines find their arrays already present in the VM (``ensure_array``)
-        and read the producer's LAFs instead of scattering fresh data.
-        """
-        from repro.core.ir import ReductionStatement
-
-        unit_ir = compiled_statement.program
-        statements = unit_ir.statements
-        if len(statements) == 1 and isinstance(statements[0], ReductionStatement):
-            analysis = compiled_statement.analysis
-            return ReductionInputs(
-                streamed=dense.get(analysis.streamed),
-                coefficient=dense.get(analysis.coefficient),
-            )
-        # A fused unit spans two statements; the union of their operands
-        # covers both (the fused-away intermediate is never in ``dense``).
-        return {
-            ref.array: dense[ref.array]
-            for statement in statements
-            for ref in statement.operands
-            if ref.array in dense
-        }
 
     # ------------------------------------------------------------------
     def run(
@@ -1463,10 +1287,7 @@ class ProgramExecutor:
                     })
                     vm.resilience.statements_skipped += 1
                     continue
-                statement_inputs = self._statement_inputs(compiled_statement, dense)
-                self._run_statement_resilient(
-                    vm, compiled_statement, statement_inputs, dense
-                )
+                self._run_statement_resilient(vm, compiled_statement, dense)
                 time_now = vm.time_breakdown()
                 io_now = vm.io_statistics()
                 elapsed_now = vm.elapsed()
@@ -1547,49 +1368,24 @@ class ProgramExecutor:
         self,
         vm: VirtualMachine,
         compiled_statement: "CompiledProgram",
-        statement_inputs,
         dense: Dict[str, np.ndarray],
     ) -> None:
-        """Run one statement; detect and recover slab corruption charge-neutrally.
+        """Run one statement under the recovery loop (:func:`_run_recovering`).
 
-        Every attempt is bracketed by a charge snapshot: on a checksum
-        failure the charges roll back, the corrupted array is repaired
-        (re-executed producer for an intermediate, re-scattered dense data
-        for a program input, nothing for the statement's own result — the
-        retry overwrites it), and the statement re-runs.  A successful run
-        therefore charges the machine exactly once, bit-identical to a
-        fault-free run.
+        A corrupted array is repaired before the retry (:meth:`_repair`),
+        and with checksums on the statement's freshly written result is
+        audited inside the attempt, so write-time corruption is retried too.
         """
-        if not vm.perform_io:
-            NodeProgramExecutor(compiled_statement).run(
-                vm, statement_inputs, verify=False, recover=False
-            )
-            return
-        verify_boundary = vm.config.checksums
-        budget = _recovery_budget(vm, len(self.compiled.program.arrays))
-        attempts = 0
-        pending: Optional[SlabCorruptionError] = None
-        while True:
-            snapshot = vm.snapshot_charges()
-            try:
-                if pending is not None:
-                    self._repair(vm, pending, compiled_statement, dense)
-                    pending = None
-                NodeProgramExecutor(compiled_statement).run(
-                    vm, statement_inputs, verify=False, recover=False
-                )
-                if verify_boundary:
-                    self._verify_statement_results(vm, compiled_statement)
-                if attempts:
-                    vm.resilience.statements_recovered += 1
-                return
-            except SlabCorruptionError as exc:
-                attempts += 1
-                vm.resilience.corruptions_detected += 1
-                vm.restore_charges(snapshot)
-                if attempts >= budget:
-                    raise
-                pending = exc
+        def attempt() -> ExecutionResult:
+            result = _run_statement(vm, compiled_statement, dense, verify=False)
+            if vm.config.checksums:
+                self._verify_statement_results(vm, compiled_statement)
+            return result
+
+        _run_recovering(
+            vm, len(self.compiled.program.arrays), attempt,
+            lambda error: self._repair(vm, error, compiled_statement, dense),
+        )
 
     def _repair(
         self,
@@ -1605,18 +1401,13 @@ class ProgramExecutor:
         charge-neutrally), or a program input (re-scatter the dense data).
         """
         name = error.array
-        vm.resilience.slabs_recovered += 1
         if not name or name == self._result_array(compiled_statement):
             return
         producer = self._producer_index(name)
         if producer is not None:
-            producer_statement = self.compiled.statements[producer]
-            producer_inputs = self._statement_inputs(producer_statement, dense)
             snapshot = vm.snapshot_charges()
             try:
-                NodeProgramExecutor(producer_statement).run(
-                    vm, producer_inputs, verify=False, recover=False
-                )
+                _run_statement(vm, self.compiled.statements[producer], dense, verify=False)
             finally:
                 # Regeneration is pure recovery: the program already paid for
                 # this statement once; the simulated machine never sees it.

@@ -24,7 +24,6 @@ from repro.machine.parameters import MachineParameters
 from repro.runtime import VirtualMachine
 from repro.runtime.comm import SimulatedComm
 from repro.runtime.executor import (
-    ReductionInputs,
     _column_blocks,
     _plan_for,
     run_reduction_column,
@@ -295,8 +294,8 @@ def compile_gaxpy(n, p, dist, ratio):
 
 def dense_inputs(n, seed):
     rng = np.random.default_rng(seed)
-    return ReductionInputs(rng.standard_normal((n, n)).astype(np.float32),
-                           rng.standard_normal((n, n)).astype(np.float32))
+    return {"a": rng.standard_normal((n, n)).astype(np.float32),
+            "b": rng.standard_normal((n, n)).astype(np.float32)}
 
 
 @pytest.mark.parametrize("engine", sorted(ENGINES))

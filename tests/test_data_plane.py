@@ -14,6 +14,8 @@ import pytest
 
 from repro.api import Session, WorkloadPoint
 from repro.config import ExecutionMode, RunConfig
+from repro.core.ir import ArrayRef, FullRange, ProgramIR, TransposeStatement
+from repro.core.pipeline import compile_program
 from repro.hpf import Alignment, ArrayDescriptor, ProcessorGrid, Template
 from repro.hpf import distribution as dist_module
 from repro.hpf.template import DimDistributionSpec
@@ -48,9 +50,15 @@ def make_vm(p, tmp_path, **kwargs):
 def test_transpose_matches_numpy_on_uneven_extents(tmp_path, n, p, cols_per_slab, spec):
     assert n % (p * cols_per_slab)
     src, dst = column_descriptor(n, p, "a", spec), column_descriptor(n, p, "t", spec)
+    statement = TransposeStatement(ArrayRef("t", [FullRange()] * 2), ArrayRef("a", [FullRange()] * 2))
+    compiled = compile_program(
+        ProgramIR(name="tr", arrays={"a": src, "t": dst}, loops=(), statement=statement),
+        slab_elements=dict.fromkeys("at", cols_per_slab * n),
+    )
+    assert compiled.plan.entry("a").lines_per_slab == cols_per_slab
     a = np.random.default_rng(n * p).standard_normal((n, n)).astype(np.float32)
     with make_vm(p, tmp_path) as vm:
-        result = run_transpose_plan(vm, src, dst, cols_per_slab=cols_per_slab, a_dense=a)
+        result = run_transpose_plan(vm, compiled, {"a": a})
     assert result.verified is True
     np.testing.assert_array_equal(result.result, a.T)
 

@@ -31,7 +31,6 @@ from repro.runtime import executor
 from repro.runtime.executor import (
     NodeProgramExecutor,
     ProgramExecutor,
-    ReductionInputs,
     _statement_kind,
     program_reference,
     reduction_reference,
@@ -61,19 +60,6 @@ def generate_dense_inputs(program, seed: int = 11) -> dict:
     }
 
 
-def _single_statement_inputs(compiled, dense):
-    from repro.core.ir import ReductionStatement
-
-    statement = compiled.program.statement
-    if isinstance(statement, ReductionStatement):
-        analysis = compiled.analysis
-        return ReductionInputs(
-            streamed=dense[analysis.streamed],
-            coefficient=dense[analysis.coefficient],
-        )
-    return dense
-
-
 def assert_matches_oracle(compiled, scratch, seed: int = 11) -> dict:
     """Execute ``compiled`` and assert every output matches the NumPy oracle.
 
@@ -93,9 +79,7 @@ def assert_matches_oracle(compiled, scratch, seed: int = 11) -> dict:
             outputs = result.outputs
         else:
             statement = program.statement
-            result = NodeProgramExecutor(compiled).execute(
-                vm, _single_statement_inputs(compiled, dense), verify=False
-            )
+            result = NodeProgramExecutor(compiled).execute(vm, dense, verify=False)
             outputs = {statement.result.array: result.result}
     for name, actual in outputs.items():
         np.testing.assert_allclose(
@@ -286,16 +270,14 @@ def _verification_case(build, dtype):
     compiled = compile_program(built, slab_ratio=0.5) if isinstance(built, ProgramIR) else built
     program = compiled.program
     dense = generate_dense_inputs(program)
-    if isinstance(compiled, CompiledWholeProgram):
-        inputs, names = dense, program.result_arrays()
-    elif program.is_multi_statement():  # a fused unit: its last statement's result
-        inputs, names = dense, program.result_arrays()[-1:]
-    else:
-        inputs = _single_statement_inputs(compiled, dense)
-        names = (program.statement.result.array,)
+    # a whole program checks every result; a unit (a fused pair's included)
+    # only its last statement's
+    names = program.result_arrays()
+    if not isinstance(compiled, CompiledWholeProgram):
+        names = names[-1:]
     oracle = program_reference(program, dense)
     exact = {name: oracle[name].astype(program.arrays[name].dtype) for name in names}
-    return compiled, inputs, exact
+    return compiled, dense, exact
 
 
 @pytest.mark.parametrize("build,dtype,reports_error,passes,fails", [
@@ -504,11 +486,10 @@ def test_verification_memory_is_one_operand_copy_plus_panels(n):
     PANELS = 4  # three live, one spare
     compiled = compile_program(build_gaxpy_ir(n, 4, dtype="float32"), slab_ratio=0.5)
     dense = generate_dense_inputs(compiled.program)
-    inputs = _single_statement_inputs(compiled, dense)
     outputs = {"c": (_f64(dense["a"]) @ _f64(dense["b"])).astype("float32")}
     tracemalloc.start()
     try:
-        verified, _ = verify_outputs(compiled, inputs, outputs)
+        verified, _ = verify_outputs(compiled, dense, outputs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

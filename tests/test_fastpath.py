@@ -22,7 +22,6 @@ from repro.runtime import (
     IOEngine,
     LafHandleCache,
     LocalArrayFile,
-    ReductionInputs,
     Slab,
     SlabbingStrategy,
     VirtualMachine,
@@ -107,7 +106,7 @@ class TestPersistentHandles:
         compiled = compile_gaxpy(32, 2, slab_ratio=0.5)
         vm = VirtualMachine(2, compiled.params, RunConfig(scratch_dir=tmp_path))
         ones = np.ones((32, 32), dtype=np.float32)
-        run_reduction_row(vm, compiled, ReductionInputs(ones, ones), verify=False)
+        run_reduction_row(vm, compiled, {"a": ones, "b": ones}, verify=False)
         assert len(vm.handle_cache) > 0
         vm.cleanup()
         assert len(vm.handle_cache) == 0

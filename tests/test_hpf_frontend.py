@@ -172,14 +172,14 @@ def test_frontend_program_executes_and_verifies(tmp_path):
     import numpy as np
 
     from repro.config import RunConfig
-    from repro.runtime import NodeProgramExecutor, ReductionInputs, VirtualMachine
+    from repro.runtime import NodeProgramExecutor, VirtualMachine
 
     compiled = compile_source(GAXPY_SOURCE, slab_ratio=0.5)
     rng = np.random.default_rng(1994)
-    inputs = ReductionInputs(
-        streamed=rng.standard_normal((64, 64)).astype("float32"),
-        coefficient=rng.standard_normal((64, 64)).astype("float32"),
-    )
+    inputs = {
+        "a": rng.standard_normal((64, 64)).astype("float32"),
+        "b": rng.standard_normal((64, 64)).astype("float32"),
+    }
     with VirtualMachine(4, compiled.params, RunConfig(scratch_dir=tmp_path)) as vm:
         result = NodeProgramExecutor(compiled).execute(vm, inputs)
     assert result.verified is True

@@ -1,14 +1,19 @@
-"""Tests for the elementwise and transpose engines, driven from descriptors."""
+"""Tests for the elementwise and transpose engines, driven from compiled programs
+over hand-built array descriptors."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import ExecutionMode, RunConfig
-from repro.exceptions import RuntimeExecutionError
+from repro.core.ir import ArrayRef, ElementwiseStatement, FullRange, ProgramIR, TransposeStatement
+from repro.core.pipeline import compile_program
+from repro.exceptions import CompilationError
 from repro.hpf import Alignment, ArrayDescriptor, ProcessorGrid, Template
 from repro.runtime import VirtualMachine
 from repro.runtime.executor import run_elementwise_plan, run_transpose_plan
+
+OPS = {"add": np.add, "multiply": np.multiply}
 
 
 def column_block_descriptor(n, p, name="x", dtype=np.float32):
@@ -21,21 +26,44 @@ def make_vm(p, tmp_path, mode=ExecutionMode.EXECUTE):
     return VirtualMachine(p, "delta", RunConfig(scratch_dir=tmp_path, mode=mode))
 
 
-def run_elementwise(vm, n, p, a, b, op=np.add, slab_elements=64, strategy="column"):
-    """``c = op(a, b)`` on three conformal column-block ``n x n`` arrays."""
-    a_desc, b_desc, c_desc = (column_block_descriptor(n, p, name) for name in "abc")
-    return run_elementwise_plan(
-        vm, a_desc, b_desc, c_desc, op=op, slab_elements=slab_elements,
-        strategy=strategy, a_dense=a, b_dense=b,
+def full(name, ndim=2):
+    return ArrayRef(name, [FullRange()] * ndim)
+
+
+def compile_elementwise(descriptors, op="add", slab_elements=64, strategy="column"):
+    """``c = op(a, b)`` over the descriptors ``a, b, c``, ``slab_elements`` per slab."""
+    a, b, c = (desc.name for desc in descriptors)
+    ir = ProgramIR(
+        name="ew", arrays={desc.name: desc for desc in descriptors}, loops=(),
+        statement=ElementwiseStatement(full(c, descriptors[2].ndim),
+                                       [full(a, descriptors[0].ndim), full(b, descriptors[1].ndim)],
+                                       op=op),
     )
+    return compile_program(ir, slab_elements=dict.fromkeys((a, b, c), slab_elements),
+                           force_strategy=strategy)
+
+
+def compile_transpose(src, dst, cols_per_slab):
+    """``dst = src^T`` in column slabs of ``cols_per_slab`` columns."""
+    ir = ProgramIR(name="tr", arrays={src.name: src, dst.name: dst}, loops=(),
+                   statement=TransposeStatement(full(dst.name), full(src.name)))
+    slab = cols_per_slab * src.shape[0]
+    return compile_program(ir, slab_elements={src.name: slab, dst.name: slab})
+
+
+def run_elementwise(vm, n, p, a, b, op="add", slab_elements=64, strategy="column"):
+    """``c = op(a, b)`` on three conformal column-block ``n x n`` arrays."""
+    compiled = compile_elementwise([column_block_descriptor(n, p, name) for name in "abc"],
+                                   op=op, slab_elements=slab_elements, strategy=strategy)
+    return run_elementwise_plan(vm, compiled, None if a is None else {"a": a, "b": b})
 
 
 def run_transpose(vm, n, p, a, cols_per_slab=4):
     """``dst = src^T`` on two column-block ``n x n`` arrays."""
-    return run_transpose_plan(
-        vm, column_block_descriptor(n, p, "src"), column_block_descriptor(n, p, "dst"),
-        cols_per_slab=cols_per_slab, a_dense=a,
-    )
+    compiled = compile_transpose(column_block_descriptor(n, p, "src"),
+                                 column_block_descriptor(n, p, "dst"), cols_per_slab)
+    assert compiled.plan.entry("src").lines_per_slab == cols_per_slab
+    return run_transpose_plan(vm, compiled, None if a is None else {"src": a})
 
 
 # ---------------------------------------------------------------------------
@@ -43,7 +71,7 @@ def run_transpose(vm, n, p, a, cols_per_slab=4):
 # ---------------------------------------------------------------------------
 class TestElementwise:
     @pytest.mark.parametrize("strategy", ["column", "row"])
-    @pytest.mark.parametrize("op", [np.add, np.multiply])
+    @pytest.mark.parametrize("op", sorted(OPS))
     def test_matches_dense_reference(self, tmp_path, strategy, op):
         n, p = 32, 4
         rng = np.random.default_rng(3)
@@ -52,7 +80,7 @@ class TestElementwise:
         with make_vm(p, tmp_path) as vm:
             result = run_elementwise(vm, n, p, a, b, op=op, strategy=strategy)
         assert result.verified is True
-        np.testing.assert_allclose(result.result, op(a, b), rtol=1e-4, atol=1e-5)
+        np.testing.assert_allclose(result.result, OPS[op](a, b), rtol=1e-4, atol=1e-5)
 
     def test_io_volume_is_one_pass(self, tmp_path):
         n, p = 32, 4
@@ -78,13 +106,13 @@ class TestElementwise:
         assert result.result is None
         assert result.simulated_seconds > 0
 
-    def test_rejects_non_2d(self, tmp_path):
+    def test_rejects_non_2d(self):
+        # the compiler refuses the statement; no engine is ever handed it
         grid = ProcessorGrid("Pr", 2)
         template = Template("d", 8, grid, ["block"])
-        desc = ArrayDescriptor("v", (8,), Alignment(template, [":"]))
-        with make_vm(2, tmp_path) as vm:
-            with pytest.raises(RuntimeExecutionError):
-                run_elementwise_plan(vm, desc, desc, desc, op=np.add, slab_elements=64)
+        vectors = [ArrayDescriptor(name, (8,), Alignment(template, [":"])) for name in "uvw"]
+        with pytest.raises(CompilationError, match="two-dimensional"):
+            compile_elementwise(vectors)
 
     @settings(max_examples=8, deadline=None)
     @given(blocks=st.integers(1, 4), p=st.sampled_from([2, 4]), seed=st.integers(0, 1000))
@@ -120,14 +148,14 @@ class TestTranspose:
             assert vm.machine.metrics[0].io_read_requests > 0
             assert vm.machine.metrics[0].io_write_requests > 0
 
-    def test_rejects_rectangular(self, tmp_path):
+    def test_rejects_rectangular(self):
+        # the compiler refuses the statement; no engine is ever handed it
         grid = ProcessorGrid("Pr", 2)
         template = Template("d", 8, grid, ["block"])
-        bad = ArrayDescriptor("r2", (4, 8), Alignment(template, ["*", ":"]))
-        with make_vm(2, tmp_path) as vm:
-            with pytest.raises(RuntimeExecutionError):
-                run_transpose_plan(vm, bad, bad, cols_per_slab=8,
-                                   a_dense=np.zeros((4, 8), dtype=np.float32))
+        src, dst = (ArrayDescriptor(name, (4, 8), Alignment(template, ["*", ":"]))
+                    for name in ("r2", "r3"))
+        with pytest.raises(CompilationError, match="square"):
+            compile_transpose(src, dst, cols_per_slab=8)
 
     def test_estimate_mode(self, tmp_path):
         with make_vm(2, tmp_path, mode=ExecutionMode.ESTIMATE) as vm:

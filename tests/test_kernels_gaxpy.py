@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.config import ExecutionMode, RunConfig
 from repro.core import compile_gaxpy
 from repro.exceptions import RuntimeExecutionError
-from repro.runtime import NodeProgramExecutor, ReductionInputs, VirtualMachine, reduction_reference
+from repro.runtime import NodeProgramExecutor, VirtualMachine, reduction_reference
 from repro.runtime.executor import (
     run_reduction_column,
     run_reduction_incore,
@@ -17,11 +17,11 @@ from repro.runtime.slab import SlabbingStrategy
 
 
 def generate_gaxpy_inputs(n, seed=1994):
-    """Reproducible dense ``n x n`` float32 operands."""
+    """Reproducible dense ``n x n`` float32 operands, by array name."""
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((n, n)).astype("float32")
     b = rng.standard_normal((n, n)).astype("float32")
-    return ReductionInputs(streamed=a, coefficient=b)
+    return {"a": a, "b": b}
 
 
 def make_vm(nprocs, params, tmp_path, mode=ExecutionMode.EXECUTE):
@@ -41,8 +41,8 @@ class TestReference:
     def test_inputs_are_reproducible(self):
         one = generate_gaxpy_inputs(32, seed=7)
         two = generate_gaxpy_inputs(32, seed=7)
-        np.testing.assert_array_equal(one.streamed, two.streamed)
-        assert one.n == 32
+        np.testing.assert_array_equal(one["a"], two["a"])
+        assert one["a"].shape[0] == 32
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +56,7 @@ def test_versions_match_dense_reference(tmp_path, runner, n, p, ratio):
     with make_vm(p, compiled.params, tmp_path) as vm:
         result = runner(vm, compiled, inputs)
     assert result.verified is True
-    reference = reduction_reference(inputs.streamed, inputs.coefficient)
+    reference = reduction_reference(inputs["a"], inputs["b"])
     np.testing.assert_allclose(result.result, reference, rtol=2e-3, atol=1e-3)
 
 
@@ -173,10 +173,7 @@ class TestExecutor:
 # ---------------------------------------------------------------------------
 def test_uneven_distribution_rejected(tmp_path):
     compiled = compile_gaxpy(30, 4, slab_ratio=0.5)  # 30 not divisible by 4
-    inputs = ReductionInputs(
-        streamed=np.zeros((30, 30), dtype=np.float32),
-        coefficient=np.zeros((30, 30), dtype=np.float32),
-    )
+    inputs = {name: np.zeros((30, 30), dtype=np.float32) for name in "ab"}
     with make_vm(4, compiled.params, tmp_path) as vm:
         with pytest.raises(RuntimeExecutionError):
             run_reduction_row(vm, compiled, inputs)

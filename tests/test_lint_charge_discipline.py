@@ -303,6 +303,79 @@ def setup(vm, a_desc, c_desc, a_dense):
         assert findings(lint.check_dense_zero_initial, self.DATA_OR_NOTHING, "executor.py") == []
 
 
+class TestEngineContract:
+    # what this rule was written against: the descriptor-driven engines
+    DESCRIPTOR_DRIVEN = """
+def run_elementwise_plan(vm, a_desc, b_desc, c_desc, *, op, slab_elements,
+                         strategy="column", a_dense=None, b_dense=None, verify=True):
+    pass
+
+def run_transpose_plan(vm, src_desc, dst_desc, *, cols_per_slab, a_dense=None, verify=True):
+    pass
+
+def run_reduction_row(vm, compiled, inputs=None, verify=True, *extra):
+    pass
+"""
+
+    # one contract; private helpers and methods are not engines
+    ONE_CONTRACT = """
+def run_elementwise_plan(vm, compiled, inputs=None, verify=True):
+    pass
+
+def run_transpose_plan(vm: "VirtualMachine", compiled: "CompiledProgram",
+                       inputs: "Inputs" = None, verify: bool = True) -> "ExecutionResult":
+    pass
+
+def _run_recovering(vm, narrays, attempt, repair=None):
+    pass
+
+class NodeProgramExecutor:
+    def run(self, vm, inputs=None, verify=True):
+        pass
+"""
+
+    def test_descriptor_driven_signatures_are_flagged(self):
+        out = findings(lint.check_engine_contract, self.DESCRIPTOR_DRIVEN, "executor.py")
+        assert [(v.rule, v.line) for v in out] == [
+            ("engine-contract", line) for line in (2, 6, 9)
+        ]
+
+    def test_the_one_contract_is_allowed(self):
+        assert findings(lint.check_engine_contract, self.ONE_CONTRACT, "executor.py") == []
+
+    def test_only_the_executor_is_checked(self):
+        assert findings(lint.check_engine_contract, self.DESCRIPTOR_DRIVEN, "kernels.py") == []
+
+
+class TestEstimateParity:
+    # a merged elementwise slab loop that stores its computed block in both modes
+    UNGATED = """
+def run_elementwise_plan(vm, compiled, inputs=None, verify=True):
+    for slab in slabs:
+        block = op(*operands)
+        ooc.local(rank).store_slab(slab, block)
+"""
+
+    # the gates the engines use: an IfExp payload, an if-branch, a None payload
+    GATED = """
+def run_elementwise_plan(vm, compiled, inputs=None, verify=True):
+    perform = vm.perform_io
+    for slab in slabs:
+        ooc.local(rank).store_slab(slab, blocks[result] if perform else None)
+        if vm.perform_io:
+            target.local(rank).store_slab(slab, data)
+        else:
+            target.local(rank).store_slab(slab, None)
+"""
+
+    def test_an_ungated_real_store_is_flagged(self):
+        out = findings(lint.check_estimate_parity, self.UNGATED, "executor.py")
+        assert [(v.rule, v.line) for v in out] == [("estimate-parity", 5)]
+
+    def test_gated_stores_are_allowed(self):
+        assert findings(lint.check_estimate_parity, self.GATED, "executor.py") == []
+
+
 def test_repository_is_clean():
     violations = lint.lint_tree(REPO)
     assert violations == [], "\n".join(v.render() for v in violations)

@@ -240,10 +240,7 @@ def test_planner_matches_oracle_and_mode_parity(build, tmp_path):
 
     from repro.core.pipeline import CompiledWholeProgram
     from repro.runtime.executor import NodeProgramExecutor, ProgramExecutor
-    from tests.test_differential import (
-        _single_statement_inputs,
-        generate_dense_inputs,
-    )
+    from tests.test_differential import generate_dense_inputs
 
     dense = generate_dense_inputs(compiled.program)
     counters = {}
@@ -265,9 +262,7 @@ def test_planner_matches_oracle_and_mode_parity(build, tmp_path):
                 result = (
                     executor.run(vm, None, verify=False)
                     if mode is ExecutionMode.ESTIMATE
-                    else executor.execute(
-                        vm, _single_statement_inputs(compiled, dense), verify=False
-                    )
+                    else executor.execute(vm, dense, verify=False)
                 )
             counters[mode] = {
                 key: result.io_statistics.get(key)

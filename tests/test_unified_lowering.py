@@ -6,7 +6,7 @@ through one ``ProgramIR → strip-mine → cost model → reorganize → NodePro
 
 * that every built-in compiles to a real node program,
 * that the unified path charges *bit-identical* statistics to the engines
-  driven directly from array descriptors,
+  called directly on a program compiled from hand-built array descriptors,
 * that single-operand HPF programs (``c = a @ a``) execute with verified
   numerics.
 """
@@ -20,6 +20,7 @@ from repro.core.ir import (
     ArrayRef,
     ElementwiseStatement,
     FullRange,
+    ProgramIR,
     TransposeStatement,
     build_elementwise_ir,
     build_gaxpy_ir,
@@ -28,7 +29,7 @@ from repro.core.ir import (
 from repro.core.pipeline import compile_program
 from repro.exceptions import CompilationError, RuntimeExecutionError
 from repro.hpf import Alignment, ArrayDescriptor, ProcessorGrid, Template
-from repro.runtime import NodeProgramExecutor, ReductionInputs, VirtualMachine
+from repro.runtime import NodeProgramExecutor, VirtualMachine
 from repro.runtime.executor import (
     run_elementwise_plan,
     run_reduction_single_operand,
@@ -145,9 +146,18 @@ class TestEveryWorkloadLowers:
             )
 
 
+def compile_from_descriptors(descriptors, statement, slab_elements):
+    """A program over hand-built descriptors, every array in slabs of ``slab_elements``."""
+    arrays = {desc.name: desc for desc in descriptors}
+    return compile_program(
+        ProgramIR(name="direct", arrays=arrays, loops=(), statement=statement),
+        slab_elements=dict.fromkeys(arrays, slab_elements),
+    )
+
+
 # ---------------------------------------------------------------------------
-# the unified path charges bit-identical statistics to the engines driven
-# from bare descriptors (no compiler in between)
+# the unified path charges bit-identical statistics to the engines called
+# directly on a program compiled from hand-built descriptors
 # ---------------------------------------------------------------------------
 class TestChargeParityWithKernels:
     @pytest.mark.parametrize("mode", [ExecutionMode.ESTIMATE, ExecutionMode.EXECUTE])
@@ -159,15 +169,18 @@ class TestChargeParityWithKernels:
             mode=mode,
         )
         descriptors = [column_block_descriptor(n, p, name=name) for name in ("ea", "eb", "ec")]
+        statement = ElementwiseStatement(
+            ArrayRef("ec", [FullRange()] * 2),
+            [ArrayRef("ea", [FullRange()] * 2), ArrayRef("eb", [FullRange()] * 2)],
+            op="multiply",
+        )
+        compiled = compile_from_descriptors(descriptors, statement, slab)
         rng = np.random.default_rng(1994)
         a = rng.standard_normal((n, n)).astype(np.float32)
         b = rng.standard_normal((n, n)).astype(np.float32)
-        dense = (a, b) if mode is ExecutionMode.EXECUTE else (None, None)
+        dense = {"ea": a, "eb": b} if mode is ExecutionMode.EXECUTE else None
         with VirtualMachine(p, None, RunConfig(scratch_dir=tmp_path / "k", mode=mode)) as vm:
-            kernel = run_elementwise_plan(
-                vm, *descriptors, op=np.multiply, slab_elements=slab,
-                a_dense=dense[0], b_dense=dense[1],
-            )
+            kernel = run_elementwise_plan(vm, compiled, dense)
         assert record.simulated_seconds == kernel.simulated_seconds
         assert record.io_requests_per_proc == kernel.io_statistics["io_requests_per_proc"]
         assert record.io_read_bytes_per_proc == kernel.io_statistics["bytes_read_per_proc"]
@@ -181,14 +194,52 @@ class TestChargeParityWithKernels:
             mode=mode,
         )
         src, dst = column_block_descriptor(n, p, name="ts"), column_block_descriptor(n, p, name="td")
+        statement = TransposeStatement(ArrayRef("td", [FullRange()] * 2),
+                                       ArrayRef("ts", [FullRange()] * 2))
+        compiled = compile_from_descriptors((src, dst), statement, cols * n)
+        assert compiled.plan.entry("ts").lines_per_slab == cols
         rng = np.random.default_rng(1994)
-        dense = rng.standard_normal((n, n)).astype(np.float32) if mode is ExecutionMode.EXECUTE else None
+        dense = ({"ts": rng.standard_normal((n, n)).astype(np.float32)}
+                 if mode is ExecutionMode.EXECUTE else None)
         with VirtualMachine(p, None, RunConfig(scratch_dir=tmp_path / "k", mode=mode)) as vm:
-            kernel = run_transpose_plan(vm, src, dst, cols_per_slab=cols, a_dense=dense)
+            kernel = run_transpose_plan(vm, compiled, dense)
         assert record.simulated_seconds == kernel.simulated_seconds
         assert record.io_requests_per_proc == kernel.io_statistics["io_requests_per_proc"]
         assert record.io_read_bytes_per_proc == kernel.io_statistics["bytes_read_per_proc"]
         assert record.io_write_bytes_per_proc == kernel.io_statistics["bytes_written_per_proc"]
+
+
+# ---------------------------------------------------------------------------
+# an operand referenced twice: created once per name, read once per reference
+# ---------------------------------------------------------------------------
+REPEATED_OPERAND_SOURCE = """
+program twice
+  parameter (n = 16, nprocs = 4)
+  real a(n, n), c(n, n)
+!hpf$ processors Pr(nprocs)
+!hpf$ template d(n)
+!hpf$ distribute d(block) onto Pr
+!hpf$ align a(*, :) with d
+!hpf$ align c(*, :) with d
+  c(:, :) = add(a(:, :), a(:, :))
+end program
+"""
+
+
+@pytest.mark.parametrize("backend", ["simulated", "processes"])
+def test_lone_repeated_operand_statement_runs_in_both_modes(tmp_path, backend):
+    point = WorkloadPoint("hpf", slab_ratio=0.5, options={"source": REPEATED_OPERAND_SOURCE})
+    with Session(config=RunConfig(scratch_dir=tmp_path), backend=backend) as session:
+        plan = session.compile(point).program.plan
+        estimate = session.run(point, mode=ExecutionMode.ESTIMATE)
+        execute = session.run(point, mode=ExecutionMode.EXECUTE)
+    assert execute.error is None and execute.verified is True
+    assert estimate.io_requests_per_proc == execute.io_requests_per_proc == plan.cost.io_requests
+    # `a` is read twice per slab: two fetch requests per slab, two passes of bytes
+    a_slabs = plan.entry("a").num_slabs
+    assert plan.cost.arrays["a"].fetch_requests == 2 * a_slabs
+    local_bytes = 16 * 4 * 4  # a 16 x 4 float32 local array
+    assert execute.io_read_bytes_per_proc == estimate.io_read_bytes_per_proc == 2 * local_bytes
 
 
 # ---------------------------------------------------------------------------
@@ -210,10 +261,9 @@ class TestSingleOperandExecute:
         n = 64
         rng = np.random.default_rng(5)
         a = rng.standard_normal((n, n)).astype(np.float32)
-        inputs = ReductionInputs(streamed=a, coefficient=a)
         with VirtualMachine(4, compiled.program.params,
                             RunConfig(scratch_dir=tmp_path)) as vm:
-            result = run_reduction_single_operand(vm, compiled.program, inputs)
+            result = run_reduction_single_operand(vm, compiled.program, {"a": a})
         assert result.verified is True
         reference = a.astype(np.float64) @ a.astype(np.float64)
         np.testing.assert_allclose(result.result, reference, rtol=2e-3, atol=1e-3)
@@ -230,7 +280,7 @@ class TestSingleOperandExecute:
 
     def test_executor_dispatches_single_operand(self, tmp_path):
         compiled = Session().compile(source=SINGLE_OPERAND_SOURCE, slab_ratio=0.5)
-        inputs = ReductionInputs(*(np.zeros((64, 64), dtype=np.float32),) * 2)
+        inputs = {"a": np.zeros((64, 64), dtype=np.float32)}
         with VirtualMachine(4, compiled.program.params,
                             RunConfig(scratch_dir=tmp_path)) as vm:
             result = NodeProgramExecutor(compiled.program).execute(vm, inputs, verify=False)
@@ -285,9 +335,13 @@ class TestExecutorGuards:
         with pytest.raises(RuntimeExecutionError, match="reduction"):
             NodeProgramExecutor(compiled).estimate(machine=Machine(2))
 
-    def test_bulk_estimate_builds_its_own_vm_for_data_movement(self):
+    def test_data_movement_estimates_on_an_estimate_vm(self):
         compiled = compile_program(build_transpose_ir(16, 2), slab_ratio=0.5)
-        result = NodeProgramExecutor(compiled).estimate()
+        executor = NodeProgramExecutor(compiled)
+        with pytest.raises(RuntimeExecutionError, match="reduction"):
+            executor.estimate()
+        vm = VirtualMachine(2, compiled.params, RunConfig(mode=ExecutionMode.ESTIMATE))
+        result = executor.run(vm, None, verify=False)
         assert result.simulated_seconds > 0
         assert result.mode is ExecutionMode.ESTIMATE
 

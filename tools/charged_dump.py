@@ -10,9 +10,14 @@ Each output line is one JSON object ``{"config": label, "fields": {...}}``.
 Fields are every quantity of ``VirtualMachine.snapshot_charges()`` (clocks,
 busy times, counters of every processor, disk and the network), flattened to
 dotted names, plus the run's simulated seconds, time breakdown, I/O
-statistics and per-statement breakdown.  Every number is written with
+statistics and per-statement breakdown, and — for an EXECUTE run — its
+``verified`` flag, ``max_abs_error`` and a sha256 of every gathered result
+array (dtype, shape and bytes), so inputs and results are proven
+byte-identical too, not only the charges.  Every number is written with
 ``repr``, so floats compare exactly.  A configuration the tree refuses
-(compile or run error) records the error text instead.
+(compile or run error) records the error text instead.  Every dense input
+is drawn by ``Workload.generate_inputs``, whichever input shape the tree's
+engines take.
 
 Configurations, each charged in EXECUTE and in ESTIMATE (and, for a lone
 reduction, the bulk ``NodeProgramExecutor.estimate``):
@@ -22,7 +27,11 @@ reduction, the bulk ``NodeProgramExecutor.estimate``):
 * the three reduction engines (column, row, in-core) over the block, partial
   and cyclic GAXPY points of ``tests/test_column_blocks.py``;
 * one GAXPY point run through ``Session`` on the ``processes`` backend and
-  on the simulated one (the full ``RunRecord`` of each).
+  on the simulated one (the full ``RunRecord`` of each);
+* a seeded-fault set: a lone reduction, a lone elementwise statement, a
+  fused pair and a three-statement program run through ``Session`` under
+  bit-flip policies that really fire (the full ``RunRecord``, resilience
+  counters included).
 
 Usage::
 
@@ -35,6 +44,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import importlib.util
 import json
 import sys
@@ -64,6 +74,49 @@ end program
 
 #: (n, P, distribution, slab ratio) of tests/test_column_blocks.py's engine matrix
 ENGINE_POINTS = [(24, 4, "block", 0.7), (40, 4, "block", 0.45), (24, 4, "cyclic", 0.5)]
+
+#: ``t = a + b; c = t * d`` — fused into one unit by the planner
+PAIR_SOURCE = """
+program pair
+  parameter (n = 64, nprocs = 4)
+  real a(n, n), b(n, n), t(n, n), d(n, n), c(n, n)
+!hpf$ processors Pr(nprocs)
+!hpf$ template tmpl(n)
+!hpf$ distribute tmpl(block) onto Pr
+!hpf$ align a(*, :) with tmpl
+!hpf$ align b(*, :) with tmpl
+!hpf$ align t(*, :) with tmpl
+!hpf$ align d(*, :) with tmpl
+!hpf$ align c(*, :) with tmpl
+  t(:, :) = add(a(:, :), b(:, :))
+  c(:, :) = multiply(t(:, :), d(:, :))
+end program
+"""
+
+#: ``t = a @ b; u = t + d; c = u * e`` — a reduction feeding two elementwise statements
+CHAIN_SOURCE = """
+program chain
+  parameter (n = 64, nprocs = 4)
+  real a(n, n), b(n, n), t(n, n), d(n, n), u(n, n), e(n, n), c(n, n)
+!hpf$ processors Pr(nprocs)
+!hpf$ template tmpl(n)
+!hpf$ distribute tmpl(block) onto Pr
+!hpf$ align a(*, :) with tmpl
+!hpf$ align t(*, :) with tmpl
+!hpf$ align d(*, :) with tmpl
+!hpf$ align u(*, :) with tmpl
+!hpf$ align e(*, :) with tmpl
+!hpf$ align c(*, :) with tmpl
+!hpf$ align b(:, *) with tmpl
+  do j = 1, n
+    forall (k = 1 : n)
+      t(:, j) = sum(a(:, k) * b(k, j))
+    end forall
+  end do
+  u(:, :) = add(t(:, :), d(:, :))
+  c(:, :) = multiply(u(:, :), e(:, :))
+end program
+"""
 
 
 def flatten(value, prefix, out):
@@ -103,14 +156,28 @@ def assert_from(src):
             raise SystemExit(f"{name} was imported from {path}, not from {src}")
 
 
+def digest(array):
+    """sha256 of an array's dtype, shape and bytes."""
+    import numpy as np
+
+    array = np.ascontiguousarray(array)
+    meta = f"{array.dtype.str}{array.shape}".encode()
+    return hashlib.sha256(meta + array.tobytes()).hexdigest()
+
+
 def run_fields(vm, result):
     fields = flatten(vm.snapshot_charges(), "", {})
+    gathered = dict(result.outputs or {})
+    if result.result is not None:
+        gathered["result"] = result.result
     fields.update(flatten({
         "simulated_seconds": result.simulated_seconds,
         "time_breakdown": result.time_breakdown,
         "io_statistics": result.io_statistics,
         "statements": result.statements,
         "verified": result.verified,
+        "max_abs_error": result.max_abs_error,
+        "sha256": {name: digest(array) for name, array in gathered.items()},
     }, "result", {}))
     return fields
 
@@ -166,14 +233,11 @@ def plan_configs(check_plans):
 
 
 def engine_configs(scratch):
-    import numpy as np
-
     from repro.api import WorkloadPoint, get_workload
     from repro.config import ExecutionMode, RunConfig
     from repro.machine.parameters import MachineParameters
     from repro.runtime import VirtualMachine
     from repro.runtime.executor import (
-        ReductionInputs,
         run_reduction_column,
         run_reduction_incore,
         run_reduction_row,
@@ -181,13 +245,13 @@ def engine_configs(scratch):
 
     engines = {"column": run_reduction_column, "row": run_reduction_row,
                "incore": run_reduction_incore}
+    hpf = get_workload("hpf")
     for n, p, dist, ratio in ENGINE_POINTS:
         point = WorkloadPoint("hpf", slab_ratio=ratio, options={
             "source": GAXPY_SOURCE.format(n=n, p=p, dist=dist)})
-        program = get_workload("hpf").compile(point, MachineParameters()).program
-        rng = np.random.default_rng(n * p)
-        inputs = ReductionInputs(rng.standard_normal((n, n)).astype("float32"),
-                                 rng.standard_normal((n, n)).astype("float32"))
+        compiled = hpf.compile(point, MachineParameters())
+        program = compiled.program
+        inputs = hpf.generate_inputs(compiled, n * p)
         for name, engine in engines.items():
             runs = {}
             for mode in (ExecutionMode.ESTIMATE, ExecutionMode.EXECUTE):
@@ -211,6 +275,34 @@ def session_configs(scratch):
         yield f"session gaxpy n=64 P=4 column {backend}", {"execute": fields}
 
 
+def fault_configs(scratch):
+    from repro.api import Session, WorkloadPoint
+    from repro.config import RunConfig
+    from repro.resilience.faults import FaultPolicy
+
+    pair = {"source": PAIR_SOURCE, "memory_budget_bytes": 16 * 1024, "fusion": "on"}
+    points = {
+        "gaxpy n=64 P=4 r=0.25": (WorkloadPoint("gaxpy", n=64, nprocs=4, slab_ratio=0.25), 2, 0.05),
+        "gaxpy column n=64 P=4 r=0.25": (
+            WorkloadPoint("gaxpy", n=64, nprocs=4, version="column", slab_ratio=0.25), 2, 0.05),
+        "elementwise n=64 P=4 r=0.25": (
+            WorkloadPoint("elementwise", n=64, nprocs=4, slab_ratio=0.25), 2, 0.05),
+        "fused pair n=64 P=4": (WorkloadPoint("hpf", optimize="greedy", options=pair), 4, 0.2),
+        "chain n=64 P=4 r=0.25": (
+            WorkloadPoint("hpf", slab_ratio=0.25, options={"source": CHAIN_SOURCE}), 2, 0.05),
+    }
+    for label, (point, seed, rate) in points.items():
+        policy = FaultPolicy(seed=seed, bitflip_rate=rate, max_failures_per_site=1)
+        config = RunConfig(scratch_dir=Path(scratch), fault_policy=policy)
+        try:
+            with Session(config=config) as session:
+                record = session.run(point, mode="execute")
+            fields = flatten(dataclasses.asdict(record), "record", {})
+        except Exception as exc:
+            fields = {"error": f"{type(exc).__name__}: {exc}"}
+        yield f"faults {label} seed={seed} bitflip={rate}", {"execute": fields}
+
+
 def dump(src, out):
     src, check_plans = load_repro(src)
     with tempfile.TemporaryDirectory() as scratch, open(out, "w") as sink:
@@ -226,6 +318,8 @@ def dump(src, out):
         for label, runs in engine_configs(scratch):
             emit(label, runs)
         for label, runs in session_configs(scratch):
+            emit(label, runs)
+        for label, runs in fault_configs(scratch):
             emit(label, runs)
     assert_from(src)
 

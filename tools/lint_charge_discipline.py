@@ -38,9 +38,9 @@ discipline statically (stdlib ``ast`` only, no third-party dependencies):
     must be gated on the VM's ``perform_io`` flag (an enclosing
     ``if vm.perform_io:`` / ``if perform:`` branch, or a
     ``data if perform_io else None`` payload).  An ungated real store would
-    materialize data in ESTIMATE mode — the fused elementwise engine depends
-    on this to keep its resident intermediate EXECUTE-only while both modes
-    charge identical counters.
+    materialize data in ESTIMATE mode — the elementwise engine depends on
+    this to keep a fused pair's resident intermediate EXECUTE-only while both
+    modes charge identical counters.
 
 ``loop-index-translation``
     In ``src/repro/runtime/executor.py`` no ``owner_of_dim`` /
@@ -79,6 +79,15 @@ discipline statically (stdlib ``ast`` only, no third-party dependencies):
     result; a dense zero ``initial`` allocates the whole array on the host,
     scatters it and writes and checksums zeros the file already holds.
 
+``engine-contract``
+    In ``src/repro/runtime/executor.py`` every public module-level ``run_*``
+    function is a statement engine and takes exactly the positional
+    parameters ``(vm, compiled, inputs, verify)`` — no descriptors, no
+    ``op=`` / ``slab_elements=`` / ``cols_per_slab=`` keywords, no
+    ``*args``.  Whatever an engine needs beyond its dense inputs it reads
+    from the compiled program, so every engine is called, dispatched and
+    verified the same way.
+
 Run: ``python tools/lint_charge_discipline.py [root]`` — exits non-zero on
 any violation.  Wired into ``make lint`` and CI.
 """
@@ -108,6 +117,7 @@ PER_COLUMN_CALLS = {"charge_read", "charge_compute", "global_sum"}
 ARRAY_CONSTRUCTORS = {"create_array", "ensure_array"}
 CACHE_DECORATORS = {"lru_cache", "cache"}
 CACHE_CONTAINERS = {"dict", "OrderedDict"}
+ENGINE_CONTRACT = ["vm", "compiled", "inputs", "verify"]
 _COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 
@@ -422,6 +432,25 @@ def check_dense_zero_initial(tree: ast.AST, path: Path) -> Iterator[Violation]:
                 )
 
 
+def check_engine_contract(tree: ast.AST, path: Path) -> Iterator[Violation]:
+    if path.name != EXECUTOR_FILE:
+        return
+    for node in getattr(tree, "body", []):  # module level only
+        if not (isinstance(node, ast.FunctionDef) and node.name.startswith("run_")):
+            continue
+        args = node.args
+        positional = [arg.arg for arg in args.posonlyargs + args.args]
+        if positional == ENGINE_CONTRACT and not (args.vararg or args.kwonlyargs or args.kwarg):
+            continue
+        yield Violation(
+            "engine-contract", str(path), node.lineno,
+            f"engine {node.name!r} takes ({', '.join(positional)}"
+            f"{', ...' if args.vararg or args.kwonlyargs or args.kwarg else ''}); "
+            f"every engine takes ({', '.join(ENGINE_CONTRACT)}) and reads the "
+            "rest from the compiled program",
+        )
+
+
 # ---------------------------------------------------------------------------
 # driver
 # ---------------------------------------------------------------------------
@@ -435,6 +464,7 @@ def lint_file(path: Path, *, runtime: bool) -> List[Violation]:
         violations.extend(check_estimate_parity(tree, path))
         violations.extend(check_loop_index_translation(tree, path))
         violations.extend(check_per_column_charge(tree, path))
+        violations.extend(check_engine_contract(tree, path))
     violations.extend(check_frozen_mutation(tree, path))
     violations.extend(check_process_wide_cache(tree, path))
     violations.extend(check_dense_zero_initial(tree, path))
