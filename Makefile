@@ -37,11 +37,12 @@ typecheck:
 		&& $(PYTHON) -m mypy --config-file mypy.ini src/repro/core src/repro/planner \
 		|| echo "mypy not installed; skipping typecheck (CI runs it)"
 
-# Static plan verification over the full differential matrix: every workload
-# x strategy x P x slab granularity plus 1-3 statement HPF programs and a
-# seeded fuzz sweep.  Asserts the symbolic charge ledger equals PlanCost on
-# every plan and matches the executed machine counters where the executor
-# follows plan granularity.
+# Static plan verification over the scenario sets of tests/scenarios.py:
+# every IR builder x strategy x P x slab granularity, 1-3 statement HPF
+# programs, CYCLIC / CYCLIC(2) layouts, fused plans and a seeded fuzz sweep.
+# Asserts the symbolic charge ledger equals PlanCost on every plan and
+# matches the executed machine counters where the executor follows plan
+# granularity.
 check-plans:
 	PYTHONPATH=src $(PYTHON) tools/check_plans.py
 
@@ -102,11 +103,12 @@ PAIRS ?= 10
 ab:
 	$(PYTHON) tools/ab_pairs.py --parent $(PARENT) --workload $(W) --pairs $(PAIRS)
 
-# Every charged number of a fixed configuration set (tools/charged_dump.py:
-# the check-plans matrices, the reduction engines, a processes-backend
-# point; EXECUTE and ESTIMATE) charged by PARENT's src/ and by this tree's,
-# then the first differing field per configuration.  Prints nothing when no
-# charged number moved.
+# Every charged number of the scenario sets of tests/scenarios.py
+# (tools/charged_dump.py: the check-plans sets, the reduction engines, the
+# refused set, a processes-backend point, seeded faults; EXECUTE and
+# ESTIMATE) charged by PARENT's src/ and by this tree's, then the first
+# differing field per configuration.  Prints nothing when no charged number
+# moved.
 #   make diff-parent PARENT=../parent
 diff-parent:
 	@dir=$$(mktemp -d) && \

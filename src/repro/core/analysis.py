@@ -90,9 +90,6 @@ class ArrayAccessInfo:
     #: maximum local element count over processors
     max_local_elements: int
 
-    def is_out_of_core(self) -> bool:
-        return True  # refined by the caller via the descriptor; kept for readability
-
 
 @dataclasses.dataclass
 class InCorePhaseResult:

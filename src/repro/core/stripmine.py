@@ -88,10 +88,6 @@ class SlabPlanEntry:
     #: on-disk storage order chosen so each slab is contiguous ('F' or 'C')
     storage_order: str
 
-    @property
-    def slab_bytes_factor(self) -> int:
-        return self.slab_elements
-
     def describe(self) -> str:
         return (
             f"{self.array}: {self.strategy.value}-slabs of {self.lines_per_slab} "

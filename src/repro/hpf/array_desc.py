@@ -124,10 +124,6 @@ class ArrayDescriptor:
         """Total number of processors in the underlying grid."""
         return self.grid.size
 
-    def dim_distribution(self, dim: int) -> Distribution:
-        """Distribution governing array dimension ``dim``."""
-        return self._dists[dim]
-
     def distributed_dims(self) -> Tuple[int, ...]:
         """Array dimensions that are actually spread across processors."""
         return tuple(i for i, d in enumerate(self._dists) if d.is_distributed())
@@ -257,9 +253,6 @@ class ArrayDescriptor:
 
     def local_nbytes(self, rank: int) -> int:
         return self.local_size(rank) * self.itemsize
-
-    def max_local_nbytes(self) -> int:
-        return math.prod(self.max_local_shape()) * self.itemsize
 
     def local_index_ranges(self, rank: int) -> Tuple[np.ndarray, ...]:
         """Global indices owned by ``rank`` along each dimension."""

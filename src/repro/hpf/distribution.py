@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import abc
 import math
-from typing import Iterator, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -131,10 +131,6 @@ class Distribution(abc.ABC):
         """True when different processors own different indices."""
         return True
 
-    def max_local_size(self) -> int:
-        """Largest local extent over all processors (used for buffer sizing)."""
-        return max(self.local_size(p) for p in range(self.nprocs))
-
     @abc.abstractmethod
     def owners(self) -> np.ndarray:
         """Vector of owners for every global index (length ``extent``)."""
@@ -149,11 +145,6 @@ class Distribution(abc.ABC):
         for proc in range(self.nprocs):
             positions[self.local_indices(proc)] = np.arange(self.local_size(proc))
         return positions
-
-    def iter_owned(self) -> Iterator[Tuple[int, np.ndarray]]:
-        """Yield ``(proc, global_indices)`` pairs for every processor."""
-        for proc in range(self.nprocs):
-            yield proc, self.local_indices(proc)
 
     # -- cosmetics ------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

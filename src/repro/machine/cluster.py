@@ -97,25 +97,6 @@ class Machine:
         self.clocks[rank].advance(seconds, "compute")
         return seconds
 
-    def charge_copy(self, rank: int, nbytes: int) -> float:
-        """Charge processor ``rank`` for a local memory copy (packing/unpacking)."""
-        seconds = self.processors[rank].copy(nbytes)
-        self.clocks[rank].advance(seconds, "compute")
-        return seconds
-
-    def charge_send(self, src: int, dst: int, nbytes: int) -> float:
-        """Charge a point-to-point message from ``src`` to ``dst``.
-
-        Both endpoints advance by the message time (blocking send/recv pair).
-        """
-        self._check_rank(src)
-        self._check_rank(dst)
-        seconds = self.network.send(nbytes)
-        for rank in {src, dst}:
-            self.metrics[rank].record_messages(1, nbytes)
-            self.clocks[rank].advance(seconds, "comm")
-        return seconds
-
     def charge_global_sum(self, nbytes: int, nelements: Optional[int] = None) -> float:
         """Charge every processor for a global sum (all-reduce) of ``nbytes``.
 

@@ -1,7 +1,6 @@
 """Interconnect cost model.
 
-Models point-to-point messages and the collective operations used by the
-compiled node programs (global sum reductions, broadcasts, personalized
+Models the collective operations used by the compiled node programs (global sum reductions, broadcasts, personalized
 all-to-all for the transpose).  Collectives follow binomial-tree cost
 formulas, which is what the NX library on the Touchstone Delta and early MPI
 implementations used.
@@ -26,17 +25,6 @@ class NetworkModel:
     bytes_moved: int = 0
     collectives: int = 0
     busy_time: float = 0.0
-
-    # -- point to point --------------------------------------------------------
-    def send(self, nbytes: int) -> float:
-        """Account for one point-to-point message of ``nbytes``; return seconds."""
-        if nbytes < 0:
-            raise CollectiveError(f"negative message size {nbytes}")
-        seconds = self.params.point_to_point_time(nbytes)
-        self.messages += 1
-        self.bytes_moved += nbytes
-        self.busy_time += seconds
-        return seconds
 
     # -- collectives -----------------------------------------------------------
     def global_sum(self, nbytes: int, nprocs: int, nelements: int | None = None) -> float:

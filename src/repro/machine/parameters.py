@@ -166,9 +166,6 @@ class ProcessorParameters:
     def compute_time(self, flops: float) -> float:
         return flops * self.flop_time
 
-    def copy_time(self, nbytes: int) -> float:
-        return nbytes / self.memory_copy_bandwidth
-
 
 @dataclasses.dataclass(frozen=True)
 class MachineParameters:

@@ -35,15 +35,6 @@ class ProcessorModel:
         self.busy_time += seconds
         return seconds
 
-    def copy(self, nbytes: int) -> float:
-        """Account for a local memory copy of ``nbytes``; return seconds."""
-        if nbytes < 0:
-            raise MachineConfigurationError(f"negative copy size {nbytes}")
-        seconds = self.params.copy_time(nbytes)
-        self.bytes_copied += nbytes
-        self.busy_time += seconds
-        return seconds
-
     # -- memory budget ----------------------------------------------------------
     @property
     def memory_bytes(self) -> int:

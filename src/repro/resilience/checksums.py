@@ -57,19 +57,13 @@ def _overlaps(a: SlabKey, b: SlabKey) -> bool:
     return a[0] < b[1] and b[0] < a[1] and a[2] < b[3] and b[2] < a[3]
 
 
-def _contains(outer: SlabKey, inner: SlabKey) -> bool:
-    return (outer[0] <= inner[0] and inner[1] <= outer[1]
-            and outer[2] <= inner[2] and inner[3] <= outer[3])
-
-
 class SlabManifest:
     """Checksums of the slabs last written to one Local Array File.
 
     Entries are keyed by slab extents.  A write *invalidates* every existing
     entry it overlaps (their recorded bytes are no longer what is on disk)
     and records the new slab; a read verifies against the exact entry when
-    one exists, or any recorded slab that fully contains the request.
-    Partially-overlapping reads are not re-verified — doing so would require
+    one exists.  Other reads are not re-verified — doing so would require
     re-reading the covering slabs and would blow the fastpath budget; full
     coverage comes from :meth:`verify_all` at statement boundaries.
     """
@@ -108,11 +102,6 @@ class SlabManifest:
     def expected(self, key: SlabKey) -> Optional[int]:
         """The recorded checksum for this exact slab, if any."""
         return self.entries.get(tuple(int(v) for v in key))
-
-    def covering_keys(self, key: SlabKey):
-        """Recorded slabs that fully contain ``key`` (excluding ``key`` itself)."""
-        key = tuple(int(v) for v in key)
-        return [k for k in self.entries if k != key and _contains(k, key)]
 
     def matches(self, key: SlabKey, data: np.ndarray) -> Optional[bool]:
         """``True``/``False`` when the exact entry exists, ``None`` otherwise.

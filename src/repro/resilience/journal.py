@@ -128,10 +128,6 @@ class CheckpointJournal:
             self.complete = False
             self._write()
 
-    # ------------------------------------------------------------------
-    def completed_indices(self) -> List[int]:
-        return [entry["index"] for entry in self.entries]
-
     def _write(self) -> None:
         payload = {
             "version": _JOURNAL_VERSION,

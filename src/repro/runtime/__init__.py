@@ -19,8 +19,8 @@ This subpackage implements the data storage model of the paper (Section 2.3):
 from repro.runtime.slab import Slab, SlabbingStrategy, column_slabs, row_slabs, make_slabs
 from repro.runtime.laf import LafHandleCache, LocalArrayFile
 from repro.runtime.ocla import OutOfCoreLocalArray
-from repro.runtime.io_engine import IOEngine, IOAccounting
-from repro.runtime.collectives import global_sum, broadcast, point_to_point
+from repro.runtime.io_engine import IOEngine
+from repro.runtime.collectives import global_sum, broadcast
 from repro.runtime.vm import VirtualMachine, OutOfCoreArray
 from repro.runtime.executor import (
     ExecutionResult,
@@ -40,10 +40,8 @@ __all__ = [
     "LocalArrayFile",
     "OutOfCoreLocalArray",
     "IOEngine",
-    "IOAccounting",
     "global_sum",
     "broadcast",
-    "point_to_point",
     "VirtualMachine",
     "OutOfCoreArray",
     "NodeProgramExecutor",

@@ -8,8 +8,7 @@ The compiled node programs need these communication primitives:
   columns, each rank's per-column charges and the per-column global sums
   charged in one replay and the contributions summed as one matrix,
 * :func:`broadcast` — one processor's data delivered to all (the
-  single-operand reduction's schedule), and
-* :func:`point_to_point` — a single send/receive pair.
+  single-operand reduction's schedule).
 
 Because all simulated processors live in one OS process, the data movement is
 just NumPy arithmetic; the *cost* is charged to the machine model with the
@@ -32,7 +31,6 @@ __all__ = [
     "global_sum_columns",
     "sum_in_rank_order",
     "broadcast",
-    "point_to_point",
     "payload_bytes",
 ]
 
@@ -159,17 +157,4 @@ def broadcast(
         if data.shape != expected:
             raise CollectiveError(f"broadcast: data shape {data.shape}, expected {expected}")
     machine.charge_broadcast(nbytes)
-    return data
-
-
-def point_to_point(
-    machine: Machine,
-    src: int,
-    dst: int,
-    data: Optional[np.ndarray],
-    *,
-    nbytes: int,
-) -> Optional[np.ndarray]:
-    """Send ``data`` from ``src`` to ``dst``; returns the delivered payload."""
-    machine.charge_send(src, dst, nbytes)
     return data

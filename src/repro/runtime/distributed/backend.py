@@ -35,7 +35,7 @@ from repro.config import RunConfig
 from repro.exceptions import DistributedExecutionError
 from repro.resilience.reaper import write_owner_file
 from repro.runtime.distributed.worker import WorkerSpec, run_worker
-from repro.runtime.executor import verify_outputs
+from repro.runtime.executor import statement_deltas, verify_outputs
 from repro.runtime.laf import LocalArrayFile
 
 __all__ = ["execute_distributed", "default_start_method"]
@@ -70,37 +70,25 @@ def _sum_merge(dicts: List[Dict[str, float]]) -> Dict[str, float]:
 
 
 def _merge_statements(payloads: List[Dict[str, object]]) -> Tuple[Dict[str, float], ...]:
-    """Re-derive per-statement deltas from max-merged cumulative boundaries.
+    """The per-statement breakdown from the workers' cumulative boundaries.
 
     Each worker reports the *cumulative* charge totals at every statement
     boundary; the cross-rank aggregate of a boundary is the field-wise max
     (the critical-path convention of every reported statistic), and the
-    simulator's per-statement breakdown is exactly the difference between
-    consecutive aggregated boundaries — starting from zero on a fresh VM.
+    breakdown is :func:`statement_deltas` of those aggregates from zero — a
+    fresh VM — exactly as the simulator derives it.
     """
     totals_per_worker = [p["statement_totals"] for p in payloads]
     count = max((len(t) for t in totals_per_worker), default=0)
-    if count == 0:
-        return ()
-    statements: List[Dict[str, float]] = []
-    prev_elapsed = 0.0
-    prev_time: Dict[str, float] = {}
-    prev_io: Dict[str, float] = {}
+    merged = []
     for index in range(count):
         boundaries = [t[index] for t in totals_per_worker if index < len(t)]
-        elapsed = max(float(b["elapsed"]) for b in boundaries)
-        time_now = _max_merge([dict(b["time"]) for b in boundaries])
-        io_now = _max_merge([dict(b["io"]) for b in boundaries])
-        breakdown: Dict[str, float] = {"seconds": elapsed - prev_elapsed}
-        breakdown.update(
-            {key: time_now[key] - prev_time.get(key, 0.0) for key in time_now}
-        )
-        breakdown.update(
-            {key: io_now[key] - prev_io.get(key, 0.0) for key in io_now}
-        )
-        statements.append(breakdown)
-        prev_elapsed, prev_time, prev_io = elapsed, time_now, io_now
-    return tuple(statements)
+        merged.append({
+            "elapsed": max(float(b["elapsed"]) for b in boundaries),
+            "time": _max_merge([dict(b["time"]) for b in boundaries]),
+            "io": _max_merge([dict(b["io"]) for b in boundaries]),
+        })
+    return statement_deltas({"elapsed": 0.0, "time": {}, "io": {}}, merged)
 
 
 # ---------------------------------------------------------------------------

@@ -339,7 +339,7 @@ class ExecutionResult:
     #: whole-program run: ``{"elapsed", "time", "io"}`` per statement.  The
     #: distributed backend merges these across rank workers (field-wise max,
     #: the critical-path convention) and re-derives the per-statement deltas
-    #: of ``statements`` bit-identically to the simulator.
+    #: of ``statements`` with the same :func:`statement_deltas`.
     statement_totals: Tuple[Dict[str, object], ...] = ()
 
     def describe(self) -> str:
@@ -353,6 +353,37 @@ class ExecutionResult:
         if self.verified is not None:
             lines.append(f"  verified: {self.verified}")
         return "\n".join(lines)
+
+
+def _boundary(vm: VirtualMachine) -> Dict[str, object]:
+    """The cumulative charge totals of ``vm`` at a statement boundary."""
+    return {"elapsed": vm.elapsed(), "time": vm.time_breakdown(), "io": vm.io_statistics()}
+
+
+def statement_deltas(
+    start: Dict[str, object], boundaries: Sequence[Dict[str, object]]
+) -> Tuple[Dict[str, float], ...]:
+    """Per-statement charged deltas from cumulative statement boundaries.
+
+    ``start`` and each boundary are ``{"elapsed", "time", "io"}`` totals; a
+    statement's entry is its boundary minus the previous one (``seconds``,
+    then every time and I/O field).  A boundary marked ``"skipped"`` — a
+    statement a resumed run did not re-run — yields ``{"seconds": 0.0,
+    "skipped": 1.0}`` and leaves the previous boundary in place.
+    """
+    deltas: List[Dict[str, float]] = []
+    previous = start
+    for boundary in boundaries:
+        if boundary.get("skipped"):
+            deltas.append({"seconds": 0.0, "skipped": 1.0})
+            continue
+        before_time, before_io = previous["time"], previous["io"]
+        breakdown = {"seconds": boundary["elapsed"] - previous["elapsed"]}
+        breakdown.update({k: v - before_time.get(k, 0.0) for k, v in boundary["time"].items()})
+        breakdown.update({k: v - before_io.get(k, 0.0) for k, v in boundary["io"].items()})
+        deltas.append(breakdown)
+        previous = boundary
+    return tuple(deltas)
 
 
 def _mode(vm: VirtualMachine) -> ExecutionMode:
@@ -1268,43 +1299,19 @@ class ProgramExecutor:
             journal.begin(program_fingerprint(self.compiled))
             resume_from = self._validate_checkpoint(vm, journal)
 
-        per_statement = []
+        start = previous = _boundary(vm)
         statement_totals = []
-        previous_time = vm.time_breakdown()
-        previous_io = vm.io_statistics()
-        previous_elapsed = vm.elapsed()
         with vm.array_reuse():
             for index, compiled_statement in enumerate(self.compiled.statements):
                 if index < resume_from:
                     # Completed by the checkpointed run: its result LAFs were
                     # re-validated and restored; nothing is charged.
-                    per_statement.append({"seconds": 0.0, "skipped": 1.0})
-                    statement_totals.append({
-                        "elapsed": previous_elapsed,
-                        "time": dict(previous_time),
-                        "io": dict(previous_io),
-                        "skipped": 1.0,
-                    })
+                    statement_totals.append({**previous, "skipped": 1.0})
                     vm.resilience.statements_skipped += 1
                     continue
                 self._run_statement_resilient(vm, compiled_statement, dense)
-                time_now = vm.time_breakdown()
-                io_now = vm.io_statistics()
-                elapsed_now = vm.elapsed()
-                breakdown = {"seconds": elapsed_now - previous_elapsed}
-                breakdown.update(
-                    {key: time_now[key] - previous_time.get(key, 0.0) for key in time_now}
-                )
-                breakdown.update(
-                    {key: io_now[key] - previous_io.get(key, 0.0) for key in io_now}
-                )
-                per_statement.append(breakdown)
-                statement_totals.append({
-                    "elapsed": elapsed_now,
-                    "time": dict(time_now),
-                    "io": dict(io_now),
-                })
-                previous_time, previous_io, previous_elapsed = time_now, io_now, elapsed_now
+                previous = _boundary(vm)
+                statement_totals.append(previous)
                 if journal is not None:
                     self._commit_statement(vm, journal, index, compiled_statement)
                     self._maybe_crash(vm, journal)
@@ -1344,7 +1351,7 @@ class ProgramExecutor:
             result=result_dense,
             verified=verified,
             max_abs_error=max_err,
-            statements=tuple(per_statement),
+            statements=statement_deltas(start, statement_totals),
             outputs=outputs,
             resilience=vm.resilience.as_dict() if vm.perform_io else None,
             statement_totals=tuple(statement_totals),

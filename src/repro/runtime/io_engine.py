@@ -2,25 +2,15 @@
 
 All slab traffic between Local Array Files and In-core Local Arrays goes
 through an :class:`IOEngine`, which performs the actual file access (in
-``EXECUTE`` mode) and charges the simulated machine for it.
-
-Two accounting policies are provided:
-
-``IOAccounting.PER_SLAB``
-    One I/O request per slab read or written — the convention of the paper's
-    cost model, valid when the on-disk storage order has been reorganized to
-    match the slabbing so a slab is one contiguous extent (or when the file
-    system offers strided/section read calls, as PASSION's runtime did).
-
-``IOAccounting.PER_CHUNK``
-    One I/O request per *contiguous file extent* touched — what a naive
-    runtime doing one ``read()`` per partial column/row would pay.  Used by
-    the ablation experiments to show why storage reorganization matters.
+``EXECUTE`` mode) and charges the simulated machine for it: one I/O request
+per non-empty slab read or written — the convention of the paper's cost
+model, valid when the on-disk storage order has been reorganized to match
+the slabbing so a slab is one contiguous extent (or when the file system
+offers strided/section read calls, as PASSION's runtime did).
 """
 
 from __future__ import annotations
 
-import enum
 import time
 from typing import Callable, Optional, Tuple
 
@@ -31,24 +21,12 @@ from repro.machine.cluster import Machine
 from repro.runtime.laf import LocalArrayFile
 from repro.runtime.slab import Slab
 
-__all__ = ["IOAccounting", "IOEngine"]
+__all__ = ["IOEngine"]
 
 
-class IOAccounting(enum.Enum):
-    """How I/O requests are counted for a slab access."""
-
-    PER_SLAB = "per-slab"
-    PER_CHUNK = "per-chunk"
-
-    @classmethod
-    def from_name(cls, name: "IOAccounting | str") -> "IOAccounting":
-        if isinstance(name, IOAccounting):
-            return name
-        key = str(name).strip().lower()
-        for member in cls:
-            if member.value == key or member.name.lower() == key:
-                return member
-        raise IOEngineError(f"unknown I/O accounting policy {name!r}")
+def _requests(slab: Slab) -> int:
+    """One request per non-empty slab."""
+    return 1 if slab.nelements else 0
 
 
 class IOEngine:
@@ -58,8 +36,6 @@ class IOEngine:
     ----------
     machine:
         The simulated machine to charge.
-    accounting:
-        Request-counting policy (see :class:`IOAccounting`).
     perform_io:
         When false (``ESTIMATE`` mode) no file is touched; only costs are
         charged and ``read_slab`` returns ``None``.  Either way every read is
@@ -84,7 +60,6 @@ class IOEngine:
     def __init__(
         self,
         machine: Machine,
-        accounting: IOAccounting | str = IOAccounting.PER_SLAB,
         perform_io: bool = True,
         *,
         injector=None,
@@ -93,7 +68,6 @@ class IOEngine:
         retry_backoff_s: float = 0.001,
     ):
         self.machine = machine
-        self.accounting = IOAccounting.from_name(accounting)
         self.perform_io = bool(perform_io)
         self.injector = injector
         self.stats = stats if stats is not None else (
@@ -158,20 +132,13 @@ class IOEngine:
             laf._check_open()
 
     # ------------------------------------------------------------------
-    def _request_count(self, laf: LocalArrayFile, slab: Slab) -> int:
-        if slab.nelements == 0:
-            return 0
-        if self.accounting is IOAccounting.PER_SLAB:
-            return 1
-        return laf.contiguous_chunks(slab)
-
-    def read_step(self, laf: LocalArrayFile, slab: Slab) -> Tuple[str, int, int]:
+    @staticmethod
+    def read_step(laf: LocalArrayFile, slab: Slab) -> Tuple[str, int, int]:
         """What one read of ``slab`` charges, as a column-block step.
 
-        ``("read", nbytes, nrequests)`` with the request count still derived
-        from :meth:`LocalArrayFile.contiguous_chunks`; nothing is charged.
+        ``("read", nbytes, nrequests)``; nothing is charged.
         """
-        return ("read", slab.nbytes(laf.dtype.itemsize), self._request_count(laf, slab))
+        return ("read", slab.nbytes(laf.dtype.itemsize), _requests(slab))
 
     def load_slab(self, rank: int, laf: LocalArrayFile, slab: Slab) -> Optional[np.ndarray]:
         """Move ``slab``'s data without charging: the data half of :meth:`read_slab`.
@@ -199,9 +166,7 @@ class IOEngine:
         if self.perform_io and (data is None or np.shape(data) != slab.shape):
             # refused before the charge: an error leaves the machine as it was
             raise IOEngineError(f"write_slab needs data of shape {slab.shape} to perform I/O")
-        nrequests = self._request_count(laf, slab)
-        nbytes = slab.nbytes(laf.dtype.itemsize)
-        self.machine.charge_write(rank, nbytes, nrequests)
+        self.machine.charge_write(rank, slab.nbytes(laf.dtype.itemsize), _requests(slab))
         if not self.perform_io:
             return
         self._attempt(lambda: laf.write_slab(slab, data), "write", laf)

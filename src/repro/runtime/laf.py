@@ -22,8 +22,7 @@ because the file goes with it.  A :class:`LafHandleCache` bounds
 how many handles are simultaneously open so runs with hundreds of LAFs do
 not exhaust file descriptors; evicted handles are flushed and transparently
 reopened on the next access.  None of this changes what the simulated
-machine is charged — accounting still goes through
-:meth:`contiguous_chunks` in the I/O engine.
+machine is charged: that is the I/O engine's business.
 """
 
 from __future__ import annotations
@@ -78,12 +77,6 @@ class LafHandleCache:
     def discard(self, laf: "LocalArrayFile") -> None:
         """Forget ``laf`` (its handle was released by the file itself)."""
         self._open.pop(id(laf), None)
-
-    def release_all(self) -> None:
-        """Flush and drop every open handle (files stay valid on disk)."""
-        while self._open:
-            _, victim = self._open.popitem(last=False)
-            victim._release_handle(unregister=False)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"LafHandleCache(open={len(self._open)}/{self.capacity}, evictions={self.evictions})"
@@ -416,11 +409,6 @@ class LocalArrayFile:
                 del raw
         else:  # pragma: no cover - injector only emits the two modes above
             raise IOEngineError(f"unknown corruption mode {mode!r}")
-
-    def contiguous_chunks(self, slab: Slab) -> int:
-        """Number of contiguous file extents the slab occupies in this file."""
-        self._check_slab(slab)
-        return slab.contiguous_chunks(self.shape, self.order)
 
     # ------------------------------------------------------------------
     @staticmethod

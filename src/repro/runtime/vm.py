@@ -34,7 +34,7 @@ from repro.resilience.faults import FaultInjector, ResilienceStats
 from repro.resilience.journal import CheckpointJournal
 from repro.resilience.reaper import write_owner_file
 from repro.runtime.comm import CommBackend, SimulatedComm
-from repro.runtime.io_engine import IOAccounting, IOEngine
+from repro.runtime.io_engine import IOEngine
 from repro.runtime.laf import LafHandleCache, LocalArrayFile
 from repro.runtime.ocla import OutOfCoreLocalArray
 
@@ -82,7 +82,6 @@ class VirtualMachine:
         nprocs: int,
         params: MachineParameters | str | None = None,
         config: Optional[RunConfig] = None,
-        accounting: IOAccounting | str = IOAccounting.PER_SLAB,
         max_open_handles: int = 128,
         work_dir: str | os.PathLike | None = None,
         rank: Optional[int] = None,
@@ -113,7 +112,6 @@ class VirtualMachine:
         )
         self.engine = IOEngine(
             self.machine,
-            accounting=accounting,
             perform_io=self.perform_io,
             injector=self.fault_injector,
             stats=self.resilience,

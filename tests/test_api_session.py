@@ -17,24 +17,9 @@ from repro.api import (
 )
 from repro.config import ExecutionMode, RunConfig
 from repro.exceptions import WorkloadError
+from tests.scenarios import hpf_source
 
-GAXPY_SOURCE = """
-program gaxpy
-  parameter (n = 64, nprocs = 4)
-  real a(n, n), b(n, n), c(n, n)
-!hpf$ processors Pr(nprocs)
-!hpf$ template d(n)
-!hpf$ distribute d(block) onto Pr
-!hpf$ align a(*, :) with d
-!hpf$ align c(*, :) with d
-!hpf$ align b(:, *) with d
-  do j = 1, n
-    forall (k = 1 : n)
-      c(:, j) = sum(a(:, k) * b(k, j))
-    end forall
-  end do
-end program
-"""
+GAXPY_SOURCE = hpf_source("matmul", 64, 4)
 
 
 def make_session(tmp_path, **kwargs):
@@ -313,12 +298,8 @@ class TestHpfWorkload:
 
     def test_single_operand_program_runs_in_both_modes(self, tmp_path):
         """c = a @ a: ESTIMATE works and EXECUTE verifies against the dense square."""
-        source = GAXPY_SOURCE.replace("real a(n, n), b(n, n), c(n, n)",
-                                      "real a(n, n), c(n, n)")
-        source = source.replace("!hpf$ align b(:, *) with d\n", "")
-        source = source.replace("sum(a(:, k) * b(k, j))", "sum(a(:, k) * a(k, j))")
         session = make_session(tmp_path)
-        compiled = session.compile(source=source, slab_ratio=0.5)
+        compiled = session.compile(source=hpf_source("square", 64, 4), slab_ratio=0.5)
         assert compiled.program.analysis.streamed == compiled.program.analysis.coefficient
         estimate = session.run(compiled, mode=ExecutionMode.ESTIMATE)
         assert estimate.simulated_seconds > 0
@@ -451,22 +432,7 @@ class TestSessionClose:
             config=RunConfig(scratch_dir=tmp_path / "scratch"),
             plan_cache_dir=tmp_path / "plans",
         )
-        source = """
-        program square
-          parameter (n = 32, nprocs = 2)
-          real a(n, n), c(n, n)
-        !hpf$ processors Pr(nprocs)
-        !hpf$ template d(n)
-        !hpf$ distribute d(block) onto Pr
-        !hpf$ align a(*, :) with d
-        !hpf$ align c(*, :) with d
-          do j = 1, n
-            forall (k = 1 : n)
-              c(:, j) = sum(a(:, k) * a(k, j))
-            end forall
-          end do
-        end program
-        """
+        source = hpf_source("square", 32, 2)
         session.compile(source=source,
                         options={"memory_budget_bytes": 32 * 1024})
         stored = list((tmp_path / "plans").glob("*.json"))

@@ -9,8 +9,9 @@ Three oracles must agree on every compiled plan:
    suffices here).
 
 Every workload builder x strategy x processor count x slab granularity —
-even and uneven slabs both — must verify clean with exact ledger equality;
-hypothesis widens the sweep.  The file also pins the three defects the
+even and uneven slabs both — must verify clean with exact ledger equality,
+and so must every statement kind under CYCLIC and CYCLIC(2); hypothesis
+widens the sweep over ``tests/scenarios.py``'s axes.  The file also pins the three defects the
 verifier surfaced while being brought up (see ``TestSurfacedDefects``) and
 the ``Session`` / planner integration of the ``check=`` modes.
 
@@ -26,23 +27,14 @@ re-read model (its docstring explains why), so it is excluded from
 executed-equality entirely.
 """
 
-import dataclasses
-import warnings
-
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.api import Session, WorkloadPoint
 from repro.check import CheckFinding, CheckReport, Severity, check_compiled
 from repro.config import ExecutionMode, RunConfig
 from repro.core.analysis import analyze_program
-from repro.core.ir import (
-    build_elementwise_ir,
-    build_gaxpy_ir,
-    build_pipeline_ir,
-    build_transpose_ir,
-)
+from repro.core.ir import build_gaxpy_ir, build_pipeline_ir, build_transpose_ir
 from repro.core.node_program import LoopOp
 from repro.core.pipeline import compile_program
 from repro.exceptions import CompilationError, PlanVerificationError
@@ -51,33 +43,13 @@ from repro.hpf.parser import parse_program
 from repro.runtime import NodeProgramExecutor, VirtualMachine
 from repro.runtime.executor import ProgramExecutor
 
-SINGLE_OPERAND_SOURCE = """
-program square
-  parameter (n = 16, nprocs = 4)
-  real a(n, n), c(n, n)
-!hpf$ processors Pr(nprocs)
-!hpf$ template tmpl(n)
-!hpf$ distribute tmpl(block) onto Pr
-!hpf$ align a(*, :) with tmpl
-!hpf$ align c(*, :) with tmpl
-  do j = 1, n
-    forall (k = 1 : n)
-      c(:, j) = sum(a(:, k) * a(k, j))
-    end forall
-  end do
-end program
-"""
+from tests.scenarios import CHECKED, Scenario, hypothesis_scenarios
 
-BUILDERS = {
-    "gaxpy": build_gaxpy_ir,
-    "elementwise": build_elementwise_ir,
-    "transpose": build_transpose_ir,
-    "pipeline": build_pipeline_ir,
-}
+SQUARE = Scenario("square", 16, 4)
 
 
-def compile_and_check(build, n, nprocs, **kwargs):
-    compiled = compile_program(BUILDERS[build](n, nprocs), **kwargs)
+def compile_and_check(scenario):
+    compiled = scenario.compile()
     report = check_compiled(compiled)
     assert report.ok, report.describe()
     return compiled, report
@@ -89,51 +61,32 @@ def compile_and_check(build, n, nprocs, **kwargs):
 class TestStaticMatrix:
     # n = 16 divides evenly into 4 x 4 local columns; n = 23 leaves uneven
     # ranks *and* a partial last slab, the case nominal counting overcharges.
-    @pytest.mark.parametrize("n", [16, 23])
-    @pytest.mark.parametrize("nprocs", [1, 4])
-    @pytest.mark.parametrize("strategy", [None, "column", "row"])
-    @pytest.mark.parametrize("build", ["gaxpy", "elementwise"])
-    def test_single_statement_verifies_exactly(self, build, n, nprocs, strategy):
-        compiled, report = compile_and_check(
-            build, n, nprocs, slab_ratio=0.3, force_strategy=strategy
-        )
+    @pytest.mark.parametrize("scenario", CHECKED["single"], ids=str)
+    def test_single_statement_verifies_exactly(self, scenario):
+        compiled, report = compile_and_check(scenario)
         assert report.ledger.compare_plan_cost(compiled.plan.cost) == []
 
-    @pytest.mark.parametrize("n", [16, 23])
-    @pytest.mark.parametrize("nprocs", [1, 4])
-    def test_transpose_verifies_exactly(self, n, nprocs):
-        compiled, report = compile_and_check("transpose", n, nprocs, slab_ratio=0.5)
+    @pytest.mark.parametrize("scenario", CHECKED["transpose"], ids=str)
+    def test_transpose_verifies_exactly(self, scenario):
+        compiled, report = compile_and_check(scenario)
         assert report.ledger.compare_plan_cost(compiled.plan.cost) == []
 
-    @pytest.mark.parametrize("n", [16, 23])
-    @pytest.mark.parametrize("nprocs", [1, 4])
-    @pytest.mark.parametrize("ratio", [0.5, 0.17])
-    def test_whole_program_verifies_exactly(self, n, nprocs, ratio):
-        compiled, report = compile_and_check("pipeline", n, nprocs, slab_ratio=ratio)
+    @pytest.mark.parametrize("scenario", CHECKED["program"], ids=str)
+    def test_whole_program_verifies_exactly(self, scenario):
+        compiled, report = compile_and_check(scenario)
         # per-statement drift would already fail report.ok; this pins the
         # summed-ledger-vs-combined-cost leg explicitly
         assert report.ledger.compare_plan_cost(compiled.cost) == []
         assert report.checked_statements == len(compiled.statements)
 
-    @pytest.mark.parametrize("ratio", [0.5, 0.25])
-    @pytest.mark.parametrize("strategy", [None, "column", "row"])
-    def test_single_operand_program_verifies(self, ratio, strategy):
-        ir = frontend_to_ir(parse_program(SINGLE_OPERAND_SOURCE))
-        compiled = compile_program(ir, slab_ratio=ratio, force_strategy=strategy)
-        report = check_compiled(compiled)
-        assert report.ok, report.describe()
+    @pytest.mark.parametrize("scenario", CHECKED["square"], ids=str)
+    def test_single_operand_program_verifies(self, scenario):
+        compile_and_check(scenario)
 
     @settings(max_examples=25, deadline=None)
-    @given(
-        build=st.sampled_from(sorted(BUILDERS)),
-        n=st.integers(min_value=8, max_value=48),
-        nprocs=st.sampled_from([1, 2, 4]),
-        ratio=st.floats(min_value=0.1, max_value=0.9),
-    )
-    def test_fuzzed_plans_verify_clean(self, build, n, nprocs, ratio):
-        compiled = compile_program(BUILDERS[build](n, nprocs), slab_ratio=ratio)
-        report = check_compiled(compiled)
-        assert report.ok, report.describe()
+    @given(scenario=hypothesis_scenarios())
+    def test_fuzzed_plans_verify_clean(self, scenario):
+        compile_and_check(scenario)
 
 
 # ---------------------------------------------------------------------------
@@ -150,30 +103,19 @@ def executed_statistics(compiled, scratch):
 
 
 class TestExecutedCharges:
-    # exact_requests=False marks plans containing a row-strategy reduction,
-    # whose executor batches the result flush (bytes still exact).
-    CASES = [
-        ("gaxpy", 24, 4, {"force_strategy": "column"}, True),
-        ("gaxpy", 24, 4, {"force_strategy": "row"}, False),
-        ("gaxpy", 16, 1, {}, True),
-        ("elementwise", 24, 4, {}, True),
-        ("transpose", 24, 4, {}, True),
-        ("pipeline", 24, 4, {}, False),
-    ]
-
-    @pytest.mark.parametrize("build,n,nprocs,kwargs,exact_requests", CASES)
-    def test_ledger_matches_machine_counters(
-        self, tmp_path, build, n, nprocs, kwargs, exact_requests
-    ):
-        compiled, report = compile_and_check(
-            build, n, nprocs, slab_ratio=0.3, **kwargs
-        )
+    # Write requests are exact unless the plan contains a row-strategy
+    # reduction on more than one processor, whose executor batches the
+    # result flush (bytes still exact).
+    @pytest.mark.parametrize("scenario", CHECKED["executed"], ids=str)
+    def test_ledger_matches_machine_counters(self, tmp_path, scenario):
+        compiled, report = compile_and_check(scenario)
         ledger = report.ledger
         stats = executed_statistics(compiled, tmp_path)
         assert stats["bytes_read_per_proc"] == ledger.read_bytes
         assert stats["bytes_written_per_proc"] == ledger.write_bytes
         assert stats["io_read_requests_per_proc"] == ledger.read_requests
-        if exact_requests:
+        units = getattr(compiled, "statements", (compiled,))
+        if compiled.nprocs == 1 or all(u.node_program.strategy != "row-slab" for u in units):
             assert stats["io_write_requests_per_proc"] == ledger.write_requests
             assert stats["io_requests_per_proc"] == ledger.io_requests
 
@@ -197,8 +139,7 @@ class TestSurfacedDefects:
         # the coefficient-role view used to overwrite the streamed-role entry
         # in the access table, hiding the distributed reduce dimension and
         # turning off the global sum the schedule requires.
-        ir = frontend_to_ir(parse_program(SINGLE_OPERAND_SOURCE))
-        analysis = analyze_program(ir)
+        analysis = analyze_program(SQUARE.ir())
         assert analysis.needs_global_sum is True
 
     def test_single_operand_column_walks_all_result_columns(self):
@@ -207,8 +148,7 @@ class TestSurfacedDefects:
         # generated program used to undercharge I/O, flops and collectives by
         # a factor of P.  The single-operand schedule must stage the local
         # part once and walk all n result columns.
-        ir = frontend_to_ir(parse_program(SINGLE_OPERAND_SOURCE))
-        compiled = compile_program(ir, slab_ratio=0.5, force_strategy="column")
+        compiled = compile_program(SQUARE.ir(), slab_ratio=0.5, force_strategy="column")
         report = check_compiled(compiled)
         assert report.ok, report.describe()
         stage, per_column, flush = compiled.node_program.ops
@@ -222,7 +162,7 @@ class TestSurfacedDefects:
         # reference overwrote the first and the plan was undercharged
         # (a ledger-drift finding).  Rows now accumulate per reference, as
         # they always did for fused pairs.
-        source = SINGLE_OPERAND_SOURCE.replace(
+        source = SQUARE.source().replace(
             "  do j = 1, n\n    forall (k = 1 : n)\n"
             "      c(:, j) = sum(a(:, k) * a(k, j))\n    end forall\n  end do\n",
             "  c(:, :) = add(a(:, :), a(:, :))\n",
@@ -242,7 +182,7 @@ class TestSurfacedDefects:
 def hpf_point(**kwargs):
     kwargs.setdefault("slab_ratio", 0.5)
     return WorkloadPoint(
-        "hpf", options={"source": SINGLE_OPERAND_SOURCE}, **kwargs
+        "hpf", options={"source": SQUARE.source()}, **kwargs
     )
 
 

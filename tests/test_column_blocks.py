@@ -32,6 +32,8 @@ from repro.runtime.executor import (
 )
 from repro.runtime.slab import SlabbingStrategy, column_slabs
 
+from tests.scenarios import ENGINE, Scenario
+
 ENGINES = {
     "column": run_reduction_column,
     "row": run_reduction_row,
@@ -267,29 +269,8 @@ def test_io_engine_validates_before_charging(tmp_path):
 # ---------------------------------------------------------------------------
 # (c) the engines: results and charges equal to the per-column schedule
 # ---------------------------------------------------------------------------
-GAXPY_SOURCE = """
-program g
-  parameter (n = {n}, nprocs = {p})
-  real a(n, n), b(n, n), c(n, n)
-!hpf$ processors Pr(nprocs)
-!hpf$ template tmpl(n)
-!hpf$ distribute tmpl({dist}) onto Pr
-!hpf$ align a(*, :) with tmpl
-!hpf$ align c(*, :) with tmpl
-!hpf$ align b(:, *) with tmpl
-  do j = 1, n
-    forall (k = 1 : n)
-      c(:, j) = sum(a(:, k) * b(k, j))
-    end forall
-  end do
-end program
-"""
-
-
 def compile_gaxpy(n, p, dist, ratio):
-    point = WorkloadPoint("hpf", slab_ratio=ratio,
-                          options={"source": GAXPY_SOURCE.format(n=n, p=p, dist=dist)})
-    return get_workload("hpf").compile(point, MachineParameters()).program
+    return Scenario("matmul", n, p, dist=dist, ratio=ratio).compile()
 
 
 def dense_inputs(n, seed):
@@ -299,17 +280,10 @@ def dense_inputs(n, seed):
 
 
 @pytest.mark.parametrize("engine", sorted(ENGINES))
-@pytest.mark.parametrize(
-    "n,p,dist,ratio",
-    [
-        (24, 4, "block", 0.7),   # result slabs of 4 columns: N % (P * 4) != 0
-        (40, 4, "block", 0.45),  # 10 local columns in slabs of 4, b slabs of 18
-        (24, 4, "cyclic", 0.5),  # every result column changes owner
-    ],
-    ids=["block-24", "block-40-partial", "cyclic"],
-)
-def test_engine_matches_per_column_schedule(tmp_path, engine, n, p, dist, ratio):
-    program = compile_gaxpy(n, p, dist, ratio)
+@pytest.mark.parametrize("scenario", ENGINE, ids=str)
+def test_engine_matches_per_column_schedule(tmp_path, engine, scenario):
+    n, p = scenario.n, scenario.nprocs
+    program = scenario.compile()
     inputs = dense_inputs(n, n * p)
     runs = {}
     for name, comm in (("reference", PerColumnComm()), ("block", SimulatedComm())):
@@ -323,7 +297,7 @@ def test_engine_matches_per_column_schedule(tmp_path, engine, n, p, dist, ratio)
     assert block.result.tobytes() == reference.result.tobytes()
     assert block_state == reference_state
     assert block.simulated_seconds == reference.simulated_seconds
-    if dist == "cyclic":
+    if scenario.dist == "cyclic":
         assert set(recorder.block_widths) == {1}
     else:
         assert max(recorder.block_widths) > 1

@@ -1,7 +1,7 @@
 """Property-based slab fuzzing over random N / P / slab_ratio grids.
 
-Two charge invariants of the compilation pipeline, checked on randomly drawn
-configurations (seeded ``random`` — no extra dependencies):
+Two charge invariants of the compilation pipeline, checked on configurations
+drawn by ``tests/scenarios.py``'s seeded enumerator (executable ones: P | N):
 
 * **mode equivalence** — ``ESTIMATE`` and ``EXECUTE`` report identical
   charged I/O counters for every slab-driven workload (the estimate drives
@@ -23,6 +23,8 @@ from repro.core.pipeline import compile_program
 from repro.runtime.executor import ProgramExecutor
 from repro.runtime.vm import VirtualMachine
 
+from tests.scenarios import enumerate_scenarios
+
 SEED = 20260726
 
 CHARGED_FIELDS = (
@@ -36,15 +38,10 @@ def _charged(record):
     return tuple(getattr(record, field) for field in CHARGED_FIELDS)
 
 
-def _random_configs(rng, count):
-    """Random (n, nprocs, slab_ratio) with n divisible by nprocs (executable)."""
-    configs = []
-    for _ in range(count):
-        nprocs = rng.choice([1, 2, 4])
-        n = nprocs * rng.randint(2, 12)
-        slab_ratio = rng.choice([0.125, 0.25, 0.3, 0.5, 0.75, 1.0])
-        configs.append((n, nprocs, slab_ratio))
-    return configs
+def _random_configs(seed, count):
+    """Seeded executable ``(n, nprocs, slab_ratio)`` draws."""
+    return [(s.n, s.nprocs, s.ratio)
+            for s in enumerate_scenarios(count, seed, executable=True)]
 
 
 # ---------------------------------------------------------------------------
@@ -52,9 +49,8 @@ def _random_configs(rng, count):
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("workload", ["elementwise", "transpose"])
 def test_estimate_equals_execute_charges(tmp_path, workload):
-    rng = random.Random(SEED)
     session = Session(config=RunConfig(scratch_dir=tmp_path))
-    for n, nprocs, slab_ratio in _random_configs(rng, 6):
+    for n, nprocs, slab_ratio in _random_configs(SEED, 6):
         point = WorkloadPoint(workload, n=n, nprocs=nprocs, slab_ratio=slab_ratio)
         estimate = session.estimate(point)
         execute = session.execute(point)
@@ -67,8 +63,7 @@ def test_estimate_equals_execute_charges(tmp_path, workload):
 
 
 def test_estimate_equals_execute_charges_whole_program(tmp_path):
-    rng = random.Random(SEED + 1)
-    for index, (n, nprocs, slab_ratio) in enumerate(_random_configs(rng, 4)):
+    for index, (n, nprocs, slab_ratio) in enumerate(_random_configs(SEED + 1, 4)):
         compiled = compile_program(
             build_pipeline_ir(n, nprocs), slab_ratio=slab_ratio
         )
@@ -108,9 +103,7 @@ def _seeded_dense(program, name, seed):
 def test_bytes_are_slab_size_invariant(tmp_path, workload):
     rng = random.Random(SEED + 2)
     session = Session(config=RunConfig(scratch_dir=tmp_path))
-    for _ in range(4):
-        nprocs = rng.choice([1, 2, 4])
-        n = nprocs * rng.randint(2, 12)
+    for n, nprocs, _ in _random_configs(SEED + 2, 4):
         ratios = rng.sample([0.125, 0.2, 0.25, 0.4, 0.5, 0.75, 1.0], 4)
         volumes = set()
         requests = []

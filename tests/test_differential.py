@@ -24,8 +24,6 @@ from repro.core.ir import (
     build_transpose_ir,
 )
 from repro.core.pipeline import CompiledWholeProgram, compile_program
-from repro.hpf.frontend import frontend_to_ir
-from repro.hpf.parser import parse_program
 from repro.exceptions import RuntimeExecutionError
 from repro.runtime import executor
 from repro.runtime.executor import (
@@ -37,6 +35,8 @@ from repro.runtime.executor import (
     verify_outputs,
 )
 from repro.runtime.vm import VirtualMachine
+
+from tests.scenarios import ORACLE, Scenario
 
 
 # ---------------------------------------------------------------------------
@@ -92,155 +92,71 @@ def assert_matches_oracle(compiled, scratch, seed: int = 11) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# single-statement workloads x strategies x processor counts
+# every statement kind x strategy x processor count x dtype x distribution
+# (the ORACLE scenario set)
 # ---------------------------------------------------------------------------
 N = 16
 
 
-@pytest.mark.parametrize("nprocs", [1, 4])
-@pytest.mark.parametrize("strategy", ["column", "row"])
-def test_gaxpy_matches_oracle(tmp_path, nprocs, strategy):
-    compiled = compile_program(
-        build_gaxpy_ir(N, nprocs), slab_ratio=0.5, force_strategy=strategy
-    )
-    assert_matches_oracle(compiled, tmp_path)
+@pytest.mark.parametrize("scenario", ORACLE["gaxpy"], ids=str)
+def test_gaxpy_matches_oracle(tmp_path, scenario):
+    assert_matches_oracle(scenario.compile(), tmp_path)
 
 
-@pytest.mark.parametrize("nprocs", [1, 4])
-def test_gaxpy_cost_model_choice_matches_oracle(tmp_path, nprocs):
-    compiled = compile_program(build_gaxpy_ir(N, nprocs), slab_ratio=0.25)
-    assert_matches_oracle(compiled, tmp_path)
+@pytest.mark.parametrize("scenario", ORACLE["gaxpy-choice"], ids=str)
+def test_gaxpy_cost_model_choice_matches_oracle(tmp_path, scenario):
+    assert_matches_oracle(scenario.compile(), tmp_path)
 
 
-@pytest.mark.parametrize("dtype", ["float32", "float64"])
-def test_gaxpy_dtypes_match_oracle(tmp_path, dtype):
-    compiled = compile_program(
-        build_gaxpy_ir(N, 4, dtype=dtype), slab_ratio=0.5, force_strategy="row"
-    )
-    assert_matches_oracle(compiled, tmp_path)
+@pytest.mark.parametrize("scenario", ORACLE["gaxpy-dtype"], ids=str)
+def test_gaxpy_dtypes_match_oracle(tmp_path, scenario):
+    assert_matches_oracle(scenario.compile(), tmp_path)
 
 
-@pytest.mark.parametrize("nprocs", [1, 4])
-@pytest.mark.parametrize("strategy", ["column", "row"])
-@pytest.mark.parametrize("op", ["add", "multiply", "subtract"])
-def test_elementwise_matches_oracle(tmp_path, nprocs, strategy, op):
-    compiled = compile_program(
-        build_elementwise_ir(N, nprocs, op=op), slab_ratio=0.3, force_strategy=strategy
-    )
-    assert_matches_oracle(compiled, tmp_path)
+@pytest.mark.parametrize("scenario", ORACLE["elementwise"], ids=str)
+def test_elementwise_matches_oracle(tmp_path, scenario):
+    assert_matches_oracle(scenario.compile(), tmp_path)
 
 
-@pytest.mark.parametrize("nprocs", [1, 4])
-def test_transpose_matches_oracle(tmp_path, nprocs):
-    compiled = compile_program(build_transpose_ir(N, nprocs), slab_ratio=0.5)
-    assert_matches_oracle(compiled, tmp_path)
-
-
-SINGLE_OPERAND_SOURCE = """
-program square
-  parameter (n = 16, nprocs = 4)
-  real a(n, n), c(n, n)
-!hpf$ processors Pr(nprocs)
-!hpf$ template tmpl(n)
-!hpf$ distribute tmpl(block) onto Pr
-!hpf$ align a(*, :) with tmpl
-!hpf$ align c(*, :) with tmpl
-  do j = 1, n
-    forall (k = 1 : n)
-      c(:, j) = sum(a(:, k) * a(k, j))
-    end forall
-  end do
-end program
-"""
+@pytest.mark.parametrize("scenario", ORACLE["transpose"], ids=str)
+def test_transpose_matches_oracle(tmp_path, scenario):
+    assert_matches_oracle(scenario.compile(), tmp_path)
 
 
 def test_single_operand_reduction_matches_oracle(tmp_path):
-    compiled = compile_program(
-        frontend_to_ir(parse_program(SINGLE_OPERAND_SOURCE)), slab_ratio=0.5
-    )
-    assert_matches_oracle(compiled, tmp_path)
+    assert_matches_oracle(Scenario("square", N, 4, ratio=0.5).compile(), tmp_path)
+
+
+@pytest.mark.parametrize("scenario", ORACLE["cyclic"], ids=str)
+def test_cyclic_distributions_match_oracle(tmp_path, scenario):
+    """CYCLIC and CYCLIC(2) with P | N: a reduction (both strategies), an
+    elementwise statement, a transpose and two whole programs."""
+    assert_matches_oracle(scenario.compile(), tmp_path)
 
 
 # ---------------------------------------------------------------------------
 # multi-statement programs
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("nprocs", [1, 4])
-@pytest.mark.parametrize("dtype", ["float32", "float64"])
-def test_two_statement_pipeline_matches_oracle(tmp_path, nprocs, dtype):
-    compiled = compile_program(
-        build_pipeline_ir(N, nprocs, dtype=dtype), slab_ratio=0.25
-    )
-    assert_matches_oracle(compiled, tmp_path)
+@pytest.mark.parametrize("scenario", ORACLE["pipeline"], ids=str)
+def test_two_statement_pipeline_matches_oracle(tmp_path, scenario):
+    assert_matches_oracle(scenario.compile(), tmp_path)
 
 
-@pytest.mark.parametrize("strategy", ["column", "row"])
-def test_two_statement_pipeline_both_strategies(tmp_path, strategy):
+@pytest.mark.parametrize("scenario", ORACLE["pipeline-strategy"], ids=str)
+def test_two_statement_pipeline_both_strategies(tmp_path, scenario):
     # Forcing the reduction strategy must not change the numerics; the
     # elementwise statement accepts both slab directions too.
-    compiled = compile_program(
-        build_pipeline_ir(N, 4), slab_ratio=0.25, force_strategy=strategy
-    )
-    assert_matches_oracle(compiled, tmp_path)
-
-
-THREE_STATEMENT_SOURCE = """
-program chain
-  parameter (n = 16, nprocs = 4)
-  real a(n, n), b(n, n), t(n, n), d(n, n), u(n, n), e(n, n), c(n, n)
-!hpf$ processors Pr(nprocs)
-!hpf$ template tmpl(n)
-!hpf$ distribute tmpl(block) onto Pr
-!hpf$ align a(*, :) with tmpl
-!hpf$ align t(*, :) with tmpl
-!hpf$ align d(*, :) with tmpl
-!hpf$ align u(*, :) with tmpl
-!hpf$ align e(*, :) with tmpl
-!hpf$ align c(*, :) with tmpl
-!hpf$ align b(:, *) with tmpl
-  do j = 1, n
-    forall (k = 1 : n)
-      t(:, j) = sum(a(:, k) * b(k, j))
-    end forall
-  end do
-  u(:, :) = add(t(:, :), d(:, :))
-  c(:, :) = multiply(u(:, :), e(:, :))
-end program
-"""
+    assert_matches_oracle(scenario.compile(), tmp_path)
 
 
 def test_three_statement_chain_matches_oracle(tmp_path):
-    compiled = compile_program(
-        frontend_to_ir(parse_program(THREE_STATEMENT_SOURCE)), slab_ratio=0.25
-    )
+    compiled = Scenario("mm_add_mul", N, 4, ratio=0.25).compile()
     outputs = assert_matches_oracle(compiled, tmp_path)
     assert set(outputs) == {"t", "u", "c"}
 
 
-TRANSPOSE_PIPELINE_SOURCE = """
-program transpose_mm
-  parameter (n = 16, nprocs = 4)
-  real a(n, n), u(n, n), b(n, n), c(n, n)
-!hpf$ processors Pr(nprocs)
-!hpf$ template tmpl(n)
-!hpf$ distribute tmpl(block) onto Pr
-!hpf$ align a(*, :) with tmpl
-!hpf$ align u(*, :) with tmpl
-!hpf$ align c(*, :) with tmpl
-!hpf$ align b(:, *) with tmpl
-  u(:, :) = transpose(a(:, :))
-  do j = 1, n
-    forall (k = 1 : n)
-      c(:, j) = sum(u(:, k) * b(k, j))
-    end forall
-  end do
-end program
-"""
-
-
 def test_transpose_then_multiply_matches_oracle(tmp_path):
-    compiled = compile_program(
-        frontend_to_ir(parse_program(TRANSPOSE_PIPELINE_SOURCE)), slab_ratio=0.5
-    )
+    compiled = Scenario("transpose_mm", N, 4, ratio=0.5).compile()
     outputs = assert_matches_oracle(compiled, tmp_path)
     # u really is the transpose, c really is u @ b
     dense = generate_dense_inputs(compiled.program)
@@ -312,32 +228,12 @@ def test_verify_outputs_rejects_nan(build):
 # ---------------------------------------------------------------------------
 # the panel oracle: verify_outputs folds over column panels of the reference
 # ---------------------------------------------------------------------------
-FUSED_PAIR_SOURCE = """
-program pair
-  parameter (n = {n}, nprocs = {nprocs})
-  real a(n, n), b(n, n), t(n, n), d(n, n), c(n, n)
-!hpf$ processors Pr(nprocs)
-!hpf$ template tmpl(n)
-!hpf$ distribute tmpl(block) onto Pr
-!hpf$ align a(*, :) with tmpl
-!hpf$ align b(*, :) with tmpl
-!hpf$ align t(*, :) with tmpl
-!hpf$ align d(*, :) with tmpl
-!hpf$ align c(*, :) with tmpl
-  t(:, :) = add(a(:, :), b(:, :))
-  c(:, :) = multiply(t(:, :), d(:, :))
-end program
-"""
-
-
 def build_fused_pair(n, nprocs, dtype="float32"):
     """The fused unit of ``t = a + b; c = t * d`` — compiled already: only the
     planner fuses.  ``real`` arrays, so float32 only."""
     assert dtype == "float32"
-    ir = frontend_to_ir(parse_program(FUSED_PAIR_SOURCE.format(n=n, nprocs=nprocs)))
-    (unit,) = compile_program(
-        ir, memory_budget_bytes=8 * 1024, optimizer="greedy", fusion="on"
-    ).statements
+    pair = Scenario("pair", n, nprocs, budget=8 * 1024, optimizer="greedy", fusion="on")
+    (unit,) = pair.compile().statements
     assert _statement_kind(unit) == "fused-elementwise"
     return unit
 

@@ -31,44 +31,9 @@ from repro.runtime.distributed import (
     execute_distributed,
 )
 from repro.runtime.vm import VirtualMachine
+from tests.scenarios import PARITY, hpf_source
 
-PROGRAM_SOURCE = """
-program pipeline
-  parameter (n = 64, nprocs = 4)
-  real a(n, n), b(n, n), t(n, n), d(n, n), c(n, n)
-!hpf$ processors Pr(nprocs)
-!hpf$ template tmpl(n)
-!hpf$ distribute tmpl(block) onto Pr
-!hpf$ align a(*, :) with tmpl
-!hpf$ align t(*, :) with tmpl
-!hpf$ align d(*, :) with tmpl
-!hpf$ align c(*, :) with tmpl
-!hpf$ align b(:, *) with tmpl
-  do j = 1, n
-    forall (k = 1 : n)
-      t(:, j) = sum(a(:, k) * b(k, j))
-    end forall
-  end do
-  c(:, :) = add(t(:, :), d(:, :))
-end program
-"""
-
-FUSABLE_SOURCE = """
-program pair
-  parameter (n = 16, nprocs = 4)
-  real a(n, n), b(n, n), t(n, n), d(n, n), c(n, n)
-!hpf$ processors Pr(nprocs)
-!hpf$ template tmpl(n)
-!hpf$ distribute tmpl(block) onto Pr
-!hpf$ align a(*, :) with tmpl
-!hpf$ align b(*, :) with tmpl
-!hpf$ align t(*, :) with tmpl
-!hpf$ align d(*, :) with tmpl
-!hpf$ align c(*, :) with tmpl
-  t(:, :) = add(a(:, :), b(:, :))
-  c(:, :) = multiply(t(:, :), d(:, :))
-end program
-"""
+PROGRAM_SOURCE = hpf_source("mm_add", 64, 4)
 
 
 def run_config(tmp_path, **kwargs):
@@ -89,48 +54,10 @@ def simulated_record(compiled, config, verify=True):
 # ---------------------------------------------------------------------------
 # charge parity: the differential matrix
 # ---------------------------------------------------------------------------
-MATRIX = [
-    pytest.param(
-        WorkloadPoint("gaxpy", n=64, nprocs=4, slab_ratio=0.25, version="column"),
-        id="gaxpy-column-f32-p4",
-    ),
-    pytest.param(
-        WorkloadPoint("gaxpy", n=64, nprocs=4, slab_ratio=0.25, version="row",
-                      dtype="float64"),
-        id="gaxpy-row-f64-p4",
-    ),
-    pytest.param(
-        WorkloadPoint("gaxpy", n=64, nprocs=1, slab_ratio=0.25, version="column"),
-        id="gaxpy-column-f32-p1",
-    ),
-    pytest.param(
-        WorkloadPoint("gaxpy", n=32, nprocs=4, version="incore"),
-        id="gaxpy-incore-p4",
-    ),
-    pytest.param(
-        WorkloadPoint("transpose", n=64, nprocs=4, slab_ratio=0.25),
-        id="transpose-p4",
-    ),
-    pytest.param(
-        WorkloadPoint("elementwise", n=64, nprocs=4, slab_ratio=0.25,
-                      dtype="float64"),
-        id="elementwise-f64-p4",
-    ),
-    pytest.param(
-        WorkloadPoint("hpf", slab_ratio=0.25, options={"source": PROGRAM_SOURCE}),
-        id="hpf-two-statement-p4",
-    ),
-    pytest.param(
-        WorkloadPoint("hpf", slab_ratio=0.25,
-                      options={"source": FUSABLE_SOURCE, "fusion": "on"}),
-        id="hpf-fused-p4",
-    ),
-]
-
-
 class TestChargeParity:
-    @pytest.mark.parametrize("point", MATRIX)
-    def test_record_bit_identical_to_simulator(self, tmp_path, point):
+    @pytest.mark.parametrize("scenario", PARITY, ids=str)
+    def test_record_bit_identical_to_simulator(self, tmp_path, scenario):
+        point = scenario.point()
         params = MachineParameters()
         compiled = get_workload(point.workload).compile(point, params)
         config = run_config(tmp_path)

@@ -18,7 +18,6 @@ from repro.exceptions import IOEngineError
 from repro.machine import Machine
 from repro.machine.parameters import touchstone_delta
 from repro.runtime import (
-    IOAccounting,
     IOEngine,
     LafHandleCache,
     LocalArrayFile,
@@ -142,21 +141,24 @@ def test_slab_round_trip_preserves_data_in_both_orders(tmp_path, order):
 ])
 def test_contiguous_chunk_counts_by_order(tmp_path, order, whole_cols, whole_rows, interior):
     laf = LocalArrayFile(tmp_path / "x.dat", (8, 6), np.float64, order=order)
-    assert laf.contiguous_chunks(Slab(index=0, row_start=0, row_stop=8, col_start=1, col_stop=3)) == whole_cols
-    assert laf.contiguous_chunks(Slab(index=1, row_start=2, row_stop=4, col_start=0, col_stop=6)) == whole_rows
-    assert laf.contiguous_chunks(Slab(index=2, row_start=1, row_stop=5, col_start=2, col_stop=5)) == interior
+
+    def chunks(slab):
+        return slab.contiguous_chunks(laf.shape, laf.order)
+
+    assert chunks(Slab(index=0, row_start=0, row_stop=8, col_start=1, col_stop=3)) == whole_cols
+    assert chunks(Slab(index=1, row_start=2, row_stop=4, col_start=0, col_stop=6)) == whole_rows
+    assert chunks(Slab(index=2, row_start=1, row_stop=5, col_start=2, col_stop=5)) == interior
 
 
 # ---------------------------------------------------------------------------
 # charge-only re-reads match real reads exactly
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("accounting", [IOAccounting.PER_SLAB, IOAccounting.PER_CHUNK])
-def test_charge_read_slab_matches_real_read(tmp_path, accounting):
+def test_charge_read_slab_matches_real_read(tmp_path):
     slab = Slab(index=0, row_start=0, row_stop=3, col_start=0, col_stop=8)
     machines = [Machine(2), Machine(2)]
     for i, machine in enumerate(machines):
         # the second engine is ESTIMATE's: it charges the read and moves no data
-        engine = IOEngine(machine, accounting=accounting, perform_io=i == 0)
+        engine = IOEngine(machine, perform_io=i == 0)
         laf = LocalArrayFile(tmp_path / f"{i}.dat", (8, 8), np.float32)
         laf.write_full(np.zeros((8, 8), dtype=np.float32))
         data = engine.read_slab(1, laf, slab)

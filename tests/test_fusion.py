@@ -42,6 +42,7 @@ from repro.planner.space import PlanChoice, fusable_edges, fusion_masks
 from repro.runtime.executor import ProgramExecutor
 from repro.runtime.vm import VirtualMachine
 
+from tests.scenarios import hpf_source
 from tests.test_differential import assert_matches_oracle, generate_dense_inputs
 
 N = 16
@@ -51,56 +52,10 @@ BUDGET = 8 * 1024
 
 def _chain_source(n_elementwise: int) -> str:
     """A reduction followed by ``n_elementwise`` chained elementwise statements."""
-    arrays = ["a", "b", "t"] + [f"d{i}" for i in range(n_elementwise)] + [
-        f"r{i}" for i in range(n_elementwise)
-    ]
-    decls = ", ".join(f"{name}(n, n)" for name in arrays)
-    aligns = "\n".join(
-        f"!hpf$ align {name}({'*, :' if name != 'b' else ':, *'}) with tmpl"
-        for name in arrays
-    )
-    ops = ["add", "multiply", "subtract"]
-    body = []
-    previous = "t"
-    for i in range(n_elementwise):
-        op = ops[i % len(ops)]
-        body.append(f"  r{i}(:, :) = {op}({previous}(:, :), d{i}(:, :))")
-        previous = f"r{i}"
-    statements = "\n".join(body)
-    return f"""
-program chain
-  parameter (n = {N}, nprocs = {NPROCS})
-  real {decls}
-!hpf$ processors Pr(nprocs)
-!hpf$ template tmpl(n)
-!hpf$ distribute tmpl(block) onto Pr
-{aligns}
-  do j = 1, n
-    forall (k = 1 : n)
-      t(:, j) = sum(a(:, k) * b(k, j))
-    end forall
-  end do
-{statements}
-end program
-"""
+    return hpf_source(f"mm_chain{n_elementwise}", N, NPROCS)
 
 
-ELEMENTWISE_PAIR_SOURCE = """
-program pair
-  parameter (n = 16, nprocs = 4)
-  real a(n, n), b(n, n), t(n, n), d(n, n), c(n, n)
-!hpf$ processors Pr(nprocs)
-!hpf$ template tmpl(n)
-!hpf$ distribute tmpl(block) onto Pr
-!hpf$ align a(*, :) with tmpl
-!hpf$ align b(*, :) with tmpl
-!hpf$ align t(*, :) with tmpl
-!hpf$ align d(*, :) with tmpl
-!hpf$ align c(*, :) with tmpl
-  t(:, :) = add(a(:, :), b(:, :))
-  c(:, :) = multiply(t(:, :), d(:, :))
-end program
-"""
+ELEMENTWISE_PAIR_SOURCE = hpf_source("pair", N, NPROCS)
 
 DIAMOND_SOURCE = """
 program diamond

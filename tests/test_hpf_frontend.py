@@ -9,25 +9,10 @@ from repro.hpf.parser import parse_program
 from repro.core.analysis import analyze_program
 from repro.core.ir import LoopKind
 from repro.runtime.slab import SlabbingStrategy
+from tests.scenarios import hpf_source
 
 
-GAXPY_SOURCE = """
-program gaxpy
-  parameter (n = 64, nprocs = 4)
-  real a(n, n), b(n, n), c(n, n)
-!hpf$ processors Pr(nprocs)
-!hpf$ template d(n)
-!hpf$ distribute d(block) onto Pr
-!hpf$ align a(*, :) with d
-!hpf$ align c(*, :) with d
-!hpf$ align b(:, *) with d
-  do j = 1, n
-    forall (k = 1 : n)
-      c(:, j) = sum(a(:, k) * b(k, j))
-    end forall
-  end do
-end program
-"""
+GAXPY_SOURCE = hpf_source("matmul", 64, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +87,7 @@ class TestParser:
             parse_program(bad)
 
     def test_unknown_directive_rejected(self):
-        bad = GAXPY_SOURCE.replace("!hpf$ template d(n)", "!hpf$ dynamic d(n)")
+        bad = GAXPY_SOURCE.replace("!hpf$ template tmpl(n)", "!hpf$ dynamic tmpl(n)")
         with pytest.raises(HPFSyntaxError):
             parse_program(bad)
 
@@ -131,7 +116,7 @@ class TestFrontend:
         assert "row-slab" in compiled.node_program.pretty()
 
     def test_missing_align_rejected(self):
-        bad = GAXPY_SOURCE.replace("!hpf$ align b(:, *) with d\n", "")
+        bad = GAXPY_SOURCE.replace("!hpf$ align b(:, *) with tmpl\n", "")
         with pytest.raises(HPFSemanticError):
             frontend_to_ir(parse_program(bad))
 
@@ -141,7 +126,7 @@ class TestFrontend:
             frontend_to_ir(parse_program(bad))
 
     def test_undistributed_template_rejected(self):
-        bad = GAXPY_SOURCE.replace("!hpf$ distribute d(block) onto Pr\n", "")
+        bad = GAXPY_SOURCE.replace("!hpf$ distribute tmpl(block) onto Pr\n", "")
         with pytest.raises(HPFSemanticError):
             frontend_to_ir(parse_program(bad))
 

@@ -44,10 +44,10 @@ from repro.planner import (
 from repro.runtime.slab import SlabbingStrategy
 from repro.runtime.vm import VirtualMachine
 
-from tests.test_differential import (
-    THREE_STATEMENT_SOURCE,
-    assert_matches_oracle,
-)
+from tests.scenarios import PLANNED, Scenario
+from tests.test_differential import assert_matches_oracle
+
+CHAIN = Scenario("mm_add_mul", 16, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -195,36 +195,15 @@ class TestSpace:
 N = 16
 BUDGET = 6 * 1024  # small enough that every N=16 program is genuinely slabbed
 
-MATRIX = [
-    pytest.param(lambda: build_gaxpy_ir(N, 1), id="gaxpy-p1"),
-    pytest.param(lambda: build_gaxpy_ir(N, 4), id="gaxpy-p4"),
-    pytest.param(lambda: build_gaxpy_ir(N, 4, dtype="float64"), id="gaxpy-f64"),
-    pytest.param(lambda: build_elementwise_ir(N, 4, op="add"), id="elementwise-add"),
-    pytest.param(
-        lambda: build_elementwise_ir(N, 1, op="multiply"), id="elementwise-mul"
-    ),
-    pytest.param(lambda: build_transpose_ir(N, 4), id="transpose"),
-    pytest.param(lambda: build_pipeline_ir(N, 1), id="pipeline-p1"),
-    pytest.param(lambda: build_pipeline_ir(N, 4), id="pipeline-p4"),
-    pytest.param(
-        lambda: build_pipeline_ir(N, 4, dtype="float64"), id="pipeline-f64"
-    ),
-    pytest.param(
-        lambda: frontend_to_ir(parse_program(THREE_STATEMENT_SOURCE)),
-        id="three-statement-chain",
-    ),
-]
-
-
 def _cost_key(cost):
     return (cost.total_time, cost.io_time, cost.io_bytes)
 
 
-@pytest.mark.parametrize("build", MATRIX)
+@pytest.mark.parametrize("scenario", PLANNED, ids=str)
 @pytest.mark.parametrize("optimizer", ["greedy", "exhaustive"])
-def test_planner_no_worse_than_even_split(build, optimizer):
-    even = compile_program(build(), memory_budget_bytes=BUDGET, optimizer="none")
-    optimized = compile_program(build(), memory_budget_bytes=BUDGET, optimizer=optimizer)
+def test_planner_no_worse_than_even_split(scenario, optimizer):
+    even = compile_program(scenario.ir(), memory_budget_bytes=BUDGET, optimizer="none")
+    optimized = compile_program(scenario.ir(), memory_budget_bytes=BUDGET, optimizer=optimizer)
     assert _cost_key(optimized.predicted_cost) <= _cost_key(even.predicted_cost)
     decision = optimized.planner
     assert decision is not None and decision.optimizer == optimizer
@@ -232,10 +211,10 @@ def test_planner_no_worse_than_even_split(build, optimizer):
     assert decision.improvement >= 1.0
 
 
-@pytest.mark.parametrize("build", MATRIX)
-def test_planner_matches_oracle_and_mode_parity(build, tmp_path):
+@pytest.mark.parametrize("scenario", PLANNED, ids=str)
+def test_planner_matches_oracle_and_mode_parity(scenario, tmp_path):
     """Optimized plans still execute correctly and charge mode-invariant I/O."""
-    compiled = compile_program(build(), memory_budget_bytes=BUDGET, optimizer="greedy")
+    compiled = compile_program(scenario.ir(), memory_budget_bytes=BUDGET, optimizer="greedy")
     assert_matches_oracle(compiled, tmp_path / "exec")
 
     from repro.core.pipeline import CompiledWholeProgram
@@ -379,9 +358,8 @@ class TestSearchStrategies:
 # ---------------------------------------------------------------------------
 def test_three_statement_chain_executes_under_every_optimizer(tmp_path):
     for optimizer in ("none", "greedy"):
-        ir = frontend_to_ir(parse_program(THREE_STATEMENT_SOURCE))
         compiled = compile_program(
-            ir, memory_budget_bytes=9 * 1024, optimizer=optimizer
+            CHAIN.ir(), memory_budget_bytes=9 * 1024, optimizer=optimizer
         )
         outputs = assert_matches_oracle(compiled, tmp_path / optimizer)
         assert set(outputs) == {"t", "u", "c"}
@@ -456,11 +434,9 @@ class TestPriceEqualsPlanEqualsCompile:
 
     @pytest.mark.parametrize("kind", sorted(BUILDERS))
     def test_on_the_seeded_slab_ratio_grid(self, kind):
-        import random
-
         from tests.test_compile_properties import SEED, _random_configs
 
-        for n, nprocs, slab_ratio in _random_configs(random.Random(SEED), 12):
+        for n, nprocs, slab_ratio in _random_configs(SEED, 12):
             for force in (None, "column", "row"):
                 assert_price_is_plan_is_compile(
                     lambda n=n, nprocs=nprocs: BUILDERS[kind](n, nprocs),
@@ -570,7 +546,7 @@ class TestSearchLowersOnlyTheWinner:
         monkeypatch.setattr(pipeline, "analyze_program", analyze)
         monkeypatch.setattr(search, "analyze_program", analyze)
 
-        ir = frontend_to_ir(parse_program(THREE_STATEMENT_SOURCE))
+        ir = CHAIN.ir()
         compiled = compile_program(
             ir, memory_budget_bytes=9 * 1024, optimizer=optimizer, fusion="on"
         )

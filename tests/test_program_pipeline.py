@@ -32,51 +32,15 @@ from repro.hpf.frontend import frontend_to_ir
 from repro.hpf.parser import parse_program
 from repro.runtime.executor import ProgramExecutor, program_reference
 from repro.runtime.vm import VirtualMachine
+from tests.scenarios import hpf_source
 
 
 N = 64
 NPROCS = 4
 
-TWO_STATEMENT_SOURCE = """
-program pipeline
-  parameter (n = 64, nprocs = 4)
-  real a(n, n), b(n, n), t(n, n), d(n, n), c(n, n)
-!hpf$ processors Pr(nprocs)
-!hpf$ template tmpl(n)
-!hpf$ distribute tmpl(block) onto Pr
-!hpf$ align a(*, :) with tmpl
-!hpf$ align t(*, :) with tmpl
-!hpf$ align d(*, :) with tmpl
-!hpf$ align c(*, :) with tmpl
-!hpf$ align b(:, *) with tmpl
-  do j = 1, n
-    forall (k = 1 : n)
-      t(:, j) = sum(a(:, k) * b(k, j))
-    end forall
-  end do
-  c(:, :) = add(t(:, :), d(:, :))
-end program
-"""
+TWO_STATEMENT_SOURCE = hpf_source("mm_add", 64, 4)
 
-TRANSPOSE_THEN_MULTIPLY_SOURCE = """
-program transpose_mm
-  parameter (n = 32, nprocs = 4)
-  real a(n, n), u(n, n), b(n, n), c(n, n)
-!hpf$ processors Pr(nprocs)
-!hpf$ template tmpl(n)
-!hpf$ distribute tmpl(block) onto Pr
-!hpf$ align a(*, :) with tmpl
-!hpf$ align u(*, :) with tmpl
-!hpf$ align c(*, :) with tmpl
-!hpf$ align b(:, *) with tmpl
-  u(:, :) = transpose(a(:, :))
-  do j = 1, n
-    forall (k = 1 : n)
-      c(:, j) = sum(u(:, k) * b(k, j))
-    end forall
-  end do
-end program
-"""
+TRANSPOSE_THEN_MULTIPLY_SOURCE = hpf_source("transpose_mm", 32, 4)
 
 
 def _dense_inputs(program, seed=7):

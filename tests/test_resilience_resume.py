@@ -21,29 +21,13 @@ import pytest
 from repro import Session
 from repro.config import ExecutionMode, RunConfig
 from repro.exceptions import WorkloadError
+from tests.scenarios import hpf_source
 
 pytestmark = pytest.mark.skipif(
     sys.platform == "win32", reason="SIGKILL semantics are POSIX-only"
 )
 
-PROGRAM_SOURCE = """
-program chain
-  parameter (n = 16, nprocs = 2)
-  real a(n, n), t(n, n), d(n, n), u(n, n), e(n, n), c(n, n)
-!hpf$ processors Pr(nprocs)
-!hpf$ template tmpl(n)
-!hpf$ distribute tmpl(block) onto Pr
-!hpf$ align a(*, :) with tmpl
-!hpf$ align t(*, :) with tmpl
-!hpf$ align d(*, :) with tmpl
-!hpf$ align u(*, :) with tmpl
-!hpf$ align e(*, :) with tmpl
-!hpf$ align c(*, :) with tmpl
-  t(:, :) = add(a(:, :), d(:, :))
-  u(:, :) = multiply(t(:, :), e(:, :))
-  c(:, :) = add(u(:, :), a(:, :))
-end program
-"""
+PROGRAM_SOURCE = hpf_source("add_chain", 16, 2)
 
 CHILD_SCRIPT = textwrap.dedent(
     """

@@ -6,7 +6,7 @@ import pytest
 
 from repro.exceptions import CollectiveError
 from repro.machine import Machine
-from repro.runtime import broadcast, global_sum, point_to_point
+from repro.runtime import broadcast, global_sum
 from repro.runtime.collectives import payload_bytes
 
 
@@ -76,22 +76,3 @@ class TestBroadcast:
         machine = Machine(2)
         with pytest.raises(CollectiveError, match="broadcast"):
             broadcast(machine, np.zeros(5), shape=(6,), itemsize=8)
-
-
-class TestPointToPoint:
-    def test_delivers_data_and_charges_both_endpoints(self):
-        machine = Machine(3)
-        payload = np.ones(8)
-        out = point_to_point(machine, 0, 2, payload, nbytes=64)
-        np.testing.assert_array_equal(out, payload)
-        assert machine.metrics[0].messages == 1
-        assert machine.metrics[2].messages == 1
-        assert machine.metrics[1].messages == 0
-        assert machine.clocks[1].now == 0.0
-
-    def test_invalid_rank_rejected(self):
-        from repro.exceptions import MachineConfigurationError
-
-        machine = Machine(2)
-        with pytest.raises(MachineConfigurationError):
-            point_to_point(machine, 0, 5, None, nbytes=8)

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from repro.exceptions import IOEngineError
 from repro.machine import Machine
 from repro.runtime import (
-    IOAccounting,
     IOEngine,
     LocalArrayFile,
     Slab,
@@ -156,8 +155,8 @@ class TestLocalArrayFile:
         slab = Slab(index=0, row_start=0, row_stop=2, col_start=0, col_stop=8)
         laf_c = LocalArrayFile(tmp_path / "c.dat", (8, 8), order="C")
         laf_f = LocalArrayFile(tmp_path / "f.dat", (8, 8), order="F")
-        assert laf_c.contiguous_chunks(slab) == 1
-        assert laf_f.contiguous_chunks(slab) == 8
+        assert slab.contiguous_chunks(laf_c.shape, laf_c.order) == 1
+        assert slab.contiguous_chunks(laf_f.shape, laf_f.order) == 8
 
     @settings(max_examples=30, deadline=None)
     @given(rows=st.integers(1, 20), cols=st.integers(1, 20), order=st.sampled_from(["C", "F"]))
@@ -182,20 +181,12 @@ class TestIOEngine:
 
     def test_per_slab_accounting(self, tmp_path):
         machine = Machine(2)
-        engine = IOEngine(machine, accounting=IOAccounting.PER_SLAB)
+        engine = IOEngine(machine)
         laf = self._laf(tmp_path)
         slab = Slab(index=0, row_start=0, row_stop=2, col_start=0, col_stop=8)  # row slab, F order
         engine.read_slab(0, laf, slab)
         assert machine.metrics[0].io_read_requests == 1
         assert machine.metrics[0].bytes_read == slab.nbytes(4)
-
-    def test_per_chunk_accounting(self, tmp_path):
-        machine = Machine(2)
-        engine = IOEngine(machine, accounting="per-chunk")
-        laf = self._laf(tmp_path)
-        slab = Slab(index=0, row_start=0, row_stop=2, col_start=0, col_stop=8)
-        engine.read_slab(0, laf, slab)
-        assert machine.metrics[0].io_read_requests == 8  # one per column of a column-major file
 
     def test_write_requires_data_when_performing_io(self, tmp_path):
         machine = Machine(1)
@@ -224,7 +215,3 @@ class TestIOEngine:
         engine.write_full(0, laf, np.zeros((8, 8), dtype=np.float32))
         assert machine.metrics[0].io_read_requests == 1
         assert machine.metrics[0].io_write_requests == 1
-
-    def test_unknown_accounting(self):
-        with pytest.raises(IOEngineError):
-            IOAccounting.from_name("per-galaxy")

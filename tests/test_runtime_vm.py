@@ -7,7 +7,7 @@ from repro.config import ExecutionMode, RunConfig
 from repro.exceptions import CollectiveError, RuntimeExecutionError
 from repro.hpf import Alignment, ArrayDescriptor, ProcessorGrid, Template
 from repro.machine import Machine
-from repro.runtime import VirtualMachine, global_sum, broadcast, point_to_point
+from repro.runtime import VirtualMachine, global_sum, broadcast
 
 
 def make_descriptor(n=16, p=4, column=True, name="x", dtype=np.float32):
@@ -51,14 +51,6 @@ class TestCollectives:
         np.testing.assert_array_equal(out, data)
         with pytest.raises(CollectiveError):
             broadcast(machine, np.zeros(3), shape=(6,), itemsize=8)
-
-    def test_point_to_point(self):
-        machine = Machine(3)
-        payload = np.ones(4)
-        out = point_to_point(machine, 0, 2, payload, nbytes=32)
-        np.testing.assert_array_equal(out, payload)
-        assert machine.metrics[0].messages == 1
-        assert machine.metrics[2].messages == 1
 
 
 # ---------------------------------------------------------------------------

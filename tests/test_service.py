@@ -35,25 +35,11 @@ from repro.service import (
     serve_in_thread,
     spec_from_json,
 )
+from tests.scenarios import hpf_source
 
 SEED = 20260808
 
-HPF_SQUARE = """
-program square
-  parameter (n = 64, nprocs = 4)
-  real a(n, n), c(n, n)
-!hpf$ processors Pr(nprocs)
-!hpf$ template d(n)
-!hpf$ distribute d(block) onto Pr
-!hpf$ align a(*, :) with d
-!hpf$ align c(*, :) with d
-  do j = 1, n
-    forall (k = 1 : n)
-      c(:, j) = sum(a(:, k) * a(k, j))
-    end forall
-  end do
-end program
-"""
+HPF_SQUARE = hpf_source("square", 64, 4)
 
 
 def _config(tmp_path, **overrides):

@@ -7,32 +7,14 @@ import pytest
 from repro.api import Session, WorkloadPoint
 from repro.config import RunConfig
 from repro.exceptions import CompilationError, WorkloadError
+from tests.scenarios import hpf_source
 
 
 N = 256
 NPROCS = 4
 BUDGET = 48 * 1024
 
-PIPELINE_SOURCE = f"""
-program pipeline
-  parameter (n = {N}, nprocs = {NPROCS})
-  real a(n, n), b(n, n), t(n, n), d(n, n), c(n, n)
-!hpf$ processors Pr(nprocs)
-!hpf$ template tmpl(n)
-!hpf$ distribute tmpl(block) onto Pr
-!hpf$ align a(*, :) with tmpl
-!hpf$ align t(*, :) with tmpl
-!hpf$ align d(*, :) with tmpl
-!hpf$ align c(*, :) with tmpl
-!hpf$ align b(:, *) with tmpl
-  do j = 1, n
-    forall (k = 1 : n)
-      t(:, j) = sum(a(:, k) * b(k, j))
-    end forall
-  end do
-  c(:, :) = add(t(:, :), d(:, :))
-end program
-"""
+PIPELINE_SOURCE = hpf_source("mm_add", N, NPROCS)
 
 
 def _budget_point(**kwargs) -> WorkloadPoint:

@@ -35,23 +35,9 @@ from repro.runtime.executor import (
     run_reduction_single_operand,
     run_transpose_plan,
 )
+from tests.scenarios import hpf_source
 
-SINGLE_OPERAND_SOURCE = """
-program square
-  parameter (n = 64, nprocs = 4)
-  real a(n, n), c(n, n)
-!hpf$ processors Pr(nprocs)
-!hpf$ template d(n)
-!hpf$ distribute d(block) onto Pr
-!hpf$ align a(*, :) with d
-!hpf$ align c(*, :) with d
-  do j = 1, n
-    forall (k = 1 : n)
-      c(:, j) = sum(a(:, k) * a(k, j))
-    end forall
-  end do
-end program
-"""
+SINGLE_OPERAND_SOURCE = hpf_source("square", 64, 4)
 
 
 def make_session(tmp_path, **config_kwargs):

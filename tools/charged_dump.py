@@ -19,21 +19,25 @@ byte-identical too, not only the charges.  Every number is written with
 is drawn by ``Workload.generate_inputs``, whichever input shape the tree's
 engines take.
 
-Configurations, each charged in EXECUTE and in ESTIMATE (and, for a lone
-reduction, the bulk ``NodeProgramExecutor.estimate``):
+Configurations, all drawn from ``tests/scenarios.py`` and each charged in
+EXECUTE and in ESTIMATE (and, for a lone reduction, the bulk
+``NodeProgramExecutor.estimate``):
 
-* the four matrices of ``tools/check_plans.py`` (static, executed, fused,
-  seeded fuzz);
-* the three reduction engines (column, row, in-core) over the block, partial
-  and cyclic GAXPY points of ``tests/test_column_blocks.py``;
-* one GAXPY point run through ``Session`` on the ``processes`` backend and
-  on the simulated one (the full ``RunRecord`` of each);
+* the four sets ``make check-plans`` verifies (``STATIC``, ``EXECUTED``,
+  ``FUSED`` and 40 seeded draws of ``enumerate_scenarios``), CYCLIC and
+  CYCLIC(2) included;
+* the three reduction engines (column, row, in-core) over the ``ENGINE``
+  GAXPY points (block, partial slabs, CYCLIC, CYCLIC(2));
+* the ``REFUSED`` set through ``Session``, whatever each mode does with it;
+* the first ``PARITY`` point run through ``Session`` on the ``processes``
+  backend and on the simulated one (the full ``RunRecord`` of each);
 * a seeded-fault set: a lone reduction, a lone elementwise statement, a
   fused pair and a three-statement program run through ``Session`` under
   bit-flip policies that really fire (the full ``RunRecord``, resilience
   counters included).
 
-Usage::
+Usage (from any directory; ``--src`` picks whose ``repro`` is charged, the
+scenario sets are always this checkout's)::
 
     python tools/charged_dump.py --src <checkout>/src --out parent.jsonl
     python tools/charged_dump.py --src src --out tree.jsonl
@@ -45,7 +49,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
-import importlib.util
 import json
 import sys
 import tempfile
@@ -53,70 +56,6 @@ import types
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parent
-
-GAXPY_SOURCE = """
-program g
-  parameter (n = {n}, nprocs = {p})
-  real a(n, n), b(n, n), c(n, n)
-!hpf$ processors Pr(nprocs)
-!hpf$ template tmpl(n)
-!hpf$ distribute tmpl({dist}) onto Pr
-!hpf$ align a(*, :) with tmpl
-!hpf$ align c(*, :) with tmpl
-!hpf$ align b(:, *) with tmpl
-  do j = 1, n
-    forall (k = 1 : n)
-      c(:, j) = sum(a(:, k) * b(k, j))
-    end forall
-  end do
-end program
-"""
-
-#: (n, P, distribution, slab ratio) of tests/test_column_blocks.py's engine matrix
-ENGINE_POINTS = [(24, 4, "block", 0.7), (40, 4, "block", 0.45), (24, 4, "cyclic", 0.5)]
-
-#: ``t = a + b; c = t * d`` — fused into one unit by the planner
-PAIR_SOURCE = """
-program pair
-  parameter (n = 64, nprocs = 4)
-  real a(n, n), b(n, n), t(n, n), d(n, n), c(n, n)
-!hpf$ processors Pr(nprocs)
-!hpf$ template tmpl(n)
-!hpf$ distribute tmpl(block) onto Pr
-!hpf$ align a(*, :) with tmpl
-!hpf$ align b(*, :) with tmpl
-!hpf$ align t(*, :) with tmpl
-!hpf$ align d(*, :) with tmpl
-!hpf$ align c(*, :) with tmpl
-  t(:, :) = add(a(:, :), b(:, :))
-  c(:, :) = multiply(t(:, :), d(:, :))
-end program
-"""
-
-#: ``t = a @ b; u = t + d; c = u * e`` — a reduction feeding two elementwise statements
-CHAIN_SOURCE = """
-program chain
-  parameter (n = 64, nprocs = 4)
-  real a(n, n), b(n, n), t(n, n), d(n, n), u(n, n), e(n, n), c(n, n)
-!hpf$ processors Pr(nprocs)
-!hpf$ template tmpl(n)
-!hpf$ distribute tmpl(block) onto Pr
-!hpf$ align a(*, :) with tmpl
-!hpf$ align t(*, :) with tmpl
-!hpf$ align d(*, :) with tmpl
-!hpf$ align u(*, :) with tmpl
-!hpf$ align e(*, :) with tmpl
-!hpf$ align c(*, :) with tmpl
-!hpf$ align b(:, *) with tmpl
-  do j = 1, n
-    forall (k = 1 : n)
-      t(:, j) = sum(a(:, k) * b(k, j))
-    end forall
-  end do
-  u(:, :) = add(t(:, :), d(:, :))
-  c(:, :) = multiply(u(:, :), e(:, :))
-end program
-"""
 
 
 def flatten(value, prefix, out):
@@ -137,15 +76,15 @@ def flatten(value, prefix, out):
 
 
 def load_repro(src):
-    """Import ``repro`` from ``src``, then the check_plans matrices."""
+    """Import ``repro`` from ``src``, then this checkout's scenario sets."""
     src = Path(src).resolve()
     sys.path.insert(0, str(src))
     import repro  # noqa: F401 — pins the package (and its submodules) to ``src``
 
-    spec = importlib.util.spec_from_file_location("check_plans", TOOLS / "check_plans.py")
-    check_plans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(check_plans)
-    return src, check_plans
+    sys.path.insert(0, str(TOOLS.parent))
+    from tests import scenarios
+
+    return src, scenarios
 
 
 def assert_from(src):
@@ -219,21 +158,20 @@ def charged_runs(compiled, scratch):
     return runs
 
 
-def plan_configs(check_plans):
-    from repro.core.pipeline import compile_program
-
-    matrices = [check_plans.static_matrix(), check_plans.executed_matrix(),
-                check_plans.fused_matrix(), check_plans.fuzz_matrix(40, 1997)]
-    for matrix in matrices:
-        for label, ir, kwargs in matrix:
+def plan_configs(scenarios):
+    sets = {"static": scenarios.STATIC, "executed": scenarios.EXECUTED,
+            "fused": scenarios.FUSED, "fuzz": scenarios.enumerate_scenarios(40, 1997)}
+    for name, scenario_set in sets.items():
+        for scenario in scenario_set:
+            label = f"{name} {scenario.label}"
             try:
-                yield label, compile_program(ir, **kwargs)
+                yield label, scenario.compile()
             except Exception as exc:
                 yield label, f"{type(exc).__name__}: {exc}"
 
 
-def engine_configs(scratch):
-    from repro.api import WorkloadPoint, get_workload
+def engine_configs(scenarios, scratch):
+    from repro.api import get_workload
     from repro.config import ExecutionMode, RunConfig
     from repro.machine.parameters import MachineParameters
     from repro.runtime import VirtualMachine
@@ -245,13 +183,11 @@ def engine_configs(scratch):
 
     engines = {"column": run_reduction_column, "row": run_reduction_row,
                "incore": run_reduction_incore}
-    hpf = get_workload("hpf")
-    for n, p, dist, ratio in ENGINE_POINTS:
-        point = WorkloadPoint("hpf", slab_ratio=ratio, options={
-            "source": GAXPY_SOURCE.format(n=n, p=p, dist=dist)})
-        compiled = hpf.compile(point, MachineParameters())
-        program = compiled.program
-        inputs = hpf.generate_inputs(compiled, n * p)
+    for scenario in scenarios.ENGINE:
+        program = scenario.compile()
+        p = scenario.nprocs
+        inputs = get_workload("hpf").generate_inputs(
+            types.SimpleNamespace(program=program), scenario.n * p)
         for name, engine in engines.items():
             runs = {}
             for mode in (ExecutionMode.ESTIMATE, ExecutionMode.EXECUTE):
@@ -260,67 +196,69 @@ def engine_configs(scratch):
                     result = engine(vm, program,
                                     inputs if mode is ExecutionMode.EXECUTE else None)
                     runs[mode.value] = run_fields(vm, result)
-            yield f"engine {name} n={n} P={p} {dist} r={ratio}", runs
+            yield f"engine {name} {scenario.label}", runs
 
 
-def session_configs(scratch):
-    from repro.api import Session, WorkloadPoint
+def session_record(point, config, mode="execute", backend="simulated"):
+    """Every field of the ``RunRecord`` of ``point``, or the refusal's text."""
+    from repro.api import Session
+
+    try:
+        with Session(config=config, backend=backend) as session:
+            record = session.run(point, mode=mode)
+        return flatten(dataclasses.asdict(record), "record", {})
+    except Exception as exc:  # a refusal is a charged outcome too
+        return {"error": f"{type(exc).__name__}: {exc}"}
+
+
+def session_configs(scenarios, scratch):
     from repro.config import RunConfig
 
-    point = WorkloadPoint("gaxpy", n=64, nprocs=4, version="column", slab_ratio=0.25)
+    config = RunConfig(scratch_dir=Path(scratch))
+    scenario = scenarios.PARITY[0]
     for backend in ("simulated", "processes"):
-        with Session(config=RunConfig(scratch_dir=Path(scratch)), backend=backend) as session:
-            record = session.run(point, mode="execute")
-        fields = flatten(dataclasses.asdict(record), "record", {})
-        yield f"session gaxpy n=64 P=4 column {backend}", {"execute": fields}
+        fields = session_record(scenario.point(), config, backend=backend)
+        yield f"session {scenario.label} {backend}", {"execute": fields}
+    for scenario in scenarios.REFUSED:
+        yield f"refused {scenario.label}", {
+            mode: session_record(scenario.point(), config, mode)
+            for mode in ("estimate", "execute")}
 
 
-def fault_configs(scratch):
-    from repro.api import Session, WorkloadPoint
+def fault_configs(scenarios, scratch):
     from repro.config import RunConfig
     from repro.resilience.faults import FaultPolicy
 
-    pair = {"source": PAIR_SOURCE, "memory_budget_bytes": 16 * 1024, "fusion": "on"}
-    points = {
-        "gaxpy n=64 P=4 r=0.25": (WorkloadPoint("gaxpy", n=64, nprocs=4, slab_ratio=0.25), 2, 0.05),
-        "gaxpy column n=64 P=4 r=0.25": (
-            WorkloadPoint("gaxpy", n=64, nprocs=4, version="column", slab_ratio=0.25), 2, 0.05),
-        "elementwise n=64 P=4 r=0.25": (
-            WorkloadPoint("elementwise", n=64, nprocs=4, slab_ratio=0.25), 2, 0.05),
-        "fused pair n=64 P=4": (WorkloadPoint("hpf", optimize="greedy", options=pair), 4, 0.2),
-        "chain n=64 P=4 r=0.25": (
-            WorkloadPoint("hpf", slab_ratio=0.25, options={"source": CHAIN_SOURCE}), 2, 0.05),
-    }
-    for label, (point, seed, rate) in points.items():
+    Scenario = scenarios.Scenario
+    points = [
+        (Scenario("gaxpy", 64, 4, ratio=0.25), 2, 0.05),
+        (Scenario("gaxpy", 64, 4, ratio=0.25, strategy="column"), 2, 0.05),
+        (Scenario("elementwise", 64, 4, ratio=0.25), 2, 0.05),
+        (Scenario("pair", 64, 4, budget=16 * 1024, optimizer="greedy", fusion="on"), 4, 0.2),
+        (Scenario("mm_add_mul", 64, 4, ratio=0.25), 2, 0.05),
+    ]
+    for scenario, seed, rate in points:
         policy = FaultPolicy(seed=seed, bitflip_rate=rate, max_failures_per_site=1)
         config = RunConfig(scratch_dir=Path(scratch), fault_policy=policy)
-        try:
-            with Session(config=config) as session:
-                record = session.run(point, mode="execute")
-            fields = flatten(dataclasses.asdict(record), "record", {})
-        except Exception as exc:
-            fields = {"error": f"{type(exc).__name__}: {exc}"}
-        yield f"faults {label} seed={seed} bitflip={rate}", {"execute": fields}
+        fields = session_record(scenario.point(), config)
+        yield f"faults {scenario.label} seed={seed} bitflip={rate}", {"execute": fields}
 
 
 def dump(src, out):
-    src, check_plans = load_repro(src)
+    src, scenarios = load_repro(src)
     with tempfile.TemporaryDirectory() as scratch, open(out, "w") as sink:
         def emit(label, runs):
             for mode, fields in runs.items():
                 sink.write(json.dumps({"config": f"{label} [{mode}]", "fields": fields}) + "\n")
 
-        for label, compiled in plan_configs(check_plans):
+        for label, compiled in plan_configs(scenarios):
             if isinstance(compiled, str):
                 emit(label, {"compile": {"error": compiled}})
             else:
                 emit(label, charged_runs(compiled, scratch))
-        for label, runs in engine_configs(scratch):
-            emit(label, runs)
-        for label, runs in session_configs(scratch):
-            emit(label, runs)
-        for label, runs in fault_configs(scratch):
-            emit(label, runs)
+        for configs in (engine_configs, session_configs, fault_configs):
+            for label, runs in configs(scenarios, scratch):
+                emit(label, runs)
     assert_from(src)
 
 
