@@ -44,6 +44,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.pipeline import CompiledProgram
     from repro.hpf.array_desc import ArrayDescriptor
     from repro.runtime.executor import ExecutionResult
+    from repro.runtime.operands import Operand
     from repro.runtime.vm import VirtualMachine
 
 __all__ = [
@@ -419,31 +420,20 @@ class Workload(abc.ABC):
     # ------------------------------------------------------------------
     # input generation (EXECUTE mode)
     # ------------------------------------------------------------------
-    def generate_inputs(self, compiled: CompiledWorkload, seed: int) -> Dict[str, np.ndarray]:
-        """Reproducible dense operands for one EXECUTE-mode run, by array name.
+    def generate_inputs(self, compiled: CompiledWorkload, seed: int) -> Dict[str, "Operand"]:
+        """Reproducible operands for one EXECUTE-mode run, one per *program
+        input*, by array name.
 
-        One standard-normal draw per *program input*, in first-use order —
-        except that a reduction draws its streamed operand first, then the
-        coefficient (a single-operand statement ``c = a @ a`` draws once).
-        Intermediates are produced by the run itself and reused from their
-        LAFs.
+        Each is an :class:`~repro.runtime.operands.Operand`: the value of an
+        element is a function of ``(seed, array name, global index)`` only,
+        uniform on ``[-1, 1)``, so there is no draw order and nothing is
+        drawn here — every rank draws its own block into its Local Array
+        File, and the oracle the panels it compares.  Intermediates are
+        produced by the run itself and reused from their LAFs.
         """
-        import numpy as np
+        from repro.runtime.operands import input_operands
 
-        from repro.core.ir import ReductionStatement
-
-        program = compiled.program
-        ir = program.program
-        names = ir.input_arrays()
-        if not self._is_whole_program(program) and isinstance(ir.statement, ReductionStatement):
-            names = (program.analysis.streamed, program.analysis.coefficient)
-        rng = np.random.default_rng(seed)
-        dense: Dict[str, np.ndarray] = {}
-        for name in names:
-            if name not in dense:
-                desc = ir.arrays[name]
-                dense[name] = rng.standard_normal(desc.shape).astype(desc.dtype)
-        return dense
+        return input_operands(compiled.program.program, seed)
 
     # ------------------------------------------------------------------
     # the two evaluation modes
@@ -452,7 +442,7 @@ class Workload(abc.ABC):
         self,
         compiled: CompiledWorkload,
         vm: "VirtualMachine",
-        inputs: Optional[Mapping[str, np.ndarray]],
+        inputs: Optional[Mapping[str, "np.ndarray | Operand"]],
         verify: bool,
     ) -> "ExecutionResult":
         """Run ``compiled`` on ``vm`` in the VM's mode: the one fork between the

@@ -61,7 +61,9 @@ class RunConfig:
         When false, Local Array Files are deleted when the owning virtual
         machine shuts down.
     seed:
-        Seed for workload generators so experiments are reproducible.
+        Seed of the input operands (:mod:`repro.runtime.operands`): with
+        the array name and the global index it fixes every input value, so
+        experiments are reproducible on any backend and in any draw order.
     checksums:
         When true (the default) every ``EXECUTE``-mode Local Array File keeps
         a sidecar manifest of slab checksums, written on slab writes and

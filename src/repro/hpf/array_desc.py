@@ -297,23 +297,32 @@ class ArrayDescriptor:
     # ------------------------------------------------------------------
     # scatter / gather of dense data
     # ------------------------------------------------------------------
+    def local_part(self, source, rank: int) -> np.ndarray:
+        """``rank``'s local array cut out of ``source``, in the descriptor's dtype.
+
+        ``source`` is a dense global array, or anything indexed like one
+        with slices and ``np.ix_`` meshes — a
+        :class:`~repro.runtime.operands.Operand` then draws only ``rank``'s
+        block.  The slices ``rank`` owns select one strided view;
+        ``CYCLIC(k)`` dimensions fall back to fancy indexing.
+        """
+        if tuple(source.shape) != self.shape:
+            raise DistributionError(
+                f"scatter: array shape {tuple(source.shape)} does not match descriptor shape {self.shape}"
+            )
+        return np.asarray(source[self._local_selector(rank)], dtype=self.dtype)
+
     def scatter(
         self, global_array: np.ndarray, ranks: Optional[Iterable[int]] = None
     ) -> Dict[int, np.ndarray]:
         """Split a dense global array into per-processor local arrays.
 
-        Each part is one strided copy (cast to the descriptor's dtype on the
-        way) of the slices ``rank`` owns; ``CYCLIC(k)`` dimensions fall back
-        to fancy indexing.  ``ranks`` limits the result to those processors'
-        parts (default: all) — a rank worker copies only what it owns.
+        Each part is a C-ordered copy of :meth:`local_part`.  ``ranks``
+        limits the result to those processors' parts (default: all).
         """
         global_array = np.asarray(global_array)
-        if global_array.shape != self.shape:
-            raise DistributionError(
-                f"scatter: array shape {global_array.shape} does not match descriptor shape {self.shape}"
-            )
         return {
-            rank: np.array(global_array[self._local_selector(rank)], dtype=self.dtype, order="C")
+            rank: np.array(self.local_part(global_array, rank), order="C")
             for rank in (range(self.nprocs) if ranks is None else ranks)
         }
 

@@ -248,9 +248,9 @@ def execute_distributed(
     max_err: Optional[float] = None
     try:
         if verify:
-            # The same seeded inputs every worker generated, checked by the
-            # same routine as the simulated engines: the records compare
-            # field by field.
+            # The same operands every worker drew its blocks from, checked
+            # panel by panel by the same routine as the simulated engines:
+            # the records compare field by field.
             verified, max_err = verify_outputs(
                 program,
                 compiled.workload.generate_inputs(compiled, config.seed),

@@ -10,8 +10,10 @@ workers see exactly the schedule the parent planned.
 Each worker builds a single-rank :class:`~repro.runtime.vm.VirtualMachine`
 (``rank=r`` with a :class:`~repro.runtime.distributed.proc_comm.ProcessComm`)
 inside its own scratch subtree and drives the ordinary executors over it.
-Input data comes from the workload's seeded generator, so every worker holds
-bit-identical dense operands and slices its own rank's parts from them.  On
+Input data comes from the workload's counter-keyed operands
+(:mod:`repro.runtime.operands`): a value depends only on the seed, the array
+and its global index, so each worker draws just the tiles of its own rank's
+blocks, bit-identical to what the simulator writes for that rank.  On
 success the worker ships its charged statistics (its own rank's row — every
 other row of its machine stays zero) and the paths of its result Local Array
 Files back through a result pipe; the parent max-merges the statistics and

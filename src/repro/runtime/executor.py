@@ -23,12 +23,13 @@ Both paths report the same :class:`ExecutionResult` structure so experiment
 harnesses can switch between them freely.  Every engine function
 (:func:`run_reduction_column` and friends) has one contract, ``(vm,
 compiled, inputs, verify)``: it takes a compiled program, reads the array
-roles and slab sizes from its analysis and plan, and looks its dense
-operands up by name in ``inputs`` (an operand that is absent — an
-intermediate of a whole program — is already in the VM).  Whatever ran, one
-routine (:func:`verify_outputs`) decides whether its gathered result is
-correct, and one loop (:func:`_run_recovering`) recovers a statement from
-slab corruption.
+roles and slab sizes from its analysis and plan, and looks its operands
+up by name in ``inputs`` — dense arrays, or the counter-keyed operands of
+:mod:`repro.runtime.operands` every workload run draws (an operand that is
+absent — an intermediate of a whole program — is already in the VM).
+Whatever ran, one routine (:func:`verify_outputs`) decides whether its
+gathered result is correct, and one loop (:func:`_run_recovering`)
+recovers a statement from slab corruption.
 
 Multi-statement programs run through :class:`ProgramExecutor`, which drives
 the per-statement engines in order on one virtual machine so intermediates
@@ -64,6 +65,7 @@ if TYPE_CHECKING:  # pragma: no cover - avoids a circular import at runtime
     from repro.core.ir import ProgramIR
     from repro.core.pipeline import CompiledProgram, CompiledWholeProgram
     from repro.core.reorganize import AccessPlan
+    from repro.runtime.operands import Operand
 
 __all__ = [
     "ExecutionResult",
@@ -84,8 +86,9 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # inputs, references, results
 # ---------------------------------------------------------------------------
-#: dense operands by array name; ``None`` (or an absent name) creates nothing
-Inputs = Optional[Mapping[str, np.ndarray]]
+#: operands by array name, dense arrays or :mod:`repro.runtime.operands`
+#: operands (indexed alike); ``None`` (or an absent name) creates nothing
+Inputs = Optional[Mapping[str, "np.ndarray | Operand"]]
 
 #: bytes of float64 reference in one oracle panel (256 result columns at
 #: N = 1024): the oracle computes, and the comparison holds, a panel at a time
@@ -149,9 +152,9 @@ def _reference_panels(program: "ProgramIR", env: Dict[str, np.ndarray]) -> _Pane
     """The in-core NumPy oracle, streamed: every statement result in panels.
 
     Evaluates the statement list in order on ``env`` (array name -> dense
-    data of any dtype); each panel is the consumer's to overwrite.  Only a
-    result a later statement reads is also assembled densely, in ``env``,
-    which drops every array after its last reader.
+    data of any dtype, or an operand); each panel is the consumer's to
+    overwrite.  Only a result a later statement reads is also assembled
+    densely, in ``env``, which drops every array after its last reader.
     """
     from repro.core.ir import ElementwiseStatement, ReductionStatement, TransposeStatement
 
@@ -203,11 +206,13 @@ def _reference_panels(program: "ProgramIR", env: Dict[str, np.ndarray]) -> _Pane
 
 
 def program_reference(
-    program: "ProgramIR", inputs: Dict[str, np.ndarray]
+    program: "ProgramIR", inputs: Mapping[str, "np.ndarray | Operand"]
 ) -> Dict[str, np.ndarray]:
-    """The in-core NumPy oracle: evaluate the statement list on dense inputs.
+    """The in-core NumPy oracle: evaluate the statement list on ``inputs``.
 
-    Returns the environment after the last statement — program inputs (cast to
+    ``inputs`` maps each program input to dense data or an
+    :class:`~repro.runtime.operands.Operand` (drawn whole here).  Returns
+    the environment after the last statement — program inputs (cast to
     ``float64``) plus every statement result.  This is what the differential
     tests compare against; :func:`verify_outputs` folds over the same panels
     (:func:`_reference_panels`) without assembling them.
@@ -287,7 +292,7 @@ def _fold_panels(
 
 def verify_outputs(
     compiled: "CompiledProgram | CompiledWholeProgram",
-    inputs: Mapping[str, np.ndarray],
+    inputs: Mapping[str, "np.ndarray | Operand"],
     outputs: Mapping[str, np.ndarray],
 ) -> Tuple[bool, Optional[float]]:
     """Whether what a run of ``compiled`` on ``inputs`` gathered is correct.
@@ -296,14 +301,16 @@ def verify_outputs(
     the engines that run a compiled program, :class:`ProgramExecutor` and
     the distributed backend's parent all call it, so their records agree
     field for field.  ``outputs`` maps result array names to gathered dense
-    data, ``inputs`` the dense operands by array name.  Every element of
-    every output is compared with an independent
-    float64 NumPy evaluation of the statement list on the dense inputs,
-    streamed in column panels (:func:`_reference_panels`) so that it
-    allocates the float64 copy of a reduction's streamed operand, the
-    intermediates later statements still read and a constant number of
-    panels — never a whole reference or difference.  Returns ``(verified,
-    max_abs_error)`` under the statement kind's tolerance (:func:`_fold_panels`).
+    data, ``inputs`` the operands by array name: dense arrays, or
+    :class:`~repro.runtime.operands.Operand` objects, which draw only the
+    column panels compared.  Every element of every output is compared with
+    an independent float64 NumPy evaluation of the statement list on the
+    inputs, streamed in column panels (:func:`_reference_panels`) so that it
+    allocates the float64 copy of a reduction's streamed operand (the one
+    operand drawn whole), the intermediates later statements still read and
+    a constant number of panels — never a whole reference or difference.
+    Returns ``(verified, max_abs_error)`` under the statement kind's
+    tolerance (:func:`_fold_panels`).
     """
     from repro.core.pipeline import CompiledWholeProgram
 
@@ -1105,7 +1112,7 @@ def _run_statement(
     """The kind dispatch: run one compiled unit on the engine of its statement kind."""
     if inputs is not None and not isinstance(inputs, Mapping):
         raise RuntimeExecutionError(
-            f"inputs map array names to dense data; got {type(inputs).__name__}"
+            f"inputs map array names to operands; got {type(inputs).__name__}"
         )
     kind = _statement_kind(compiled)
     if kind == "reduction":
@@ -1262,16 +1269,17 @@ class ProgramExecutor:
     def run(
         self,
         vm: VirtualMachine,
-        inputs: Optional[Dict[str, np.ndarray]] = None,
+        inputs: Inputs = None,
         verify: bool = True,
         collect_outputs: Optional[bool] = None,
     ) -> ExecutionResult:
         """Drive ``vm`` through every statement's slab loops, in order.
 
         Honors the virtual machine's execution mode.  ``inputs`` maps the
-        *program input* arrays to dense data (required for ``EXECUTE`` runs;
-        ignored in ``ESTIMATE`` mode).  Verification compares every statement
-        result against the in-core NumPy oracle (:func:`program_reference`).
+        *program input* arrays to dense data or operands (required for
+        ``EXECUTE`` runs; ignored in ``ESTIMATE`` mode).  Verification
+        compares every statement result against the in-core NumPy oracle
+        (:func:`program_reference`).
 
         ``collect_outputs`` controls how much is gathered densely in
         ``EXECUTE`` mode: when true, every statement result (intermediates
@@ -1286,7 +1294,7 @@ class ProgramExecutor:
             missing = [name for name in program.input_arrays() if name not in dense]
             if missing:
                 raise RuntimeExecutionError(
-                    f"EXECUTE-mode program runs need dense data for every program "
+                    f"EXECUTE-mode program runs need an operand for every program "
                     f"input; missing {missing}"
                 )
 
@@ -1375,7 +1383,7 @@ class ProgramExecutor:
         self,
         vm: VirtualMachine,
         compiled_statement: "CompiledProgram",
-        dense: Dict[str, np.ndarray],
+        dense: Dict[str, "np.ndarray | Operand"],
     ) -> None:
         """Run one statement under the recovery loop (:func:`_run_recovering`).
 
@@ -1399,13 +1407,14 @@ class ProgramExecutor:
         vm: VirtualMachine,
         error: SlabCorruptionError,
         compiled_statement: "CompiledProgram",
-        dense: Dict[str, np.ndarray],
+        dense: Dict[str, "np.ndarray | Operand"],
     ) -> None:
         """Restore the corrupted array named by ``error`` to valid data.
 
         Three cases: the statement's own result (nothing to do — the retry
         overwrites it), an intermediate (re-execute its producer statement,
-        charge-neutrally), or a program input (re-scatter the dense data).
+        charge-neutrally), or a program input (re-write the corrupted rank's
+        block only, as ``create_array`` wrote it).
         """
         name = error.array
         if not name or name == self._result_array(compiled_statement):
@@ -1421,9 +1430,7 @@ class ProgramExecutor:
                 vm.restore_charges(snapshot)
             return
         if name in dense and name in vm.arrays:
-            scattered = vm.arrays[name].descriptor.scatter(dense[name])
-            for rank, ocla in vm.arrays[name].locals.items():
-                ocla.laf.write_full(scattered[rank])
+            vm.write_initial(vm.arrays[name], error.rank, dense[name])
             return
         raise error
 
@@ -1568,7 +1575,7 @@ class ProgramExecutor:
     def execute(
         self,
         vm: VirtualMachine,
-        inputs: Optional[Dict[str, np.ndarray]] = None,
+        inputs: Inputs = None,
         verify: bool = True,
         collect_outputs: Optional[bool] = None,
     ) -> ExecutionResult:

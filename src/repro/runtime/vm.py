@@ -173,9 +173,10 @@ class VirtualMachine:
         descriptor:
             The array's HPF descriptor (shape, alignment, distribution).
         initial:
-            Optional dense global array used to initialise the LAFs (scattered
-            according to the distribution).  Required for input arrays in
-            ``EXECUTE`` mode, ignored in ``ESTIMATE`` mode.
+            Optional global data used to initialise the LAFs: a dense array
+            or an :class:`~repro.runtime.operands.Operand`, each owned rank's
+            block written by :meth:`write_initial`.  Required for input
+            arrays in ``EXECUTE`` mode, ignored in ``ESTIMATE`` mode.
         storage_order:
             On-disk element order of every LAF (``'F'`` or ``'C'``); the
             compiler picks this to match the slabbing it selected.
@@ -188,15 +189,12 @@ class VirtualMachine:
                 f"{descriptor.name!r} has {descriptor.ndim} dimensions"
             )
         locals_: Dict[int, OutOfCoreLocalArray] = {}
-        # A rank worker creates, scatters and charges only its own local
-        # part; scatter is deterministic, so every worker slices the same
-        # dense data identically to the simulator's scatter.
+        # A rank worker creates, writes and charges only its own local part;
+        # the block of a rank is the same whoever writes it, so a worker's
+        # LAF holds what the simulator's does.
         owned = (
             tuple(range(descriptor.nprocs)) if self.rank is None else (self.rank,)
         )
-        scattered: Optional[Dict[int, np.ndarray]] = None
-        if self.perform_io and initial is not None:
-            scattered = descriptor.scatter(initial, owned)
         for rank in owned:
             local_shape = descriptor.local_shape(rank)
             if self.perform_io:
@@ -216,8 +214,6 @@ class VirtualMachine:
                     rank=rank,
                     manifest=manifest,
                 )
-                if scattered is not None:
-                    laf.write_full(scattered[rank])
             else:
                 laf = LocalArrayFile(
                     Path("/nonexistent") / f"{descriptor.name}_{rank}.dat",
@@ -228,8 +224,21 @@ class VirtualMachine:
                 )
             locals_[rank] = OutOfCoreLocalArray(descriptor, rank, laf, self.engine)
         array = OutOfCoreArray(descriptor, locals_)
+        if self.perform_io and initial is not None:
+            for rank in owned:
+                self.write_initial(array, rank, initial)
         self.arrays[descriptor.name] = array
         return array
+
+    @staticmethod
+    def write_initial(array: OutOfCoreArray, rank: int, initial) -> None:
+        """Write ``rank``'s block of ``initial`` (dense, or an operand that
+        draws only that block) to its Local Array File, checksums included.
+
+        The one way input data reaches a LAF: :meth:`create_array` calls it
+        per owned rank, and recovery re-writes a corrupted rank's block.
+        """
+        array.local(rank).laf.write_full(array.descriptor.local_part(initial, rank))
 
     @contextlib.contextmanager
     def array_reuse(self) -> Iterator["VirtualMachine"]:

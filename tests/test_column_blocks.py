@@ -30,6 +30,7 @@ from repro.runtime.executor import (
     run_reduction_incore,
     run_reduction_row,
 )
+from repro.runtime.operands import Operand
 from repro.runtime.slab import SlabbingStrategy, column_slabs
 
 from tests.scenarios import ENGINE, Scenario
@@ -274,9 +275,7 @@ def compile_gaxpy(n, p, dist, ratio):
 
 
 def dense_inputs(n, seed):
-    rng = np.random.default_rng(seed)
-    return {"a": rng.standard_normal((n, n)).astype(np.float32),
-            "b": rng.standard_normal((n, n)).astype(np.float32)}
+    return {name: Operand(name, (n, n), np.float32, seed) for name in "ab"}
 
 
 @pytest.mark.parametrize("engine", sorted(ENGINES))

@@ -21,6 +21,7 @@ from repro.config import RunConfig
 from repro.core.ir import build_pipeline_ir
 from repro.core.pipeline import compile_program
 from repro.runtime.executor import ProgramExecutor
+from repro.runtime.operands import input_operands
 from repro.runtime.vm import VirtualMachine
 
 from tests.scenarios import enumerate_scenarios
@@ -69,10 +70,7 @@ def test_estimate_equals_execute_charges_whole_program(tmp_path):
         )
         executor = ProgramExecutor(compiled)
         estimate = executor.estimate()
-        dense = {
-            name: _seeded_dense(compiled.program, name, SEED + index)
-            for name in compiled.program.input_arrays()
-        }
+        dense = input_operands(compiled.program, SEED + index)
         with VirtualMachine(
             nprocs, compiled.params, RunConfig(scratch_dir=tmp_path / str(index))
         ) as vm:
@@ -86,14 +84,6 @@ def test_estimate_equals_execute_charges_whole_program(tmp_path):
             for field in ("bytes_read_per_proc", "bytes_written_per_proc",
                           "io_requests_per_proc"):
                 assert est_stmt[field] == exe_stmt[field]
-
-
-def _seeded_dense(program, name, seed):
-    import numpy as np
-
-    descriptor = program.arrays[name]
-    rng = np.random.default_rng((seed, hash(name) & 0xFFFF))
-    return rng.standard_normal(descriptor.shape).astype(descriptor.dtype)
 
 
 # ---------------------------------------------------------------------------

@@ -70,13 +70,13 @@ def test_rank_worker_scatters_only_its_own_part(tmp_path, monkeypatch):
     desc = column_descriptor(10, 4, "x")
     dense = np.arange(100, dtype=np.float32).reshape(10, 10)
     requested = []
-    scatter = ArrayDescriptor.scatter
+    local_part = ArrayDescriptor.local_part
 
-    def recording_scatter(self, global_array, ranks=None):
-        requested.append(None if ranks is None else tuple(ranks))
-        return scatter(self, global_array, ranks)
+    def recording_local_part(self, source, rank):
+        requested.append(rank)
+        return local_part(self, source, rank)
 
-    monkeypatch.setattr(ArrayDescriptor, "scatter", recording_scatter)
+    monkeypatch.setattr(ArrayDescriptor, "local_part", recording_local_part)
     with make_vm(4, tmp_path / "worker", rank=2) as worker:
         array = worker.create_array(desc, dense)
         assert sorted(array.locals) == [2]
@@ -84,7 +84,7 @@ def test_rank_worker_scatters_only_its_own_part(tmp_path, monkeypatch):
     with make_vm(4, tmp_path / "simulated") as simulated:
         whole = simulated.create_array(desc, dense)
         np.testing.assert_array_equal(whole.local(2).laf.read_full(), staged)
-    assert requested == [(2,), (0, 1, 2, 3)]
+    assert requested == [2, 0, 1, 2, 3]
     np.testing.assert_array_equal(staged, dense[:, 6:9])
 
 

@@ -2,7 +2,8 @@
 
 The harness (:func:`assert_matches_oracle`) executes any compiled program —
 single- or multi-statement, any workload, either slab strategy, any processor
-count — on a real ``EXECUTE``-mode virtual machine with seeded dense inputs,
+count — on a real ``EXECUTE``-mode virtual machine with the seeded operands every
+run draws (:func:`repro.runtime.operands.input_operands`),
 evaluates the *same statement list* in core with NumPy
 (:func:`repro.runtime.executor.program_reference`), and asserts the
 out-of-core numerics match within the dtype's tolerance.
@@ -34,6 +35,7 @@ from repro.runtime.executor import (
     reduction_reference,
     verify_outputs,
 )
+from repro.runtime.operands import input_operands
 from repro.runtime.vm import VirtualMachine
 
 from tests.scenarios import ORACLE, Scenario
@@ -49,17 +51,6 @@ def _tolerances(dtype) -> dict:
     return {"rtol": 1e-9, "atol": 1e-9}
 
 
-def generate_dense_inputs(program, seed: int = 11) -> dict:
-    """Seeded dense data for every program input array."""
-    rng = np.random.default_rng(seed)
-    return {
-        name: rng.standard_normal(program.arrays[name].shape).astype(
-            program.arrays[name].dtype
-        )
-        for name in program.input_arrays()
-    }
-
-
 def assert_matches_oracle(compiled, scratch, seed: int = 11) -> dict:
     """Execute ``compiled`` and assert every output matches the NumPy oracle.
 
@@ -67,7 +58,7 @@ def assert_matches_oracle(compiled, scratch, seed: int = 11) -> dict:
     callers can run extra assertions.
     """
     program = compiled.program
-    dense = generate_dense_inputs(program, seed)
+    dense = input_operands(program, seed)
     oracle = program_reference(program, dense)
     with VirtualMachine(
         compiled.nprocs, compiled.params, RunConfig(scratch_dir=scratch)
@@ -159,7 +150,7 @@ def test_transpose_then_multiply_matches_oracle(tmp_path):
     compiled = Scenario("transpose_mm", N, 4, ratio=0.5).compile()
     outputs = assert_matches_oracle(compiled, tmp_path)
     # u really is the transpose, c really is u @ b
-    dense = generate_dense_inputs(compiled.program)
+    dense = input_operands(compiled.program, 11)
     np.testing.assert_allclose(
         outputs["u"], np.asarray(dense["a"], dtype=np.float64).T, rtol=1e-3, atol=1e-3
     )
@@ -185,7 +176,7 @@ def _verification_case(build, dtype):
     built = build(N, 4, dtype=dtype)
     compiled = compile_program(built, slab_ratio=0.5) if isinstance(built, ProgramIR) else built
     program = compiled.program
-    dense = generate_dense_inputs(program)
+    dense = input_operands(program, 11)
     # a whole program checks every result; a unit (a fused pair's included)
     # only its last statement's
     names = program.result_arrays()
@@ -290,10 +281,10 @@ def dense_verdict(kind, expected, outputs):
 
 
 def _kind_case(kind, dtype="float32"):
-    """``(compiled, inputs, dense inputs, oracle-exact outputs)`` of one kind."""
+    """``(compiled, inputs, the inputs drawn densely, oracle-exact outputs)``."""
     build, _ = KINDS[kind]
     compiled, inputs, exact = _verification_case(build, dtype)
-    return compiled, inputs, generate_dense_inputs(compiled.program), exact
+    return compiled, inputs, {name: np.asarray(x) for name, x in inputs.items()}, exact
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
@@ -379,9 +370,9 @@ def test_verification_memory_is_one_operand_copy_plus_panels(n):
     at n = 1024 (four panels to the array) is over this bound."""
     import tracemalloc
 
-    PANELS = 4  # three live, one spare
+    PANELS = 4  # three live; the drawn float32 coefficient panel and a tile share the spare
     compiled = compile_program(build_gaxpy_ir(n, 4, dtype="float32"), slab_ratio=0.5)
-    dense = generate_dense_inputs(compiled.program)
+    dense = input_operands(compiled.program, 11)
     outputs = {"c": (_f64(dense["a"]) @ _f64(dense["b"])).astype("float32")}
     tracemalloc.start()
     try:

@@ -43,7 +43,8 @@ from repro.runtime.executor import ProgramExecutor
 from repro.runtime.vm import VirtualMachine
 
 from tests.scenarios import hpf_source
-from tests.test_differential import assert_matches_oracle, generate_dense_inputs
+from repro.runtime.operands import input_operands
+from tests.test_differential import assert_matches_oracle
 
 N = 16
 NPROCS = 4
@@ -306,7 +307,7 @@ class TestFusedExecution:
     def test_estimate_equals_execute_charges(self, tmp_path):
         compiled = _compile(_chain_source(2), fusion="on")
         estimate_stats = _estimate_io(compiled)
-        dense = generate_dense_inputs(compiled.program)
+        dense = input_operands(compiled.program, 11)
         with VirtualMachine(
             compiled.nprocs, compiled.params, RunConfig(scratch_dir=tmp_path)
         ) as vm:
@@ -325,7 +326,7 @@ class TestFusedExecution:
 
     def test_fused_away_intermediate_has_no_laf(self, tmp_path):
         compiled = _compile(_chain_source(2), fusion="on")
-        dense = generate_dense_inputs(compiled.program)
+        dense = input_operands(compiled.program, 11)
         with VirtualMachine(
             compiled.nprocs, compiled.params, RunConfig(scratch_dir=tmp_path)
         ) as vm:

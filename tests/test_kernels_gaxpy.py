@@ -13,15 +13,13 @@ from repro.runtime.executor import (
     run_reduction_incore,
     run_reduction_row,
 )
+from repro.runtime.operands import Operand
 from repro.runtime.slab import SlabbingStrategy
 
 
 def generate_gaxpy_inputs(n, seed=1994):
-    """Reproducible dense ``n x n`` float32 operands, by array name."""
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((n, n)).astype("float32")
-    b = rng.standard_normal((n, n)).astype("float32")
-    return {"a": a, "b": b}
+    """Reproducible ``n x n`` float32 operands, by array name."""
+    return {name: Operand(name, (n, n), np.float32, seed) for name in "ab"}
 
 
 def make_vm(nprocs, params, tmp_path, mode=ExecutionMode.EXECUTE):

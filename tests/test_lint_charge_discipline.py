@@ -376,6 +376,40 @@ def run_elementwise_plan(vm, compiled, inputs=None, verify=True):
         assert findings(lint.check_estimate_parity, self.GATED, "executor.py") == []
 
 
+class TestOperandSource:
+    # what this rule was written against: the dense normal draw of every input
+    SECOND_SOURCE = """
+import numpy as np
+from numpy.random import Philox
+
+def generate_inputs(names, shape, seed):
+    rng = np.random.default_rng(seed)
+    dense = {name: rng.standard_normal(shape) for name in names}
+    noise = np.random.standard_normal(shape)
+    return dense, noise, np.random.Generator(Philox(seed))
+"""
+
+    # the operand source's own idiom, and random-free numpy elsewhere
+    ONE_SOURCE = """
+import numpy as np
+
+def tile(key, shape):
+    return np.random.Generator(np.random.Philox(key=key)).random(shape)
+"""
+
+    def test_generators_and_distributions_are_flagged(self):
+        out = findings(lint.check_operand_source, self.SECOND_SOURCE, "src/repro/api/workload.py")
+        assert [(v.rule, v.line) for v in out] == [
+            ("operand-source", line) for line in (6, 8, 9, 9)
+        ]
+
+    def test_only_the_operand_source_may_draw(self):
+        path = "src/repro/runtime/operands.py"
+        assert findings(lint.check_operand_source, self.ONE_SOURCE, path) == []
+        assert findings(lint.check_operand_source, self.SECOND_SOURCE, path) == []
+        assert findings(lint.check_operand_source, "x = np.zeros((2, 2)).sum()", "vm.py") == []
+
+
 def test_repository_is_clean():
     violations = lint.lint_tree(REPO)
     assert violations == [], "\n".join(v.render() for v in violations)

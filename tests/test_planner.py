@@ -219,9 +219,9 @@ def test_planner_matches_oracle_and_mode_parity(scenario, tmp_path):
 
     from repro.core.pipeline import CompiledWholeProgram
     from repro.runtime.executor import NodeProgramExecutor, ProgramExecutor
-    from tests.test_differential import generate_dense_inputs
+    from repro.runtime.operands import input_operands
 
-    dense = generate_dense_inputs(compiled.program)
+    dense = input_operands(compiled.program, 11)
     counters = {}
     for mode in (ExecutionMode.ESTIMATE, ExecutionMode.EXECUTE):
         with VirtualMachine(

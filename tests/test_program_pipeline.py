@@ -31,6 +31,7 @@ from repro.core.pipeline import (
 from repro.hpf.frontend import frontend_to_ir
 from repro.hpf.parser import parse_program
 from repro.runtime.executor import ProgramExecutor, program_reference
+from repro.runtime.operands import input_operands
 from repro.runtime.vm import VirtualMachine
 from tests.scenarios import hpf_source
 
@@ -41,16 +42,6 @@ NPROCS = 4
 TWO_STATEMENT_SOURCE = hpf_source("mm_add", 64, 4)
 
 TRANSPOSE_THEN_MULTIPLY_SOURCE = hpf_source("transpose_mm", 32, 4)
-
-
-def _dense_inputs(program, seed=7):
-    rng = np.random.default_rng(seed)
-    return {
-        name: rng.standard_normal(program.arrays[name].shape).astype(
-            program.arrays[name].dtype
-        )
-        for name in program.input_arrays()
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +234,7 @@ class TestWholeProgramCompilation:
 class TestProgramExecution:
     def test_execute_verifies_against_oracle(self, tmp_path):
         compiled = compile_program(build_pipeline_ir(N, NPROCS), slab_ratio=0.25)
-        dense = _dense_inputs(compiled.program)
+        dense = input_operands(compiled.program, 7)
         with VirtualMachine(NPROCS, compiled.params, RunConfig(scratch_dir=tmp_path)) as vm:
             result = ProgramExecutor(compiled).execute(vm, dense)
         assert result.verified is True
@@ -254,7 +245,7 @@ class TestProgramExecution:
     def test_estimate_matches_execute_charges(self, tmp_path):
         compiled = compile_program(build_pipeline_ir(N, NPROCS), slab_ratio=0.25)
         estimate = ProgramExecutor(compiled).estimate()
-        dense = _dense_inputs(compiled.program)
+        dense = input_operands(compiled.program, 7)
         with VirtualMachine(NPROCS, compiled.params, RunConfig(scratch_dir=tmp_path)) as vm:
             execute = ProgramExecutor(compiled).execute(vm, dense)
         assert estimate.io_statistics == execute.io_statistics
@@ -275,7 +266,7 @@ class TestProgramExecution:
             name: max(arrays[name].local_size(r) for r in range(NPROCS)) * itemsize
             for name in arrays
         }
-        dense = _dense_inputs(compiled.program)
+        dense = input_operands(compiled.program, 7)
         with VirtualMachine(NPROCS, compiled.params, RunConfig(scratch_dir=tmp_path)) as vm:
             result = ProgramExecutor(compiled).execute(vm, dense)
         stmt1, stmt2 = result.statements
@@ -290,7 +281,7 @@ class TestProgramExecution:
     def test_transpose_then_multiply_executes(self, tmp_path):
         ir = frontend_to_ir(parse_program(TRANSPOSE_THEN_MULTIPLY_SOURCE))
         compiled = compile_program(ir, slab_ratio=0.5)
-        dense = _dense_inputs(compiled.program)
+        dense = input_operands(compiled.program, 7)
         with VirtualMachine(4, compiled.params, RunConfig(scratch_dir=tmp_path)) as vm:
             result = ProgramExecutor(compiled).execute(vm, dense)
         assert result.verified is True
@@ -316,7 +307,7 @@ class TestProgramExecution:
 
     def test_unverified_run_gathers_only_final_output(self, tmp_path):
         compiled = compile_program(build_pipeline_ir(N, NPROCS), slab_ratio=0.25)
-        dense = _dense_inputs(compiled.program)
+        dense = input_operands(compiled.program, 7)
         with VirtualMachine(NPROCS, compiled.params, RunConfig(scratch_dir=tmp_path)) as vm:
             result = ProgramExecutor(compiled).execute(vm, dense, verify=False)
         assert set(result.outputs) == {"c"}  # intermediate t not materialized
@@ -324,7 +315,7 @@ class TestProgramExecution:
 
     def test_collect_outputs_gathers_intermediates(self, tmp_path):
         compiled = compile_program(build_pipeline_ir(N, NPROCS), slab_ratio=0.25)
-        dense = _dense_inputs(compiled.program)
+        dense = input_operands(compiled.program, 7)
         with VirtualMachine(NPROCS, compiled.params, RunConfig(scratch_dir=tmp_path)) as vm:
             result = ProgramExecutor(compiled).execute(
                 vm, dense, verify=False, collect_outputs=True

@@ -13,7 +13,7 @@ import pytest
 from repro import Session, WorkloadPoint
 from repro.config import RunConfig
 from repro.resilience import FaultPolicy
-from tests.scenarios import hpf_source
+from tests.scenarios import Scenario, hpf_source
 
 PROGRAM_SOURCE = hpf_source("add_chain", 16, 2)
 
@@ -127,3 +127,56 @@ class TestProgramRecovery:
                     assert (vm_dirs[0] / file_info["path"]).exists() or (
                         tmp_path / file_info["path"]
                     ).exists() or file_info["path"].startswith(str(vm_dirs[0]))
+
+    def test_corrupted_input_is_redrawn_on_its_own_rank_only(self, tmp_path, monkeypatch):
+        """A bit flip in one rank's file of a program input is repaired by
+        re-writing that rank's block alone, as ``create_array`` wrote it."""
+        from repro.runtime.executor import ProgramExecutor
+        from repro.runtime.laf import LocalArrayFile
+        from repro.runtime.operands import input_operands
+        from repro.runtime.slab import Slab
+        from repro.runtime.vm import VirtualMachine
+
+        # one slab per local array: the statement's first read of ``a``
+        # checks the whole-file checksum its creation recorded
+        compiled = Scenario("mm_add", 16, 4, ratio=1.0).compile()
+        inputs = input_operands(compiled.program, 5)
+        writes = []
+        write_full = LocalArrayFile.write_full
+
+        def recording(laf, data, sync=False):
+            writes.append((laf.array_name, laf.rank))
+            return write_full(laf, data, sync)
+
+        monkeypatch.setattr(LocalArrayFile, "write_full", recording)
+
+        def vm_at(tag):
+            return VirtualMachine(4, compiled.params, RunConfig(scratch_dir=tmp_path / tag))
+
+        with vm_at("clean") as vm:
+            clean = ProgramExecutor(compiled).run(vm, inputs)
+        with vm_at("faulty") as vm:
+            create = vm.create_array
+
+            def create_then_flip(descriptor, initial=None, storage_order="F"):
+                array = create(descriptor, initial, storage_order)
+                if descriptor.name == "a":
+                    laf = array.local(1).laf
+                    laf._inject_corruption(Slab(0, 0, laf.shape[0], 0, laf.shape[1]), "bitflip")
+                    writes.clear()
+                return array
+
+            vm.create_array = create_then_flip
+            faulty = ProgramExecutor(compiled).run(vm, inputs)
+            repaired = vm.arrays["a"].local(1).laf
+            repaired.flush()
+            repaired_bytes = repaired.path.read_bytes()
+            assert vm.resilience.corruptions_detected == 1
+        assert [write for write in writes if write[0] == "a"] == [("a", 1)]
+        with vm_at("fresh") as vm:
+            fresh = vm.create_array(compiled.program.arrays["a"], inputs["a"], repaired.order)
+            fresh.local(1).laf.flush()
+            assert fresh.local(1).laf.path.read_bytes() == repaired_bytes
+        assert clean.verified is True and faulty.verified is True
+        for field in ("simulated_seconds", "time_breakdown", "io_statistics", "statements"):
+            assert getattr(faulty, field) == getattr(clean, field)

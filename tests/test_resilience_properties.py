@@ -18,7 +18,7 @@ from repro.resilience import FaultPolicy
 from repro.runtime.executor import ProgramExecutor, program_reference
 from repro.runtime.vm import VirtualMachine
 
-from tests.test_differential import generate_dense_inputs
+from repro.runtime.operands import input_operands
 
 N = 16
 NPROCS = 2
@@ -39,7 +39,7 @@ policies = st.builds(
 
 def _run(tmp_path, policy, tag):
     compiled = compile_program(build_pipeline_ir(N, NPROCS), slab_ratio=0.25)
-    dense = generate_dense_inputs(compiled.program)
+    dense = input_operands(compiled.program, 11)
     config = RunConfig(
         scratch_dir=tmp_path / tag, fault_policy=policy,
         io_retries=4, io_retry_backoff_s=0.0,

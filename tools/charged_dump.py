@@ -3,8 +3,12 @@
 
 ``make diff-parent PARENT=<checkout>`` runs this twice — once against the
 parent checkout's ``src/``, once against this tree's — and prints the first
-field that differs per configuration.  Empty output means no charged number
-moved between the two trees.
+differing *checked* field per configuration.  No such line means no charged
+number moved between the two trees.  The *data* fields — each gathered
+array's sha256 and ``max_abs_error`` — move whenever the generated inputs
+do, so they never mask a charged field: they are compared last, and the
+configurations that differ in data fields only are counted on one summary
+line.  ``verified`` is a checked field, so a flip is printed.
 
 Each output line is one JSON object ``{"config": label, "fields": {...}}``.
 Fields are every quantity of ``VirtualMachine.snapshot_charges()`` (clocks,
@@ -15,8 +19,8 @@ statistics and per-statement breakdown, and — for an EXECUTE run — its
 array (dtype, shape and bytes), so inputs and results are proven
 byte-identical too, not only the charges.  Every number is written with
 ``repr``, so floats compare exactly.  A configuration the tree refuses
-(compile or run error) records the error text instead.  Every dense input
-is drawn by ``Workload.generate_inputs``, whichever input shape the tree's
+(compile or run error) records the error text instead.  Every input is
+drawn by ``Workload.generate_inputs``, whichever input shape the tree's
 engines take.
 
 Configurations, all drawn from ``tests/scenarios.py`` and each charged in
@@ -267,11 +271,18 @@ def read_dump(path):
         return [json.loads(line) for line in handle]
 
 
+def is_data_field(key):
+    """A field that records the data a run produced, not what it charged."""
+    return ".sha256." in key or key.endswith("max_abs_error")
+
+
 def compare(before_path, after_path):
-    """Print the first differing field per configuration; return the count."""
+    """Print the first differing checked field per configuration, then how
+    many configurations differ in data fields only; return the number of
+    configurations with a checked difference."""
     before, after = read_dump(before_path), read_dump(after_path)
     after_by_config = {entry["config"]: entry["fields"] for entry in after}
-    differing = 0
+    differing = data_only = 0
     for entry in before:
         config, old = entry["config"], entry["fields"]
         new = after_by_config.pop(config, None)
@@ -279,14 +290,20 @@ def compare(before_path, after_path):
             print(f"{config}: only in {before_path}")
             differing += 1
             continue
-        for key in sorted(set(old) | set(new)):
-            if old.get(key) != new.get(key):
-                print(f"{config}: {key} {old.get(key)} -> {new.get(key)}")
-                differing += 1
-                break
+        changed = [key for key in sorted(set(old) | set(new)) if old.get(key) != new.get(key)]
+        checked = [key for key in changed if not is_data_field(key)]
+        if checked:
+            key = checked[0]
+            print(f"{config}: {key} {old.get(key)} -> {new.get(key)}")
+            differing += 1
+        elif changed:
+            data_only += 1
     for config in after_by_config:
         print(f"{config}: only in {after_path}")
         differing += 1
+    if data_only:
+        print(f"{data_only} configuration(s) differ in data fields only "
+              "(result sha256, max_abs_error)")
     return differing
 
 

@@ -84,9 +84,18 @@ discipline statically (stdlib ``ast`` only, no third-party dependencies):
     function is a statement engine and takes exactly the positional
     parameters ``(vm, compiled, inputs, verify)`` — no descriptors, no
     ``op=`` / ``slab_elements=`` / ``cols_per_slab=`` keywords, no
-    ``*args``.  Whatever an engine needs beyond its dense inputs it reads
+    ``*args``.  Whatever an engine needs beyond its inputs it reads
     from the compiled program, so every engine is called, dispatched and
     verified the same way.
+
+``operand-source``
+    Anywhere under ``src/repro`` except ``runtime/operands.py``: no
+    ``np.random.<anything>(...)`` call — a distribution, ``default_rng``, a
+    ``Generator`` or bit generator — and no bare call to a generator or bit
+    generator constructor imported from ``numpy.random``.  Input data comes
+    from one counter-keyed source, so a value depends on the seed, the array
+    and its global index only: a second generator would bring back a draw
+    order, and with it dense operands drawn whole.
 
 Run: ``python tools/lint_charge_discipline.py [root]`` — exits non-zero on
 any violation.  Wired into ``make lint`` and CI.
@@ -118,6 +127,10 @@ ARRAY_CONSTRUCTORS = {"create_array", "ensure_array"}
 CACHE_DECORATORS = {"lru_cache", "cache"}
 CACHE_CONTAINERS = {"dict", "OrderedDict"}
 ENGINE_CONTRACT = ["vm", "compiled", "inputs", "verify"]
+OPERAND_SOURCE = Path("runtime") / "operands.py"
+#: numpy.random names that construct a generator or a bit generator
+RANDOM_CONSTRUCTORS = {"default_rng", "Generator", "RandomState", "SeedSequence",
+                       "Philox", "PCG64", "PCG64DXSM", "MT19937", "SFC64"}
 _COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 
@@ -451,6 +464,32 @@ def check_engine_contract(tree: ast.AST, path: Path) -> Iterator[Violation]:
         )
 
 
+def _is_numpy_random(node: ast.AST) -> bool:
+    """True for the expression ``np.random`` / ``numpy.random``."""
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr == "random"
+        and isinstance(node.value, ast.Name)
+        and node.value.id in NUMPY_ALIASES
+    )
+
+
+def check_operand_source(tree: ast.AST, path: Path) -> Iterator[Violation]:
+    if path.as_posix().endswith(OPERAND_SOURCE.as_posix()):
+        return
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        off_numpy = isinstance(func, ast.Attribute) and _is_numpy_random(func.value)
+        if off_numpy or (isinstance(func, ast.Name) and func.id in RANDOM_CONSTRUCTORS):
+            yield Violation(
+                "operand-source", str(path), node.lineno,
+                f"{_call_name(node)!r} draws random data outside "
+                "runtime/operands.py; inputs come from its counter-keyed operands",
+            )
+
+
 # ---------------------------------------------------------------------------
 # driver
 # ---------------------------------------------------------------------------
@@ -468,6 +507,7 @@ def lint_file(path: Path, *, runtime: bool) -> List[Violation]:
     violations.extend(check_frozen_mutation(tree, path))
     violations.extend(check_process_wide_cache(tree, path))
     violations.extend(check_dense_zero_initial(tree, path))
+    violations.extend(check_operand_source(tree, path))
     return violations
 
 
