@@ -473,9 +473,9 @@ class Workload(abc.ABC):
         ):
             result = NodeProgramExecutor(program).estimate(machine=vm.machine)
         else:
-            # Every other program's loop structure *is* the cost model: run
-            # the same slab loops charge-only on the caller's VM, so ESTIMATE
-            # counters equal an EXECUTE run's exactly.
+            # Every other program's loop structure *is* the cost model: make
+            # the engines' charges on the caller's VM without moving data, so
+            # ESTIMATE counters equal an EXECUTE run's exactly.
             result = self.drive(compiled, vm, None, verify=False)
         return self._record(
             compiled,

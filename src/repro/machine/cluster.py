@@ -18,7 +18,11 @@ never drift apart.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+import functools
+import operator
+import struct
+from itertools import chain, repeat
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.exceptions import MachineConfigurationError
 from repro.machine.clock import ClockSet
@@ -46,6 +50,44 @@ class ColumnLane:
     steps: Tuple[Tuple[bool, float, float], ...]
     read_nbytes: int
     read_requests: int
+
+
+def _fold(start: float, values: Sequence[float], count: int) -> float:
+    """``start`` plus ``values`` repeated ``count`` times, added one at a time,
+    left to right.
+
+    The scalar ``+=`` loop, run in C: the same additions in the same order,
+    so the same float.  Never ``sum`` (it compensates float sums from Python
+    3.12 on), ``math.fsum`` or ``np.sum`` (pairwise): each rounds differently.
+    """
+    if count == 1 or not values:
+        return functools.reduce(operator.add, values, start)
+    if len(values) == 1:
+        return functools.reduce(operator.add, repeat(values[0], count), start)
+    return functools.reduce(operator.add, chain.from_iterable(repeat(values, count)), start)
+
+
+_SECONDS = operator.itemgetter(1)  # of a priced step or a column-block step
+
+#: the bits of a row of seven float accumulators: a memo key equal only for
+#: bit-identical rows (0.0 and -0.0 compare equal but fold apart)
+_ROW = struct.Struct("7d")
+
+
+def _fold_row(row: Sequence[float], additions: Sequence[Sequence[float]],
+              count: int) -> Tuple[float, ...]:
+    """Each of the seven accumulators of ``row`` folded (:func:`_fold`) with its
+    additions; bit-identical pairs — a clock's ``io_time`` and its disk's busy
+    time, say — fold once."""
+    bits = _ROW.pack(*row)
+    done: Dict[tuple, float] = {}
+    folded = []
+    for i, (start, values) in enumerate(zip(row, additions, strict=True)):
+        key = (bits[8 * i: 8 * i + 8], values)
+        if key not in done:
+            done[key] = _fold(start, values, count)
+        folded.append(done[key])
+    return tuple(folded)
 
 
 class Machine:
@@ -113,33 +155,114 @@ class Machine:
         return seconds
 
     # ------------------------------------------------------------------
-    # column blocks: ncols x (per-rank steps, synchronise, global sum)
+    # lanes and column blocks: many scalar charges folded into one call
     # ------------------------------------------------------------------
+    def _price(self, step: tuple) -> Tuple[str, float, int, int, float]:
+        """``(kind, seconds, nbytes, nrequests, flops)`` of one step, checked
+        exactly as :meth:`charge_read` / :meth:`charge_write` /
+        :meth:`charge_compute` check it (the clock's refusal of negative
+        seconds included); nothing is charged."""
+        kind = step[0]
+        if kind == "read" or kind == "write":
+            _, nbytes, nrequests = step
+            DiskModel._check(nbytes, nrequests)
+            price = self.params.disk.read_time if kind == "read" else self.params.disk.write_time
+            seconds = price(nbytes, nrequests, contention=self.nprocs)
+            flops = 0.0
+        elif kind == "compute":
+            _, flops = step
+            if flops < 0:
+                raise MachineConfigurationError(f"negative flop count {flops}")
+            seconds = self.params.processor.compute_time(flops)
+            nbytes = nrequests = 0
+        else:
+            raise MachineConfigurationError(f"unknown charge step {step!r}")
+        if seconds < 0:
+            raise MachineConfigurationError(f"cannot advance clock by negative time {seconds}")
+        return kind, seconds, nbytes, nrequests, flops
+
+    def charge_lane(self, lanes: Mapping[int, Sequence[Tuple[Sequence[tuple], int]]]) -> None:
+        """Charge every rank of ``lanes`` its lane: a run of scalar charges in one call.
+
+        A lane is a list of runs ``(steps, count)``: ``steps`` — each
+        ``("read" | "write", nbytes, nrequests)`` or ``("compute", flops)`` —
+        charged in order, ``count`` times over.  Equivalent, bit for bit, to
+        making those :meth:`charge_read` / :meth:`charge_write` /
+        :meth:`charge_compute` calls one by one.  Each distinct step is checked
+        and priced once, every lane before anything is charged, so a refused
+        lane leaves the machine unmoved.  Then every float accumulator — the
+        clock's ``now``, ``io_time`` and ``compute_time``, the disk's and the
+        processor's busy times and both flop totals — is a left fold
+        (:func:`_fold`) over exactly the additions the scalar calls would make
+        to it, in their order, once for all ranks with equal lanes and
+        accumulators; the integer counters are added in closed form.  A lane
+        meets no synchronisation, so unlike a column block's its ``now``
+        folds too.
+        """
+        priced: Dict[tuple, tuple] = {}
+        resolved = {}
+        for rank, runs in lanes.items():
+            self._check_rank(rank)
+            resolved[rank] = []
+            for steps, count in runs:
+                if count < 0:
+                    raise MachineConfigurationError(f"negative run length {count}")
+                for step in steps:
+                    if step not in priced:
+                        priced[step] = self._price(step)
+                resolved[rank].append((tuple(priced[step] for step in steps), count))
+
+        folded: Dict[tuple, tuple] = {}  # ranks with equal lanes and rows fold once
+        for rank, runs in resolved.items():
+            clock, disk = self.clocks[rank], self.disks[rank]
+            processor, counters = self.processors[rank], self.metrics[rank]
+            row = (clock.now, clock.io_time, disk.busy_time, clock.compute_time,
+                   processor.busy_time, processor.flops, counters.flops)
+            key = (tuple(runs), _ROW.pack(*row))
+            if key not in folded:
+                for steps, count in runs:
+                    seconds = tuple(map(_SECONDS, steps))
+                    io = tuple(step[1] for step in steps if step[0] != "compute")
+                    compute = tuple(step[1] for step in steps if step[0] == "compute")
+                    flops = tuple(step[4] for step in steps if step[0] == "compute")
+                    row = _fold_row(row, (seconds, io, io, compute, compute, flops, flops), count)
+                folded[key] = row
+            (clock.now, clock.io_time, disk.busy_time, clock.compute_time,
+             processor.busy_time, processor.flops, counters.flops) = folded[key]
+            for steps, count in runs:
+                for kind, _, nbytes, nrequests, _ in steps:
+                    if kind == "read":
+                        disk.bytes_read += count * nbytes
+                        disk.read_requests += count * nrequests
+                        counters.bytes_read += count * nbytes
+                        counters.io_read_requests += count * nrequests
+                    elif kind == "write":
+                        disk.bytes_written += count * nbytes
+                        disk.write_requests += count * nrequests
+                        counters.bytes_written += count * nbytes
+                        counters.io_write_requests += count * nrequests
+
     def column_lane(self, rank: int, steps: Sequence[tuple]) -> ColumnLane:
         """Resolve ``rank``'s per-column step list to seconds, once per block.
 
         A step is ``("read", nbytes, nrequests)`` or ``("compute", flops)``,
         checked and priced exactly as :meth:`charge_read` /
-        :meth:`charge_compute` would; nothing is charged yet.
+        :meth:`charge_compute` would (the resolver :meth:`charge_lane` uses);
+        nothing is charged yet.
         """
         self._check_rank(rank)
+        priced: Dict[tuple, tuple] = {}
         resolved = []
         read_nbytes = read_requests = 0
         for step in steps:
-            if step[0] == "read":
-                _, nbytes, nrequests = step
-                DiskModel._check(nbytes, nrequests)
-                seconds = self.params.disk.read_time(nbytes, nrequests, contention=self.nprocs)
-                resolved.append((True, seconds, 0.0))
-                read_nbytes += nbytes
-                read_requests += nrequests
-            elif step[0] == "compute":
-                flops = step[1]
-                if flops < 0:
-                    raise MachineConfigurationError(f"negative flop count {flops}")
-                resolved.append((False, self.params.processor.compute_time(flops), flops))
-            else:
-                raise MachineConfigurationError(f"unknown column-block step {step!r}")
+            if step not in priced:
+                if step[0] not in ("read", "compute"):
+                    raise MachineConfigurationError(f"unknown column-block step {step!r}")
+                priced[step] = self._price(step)
+            kind, seconds, nbytes, nrequests, flops = priced[step]
+            resolved.append((kind == "read", seconds, flops))
+            read_nbytes += nbytes
+            read_requests += nrequests
         return ColumnLane(rank, self.clocks[rank].now, tuple(resolved),
                           read_nbytes, read_requests)
 
@@ -156,10 +279,21 @@ class Machine:
 
         Equivalent, bit for bit, to ``ncols`` repetitions of "every rank's
         :meth:`charge_read` / :meth:`charge_compute` steps in order, then
-        :meth:`charge_global_sum` ``(nbytes, nelements)``".  Clocks and busy
-        times are floats, so their running sums cannot be closed: the same
-        additions are replayed in the same per-rank order on local floats,
-        while the integer counters are added in closed form.
+        :meth:`charge_global_sum` ``(nbytes, nelements)``".  The integer
+        counters are added in closed form.  Every float accumulator the
+        per-column synchronisation never touches — the clock's ``io_time``,
+        ``compute_time`` and ``comm_time``, the disk's and the processor's
+        busy times, both flop totals and the network's busy time — is a left
+        fold (:func:`_fold`) over the additions the scalar calls would make to
+        it, in their order — once for all ranks with equal lanes and
+        accumulators, as SPMD ranks mostly are.
+
+        ``now`` and ``idle_time`` meet the synchronisation: each column's
+        gap depends on every rank's clock, so they keep a per-column loop —
+        but only while it can matter.  Once every lane's steps cost the same
+        and every clock is equal, each gap is 0 and the rest of the block is
+        one fold of ``steps + (sum_seconds,)``; the loop is the path for
+        unequal clocks.
 
         ``lanes`` holds one :class:`ColumnLane` per rank in rank order, built
         by :meth:`column_lane` right before the call.  Every lane takes part
@@ -183,40 +317,19 @@ class Machine:
         sum_seconds = self.params.network.reduce_time(nbytes, nprocs, nelements)
         rounds = self.params.network.collective_rounds(nprocs)
 
+        # now / idle: per column while the synchronisation can make a gap
         ranks = range(nprocs)
-        lane_steps = [lane.steps for lane in lanes]
+        seconds = [tuple(map(_SECONDS, lane.steps)) for lane in lanes]
         now = [lane.now for lane in lanes]
-        io_time = [self.clocks[r].io_time for r in ranks]
-        compute_time = [self.clocks[r].compute_time for r in ranks]
-        comm_time = [self.clocks[r].comm_time for r in ranks]
         idle_time = [self.clocks[r].idle_time for r in ranks]
-        disk_busy = [self.disks[r].busy_time for r in ranks]
-        proc_busy = [self.processors[r].busy_time for r in ranks]
-        proc_flops = [self.processors[r].flops for r in ranks]
-        counted_flops = [self.metrics[r].flops for r in ranks]
-        network_busy = self.network.busy_time
-
-        for _ in range(ncols):
+        uniform = all(lane_seconds == seconds[0] for lane_seconds in seconds)
+        done = 0
+        while done < ncols and not (uniform and all(t == now[0] for t in now)):
             for r in ranks:
                 t = now[r]
-                io, disk = io_time[r], disk_busy[r]
-                compute, busy = compute_time[r], proc_busy[r]
-                done, counted = proc_flops[r], counted_flops[r]
-                for is_read, seconds, flops in lane_steps[r]:
-                    if is_read:
-                        disk += seconds
-                        t += seconds
-                        io += seconds
-                    else:
-                        done += flops
-                        busy += seconds
-                        counted += flops
-                        t += seconds
-                        compute += seconds
+                for step_seconds in seconds[r]:
+                    t += step_seconds
                 now[r] = t
-                io_time[r], disk_busy[r] = io, disk
-                compute_time[r], proc_busy[r] = compute, busy
-                proc_flops[r], counted_flops[r] = done, counted
             target = max(now)
             for r in ranks:
                 gap = target - now[r]
@@ -224,31 +337,39 @@ class Machine:
                     now[r] += gap
                     idle_time[r] += gap
                 now[r] += sum_seconds
-                comm_time[r] += sum_seconds
-            network_busy += sum_seconds
+            done += 1
+        if done < ncols:
+            now = [_fold(now[0], seconds[0] + (sum_seconds,), ncols - done)] * nprocs
 
         self.network.messages += ncols * rounds
         self.network.bytes_moved += ncols * rounds * nbytes
         self.network.collectives += ncols
-        self.network.busy_time = network_busy
+        self.network.busy_time = _fold(self.network.busy_time, (sum_seconds,), ncols)
+        folded: Dict[tuple, tuple] = {}  # ranks with equal lanes and rows fold once
         for r in owned:
             lane = lanes[r]
-            disk_model, counters = self.disks[r], self.metrics[r]
+            clock, disk_model = self.clocks[r], self.disks[r]
+            processor, counters = self.processors[r], self.metrics[r]
+            row = (clock.io_time, disk_model.busy_time, clock.compute_time,
+                   processor.busy_time, processor.flops, counters.flops, clock.comm_time)
+            key = (lane.steps, _ROW.pack(*row))
+            if key not in folded:
+                io = tuple(s for is_read, s, _ in lane.steps if is_read)
+                compute = tuple(s for is_read, s, _ in lane.steps if not is_read)
+                flops = tuple(f for is_read, _, f in lane.steps if not is_read)
+                folded[key] = _fold_row(
+                    row, (io, io, compute, compute, flops, flops, (sum_seconds,)), ncols)
+            (clock.io_time, disk_model.busy_time, clock.compute_time,
+             processor.busy_time, processor.flops, counters.flops, clock.comm_time) = folded[key]
+            clock.now = now[r]
+            clock.idle_time = idle_time[r]
             disk_model.read_requests += ncols * lane.read_requests
             disk_model.bytes_read += ncols * lane.read_nbytes
-            disk_model.busy_time = disk_busy[r]
             counters.io_read_requests += ncols * lane.read_requests
             counters.bytes_read += ncols * lane.read_nbytes
-            counters.flops = counted_flops[r]
             counters.collectives += ncols
             counters.messages += ncols * rounds
             counters.bytes_communicated += ncols * rounds * nbytes
-            self.processors[r].flops = proc_flops[r]
-            self.processors[r].busy_time = proc_busy[r]
-            clock = self.clocks[r]
-            clock.now = now[r]
-            clock.io_time, clock.compute_time = io_time[r], compute_time[r]
-            clock.comm_time, clock.idle_time = comm_time[r], idle_time[r]
 
     def charge_broadcast(self, nbytes: int) -> float:
         """Charge every processor for a broadcast of ``nbytes``."""

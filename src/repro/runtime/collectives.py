@@ -6,7 +6,7 @@ The compiled node programs need these communication primitives:
   the result array in the GAXPY kernel,
 * :func:`global_sum_columns` — a *column block*: a run of those result
   columns, each rank's per-column charges and the per-column global sums
-  charged in one replay and the contributions summed as one matrix,
+  charged in one call and the contributions summed as one matrix,
 * :func:`broadcast` — one processor's data delivered to all (the
   single-operand reduction's schedule).
 

@@ -16,8 +16,10 @@ this module runs it:
   node program — the fast path used to regenerate the paper-scale
   experiments without moving gigabytes through the filesystem; every other
   program is estimated by :meth:`NodeProgramExecutor.run` on an
-  ``ESTIMATE``-mode VM, which drives the same slab loops charge-only (their
-  loop structure *is* the cost model).
+  ``ESTIMATE``-mode VM, which makes the same charges as ``EXECUTE`` — each
+  engine's lanes (:meth:`~repro.machine.cluster.Machine.charge_lane`), column
+  blocks and collectives — and moves no data (the loop structure *is* the
+  cost model).
 
 Both paths report the same :class:`ExecutionResult` structure so experiment
 harnesses can switch between them freely.  Every engine function
@@ -58,7 +60,15 @@ from repro.resilience.checksums import SlabManifest
 from repro.resilience.journal import program_fingerprint
 from repro.runtime.laf import LocalArrayFile
 from repro.runtime.ocla import OutOfCoreLocalArray
-from repro.runtime.slab import Slab, SlabbingStrategy, column_slabs, make_slabs, row_slabs
+from repro.runtime.slab import (
+    Slab,
+    SlabbingStrategy,
+    column_slabs,
+    lines_per_slab,
+    make_slabs,
+    row_slabs,
+    slab_runs,
+)
 from repro.runtime.vm import OutOfCoreArray, VirtualMachine
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a circular import at runtime
@@ -902,15 +912,22 @@ def run_reduction_single_operand(
     itemsize = c_desc.itemsize
     perform = vm.perform_io
 
-    # One read pass: stage the full local part of `a` (float64) per rank.
+    # One read pass: stage the full local part of `a` (float64) per rank,
+    # charged as one lane of reads per rank.
+    for rank in vm.ranks:
+        ooc_s.local(rank).check_extent(s_shape)
+    lines = lines_per_slab(s_shape, plan.strategy, entry.slab_elements)
+    vm.machine.charge_lane({
+        rank: [([ooc_s.local(rank).fetch_step(slab)], count)
+               for slab, count in slab_runs(s_shape, plan.strategy, lines)]
+        for rank in vm.ranks
+    })
     a64: Dict[int, np.ndarray] = {}
     if perform:
         a64 = {rank: np.empty(s_shape, dtype=np.float64) for rank in vm.ranks}
-    for slab in make_slabs(s_shape, plan.strategy, entry.slab_elements):
-        for rank in vm.ranks:
-            data = ooc_s.local(rank).fetch_slab(slab)
-            if perform:
-                a64[rank][slab.row_slice, slab.col_slice] = data
+        for slab in make_slabs(s_shape, plan.strategy, entry.slab_elements):
+            for rank in vm.ranks:
+                a64[rank][slab.row_slice, slab.col_slice] = ooc_s.local(rank).load_slab(slab)
 
     # Global column indices owned by each rank (the reduce dimension of `a`).
     owned_cols = {rank: s_desc.local_slices(rank)[1] for rank in vm.ranks}
@@ -976,8 +993,13 @@ def run_elementwise_plan(
     resident buffer, cast to the intermediate's declared dtype (reproducing
     the unfused schedule's rounding exactly), and is handed straight to the
     consumer's compute — no Local Array Files, no write pass and no read
-    pass, in ``EXECUTE`` *and* ``ESTIMATE`` mode alike, which is what keeps
-    the two modes' charged counters identical.
+    pass.
+
+    Both modes charge the same lanes (:meth:`Machine.charge_lane`): one per
+    rank, the slab loop's fetch / compute / store steps priced once per
+    distinct slab shape, after every file has been checked.  The slab loop
+    itself moves data uncharged and runs in ``EXECUTE`` only, so an
+    ``ESTIMATE`` of an elementwise unit walks no slab.
     """
     program = compiled.program
     arrays = program.arrays
@@ -998,24 +1020,42 @@ def run_elementwise_plan(
         resident.add(statement.result.array)
     ooc[result] = vm.ensure_array(arrays[result], initial=None, storage_order=order)
 
-    perform = vm.perform_io
+    def slab_steps(rank: int, slab: Slab) -> List[tuple]:
+        """What one slab charges, in the slab loop's order below."""
+        steps, produced = [], set()
+        for statement in statements:
+            steps += [ooc[ref.array].local(rank).fetch_step(slab)
+                      for ref in statement.operands if ref.array not in produced]
+            steps.append(("compute", 1.0 * slab.nelements))
+            produced.add(statement.result.array)
+        steps.append(ooc[result].local(rank).store_step(slab))
+        return steps
+
     slab_elements = compiled.plan.allocation[result]
-    for rank in vm.ranks:
-        for slab in make_slabs(arrays[result].local_shape(rank), strategy, slab_elements):
-            blocks: Dict[str, Optional[np.ndarray]] = {}
-            for statement in statements:
-                operands = [
-                    blocks[ref.array] if ref.array in blocks
-                    else ooc[ref.array].local(rank).fetch_slab(slab)
-                    for ref in statement.operands
-                ]
-                vm.machine.charge_compute(rank, 1.0 * slab.nelements)
-                name = statement.result.array
-                blocks[name] = (
-                    _ELEMENTWISE_OPS[statement.op](*operands).astype(arrays[name].dtype)
-                    if perform else None
-                )
-            ooc[result].local(rank).store_slab(slab, blocks[result] if perform else None)
+    shapes = {rank: arrays[result].local_shape(rank) for rank in vm.ranks}
+    for rank, shape in shapes.items():
+        for array in ooc.values():
+            array.local(rank).check_extent(shape)
+    vm.machine.charge_lane({
+        rank: [(slab_steps(rank, slab), count) for slab, count in
+               slab_runs(shape, strategy, lines_per_slab(shape, strategy, slab_elements))]
+        for rank, shape in shapes.items()
+    })
+
+    if vm.perform_io:
+        for rank, shape in shapes.items():
+            for slab in make_slabs(shape, strategy, slab_elements):
+                blocks: Dict[str, np.ndarray] = {}
+                for statement in statements:
+                    operands = [
+                        blocks[ref.array] if ref.array in blocks
+                        else ooc[ref.array].local(rank).load_slab(slab)
+                        for ref in statement.operands
+                    ]
+                    name = statement.result.array
+                    blocks[name] = _ELEMENTWISE_OPS[statement.op](*operands).astype(
+                        arrays[name].dtype)
+                ooc[result].local(rank).save_slab(slab, blocks[result])
 
     fused = "fused " if len(statements) > 1 else ""
     return _finish(vm, compiled, f"{fused}{strategy.value}-slab elementwise",
@@ -1089,16 +1129,22 @@ def run_transpose_plan(
                 # piece has shape (|dest columns|, |slab columns|)
                 result_locals[dest][global_cols, :] = piece.T
 
-    # write the transposed local arrays slab by slab
-    for rank in vm.ranks:
-        local_shape = dst_desc.local_shape(rank)
-        for slab in column_slabs(local_shape, cols_per_slab):
-            if vm.perform_io:
-                target.local(rank).store_slab(
+    # write the transposed local arrays slab by slab: one lane of writes
+    # per rank, then the data
+    shapes = {rank: dst_desc.local_shape(rank) for rank in vm.ranks}
+    for rank, shape in shapes.items():
+        target.local(rank).check_extent(shape)
+    vm.machine.charge_lane({
+        rank: [([target.local(rank).store_step(slab)], count)
+               for slab, count in slab_runs(shape, SlabbingStrategy.COLUMN, cols_per_slab)]
+        for rank, shape in shapes.items()
+    })
+    if vm.perform_io:
+        for rank, shape in shapes.items():
+            for slab in column_slabs(shape, cols_per_slab):
+                target.local(rank).save_slab(
                     slab, result_locals[rank][slab.row_slice, slab.col_slice]
                 )
-            else:
-                target.local(rank).store_slab(slab, None)
 
     return _finish(vm, compiled, "column-slab transpose", target, inputs, verify)
 
@@ -1148,7 +1194,7 @@ class NodeProgramExecutor:
 
         Honors the virtual machine's execution mode: in ``EXECUTE`` mode the
         arithmetic and file traffic are real; in ``ESTIMATE`` mode the same
-        loops run charge-only.  ``inputs`` maps operand array names to dense
+        charges are made and no data moves.  ``inputs`` maps operand array names to dense
         data (``None`` generates nothing — required only for verified
         ``EXECUTE`` runs).  A mid-statement checksum mismatch triggers a
         charge-neutral re-execution (:func:`_run_recovering`).

@@ -131,25 +131,49 @@ class IOEngine:
         if self.perform_io:
             laf._check_open()
 
+    def check_extent(self, laf: LocalArrayFile, shape: Tuple[int, int]) -> None:
+        """Refuse, before a lane charges them, the slabs of a partition of
+        ``shape`` that :meth:`read_slab` / :meth:`write_slab` would refuse:
+        any slab outside ``laf``'s local array, and (``EXECUTE``) a closed file."""
+        self._check(laf, Slab(index=0, row_start=0, row_stop=int(shape[0]),
+                              col_start=0, col_stop=int(shape[1])))
+
     # ------------------------------------------------------------------
     @staticmethod
     def read_step(laf: LocalArrayFile, slab: Slab) -> Tuple[str, int, int]:
-        """What one read of ``slab`` charges, as a column-block step.
+        """What one read of ``slab`` charges, as a lane step.
 
         ``("read", nbytes, nrequests)``; nothing is charged.
         """
         return ("read", slab.nbytes(laf.dtype.itemsize), _requests(slab))
 
+    @staticmethod
+    def write_step(laf: LocalArrayFile, slab: Slab) -> Tuple[str, int, int]:
+        """What one write of ``slab`` charges, as a lane step; nothing is charged."""
+        return ("write", slab.nbytes(laf.dtype.itemsize), _requests(slab))
+
     def load_slab(self, rank: int, laf: LocalArrayFile, slab: Slab) -> Optional[np.ndarray]:
         """Move ``slab``'s data without charging: the data half of :meth:`read_slab`.
 
-        For a caller that charges the read itself — the column-slab reduction
-        holds each streamed slab in memory after one real read and charges
-        that read, with every re-stream, in its column blocks.
+        For a caller that charges the read itself, in a lane
+        (:meth:`~repro.machine.cluster.Machine.charge_lane`) or a column block.
         """
         if not self.perform_io:
             return None
         return self._attempt(lambda: laf.read_slab(slab), "read", laf)
+
+    def save_slab(
+        self, rank: int, laf: LocalArrayFile, slab: Slab, data: Optional[np.ndarray]
+    ) -> None:
+        """Move ``data`` into ``slab`` without charging: the data half of
+        :meth:`write_slab` — retries, fault injection and the checksum
+        manifest included; the caller charges the write in a lane."""
+        if not self.perform_io:
+            return
+        if data is None or np.shape(data) != slab.shape:
+            raise IOEngineError(f"write_slab needs data of shape {slab.shape} to perform I/O")
+        self._attempt(lambda: laf.write_slab(slab, data), "write", laf)
+        self._maybe_corrupt(laf, slab)
 
     def read_slab(self, rank: int, laf: LocalArrayFile, slab: Slab) -> Optional[np.ndarray]:
         """Read ``slab`` of processor ``rank``'s LAF; charge and return the data."""
@@ -166,11 +190,9 @@ class IOEngine:
         if self.perform_io and (data is None or np.shape(data) != slab.shape):
             # refused before the charge: an error leaves the machine as it was
             raise IOEngineError(f"write_slab needs data of shape {slab.shape} to perform I/O")
-        self.machine.charge_write(rank, slab.nbytes(laf.dtype.itemsize), _requests(slab))
-        if not self.perform_io:
-            return
-        self._attempt(lambda: laf.write_slab(slab, data), "write", laf)
-        self._maybe_corrupt(laf, slab)
+        _, nbytes, nrequests = self.write_step(laf, slab)
+        self.machine.charge_write(rank, nbytes, nrequests)
+        self.save_slab(rank, laf, slab, data)
 
     def read_full(self, rank: int, laf: LocalArrayFile) -> Optional[np.ndarray]:
         """Read an entire LAF as one request (used by the in-core baseline)."""

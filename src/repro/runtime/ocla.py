@@ -65,17 +65,28 @@ class OutOfCoreLocalArray:
         return self.engine.read_slab(self.rank, self.laf, slab)
 
     def fetch_step(self, slab: Slab) -> Tuple[str, int, int]:
-        """The column-block step (``("read", nbytes, nrequests)``) of one fetch of ``slab``.
+        """The lane step (``("read", nbytes, nrequests)``) of one fetch of ``slab``.
 
         With :meth:`load_slab` this is :meth:`fetch_slab` taken apart for an
-        engine whose column blocks charge every re-stream of a slab it reads
-        once.
+        engine that charges its reads in a lane or a column block.
         """
         return self.engine.read_step(self.laf, slab)
 
     def load_slab(self, slab: Slab) -> Optional[np.ndarray]:
         """Read a slab's data uncharged; the caller charges :meth:`fetch_step`."""
         return self.engine.load_slab(self.rank, self.laf, slab)
+
+    def store_step(self, slab: Slab) -> Tuple[str, int, int]:
+        """The lane step (``("write", nbytes, nrequests)``) of one store of ``slab``."""
+        return self.engine.write_step(self.laf, slab)
+
+    def save_slab(self, slab: Slab, data: Optional[np.ndarray]) -> None:
+        """Write a slab's data uncharged; the caller charges :meth:`store_step`."""
+        self.engine.save_slab(self.rank, self.laf, slab, data)
+
+    def check_extent(self, shape: Tuple[int, int]) -> None:
+        """Refuse, before a lane charges them, slabs of ``shape`` this file would refuse."""
+        self.engine.check_extent(self.laf, shape)
 
     def store_slab(self, slab: Slab, data: Optional[np.ndarray]) -> None:
         """Write a slab through the I/O engine; charged, and the data in EXECUTE."""

@@ -9,7 +9,9 @@ the seed and a stable hash of the name (``zlib.crc32``) and whose counter
 holds the tile's indices.  No state is shared between tiles, so there is no
 draw order: any selection — a rank's block, an oracle panel, the whole
 array — draws only the tiles covering it and gets the same values.  Values
-are uniform on ``[-1, 1)``, drawn in the array's own dtype.  A tile's
+are uniform on ``[-1, 1)``, drawn in the array's own dtype; an array of any
+other than a float dtype (an HPF ``integer`` array) holds the integers
+``-8 .. 7``, from the same float64 draw.  A tile's
 stream fills it column by column, and Philox can start at any counter, so
 a selection narrower than a tile (a column block, a column panel) draws
 only the columns it spans.
@@ -52,7 +54,9 @@ def _draw_tile(
     (one step is four 64-bit words: eight float32 or four float64 values)
     and the few values before it in that step are dropped.  ``random``
     draws float32 and float64 natively; any other dtype is drawn as float64
-    and cast by the caller's assignment.
+    and mapped to the small integers ``floor(8 v)`` on ``[-8, 8)`` — a cast
+    of ``v`` itself would truncate every value to 0 — then cast by the
+    caller's assignment.
     """
     native = dtype if dtype in (np.float32, np.float64) else np.dtype(np.float64)
     per_step = 32 // native.itemsize
@@ -62,6 +66,9 @@ def _draw_tile(
     values = generator.random(stop - start + start % per_step, dtype=native)[start % per_step:]
     values *= 2
     values -= 1
+    if native != dtype:
+        values *= 8
+        np.floor(values, out=values)
     return values.reshape((rows, len(cols)), order="F")
 
 

@@ -21,7 +21,10 @@ from typing import List, Tuple
 
 from repro.exceptions import IOEngineError
 
-__all__ = ["Slab", "SlabbingStrategy", "column_slabs", "row_slabs", "make_slabs"]
+__all__ = [
+    "Slab", "SlabbingStrategy", "column_slabs", "row_slabs", "make_slabs",
+    "lines_per_slab", "slab_runs",
+]
 
 
 class SlabbingStrategy(enum.Enum):
@@ -156,6 +159,22 @@ def row_slabs(local_shape: Tuple[int, int], rows_per_slab: int) -> List[Slab]:
     return slabs
 
 
+def lines_per_slab(
+    local_shape: Tuple[int, int],
+    strategy: SlabbingStrategy | str,
+    slab_elements: int,
+) -> int:
+    """Whole columns (column slabbing) or rows (row slabbing) per slab of
+    roughly ``slab_elements`` elements — always at least one."""
+    strategy = SlabbingStrategy.from_name(strategy)
+    nrows, ncols = int(local_shape[0]), int(local_shape[1])
+    if slab_elements < 1:
+        raise IOEngineError(f"slab_elements must be positive, got {slab_elements}")
+    if strategy is SlabbingStrategy.COLUMN:
+        return max(1, min(ncols if ncols else 1, slab_elements // max(nrows, 1) or 1))
+    return max(1, min(nrows if nrows else 1, slab_elements // max(ncols, 1) or 1))
+
+
 def make_slabs(
     local_shape: Tuple[int, int],
     strategy: SlabbingStrategy | str,
@@ -165,16 +184,42 @@ def make_slabs(
 
     ``slab_elements`` is the in-core local array capacity ``M`` of the paper;
     it is converted into whole columns (column slabbing) or whole rows (row
-    slabbing), always at least one.
+    slabbing), always at least one (:func:`lines_per_slab`).
+    """
+    strategy = SlabbingStrategy.from_name(strategy)
+    lines = lines_per_slab(local_shape, strategy, slab_elements)
+    if strategy is SlabbingStrategy.COLUMN:
+        return column_slabs(local_shape, lines)
+    return row_slabs(local_shape, lines)
+
+
+def slab_runs(
+    local_shape: Tuple[int, int],
+    strategy: SlabbingStrategy | str,
+    lines: int,
+) -> List[Tuple[Slab, int]]:
+    """:func:`column_slabs` / :func:`row_slabs` ``(local_shape, lines)`` as runs
+    of one shape: ``(first slab of the run, slabs in the run)``, in order.
+
+    At most two runs — the full slabs, then a narrower last one — computed
+    without building every slab: what an engine that charges one lane per
+    rank needs to price its slabs without walking them.
     """
     strategy = SlabbingStrategy.from_name(strategy)
     nrows, ncols = int(local_shape[0]), int(local_shape[1])
-    if slab_elements < 1:
-        raise IOEngineError(f"slab_elements must be positive, got {slab_elements}")
-    if strategy is SlabbingStrategy.COLUMN:
-        per_col = max(nrows, 1)
-        cols = max(1, min(ncols if ncols else 1, slab_elements // per_col or 1))
-        return column_slabs(local_shape, cols)
-    per_row = max(ncols, 1)
-    rows = max(1, min(nrows if nrows else 1, slab_elements // per_row or 1))
-    return row_slabs(local_shape, rows)
+    lines = int(lines)
+    if lines < 1:
+        raise IOEngineError(f"lines per slab must be positive, got {lines}")
+    column = strategy is SlabbingStrategy.COLUMN
+    extent = ncols if column else nrows
+    full, rest = divmod(extent, lines)
+    runs = [(0, lines, full)] if full else []
+    if rest or not extent:
+        runs.append((full * lines, extent, 1))
+    return [
+        (Slab(index=start // lines, row_start=0, row_stop=nrows, col_start=start, col_stop=stop)
+         if column else
+         Slab(index=start // lines, row_start=start, row_stop=stop, col_start=0, col_stop=ncols),
+         count)
+        for start, stop, count in runs
+    ]

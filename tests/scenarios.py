@@ -63,11 +63,17 @@ SHAPES = {
 }
 
 
-def hpf_source(shape: str, n: int, nprocs: int, *, dist: str = "block") -> str:
+#: the mini-HPF type of each element type a mini-HPF scenario may declare
+HPF_TYPES = {"float32": "real", "float64": "double", "int32": "integer"}
+
+
+def hpf_source(shape: str, n: int, nprocs: int, *, dist: str = "block",
+               dtype: str = "float32") -> str:
     """The mini-HPF text of ``shape`` at ``n`` x ``n`` over ``nprocs`` processors.
 
-    Every array is ``real`` and aligned column-wise with one template, except
-    a reduction's second operand, which is aligned row-wise.
+    Every array has the type of ``dtype`` (``real`` by default) and is
+    aligned column-wise with one template, except a reduction's second
+    operand, which is aligned row-wise.
     """
     name, arrays, statements = SHAPES[shape]
     rows = {ops[1] for _, op, *ops in statements if op == "sum" and ops[1] != ops[0]}
@@ -87,7 +93,7 @@ def hpf_source(shape: str, n: int, nprocs: int, *, dist: str = "block") -> str:
     return "\n".join([
         f"program {name}",
         f"  parameter (n = {n}, nprocs = {nprocs})",
-        "  real " + ", ".join(f"{a}(n, n)" for a in arrays),
+        f"  {HPF_TYPES[dtype]} " + ", ".join(f"{a}(n, n)" for a in arrays),
         "!hpf$ processors Pr(nprocs)",
         "!hpf$ template tmpl(n)",
         f"!hpf$ distribute tmpl({dist}) onto Pr",
@@ -149,7 +155,7 @@ class Scenario:
         return self.label
 
     def source(self) -> str:
-        return hpf_source(self.shape, self.n, self.nprocs, dist=self.dist)
+        return hpf_source(self.shape, self.n, self.nprocs, dist=self.dist, dtype=self.dtype)
 
     def ir(self) -> ProgramIR:
         native = "(" not in self.dist  # CYCLIC(k) has no frontend syntax
@@ -160,7 +166,7 @@ class Scenario:
         else:
             dist = self.dist if native else "block"
             ir = frontend_to_ir(parse_program(
-                hpf_source(self.shape, self.n, self.nprocs, dist=dist)))
+                hpf_source(self.shape, self.n, self.nprocs, dist=dist, dtype=self.dtype)))
         return ir if native else distribute(ir, self.dist)
 
     def slabbing(self) -> dict:
@@ -274,6 +280,9 @@ ORACLE = {
     "pipeline-strategy": grid("{strategy}", shape="pipeline", n=16, nprocs=4,
                               strategy=("column", "row"), ratio=0.25),
     "cyclic": CYCLIC,
+    # HPF ``integer`` arrays: a GAXPY and a two-statement elementwise program
+    "integer": [Scenario("matmul", 32, 4, dtype="int32", ratio=0.5, label="gaxpy"),
+                Scenario("pair", 32, 4, dtype="int32", ratio=0.5, label="pair")],
 }
 
 #: tests/test_check_differential.py: ledger == PlanCost (== the executed

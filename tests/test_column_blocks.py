@@ -10,6 +10,7 @@ guarded by counting scalar charge calls, which repeats exactly.
 """
 
 import collections
+import copy
 
 import numpy as np
 import pytest
@@ -159,6 +160,153 @@ def test_block_rejects_what_the_scalar_charges_reject():
 
 
 # ---------------------------------------------------------------------------
+# (d) the folds on a bare Machine: charge_lane and charge_column_block ==
+#     the scalar calls they replace, on every charged field
+# ---------------------------------------------------------------------------
+lane_steps = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["read", "write"]), st.integers(0, 3_000_000),
+                  st.integers(0, 3)),
+        st.tuples(st.just("compute"),
+                  st.one_of(st.just(0.0), st.floats(0.0, 1e9, allow_nan=False,
+                                                    allow_infinity=False))),
+    ),
+    max_size=5,
+)
+machine_preludes = st.lists(
+    st.tuples(st.sampled_from(["read", "write", "compute", "sum"]),
+              st.integers(0, 7), st.floats(0.0, 2e6, allow_nan=False, allow_infinity=False)),
+    max_size=8,
+)
+
+
+def machine_state(machine):
+    """Every field ``Machine`` charges, ``==``-comparable (floats included)."""
+    return copy.deepcopy({
+        "processors": machine.processors,
+        "disks": machine.disks,
+        "network": machine.network,
+        "clocks": machine.clocks.clocks,
+        "metrics": machine.metrics.counters,
+    })
+
+
+def prepared_machine(nprocs, preset, prelude):
+    """A machine whose ranks' clocks, busy times and counters are uneven."""
+    machine = Machine(nprocs, preset)
+    for kind, rank, amount in prelude:
+        rank %= nprocs
+        if kind == "read":
+            machine.charge_read(rank, int(amount), 1)
+        elif kind == "write":
+            machine.charge_write(rank, int(amount), 2)
+        elif kind == "compute":
+            machine.charge_compute(rank, amount)
+        else:
+            machine.charge_global_sum(int(amount) % 4096, nelements=int(amount) % 1024)
+    return machine
+
+
+def scalar_steps(machine, rank, steps):
+    for step in steps:
+        if step[0] == "read":
+            machine.charge_read(rank, step[1], step[2])
+        elif step[0] == "write":
+            machine.charge_write(rank, step[1], step[2])
+        else:
+            machine.charge_compute(rank, step[1])
+
+
+@st.composite
+def lane_cases(draw):
+    nprocs = draw(st.integers(1, 8))
+    ranks = draw(st.sets(st.integers(0, nprocs - 1)))
+    runs = st.lists(st.tuples(lane_steps, st.integers(0, 40)), max_size=3)
+    shared = draw(runs)  # ranks mostly share a lane, as the engines' do
+    lanes = {rank: draw(st.one_of(st.just(shared), runs)) for rank in sorted(ranks)}
+    return nprocs, lanes
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=lane_cases(), preset=st.sampled_from(["delta", "sp1"]), prelude=machine_preludes)
+def test_lane_equals_the_scalar_calls(case, preset, prelude):
+    nprocs, lanes = case
+    folded = prepared_machine(nprocs, preset, prelude)
+    scalar = prepared_machine(nprocs, preset, prelude)
+    folded.charge_lane(lanes)
+    for rank, runs in lanes.items():
+        for steps, count in runs:
+            for _ in range(count):
+                scalar_steps(scalar, rank, steps)
+    assert machine_state(folded) == machine_state(scalar)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=lane_cases(), bad=st.sampled_from([("read", -1, 1), ("write", 8, -1),
+                                               ("compute", -2.0), ("seek", 1)]),
+       where=st.integers(0, 100), prelude=machine_preludes)
+def test_a_lane_with_one_refused_step_leaves_the_machine_unmoved(case, bad, where, prelude):
+    nprocs, lanes = case
+    machine = prepared_machine(nprocs, "delta", prelude)
+    before = machine_state(machine)
+    steps = [step for runs in lanes.values() for run, _ in runs for step in run]
+    steps.insert(where % (len(steps) + 1), bad)
+    poisoned = {**lanes, nprocs - 1: [(steps, 1)]}
+    with pytest.raises(ReproError, match="negative|unknown"):
+        machine.charge_lane(poisoned)
+    assert machine_state(machine) == before
+    with pytest.raises(ReproError, match="negative run length"):
+        machine.charge_lane({0: [([("compute", 1.0)], -1)]})
+    with pytest.raises(ReproError, match="outside machine"):
+        machine.charge_lane({**lanes, nprocs: []})
+    assert machine_state(machine) == before
+
+
+@st.composite
+def block_cases(draw):
+    nprocs = draw(st.integers(1, 8))
+    column_steps = st.lists(
+        st.one_of(
+            st.tuples(st.just("read"), st.integers(0, 3_000_000), st.integers(0, 3)),
+            st.tuples(st.just("compute"), st.one_of(
+                st.just(0.0), st.floats(0.0, 1e9, allow_nan=False, allow_infinity=False))),
+        ),
+        max_size=4,
+    )
+    shared = draw(column_steps)
+    uniform = draw(st.booleans())
+    steps = {rank: shared if uniform else draw(column_steps) for rank in range(nprocs)}
+    owned = draw(st.one_of(st.none(), st.sets(st.integers(0, nprocs - 1))))
+    return nprocs, steps, owned
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=block_cases(), ncols=st.integers(0, 300), rows=st.integers(0, 2000),
+       preset=st.sampled_from(["delta", "sp1"]),
+       prelude=st.one_of(st.just([]), machine_preludes))
+def test_column_block_equals_the_scalar_calls(case, ncols, rows, preset, prelude):
+    """Equal and unequal lanes, equal and unequal clocks, every owned subset:
+    the owned ranks' rows and the network are the scalar schedule's, every
+    other rank's row is untouched."""
+    nprocs, steps, owned = case
+    folded = prepared_machine(nprocs, preset, prelude)
+    scalar = prepared_machine(nprocs, preset, prelude)
+    untouched = machine_state(folded)
+    lanes = [folded.column_lane(rank, steps[rank]) for rank in range(nprocs)]
+    folded.charge_column_block(lanes, ncols, 4 * rows, rows, owned=owned)
+    for _ in range(ncols):
+        for rank in range(nprocs):
+            scalar_steps(scalar, rank, steps[rank])
+        scalar.charge_global_sum(4 * rows, nelements=rows)
+    got, want = machine_state(folded), machine_state(scalar)
+    assert got["network"] == want["network"]
+    for rank in range(nprocs):
+        expected = want if owned is None or rank in owned else untouched
+        for field in ("processors", "disks", "clocks", "metrics"):
+            assert got[field][rank] == expected[field][rank], (field, rank)
+
+
+# ---------------------------------------------------------------------------
 # a rejected collective leaves the machine where it was
 # ---------------------------------------------------------------------------
 def test_collective_error_leaves_charges_unchanged():
@@ -241,10 +389,14 @@ def test_io_engine_validates_before_charging(tmp_path):
             rejected = [
                 lambda: vm.engine.read_slab(1, laf, outside),
                 lambda: vm.engine.write_slab(1, laf, outside, np.ones(outside.shape, laf.dtype)),
+                lambda: vm.engine.check_extent(laf, (rows, cols + 1)),  # a lane's refusal
             ]
             if mode is ExecutionMode.EXECUTE:
                 closed.close()
                 rejected += [
+                    lambda: vm.engine.check_extent(closed, closed.shape),
+                    lambda: vm.engine.save_slab(1, laf, slab, None),
+                    lambda: vm.engine.save_slab(1, laf, slab, np.ones((rows, 3), laf.dtype)),
                     lambda: vm.engine.write_slab(1, laf, slab, None),
                     lambda: vm.engine.write_slab(1, laf, slab, np.ones((rows, 3), laf.dtype)),
                     lambda: vm.engine.write_full(1, laf, None),

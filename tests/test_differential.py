@@ -156,6 +156,30 @@ def test_transpose_then_multiply_matches_oracle(tmp_path):
     )
 
 
+@pytest.mark.parametrize("scenario", ORACLE["integer"], ids=str)
+def test_integer_programs_verify_and_a_flipped_element_fails(tmp_path, scenario):
+    """An HPF ``integer`` program's inputs are non-zero integers, so its
+    verification is not trivial: the run verifies, one sign-flipped result
+    element does not."""
+    from repro.api import Session
+
+    compiled = scenario.compile()
+    inputs = input_operands(compiled.program, 11)
+    assert all(np.count_nonzero(np.asarray(x)) > 0.8 * np.prod(x.shape)
+               for x in inputs.values())
+    outputs = assert_matches_oracle(compiled, tmp_path / "oracle")
+    assert all(value.dtype == np.int32 for value in outputs.values())
+    assert verify_outputs(compiled, inputs, outputs)[0] is True
+    name = compiled.program.statements[-1].result.array
+    flipped = {key: value.copy() for key, value in outputs.items()}
+    i, j = np.unravel_index(np.argmax(np.abs(flipped[name])), flipped[name].shape)
+    flipped[name][i, j] *= -1
+    assert flipped[name][i, j] != 0
+    assert verify_outputs(compiled, inputs, flipped)[0] is False
+    with Session(config=RunConfig(scratch_dir=tmp_path / "session")) as session:
+        assert session.run(scenario.point(), "execute").verified is True
+
+
 # ---------------------------------------------------------------------------
 # seeds: the harness is deterministic per seed, distinct across seeds
 # ---------------------------------------------------------------------------

@@ -222,6 +222,66 @@ def run_reduction_single_operand(vm, compiled):
         assert findings(lint.check_per_column_charge, self.PER_COLUMN, "kernels.py") == []
 
 
+class TestPerSlabCharge:
+    # the per-slab charging the lanes replaced, abridged
+    PER_SLAB = """
+def run_elementwise_plan(vm, compiled, inputs=None, verify=True):
+    for rank in vm.ranks:
+        for slab in make_slabs(shape, strategy, slab_elements):
+            operands = [ooc[ref].local(rank).fetch_slab(slab) for ref in refs]
+            vm.machine.charge_compute(rank, 1.0 * slab.nelements)
+            ooc[result].local(rank).store_slab(slab, block if perform else None)
+    charged = [vm.machine.charge_lane({rank: lane}) for rank, lane in lanes.items()]
+
+def run_transpose_plan(vm, compiled, inputs=None, verify=True):
+    for rank in vm.ranks:
+        for slab in column_slabs(shape, cols_per_slab):
+            target.local(rank).save_slab(slab, data)
+            vm.machine.charge_write(rank, slab.nbytes(4), 1)
+
+def run_reduction_single_operand(vm, compiled, inputs=None, verify=True):
+    for slab in slabs:
+        staged = {rank: ooc.local(rank).load_slab(slab) for rank in vm.ranks}
+        ooc.local(0).fetch_slab(slab)
+"""
+    # one lane per rank charged outside any loop, then EXECUTE-only data loops;
+    # other engines' charged slab loops are not this rule's business
+    LANES = """
+def run_elementwise_plan(vm, compiled, inputs=None, verify=True):
+    vm.machine.charge_lane({
+        rank: [(slab_steps(rank, slab), count) for slab, count in slab_runs(shape, s, n)]
+        for rank, shape in shapes.items()
+    })
+    if vm.perform_io:
+        for rank, shape in shapes.items():
+            for slab in make_slabs(shape, strategy, slab_elements):
+                operands = [ooc[ref].local(rank).load_slab(slab) for ref in refs]
+                ooc[result].local(rank).save_slab(slab, block)
+
+def run_transpose_plan(vm, compiled, inputs=None, verify=True):
+    for src in range(nprocs):
+        for slab in column_slabs(local_shape, cols_per_slab):
+            block = source.local(src).fetch_slab(slab)
+            vm.comm.charge_all_to_all(payload_bytes)
+    vm.machine.charge_lane(lanes)
+    for rank, shape in shapes.items():
+        for slab in column_slabs(shape, cols_per_slab):
+            target.local(rank).save_slab(slab, data)
+"""
+
+    def test_per_slab_charges_are_flagged(self):
+        out = findings(lint.check_per_slab_charge, self.PER_SLAB, "executor.py")
+        assert [(v.rule, v.line) for v in out] == [
+            ("per-slab-charge", line) for line in (5, 6, 7, 8, 14, 19)
+        ]
+
+    def test_lanes_and_other_charged_loops_are_allowed(self):
+        assert findings(lint.check_per_slab_charge, self.LANES, "executor.py") == []
+
+    def test_only_the_executor_is_checked(self):
+        assert findings(lint.check_per_slab_charge, self.PER_SLAB, "kernels.py") == []
+
+
 class TestProcessWideCache:
     # what this rule was written against: the two caches that sat in front
     # of the Session LRU, one per form the rule knows
@@ -374,6 +434,18 @@ def run_elementwise_plan(vm, compiled, inputs=None, verify=True):
 
     def test_gated_stores_are_allowed(self):
         assert findings(lint.check_estimate_parity, self.GATED, "executor.py") == []
+
+    def test_an_uncharged_save_is_gated_too(self):
+        source = """
+def run_transpose_plan(vm, compiled, inputs=None, verify=True):
+    for slab in slabs:
+        target.local(rank).save_slab(slab, data)
+    if vm.perform_io:
+        target.local(rank).save_slab(slab, data)
+"""
+        out = findings(lint.check_estimate_parity, source, "executor.py")
+        assert [(v.rule, v.line) for v in out] == [("estimate-parity", 4)]
+        assert findings(lint.check_estimate_parity, source, "ocla.py") == []
 
 
 class TestOperandSource:

@@ -118,6 +118,19 @@ def test_values_are_uniform_on_minus_one_one_in_the_declared_dtype(dtype):
     assert abs(values.mean()) < 0.02 and 0.3 < values.std() < 0.65  # uniform: 1/sqrt(3)
 
 
+def test_integer_values_are_small_nonzero_integers():
+    """A non-float dtype maps the float64 draw to ``floor(8 v)``: an HPF
+    ``integer`` array is not all zeros, and still a function of the index."""
+    operand = Operand("a", (300, 300), "int32", 1994)
+    values = np.asarray(operand)
+    assert values.dtype == np.int32
+    assert values.min() == -8 and values.max() == 7
+    assert np.count_nonzero(values) > 0.9 * values.size
+    assert np.array_equal(operand[:, TILE - 3: TILE + 40], values[:, TILE - 3: TILE + 40])
+    float64 = np.asarray(Operand("a", (300, 300), "float64", 1994))
+    np.testing.assert_array_equal(values, np.floor(8 * float64))
+
+
 def test_seed_and_name_key_the_values():
     shape = (40, 40)
     one = np.asarray(Operand("a", shape, "float32", 7))

@@ -15,6 +15,7 @@ from repro.runtime import (
     make_slabs,
     row_slabs,
 )
+from repro.runtime.slab import lines_per_slab, slab_runs
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +99,24 @@ class TestSlabbing:
         for slab in slabs:
             covered[slab.row_slice, slab.col_slice] += 1
         assert np.all(covered == 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rows=st.integers(0, 60), cols=st.integers(0, 60), elements=st.integers(1, 400),
+        by_column=st.booleans(),
+    )
+    def test_slab_runs_are_the_slabs_grouped_by_shape(self, rows, cols, elements, by_column):
+        strategy = SlabbingStrategy.COLUMN if by_column else SlabbingStrategy.ROW
+        slabs = make_slabs((rows, cols), strategy, elements)
+        lines = lines_per_slab((rows, cols), strategy, elements)
+        runs = slab_runs((rows, cols), strategy, lines)
+        assert len(runs) <= 2
+        expanded = [(first, index) for first, count in runs for index in range(count)]
+        assert len(expanded) == len(slabs)
+        assert [first.shape for first, _ in expanded] == [slab.shape for slab in slabs]
+        assert [first for first, index in expanded if index == 0] == [
+            slab for slab, previous in zip(slabs, [None, *slabs], strict=False)
+            if previous is None or previous.shape != slab.shape]
 
 
 # ---------------------------------------------------------------------------

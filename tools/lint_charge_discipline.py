@@ -33,14 +33,16 @@ discipline statically (stdlib ``ast`` only, no third-party dependencies):
     code quietly edit an already-verified plan.
 
 ``estimate-parity``
-    Every engine in ``src/repro/runtime/`` drives the same slab loops in
-    both modes, so a ``store_slab`` call with a real (non-``None``) payload
-    must be gated on the VM's ``perform_io`` flag (an enclosing
-    ``if vm.perform_io:`` / ``if perform:`` branch, or a
-    ``data if perform_io else None`` payload).  An ungated real store would
-    materialize data in ESTIMATE mode — the elementwise engine depends on
-    this to keep a fused pair's resident intermediate EXECUTE-only while both
-    modes charge identical counters.
+    Both modes charge the same lanes and column blocks; only EXECUTE moves
+    data.  So a ``store_slab`` or ``save_slab`` call with a real
+    (non-``None``) payload must be gated on the VM's ``perform_io`` flag (an
+    enclosing ``if vm.perform_io:`` / ``if perform:`` branch, or a
+    ``data if perform_io else None`` payload) — outside ``io_engine.py`` and
+    ``ocla.py``, which implement the moves and check the mode themselves.
+    An ungated real store would materialize data in ESTIMATE mode.  The
+    elementwise engine is the model: it charges one lane per rank in either
+    mode, and its slab loop — which only moves data, a fused pair's
+    resident intermediate included — runs under ``if vm.perform_io:``.
 
 ``loop-index-translation``
     In ``src/repro/runtime/executor.py`` no ``owner_of_dim`` /
@@ -61,6 +63,17 @@ discipline statically (stdlib ``ast`` only, no third-party dependencies):
     the 584k Python calls of an N=1024 column-slab pass — cannot creep back.
     Host-side only, like ``loop-index-translation``; the scalar methods stay
     the block's checked definition and the other engines keep using them.
+
+``per-slab-charge``
+    In ``src/repro/runtime/executor.py``: no ``fetch_slab`` / ``store_slab``
+    / ``charge_*`` call may sit inside a ``for`` body or a comprehension of
+    ``run_elementwise_plan``, nor of any loop that moves data uncharged
+    (``load_slab`` / ``save_slab``) — the elementwise engine, the transpose's
+    write pass and the single-operand staging pass.  Their slabs are charged
+    as one lane per rank (``Machine.charge_lane``, one call for every rank)
+    or in column blocks, so ESTIMATE walks no slab and a per-slab Python
+    call chain cannot creep back.  Host-side only, like
+    ``per-column-charge``.
 
 ``process-wide-cache``
     Anywhere under ``src/repro``: no ``functools.lru_cache`` /
@@ -106,7 +119,7 @@ from __future__ import annotations
 import ast
 import sys
 from pathlib import Path
-from typing import Iterator, List, NamedTuple
+from typing import Callable, Iterator, List, NamedTuple
 
 IO_CONFINEMENT_ALLOWED = {"io_engine.py", "laf.py"}
 #: unqualified calls that always mean host file access
@@ -123,6 +136,13 @@ INDEX_TRANSLATION_CALLS = {"owner_of_dim", "global_to_local", "local_to_global",
                            "local_index_ranges"}
 BLOCK_ENGINES = {"run_reduction_column", "run_reduction_row", "run_reduction_incore"}
 PER_COLUMN_CALLS = {"charge_read", "charge_compute", "global_sum"}
+LANE_ENGINES = {"run_elementwise_plan"}
+#: charged slab calls; every ``charge_*`` call counts too
+PER_SLAB_CALLS = {"fetch_slab", "store_slab"}
+UNCHARGED_MOVES = {"load_slab", "save_slab"}
+STORE_CALLS = {"store_slab", "save_slab"}
+#: the files that implement the data moves the engines gate
+DATA_LAYER = {"io_engine.py", "ocla.py"}
 ARRAY_CONSTRUCTORS = {"create_array", "ensure_array"}
 CACHE_DECORATORS = {"lru_cache", "cache"}
 CACHE_CONTAINERS = {"dict", "OrderedDict"}
@@ -303,6 +323,9 @@ def _store_payload(node: ast.Call):
 
 
 def check_estimate_parity(tree: ast.AST, path: Path) -> Iterator[Violation]:
+    if path.name in DATA_LAYER:  # the moves themselves; each is mode-aware
+        return
+
     def visit(node: ast.AST, guarded: bool) -> Iterator[Violation]:
         if isinstance(node, ast.If) and _mentions_perform_io(node.test):
             for child in node.body:
@@ -311,7 +334,7 @@ def check_estimate_parity(tree: ast.AST, path: Path) -> Iterator[Violation]:
                 # The else branch is the ESTIMATE side: only None payloads.
                 yield from visit(child, guarded)
             return
-        if isinstance(node, ast.Call) and _call_name(node) == "store_slab":
+        if isinstance(node, ast.Call) and _call_name(node) in STORE_CALLS:
             payload = _store_payload(node)
             none_payload = isinstance(payload, ast.Constant) and payload.value is None
             ifexp_gated = isinstance(payload, ast.IfExp) and _mentions_perform_io(
@@ -320,7 +343,7 @@ def check_estimate_parity(tree: ast.AST, path: Path) -> Iterator[Violation]:
             if payload is not None and not (none_payload or guarded or ifexp_gated):
                 yield Violation(
                     "estimate-parity", str(path), node.lineno,
-                    "store_slab with a real payload outside a perform_io gate "
+                    f"{_call_name(node)} with a real payload outside a perform_io gate "
                     "would materialize data in ESTIMATE mode",
                 )
         for child in ast.iter_child_nodes(node):
@@ -329,15 +352,17 @@ def check_estimate_parity(tree: ast.AST, path: Path) -> Iterator[Violation]:
     yield from visit(tree, False)
 
 
-def _calls_in_loops(root: ast.AST, names: set, comprehensions: bool = False) -> Iterator[ast.Call]:
-    """Calls to any of ``names`` lexically inside a ``for`` body under ``root``.
+def _calls_in_loops(
+    root: ast.AST, matches: Callable[[str], bool], comprehensions: bool = False
+) -> Iterator[ast.Call]:
+    """Calls whose name ``matches`` lexically inside a ``for`` body under ``root``.
 
     A loop's iterable and ``else`` branch run once, so only its body counts;
     ``comprehensions`` makes a comprehension count as a loop too.
     """
 
     def visit(node: ast.AST, in_loop: bool) -> Iterator[ast.Call]:
-        if in_loop and isinstance(node, ast.Call) and _call_name(node) in names:
+        if in_loop and isinstance(node, ast.Call) and matches(_call_name(node)):
             yield node
         if isinstance(node, (ast.For, ast.AsyncFor)):
             for child in ast.iter_child_nodes(node):
@@ -353,7 +378,8 @@ def _calls_in_loops(root: ast.AST, names: set, comprehensions: bool = False) -> 
 def check_loop_index_translation(tree: ast.AST, path: Path) -> Iterator[Violation]:
     if path.name != EXECUTOR_FILE:
         return
-    for node in _calls_in_loops(tree, INDEX_TRANSLATION_CALLS, comprehensions=True):
+    for node in _calls_in_loops(tree, INDEX_TRANSLATION_CALLS.__contains__,
+                                comprehensions=True):
         yield Violation(
             "loop-index-translation", str(path), node.lineno,
             f"{_call_name(node)!r} inside a loop translates indices one "
@@ -368,13 +394,47 @@ def check_per_column_charge(tree: ast.AST, path: Path) -> Iterator[Violation]:
     for function in ast.walk(tree):
         if not (isinstance(function, ast.FunctionDef) and function.name in BLOCK_ENGINES):
             continue
-        for node in _calls_in_loops(function, PER_COLUMN_CALLS):
+        for node in _calls_in_loops(function, PER_COLUMN_CALLS.__contains__):
             yield Violation(
                 "per-column-charge", str(path), node.lineno,
                 f"{_call_name(node)!r} inside a loop of a column-block engine "
                 "charges one result column per call; put it in the block's "
                 "step list (comm.global_sum_columns)",
             )
+
+
+def _per_slab_call(name: str) -> bool:
+    return name in PER_SLAB_CALLS or name.startswith("charge_")
+
+
+def _moves_uncharged(loop: ast.AST) -> bool:
+    """True when ``loop``'s body moves slab data without charging it."""
+    body = loop.body if isinstance(loop, (ast.For, ast.AsyncFor)) else [loop]
+    return any(
+        isinstance(node, ast.Call) and _call_name(node) in UNCHARGED_MOVES
+        for part in body for node in ast.walk(part)
+    )
+
+
+def check_per_slab_charge(tree: ast.AST, path: Path) -> Iterator[Violation]:
+    if path.name != EXECUTOR_FILE:
+        return
+    found = {}
+    for function in ast.walk(tree):
+        if isinstance(function, ast.FunctionDef) and function.name in LANE_ENGINES:
+            for node in _calls_in_loops(function, _per_slab_call, comprehensions=True):
+                found[(node.lineno, node.col_offset)] = node
+    for loop in ast.walk(tree):
+        if isinstance(loop, (ast.For, ast.AsyncFor, *_COMPREHENSIONS)) and _moves_uncharged(loop):
+            for node in _calls_in_loops(loop, _per_slab_call, comprehensions=True):
+                found[(node.lineno, node.col_offset)] = node
+    for _, node in sorted(found.items()):
+        yield Violation(
+            "per-slab-charge", str(path), node.lineno,
+            f"{_call_name(node)!r} inside a slab loop charges one slab per call; "
+            "charge the loop's steps as one lane per rank (Machine.charge_lane) "
+            "and move the data with load_slab / save_slab",
+        )
 
 
 def check_process_wide_cache(tree: ast.AST, path: Path) -> Iterator[Violation]:
@@ -503,6 +563,7 @@ def lint_file(path: Path, *, runtime: bool) -> List[Violation]:
         violations.extend(check_estimate_parity(tree, path))
         violations.extend(check_loop_index_translation(tree, path))
         violations.extend(check_per_column_charge(tree, path))
+        violations.extend(check_per_slab_charge(tree, path))
         violations.extend(check_engine_contract(tree, path))
     violations.extend(check_frozen_mutation(tree, path))
     violations.extend(check_process_wide_cache(tree, path))
