@@ -9,7 +9,7 @@ machine model and prints:
 * Table 1  — column-slab vs row-slab vs in-core,
 * Table 2  — slab-size selection for multiple arrays,
 
-plus the three ablation studies.  Absolute seconds are not expected to match
+plus the memory allocation ablation.  Absolute seconds are not expected to match
 the 1994 measurements; the relative behaviour (who wins, by what factor, how
 times move with slab ratio and processor count) is the reproduction target —
 see EXPERIMENTS.md for the side-by-side numbers.
@@ -27,8 +27,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from repro.experiments import (
     run_figure10,
     run_memory_allocation_ablation,
-    run_prefetch_ablation,
-    run_storage_order_ablation,
     run_table1,
     run_table2,
 )
@@ -61,10 +59,9 @@ def main() -> int:
     )
     print()
 
-    for runner in (run_memory_allocation_ablation, run_storage_order_ablation, run_prefetch_ablation):
-        print("=" * 72)
-        print(runner()["table"])
-        print()
+    print("=" * 72)
+    print(run_memory_allocation_ablation()["table"])
+    print()
     return 0
 
 

@@ -42,9 +42,11 @@ class GaxpyWorkload(Workload):
 
     ``version`` selects the program: ``"column"`` (the naively compiled
     Figure 9 schedule), ``"row"`` (the reorganized Figure 12 schedule),
-    ``"incore"`` (the in-core baseline), or ``""`` — the default — which
-    lets the compiler's cost model choose between column and row slabs;
-    the record's ``version`` then reports the chosen strategy.
+    ``"incore"`` (the in-core baseline: the row-slab program at slab ratio 1,
+    so each local array is one slab, read or written once; it takes no slab
+    specification), or ``""`` — the default — which lets the compiler's cost
+    model choose between column and row slabs; the record's ``version`` then
+    reports the chosen strategy.
     """
 
     versions = ("", "column", "row", "incore")
@@ -54,21 +56,27 @@ class GaxpyWorkload(Workload):
         super().validate(point)
         if point.n <= 0:
             raise WorkloadError("gaxpy points need a positive problem size n")
-        if point.version != "incore" and point.slab_ratio is None and point.slab_elements is None:
+        has_slabs = point.slab_ratio is not None or point.slab_elements is not None
+        if point.version == "incore" and has_slabs:
+            raise WorkloadError(
+                "in-core gaxpy points take no slab_ratio or slab_elements "
+                "(the in-core version is the row-slab program at slab ratio 1)"
+            )
+        if point.version != "incore" and not has_slabs:
             raise WorkloadError("out-of-core gaxpy points need a slab_ratio or slab_elements")
 
     def build_ir(self, point: WorkloadPoint, params: MachineParameters) -> Lowering:
         from repro.core.ir import build_gaxpy_ir
 
-        force = point.version if point.version in ("column", "row") else None
+        ir = build_gaxpy_ir(point.n, point.nprocs, dtype=point.dtype)
+        if point.version == "incore":
+            return Lowering(ir=ir, slab_ratio=1.0, force_strategy="row")
         slab_elements = point.slab_elements_dict()
-        ratio = point.slab_ratio if point.version != "incore" else 1.0
         return Lowering(
-            ir=build_gaxpy_ir(point.n, point.nprocs, dtype=point.dtype),
-            slab_ratio=ratio if slab_elements is None else None,
+            ir=ir,
+            slab_ratio=point.slab_ratio if slab_elements is None else None,
             slab_elements=slab_elements,
-            force_strategy=force,
-            baseline="incore" if point.version == "incore" else None,
+            force_strategy=point.version or None,
         )
 
 

@@ -161,10 +161,7 @@ class Lowering:
 
     Exactly one of ``slab_ratio`` / ``slab_elements`` /
     ``memory_budget_bytes`` selects the slab specification forwarded to
-    :func:`repro.core.pipeline.compile_program`.  ``baseline="incore"``
-    marks the in-core reference schedule (read each array once, keep it in
-    memory), which is costed with the cost model's in-core estimator and
-    executed with the in-core engine instead of the slabbed node program.
+    :func:`repro.core.pipeline.compile_program`.
     """
 
     ir: "ProgramIR"
@@ -172,7 +169,6 @@ class Lowering:
     slab_elements: Optional[Dict[str, int]] = None
     memory_budget_bytes: Optional[int] = None
     force_strategy: Optional[str] = None
-    baseline: Optional[str] = None
     #: statement-fusion mode forwarded to the pipeline (``"off"`` | ``"auto"``
     #: | ``"on"``); ``None`` keeps the pipeline default (``"off"``)
     fusion: Optional[str] = None
@@ -184,8 +180,7 @@ class CompiledWorkload:
 
     Every built-in workload — GAXPY, transpose, elementwise, HPF programs —
     carries the :class:`~repro.core.pipeline.CompiledProgram` its IR lowered
-    to in ``program``; ``baseline`` tags reference schedules (``"incore"``)
-    that bypass the slabbed node program.  The ``descriptor`` slot is kept
+    to in ``program``.  The ``descriptor`` slot is kept
     for workloads that plan against a bare
     :class:`~repro.hpf.array_desc.ArrayDescriptor` outside the compiler.
     Instances are shared by the Session's compile cache — they are frozen and
@@ -197,7 +192,6 @@ class CompiledWorkload:
     params: MachineParameters
     program: Optional["CompiledProgram"] = None
     descriptor: Optional["ArrayDescriptor"] = None
-    baseline: Optional[str] = None
     #: the static plan verifier's frozen report, attached by
     #: :meth:`repro.api.Session.compile` when its check mode is not ``"off"``
     check: Optional["CheckReport"] = None
@@ -298,7 +292,6 @@ class Workload(abc.ABC):
             point=self._resolve_point(point, program),
             params=params,
             program=program,
-            baseline=lowering.baseline,
         )
 
     @staticmethod
@@ -360,7 +353,7 @@ class Workload(abc.ABC):
             # compilations ignore the session's optimize default).
             "optimizer": decision.optimizer if decision is not None else "none",
             "strategy": cost.label
-            or (cost.strategy.value if cost.strategy is not None else "in-core"),
+            or (cost.strategy.value if cost.strategy is not None else "mixed"),
             "predicted_seconds": cost.total_time,
             "predicted_io_time": cost.io_time,
             "predicted_io_bytes_per_proc": cost.io_bytes,
@@ -445,17 +438,11 @@ class Workload(abc.ABC):
         inputs: Optional[Mapping[str, "np.ndarray | Operand"]],
         verify: bool,
     ) -> "ExecutionResult":
-        """Run ``compiled`` on ``vm`` in the VM's mode: the one fork between the
-        in-core baseline, a whole program and a single statement."""
-        from repro.runtime.executor import (
-            NodeProgramExecutor,
-            ProgramExecutor,
-            run_reduction_incore,
-        )
+        """Run ``compiled`` on ``vm`` in the VM's mode: the one fork between a
+        whole program and a single statement."""
+        from repro.runtime.executor import NodeProgramExecutor, ProgramExecutor
 
         program = self._require_program(compiled)
-        if compiled.baseline == "incore":
-            return run_reduction_incore(vm, program, inputs, verify)
         if self._is_whole_program(program):
             return ProgramExecutor(program).run(vm, inputs, verify)
         return NodeProgramExecutor(program).run(vm, inputs, verify)
@@ -466,8 +453,6 @@ class Workload(abc.ABC):
         from repro.runtime.executor import NodeProgramExecutor
 
         program = self._require_program(compiled)
-        if compiled.baseline == "incore":
-            return self._estimate_incore(compiled)
         if not self._is_whole_program(program) and isinstance(
             program.program.statement, ReductionStatement
         ):
@@ -484,26 +469,6 @@ class Workload(abc.ABC):
             time_breakdown=result.time_breakdown,
             io_statistics=result.io_statistics,
             statements=result.statements,
-        )
-
-    def _estimate_incore(self, compiled: CompiledWorkload) -> "RunRecord":
-        from repro.core.cost_model import CostModel
-
-        point = compiled.point
-        cost = CostModel(compiled.params, point.nprocs).estimate_incore(
-            compiled.program.analysis
-        )
-        read_bytes = sum(c.fetch_elements for c in cost.arrays.values()) * cost.itemsize
-        write_bytes = sum(c.write_elements for c in cost.arrays.values()) * cost.itemsize
-        return self._record(
-            compiled,
-            mode="estimate",
-            simulated_seconds=cost.total_time,
-            time_breakdown={"io": cost.io_time, "compute": cost.compute_time,
-                            "comm": cost.comm_time},
-            io_statistics={"io_requests_per_proc": cost.io_requests,
-                           "bytes_read_per_proc": read_bytes,
-                           "bytes_written_per_proc": write_bytes},
         )
 
     def execute(self, compiled: CompiledWorkload, vm: "VirtualMachine", verify: bool) -> "RunRecord":

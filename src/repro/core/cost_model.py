@@ -104,9 +104,8 @@ class PlanCost:
     io_time: float
     compute_time: float
     comm_time: float
-    #: display label overriding the strategy name; ``strategy=None`` means
-    #: "in-core" for single-statement costs but "mixed" for combined
-    #: whole-program costs, so the combiner sets this explicitly
+    #: display label overriding the strategy name; ``strategy=None`` only for
+    #: a combined whole-program cost of mixed strategies, labelled "mixed"
     label: Optional[str] = None
 
     @property
@@ -139,7 +138,7 @@ class PlanCost:
         return max(self.arrays.values(), key=lambda cost: cost.total_elements).array
 
     def describe(self) -> str:
-        label = self.label or (self.strategy.value if self.strategy else "in-core")
+        label = self.label or (self.strategy.value if self.strategy else "mixed")
         lines = [f"plan [{label}] on {self.nprocs} processors:"]
         for name, cost in self.arrays.items():
             lines.append(
@@ -530,22 +529,3 @@ class CostModel:
         if isinstance(analysis, TransposePhaseResult):
             strategy = SlabbingStrategy.COLUMN
         return self._plan_cost(strategy, counts)
-
-    def estimate_incore(self, analysis: InCorePhaseResult) -> PlanCost:
-        """Cost of the in-core baseline: read each operand once, write the result once."""
-        local = local_elements(analysis.program)
-        rows = {
-            name: (_write if info.role.value == "result" else _read)(1, local[name])
-            for name, info in analysis.access.items()
-        }
-        collective_count = float(analysis.outer_loop.extent) if analysis.needs_global_sum else 0.0
-        return self._plan_cost(
-            None,
-            _Counts(
-                rows,
-                analysis.flops_per_proc,
-                collective_count,
-                _column_length(analysis),
-                analysis.program.arrays[analysis.streamed].itemsize,
-            ),
-        )

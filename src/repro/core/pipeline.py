@@ -532,7 +532,7 @@ def plan_statement(
                 matching = [plan_from_slab_elements(analysis, wanted, sizes, cost_model)]
             plan = matching[0]
         else:
-            decision = choose_plan(analysis, candidates, cost_model)
+            decision = choose_plan(candidates)
             plan = decision.chosen
     return StatementPlan(
         program=program,

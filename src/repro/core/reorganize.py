@@ -67,7 +67,6 @@ class ReorganizationDecision:
 
     candidates: List[AccessPlan]
     chosen: AccessPlan
-    incore_cost: PlanCost
     dominant_array: str
 
     def candidate(self, strategy: SlabbingStrategy | str) -> AccessPlan:
@@ -150,12 +149,10 @@ def reorganize(
         )
     if not candidates:
         raise CompilationError("no candidate strategies were provided")
-    return choose_plan(analysis, candidates, cost_model)
+    return choose_plan(candidates)
 
 
-def choose_plan(
-    analysis: InCorePhaseResult, candidates: List[AccessPlan], cost_model: CostModel
-) -> ReorganizationDecision:
+def choose_plan(candidates: List[AccessPlan]) -> ReorganizationDecision:
     """Figure 14: find the array with the largest I/O requirement, then pick the
     strategy that minimises its cost (ties and practical sanity are resolved
     with the full predicted I/O time)."""
@@ -168,6 +165,5 @@ def choose_plan(
     return ReorganizationDecision(
         candidates=candidates,
         chosen=chosen,
-        incore_cost=cost_model.estimate_incore(analysis),
         dominant_array=dominant_array,
     )

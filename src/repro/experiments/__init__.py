@@ -6,10 +6,8 @@
   1K x 1K matrices on 4–64 processors (Table 1).
 * :mod:`repro.experiments.table2` — slab-size selection for multiple arrays,
   2K x 2K matrices on 16 processors (Table 2).
-* :mod:`repro.experiments.ablations` — additional studies: equal vs.
-  proportional vs. searched memory allocation, per-slab vs. per-chunk I/O
-  accounting (the value of reorganizing the on-disk storage order), and an
-  analytic prefetch-overlap what-if the runtime does not model.
+* :mod:`repro.experiments.ablations` — equal vs. proportional vs. searched
+  memory allocation at one node memory budget (the claim behind Table 2).
 
 Every experiment has a paper-scale configuration (the defaults, evaluated
 with the analytic estimator) and a scaled-down configuration used by the
@@ -22,10 +20,6 @@ from repro.experiments.table2 import Table2Config, run_table2
 from repro.experiments.ablations import (
     MemoryAllocationAblationConfig,
     run_memory_allocation_ablation,
-    StorageOrderAblationConfig,
-    run_storage_order_ablation,
-    PrefetchAblationConfig,
-    run_prefetch_ablation,
 )
 
 __all__ = [
@@ -37,8 +31,4 @@ __all__ = [
     "run_table2",
     "MemoryAllocationAblationConfig",
     "run_memory_allocation_ablation",
-    "StorageOrderAblationConfig",
-    "run_storage_order_ablation",
-    "PrefetchAblationConfig",
-    "run_prefetch_ablation",
 ]

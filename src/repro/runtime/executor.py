@@ -86,7 +86,6 @@ __all__ = [
     "ProgramExecutor",
     "run_reduction_column",
     "run_reduction_row",
-    "run_reduction_incore",
     "run_reduction_single_operand",
     "run_elementwise_plan",
     "run_transpose_plan",
@@ -822,53 +821,10 @@ def run_reduction_row(
     return _finish(vm, compiled, "row-slab", ooc_c, inputs, verify)
 
 
-# ---------------------------------------------------------------------------
-# reduction engine: in-core baseline
-# ---------------------------------------------------------------------------
-def run_reduction_incore(
-    vm: VirtualMachine,
-    compiled: "CompiledProgram",
-    inputs: Inputs = None,
-    verify: bool = True,
-) -> ExecutionResult:
-    """Execute the in-core baseline: read every local array once, keep it in memory."""
-    _require_distinct_operands(compiled)
-    analysis = compiled.analysis
-    ooc_s, ooc_b, ooc_c = _setup_reduction_arrays(vm, compiled, inputs,
-                                                  result_order="F", streamed_order="F")
-    c_desc = ooc_c.descriptor
-    c_shape = _uniform_local_shape(c_desc)
-    n_rows = c_desc.shape[0]
-    n_cols = c_desc.shape[1]
-    itemsize = c_desc.itemsize
-    perform = vm.perform_io
-
-    a_data = {rank: ooc_s.local(rank).fetch_all() for rank in vm.ranks}
-    b_data = {rank: ooc_b.local(rank).fetch_all() for rank in vm.ranks}
-    c_local = {
-        rank: np.zeros(c_shape, dtype=c_desc.dtype) for rank in vm.ranks
-    } if perform else {}
-
-    # One whole-local-array GEMM per rank; the column blocks below only
-    # charge costs and run the global sums.
-    products: Dict[int, np.ndarray] = {}
-    if perform:
-        products = {
-            rank: a_data[rank].astype(np.float64) @ b_data[rank].astype(np.float64)
-            for rank in vm.ranks
-        }
-
-    per_column_flops = analysis.flops_per_proc / max(n_cols, 1)
-    steps = {rank: [("compute", per_column_flops)] for rank in vm.ranks}
-    (blocks,) = _column_blocks(c_desc, [(0, n_cols)])
-    for block in blocks:
-        _reduce_column_block(vm, block, steps, products, 0, c_local,
-                             rows=n_rows, itemsize=itemsize)
-
-    for rank in vm.ranks:
-        ooc_c.local(rank).store_all(c_local.get(rank) if perform else None)
-
-    return _finish(vm, compiled, "in-core", ooc_c, inputs, verify)
+#: Kept only because ``benchmarks/suite/spans.py``'s ``BOUNDARIES`` wraps this
+#: name through ``getattr``; nothing here calls it (the in-core baseline is the
+#: row-slab program at slab ratio 1).
+run_reduction_incore = run_reduction_row
 
 
 # ---------------------------------------------------------------------------

@@ -119,15 +119,9 @@ class IOEngine:
         if mode is not None:
             laf._inject_corruption(slab, mode)
 
-    @staticmethod
-    def _full_slab(laf: LocalArrayFile) -> Slab:
-        return Slab(index=0, row_start=0, row_stop=laf.shape[0],
-                    col_start=0, col_stop=laf.shape[1])
-
-    def _check(self, laf: LocalArrayFile, slab: Optional[Slab] = None) -> None:
+    def _check(self, laf: LocalArrayFile, slab: Slab) -> None:
         """Refuse, before anything is charged, an access the file would refuse."""
-        if slab is not None:
-            laf._check_slab(slab)
+        laf._check_slab(slab)
         if self.perform_io:
             laf._check_open()
 
@@ -193,24 +187,3 @@ class IOEngine:
         _, nbytes, nrequests = self.write_step(laf, slab)
         self.machine.charge_write(rank, nbytes, nrequests)
         self.save_slab(rank, laf, slab, data)
-
-    def read_full(self, rank: int, laf: LocalArrayFile) -> Optional[np.ndarray]:
-        """Read an entire LAF as one request (used by the in-core baseline)."""
-        self._check(laf)
-        nbytes = laf.nbytes
-        self.machine.charge_read(rank, nbytes, 1 if nbytes else 0)
-        if not self.perform_io:
-            return None
-        return self._attempt(laf.read_full, "read", laf)
-
-    def write_full(self, rank: int, laf: LocalArrayFile, data: Optional[np.ndarray]) -> None:
-        """Write an entire LAF as one request (used by the in-core baseline)."""
-        self._check(laf)
-        if self.perform_io and (data is None or np.shape(data) != laf.shape):
-            raise IOEngineError(f"write_full needs data of shape {laf.shape} to perform I/O")
-        nbytes = laf.nbytes
-        self.machine.charge_write(rank, nbytes, 1 if nbytes else 0)
-        if not self.perform_io:
-            return
-        self._attempt(lambda: laf.write_full(data), "write", laf)
-        self._maybe_corrupt(laf, self._full_slab(laf))

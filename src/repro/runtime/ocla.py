@@ -92,14 +92,6 @@ class OutOfCoreLocalArray:
         """Write a slab through the I/O engine; charged, and the data in EXECUTE."""
         self.engine.write_slab(self.rank, self.laf, slab, data)
 
-    def fetch_all(self) -> Optional[np.ndarray]:
-        """Read the whole local array in one request (in-core baseline)."""
-        return self.engine.read_full(self.rank, self.laf)
-
-    def store_all(self, data: Optional[np.ndarray]) -> None:
-        """Write the whole local array in one request (in-core baseline)."""
-        self.engine.write_full(self.rank, self.laf, data)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"OutOfCoreLocalArray({self.descriptor.name!r}, rank={self.rank}, "

@@ -95,33 +95,6 @@ class Slab:
     def contains(self, row: int, col: int) -> bool:
         return self.row_start <= row < self.row_stop and self.col_start <= col < self.col_stop
 
-    def contiguous_chunks(self, local_shape: Tuple[int, int], order: str = "F") -> int:
-        """Number of contiguous file extents this slab occupies in a LAF.
-
-        ``order`` is the storage order of the Local Array File: ``'F'`` stores
-        the local array column-major (Fortran order, the natural choice for
-        the paper's column-oriented programs) and ``'C'`` stores it row-major.
-        A slab that spans entire columns of a column-major file, or entire
-        rows of a row-major file, is a single contiguous extent; otherwise one
-        extent per partial column/row is needed.  This is exactly why the
-        compiler reorganizes the on-disk storage to match the chosen slabbing.
-        """
-        nrows, ncols = int(local_shape[0]), int(local_shape[1])
-        if self.row_stop > nrows or self.col_stop > ncols:
-            raise IOEngineError(f"slab {self} exceeds local shape {local_shape}")
-        if self.nelements == 0:
-            return 0
-        order = order.upper()
-        if order == "F":
-            if self.nrows == nrows:  # whole columns -> one run of consecutive columns
-                return 1
-            return self.ncols
-        if order == "C":
-            if self.ncols == ncols:  # whole rows -> one run of consecutive rows
-                return 1
-            return self.nrows
-        raise IOEngineError(f"unknown storage order {order!r}")
-
     def describe(self) -> str:
         return (
             f"slab#{self.index}[{self.row_start}:{self.row_stop}, "

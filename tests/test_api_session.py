@@ -16,7 +16,7 @@ from repro.api import (
     unregister_workload,
 )
 from repro.config import ExecutionMode, RunConfig
-from repro.exceptions import WorkloadError
+from repro.exceptions import ReproError, WorkloadError
 from tests.scenarios import hpf_source
 
 GAXPY_SOURCE = hpf_source("matmul", 64, 4)
@@ -270,6 +270,40 @@ class TestSessionRun:
         session = make_session(tmp_path)
         assert session.run(point, mode=ExecutionMode.ESTIMATE).simulated_seconds > 0
         assert session.run(point, mode=ExecutionMode.EXECUTE).verified is True
+
+    def test_incore_refuses_slab_specs(self):
+        """The in-core version has one slab per local array: a slab spec would
+        otherwise be recorded (slab_ratio) or silently slab it (slab_elements)."""
+        slabs = {"a": 64, "b": 64, "c": 64}
+        for spec in ({"slab_ratio": 0.5}, {"slab_elements": slabs}):
+            point = WorkloadPoint("gaxpy", n=64, nprocs=4, version="incore", **spec)
+            with pytest.raises(WorkloadError, match="in-core gaxpy points take no slab"):
+                Session().compile(point)
+
+    # P does not divide N (EXECUTE refuses it), P = 1, float64
+    @pytest.mark.parametrize("mode", ["estimate", "execute"])
+    @pytest.mark.parametrize("n,nprocs,dtype", [
+        (64, 4, "float32"), (30, 4, "float32"), (100, 8, "float64"),
+        (30, 3, "float64"), (32, 1, "float64"),
+    ])
+    def test_incore_is_the_row_program_at_ratio_one(self, tmp_path, n, nprocs, dtype, mode):
+        session = make_session(tmp_path)
+
+        def record(version, slab_ratio):
+            point = WorkloadPoint("gaxpy", n=n, nprocs=nprocs, version=version,
+                                  slab_ratio=slab_ratio, dtype=dtype)
+            try:
+                return dataclasses.asdict(session.run(point, mode=mode))
+            except ReproError as exc:  # a refusal must be the same refusal
+                return f"{type(exc).__name__}: {exc}"
+
+        incore, row = record("incore", None), record("row", 1.0)
+        if isinstance(row, str):
+            assert incore == row
+            return
+        assert {key for key in row if incore[key] != row[key]} == {
+            "label", "version", "slab_ratio"}
+        assert incore["io_requests_per_proc"] == 3  # each local array read or written once
 
 
 # ---------------------------------------------------------------------------

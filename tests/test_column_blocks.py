@@ -28,7 +28,6 @@ from repro.runtime.executor import (
     _column_blocks,
     _plan_for,
     run_reduction_column,
-    run_reduction_incore,
     run_reduction_row,
 )
 from repro.runtime.operands import Operand
@@ -39,7 +38,6 @@ from tests.scenarios import ENGINE, Scenario
 ENGINES = {
     "column": run_reduction_column,
     "row": run_reduction_row,
-    "incore": run_reduction_incore,
 }
 
 
@@ -399,12 +397,8 @@ def test_io_engine_validates_before_charging(tmp_path):
                     lambda: vm.engine.save_slab(1, laf, slab, np.ones((rows, 3), laf.dtype)),
                     lambda: vm.engine.write_slab(1, laf, slab, None),
                     lambda: vm.engine.write_slab(1, laf, slab, np.ones((rows, 3), laf.dtype)),
-                    lambda: vm.engine.write_full(1, laf, None),
-                    lambda: vm.engine.write_full(1, laf, np.ones(slab.shape, laf.dtype)),
                     lambda: vm.engine.read_slab(0, closed, slab),
                     lambda: vm.engine.write_slab(0, closed, slab, np.ones(slab.shape, laf.dtype)),
-                    lambda: vm.engine.read_full(0, closed),
-                    lambda: vm.engine.write_full(0, closed, np.ones(closed.shape, laf.dtype)),
                 ]
             vm.machine.charge_read(1, 4096, 1)
             before = charged_state(vm)
@@ -546,8 +540,9 @@ def test_scalar_charge_calls_do_not_grow_with_n(tmp_path, charge_calls, version,
         config = RunConfig(scratch_dir=tmp_path / str(n), mode=ExecutionMode(mode))
         charge_calls.clear()
         with VirtualMachine(4, MachineParameters(), config) as vm:
-            result = ENGINES[version](vm, program,
-                                      dense_inputs(n, n) if mode == "execute" else None)
+            # the in-core version is the row-slab program at slab ratio 1
+            result = ENGINES[program.plan.strategy.value](
+                vm, program, dense_inputs(n, n) if mode == "execute" else None)
             requests = vm.io_statistics()["io_requests_per_proc"]
         assert mode == "estimate" or result.verified is True
         seen[n] = (requests, dict(charge_calls))

@@ -214,14 +214,6 @@ class TestCostModel:
     def test_dominant_array_is_streamed_under_column(self):
         assert self._costs(512, 8, 0.25, "column").dominant_array() == "a"
 
-    def test_incore_estimate_reads_each_array_once(self):
-        program = build_gaxpy_ir(256, 4)
-        analysis = analyze_program(program)
-        cost = CostModel(touchstone_delta(), 4).estimate_incore(analysis)
-        assert cost.arrays["a"].fetch_requests == 1
-        assert cost.arrays["b"].fetch_requests == 1
-        assert cost.arrays["c"].write_requests == 1
-
     def test_invalid_nprocs(self):
         with pytest.raises(CostModelError):
             CostModel(touchstone_delta(), 0)

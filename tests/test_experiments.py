@@ -5,8 +5,6 @@ exercised end to end at small sizes, including the execute mode where the
 arithmetic is really performed and verified.
 """
 
-import math
-
 import pytest
 
 from repro.analysis.io_cost import paper_io_costs
@@ -17,14 +15,10 @@ from repro.exceptions import CostModelError, WorkloadError
 from repro.experiments import (
     Figure10Config,
     MemoryAllocationAblationConfig,
-    PrefetchAblationConfig,
-    StorageOrderAblationConfig,
     Table1Config,
     Table2Config,
     run_figure10,
     run_memory_allocation_ablation,
-    run_prefetch_ablation,
-    run_storage_order_ablation,
     run_table1,
     run_table2,
 )
@@ -164,17 +158,7 @@ class TestAblations:
             MemoryAllocationAblationConfig(n=512, nprocs=8, memory_budget_bytes=64 * 1024)
         )
         rows = {r["policy"]: r for r in result["rows"]}
-        assert rows["search"]["predicted_total_time"] <= rows["equal"]["predicted_total_time"] * 1.001
+        equal = rows["equal"]["predicted_total_time"]
+        assert rows["proportional"]["predicted_total_time"] <= equal * 1.001
+        assert rows["search"]["predicted_total_time"] <= equal * 1.001
         assert rows["proportional"]["slab_a_elements"] >= rows["proportional"]["slab_b_elements"]
-
-    def test_storage_order_inflation(self):
-        result = run_storage_order_ablation(StorageOrderAblationConfig(n=256, nprocs=4))
-        assert result["request_inflation"] > 1
-        matched, mismatched = result["rows"]
-        assert mismatched["read_time"] > matched["read_time"]
-
-    def test_prefetch_savings_monotone_in_efficiency(self):
-        result = run_prefetch_ablation(PrefetchAblationConfig(n=256, nprocs=4))
-        savings = [r["savings"] for r in result["rows"]]
-        assert savings == sorted(savings)
-        assert math.isclose(savings[0], 0.0, abs_tol=1e-9)

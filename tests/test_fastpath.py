@@ -135,21 +135,6 @@ def test_slab_round_trip_preserves_data_in_both_orders(tmp_path, order):
     np.testing.assert_array_equal(reopened.read_full(), expected)
 
 
-@pytest.mark.parametrize("order,whole_cols,whole_rows,interior", [
-    ("F", 1, 6, 3),   # column-major: whole columns contiguous, else one extent per column
-    ("C", 8, 1, 4),   # row-major: whole rows contiguous, else one extent per row
-])
-def test_contiguous_chunk_counts_by_order(tmp_path, order, whole_cols, whole_rows, interior):
-    laf = LocalArrayFile(tmp_path / "x.dat", (8, 6), np.float64, order=order)
-
-    def chunks(slab):
-        return slab.contiguous_chunks(laf.shape, laf.order)
-
-    assert chunks(Slab(index=0, row_start=0, row_stop=8, col_start=1, col_stop=3)) == whole_cols
-    assert chunks(Slab(index=1, row_start=2, row_stop=4, col_start=0, col_stop=6)) == whole_rows
-    assert chunks(Slab(index=2, row_start=1, row_stop=5, col_start=2, col_stop=5)) == interior
-
-
 # ---------------------------------------------------------------------------
 # charge-only re-reads match real reads exactly
 # ---------------------------------------------------------------------------
@@ -174,7 +159,8 @@ def test_charge_read_slab_matches_real_read(tmp_path):
 # ---------------------------------------------------------------------------
 def _sweep_grid():
     return [
-        WorkloadPoint("gaxpy", n=n, nprocs=p, version=version, slab_ratio=0.5)
+        WorkloadPoint("gaxpy", n=n, nprocs=p, version=version,
+                      slab_ratio=None if version == "incore" else 0.5)
         for n, p in ((32, 2), (64, 4))
         for version in ("column", "row", "incore")
     ]

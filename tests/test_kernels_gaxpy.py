@@ -8,11 +8,7 @@ from repro.config import ExecutionMode, RunConfig
 from repro.core import compile_gaxpy
 from repro.exceptions import RuntimeExecutionError
 from repro.runtime import NodeProgramExecutor, VirtualMachine, reduction_reference
-from repro.runtime.executor import (
-    run_reduction_column,
-    run_reduction_incore,
-    run_reduction_row,
-)
+from repro.runtime.executor import run_reduction_column, run_reduction_row
 from repro.runtime.operands import Operand
 from repro.runtime.slab import SlabbingStrategy
 
@@ -46,7 +42,7 @@ class TestReference:
 # ---------------------------------------------------------------------------
 # numerical correctness of every program version
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("runner", [run_reduction_column, run_reduction_row, run_reduction_incore])
+@pytest.mark.parametrize("runner", [run_reduction_column, run_reduction_row])
 @pytest.mark.parametrize("n,p,ratio", [(32, 2, 0.5), (64, 4, 0.25), (48, 4, 1.0)])
 def test_versions_match_dense_reference(tmp_path, runner, n, p, ratio):
     compiled = compile_gaxpy(n, p, slab_ratio=ratio)
@@ -63,12 +59,10 @@ def test_all_versions_agree_with_each_other(tmp_path):
     compiled = compile_gaxpy(n, p, slab_ratio=0.25)
     inputs = generate_gaxpy_inputs(n)
     results = {}
-    for name, runner in [("column", run_reduction_column), ("row", run_reduction_row),
-                         ("incore", run_reduction_incore)]:
+    for name, runner in [("column", run_reduction_column), ("row", run_reduction_row)]:
         with make_vm(p, compiled.params, tmp_path / name) as vm:
             results[name] = runner(vm, compiled, inputs).result
     np.testing.assert_allclose(results["column"], results["row"], rtol=1e-4, atol=1e-4)
-    np.testing.assert_allclose(results["column"], results["incore"], rtol=1e-4, atol=1e-4)
 
 
 # ---------------------------------------------------------------------------

@@ -37,23 +37,6 @@ class TestSlab:
         assert slab.contains(2, 1)
         assert not slab.contains(4, 1)
 
-    def test_contiguous_chunks_column_slab_in_fortran_order(self):
-        # whole columns of a column-major file -> one contiguous extent
-        slab = Slab(index=0, row_start=0, row_stop=16, col_start=0, col_stop=4)
-        assert slab.contiguous_chunks((16, 8), order="F") == 1
-        # same slab in a row-major file -> one extent per row
-        assert slab.contiguous_chunks((16, 8), order="C") == 16
-
-    def test_contiguous_chunks_row_slab(self):
-        slab = Slab(index=0, row_start=0, row_stop=4, col_start=0, col_stop=8)
-        assert slab.contiguous_chunks((16, 8), order="C") == 1
-        assert slab.contiguous_chunks((16, 8), order="F") == 8
-
-    def test_chunks_out_of_bounds(self):
-        slab = Slab(index=0, row_start=0, row_stop=20, col_start=0, col_stop=4)
-        with pytest.raises(IOEngineError):
-            slab.contiguous_chunks((16, 8))
-
 
 class TestSlabbing:
     def test_column_slabs_cover_disjointly(self):
@@ -170,13 +153,6 @@ class TestLocalArrayFile:
         with pytest.raises(IOEngineError):
             LocalArrayFile(tmp_path / "x.dat", (4, 4), order="Z")
 
-    def test_contiguous_chunks_depend_on_order(self, tmp_path):
-        slab = Slab(index=0, row_start=0, row_stop=2, col_start=0, col_stop=8)
-        laf_c = LocalArrayFile(tmp_path / "c.dat", (8, 8), order="C")
-        laf_f = LocalArrayFile(tmp_path / "f.dat", (8, 8), order="F")
-        assert slab.contiguous_chunks(laf_c.shape, laf_c.order) == 1
-        assert slab.contiguous_chunks(laf_f.shape, laf_f.order) == 8
-
     @settings(max_examples=30, deadline=None)
     @given(rows=st.integers(1, 20), cols=st.integers(1, 20), order=st.sampled_from(["C", "F"]))
     def test_property_full_round_trip(self, tmp_path_factory, rows, cols, order):
@@ -224,13 +200,3 @@ class TestIOEngine:
         engine.write_slab(0, laf, slab, None)
         assert machine.metrics[0].io_requests == 2
         assert not laf.exists()
-
-    def test_read_write_full(self, tmp_path):
-        machine = Machine(1)
-        engine = IOEngine(machine)
-        laf = self._laf(tmp_path)
-        data = engine.read_full(0, laf)
-        assert data.shape == (8, 8)
-        engine.write_full(0, laf, np.zeros((8, 8), dtype=np.float32))
-        assert machine.metrics[0].io_read_requests == 1
-        assert machine.metrics[0].io_write_requests == 1

@@ -334,14 +334,10 @@ class TestExecutorGuards:
     @pytest.mark.parametrize("mode", [ExecutionMode.ESTIMATE, ExecutionMode.EXECUTE])
     def test_two_operand_engines_reject_single_operand_programs(self, tmp_path, mode):
         """Direct engine calls must fail clearly, not crash in numpy."""
-        from repro.runtime.executor import (
-            run_reduction_column,
-            run_reduction_incore,
-            run_reduction_row,
-        )
+        from repro.runtime.executor import run_reduction_column, run_reduction_row
 
         compiled = Session().compile(source=SINGLE_OPERAND_SOURCE, slab_ratio=0.5)
-        for engine in (run_reduction_column, run_reduction_row, run_reduction_incore):
+        for engine in (run_reduction_column, run_reduction_row):
             with VirtualMachine(4, compiled.program.params,
                                 RunConfig(scratch_dir=tmp_path, mode=mode)) as vm:
                 with pytest.raises(RuntimeExecutionError, match="single_operand"):

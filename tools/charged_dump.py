@@ -30,8 +30,12 @@ EXECUTE and in ESTIMATE (and, for a lone reduction, the bulk
 * the four sets ``make check-plans`` verifies (``STATIC``, ``EXECUTED``,
   ``FUSED`` and 40 seeded draws of ``enumerate_scenarios``), CYCLIC and
   CYCLIC(2) included;
-* the three reduction engines (column, row, in-core) over the ``ENGINE``
-  GAXPY points (block, partial slabs, CYCLIC, CYCLIC(2));
+* the two reduction engines (column, row) over the ``ENGINE`` GAXPY points
+  (block, partial slabs, CYCLIC, CYCLIC(2));
+* the in-core GAXPY version through ``Session`` (the full ``RunRecord``):
+  Table 1's points (N = 1024, P = 4, 16, 32, 64) in ESTIMATE, the ``ENGINE``
+  sizes in both modes, and the ``PARITY`` in-core point on the ``processes``
+  backend;
 * the ``REFUSED`` set through ``Session``, whatever each mode does with it;
 * the first ``PARITY`` point run through ``Session`` on the ``processes``
   backend and on the simulated one (the full ``RunRecord`` of each);
@@ -179,14 +183,9 @@ def engine_configs(scenarios, scratch):
     from repro.config import ExecutionMode, RunConfig
     from repro.machine.parameters import MachineParameters
     from repro.runtime import VirtualMachine
-    from repro.runtime.executor import (
-        run_reduction_column,
-        run_reduction_incore,
-        run_reduction_row,
-    )
+    from repro.runtime.executor import run_reduction_column, run_reduction_row
 
-    engines = {"column": run_reduction_column, "row": run_reduction_row,
-               "incore": run_reduction_incore}
+    engines = {"column": run_reduction_column, "row": run_reduction_row}
     for scenario in scenarios.ENGINE:
         program = scenario.compile()
         p = scenario.nprocs
@@ -229,6 +228,24 @@ def session_configs(scenarios, scratch):
             for mode in ("estimate", "execute")}
 
 
+def incore_configs(scenarios, scratch):
+    from repro.api import WorkloadPoint
+    from repro.config import RunConfig
+
+    config = RunConfig(scratch_dir=Path(scratch))
+    for nprocs in (4, 16, 32, 64):
+        point = WorkloadPoint("gaxpy", n=1024, nprocs=nprocs, version="incore")
+        yield f"incore table1 N=1024 P={nprocs}", {
+            "estimate": session_record(point, config, "estimate")}
+    for n, nprocs in sorted({(scenario.n, scenario.nprocs) for scenario in scenarios.ENGINE}):
+        point = WorkloadPoint("gaxpy", n=n, nprocs=nprocs, version="incore")
+        yield f"incore engine N={n} P={nprocs}", {
+            mode: session_record(point, config, mode) for mode in ("estimate", "execute")}
+    scenario = next(s for s in scenarios.PARITY if s.strategy == "incore")
+    yield f"session {scenario.label} processes", {
+        "execute": session_record(scenario.point(), config, backend="processes")}
+
+
 def fault_configs(scenarios, scratch):
     from repro.config import RunConfig
     from repro.resilience.faults import FaultPolicy
@@ -260,7 +277,7 @@ def dump(src, out):
                 emit(label, {"compile": {"error": compiled}})
             else:
                 emit(label, charged_runs(compiled, scratch))
-        for configs in (engine_configs, session_configs, fault_configs):
+        for configs in (engine_configs, session_configs, incore_configs, fault_configs):
             for label, runs in configs(scenarios, scratch):
                 emit(label, runs)
     assert_from(src)

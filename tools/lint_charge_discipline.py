@@ -55,10 +55,9 @@ discipline statically (stdlib ``ast`` only, no third-party dependencies):
     reading a clock.
 
 ``per-column-charge``
-    In ``run_reduction_column`` / ``run_reduction_row`` /
-    ``run_reduction_incore`` no ``charge_read`` / ``charge_compute`` /
-    ``global_sum`` call may sit lexically inside a ``for`` body: those
-    engines charge and sum a whole *column block* per call
+    In ``run_reduction_column`` / ``run_reduction_row`` no ``charge_read`` /
+    ``charge_compute`` / ``global_sum`` call may sit lexically inside a
+    ``for`` body: those engines charge and sum a whole *column block* per call
     (``comm.global_sum_columns``), so one scalar charge per result column —
     the 584k Python calls of an N=1024 column-slab pass — cannot creep back.
     Host-side only, like ``loop-index-translation``; the scalar methods stay
@@ -134,7 +133,7 @@ RETRY_EXCEPTIONS = {"TransientIOError", "OSError", "IOError"}
 EXECUTOR_FILE = "executor.py"
 INDEX_TRANSLATION_CALLS = {"owner_of_dim", "global_to_local", "local_to_global",
                            "local_index_ranges"}
-BLOCK_ENGINES = {"run_reduction_column", "run_reduction_row", "run_reduction_incore"}
+BLOCK_ENGINES = {"run_reduction_column", "run_reduction_row"}
 PER_COLUMN_CALLS = {"charge_read", "charge_compute", "global_sum"}
 LANE_ENGINES = {"run_elementwise_plan"}
 #: charged slab calls; every ``charge_*`` call counts too
