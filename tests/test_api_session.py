@@ -271,14 +271,15 @@ class TestSessionRun:
         assert session.run(point, mode=ExecutionMode.ESTIMATE).simulated_seconds > 0
         assert session.run(point, mode=ExecutionMode.EXECUTE).verified is True
 
-    def test_incore_refuses_slab_specs(self):
+    @pytest.mark.parametrize("spec", [{"slab_ratio": 0.5},
+                                      {"slab_elements": {"a": 64, "b": 64, "c": 64}}],
+                             ids=["slab_ratio", "slab_elements"])
+    def test_incore_refuses_slab_specs(self, spec):
         """The in-core version has one slab per local array: a slab spec would
         otherwise be recorded (slab_ratio) or silently slab it (slab_elements)."""
-        slabs = {"a": 64, "b": 64, "c": 64}
-        for spec in ({"slab_ratio": 0.5}, {"slab_elements": slabs}):
-            point = WorkloadPoint("gaxpy", n=64, nprocs=4, version="incore", **spec)
-            with pytest.raises(WorkloadError, match="in-core gaxpy points take no slab"):
-                Session().compile(point)
+        point = WorkloadPoint("gaxpy", n=64, nprocs=4, version="incore", **spec)
+        with pytest.raises(WorkloadError, match="in-core gaxpy points take no slab"):
+            Session().compile(point)
 
     # P does not divide N (EXECUTE refuses it), P = 1, float64
     @pytest.mark.parametrize("mode", ["estimate", "execute"])

@@ -11,6 +11,7 @@ guarded by counting scalar charge calls, which repeats exactly.
 
 import collections
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -424,9 +425,12 @@ def dense_inputs(n, seed):
     return {name: Operand(name, (n, n), np.float32, seed) for name in "ab"}
 
 
-@pytest.mark.parametrize("engine", sorted(ENGINES))
+@pytest.mark.parametrize("version", sorted([*ENGINES, "incore"]))
 @pytest.mark.parametrize("scenario", ENGINE, ids=str)
-def test_engine_matches_per_column_schedule(tmp_path, engine, scenario):
+def test_engine_matches_per_column_schedule(tmp_path, version, scenario):
+    engine = version
+    if version == "incore":  # the row-slab program at slab ratio 1
+        scenario, engine = dataclasses.replace(scenario, ratio=1.0, strategy="row"), "row"
     n, p = scenario.n, scenario.nprocs
     program = scenario.compile()
     inputs = dense_inputs(n, n * p)

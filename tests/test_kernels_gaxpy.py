@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.api import WorkloadPoint, get_workload
 from repro.config import ExecutionMode, RunConfig
 from repro.core import compile_gaxpy
 from repro.exceptions import RuntimeExecutionError
+from repro.machine.parameters import MachineParameters
 from repro.runtime import NodeProgramExecutor, VirtualMachine, reduction_reference
 from repro.runtime.executor import run_reduction_column, run_reduction_row
 from repro.runtime.operands import Operand
@@ -20,6 +22,13 @@ def generate_gaxpy_inputs(n, seed=1994):
 
 def make_vm(nprocs, params, tmp_path, mode=ExecutionMode.EXECUTE):
     return VirtualMachine(nprocs, params, RunConfig(scratch_dir=tmp_path, mode=mode))
+
+
+def compile_incore(n, p):
+    """The in-core version, lowered as the workload lowers it."""
+    return get_workload("gaxpy").compile(
+        WorkloadPoint("gaxpy", n=n, nprocs=p, version="incore"), MachineParameters()
+    ).program
 
 
 # ---------------------------------------------------------------------------
@@ -54,15 +63,32 @@ def test_versions_match_dense_reference(tmp_path, runner, n, p, ratio):
     np.testing.assert_allclose(result.result, reference, rtol=2e-3, atol=1e-3)
 
 
+@pytest.mark.parametrize("n,p", [(32, 2), (64, 4), (48, 4)])
+def test_incore_version_matches_dense_reference(tmp_path, n, p):
+    compiled = compile_incore(n, p)
+    # the row-slab program at slab ratio 1: one slab per local array
+    assert compiled.plan.strategy is SlabbingStrategy.ROW
+    inputs = generate_gaxpy_inputs(n)
+    with make_vm(p, compiled.params, tmp_path) as vm:
+        result = run_reduction_row(vm, compiled, inputs)
+        assert vm.io_statistics()["io_requests_per_proc"] == 3
+    assert result.verified is True
+    reference = reduction_reference(inputs["a"], inputs["b"])
+    np.testing.assert_allclose(result.result, reference, rtol=2e-3, atol=1e-3)
+
+
 def test_all_versions_agree_with_each_other(tmp_path):
     n, p = 64, 4
     compiled = compile_gaxpy(n, p, slab_ratio=0.25)
     inputs = generate_gaxpy_inputs(n)
     results = {}
-    for name, runner in [("column", run_reduction_column), ("row", run_reduction_row)]:
-        with make_vm(p, compiled.params, tmp_path / name) as vm:
-            results[name] = runner(vm, compiled, inputs).result
+    for name, runner, program in [("column", run_reduction_column, compiled),
+                                  ("row", run_reduction_row, compiled),
+                                  ("incore", run_reduction_row, compile_incore(n, p))]:
+        with make_vm(p, program.params, tmp_path / name) as vm:
+            results[name] = runner(vm, program, inputs).result
     np.testing.assert_allclose(results["column"], results["row"], rtol=1e-4, atol=1e-4)
+    np.testing.assert_allclose(results["column"], results["incore"], rtol=1e-4, atol=1e-4)
 
 
 # ---------------------------------------------------------------------------
