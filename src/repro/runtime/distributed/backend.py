@@ -11,8 +11,9 @@ process per rank.  The parent
    maximum over processors, and each worker's machine carries exactly its own
    rank's row, so the field-wise maximum over workers *is* the simulator's
    aggregate — bit for bit),
-4. gathers the result Local Array Files, verifies them against the same dense
-   references the simulator uses, and
+4. when verifying, reads the result Local Array Files panel by panel and
+   checks them against the same references the simulator uses (an
+   unverified run reads nothing), and
 5. assembles the ordinary :class:`~repro.api.records.RunRecord`.
 
 A worker that dies (crash, SIGKILL, unhandled exception) surfaces as a
@@ -29,14 +30,14 @@ import uuid
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.config import RunConfig
 from repro.exceptions import DistributedExecutionError
 from repro.resilience.reaper import write_owner_file
 from repro.runtime.distributed.worker import WorkerSpec, run_worker
 from repro.runtime.executor import statement_deltas, verify_outputs
 from repro.runtime.laf import LocalArrayFile
+from repro.runtime.ocla import OutOfCoreLocalArray
+from repro.runtime.vm import OutOfCoreArray
 
 __all__ = ["execute_distributed", "default_start_method"]
 
@@ -92,15 +93,15 @@ def _merge_statements(payloads: List[Dict[str, object]]) -> Tuple[Dict[str, floa
 
 
 # ---------------------------------------------------------------------------
-# gathering results
+# the stored results
 # ---------------------------------------------------------------------------
-def _gather_results(compiled, payloads: List[Dict[str, object]]) -> Dict[str, np.ndarray]:
-    """Reassemble each materialized result array from the workers' LAFs."""
+def _stored_results(compiled, payloads: List[Dict[str, object]]) -> Dict[str, OutOfCoreArray]:
+    """Each materialized result array over the workers' LAFs, to be read in place."""
     arrays = compiled.program.program.arrays
-    gathered: Dict[str, np.ndarray] = {}
+    stored: Dict[str, OutOfCoreArray] = {}
     for name in payloads[0]["results"]:
         descriptor = arrays[name]
-        locals_: Dict[int, np.ndarray] = {}
+        locals_: Dict[int, OutOfCoreLocalArray] = {}
         for payload in payloads:
             rank = int(payload["rank"])
             meta = payload["results"][name]
@@ -111,12 +112,9 @@ def _gather_results(compiled, payloads: List[Dict[str, object]]) -> Dict[str, np
                 order=meta["order"],
                 create=False,
             )
-            try:
-                locals_[rank] = laf.read_full()
-            finally:
-                laf.close()
-        gathered[name] = descriptor.gather(locals_)
-    return gathered
+            locals_[rank] = OutOfCoreLocalArray(descriptor, rank, laf, engine=None)
+        stored[name] = OutOfCoreArray(descriptor, locals_)
+    return stored
 
 
 # ---------------------------------------------------------------------------
@@ -249,13 +247,19 @@ def execute_distributed(
     try:
         if verify:
             # The same operands every worker drew its blocks from, checked
-            # panel by panel by the same routine as the simulated engines:
-            # the records compare field by field.
-            verified, max_err = verify_outputs(
-                program,
-                compiled.workload.generate_inputs(compiled, config.seed),
-                _gather_results(compiled, merged_payloads),
-            )
+            # panel by panel against the workers' files by the same routine
+            # as the simulated engines: the records compare field by field.
+            stored = _stored_results(compiled, merged_payloads)
+            try:
+                verified, max_err = verify_outputs(
+                    program,
+                    compiled.workload.generate_inputs(compiled, config.seed),
+                    stored,
+                )
+            finally:
+                for array in stored.values():
+                    for ocla in array:
+                        ocla.laf.close()
     finally:
         if not config.keep_files:
             shutil.rmtree(job_dir, ignore_errors=True)

@@ -16,8 +16,8 @@ and its global index, so each worker draws just the tiles of its own rank's
 blocks, bit-identical to what the simulator writes for that rank.  On
 success the worker ships its charged statistics (its own rank's row — every
 other row of its machine stays zero) and the paths of its result Local Array
-Files back through a result pipe; the parent max-merges the statistics and
-gathers the files.
+Files back through a result pipe; the parent max-merges the statistics and,
+when verifying, reads the files where they are.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 import dataclasses
 import traceback
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.config import RunConfig
 from repro.machine.parameters import MachineParameters
@@ -64,7 +64,7 @@ def _run(rank: int, nprocs: int, spec: WorkerSpec, transport) -> Dict[str, objec
     workload = get_workload(spec.workload_name)
     compiled = workload.compile(spec.point, spec.params)
     program = compiled.program
-    # The worker's files outlive its VM: the parent gathers and verifies
+    # The worker's files outlive its VM: the parent verifies
     # them, then removes the whole job directory.
     config = dataclasses.replace(spec.config, keep_files=True)
     vm = VirtualMachine(

@@ -30,8 +30,9 @@ up by name in ``inputs`` — dense arrays, or the counter-keyed operands of
 :mod:`repro.runtime.operands` every workload run draws (an operand that is
 absent — an intermediate of a whole program — is already in the VM).
 Whatever ran, one routine (:func:`verify_outputs`) decides whether its
-gathered result is correct, and one loop (:func:`_run_recovering`)
-recovers a statement from slab corruption.
+result is correct, reading it panel by panel where it is stored — no run
+gathers a result — and one loop (:func:`_run_recovering`) recovers a
+statement from slab corruption.
 
 Multi-statement programs run through :class:`ProgramExecutor`, which drives
 the per-statement engines in order on one virtual machine so intermediates
@@ -256,36 +257,73 @@ def _statement_kind(compiled: "CompiledProgram") -> str:
 #: the kinds compared with ``allclose`` (they report no ``max_abs_error``)
 _ALLCLOSE_TOLERANCE = {"elementwise": 1e-4, "fused-elementwise": 1e-4, "transpose": 1e-5}
 
+_FLOAT64_MAX = np.finfo(np.float64).max
+
+
+def _panel_close(got: np.ndarray, reference: np.ndarray, tolerance: float) -> bool:
+    """``np.allclose(got, reference, rtol=tolerance, atol=tolerance)`` of one panel.
+
+    The same float64 arithmetic as ``np.isclose`` — ``|got - reference| <=
+    atol + rtol * |reference|`` — updated in place in two float64 panel
+    temporaries instead of ``isclose``'s several.  Neither operand is
+    written.  Where ``reference`` is infinite, ``isclose``
+    accepts only equality; clamping the bound to the largest finite float
+    keeps any finite difference under it and rejects an infinite or NaN
+    one, and the equality test runs on the rejected elements alone.  A NaN
+    in either operand is rejected, as by ``isclose``.
+    """
+    with np.errstate(invalid="ignore"):  # inf - inf, as in isclose
+        difference = np.subtract(got, reference, dtype=np.float64)
+    np.abs(difference, out=difference)
+    bound = np.abs(reference)
+    bound *= tolerance
+    bound += tolerance
+    np.minimum(bound, _FLOAT64_MAX, out=bound)
+    within = np.less_equal(difference, bound)
+    if within.all():
+        return True
+    outside = ~within
+    return bool(np.all(got[outside] == reference[outside]))
+
 
 def _fold_panels(
-    kind: str, panels: _Panels, outputs: Mapping[str, np.ndarray]
+    kind: str, panels: _Panels, outputs: Mapping[str, "np.ndarray | OutOfCoreArray"]
 ) -> Tuple[bool, Optional[float]]:
-    """Compare gathered ``outputs`` with the oracle's reference ``panels``.
+    """Compare ``outputs`` with the oracle's reference ``panels``.
 
-    The tolerance half of :func:`verify_outputs`, one panel at a time: a
-    panel is overwritten with its own error, and only the verdict and each
-    array's running maximum error and reference scale outlive it.
-    Reductions and whole programs bound the maximum absolute error relative
-    to the reference's scale and report it: ``1e-3`` for a lone reduction,
-    and per array of a whole program ``1e-3`` for items of at most four
-    bytes, ``1e-9`` above.  The maxima fold with ``np.maximum``: unlike
-    ``max`` it keeps a NaN.
+    The tolerance half of :func:`verify_outputs`, one panel at a time: the
+    output's panel is read — a stored array's from its owners' files
+    (:meth:`~repro.runtime.vm.OutOfCoreArray.column_reader`, checksums
+    audited first) — the reference panel is overwritten with its own error,
+    and only the verdict and each array's running maximum error and
+    reference scale outlive them.  Elementwise and
+    transpose results are compared like ``np.allclose``
+    (:func:`_panel_close`).  Reductions and whole programs bound the maximum
+    absolute error relative to the reference's scale and report it:
+    ``1e-3`` for a lone reduction, and per array of a whole program ``1e-3``
+    for items of at most four bytes, ``1e-9`` above.  The maxima fold with
+    ``np.maximum``: unlike ``max`` it keeps a NaN.
     """
     allclose = _ALLCLOSE_TOLERANCE.get(kind)
+    read = {
+        name: output.column_reader() if isinstance(output, OutOfCoreArray)
+        else (lambda cols, dense=output: dense[:, cols])
+        for name, output in outputs.items()
+    }
     close = True
     error = dict.fromkeys(outputs, 0.0)
     scale = dict.fromkeys(outputs, 0.0)
     unchecked = set(outputs)
     for name, cols, reference in panels:
-        if name not in outputs:
+        if name not in read:
             continue
         unchecked.discard(name)
-        gathered = outputs[name][:, cols]
+        got = read[name](cols)
         if allclose is not None:
-            close = close and bool(np.allclose(gathered, reference, rtol=allclose, atol=allclose))
+            close = close and _panel_close(got, reference, allclose)
             continue
         scale[name] = np.maximum(scale[name], np.maximum(reference.max(), -reference.min()))
-        np.subtract(reference, gathered, out=reference)
+        np.subtract(reference, got, out=reference)
         np.abs(reference, out=reference)
         error[name] = np.maximum(error[name], reference.max())
     if unchecked:
@@ -302,24 +340,27 @@ def _fold_panels(
 def verify_outputs(
     compiled: "CompiledProgram | CompiledWholeProgram",
     inputs: Mapping[str, "np.ndarray | Operand"],
-    outputs: Mapping[str, np.ndarray],
+    outputs: Mapping[str, "np.ndarray | OutOfCoreArray"],
 ) -> Tuple[bool, Optional[float]]:
-    """Whether what a run of ``compiled`` on ``inputs`` gathered is correct.
+    """Whether the results of a run of ``compiled`` on ``inputs`` are correct.
 
     The one oracle-and-tolerance routine behind every ``verified`` flag —
     the engines that run a compiled program, :class:`ProgramExecutor` and
     the distributed backend's parent all call it, so their records agree
-    field for field.  ``outputs`` maps result array names to gathered dense
-    data, ``inputs`` the operands by array name: dense arrays, or
+    field for field.  ``outputs`` maps result array names to the stored
+    :class:`~repro.runtime.vm.OutOfCoreArray` — read panel by panel from
+    its owners' Local Array Files, checksums audited first, never gathered
+    — or to dense data (tests, perturbation checks); ``inputs`` the
+    operands by array name: dense arrays, or
     :class:`~repro.runtime.operands.Operand` objects, which draw only the
     column panels compared.  Every element of every output is compared with
     an independent float64 NumPy evaluation of the statement list on the
     inputs, streamed in column panels (:func:`_reference_panels`) so that it
     allocates the float64 copy of a reduction's streamed operand (the one
     operand drawn whole), the intermediates later statements still read and
-    a constant number of panels — never a whole reference or difference.
-    Returns ``(verified, max_abs_error)`` under the statement kind's
-    tolerance (:func:`_fold_panels`).
+    a constant number of panels — never a whole reference, difference or
+    result.  Returns ``(verified, max_abs_error)`` under the statement
+    kind's tolerance (:func:`_fold_panels`).
     """
     from repro.core.pipeline import CompiledWholeProgram
 
@@ -329,12 +370,13 @@ def verify_outputs(
 
 @dataclasses.dataclass
 class ExecutionResult:
-    """Outcome of running (or estimating) one compiled program.
+    """Outcome of running (or estimating) one compiled program: its charged
+    statistics and, for a verified ``EXECUTE`` run, the verdict.
 
-    Whole-program runs additionally carry ``statements`` — one mapping of
-    charged-cost deltas per statement — and ``outputs``, the gathered dense
-    result of every statement (``EXECUTE`` mode only); ``result`` is then the
-    final statement's output.
+    No data: a result stays in its Local Array Files, and a caller who wants
+    it dense asks the VM (:meth:`~repro.runtime.vm.VirtualMachine.to_dense`)
+    while the VM is open.  Whole-program runs additionally carry
+    ``statements`` — one mapping of charged-cost deltas per statement.
     """
 
     strategy: str
@@ -342,11 +384,9 @@ class ExecutionResult:
     simulated_seconds: float
     time_breakdown: Dict[str, float]
     io_statistics: Dict[str, float]
-    result: Optional[np.ndarray] = None
     verified: Optional[bool] = None
     max_abs_error: Optional[float] = None
     statements: Tuple[Dict[str, float], ...] = ()
-    outputs: Optional[Dict[str, np.ndarray]] = None
     #: host-side resilience counters of the run (retries, corruptions
     #: detected/recovered, statements skipped by a resume) — never part of
     #: the charged statistics; ``None`` for analytic estimates.
@@ -620,25 +660,29 @@ def _finish(
     inputs: Inputs,
     verify: bool,
 ) -> ExecutionResult:
-    """Every engine's ending: gather the result and verify it (``EXECUTE`` only)."""
-    result_dense: Optional[np.ndarray] = None
+    """Every engine's ending: check the result where it is stored (``EXECUTE`` only).
+
+    A verified run compares the stored ``result`` with the oracle
+    (:func:`verify_outputs`, which audits its checksums first); any other
+    run audits the checksums alone.  Either runs inside the recovery
+    attempt (:func:`_run_recovering`), so corruption written into the
+    result is detected and the statement retried.  A rank worker of the
+    distributed backend (``vm.rank`` set) owns only its own local files: it
+    audits them, and the parent verifies.  Nothing is gathered.
+    """
     verified: Optional[bool] = None
     max_err: Optional[float] = None
-    # A rank worker of the distributed backend (vm.rank set) owns only its
-    # own local files — the parent gathers and verifies instead.
-    if vm.perform_io and vm.rank is None:
-        result_dense = vm.to_dense(result)
-        if verify and inputs is not None:
-            verified, max_err = verify_outputs(
-                compiled, inputs, {result.descriptor.name: result_dense}
-            )
+    if vm.perform_io:
+        if verify and inputs is not None and vm.rank is None:
+            verified, max_err = verify_outputs(compiled, inputs, {result.name: result})
+        else:
+            result.verify_checksums()
     return ExecutionResult(
         strategy=strategy,
         mode=_mode(vm),
         simulated_seconds=vm.elapsed(),
         time_breakdown=vm.time_breakdown(),
         io_statistics=vm.io_statistics(),
-        result=result_dense,
         verified=verified,
         max_abs_error=max_err,
     )
@@ -1273,22 +1317,17 @@ class ProgramExecutor:
         vm: VirtualMachine,
         inputs: Inputs = None,
         verify: bool = True,
-        collect_outputs: Optional[bool] = None,
     ) -> ExecutionResult:
         """Drive ``vm`` through every statement's slab loops, in order.
 
         Honors the virtual machine's execution mode.  ``inputs`` maps the
         *program input* arrays to dense data or operands (required for
-        ``EXECUTE`` runs; ignored in ``ESTIMATE`` mode).  Verification
-        compares every statement result against the in-core NumPy oracle
-        (:func:`program_reference`).
-
-        ``collect_outputs`` controls how much is gathered densely in
-        ``EXECUTE`` mode: when true, every statement result (intermediates
-        included) lands in ``ExecutionResult.outputs``; when false, only the
-        final statement's result is gathered.  The default follows ``verify``
-        (verification needs everything; an unverified run skips the extra
-        read pass over the intermediates).
+        ``EXECUTE`` runs; ignored in ``ESTIMATE`` mode).  Every statement's
+        result has its checksums audited inside its recovery attempt.
+        Verification then compares every materialized result, read where it
+        is stored, against the in-core NumPy oracle (:func:`verify_outputs`);
+        an unverified run reads nothing more.  No result is gathered: ask
+        ``vm.to_dense(name)`` while the VM is open.
         """
         program = self.compiled.program
         dense = dict(inputs or {})
@@ -1328,26 +1367,19 @@ class ProgramExecutor:
         if journal is not None:
             journal.mark_complete()
 
-        # Verification always needs every result; otherwise honor the caller.
-        collect = verify or bool(collect_outputs)
-        outputs: Optional[Dict[str, np.ndarray]] = None
-        result_dense: Optional[np.ndarray] = None
         verified: Optional[bool] = None
         max_err: Optional[float] = None
-        if vm.perform_io and vm.rank is None:
+        if verify and vm.perform_io and vm.rank is None:
             # Fused-away intermediates never materialize — there is no LAF to
-            # gather or verify; the fused result itself still gets both.
+            # verify; the fused result itself is verified.
             fused_away = {
                 name for step in self.compiled.schedule.steps for name in step.fused
             }
-            materialized = tuple(
-                name for name in program.result_arrays() if name not in fused_away
-            )
-            gather = materialized if collect else materialized[-1:]
-            outputs = {name: vm.to_dense(name) for name in gather}
-            result_dense = outputs[materialized[-1]]
-            if verify:
-                verified, max_err = verify_outputs(self.compiled, dense, outputs)
+            stored = {
+                name: vm.get_array(name)
+                for name in program.result_arrays() if name not in fused_away
+            }
+            verified, max_err = verify_outputs(self.compiled, dense, stored)
 
         strategies = "+".join(
             compiled.plan.strategy.value for compiled in self.compiled.statements
@@ -1358,11 +1390,9 @@ class ProgramExecutor:
             simulated_seconds=vm.elapsed(),
             time_breakdown=vm.time_breakdown(),
             io_statistics=vm.io_statistics(),
-            result=result_dense,
             verified=verified,
             max_abs_error=max_err,
             statements=statement_deltas(start, statement_totals),
-            outputs=outputs,
             resilience=vm.resilience.as_dict() if vm.perform_io else None,
             statement_totals=tuple(statement_totals),
         )
@@ -1389,18 +1419,14 @@ class ProgramExecutor:
     ) -> None:
         """Run one statement under the recovery loop (:func:`_run_recovering`).
 
-        A corrupted array is repaired before the retry (:meth:`_repair`),
-        and with checksums on the statement's freshly written result is
-        audited inside the attempt, so write-time corruption is retried too.
+        A corrupted array is repaired before the retry (:meth:`_repair`).
+        The engine audits the statement's freshly written result inside the
+        attempt (:func:`_finish`), so write-time corruption is retried too
+        and a checkpoint never records a corrupt LAF as completed.
         """
-        def attempt() -> ExecutionResult:
-            result = _run_statement(vm, compiled_statement, dense, verify=False)
-            if vm.config.checksums:
-                self._verify_statement_results(vm, compiled_statement)
-            return result
-
         _run_recovering(
-            vm, len(self.compiled.program.arrays), attempt,
+            vm, len(self.compiled.program.arrays),
+            lambda: _run_statement(vm, compiled_statement, dense, verify=False),
             lambda error: self._repair(vm, error, compiled_statement, dense),
         )
 
@@ -1435,22 +1461,6 @@ class ProgramExecutor:
             vm.write_initial(vm.arrays[name], error.rank, dense[name])
             return
         raise error
-
-    def _verify_statement_results(
-        self, vm: VirtualMachine, compiled_statement: "CompiledProgram"
-    ) -> None:
-        """Statement-boundary integrity check of the freshly written result.
-
-        Catches write-time corruption (torn/bit-flipped slabs) *before* the
-        statement commits to the journal, so a checkpoint never records a
-        corrupt LAF as completed.
-        """
-        name = self._result_array(compiled_statement)
-        array = vm.arrays.get(name)
-        if array is None:
-            return
-        for ocla in array:
-            ocla.laf.verify_checksums()
 
     def _commit_statement(
         self,
@@ -1533,8 +1543,7 @@ class ProgramExecutor:
         existing = vm.arrays.get(name)
         if existing is not None:
             # Same-process re-run: the array is already open; just re-audit it.
-            for ocla in existing:
-                ocla.laf.verify_checksums()
+            existing.verify_checksums()
             return existing
         descriptor = self.compiled.program.arrays[name]
         expected_dtype = np.dtype(descriptor.dtype)
@@ -1579,7 +1588,6 @@ class ProgramExecutor:
         vm: VirtualMachine,
         inputs: Inputs = None,
         verify: bool = True,
-        collect_outputs: Optional[bool] = None,
     ) -> ExecutionResult:
         """Execute the whole program on ``vm`` (which must be in EXECUTE mode)."""
         if not vm.perform_io:
@@ -1587,7 +1595,7 @@ class ProgramExecutor:
                 "ProgramExecutor.execute needs a VirtualMachine in EXECUTE mode; "
                 "use estimate() for analytic runs"
             )
-        return self.run(vm, inputs, verify, collect_outputs=collect_outputs)
+        return self.run(vm, inputs, verify)
 
     # ------------------------------------------------------------------
     def estimate(self, vm: Optional[VirtualMachine] = None) -> ExecutionResult:

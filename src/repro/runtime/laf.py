@@ -294,6 +294,18 @@ class LocalArrayFile:
         self._verify_against_manifest(data)
         return data
 
+    def column_view(self, start: int, stop: int) -> np.ndarray:
+        """Local columns ``[start, stop)``, every row, as a view of the file.
+
+        No copy and no checksum check: the caller audits the file first
+        (:meth:`verify_checksums`) and copies the view out, as
+        :meth:`~repro.runtime.vm.OutOfCoreArray.column_reader` does.
+        """
+        if self.nelements == 0:
+            self._check_open()
+            return np.zeros((self.shape[0], stop - start), dtype=self.dtype)
+        return self._handle()[:, start:stop]
+
     # ------------------------------------------------------------------
     # slab access
     # ------------------------------------------------------------------

@@ -24,14 +24,18 @@ __all__ = ["OutOfCoreLocalArray"]
 
 
 class OutOfCoreLocalArray:
-    """One processor's out-of-core local array."""
+    """One processor's out-of-core local array.
+
+    ``engine`` is ``None`` for a file only read back uncharged — the
+    distributed backend's parent reading a worker's result.
+    """
 
     def __init__(
         self,
         descriptor: ArrayDescriptor,
         rank: int,
         laf: LocalArrayFile,
-        engine: IOEngine,
+        engine: Optional[IOEngine],
     ):
         self.descriptor = descriptor
         self.rank = int(rank)

@@ -20,7 +20,7 @@ import os
 import shutil
 import uuid
 from pathlib import Path
-from typing import Dict, Iterator, Optional
+from typing import Callable, Dict, Iterator, Optional
 
 import numpy as np
 
@@ -56,6 +56,10 @@ class OutOfCoreArray:
     def nprocs(self) -> int:
         return self.descriptor.nprocs
 
+    @property
+    def dtype(self) -> np.dtype:
+        return np.dtype(self.descriptor.dtype)
+
     def local(self, rank: int) -> OutOfCoreLocalArray:
         try:
             return self.locals[rank]
@@ -69,6 +73,61 @@ class OutOfCoreArray:
 
     def __iter__(self):
         return iter(self.locals.values())
+
+    def verify_checksums(self) -> None:
+        """Audit every local's file against its checksum manifest.
+
+        Raises :class:`~repro.exceptions.SlabCorruptionError` on the first
+        mismatch (:meth:`LocalArrayFile.verify_checksums`); uncharged.
+        """
+        for ocla in self:
+            ocla.laf.verify_checksums()
+
+    def column_reader(self) -> Callable[[slice], np.ndarray]:
+        """Audit the owners' files, then read global column panels from them.
+
+        The one uncharged host read of a stored array: verification reads
+        each result panel here instead of gathering it, and
+        :meth:`VirtualMachine.to_dense` is one panel of every column.  Every
+        local's checksum manifest is verified first, once
+        (:meth:`verify_checksums`), so a corrupt file raises before any panel
+        is read.  The returned function takes a step-1 ``slice`` of global
+        columns and returns them, freshly allocated in the array's dtype:
+        each owner contributes the contiguous run of its local columns that
+        falls in the panel (a memmap slice of its file, F or C order), placed
+        with the owned slices of :meth:`ArrayDescriptor.local_slices` — or
+        with their index arrays for ``CYCLIC(k)``.
+        """
+        self.verify_checksums()
+        descriptor = self.descriptor
+        rows, cols = descriptor.shape
+        owners = []
+        for rank, ocla in self.locals.items():
+            owned_rows, owned_cols = descriptor.local_slices(rank)
+            owners.append((ocla.laf, owned_rows, owned_cols, np.arange(cols)[owned_cols]))
+
+        def read(panel: slice) -> np.ndarray:
+            start, stop, _ = panel.indices(cols)
+            out = np.empty((rows, stop - start), dtype=self.dtype)
+            for laf, owned_rows, owned_cols, columns in owners:
+                first, last = (int(i) for i in np.searchsorted(columns, (start, stop)))
+                if first == last:
+                    continue
+                block = laf.column_view(first, last)
+                if isinstance(owned_cols, slice):
+                    # the owned columns in the panel are strided: one view
+                    where = slice(columns[first] - start, columns[last - 1] - start + 1,
+                                  owned_cols.step)
+                    if isinstance(owned_rows, slice):
+                        out[owned_rows, where] = block
+                        continue
+                    where = np.arange(stop - start)[where]
+                else:
+                    where = columns[first:last] - start
+                out[np.ix_(np.arange(rows)[owned_rows], where)] = block
+            return out
+
+        return read
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"OutOfCoreArray({self.descriptor.describe()})"
@@ -292,9 +351,12 @@ class VirtualMachine:
             raise RuntimeExecutionError(f"unknown out-of-core array {name!r}") from exc
 
     def to_dense(self, array: OutOfCoreArray | str) -> np.ndarray:
-        """Gather an out-of-core array back into a dense global array.
+        """Gather an out-of-core array into one dense global array.
 
-        Used for verification only; not charged to the machine.
+        Only for a caller who asks for the data: uncharged, and nothing in
+        the runtime calls it — verification reads the stored result panel by
+        panel (:meth:`OutOfCoreArray.column_reader`, of which this is one
+        panel of every column, checksums audited first).
         """
         if isinstance(array, str):
             array = self.get_array(array)
@@ -303,11 +365,10 @@ class VirtualMachine:
         if self.rank is not None:
             raise RuntimeExecutionError(
                 "to_dense needs every rank's local part; a rank worker owns "
-                "only its own — the distributed backend gathers results in "
+                "only its own — the distributed backend reads results in "
                 "the parent process instead"
             )
-        locals_ = {rank: ocla.laf.read_full() for rank, ocla in array.locals.items()}
-        return array.descriptor.gather(locals_)
+        return array.column_reader()(slice(0, array.descriptor.shape[1]))
 
     # ------------------------------------------------------------------
     # charge snapshot/restore (charge-neutral fault recovery)

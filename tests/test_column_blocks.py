@@ -439,11 +439,12 @@ def test_engine_matches_per_column_schedule(tmp_path, version, scenario):
         config = RunConfig(scratch_dir=tmp_path / name)
         with VirtualMachine(p, MachineParameters(), config, comm=comm) as vm:
             result = ENGINES[engine](vm, program, inputs)
-            runs[name] = (result, charged_state(vm), comm)
-    (reference, reference_state, recorder), (block, block_state, _) = (
+            runs[name] = (result, charged_state(vm), comm,
+                          vm.to_dense(program.analysis.result))
+    (reference, reference_state, recorder, reference_c), (block, block_state, _, block_c) = (
         runs["reference"], runs["block"])
     assert block.verified is True
-    assert block.result.tobytes() == reference.result.tobytes()
+    assert block_c.tobytes() == reference_c.tobytes()
     assert block_state == reference_state
     assert block.simulated_seconds == reference.simulated_seconds
     if scenario.dist == "cyclic":

@@ -54,7 +54,8 @@ def _tolerances(dtype) -> dict:
 def assert_matches_oracle(compiled, scratch, seed: int = 11) -> dict:
     """Execute ``compiled`` and assert every output matches the NumPy oracle.
 
-    Returns the mapping of output array name to executed dense result, so
+    Returns the mapping of output array name to executed dense result (every
+    result that has Local Array Files, read back with ``vm.to_dense``), so
     callers can run extra assertions.
     """
     program = compiled.program
@@ -63,15 +64,12 @@ def assert_matches_oracle(compiled, scratch, seed: int = 11) -> dict:
     with VirtualMachine(
         compiled.nprocs, compiled.params, RunConfig(scratch_dir=scratch)
     ) as vm:
-        if isinstance(compiled, CompiledWholeProgram):
-            result = ProgramExecutor(compiled).execute(
-                vm, dense, verify=False, collect_outputs=True
-            )
-            outputs = result.outputs
-        else:
-            statement = program.statement
-            result = NodeProgramExecutor(compiled).execute(vm, dense, verify=False)
-            outputs = {statement.result.array: result.result}
+        executor = (ProgramExecutor if isinstance(compiled, CompiledWholeProgram)
+                    else NodeProgramExecutor)(compiled)
+        executor.execute(vm, dense, verify=False)
+        # a fused-away intermediate has no files
+        outputs = {name: vm.to_dense(name)
+                   for name in program.result_arrays() if name in vm.arrays}
     for name, actual in outputs.items():
         np.testing.assert_allclose(
             actual.astype(np.float64),

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.config import ExecutionMode, RunConfig
 from repro.core.ir import ArrayRef, ElementwiseStatement, FullRange, ProgramIR, TransposeStatement
 from repro.core.pipeline import compile_program
-from repro.exceptions import CompilationError
+from repro.exceptions import CompilationError, RuntimeExecutionError
 from repro.hpf import Alignment, ArrayDescriptor, ProcessorGrid, Template
 from repro.runtime import VirtualMachine
 from repro.runtime.executor import run_elementwise_plan, run_transpose_plan
@@ -79,8 +79,9 @@ class TestElementwise:
         b = rng.standard_normal((n, n)).astype(np.float32)
         with make_vm(p, tmp_path) as vm:
             result = run_elementwise(vm, n, p, a, b, op=op, strategy=strategy)
+            c = vm.to_dense("c")
         assert result.verified is True
-        np.testing.assert_allclose(result.result, OPS[op](a, b), rtol=1e-4, atol=1e-5)
+        np.testing.assert_allclose(c, OPS[op](a, b), rtol=1e-4, atol=1e-5)
 
     def test_io_volume_is_one_pass(self, tmp_path):
         n, p = 32, 4
@@ -103,7 +104,8 @@ class TestElementwise:
     def test_estimate_mode(self, tmp_path):
         with make_vm(4, tmp_path, mode=ExecutionMode.ESTIMATE) as vm:
             result = run_elementwise(vm, 32, 4, None, None)
-        assert result.result is None
+            with pytest.raises(RuntimeExecutionError, match="EXECUTE"):
+                vm.to_dense("c")
         assert result.simulated_seconds > 0
 
     def test_rejects_non_2d(self):
@@ -136,8 +138,9 @@ class TestTranspose:
         a = rng.standard_normal((n, n)).astype(np.float32)
         with make_vm(p, tmp_path) as vm:
             result = run_transpose(vm, n, p, a)
+            dst = vm.to_dense("dst")
         assert result.verified is True
-        np.testing.assert_allclose(result.result, a.T, rtol=1e-5)
+        np.testing.assert_allclose(dst, a.T, rtol=1e-5)
 
     def test_exchanges_are_charged(self, tmp_path):
         n, p = 16, 4
@@ -160,5 +163,6 @@ class TestTranspose:
     def test_estimate_mode(self, tmp_path):
         with make_vm(2, tmp_path, mode=ExecutionMode.ESTIMATE) as vm:
             result = run_transpose(vm, 16, 2, None, cols_per_slab=8)
-        assert result.result is None
+            with pytest.raises(RuntimeExecutionError, match="EXECUTE"):
+                vm.to_dense("dst")
         assert result.simulated_seconds > 0

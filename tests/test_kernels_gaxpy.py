@@ -58,9 +58,10 @@ def test_versions_match_dense_reference(tmp_path, runner, n, p, ratio):
     inputs = generate_gaxpy_inputs(n)
     with make_vm(p, compiled.params, tmp_path) as vm:
         result = runner(vm, compiled, inputs)
+        c = vm.to_dense("c")
     assert result.verified is True
     reference = reduction_reference(inputs["a"], inputs["b"])
-    np.testing.assert_allclose(result.result, reference, rtol=2e-3, atol=1e-3)
+    np.testing.assert_allclose(c, reference, rtol=2e-3, atol=1e-3)
 
 
 @pytest.mark.parametrize("n,p", [(32, 2), (64, 4), (48, 4)])
@@ -72,9 +73,10 @@ def test_incore_version_matches_dense_reference(tmp_path, n, p):
     with make_vm(p, compiled.params, tmp_path) as vm:
         result = run_reduction_row(vm, compiled, inputs)
         assert vm.io_statistics()["io_requests_per_proc"] == 3
+        c = vm.to_dense("c")
     assert result.verified is True
     reference = reduction_reference(inputs["a"], inputs["b"])
-    np.testing.assert_allclose(result.result, reference, rtol=2e-3, atol=1e-3)
+    np.testing.assert_allclose(c, reference, rtol=2e-3, atol=1e-3)
 
 
 def test_all_versions_agree_with_each_other(tmp_path):
@@ -86,7 +88,8 @@ def test_all_versions_agree_with_each_other(tmp_path):
                                   ("row", run_reduction_row, compiled),
                                   ("incore", run_reduction_row, compile_incore(n, p))]:
         with make_vm(p, program.params, tmp_path / name) as vm:
-            results[name] = runner(vm, program, inputs).result
+            runner(vm, program, inputs)
+            results[name] = vm.to_dense("c")
     np.testing.assert_allclose(results["column"], results["row"], rtol=1e-4, atol=1e-4)
     np.testing.assert_allclose(results["column"], results["incore"], rtol=1e-4, atol=1e-4)
 
@@ -132,7 +135,8 @@ def test_estimate_mode_charges_without_files(tmp_path):
     compiled = compile_gaxpy(64, 4, slab_ratio=0.25, force_strategy="row")
     with make_vm(4, compiled.params, tmp_path, mode=ExecutionMode.ESTIMATE) as vm:
         result = run_reduction_row(vm, compiled, None, verify=False)
-    assert result.result is None
+        with pytest.raises(RuntimeExecutionError, match="EXECUTE"):
+            vm.to_dense("c")
     assert result.simulated_seconds > 0
     assert not list(tmp_path.rglob("*.dat"))
 

@@ -476,6 +476,38 @@ def tile(key, shape):
         assert findings(lint.check_operand_source, "x = np.zeros((2, 2)).sum()", "vm.py") == []
 
 
+class TestGatherOnDemand:
+    # what this rule was written against: every engine gathered its result
+    GATHERING_ENGINE = """
+def _finish(vm, compiled, result, inputs, verify):
+    dense = vm.to_dense(result)
+    if verify:
+        return verify_outputs(compiled, inputs, {result.name: dense})
+    return {name: vm.to_dense(name) for name in compiled.results}
+"""
+
+    # the idiom that replaced it: the stored array is read in place
+    STORED = """
+def _finish(vm, compiled, result, inputs, verify):
+    if verify:
+        return verify_outputs(compiled, inputs, {result.name: result})
+    result.verify_checksums()
+"""
+
+    def test_a_gather_outside_the_vm_is_flagged(self):
+        for path in ("src/repro/runtime/executor.py", "src/repro/api/workload.py"):
+            out = findings(lint.check_gather_on_demand, self.GATHERING_ENGINE, path)
+            assert [(v.rule, v.line) for v in out] == [
+                ("gather-on-demand", 3), ("gather-on-demand", 6)
+            ]
+
+    def test_the_vm_defines_it_and_stored_reads_pass(self):
+        vm = "src/repro/runtime/vm.py"
+        assert findings(lint.check_gather_on_demand, self.GATHERING_ENGINE, vm) == []
+        path = "src/repro/runtime/executor.py"
+        assert findings(lint.check_gather_on_demand, self.STORED, path) == []
+
+
 def test_repository_is_clean():
     violations = lint.lint_tree(REPO)
     assert violations == [], "\n".join(v.render() for v in violations)

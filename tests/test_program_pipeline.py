@@ -32,7 +32,8 @@ from repro.hpf.frontend import frontend_to_ir
 from repro.hpf.parser import parse_program
 from repro.runtime.executor import ProgramExecutor, program_reference
 from repro.runtime.operands import input_operands
-from repro.runtime.vm import VirtualMachine
+from repro.runtime.laf import LocalArrayFile
+from repro.runtime.vm import OutOfCoreArray, VirtualMachine
 from tests.scenarios import hpf_source
 
 
@@ -237,10 +238,11 @@ class TestProgramExecution:
         dense = input_operands(compiled.program, 7)
         with VirtualMachine(NPROCS, compiled.params, RunConfig(scratch_dir=tmp_path)) as vm:
             result = ProgramExecutor(compiled).execute(vm, dense)
+            stored = {name: vm.to_dense(name) for name in ("t", "c")}
         assert result.verified is True
         reference = program_reference(compiled.program, dense)
-        np.testing.assert_allclose(result.result, reference["c"], rtol=1e-4, atol=1e-3)
-        assert set(result.outputs) == {"t", "c"}
+        np.testing.assert_allclose(stored["c"], reference["c"], rtol=1e-4, atol=1e-3)
+        np.testing.assert_allclose(stored["t"], reference["t"], rtol=1e-4, atol=1e-3)
 
     def test_estimate_matches_execute_charges(self, tmp_path):
         compiled = compile_program(build_pipeline_ir(N, NPROCS), slab_ratio=0.25)
@@ -284,9 +286,10 @@ class TestProgramExecution:
         dense = input_operands(compiled.program, 7)
         with VirtualMachine(4, compiled.params, RunConfig(scratch_dir=tmp_path)) as vm:
             result = ProgramExecutor(compiled).execute(vm, dense)
+            c = vm.to_dense("c")
         assert result.verified is True
         reference = program_reference(compiled.program, dense)
-        np.testing.assert_allclose(result.result, reference["c"], rtol=1e-4, atol=1e-3)
+        np.testing.assert_allclose(c, reference["c"], rtol=1e-4, atol=1e-3)
 
     def test_repeated_runs_on_one_vm_still_raise(self, tmp_path):
         """Array reuse is scoped to ProgramExecutor: independent runs on one
@@ -305,22 +308,31 @@ class TestProgramExecution:
             with pytest.raises(RuntimeExecutionError, match="already exists in this VM"):
                 NodeProgramExecutor(compiled).execute(vm, dense, verify=False)
 
-    def test_unverified_run_gathers_only_final_output(self, tmp_path):
+    def test_unverified_run_gathers_nothing(self, tmp_path, monkeypatch):
+        """No result is read back: the per-statement checksum audit is the
+        only host pass over a stored result of an unverified run."""
         compiled = compile_program(build_pipeline_ir(N, NPROCS), slab_ratio=0.25)
         dense = input_operands(compiled.program, 7)
+        reads = []
+        for owner, method in ((VirtualMachine, "to_dense"),
+                              (OutOfCoreArray, "column_reader"),
+                              (LocalArrayFile, "read_full"),
+                              (LocalArrayFile, "column_view")):
+            monkeypatch.setattr(owner, method, lambda *args, _m=method: reads.append(_m))
         with VirtualMachine(NPROCS, compiled.params, RunConfig(scratch_dir=tmp_path)) as vm:
             result = ProgramExecutor(compiled).execute(vm, dense, verify=False)
-        assert set(result.outputs) == {"c"}  # intermediate t not materialized
-        assert result.result is result.outputs["c"]
+        assert result.verified is None
+        assert reads == []
 
-    def test_collect_outputs_gathers_intermediates(self, tmp_path):
+    def test_results_are_read_on_demand(self, tmp_path):
         compiled = compile_program(build_pipeline_ir(N, NPROCS), slab_ratio=0.25)
         dense = input_operands(compiled.program, 7)
         with VirtualMachine(NPROCS, compiled.params, RunConfig(scratch_dir=tmp_path)) as vm:
-            result = ProgramExecutor(compiled).execute(
-                vm, dense, verify=False, collect_outputs=True
-            )
-        assert set(result.outputs) == {"t", "c"}
+            ProgramExecutor(compiled).execute(vm, dense, verify=False)
+            stored = {name: vm.to_dense(name) for name in ("t", "c")}
+        reference = program_reference(compiled.program, dense)
+        for name, array in stored.items():
+            np.testing.assert_allclose(array, reference[name], rtol=1e-4, atol=1e-3)
 
     def test_mixed_strategy_cost_label(self):
         compiled = compile_program(build_pipeline_ir(N, NPROCS), slab_ratio=0.25)

@@ -45,11 +45,10 @@ def _run(tmp_path, policy, tag):
         io_retries=4, io_retry_backoff_s=0.0,
     )
     with VirtualMachine(NPROCS, compiled.params, config) as vm:
-        result = ProgramExecutor(compiled).execute(
-            vm, dense, verify=False, collect_outputs=True
-        )
+        result = ProgramExecutor(compiled).execute(vm, dense, verify=False)
+        outputs = {name: vm.to_dense(name) for name in compiled.program.result_arrays()}
     oracle = program_reference(compiled.program, dense)
-    return result, oracle
+    return result, outputs, oracle
 
 
 @settings(
@@ -59,11 +58,11 @@ def _run(tmp_path, policy, tag):
 )
 @given(policy=policies)
 def test_faulted_execution_converges_to_oracle(tmp_path, policy):
-    faulty, oracle = _run(tmp_path, policy, f"faulty_{policy.seed}")
-    clean, _ = _run(tmp_path, None, f"clean_{policy.seed}")
-    for name in faulty.outputs:
+    faulty, outputs, oracle = _run(tmp_path, policy, f"faulty_{policy.seed}")
+    clean, _, _ = _run(tmp_path, None, f"clean_{policy.seed}")
+    for name in outputs:
         np.testing.assert_allclose(
-            faulty.outputs[name].astype(np.float64), oracle[name],
+            outputs[name].astype(np.float64), oracle[name],
             rtol=1e-3, atol=1e-3,
             err_msg=f"array {name!r} diverged under policy {policy}",
         )
@@ -81,6 +80,6 @@ def test_faulted_execution_converges_to_oracle(tmp_path, policy):
 )
 @given(policy=policies)
 def test_resilience_counters_are_reproducible(tmp_path, policy):
-    first, _ = _run(tmp_path, policy, f"first_{policy.seed}")
-    second, _ = _run(tmp_path, policy, f"second_{policy.seed}")
+    first, _, _ = _run(tmp_path, policy, f"first_{policy.seed}")
+    second, _, _ = _run(tmp_path, policy, f"second_{policy.seed}")
     assert first.resilience == second.resilience

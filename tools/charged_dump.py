@@ -15,9 +15,11 @@ Fields are every quantity of ``VirtualMachine.snapshot_charges()`` (clocks,
 busy times, counters of every processor, disk and the network), flattened to
 dotted names, plus the run's simulated seconds, time breakdown, I/O
 statistics and per-statement breakdown, and — for an EXECUTE run — its
-``verified`` flag, ``max_abs_error`` and a sha256 of every gathered result
-array (dtype, shape and bytes), so inputs and results are proven
-byte-identical too, not only the charges.  Every number is written with
+``verified`` flag, ``max_abs_error`` and a sha256 of every result array
+(dtype, shape and bytes), so inputs and results are proven byte-identical
+too, not only the charges.  A run gathers nothing itself: the tool reads
+each result back with ``VirtualMachine.to_dense`` after the run — the final
+one as ``result``, and for a whole program every result that has files.  Every number is written with
 ``repr``, so floats compare exactly.  A configuration the tree refuses
 (compile or run error) records the error text instead.  Every input is
 drawn by ``Workload.generate_inputs``, whichever input shape the tree's
@@ -112,11 +114,21 @@ def digest(array):
     return hashlib.sha256(meta + array.tobytes()).hexdigest()
 
 
-def run_fields(vm, result):
+def gather(vm, compiled):
+    """The results of an EXECUTE run of ``compiled``, read back from ``vm``."""
+    if not vm.perform_io:
+        return {}
+    # a fused-away intermediate has no files
+    names = [name for name in compiled.program.result_arrays() if name in vm.arrays]
+    gathered = {"result": vm.to_dense(names[-1])}
+    if hasattr(compiled, "statements"):  # a whole program: every result
+        gathered.update((name, vm.to_dense(name)) for name in names)
+    return gathered
+
+
+def run_fields(vm, result, compiled):
     fields = flatten(vm.snapshot_charges(), "", {})
-    gathered = dict(result.outputs or {})
-    if result.result is not None:
-        gathered["result"] = result.result
+    gathered = gather(vm, compiled)
     fields.update(flatten({
         "simulated_seconds": result.simulated_seconds,
         "time_breakdown": result.time_breakdown,
@@ -149,7 +161,7 @@ def charged_runs(compiled, scratch):
                     holder = types.SimpleNamespace(program=compiled)
                     inputs = get_workload("hpf").generate_inputs(holder, 7)
                 result = executor.run(vm, inputs, verify=mode is ExecutionMode.EXECUTE)
-                runs[mode.value] = run_fields(vm, result)
+                runs[mode.value] = run_fields(vm, result, compiled)
         except Exception as exc:  # a refusal is a charged outcome too
             runs[mode.value] = {"error": f"{type(exc).__name__}: {exc}"}
     if not whole and _statement_kind(compiled) == "reduction":
@@ -198,7 +210,7 @@ def engine_configs(scenarios, scratch):
                 with VirtualMachine(p, MachineParameters(), config) as vm:
                     result = engine(vm, program,
                                     inputs if mode is ExecutionMode.EXECUTE else None)
-                    runs[mode.value] = run_fields(vm, result)
+                    runs[mode.value] = run_fields(vm, result, program)
             yield f"engine {name} {scenario.label}", runs
 
 

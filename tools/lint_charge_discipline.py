@@ -109,6 +109,14 @@ discipline statically (stdlib ``ast`` only, no third-party dependencies):
     and its global index only: a second generator would bring back a draw
     order, and with it dense operands drawn whole.
 
+``gather-on-demand``
+    Anywhere under ``src/repro`` except ``runtime/vm.py``: no ``to_dense``
+    call.  A result stays in its Local Array Files: verification reads it
+    panel by panel where it is stored (``OutOfCoreArray.column_reader``),
+    and an unverified run audits its checksums.  Only a caller who asks for
+    the dense array — a test, a tool — pays for the gather, so none may
+    creep back into an engine or the executor.
+
 Run: ``python tools/lint_charge_discipline.py [root]`` — exits non-zero on
 any violation.  Wired into ``make lint`` and CI.
 """
@@ -147,6 +155,7 @@ CACHE_DECORATORS = {"lru_cache", "cache"}
 CACHE_CONTAINERS = {"dict", "OrderedDict"}
 ENGINE_CONTRACT = ["vm", "compiled", "inputs", "verify"]
 OPERAND_SOURCE = Path("runtime") / "operands.py"
+GATHER_HOME = Path("runtime") / "vm.py"
 #: numpy.random names that construct a generator or a bit generator
 RANDOM_CONSTRUCTORS = {"default_rng", "Generator", "RandomState", "SeedSequence",
                        "Philox", "PCG64", "PCG64DXSM", "MT19937", "SFC64"}
@@ -549,6 +558,18 @@ def check_operand_source(tree: ast.AST, path: Path) -> Iterator[Violation]:
             )
 
 
+def check_gather_on_demand(tree: ast.AST, path: Path) -> Iterator[Violation]:
+    if path.as_posix().endswith(GATHER_HOME.as_posix()):
+        return
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _call_name(node) == "to_dense":
+            yield Violation(
+                "gather-on-demand", str(path), node.lineno,
+                "'to_dense' gathers a whole result; read it where it is stored "
+                "(OutOfCoreArray.column_reader) or audit its checksums",
+            )
+
+
 # ---------------------------------------------------------------------------
 # driver
 # ---------------------------------------------------------------------------
@@ -568,6 +589,7 @@ def lint_file(path: Path, *, runtime: bool) -> List[Violation]:
     violations.extend(check_process_wide_cache(tree, path))
     violations.extend(check_dense_zero_initial(tree, path))
     violations.extend(check_operand_source(tree, path))
+    violations.extend(check_gather_on_demand(tree, path))
     return violations
 
 
