@@ -24,9 +24,12 @@ cov:
 # Static checks: ruff (rule selection lives in ruff.toml) plus the
 # charge-discipline AST lint (raw I/O confinement, wall-clock reads, charges
 # inside retry loops, frozen-object mutation, process-wide caches — see the
-# tool's docstring).
+# tool's docstring).  ruff is gated on being installed, like mypy in
+# typecheck: without it the target says so and still runs the AST lint; with
+# it a ruff finding fails the target.  CI installs ruff and runs it for real.
 lint:
-	ruff check .
+	@if command -v ruff >/dev/null 2>&1; then ruff check .; \
+		else echo "ruff not installed; skipping (CI runs it)"; fi
 	$(PYTHON) tools/lint_charge_discipline.py
 
 # Scoped strict typing for the compiler core and planner (mypy.ini).  Gated

@@ -40,9 +40,11 @@ class ColumnLane:
     """One rank's side of a column block (see :meth:`Machine.charge_column_block`).
 
     ``steps`` are the rank's per-column charges resolved to
-    ``(is_read, seconds, flops)``; ``now`` is the clock the rank enters the
-    block with.  Plain data, so the process backend ships lanes between rank
-    workers.
+    ``(is_read, seconds, flops)``; ``prefix`` the one-off charges, resolved
+    the same way, the rank makes once before the block's first column (a
+    read that opens the block, say).  ``now`` is the clock the rank enters
+    the block with, before its prefix.  Plain data, so the process backend
+    ships lanes — prefixes included — between rank workers.
     """
 
     rank: int
@@ -50,6 +52,9 @@ class ColumnLane:
     steps: Tuple[Tuple[bool, float, float], ...]
     read_nbytes: int
     read_requests: int
+    prefix: Tuple[Tuple[bool, float, float], ...] = ()
+    prefix_read_nbytes: int = 0
+    prefix_read_requests: int = 0
 
 
 def _fold(start: float, values: Sequence[float], count: int) -> float:
@@ -78,11 +83,14 @@ def _fold_row(row: Sequence[float], additions: Sequence[Sequence[float]],
               count: int) -> Tuple[float, ...]:
     """Each of the seven accumulators of ``row`` folded (:func:`_fold`) with its
     additions; bit-identical pairs — a clock's ``io_time`` and its disk's busy
-    time, say — fold once."""
+    time, say — fold once, and one with nothing to add keeps its value."""
     bits = _ROW.pack(*row)
     done: Dict[tuple, float] = {}
     folded = []
     for i, (start, values) in enumerate(zip(row, additions, strict=True)):
+        if not values:
+            folded.append(start)
+            continue
         key = (bits[8 * i: 8 * i + 8], values)
         if key not in done:
             done[key] = _fold(start, values, count)
@@ -109,6 +117,8 @@ class Machine:
         self.network = NetworkModel(params=params.network)
         self.clocks = ClockSet(nprocs)
         self.metrics = MetricsSet(nprocs)
+        #: every step :meth:`_price` accepted, priced (the parameters are frozen)
+        self._prices: Dict[tuple, Tuple[str, float, int, int, float]] = {}
 
     # ------------------------------------------------------------------
     # charge methods (cost + counters + clock updated together)
@@ -161,7 +171,14 @@ class Machine:
         """``(kind, seconds, nbytes, nrequests, flops)`` of one step, checked
         exactly as :meth:`charge_read` / :meth:`charge_write` /
         :meth:`charge_compute` check it (the clock's refusal of negative
-        seconds included); nothing is charged."""
+        seconds included); nothing is charged.  Each distinct step is
+        checked and priced once per machine; a refused one every time."""
+        price = self._prices.get(step)
+        if price is None:
+            price = self._prices[step] = self._check_and_price(step)
+        return price
+
+    def _check_and_price(self, step: tuple) -> Tuple[str, float, int, int, float]:
         kind = step[0]
         if kind == "read" or kind == "write":
             _, nbytes, nrequests = step
@@ -199,7 +216,6 @@ class Machine:
         meets no synchronisation, so unlike a column block's its ``now``
         folds too.
         """
-        priced: Dict[tuple, tuple] = {}
         resolved = {}
         for rank, runs in lanes.items():
             self._check_rank(rank)
@@ -207,10 +223,7 @@ class Machine:
             for steps, count in runs:
                 if count < 0:
                     raise MachineConfigurationError(f"negative run length {count}")
-                for step in steps:
-                    if step not in priced:
-                        priced[step] = self._price(step)
-                resolved[rank].append((tuple(priced[step] for step in steps), count))
+                resolved[rank].append((tuple(map(self._price, steps)), count))
 
         folded: Dict[tuple, tuple] = {}  # ranks with equal lanes and rows fold once
         for rank, runs in resolved.items():
@@ -242,8 +255,10 @@ class Machine:
                         counters.bytes_written += count * nbytes
                         counters.io_write_requests += count * nrequests
 
-    def column_lane(self, rank: int, steps: Sequence[tuple]) -> ColumnLane:
-        """Resolve ``rank``'s per-column step list to seconds, once per block.
+    def column_lane(self, rank: int, steps: Sequence[tuple],
+                    prefix: Sequence[tuple] = ()) -> ColumnLane:
+        """Resolve ``rank``'s per-column step list, and the ``prefix`` of
+        one-off steps that opens the block, to seconds, once per block.
 
         A step is ``("read", nbytes, nrequests)`` or ``("compute", flops)``,
         checked and priced exactly as :meth:`charge_read` /
@@ -251,20 +266,23 @@ class Machine:
         nothing is charged yet.
         """
         self._check_rank(rank)
-        priced: Dict[tuple, tuple] = {}
+        resolved = self._column_steps(steps)
+        if prefix:
+            resolved += self._column_steps(prefix)
+        return ColumnLane(rank, self.clocks[rank].now, *resolved)
+
+    def _column_steps(self, steps: Sequence[tuple]) -> Tuple[tuple, int, int]:
+        """``(resolved steps, read bytes, read requests)`` of a column-block step list."""
         resolved = []
         read_nbytes = read_requests = 0
         for step in steps:
-            if step not in priced:
-                if step[0] not in ("read", "compute"):
-                    raise MachineConfigurationError(f"unknown column-block step {step!r}")
-                priced[step] = self._price(step)
-            kind, seconds, nbytes, nrequests, flops = priced[step]
+            if step[0] not in ("read", "compute"):
+                raise MachineConfigurationError(f"unknown column-block step {step!r}")
+            kind, seconds, nbytes, nrequests, flops = self._price(step)
             resolved.append((kind == "read", seconds, flops))
             read_nbytes += nbytes
             read_requests += nrequests
-        return ColumnLane(rank, self.clocks[rank].now, tuple(resolved),
-                          read_nbytes, read_requests)
+        return tuple(resolved), read_nbytes, read_requests
 
     def charge_column_block(
         self,
@@ -277,9 +295,12 @@ class Machine:
     ) -> None:
         """Charge ``ncols`` result columns: each rank's steps, then a global sum.
 
-        Equivalent, bit for bit, to ``ncols`` repetitions of "every rank's
-        :meth:`charge_read` / :meth:`charge_compute` steps in order, then
-        :meth:`charge_global_sum` ``(nbytes, nelements)``".  The integer
+        Equivalent, bit for bit, to every rank's prefix steps, once, then
+        ``ncols`` repetitions of "every rank's :meth:`charge_read` /
+        :meth:`charge_compute` steps in order, then
+        :meth:`charge_global_sum` ``(nbytes, nelements)``".  A prefix meets
+        no synchronisation before the first column's, so it is one more left
+        fold into each rank's accumulators, ``now`` included.  The integer
         counters are added in closed form.  Every float accumulator the
         per-column synchronisation never touches — the clock's ``io_time``,
         ``compute_time`` and ``comm_time``, the disk's and the processor's
@@ -320,7 +341,8 @@ class Machine:
         # now / idle: per column while the synchronisation can make a gap
         ranks = range(nprocs)
         seconds = [tuple(map(_SECONDS, lane.steps)) for lane in lanes]
-        now = [lane.now for lane in lanes]
+        now = [functools.reduce(operator.add, map(_SECONDS, lane.prefix), lane.now)
+               for lane in lanes]
         idle_time = [self.clocks[r].idle_time for r in ranks]
         uniform = all(lane_seconds == seconds[0] for lane_seconds in seconds)
         done = 0
@@ -352,21 +374,25 @@ class Machine:
             processor, counters = self.processors[r], self.metrics[r]
             row = (clock.io_time, disk_model.busy_time, clock.compute_time,
                    processor.busy_time, processor.flops, counters.flops, clock.comm_time)
-            key = (lane.steps, _ROW.pack(*row))
+            key = (lane.prefix, lane.steps, _ROW.pack(*row))
             if key not in folded:
-                io = tuple(s for is_read, s, _ in lane.steps if is_read)
-                compute = tuple(s for is_read, s, _ in lane.steps if not is_read)
-                flops = tuple(f for is_read, _, f in lane.steps if not is_read)
-                folded[key] = _fold_row(
-                    row, (io, io, compute, compute, flops, flops, (sum_seconds,)), ncols)
+                for steps, count, comm in ((lane.prefix, 1, ()),
+                                           (lane.steps, ncols, (sum_seconds,))):
+                    io = tuple(s for is_read, s, _ in steps if is_read)
+                    compute = tuple(s for is_read, s, _ in steps if not is_read)
+                    flops = tuple(f for is_read, _, f in steps if not is_read)
+                    row = _fold_row(row, (io, io, compute, compute, flops, flops, comm), count)
+                folded[key] = row
             (clock.io_time, disk_model.busy_time, clock.compute_time,
              processor.busy_time, processor.flops, counters.flops, clock.comm_time) = folded[key]
             clock.now = now[r]
             clock.idle_time = idle_time[r]
-            disk_model.read_requests += ncols * lane.read_requests
-            disk_model.bytes_read += ncols * lane.read_nbytes
-            counters.io_read_requests += ncols * lane.read_requests
-            counters.bytes_read += ncols * lane.read_nbytes
+            read_requests = lane.prefix_read_requests + ncols * lane.read_requests
+            read_nbytes = lane.prefix_read_nbytes + ncols * lane.read_nbytes
+            disk_model.read_requests += read_requests
+            disk_model.bytes_read += read_nbytes
+            counters.io_read_requests += read_requests
+            counters.bytes_read += read_nbytes
             counters.collectives += ncols
             counters.messages += ncols * rounds
             counters.bytes_communicated += ncols * rounds * nbytes

@@ -114,16 +114,19 @@ def global_sum_columns(
     ncols: int,
     rows: int,
     itemsize: int,
+    prefix: Optional[Mapping[int, Sequence[tuple]]] = None,
 ) -> Optional[np.ndarray]:
     """``ncols`` result columns of ``rows`` elements as one column block.
 
-    Charges exactly what ``ncols`` repetitions of "each rank's ``steps``
-    (``("read", nbytes, nrequests)`` / ``("compute", flops)``), then
-    :func:`global_sum` of one ``(rows,)`` column" would, through
-    :meth:`Machine.charge_column_block`, and returns the ``(rows, ncols)``
-    float64 sum of the ranks' contributions, accumulated in rank order like
-    every column of it would be (``None`` in estimate mode).  Validation
-    comes first, as in :func:`global_sum`.
+    Charges exactly what each rank's ``prefix`` steps, once, then ``ncols``
+    repetitions of "each rank's ``steps`` (``("read", nbytes, nrequests)`` /
+    ``("compute", flops)``), then :func:`global_sum` of one ``(rows,)``
+    column" would, through :meth:`Machine.charge_column_block`, and returns
+    the ``(rows, ncols)`` float64 sum of the ranks' contributions,
+    accumulated in rank order like every column of it would be (``None`` in
+    estimate mode).  A prefix carries a one-off charge that opens the block
+    — the row-slab engine's re-read of a coefficient slab — so it costs no
+    call of its own.  Validation comes first, as in :func:`global_sum`.
     """
     nbytes = payload_bytes((rows,), itemsize)
     nelements = nbytes // max(int(itemsize), 1)
@@ -132,8 +135,10 @@ def global_sum_columns(
         pieces = _checked_contributions(
             "global_sum_columns", machine.nprocs, contributions, (rows, ncols)
         )
+    prefix = prefix or {}
     lanes = [
-        machine.column_lane(rank, steps.get(rank, ())) for rank in range(machine.nprocs)
+        machine.column_lane(rank, steps.get(rank, ()), prefix.get(rank, ()))
+        for rank in range(machine.nprocs)
     ]
     machine.charge_column_block(lanes, ncols, nbytes, nelements)
     return None if pieces is None else sum_in_rank_order(pieces)

@@ -57,11 +57,12 @@ class CommBackend:
         ncols: int,
         rows: int,
         itemsize: int,
+        prefix: Optional[Mapping[int, Sequence[tuple]]] = None,
     ) -> Optional[np.ndarray]:
         """A column block: see :func:`repro.runtime.collectives.global_sum_columns`.
 
-        ``contributions`` and ``steps`` are keyed by the ranks this backend
-        serves.
+        ``contributions``, ``steps`` and ``prefix`` (the one-off steps that
+        open the block) are keyed by the ranks this backend serves.
         """
         raise NotImplementedError
 
@@ -98,9 +99,10 @@ class SimulatedComm(CommBackend):
             self.machine, contributions, shape=shape, itemsize=itemsize
         )
 
-    def global_sum_columns(self, contributions, steps, *, ncols, rows, itemsize):
+    def global_sum_columns(self, contributions, steps, *, ncols, rows, itemsize, prefix=None):
         return collectives.global_sum_columns(
-            self.machine, contributions, steps, ncols=ncols, rows=rows, itemsize=itemsize
+            self.machine, contributions, steps, ncols=ncols, rows=rows, itemsize=itemsize,
+            prefix=prefix,
         )
 
     def broadcast(self, root, data, *, shape, itemsize):

@@ -18,7 +18,8 @@ friends) applies to that row in the simulator:
   reproducing the simulator's summation order bit-for-bit;
 * a column block (:meth:`ProcessComm.global_sum_columns`) is one gather and
   one broadcast: every rank sends its :class:`~repro.machine.cluster.ColumnLane`
-  (clock and per-column step seconds) with its product matrix,
+  (clock, per-column step seconds and the block's one-off prefix) with its
+  product matrix,
   rank 0 sums the matrices and sends all lanes back, and each worker replays
   every rank's clock through the block so the per-column synchronisation
   maxima are the simulator's, writing back only its own row.
@@ -115,12 +116,13 @@ class ProcessComm(CommBackend):
         return np.asarray(total)
 
     # ------------------------------------------------------------------
-    def global_sum_columns(self, contributions, steps, *, ncols, rows, itemsize):
+    def global_sum_columns(self, contributions, steps, *, ncols, rows, itemsize, prefix=None):
         machine = self.machine
         nbytes = payload_bytes((rows,), itemsize)
         nelements = nbytes // max(int(itemsize), 1)
         piece = self._own_piece("global_sum_columns", contributions, (rows, ncols))
-        lane = machine.column_lane(self.rank, steps.get(self.rank, ()))
+        lane = machine.column_lane(self.rank, steps.get(self.rank, ()),
+                                   (prefix or {}).get(self.rank, ()))
 
         # One round trip per block: root receives (lane, piece) from everyone,
         # sums the pieces in rank order, and broadcasts (all lanes, total).

@@ -4,8 +4,9 @@ A column block charges and sums a run of result columns in one call
 (:meth:`Machine.charge_column_block`, ``CommBackend.global_sum_columns``).
 Its definition is the per-column schedule it replaced — each rank's scalar
 ``charge_read`` / ``charge_compute`` steps, then a scalar ``global_sum``, once
-per column — which this file keeps as :class:`PerColumnComm` and holds the
-block to, ``==`` on every float.  No test here reads a clock: host cost is
+per column, after the scalar charges of each rank's one-off prefix (the row
+engine's coefficient re-read) — which this file keeps as :class:`PerColumnComm`
+and holds the block to, ``==`` on every float.  No test here reads a clock: host cost is
 guarded by counting scalar charge calls, which repeats exactly.
 """
 
@@ -32,7 +33,7 @@ from repro.runtime.executor import (
     run_reduction_row,
 )
 from repro.runtime.operands import Operand
-from repro.runtime.slab import SlabbingStrategy, column_slabs
+from repro.runtime.slab import SlabbingStrategy, column_slabs, row_slabs
 
 from tests.scenarios import ENGINE, Scenario
 
@@ -50,19 +51,20 @@ class PerColumnComm(SimulatedComm):
         super().__init__()
         self.block_widths = []
 
-    def global_sum_columns(self, contributions, steps, *, ncols, rows, itemsize):
+    def global_sum_columns(self, contributions, steps, *, ncols, rows, itemsize,
+                           prefix=None):
         machine = self.machine
         self.block_widths.append(ncols)
+        # the block's one-off steps (the row engine's coefficient re-read),
+        # charged as the scalar fetch they replace, before the first column
+        for rank in sorted(prefix or {}):
+            scalar_steps(machine, rank, prefix[rank])
         columns = []
         for m in range(ncols):
             # ranks are independent between collectives, so rank-major order
             # charges each rank what the engines' slab-major order did
             for rank in sorted(steps):
-                for step in steps[rank]:
-                    if step[0] == "read":
-                        machine.charge_read(rank, step[1], step[2])
-                    else:
-                        machine.charge_compute(rank, step[1])
+                scalar_steps(machine, rank, steps[rank])
             columns.append(self.global_sum(
                 None if contributions is None
                 else {rank: piece[:, m] for rank, piece in contributions.items()},
@@ -130,15 +132,18 @@ def apply_prelude(vm, prelude):
     rows=st.integers(0, 3000),
     itemsize=st.sampled_from([4, 8]),
     prelude=preludes,
+    prefix=st.dictionaries(st.integers(0, 3), step_lists, max_size=4),
 )
 def test_block_replay_equals_scalar_sequence(nprocs, preset, steps, ncols, rows, itemsize,
-                                             prelude):
+                                             prelude, prefix):
     steps = {rank: list(lane) for rank, lane in steps.items() if rank < nprocs}
+    prefix = {rank: list(lane) for rank, lane in prefix.items() if rank < nprocs}
     states = []
     for comm in (PerColumnComm(), SimulatedComm()):
         vm = estimate_vm(nprocs, preset, comm)
         apply_prelude(vm, prelude)
-        vm.comm.global_sum_columns(None, steps, ncols=ncols, rows=rows, itemsize=itemsize)
+        vm.comm.global_sum_columns(None, steps, ncols=ncols, rows=rows, itemsize=itemsize,
+                                   prefix=prefix)
         # ... and the block leaves the machine ready for more scalar charges
         apply_prelude(vm, prelude[:2])
         states.append(charged_state(vm))
@@ -147,9 +152,12 @@ def test_block_replay_equals_scalar_sequence(nprocs, preset, steps, ncols, rows,
 
 def test_block_rejects_what_the_scalar_charges_reject():
     machine = Machine(2)
-    for bad in ([("read", -1, 1)], [("read", 8, -1)], [("compute", -2.0)], [("seek", 1)]):
+    for bad in ([("read", -1, 1)], [("read", 8, -1)], [("compute", -2.0)], [("seek", 1)],
+                [("write", 8, 1)]):
         with pytest.raises(ReproError, match="negative|unknown"):
             machine.column_lane(0, bad)
+        with pytest.raises(ReproError, match="negative|unknown"):
+            machine.column_lane(0, [("compute", 8.0)], prefix=bad)
     lanes = [machine.column_lane(rank, [("compute", 8.0)]) for rank in range(2)]
     with pytest.raises(ReproError, match="one lane per rank"):
         machine.charge_column_block(lanes[:1], 3, 64, 16)
@@ -275,8 +283,14 @@ def block_cases(draw):
     shared = draw(column_steps)
     uniform = draw(st.booleans())
     steps = {rank: shared if uniform else draw(column_steps) for rank in range(nprocs)}
+    # the one-off steps that open the block: none, one shared list (the row
+    # engine's coefficient re-read), or a list of its own per rank
+    shared_prefix = draw(column_steps)
+    prefix_kind = draw(st.sampled_from(["none", "shared", "per-rank"]))
+    prefix = {rank: [] if prefix_kind == "none" else shared_prefix
+              if prefix_kind == "shared" else draw(column_steps) for rank in range(nprocs)}
     owned = draw(st.one_of(st.none(), st.sets(st.integers(0, nprocs - 1))))
-    return nprocs, steps, owned
+    return nprocs, steps, prefix, owned
 
 
 @settings(max_examples=100, deadline=None)
@@ -284,15 +298,18 @@ def block_cases(draw):
        preset=st.sampled_from(["delta", "sp1"]),
        prelude=st.one_of(st.just([]), machine_preludes))
 def test_column_block_equals_the_scalar_calls(case, ncols, rows, preset, prelude):
-    """Equal and unequal lanes, equal and unequal clocks, every owned subset:
-    the owned ranks' rows and the network are the scalar schedule's, every
+    """Equal and unequal lanes and prefixes, equal and unequal clocks, every
+    owned subset: the owned ranks' rows and the network are the scalar
+    schedule's — each rank's prefix charged once, then the columns — every
     other rank's row is untouched."""
-    nprocs, steps, owned = case
+    nprocs, steps, prefix, owned = case
     folded = prepared_machine(nprocs, preset, prelude)
     scalar = prepared_machine(nprocs, preset, prelude)
     untouched = machine_state(folded)
-    lanes = [folded.column_lane(rank, steps[rank]) for rank in range(nprocs)]
+    lanes = [folded.column_lane(rank, steps[rank], prefix[rank]) for rank in range(nprocs)]
     folded.charge_column_block(lanes, ncols, 4 * rows, rows, owned=owned)
+    for rank in range(nprocs):
+        scalar_steps(scalar, rank, prefix[rank])
     for _ in range(ncols):
         for rank in range(nprocs):
             scalar_steps(scalar, rank, steps[rank])
@@ -303,6 +320,25 @@ def test_column_block_equals_the_scalar_calls(case, ncols, rows, preset, prelude
         expected = want if owned is None or rank in owned else untouched
         for field in ("processors", "disks", "clocks", "metrics"):
             assert got[field][rank] == expected[field][rank], (field, rank)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=block_cases(), bad=st.sampled_from([("read", -1, 1), ("read", 8, -1),
+                                               ("compute", -2.0), ("write", 8, 1),
+                                               ("seek", 1)]),
+       where=st.integers(0, 100), prelude=machine_preludes)
+def test_a_block_with_one_refused_prefix_step_leaves_the_machine_unmoved(case, bad, where,
+                                                                         prelude):
+    nprocs, steps, prefix, _ = case
+    vm = estimate_vm(nprocs, "delta")
+    apply_prelude(vm, [(kind, rank, int(amount)) for kind, rank, amount in prelude])
+    before = charged_state(vm)
+    poisoned = list(prefix[nprocs - 1])
+    poisoned.insert(where % (len(poisoned) + 1), bad)
+    with pytest.raises(ReproError, match="negative|unknown"):
+        vm.comm.global_sum_columns(None, steps, ncols=3, rows=8, itemsize=4,
+                                   prefix={**prefix, nprocs - 1: poisoned})
+    assert charged_state(vm) == before
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +399,8 @@ def test_process_comm_validates_before_charging():
         total = target.comm.global_sum_columns({0: np.full((5, 2), 2.0)}, steps, ncols=2,
                                                rows=5, itemsize=4)
         np.testing.assert_array_equal(total, np.full((5, 2), 2.0))
+        target.comm.global_sum_columns({0: np.ones((5, 1))}, steps, ncols=1, rows=5,
+                                       itemsize=4, prefix={0: [("read", 4096, 1)]})
     assert charged_state(vm) == charged_state(twin)
 
 
@@ -530,6 +568,7 @@ def charge_calls(monkeypatch):
 
     counting(Machine, "charge_compute")
     counting(Machine, "charge_read")
+    counting(Machine, "charge_lane")
     counting(SimulatedComm, "global_sum")
     return calls
 
@@ -554,5 +593,15 @@ def test_scalar_charge_calls_do_not_grow_with_n(tmp_path, charge_calls, version,
     small, large = seen[128], seen[256]
     if version == "column":
         assert large[0] > 1.9 * small[0]  # the streamed array really is re-read per column
+    else:
+        # the coefficient re-reads ride in the column blocks: no lane, and one
+        # scalar read per streamed slab and rank
+        assert large[1].get("charge_lane", 0) == 0
+        program = get_workload("gaxpy").compile(point, MachineParameters()).program
+        plan = _plan_for(program, SlabbingStrategy.ROW)
+        streamed = program.program.arrays[program.analysis.streamed]
+        s_slabs = row_slabs(streamed.local_shapes()[0],
+                            plan.entry(streamed.name).lines_per_slab)
+        assert large[1]["charge_read"] == 4 * len(s_slabs)
     assert large[1] == small[1]
     assert sum(large[1].values()) < 128

@@ -208,8 +208,26 @@ def run_reduction_single_operand(vm, compiled):
     def test_block_engines_and_other_engines_are_allowed(self):
         assert findings(lint.check_per_column_charge, self.BLOCKED, "executor.py") == []
 
+    # the coefficient re-read charged as one lane per pair instead of as the
+    # prefix of the pair's first column block
+    PER_PAIR_LANE = """
+def run_reduction_row(vm, compiled):
+    for s_slab in s_slabs:
+        for b_slab, b_blocks in zip(b_slabs, blocks):
+            vm.machine.charge_lane({rank: [([reread], 1)] for rank in vm.ranks})
+            for block in b_blocks:
+                _reduce_column_block(vm, block, steps, products, 0, c_buffer)
+"""
+
+    def test_a_lane_per_pair_is_flagged(self):
+        out = findings(lint.check_per_column_charge, self.PER_PAIR_LANE, "executor.py")
+        assert [(v.rule, v.line) for v in out] == [("per-column-charge", 5)]
+        assert "charge_lane" in out[0].message
+
     def test_a_charge_outside_any_loop_is_allowed(self):
         source = "def run_reduction_row(vm):\n    vm.machine.charge_compute(0, 1.0)\n"
+        assert findings(lint.check_per_column_charge, source, "executor.py") == []
+        source = "def run_reduction_row(vm):\n    vm.machine.charge_lane({})\n"
         assert findings(lint.check_per_column_charge, source, "executor.py") == []
 
     def test_only_the_executor_is_checked(self):

@@ -56,10 +56,13 @@ discipline statically (stdlib ``ast`` only, no third-party dependencies):
 
 ``per-column-charge``
     In ``run_reduction_column`` / ``run_reduction_row`` no ``charge_read`` /
-    ``charge_compute`` / ``global_sum`` call may sit lexically inside a
-    ``for`` body: those engines charge and sum a whole *column block* per call
-    (``comm.global_sum_columns``), so one scalar charge per result column —
-    the 584k Python calls of an N=1024 column-slab pass — cannot creep back.
+    ``charge_compute`` / ``global_sum`` / ``charge_lane`` call may sit
+    lexically inside a ``for`` body: those engines charge and sum a whole
+    *column block* per call (``comm.global_sum_columns``), so one scalar
+    charge per result column — the 584k Python calls of an N=1024
+    column-slab pass — cannot creep back, nor a lane per (streamed slab,
+    coefficient slab) pair: the row engine's coefficient re-read is the
+    prefix of the pair's first column block.
     Host-side only, like ``loop-index-translation``; the scalar methods stay
     the block's checked definition and the other engines keep using them.
 
@@ -142,7 +145,7 @@ EXECUTOR_FILE = "executor.py"
 INDEX_TRANSLATION_CALLS = {"owner_of_dim", "global_to_local", "local_to_global",
                            "local_index_ranges"}
 BLOCK_ENGINES = {"run_reduction_column", "run_reduction_row"}
-PER_COLUMN_CALLS = {"charge_read", "charge_compute", "global_sum"}
+PER_COLUMN_CALLS = {"charge_read", "charge_compute", "global_sum", "charge_lane"}
 LANE_ENGINES = {"run_elementwise_plan"}
 #: charged slab calls; every ``charge_*`` call counts too
 PER_SLAB_CALLS = {"fetch_slab", "store_slab"}
