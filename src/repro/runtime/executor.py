@@ -1082,7 +1082,7 @@ def run_elementwise_plan(
                     ]
                     name = statement.result.array
                     blocks[name] = _ELEMENTWISE_OPS[statement.op](*operands).astype(
-                        arrays[name].dtype)
+                        arrays[name].dtype, copy=False)
                 ooc[result].local(rank).save_slab(slab, blocks[result])
 
     fused = "fused " if len(statements) > 1 else ""

@@ -9,20 +9,29 @@ Here a LAF is a real file on the host filesystem holding the local array in
 either column-major (``'F'``) or row-major (``'C'``) element order.  The
 storage order is chosen by the compiler so that the slabs it plans to read
 are contiguous on disk — this is the "reorganizing data storage on disks"
-part of the paper's optimization.  Access goes through NumPy memory maps,
-and every access reports how many contiguous file extents it touched so the
-I/O engine can charge request counts faithfully.
+part of the paper's optimization.
 
-Fast path: a LAF keeps one lazily opened, persistent ``np.memmap`` handle
-and reuses it across slab accesses instead of paying a file open plus memmap
-construction per access.  The handle is invalidated by :meth:`close` /
-:meth:`delete`; ``close`` flushes it (so writes can skip per-access ``flush``
-calls unless ``sync=True`` is requested) while ``delete`` drops it unflushed,
-because the file goes with it.  A :class:`LafHandleCache` bounds
-how many handles are simultaneously open so runs with hundreds of LAFs do
-not exhaust file descriptors; evicted handles are flushed and transparently
-reopened on the next access.  None of this changes what the simulated
-machine is charged: that is the I/O engine's business.
+Access goes through one lazily opened file descriptor per LAF, reused across
+accesses.  A slab that is one contiguous extent of the file in its storage
+order — whole columns or part of one column of an ``'F'`` file, whole rows or
+part of one row of a ``'C'`` file — moves with one positioned request: a
+``preadv`` into a fresh array in the file's order, or one ``pwrite``.  That
+covers every slab of a file laid out for its slabbing, so the file's pages
+stay in the host's page cache, not in the process.  A slab that is not one
+extent (today only a whole-program intermediate its producer wrote in the
+other orientation) goes through a memory map of the file, opened on the
+first such access and kept with the descriptor.  A short transfer raises
+:class:`~repro.exceptions.IOEngineError`; no partly filled array is ever
+returned.
+
+:meth:`~LocalArrayFile.flush` and :meth:`~LocalArrayFile.close` force
+written data to disk (``fsync``, and ``msync`` of an open map); ``delete``
+drops the descriptor unsynced, because the file goes with it.  A
+:class:`LafHandleCache` bounds how many descriptors are simultaneously open
+so runs with hundreds of LAFs do not exhaust them; an evicted descriptor is
+synced, closed and transparently reopened on the next access.  None of this
+changes what the simulated machine is charged: that is the I/O engine's
+business.
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ import os
 import uuid
 from collections import OrderedDict
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -41,15 +50,18 @@ from repro.runtime.slab import Slab
 
 __all__ = ["LafHandleCache", "LocalArrayFile"]
 
+#: rows ``[key[0], key[1])`` x columns ``[key[2], key[3])`` of a local array
+SlabKey = Tuple[int, int, int, int]
+
 
 class LafHandleCache:
-    """Bounded LRU registry of open :class:`LocalArrayFile` memmap handles.
+    """Bounded LRU registry of the open :class:`LocalArrayFile` descriptors.
 
     A virtual machine creates one cache and hands it to every LAF it owns;
-    whenever a LAF opens or touches its persistent handle it is moved to the
-    most-recently-used end, and the least-recently-used handle is released
-    (flushed and dropped, the file kept intact) once more than ``capacity``
-    handles are open.
+    whenever a LAF opens or uses its descriptor it is moved to the
+    most-recently-used end, and the least-recently-used descriptor is
+    released (synced and closed, the file kept intact) once more than
+    ``capacity`` are open.
     """
 
     def __init__(self, capacity: int = 128):
@@ -63,7 +75,7 @@ class LafHandleCache:
         return len(self._open)
 
     def touch(self, laf: "LocalArrayFile") -> None:
-        """Record that ``laf``'s handle is open and was just used."""
+        """Record that ``laf``'s descriptor is open and was just used."""
         key = id(laf)
         if key in self._open:
             self._open.move_to_end(key)
@@ -75,7 +87,7 @@ class LafHandleCache:
             victim._release_handle(unregister=False)
 
     def discard(self, laf: "LocalArrayFile") -> None:
-        """Forget ``laf`` (its handle was released by the file itself)."""
+        """Forget ``laf`` (its descriptor was released by the file itself)."""
         self._open.pop(id(laf), None)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -100,7 +112,7 @@ class LocalArrayFile:
         When true the file is created (zero-filled) if it does not exist.
     handle_cache:
         Optional :class:`LafHandleCache` bounding the number of
-        simultaneously open memmap handles across many LAFs.
+        simultaneously open descriptors across many LAFs.
     array_name / rank:
         Logical identity of this file (which array, which processor) used in
         error messages and :class:`~repro.exceptions.SlabCorruptionError`.
@@ -137,6 +149,7 @@ class LocalArrayFile:
         self.rank = rank
         self.manifest = manifest
         self._closed = False
+        self._fd: Optional[int] = None
         self._mm: Optional[np.memmap] = None
         self._handle_cache = handle_cache
         if create:
@@ -172,58 +185,88 @@ class LocalArrayFile:
         if self._closed:
             raise IOEngineError(f"local array file {self.path} is closed")
 
-    def _handle(self) -> np.memmap:
-        """The persistent read/write memmap, opened lazily and reused."""
+    def _descriptor(self) -> int:
+        """The read/write file descriptor, opened lazily and reused."""
         self._check_open()
+        if self._fd is None:
+            self._fd = os.open(self.path, os.O_RDWR)
+        if self._handle_cache is not None:
+            self._handle_cache.touch(self)
+        return self._fd
+
+    def _mapping(self) -> np.memmap:
+        """The memory map serving slabs that are not one extent of the file.
+
+        Opened with (and released with) the descriptor.  The file's size is
+        checked on every use: touching a mapped page past a truncated end
+        would kill the process instead of raising.
+        """
+        size = os.fstat(self._descriptor()).st_size
+        if size < self.nbytes:
+            raise IOEngineError(
+                f"local array file {self.label} ({self.path}) holds {size} of "
+                f"its {self.nbytes} bytes"
+            )
         if self._mm is None:
-            self._ensure_file()
             self._mm = np.memmap(
                 self.path, dtype=self.dtype, mode="r+", shape=self.shape, order=self.order
             )
-        if self._handle_cache is not None:
-            self._handle_cache.touch(self)
         return self._mm
 
-    def _release_handle(self, unregister: bool = True) -> None:
-        """Flush and drop the persistent handle; the file stays valid.
-
-        A failed flush surfaces as :class:`IOEngineError` naming the array
-        and rank — never silently, and never with the stale handle kept
-        around (the handle is dropped either way).
-        """
-        mm, self._mm = self._mm, None
+    def _sync(self) -> None:
+        """``msync`` the map and ``fsync`` the descriptor, if open."""
         try:
-            if mm is not None:
-                try:
-                    mm.flush()
-                except OSError as exc:
-                    raise IOEngineError(
-                        f"flushing local array file {self.label} ({self.path}) failed: {exc}"
-                    ) from exc
-                finally:
-                    del mm
+            if self._mm is not None:
+                self._mm.flush()
+            if self._fd is not None:
+                os.fsync(self._fd)
+        except OSError as exc:
+            raise IOEngineError(
+                f"flushing local array file {self.label} ({self.path}) failed: {exc}"
+            ) from exc
+
+    def _release_handle(self, unregister: bool = True, sync: bool = True) -> None:
+        """Sync (unless ``sync`` is false), then close the descriptor and
+        drop the map; the file stays valid.
+
+        A failed sync surfaces as :class:`IOEngineError` naming the array
+        and rank — never silently, and never with the stale descriptor kept
+        around (it is closed either way).
+        """
+        try:
+            if sync:
+                self._sync()
         finally:
+            fd, self._fd, self._mm = self._fd, None, None
+            if fd is not None:
+                os.close(fd)
             if unregister and self._handle_cache is not None:
                 self._handle_cache.discard(self)
 
+    def __del__(self) -> None:
+        # A LAF dropped without close() or delete() must not leak its
+        # descriptor; its written data is already in the page cache.
+        fd = getattr(self, "_fd", None)
+        if fd is not None:
+            os.close(fd)
+
     @property
     def handle_open(self) -> bool:
-        """True while the persistent memmap handle is open."""
-        return self._mm is not None
+        """True while the file descriptor is open."""
+        return self._fd is not None
 
     def flush(self) -> None:
-        """Force buffered writes of the open handle to disk."""
-        if self._mm is not None:
-            self._mm.flush()
+        """Force the data written so far to disk."""
+        self._sync()
 
     def exists(self) -> bool:
         return self.path.exists()
 
     def close(self) -> None:
-        """Flush, drop the handle and mark the file closed; further access raises.
+        """Sync, close the descriptor and mark the file closed; further access raises.
 
         Idempotent: the first call does the work (and surfaces any pending
-        flush failure as :class:`IOEngineError`); repeat calls are no-ops and
+        sync failure as :class:`IOEngineError`); repeat calls are no-ops and
         never re-raise.
         """
         if self._closed:
@@ -238,18 +281,16 @@ class LocalArrayFile:
                 pass
 
     def delete(self) -> None:
-        """Drop the mapping and remove the backing file and its checksum sidecar.
+        """Close the descriptor and remove the backing file and its checksum sidecar.
 
-        Nothing is written back: the dirty pages belong to a file that is
-        unlinked here, so an ``msync`` (or saving the sidecar) would be I/O
-        for data nobody can read again.  Only :meth:`close` and :meth:`flush`
-        write back, and only they can raise a flush error.  Idempotent: a
-        missing file is not an error and repeat calls are no-ops.
+        Nothing is written back: the file is unlinked here, so an ``fsync``
+        (or saving the sidecar) would be I/O for data nobody can read again.
+        Only :meth:`close` and :meth:`flush` write back, and only they can
+        raise a sync error.  Idempotent: a missing file is not an error and
+        repeat calls are no-ops.
         """
         self._closed = True
-        self._mm = None
-        if self._handle_cache is not None:
-            self._handle_cache.discard(self)
+        self._release_handle(sync=False)
         manifest, self.manifest = self.manifest, None
         self.path.unlink(missing_ok=True)
         if manifest is not None and manifest.path is not None:
@@ -261,15 +302,71 @@ class LocalArrayFile:
             self.manifest.save()
 
     # ------------------------------------------------------------------
-    # whole-array access
+    # positioned access
     # ------------------------------------------------------------------
-    def write_full(self, data: np.ndarray, sync: bool = False) -> None:
-        """Write the entire local array to the file.
+    def _extent(self, key: SlabKey) -> Optional[Tuple[int, int]]:
+        """``(byte offset, byte length)`` of ``key`` when it is one contiguous
+        extent of the file in its storage order, else ``None``."""
+        r0, r1, c0, c1 = key
+        rows, cols = self.shape
+        if self.order == "F":
+            if c1 - c0 > 1 and (r0, r1) != (0, rows):
+                return None
+            first = c0 * rows + r0
+        else:
+            if r1 - r0 > 1 and (c0, c1) != (0, cols):
+                return None
+            first = r0 * cols + c0
+        size = self.dtype.itemsize
+        return first * size, (r1 - r0) * (c1 - c0) * size
 
-        Writes land in the persistent memory map; ``sync=True`` forces them
-        to disk immediately, otherwise they are flushed at the latest in
-        :meth:`close` (or when the handle cache evicts the handle).
-        """
+    def _runs(self, key: SlabKey) -> Iterator[Tuple[int, int]]:
+        """``(byte offset, byte length)`` of each contiguous run of ``key``:
+        one per column of an ``'F'`` file, one per row of a ``'C'`` file."""
+        r0, r1, c0, c1 = key
+        if self.order == "F":
+            lines, (lo, hi), width = range(c0, c1), (r0, r1), self.shape[0]
+        else:
+            lines, (lo, hi), width = range(r0, r1), (c0, c1), self.shape[1]
+        size = self.dtype.itemsize
+        for line in lines:
+            yield (line * width + lo) * size, (hi - lo) * size
+
+    def _short(self, kind: str, done: int, wanted: int, offset: int) -> IOEngineError:
+        return IOEngineError(
+            f"short {kind} of local array file {self.label} ({self.path}): "
+            f"{done} of {wanted} bytes at offset {offset}"
+        )
+
+    def _read(self, key: SlabKey) -> np.ndarray:
+        """Rows/columns ``key`` of the file, freshly allocated in the file's order."""
+        shape = (key[1] - key[0], key[3] - key[2])
+        extent = self._extent(key)
+        if extent is None:
+            return np.array(self._mapping()[key[0]:key[1], key[2]:key[3]])
+        offset, nbytes = extent
+        out = np.empty(shape[0] * shape[1], dtype=self.dtype)
+        done = os.preadv(self._descriptor(), [out], offset)
+        if done != nbytes:
+            raise self._short("read", done, nbytes, offset)
+        return out.reshape(shape, order=self.order)
+
+    def _write(self, key: SlabKey, data: np.ndarray) -> None:
+        """Store ``data`` (already of the file's dtype) at rows/columns ``key``."""
+        extent = self._extent(key)
+        if extent is None:
+            self._mapping()[key[0]:key[1], key[2]:key[3]] = data
+            return
+        offset, nbytes = extent
+        done = os.pwrite(self._descriptor(), np.ravel(data, order=self.order), offset)
+        if done != nbytes:
+            raise self._short("write", done, nbytes, offset)
+
+    # ------------------------------------------------------------------
+    # whole-array and column access
+    # ------------------------------------------------------------------
+    def write_full(self, data: np.ndarray) -> None:
+        """Write the entire local array to the file with one positioned write."""
         data = np.asarray(data, dtype=self.dtype)
         if data.shape != self.shape:
             raise IOEngineError(
@@ -280,31 +377,19 @@ class LocalArrayFile:
         if self.nelements == 0:
             self._check_open()
             return
-        mm = self._handle()
-        mm[...] = data
-        if sync:
-            mm.flush()
-
-    def read_full(self) -> np.ndarray:
-        """Read the entire local array from the file (verifying every checksum)."""
-        if self.nelements == 0:
-            self._check_open()
-            return np.zeros(self.shape, dtype=self.dtype)
-        data = np.array(self._handle())
-        self._verify_against_manifest(data)
-        return data
+        self._write((0, self.shape[0], 0, self.shape[1]), data)
 
     def column_view(self, start: int, stop: int) -> np.ndarray:
-        """Local columns ``[start, stop)``, every row, as a view of the file.
+        """Local columns ``[start, stop)``, every row, freshly read from the file.
 
-        No copy and no checksum check: the caller audits the file first
-        (:meth:`verify_checksums`) and copies the view out, as
+        No checksum check: the caller audits the file first
+        (:meth:`verify_checksums`), as
         :meth:`~repro.runtime.vm.OutOfCoreArray.column_reader` does.
         """
         if self.nelements == 0:
             self._check_open()
             return np.zeros((self.shape[0], stop - start), dtype=self.dtype)
-        return self._handle()[:, start:stop]
+        return self._read((0, self.shape[0], start, stop))
 
     # ------------------------------------------------------------------
     # slab access
@@ -324,40 +409,38 @@ class LocalArrayFile:
         if slab.nelements == 0:
             self._check_open()
             return np.zeros(slab.shape, dtype=self.dtype)
-        data = np.array(self._handle()[slab.row_slice, slab.col_slice])
+        key = self._slab_key(slab)
+        data = self._read(key)
         if self.manifest is not None and self.manifest.verifiable:
-            key = self._slab_key(slab)
             if self.manifest.matches(key, data) is False:
                 raise self._corruption_error(key)
         return data
 
-    def write_slab(self, slab: Slab, data: np.ndarray, sync: bool = False) -> None:
-        """Write one slab back to the file (flushed by ``close`` unless ``sync``)."""
+    def write_slab(self, slab: Slab, data: np.ndarray) -> None:
+        """Write one slab back to the file (forced to disk by ``flush`` / ``close``)."""
         self._check_slab(slab)
         data = np.asarray(data, dtype=self.dtype)
         if data.shape != slab.shape:
             raise IOEngineError(
                 f"write_slab: data shape {data.shape} does not match {slab.describe()}"
             )
+        key = self._slab_key(slab)
         if self.manifest is not None:
-            self.manifest.record(self._slab_key(slab), slab_checksum(data))
+            self.manifest.record(key, slab_checksum(data))
         if slab.nelements == 0:
             self._check_open()
             return
-        mm = self._handle()
-        mm[slab.row_slice, slab.col_slice] = data
-        if sync:
-            mm.flush()
+        self._write(key, data)
 
     # ------------------------------------------------------------------
     # integrity
     # ------------------------------------------------------------------
     @staticmethod
-    def _slab_key(slab: Slab) -> Tuple[int, int, int, int]:
+    def _slab_key(slab: Slab) -> SlabKey:
         return (int(slab.row_start), int(slab.row_stop),
                 int(slab.col_start), int(slab.col_stop))
 
-    def _corruption_error(self, key: Tuple[int, int, int, int]) -> SlabCorruptionError:
+    def _corruption_error(self, key: SlabKey) -> SlabCorruptionError:
         return SlabCorruptionError(
             f"checksum mismatch reading rows [{key[0]}, {key[1]}) x "
             f"cols [{key[2]}, {key[3]}) of local array file {self.label} ({self.path})",
@@ -366,17 +449,8 @@ class LocalArrayFile:
             slab_key=key,
         )
 
-    def _verify_against_manifest(self, full: np.ndarray) -> None:
-        """Check every recorded slab checksum against in-memory full data."""
-        if self.manifest is None or not self.manifest.verifiable:
-            return
-        for key, expected in self.manifest.entries.items():
-            piece = full[key[0]:key[1], key[2]:key[3]]
-            if slab_checksum(piece) != expected:
-                raise self._corruption_error(key)
-
     def verify_checksums(self) -> int:
-        """Re-read the file and verify every recorded slab checksum.
+        """Re-read every recorded slab's extent and verify its checksum.
 
         Returns the number of slabs verified; raises
         :class:`~repro.exceptions.SlabCorruptionError` on the first mismatch.
@@ -385,11 +459,14 @@ class LocalArrayFile:
         if self.manifest is None or not self.manifest.verifiable or not self.manifest.entries:
             return 0
         if self.nelements:
-            self._verify_against_manifest(np.asarray(self._handle()))
+            for key, expected in self.manifest.entries.items():
+                if slab_checksum(self._read(key)) != expected:
+                    raise self._corruption_error(key)
         return len(self.manifest.entries)
 
     def _inject_corruption(self, slab: Slab, mode: str) -> None:
-        """Damage the just-written slab on disk (fault injection only).
+        """Damage the just-written slab on disk with positioned writes
+        (fault injection only).
 
         ``"torn"`` loses the trailing half of the slab's rows (single-row
         slabs lose trailing columns); ``"bitflip"`` flips every bit of one
@@ -398,27 +475,20 @@ class LocalArrayFile:
         """
         if slab.nelements == 0:
             return
+        fd = self._descriptor()
+        r0, r1, c0, c1 = self._slab_key(slab)
         if mode == "torn":
-            mm = self._handle()
-            rows = slab.row_stop - slab.row_start
-            if rows > 1:
-                mm[slab.row_start + rows // 2:slab.row_stop, slab.col_slice] = 0
+            if r1 - r0 > 1:
+                lost = (r0 + (r1 - r0) // 2, r1, c0, c1)
             else:
-                cols = slab.col_stop - slab.col_start
-                mm[slab.row_slice, slab.col_start + cols // 2:slab.col_stop] = 0
+                lost = (r0, r1, c0 + (c1 - c0) // 2, c1)
+            for offset, nbytes in self._runs(lost):
+                os.pwrite(fd, bytes(nbytes), offset)
         elif mode == "bitflip":
-            # A separate byte-level MAP_SHARED view of the same file is
-            # coherent with the typed handle; XOR one byte of the slab's
-            # first element.
-            if self.order == "F":
-                element = slab.col_start * self.shape[0] + slab.row_start
-            else:
-                element = slab.row_start * self.shape[1] + slab.col_start
-            raw = np.memmap(self.path, dtype=np.uint8, mode="r+")
-            try:
-                raw[element * self.dtype.itemsize] ^= 0xFF
-            finally:
-                del raw
+            # one byte of the slab's first element
+            offset, _ = next(self._runs((r0, r0 + 1, c0, c0 + 1)))
+            byte = os.pread(fd, 1, offset)
+            os.pwrite(fd, bytes([byte[0] ^ 0xFF]), offset)
         else:  # pragma: no cover - injector only emits the two modes above
             raise IOEngineError(f"unknown corruption mode {mode!r}")
 

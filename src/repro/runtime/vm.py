@@ -94,9 +94,11 @@ class OutOfCoreArray:
         is read.  The returned function takes a step-1 ``slice`` of global
         columns and returns them, freshly allocated in the array's dtype:
         each owner contributes the contiguous run of its local columns that
-        falls in the panel (a memmap slice of its file, F or C order), placed
-        with the owned slices of :meth:`ArrayDescriptor.local_slices` — or
-        with their index arrays for ``CYCLIC(k)``.
+        falls in the panel (:meth:`LocalArrayFile.column_view`, a fresh
+        array in its file's order), placed with the owned slices of
+        :meth:`ArrayDescriptor.local_slices` — or with their index arrays
+        for ``CYCLIC(k)``.  An owner holding the whole panel returns its
+        read as the panel.
         """
         self.verify_checksums()
         descriptor = self.descriptor
@@ -114,6 +116,8 @@ class OutOfCoreArray:
                 if first == last:
                     continue
                 block = laf.column_view(first, last)
+                if block.shape == out.shape:
+                    return block
                 if isinstance(owned_cols, slice):
                     # the owned columns in the panel are strided: one view
                     where = slice(columns[first] - start, columns[last - 1] - start + 1,
@@ -182,8 +186,8 @@ class VirtualMachine:
         # off by default so independent runs on one VM keep the historical
         # duplicate-array guard instead of silently reading stale LAF data.
         self.allow_array_reuse = False
-        # Bounds how many persistent LAF memmap handles stay open at once so
-        # runs with hundreds of LAFs cannot exhaust file descriptors.
+        # Bounds how many LAF file descriptors stay open at once so runs
+        # with hundreds of LAFs cannot exhaust them.
         self.handle_cache = LafHandleCache(capacity=max_open_handles)
         self._scratch: Optional[Path] = None
         self.journal: Optional[CheckpointJournal] = None

@@ -1,10 +1,12 @@
 """Tests for the fast-path execution engine.
 
-Covers the persistent LAF memmap handles and their LRU cache, the
+Covers the persistent LAF descriptors and their LRU cache, the
 charge-only re-read used by the batched engines, the parallel cached sweep
 driver, and the cost-model fix for single-operand statements.
 """
 
+import os
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -25,12 +27,19 @@ from repro.runtime import (
     SlabbingStrategy,
     VirtualMachine,
 )
+from repro.runtime import laf as laf_module
 from repro.runtime.executor import run_reduction_row
 
 
 # ---------------------------------------------------------------------------
-# persistent handles and the LRU handle cache
+# persistent descriptors and the LRU handle cache
 # ---------------------------------------------------------------------------
+def read_whole(laf):
+    """The whole local array, read as one slab."""
+    return laf.read_slab(Slab(index=0, row_start=0, row_stop=laf.shape[0],
+                              col_start=0, col_stop=laf.shape[1]))
+
+
 class TestPersistentHandles:
     def test_handle_is_reused_across_accesses(self, tmp_path):
         laf = LocalArrayFile(tmp_path / "x.dat", (8, 6), np.float32)
@@ -38,36 +47,49 @@ class TestPersistentHandles:
         assert not laf.handle_open
         laf.write_full(np.arange(48, dtype=np.float32).reshape(8, 6))
         assert laf.handle_open
-        first = laf._mm
+        first = laf._fd
         laf.read_slab(slab)
-        laf.read_full()
-        assert laf._mm is first  # no re-open between accesses
+        laf.column_view(2, 5)
+        read_whole(laf)
+        assert laf._fd == first  # no re-open between accesses
+        assert laf._mm is None  # every access was one extent: nothing mapped
 
     def test_close_flushes_and_invalidates(self, tmp_path):
         laf = LocalArrayFile(tmp_path / "x.dat", (4, 4), np.float64)
         data = np.arange(16, dtype=np.float64).reshape(4, 4)
-        laf.write_full(data)  # sync=False: flushed by close()
+        laf.write_full(data)  # forced to disk by close()
         laf.close()
         assert not laf.handle_open
         with pytest.raises(IOEngineError):
-            laf.read_full()
+            read_whole(laf)
         on_disk = np.fromfile(tmp_path / "x.dat", dtype=np.float64).reshape(4, 4, order="F")
         np.testing.assert_array_equal(on_disk, data)
 
-    def test_sync_writes_flush_immediately(self, tmp_path):
+    def test_flush_forces_writes_to_disk(self, tmp_path, monkeypatch):
+        synced = []
+        fsync = laf_module.os.fsync
+        monkeypatch.setattr(laf_module.os, "fsync", lambda fd: (synced.append(fd), fsync(fd)))
         laf = LocalArrayFile(tmp_path / "x.dat", (4, 4), np.float32, order="C")
-        laf.write_full(np.zeros((4, 4), dtype=np.float32), sync=True)
+        laf.write_full(np.zeros((4, 4), dtype=np.float32))
         slab = Slab(index=0, row_start=1, row_stop=3, col_start=0, col_stop=4)
-        laf.write_slab(slab, np.ones((2, 4), dtype=np.float32), sync=True)
+        laf.write_slab(slab, np.ones((2, 4), dtype=np.float32))
+        assert synced == []  # writes alone never sync
+        laf.flush()
+        assert synced == [laf._fd]
         on_disk = np.fromfile(tmp_path / "x.dat", dtype=np.float32).reshape(4, 4)
         assert on_disk[1:3].sum() == 8
+        laf.delete()
+        assert len(synced) == 1  # delete writes nothing back
 
     def test_delete_invalidates_handle_and_file(self, tmp_path):
         laf = LocalArrayFile(tmp_path / "x.dat", (4, 4))
         laf.write_full(np.ones((4, 4)))
         assert laf.handle_open
+        fd = laf._fd
         laf.delete()
         assert not laf.handle_open
+        with pytest.raises(OSError):
+            os.fstat(fd)  # the descriptor itself is closed
         assert not laf.exists()
         with pytest.raises(IOEngineError):
             laf.read_slab(Slab(index=0, row_start=0, row_stop=1, col_start=0, col_stop=1))
@@ -87,8 +109,8 @@ class TestPersistentHandles:
         assert cache.evictions == 1
         assert not lafs[0].handle_open  # least recently used was evicted
         assert lafs[1].handle_open and lafs[2].handle_open
-        # Evicted handle was flushed; access transparently reopens it.
-        np.testing.assert_array_equal(lafs[0].read_full(), np.zeros((4, 4)))
+        # The evicted descriptor was closed; access transparently reopens it.
+        np.testing.assert_array_equal(read_whole(lafs[0]), np.zeros((4, 4)))
         assert lafs[0].handle_open
         assert not lafs[1].handle_open  # reopening 0 evicted the next LRU
         for laf in lafs:
@@ -106,9 +128,75 @@ class TestPersistentHandles:
         vm = VirtualMachine(2, compiled.params, RunConfig(scratch_dir=tmp_path))
         ones = np.ones((32, 32), dtype=np.float32)
         run_reduction_row(vm, compiled, {"a": ones, "b": ones}, verify=False)
+        lafs = [ocla.laf for array in vm.arrays.values() for ocla in array]
         assert len(vm.handle_cache) > 0
         vm.cleanup()
         assert len(vm.handle_cache) == 0
+        assert not any(laf.handle_open for laf in lafs)
+
+    def test_only_a_slab_that_is_not_one_extent_is_mapped(self, tmp_path):
+        laf = LocalArrayFile(tmp_path / "x.dat", (8, 6), np.float32)  # F order
+        data = np.arange(48, dtype=np.float32).reshape(8, 6)
+        laf.write_full(data)
+        one_extent = (
+            Slab(index=0, row_start=0, row_stop=8, col_start=1, col_stop=4),  # whole columns
+            Slab(index=1, row_start=2, row_stop=7, col_start=3, col_stop=4),  # part of one
+        )
+        for slab in one_extent:
+            np.testing.assert_array_equal(laf.read_slab(slab), data[slab.row_slice, slab.col_slice])
+        assert laf._mm is None
+        rows = Slab(index=2, row_start=2, row_stop=4, col_start=0, col_stop=6)
+        np.testing.assert_array_equal(laf.read_slab(rows), data[2:4])
+        assert laf._mm is not None  # a row slab of an F file is strided
+        laf.close()
+        assert laf._mm is None
+
+    def test_short_write_raises_with_identity(self, tmp_path, monkeypatch):
+        laf = LocalArrayFile(tmp_path / "x.dat", (4, 4), np.float32, array_name="x", rank=1)
+        monkeypatch.setattr(laf_module.os, "pwrite", lambda fd, data, offset: 3)
+        with pytest.raises(IOEngineError, match=r"short write .*x\[p1\].*3 of 64 bytes"):
+            laf.write_full(np.ones((4, 4), dtype=np.float32))
+
+
+def test_truncated_file_raises_with_identity_on_read(tmp_path):
+    laf = LocalArrayFile(tmp_path / "x.dat", (8, 4), np.float32, array_name="x", rank=2)
+    laf.write_full(np.ones((8, 4), dtype=np.float32))
+    os.truncate(laf.path, 40)  # behind the file's back: 10 of its 32 elements left
+    column = Slab(index=0, row_start=0, row_stop=8, col_start=1, col_stop=2)
+    with pytest.raises(IOEngineError, match=r"short read .*x\[p2\].*8 of 32 bytes"):
+        laf.read_slab(column)
+    rows = Slab(index=1, row_start=0, row_stop=2, col_start=0, col_stop=4)  # mapped path
+    with pytest.raises(IOEngineError, match=r"x\[p2\].*holds 40 of its 128 bytes"):
+        laf.read_slab(rows)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs Linux /proc")
+def test_engines_map_no_local_array_file(tmp_path):
+    """The column and row GAXPY, elementwise and transpose engines move every
+    slab with positioned requests: with the VM still open, the process maps
+    no file of its scratch directory."""
+    from repro.core import compile_gaxpy
+    from repro.core.ir import build_elementwise_ir, build_transpose_ir
+    from repro.core.pipeline import compile_program
+    from repro.runtime.executor import (
+        run_elementwise_plan,
+        run_reduction_column,
+        run_transpose_plan,
+    )
+    from repro.runtime.operands import input_operands
+
+    runs = [
+        (run_reduction_column, compile_gaxpy(32, 2, slab_ratio=0.25, force_strategy="column")),
+        (run_reduction_row, compile_gaxpy(32, 2, slab_ratio=0.25, force_strategy="row")),
+        (run_elementwise_plan, compile_program(build_elementwise_ir(32, 2), slab_ratio=0.25)),
+        (run_transpose_plan, compile_program(build_transpose_ir(32, 2), slab_ratio=0.25)),
+    ]
+    for engine, compiled in runs:
+        inputs = input_operands(compiled.program, 3)
+        with VirtualMachine(2, compiled.params, RunConfig(scratch_dir=tmp_path)) as vm:
+            assert engine(vm, compiled, inputs).verified is True
+            maps = Path("/proc/self/maps").read_text()
+            assert str(vm.work_dir) not in maps, engine.__name__
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +220,7 @@ def test_slab_round_trip_preserves_data_in_both_orders(tmp_path, order):
         expected[slab.row_slice, slab.col_slice] = patch
     laf.close()
     reopened = LocalArrayFile(tmp_path / "x.dat", (8, 6), np.float64, order=order)
-    np.testing.assert_array_equal(reopened.read_full(), expected)
+    np.testing.assert_array_equal(read_whole(reopened), expected)
 
 
 # ---------------------------------------------------------------------------

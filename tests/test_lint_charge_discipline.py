@@ -34,6 +34,23 @@ class TestIOConfinement:
                        "executor.py")
         assert [v.rule for v in out] == ["io-confinement"]
 
+    def test_positioned_io_and_mmap_are_flagged(self):
+        source = ("import mmap, os\n"
+                  "os.pwrite(fd, data, 0)\n"
+                  "os.preadv(fd, [buf], 0)\n"
+                  "os.read(fd, 8)\n"
+                  "m = mmap.mmap(fd, 0)")
+        out = findings(lint.check_io_confinement, source, "executor.py")
+        assert [v.line for v in out] == [2, 3, 4, 5]
+        assert {v.rule for v in out} == {"io-confinement"}
+
+    def test_positioned_io_in_laf_and_same_names_elsewhere_pass(self):
+        source = "import os\nos.pwrite(fd, data, 0)\nos.preadv(fd, [buf], 0)"
+        assert findings(lint.check_io_confinement, source, "laf.py") == []
+        # a stream's or a pipe object's read/write is not a descriptor call
+        assert findings(lint.check_io_confinement,
+                        "conn.write(b'x')\nbody = stream.read()", "worker.py") == []
+
     def test_engine_files_are_exempt(self):
         assert findings(lint.check_io_confinement,
                         "handle = open('x.bin', 'wb')", "laf.py") == []

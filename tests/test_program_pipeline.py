@@ -316,7 +316,6 @@ class TestProgramExecution:
         reads = []
         for owner, method in ((VirtualMachine, "to_dense"),
                               (OutOfCoreArray, "column_reader"),
-                              (LocalArrayFile, "read_full"),
                               (LocalArrayFile, "column_view")):
             monkeypatch.setattr(owner, method, lambda *args, _m=method: reads.append(_m))
         with VirtualMachine(NPROCS, compiled.params, RunConfig(scratch_dir=tmp_path)) as vm:

@@ -28,6 +28,7 @@ from repro.resilience import (
     reap_scratch,
     slab_checksum,
 )
+from repro.runtime import laf as laf_module
 from repro.runtime.laf import LocalArrayFile
 from repro.runtime.slab import Slab
 from repro.runtime.vm import VirtualMachine
@@ -115,8 +116,10 @@ class TestLafIntegrity:
         raw[0] ^= 0xFF
         del raw
         with pytest.raises(SlabCorruptionError) as err:
-            laf.read_full()
+            laf.read_slab(_slab(0, 8, 0, 8))
         assert err.value.array == "x" and err.value.rank == 0
+        with pytest.raises(SlabCorruptionError):
+            laf.verify_checksums()
 
     def test_injected_torn_write_is_detected(self, tmp_path):
         laf = self._laf(tmp_path)
@@ -186,12 +189,15 @@ class TestCloseDelete:
         )
         laf.write_full(np.zeros((4, 4), dtype=np.float32))
         monkeypatch.setattr(
-            type(laf._mm), "flush",
-            lambda self: (_ for _ in ()).throw(OSError("disk gone")),
+            laf_module.os, "fsync",
+            lambda fd: (_ for _ in ()).throw(OSError("disk gone")),
         )
         with pytest.raises(IOEngineError, match=r"a\[p3\].*disk gone"):
+            laf.flush()
+        assert laf.handle_open  # a failed flush keeps the file usable
+        with pytest.raises(IOEngineError, match=r"a\[p3\].*disk gone"):
             laf.close()
-        # The handle is dropped either way, and repeat closes stay silent.
+        # The descriptor is closed either way, and repeat closes stay silent.
         assert not laf.handle_open
         laf.close()
 
@@ -203,8 +209,8 @@ class TestCloseDelete:
         """
         flushes = []
 
-        def failing_flush(self):
-            flushes.append(self)
+        def failing_flush(fd):
+            flushes.append(fd)
             raise OSError("disk gone")
 
         def dirty_laf(name):
@@ -216,7 +222,7 @@ class TestCloseDelete:
             return laf
 
         doomed, kept = dirty_laf("doomed.dat"), dirty_laf("kept.dat")
-        monkeypatch.setattr(type(doomed._mm), "flush", failing_flush)
+        monkeypatch.setattr(laf_module.os, "fsync", failing_flush)
         doomed.delete()
         assert flushes == []
         assert not doomed.handle_open
@@ -224,7 +230,7 @@ class TestCloseDelete:
         assert not (tmp_path / "doomed.dat.sums.json").exists()  # never saved either
         doomed.delete()  # idempotent
         with pytest.raises(IOEngineError, match="closed"):
-            doomed.read_full()
+            doomed.read_slab(_slab(0, 4, 0, 4))
         # close() still writes back, and still names array and rank on failure.
         with pytest.raises(IOEngineError, match=r"a\[p0\].*disk gone"):
             kept.close()

@@ -144,9 +144,9 @@ class TestProgramRecovery:
         writes = []
         write_full = LocalArrayFile.write_full
 
-        def recording(laf, data, sync=False):
+        def recording(laf, data):
             writes.append((laf.array_name, laf.rank))
-            return write_full(laf, data, sync)
+            return write_full(laf, data)
 
         monkeypatch.setattr(LocalArrayFile, "write_full", recording)
 

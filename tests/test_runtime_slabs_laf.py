@@ -105,12 +105,18 @@ class TestSlabbing:
 # ---------------------------------------------------------------------------
 # LocalArrayFile
 # ---------------------------------------------------------------------------
+def read_whole(laf):
+    """The whole local array, read as one slab."""
+    return laf.read_slab(Slab(index=0, row_start=0, row_stop=laf.shape[0],
+                              col_start=0, col_stop=laf.shape[1]))
+
+
 class TestLocalArrayFile:
     def test_round_trip_full(self, tmp_path):
         laf = LocalArrayFile(tmp_path / "x.dat", (8, 6), np.float32)
         data = np.arange(48, dtype=np.float32).reshape(8, 6)
         laf.write_full(data)
-        np.testing.assert_array_equal(laf.read_full(), data)
+        np.testing.assert_array_equal(read_whole(laf), data)
 
     def test_round_trip_slab(self, tmp_path):
         laf = LocalArrayFile(tmp_path / "x.dat", (8, 6), np.float64, order="C")
@@ -119,7 +125,7 @@ class TestLocalArrayFile:
         slab = Slab(index=1, row_start=2, row_stop=5, col_start=1, col_stop=4)
         np.testing.assert_array_equal(laf.read_slab(slab), data[2:5, 1:4])
         laf.write_slab(slab, np.zeros((3, 3)))
-        updated = laf.read_full()
+        updated = read_whole(laf)
         assert np.all(updated[2:5, 1:4] == 0)
         assert updated[0, 0] == 0.0 or updated[0, 1] == 1.0  # untouched region preserved
 
@@ -140,7 +146,7 @@ class TestLocalArrayFile:
         laf = LocalArrayFile(tmp_path / "x.dat", (4, 4))
         laf.close()
         with pytest.raises(IOEngineError):
-            laf.read_full()
+            read_whole(laf)
 
     def test_delete_removes_file(self, tmp_path):
         laf = LocalArrayFile(tmp_path / "x.dat", (4, 4))
@@ -161,7 +167,7 @@ class TestLocalArrayFile:
         rng = np.random.default_rng(rows * 100 + cols)
         data = rng.standard_normal((rows, cols))
         laf.write_full(data)
-        np.testing.assert_allclose(laf.read_full(), data)
+        np.testing.assert_allclose(read_whole(laf), data)
         laf.delete()
 
 

@@ -8,7 +8,9 @@ charged engines and no charge depends on the host.  This linter enforces the
 discipline statically (stdlib ``ast`` only, no third-party dependencies):
 
 ``io-confinement``
-    Raw file access (``open``, ``os.open``, ``np.memmap``, ``np.save``,
+    Raw file access (``open``, ``os.open``, the positioned and plain
+    descriptor calls ``os.pread`` / ``preadv`` / ``pwrite`` / ``pwritev`` /
+    ``read`` / ``write``, ``mmap.mmap``, ``np.memmap``, ``np.save``,
     ``np.load``, ``Path.read_bytes``/``write_bytes``) inside
     ``src/repro/runtime/`` is allowed only in ``io_engine.py`` and ``laf.py``
     — anywhere else it would move bytes the machine never charges.
@@ -138,6 +140,8 @@ RAW_IO_NAMES = {"open", "read_bytes", "write_bytes", "open_memmap"}
 #: (``SlabManifest.load``, an in-memory ``load``, is not file I/O)
 NUMPY_IO_NAMES = {"memmap", "save", "load", "savez", "fromfile", "tofile"}
 NUMPY_ALIASES = {"np", "numpy"}
+#: ``os`` descriptor calls — only when called off the ``os`` module
+OS_IO_NAMES = {"open", "pread", "preadv", "pwrite", "pwritev", "read", "write"}
 WALL_CLOCK_CALLS = {"time", "perf_counter", "perf_counter_ns", "monotonic",
                     "monotonic_ns", "now", "utcnow", "clock_gettime"}
 RETRY_EXCEPTIONS = {"TransientIOError", "OSError", "IOError"}
@@ -219,7 +223,9 @@ def check_io_confinement(tree: ast.AST, path: Path) -> Iterator[Violation]:
                 raw = True
             elif name in RAW_IO_NAMES:
                 raw = True
-            elif name == "open" and qualifier == "os":
+            elif name in OS_IO_NAMES and qualifier == "os":
+                raw = True
+            elif name == "mmap" and qualifier == "mmap":
                 raw = True
         if raw:
             yield Violation(
