@@ -110,9 +110,10 @@ ab:
 # (tools/charged_dump.py: the check-plans sets, the reduction engines, the
 # refused set, a processes-backend point, seeded faults; EXECUTE and
 # ESTIMATE) charged by PARENT's src/ and by this tree's, then the first
-# differing checked field per configuration and one line counting the
-# configurations whose data fields (result sha256, max_abs_error) alone
-# differ.  Prints no per-configuration line when no charged number moved.
+# differing checked field per configuration, then one summary line: how
+# many configurations were compared, how many differ in a checked field and
+# how many in data fields (result sha256, max_abs_error) only.  Prints no
+# per-configuration line when no charged number moved.
 #   make diff-parent PARENT=../parent
 diff-parent:
 	@dir=$$(mktemp -d) && \

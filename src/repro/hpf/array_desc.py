@@ -8,7 +8,7 @@ compiler and runtime need:
 * which processor owns a global element (*owner computes* rule),
 * how a global index translates into the owner's local index and back,
 * the shape of the local array on every processor, and
-* how a dense global array is scattered into local arrays / gathered back.
+* how a dense global array is scattered into local arrays.
 
 For the paper's program the descriptors of ``A`` and ``C`` report a
 *column-block* distribution and the descriptor of ``B`` a *row-block*
@@ -295,7 +295,7 @@ class ArrayDescriptor:
         return index
 
     # ------------------------------------------------------------------
-    # scatter / gather of dense data
+    # scatter of dense data
     # ------------------------------------------------------------------
     def local_part(self, source, rank: int) -> np.ndarray:
         """``rank``'s local array cut out of ``source``, in the descriptor's dtype.
@@ -325,21 +325,6 @@ class ArrayDescriptor:
             rank: np.array(self.local_part(global_array, rank), order="C")
             for rank in (range(self.nprocs) if ranks is None else ranks)
         }
-
-    def gather(self, local_arrays: Dict[int, np.ndarray]) -> np.ndarray:
-        """Reassemble a dense global array from per-processor local arrays."""
-        out = np.zeros(self.shape, dtype=self.dtype)
-        for rank in range(self.nprocs):
-            if rank not in local_arrays:
-                raise DistributionError(f"gather: missing local array for rank {rank}")
-            expected = self.local_shape(rank)
-            local = np.asarray(local_arrays[rank])
-            if local.shape != expected:
-                raise DistributionError(
-                    f"gather: rank {rank} local shape {local.shape} does not match expected {expected}"
-                )
-            out[self._local_selector(rank)] = local
-        return out
 
     # ------------------------------------------------------------------
     # descriptions

@@ -209,6 +209,7 @@ def _reference_panels(program: "ProgramIR", env: Dict[str, np.ndarray]) -> _Pane
             for _, cols, panel in panels:
                 env[name][:, cols] = panel
                 yield name, cols, panel
+                del panel
         else:
             yield from panels
         for operand in [n for n, reader in last_reader.items() if reader == index]:
@@ -296,8 +297,9 @@ def _fold_panels(
     (:meth:`~repro.runtime.vm.OutOfCoreArray.column_reader`, checksums
     audited first) — the reference panel is overwritten with its own error,
     and only the verdict and each array's running maximum error and
-    reference scale outlive them.  Elementwise and
-    transpose results are compared like ``np.allclose``
+    reference scale outlive them: both panels are dropped before the oracle
+    computes the next one, so one reference panel is alive at a time.
+    Elementwise and transpose results are compared like ``np.allclose``
     (:func:`_panel_close`).  Reductions and whole programs bound the maximum
     absolute error relative to the reference's scale and report it:
     ``1e-3`` for a lone reduction, and per array of a whole program ``1e-3``
@@ -315,17 +317,21 @@ def _fold_panels(
     scale = dict.fromkeys(outputs, 0.0)
     unchecked = set(outputs)
     for name, cols, reference in panels:
-        if name not in read:
-            continue
-        unchecked.discard(name)
-        got = read[name](cols)
-        if allclose is not None:
-            close = close and _panel_close(got, reference, allclose)
-            continue
-        scale[name] = np.maximum(scale[name], np.maximum(reference.max(), -reference.min()))
-        np.subtract(reference, got, out=reference)
-        np.abs(reference, out=reference)
-        error[name] = np.maximum(error[name], reference.max())
+        if name in read:
+            unchecked.discard(name)
+            got = read[name](cols)
+            if allclose is not None:
+                close = close and _panel_close(got, reference, allclose)
+            else:
+                scale[name] = np.maximum(
+                    scale[name], np.maximum(reference.max(), -reference.min())
+                )
+                np.subtract(reference, got, out=reference)
+                np.abs(reference, out=reference)
+                error[name] = np.maximum(error[name], reference.max())
+            del got
+        # dropped before the oracle computes the next panel
+        del reference
     if unchecked:
         raise RuntimeExecutionError(f"the oracle computes no array named {sorted(unchecked)}")
     if allclose is not None:
@@ -358,9 +364,10 @@ def verify_outputs(
     inputs, streamed in column panels (:func:`_reference_panels`) so that it
     allocates the float64 copy of a reduction's streamed operand (the one
     operand drawn whole), the intermediates later statements still read and
-    a constant number of panels — never a whole reference, difference or
-    result.  Returns ``(verified, max_abs_error)`` under the statement
-    kind's tolerance (:func:`_fold_panels`).
+    one reference panel with the output panel compared against it — never a
+    whole reference, difference or result.  Returns ``(verified,
+    max_abs_error)`` under the statement kind's tolerance
+    (:func:`_fold_panels`).
     """
     from repro.core.pipeline import CompiledWholeProgram
 
@@ -566,33 +573,33 @@ def _reduce_column_block(
     steps: Dict[int, list],
     products: Dict[int, np.ndarray],
     first_col: int,
-    buffers: Dict[int, np.ndarray],
+    destination: Optional[np.ndarray],
     *,
     rows: int,
     itemsize: int,
     prefix: Optional[Dict[int, list]] = None,
 ) -> None:
-    """Charge one column block, sum it and deliver it to its owner's buffer.
+    """Charge one column block, sum it and deliver it to its owner.
 
     ``products[rank][:, j - first_col]`` is the rank's contribution to global
     result column ``j`` (EXECUTE only); the summed ``rows x ncols`` block is
-    assigned to the owner's local columns in ``buffers`` in one go.
+    assigned to ``destination`` — the owner's buffer columns it lands in,
+    ``None`` where this process does not hold the owner — in one go.
     ``prefix`` holds each rank's one-off steps charged before the block's
     first column.
     """
-    lo, hi, owner, local_lo = block
-    perform = vm.perform_io
+    lo, hi, _, _ = block
     summed = vm.comm.global_sum_columns(
         {rank: products[rank][:, lo - first_col: hi - first_col] for rank in vm.ranks}
-        if perform else None,
+        if vm.perform_io else None,
         steps,
         ncols=hi - lo,
         rows=rows,
         itemsize=itemsize,
         prefix=prefix,
     )
-    if perform and owner in buffers:
-        buffers[owner][:, local_lo: local_lo + hi - lo] = summed
+    if destination is not None:
+        destination[...] = summed
 
 
 def _plan_for(compiled: "CompiledProgram", strategy: SlabbingStrategy) -> "AccessPlan":
@@ -726,9 +733,6 @@ def run_reduction_column(
     )
 
     perform = vm.perform_io
-    c_buffers: Dict[int, np.ndarray] = {
-        rank: np.zeros(c_shape, dtype=c_desc.dtype) for rank in vm.ranks
-    } if perform else {}
 
     # What every result column charges each rank (Figure 9's inner loop):
     # re-stream each slab of the streamed array and multiply it in.
@@ -745,46 +749,68 @@ def run_reduction_column(
     # Fast path: the streamed array is read-only, so each slab is really read
     # once, into a float64 staging buffer; that read and every re-stream of
     # the slab are charged by the column blocks (identically to real
-    # re-reads) and served from memory.  The arithmetic for all columns of a
-    # coefficient slab is then one BLAS-3 GEMM per rank instead of ncols
-    # BLAS-2 matvecs.
+    # re-reads) and served from memory.  The staging stays whole: one GEMM
+    # over the whole local reduce dimension fixes each product's float64
+    # rounding.  The arithmetic for all columns of a column block is then one
+    # BLAS-3 GEMM per rank instead of ncols BLAS-2 matvecs, into a float64
+    # product buffer one block wide; a block lies in one result slab, so each
+    # rank's result buffer is one result slab.
     a64: Dict[int, np.ndarray] = {}
     products64: Dict[int, np.ndarray] = {}
+    c_buffers: Dict[int, np.ndarray] = {}
     if perform:
-        max_b_cols = max(slab.ncols for slab in b_slabs)
+        c_width = max(slab.ncols for slab in c_slabs)
+        # a block's GEMM: at most one result slab wide, and at least two
+        # columns where its coefficient slab is (below)
+        gemm_cols = min(max(c_width, 2), max(slab.ncols for slab in b_slabs))
         a64 = {rank: np.empty(s_shape, dtype=np.float64) for rank in vm.ranks}
         products64 = {
-            rank: np.empty((n_rows, max_b_cols), dtype=np.float64) for rank in vm.ranks
+            rank: np.empty((n_rows, gemm_cols), dtype=np.float64) for rank in vm.ranks
         }
+        c_buffers = {rank: np.zeros((n_rows, c_width), dtype=c_desc.dtype) for rank in vm.ranks}
         for s_slab in s_slabs:
             for rank in vm.ranks:
                 a64[rank][:, s_slab.col_slice] = ooc_s.local(rank).load_slab(s_slab)
 
     b_data: Dict[int, Optional[np.ndarray]] = {}
     products: Dict[int, np.ndarray] = {}
+    destination: Optional[np.ndarray] = None
     for b_slab, b_blocks in zip(b_slabs, blocks, strict=True):
-        b_data = {rank: ooc_b.local(rank).fetch_slab(b_slab) for rank in vm.ranks}
-        if perform:
-            products = {
-                rank: np.matmul(a64[rank], b_data[rank].astype(np.float64),
-                                out=products64[rank][:, : b_slab.ncols])
-                for rank in vm.ranks
-            }
+        for rank in vm.ranks:
+            b_data[rank] = ooc_b.local(rank).fetch_slab(b_slab)
         for block in b_blocks:
-            _reduce_column_block(vm, block, steps, products, b_slab.col_start, c_buffers,
-                                 rows=n_rows, itemsize=itemsize)
             lo, hi, owner, local_lo = block
             c_slab = c_slabs[local_lo // c_entry.lines_per_slab]
+            destination = None
+            # A GEMM rounds each column alike whatever its width, but a
+            # one-column product takes BLAS's matrix-vector path, which rounds
+            # differently from a GEMM over the whole coefficient slab: a lone
+            # column of a wider slab is multiplied with a neighbour.
+            start = max(b_slab.col_start, min(lo, b_slab.col_stop - 2))
+            stop = min(max(hi, start + 2), b_slab.col_stop)
+            if perform:
+                # only the block's coefficient columns are converted to float64
+                cols = slice(start - b_slab.col_start, stop - b_slab.col_start)
+                products = {
+                    rank: np.matmul(a64[rank], b_data[rank][:, cols].astype(np.float64),
+                                    out=products64[rank][:, : stop - start])
+                    for rank in vm.ranks
+                }
+                if owner in c_buffers:
+                    first = local_lo - c_slab.col_start
+                    destination = c_buffers[owner][:, first: first + hi - lo]
+            _reduce_column_block(vm, block, steps, products, start, destination,
+                                 rows=n_rows, itemsize=itemsize)
             if local_lo + hi - lo < c_slab.col_stop:
                 continue
             # the block completed a column slab of the result: its owner stores it
             if perform and owner in c_buffers:
-                ooc_c.local(owner).store_slab(c_slab, c_buffers[owner][:, c_slab.col_slice])
+                ooc_c.local(owner).store_slab(c_slab, c_buffers[owner][:, : c_slab.ncols])
             elif not perform:
                 ooc_c.local(owner).store_slab(c_slab, None)
 
     # Release the staging before the oracle builds its own float64 operands.
-    del a64, products64, products, b_data, c_buffers
+    del a64, products64, products, b_data, c_buffers, destination
     return _finish(vm, compiled, "column-slab", ooc_c, inputs, verify)
 
 
@@ -820,7 +846,7 @@ def run_reduction_row(
     perform = vm.perform_io
 
     # Fast path: the coefficient is read-only, so each of its slabs is really
-    # read once per rank and staged as float64.  Figure 12 re-reads
+    # read once per rank and kept in its own dtype.  Figure 12 re-reads
     # it for every streamed slab; each re-read is charged as the prefix of the
     # (streamed slab, coefficient slab) pair's first column block —
     # identically to a real re-read — and served from memory.
@@ -828,33 +854,38 @@ def run_reduction_row(
         ooc_b.local(rank).check_extent(b_shape)
     rereads = [{rank: [ooc_b.local(rank).fetch_step(b_slab)] for rank in vm.ranks}
                for b_slab in b_slabs]
-    b64: List[Dict[int, np.ndarray]] = []
+    b_data: List[Dict[int, np.ndarray]] = []
+    panel64 = np.empty(0)
     products64: Dict[int, np.ndarray] = {}
+    c_buffer: Dict[int, np.ndarray] = {}
     if perform:
-        b64 = [
-            {rank: ooc_b.local(rank).load_slab(b_slab).astype(np.float64) for rank in vm.ranks}
-            for b_slab in b_slabs
-        ]
-        # Per-rank GEMM output buffers, reused across every pair.
+        b_data = [{rank: ooc_b.local(rank).load_slab(b_slab) for rank in vm.ranks}
+                  for b_slab in b_slabs]
+        # One F-ordered float64 coefficient panel the ranks share, as astype
+        # would give it, and per-rank GEMM output buffers, reused across
+        # every pair.
         max_s_rows = max(slab.nrows for slab in s_slabs)
         max_b_cols = max(slab.ncols for slab in b_slabs)
+        panel64 = np.empty((b_shape[0], max_b_cols), dtype=np.float64, order="F")
         products64 = {
             rank: np.empty((max_s_rows, max_b_cols), dtype=np.float64)
             for rank in vm.ranks
         }
+        # one row slab of the result per rank, every element of it written
+        # by the slab's column blocks before it is stored
+        c_buffer = {
+            rank: np.empty((max_s_rows, c_shape[1]), dtype=c_desc.dtype) for rank in vm.ranks
+        }
 
     a64: Dict[int, np.ndarray] = {}
     products: Dict[int, np.ndarray] = {}
-    c_buffer: Dict[int, np.ndarray] = {}
+    panel = destination = None
     for s_slab in s_slabs:
-        a_data = {rank: ooc_s.local(rank).fetch_slab(s_slab) for rank in vm.ranks}
-        if perform:
-            # Hoisted conversions: one astype per fetched slab, not per column.
-            a64 = {rank: a_data[rank].astype(np.float64) for rank in vm.ranks}
-            c_buffer = {
-                rank: np.zeros((s_slab.nrows, c_shape[1]), dtype=c_desc.dtype)
-                for rank in vm.ranks
-            }
+        for rank in vm.ranks:
+            a_data = ooc_s.local(rank).fetch_slab(s_slab)
+            if perform:
+                # Hoisted conversions: one astype per fetched slab, not per column.
+                a64[rank] = a_data.astype(np.float64)
         del a_data
         # What every result subcolumn charges each rank (Figure 12's inner
         # loop): multiply the resident row slab in.
@@ -864,14 +895,19 @@ def run_reduction_row(
                 # One BLAS-3 GEMM per rank covers every column of this
                 # coefficient slab against the resident streamed slab.  (One
                 # GEMM over every result column would round some float64
-                # columns differently.)
-                products = {
-                    rank: np.matmul(a64[rank], b64[pair][rank],
-                                    out=products64[rank][: s_slab.nrows, : b_slab.ncols])
-                    for rank in vm.ranks
-                }
+                # columns differently.)  Each rank's slab is converted into
+                # the shared panel just before its GEMM.
+                panel = panel64[:, : b_slab.ncols]
+                for rank in vm.ranks:
+                    np.copyto(panel, b_data[pair][rank])
+                    products[rank] = np.matmul(
+                        a64[rank], panel, out=products64[rank][: s_slab.nrows, : b_slab.ncols]
+                    )
             for index, block in enumerate(b_blocks):
-                _reduce_column_block(vm, block, steps, products, b_slab.col_start, c_buffer,
+                lo, hi, owner, local_lo = block
+                destination = (c_buffer[owner][: s_slab.nrows, local_lo: local_lo + hi - lo]
+                               if owner in c_buffer else None)
+                _reduce_column_block(vm, block, steps, products, b_slab.col_start, destination,
                                      rows=s_slab.nrows, itemsize=itemsize,
                                      prefix=None if index else rereads[pair])
         # the row slab of the result is complete on every owner: flush it
@@ -883,10 +919,12 @@ def run_reduction_row(
             col_stop=c_shape[1],
         )
         for rank in vm.ranks:
-            ooc_c.local(rank).store_slab(c_row_slab, c_buffer.get(rank) if perform else None)
+            ooc_c.local(rank).store_slab(
+                c_row_slab, c_buffer[rank][: s_slab.nrows] if perform else None
+            )
 
     # Release the staging before the oracle builds its own float64 operands.
-    del b64, a64, products64, products, c_buffer
+    del b_data, panel64, panel, a64, products64, products, c_buffer, destination
     return _finish(vm, compiled, "row-slab", ooc_c, inputs, verify)
 
 
@@ -1132,6 +1170,7 @@ def run_transpose_plan(
     src_cols = [all_cols[src_desc.local_slices(rank)[1]] for rank in range(nprocs)]
     dst_cols = [dst_desc.local_slices(rank)[1] for rank in range(nprocs)]
 
+    block = pieces = delivered = piece = None
     for src in range(nprocs):
         local_shape = src_desc.local_shape(src)
         for slab in column_slabs(local_shape, cols_per_slab):
@@ -1174,6 +1213,8 @@ def run_transpose_plan(
                     slab, result_locals[rank][slab.row_slice, slab.col_slice]
                 )
 
+    # Release the staging before the oracle builds its reference panels.
+    del result_locals, block, pieces, delivered, piece
     return _finish(vm, compiled, "column-slab transpose", target, inputs, verify)
 
 

@@ -386,13 +386,13 @@ def test_verification_memory_is_one_operand_copy_plus_panels(n):
     """The dynamic twin of the static budget fit, for the verify path: beyond
     its arguments, checking a float32 GAXPY allocates the float64 copy of the
     streamed operand (``8 n^2``) plus at most ``PANELS`` panels — the
-    coefficient panel cast to float64, its product, and the previous product
-    not yet released — whatever ``n`` is.  A dense oracle and a dense
+    coefficient panel cast to float64 and its product; the previous product
+    is released before the next is computed — whatever ``n`` is.  A dense oracle and a dense
     comparison hold several ``n x n`` float64 arrays at once instead, which
     at n = 1024 (four panels to the array) is over this bound."""
     import tracemalloc
 
-    PANELS = 4  # three live; the drawn float32 coefficient panel and a tile share the spare
+    PANELS = 3  # two live; the drawn float32 coefficient panel and a tile share the spare
     compiled = compile_program(build_gaxpy_ir(n, 4, dtype="float32"), slab_ratio=0.5)
     dense = input_operands(compiled.program, 11)
     outputs = {"c": (_f64(dense["a"]) @ _f64(dense["b"])).astype("float32")}

@@ -5,15 +5,20 @@ their slab loop runs.
   rank — Figure 12's re-read of it per streamed slab is charged, not
   performed — and the streamed array as often as before; ESTIMATE reads no
   file at all;
-* the column, row and single-operand engines release their staging, product
-  and result buffers before the result is verified: at ``verify_outputs``
-  entry the run holds less than one rank's float64 local array
-  (``tracemalloc``).
+* the column and row engines' slab loops hold what the plan sizes — one
+  column block of float64 products, one result slab and one staged slab
+  per rank and one shared float64 panel — besides the one operand they keep
+  whole (``tracemalloc`` peak);
+* the column, row, single-operand and transpose engines release their
+  staging, product and result buffers before the result is verified: at
+  ``verify_outputs`` entry the run holds less than one rank's float64 local
+  array.
 """
 
 import collections
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from repro.config import ExecutionMode, RunConfig
@@ -27,6 +32,7 @@ from repro.runtime.executor import (
     run_reduction_column,
     run_reduction_row,
     run_reduction_single_operand,
+    run_transpose_plan,
 )
 from repro.runtime.laf import LocalArrayFile
 from repro.runtime.operands import input_operands
@@ -116,21 +122,24 @@ MEMORY = {
     "row": (Scenario("gaxpy", N, P, ratio=0.25, strategy="row"), run_reduction_row),
     "single-operand": (Scenario("square", N, P, ratio=0.25, strategy="row"),
                        run_reduction_single_operand),
+    "transpose": (Scenario("transpose", N, P, ratio=0.25), run_transpose_plan),
 }
 
 
-def held_at_verification(tmp_path, monkeypatch, scenario, engine):
-    """Bytes the run still holds when ``verify_outputs`` is entered, and the result."""
+def traced_at(tmp_path, monkeypatch, hook, scenario, engine):
+    """``(bytes held, peak bytes)`` since engine entry when ``executor.<hook>``
+    is first called, and the run's result."""
     compiled = scenario.compile()
     inputs = input_operands(compiled.program, 3)
-    held = []
-    verify = executor.verify_outputs
+    marks = []
+    original = getattr(executor, hook)
 
     def probe(*args, **kwargs):
-        held.append(tracemalloc.get_traced_memory()[0] - start)
-        return verify(*args, **kwargs)
+        held, peak = tracemalloc.get_traced_memory()
+        marks.append((held - start, peak - start))
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(executor, "verify_outputs", probe)
+    monkeypatch.setattr(executor, hook, probe)
     with VirtualMachine(P, MachineParameters(), RunConfig(scratch_dir=tmp_path)) as vm:
         tracemalloc.start()
         try:
@@ -138,15 +147,98 @@ def held_at_verification(tmp_path, monkeypatch, scenario, engine):
             result = engine(vm, compiled, inputs)
         finally:
             tracemalloc.stop()
-    assert len(held) == 1
-    return held[0], result
+    assert len(marks) == 1
+    return marks[0], result
 
 
 @pytest.mark.parametrize("version", sorted(MEMORY))
 def test_staging_is_released_before_verification(tmp_path, monkeypatch, version):
-    held, result = held_at_verification(tmp_path, monkeypatch, *MEMORY[version])
+    (held, _), result = traced_at(tmp_path, monkeypatch, "verify_outputs", *MEMORY[version])
     assert result.verified is True
     assert held < LOCAL_F64, f"{held / 2**20:.1f} MiB still held at verification"
+
+
+# ---------------------------------------------------------------------------
+# memory: the slab loop holds what the plan sizes
+# ---------------------------------------------------------------------------
+SLAB_LOOP = {"column": run_reduction_column, "row": run_reduction_row}
+
+#: Python-side bookkeeping of a slab loop (step lists, blocks, charges)
+BOOKKEEPING = 1 << 20
+
+
+def slab_loop_bound(version, compiled):
+    """Bytes a reduction engine's slab loop may hold, from the plan and the
+    local shapes.
+
+    The operand the engine keeps whole — the column engine's float64 copy of
+    the streamed local array, the row engine's coefficient in its own dtype
+    — plus per rank one column block of float64 products, one result slab
+    and one staged slab (the column engine's coefficient slab, the row
+    engine's float64 streamed slab), plus the shared float64 panel of
+    coefficient columns, one float64 summed block and the bookkeeping.
+    """
+    roles, arrays = compiled.analysis, compiled.program.arrays
+    plan = _plan_for(compiled, SlabbingStrategy(version))
+    (s_rows, s_cols), (b_rows, b_cols), (c_rows, c_cols) = (
+        arrays[name].local_shapes()[0]
+        for name in (roles.streamed, roles.coefficient, roles.result)
+    )
+    lines = {name: plan.entry(name).lines_per_slab for name in arrays}
+    itemsize = arrays[roles.result].itemsize
+    if version == "column":
+        s_lines = min(lines[roles.streamed], s_cols)
+        b_lines = min(lines[roles.coefficient], b_cols)
+        c_lines = min(lines[roles.result], c_cols)
+        block = min(b_lines, c_lines)
+        kept = P * s_rows * s_cols * 8
+        per_rank = c_rows * block * 8 + c_rows * c_lines * itemsize + b_rows * b_lines * itemsize
+        panel, summed = b_rows * block * 8, c_rows * block * 8
+    else:
+        rows = min(lines[roles.streamed], s_rows)
+        b_lines = min(lines[roles.coefficient], b_cols)
+        kept = P * b_rows * b_cols * itemsize
+        per_rank = rows * b_lines * 8 + rows * c_cols * itemsize + rows * s_cols * 8
+        panel, summed = b_rows * b_lines * 8, rows * min(b_lines, c_cols) * 8
+    return kept + P * per_rank + panel + summed + BOOKKEEPING
+
+
+@pytest.mark.parametrize("ratio", [1, 0.25, 1 / 32])
+@pytest.mark.parametrize("version", sorted(SLAB_LOOP))
+def test_the_slab_loop_holds_what_the_plan_sizes(tmp_path, monkeypatch, version, ratio):
+    scenario = Scenario("gaxpy", N, P, ratio=ratio, strategy=version)
+    (_, peak), result = traced_at(tmp_path, monkeypatch, "_finish", scenario,
+                                  SLAB_LOOP[version])
+    assert result.verified is True
+    bound = slab_loop_bound(version, scenario.compile())
+    assert peak <= bound, f"slab loop peaked at {peak / 2**20:.1f} MiB > {bound / 2**20:.1f}"
+
+
+# ---------------------------------------------------------------------------
+# one GEMM per column block rounds like one GEMM per coefficient slab
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("dist", ["block", "cyclic", "cyclic(2)"])
+def test_column_blocks_round_like_the_coefficient_slab_gemm(tmp_path, dist):
+    """A float64 result is bit for bit the rank-order sum of each rank's
+    float64 GEMM over its whole local coefficient — which rounds each column
+    as a GEMM over any two or more of its columns does.  Under CYCLIC every
+    column block is one column wide; a one-column GEMM would take BLAS's
+    matrix-vector path and round some columns differently."""
+    scenario = Scenario("matmul", 48, 4, dtype="float64", dist=dist, ratio=0.25,
+                        strategy="column")
+    compiled = scenario.compile()
+    roles, arrays = compiled.analysis, compiled.program.arrays
+    inputs = input_operands(compiled.program, 7)
+    with VirtualMachine(4, MachineParameters(), RunConfig(scratch_dir=tmp_path)) as vm:
+        assert run_reduction_column(vm, compiled, inputs).verified is True
+        result = vm.to_dense(roles.result)
+    parts = [
+        arrays[roles.streamed].local_part(inputs[roles.streamed], rank).astype("float64")
+        @ arrays[roles.coefficient].local_part(inputs[roles.coefficient], rank)
+        .astype("float64", order="F")
+        for rank in range(4)
+    ]
+    np.testing.assert_array_equal(result, sum(parts[1:], parts[0]))
 
 
 # ---------------------------------------------------------------------------

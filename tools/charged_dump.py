@@ -6,9 +6,11 @@ parent checkout's ``src/``, once against this tree's — and prints the first
 differing *checked* field per configuration.  No such line means no charged
 number moved between the two trees.  The *data* fields — each gathered
 array's sha256 and ``max_abs_error`` — move whenever the generated inputs
-do, so they never mask a charged field: they are compared last, and the
-configurations that differ in data fields only are counted on one summary
-line.  ``verified`` is a checked field, so a flip is printed.
+do, so they never mask a charged field: they are compared last.  Every
+compare ends with one summary line, ``<n> configurations compared: <k>
+differ in checked fields, <m> in data fields only``, so an empty comparison
+cannot pass for a clean one.  ``verified`` is a checked field, so a flip is
+printed.
 
 Each output line is one JSON object ``{"config": label, "fields": {...}}``.
 Fields are every quantity of ``VirtualMachine.snapshot_charges()`` (clocks,
@@ -306,11 +308,13 @@ def is_data_field(key):
 
 
 def compare(before_path, after_path):
-    """Print the first differing checked field per configuration, then how
-    many configurations differ in data fields only; return the number of
+    """Print the first differing checked field per configuration, then one
+    summary line — how many configurations were compared, how many differ in
+    a checked field and how many in data fields only; return the number of
     configurations with a checked difference."""
     before, after = read_dump(before_path), read_dump(after_path)
     after_by_config = {entry["config"]: entry["fields"] for entry in after}
+    compared = len({entry["config"] for entry in before} | set(after_by_config))
     differing = data_only = 0
     for entry in before:
         config, old = entry["config"], entry["fields"]
@@ -330,9 +334,8 @@ def compare(before_path, after_path):
     for config in after_by_config:
         print(f"{config}: only in {after_path}")
         differing += 1
-    if data_only:
-        print(f"{data_only} configuration(s) differ in data fields only "
-              "(result sha256, max_abs_error)")
+    print(f"{compared} configurations compared: {differing} differ in checked fields, "
+          f"{data_only} in data fields only")
     return differing
 
 
