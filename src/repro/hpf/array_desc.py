@@ -297,20 +297,24 @@ class ArrayDescriptor:
     # ------------------------------------------------------------------
     # scatter of dense data
     # ------------------------------------------------------------------
-    def local_part(self, source, rank: int) -> np.ndarray:
-        """``rank``'s local array cut out of ``source``, in the descriptor's dtype.
+    def local_part(self, source, rank: int, order: str = "C") -> np.ndarray:
+        """``rank``'s local array cut out of ``source``, in the descriptor's
+        dtype and laid out in ``order`` (``'C'`` or ``'F'``).
 
-        ``source`` is a dense global array, or anything indexed like one
-        with slices and ``np.ix_`` meshes — a
-        :class:`~repro.runtime.operands.Operand` then draws only ``rank``'s
-        block.  The slices ``rank`` owns select one strided view;
-        ``CYCLIC(k)`` dimensions fall back to fancy indexing.
+        ``source`` is a dense global array, or a
+        :class:`~repro.runtime.operands.Operand`, which draws only
+        ``rank``'s block, allocated in ``order``.  The slices ``rank`` owns
+        select one strided view of a dense array; ``CYCLIC(k)`` dimensions
+        fall back to fancy indexing.
         """
         if tuple(source.shape) != self.shape:
             raise DistributionError(
                 f"scatter: array shape {tuple(source.shape)} does not match descriptor shape {self.shape}"
             )
-        return np.asarray(source[self._local_selector(rank)], dtype=self.dtype)
+        selector = self._local_selector(rank)
+        if isinstance(source, np.ndarray):
+            return np.asarray(source[selector], dtype=self.dtype, order=order)
+        return source.select(selector, self.dtype, order)
 
     def scatter(
         self, global_array: np.ndarray, ranks: Optional[Iterable[int]] = None

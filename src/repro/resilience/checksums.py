@@ -11,10 +11,15 @@ The checksum is CRC32C when the host happens to ship the optional ``crc32c``
 module, plain CRC-32 (:func:`zlib.crc32`) otherwise; both run at C speed so
 the checksums-on overhead stays within the benchmark gate.  A manifest
 records which algorithm produced it and refuses to verify entries written by
-the other, rather than report false corruption.
+the other, rather than report false corruption; a checkpoint resume refuses
+such a manifest outright.
 
-Checksums cover the *logical* slab content (C-order bytes of the array
-values), so they are independent of the file's storage order.
+A checksum covers a slab's elements in the file's storage order: for a slab
+that is one contiguous extent of the file, exactly the bytes ``pwrite``
+stored there and ``preadv`` reads back, so a sidecar can be checked against
+the ``.dat`` file alone, and neither a write nor a read copies the slab to
+checksum it.  Version 1 sidecars, whose checksums covered C-order bytes
+whatever the file's order, are refused on load.
 """
 
 from __future__ import annotations
@@ -43,14 +48,16 @@ __all__ = ["slab_checksum", "SlabManifest", "CHECKSUM_ALGORITHM"]
 
 SlabKey = Tuple[int, int, int, int]
 
-_MANIFEST_VERSION = 1
+_MANIFEST_VERSION = 2
 
 
-def slab_checksum(data: np.ndarray) -> int:
-    """Checksum of an array's logical content (storage-order independent)."""
-    # A C-contiguous array feeds the C checksum routine through the buffer
-    # protocol with zero copies; anything else pays one contiguous copy.
-    return _checksum_bytes(np.ascontiguousarray(data))
+def slab_checksum(data: np.ndarray, order: str) -> int:
+    """Checksum of ``data``'s elements in storage order ``order`` (``'F'`` or
+    ``'C'``): of the bytes a Local Array File in that order holds for it."""
+    # Data already laid out in ``order`` (a slab as read or about to be
+    # written, or any 1-D run) feeds the C checksum routine through the
+    # buffer protocol with zero copies; anything else pays one copy.
+    return _checksum_bytes(np.ravel(data, order=order))
 
 
 def _overlaps(a: SlabKey, b: SlabKey) -> bool:
@@ -103,8 +110,10 @@ class SlabManifest:
         """The recorded checksum for this exact slab, if any."""
         return self.entries.get(tuple(int(v) for v in key))
 
-    def matches(self, key: SlabKey, data: np.ndarray) -> Optional[bool]:
+    def matches(self, key: SlabKey, data: np.ndarray, order: str) -> Optional[bool]:
         """``True``/``False`` when the exact entry exists, ``None`` otherwise.
+
+        ``data`` is the slab as a file in storage order ``order`` holds it.
 
         A manifest recorded under a different checksum algorithm (e.g. a
         sidecar written by a build with the ``crc32c`` package) cannot judge
@@ -115,7 +124,7 @@ class SlabManifest:
         expected = self.expected(key)
         if expected is None:
             return None
-        return slab_checksum(data) == expected
+        return slab_checksum(data, order) == expected
 
     # ------------------------------------------------------------------
     # sidecar persistence (atomic, PlanCache idiom)

@@ -1585,7 +1585,9 @@ class ProgramExecutor:
 
         Walks the committed entries in order, checking that every recorded
         LAF still exists with the right size and that its slab checksums
-        verify.  The first entry that fails truncates the journal there —
+        verify; a sidecar this host cannot verify (another checksum
+        algorithm, an older manifest version) fails like a mismatch.  The
+        first entry that fails truncates the journal there —
         that statement and everything after it re-executes.  Returns the
         index of the first statement to (re-)execute.
         """
@@ -1636,6 +1638,12 @@ class ProgramExecutor:
                 if not manifest_path:
                     raise ValueError(f"checkpointed file {path} has no checksum manifest")
                 manifest = SlabManifest.load(Path(manifest_path))
+                if not manifest.verifiable:
+                    # the file cannot be audited here, so it cannot be trusted
+                    raise ValueError(
+                        f"checkpointed file {path} has {manifest.algorithm} checksums, "
+                        "which this host cannot verify"
+                    )
             laf = LocalArrayFile(
                 path,
                 local_shape,

@@ -351,33 +351,44 @@ class LocalArrayFile:
             raise self._short("read", done, nbytes, offset)
         return out.reshape(shape, order=self.order)
 
-    def _write(self, key: SlabKey, data: np.ndarray) -> None:
-        """Store ``data`` (already of the file's dtype) at rows/columns ``key``."""
-        extent = self._extent(key)
-        if extent is None:
+    def _write(self, key: SlabKey, data: np.ndarray, full: bool = False) -> None:
+        """Store ``data`` (already of the file's dtype) at rows/columns ``key``,
+        recording its checksum first (the whole file's when ``full``).
+
+        The checksum and the positioned write take the same flat run of
+        ``data`` in the file's order: a view when ``data`` is laid out that
+        way already, else its one copy.
+        """
+        extent = self._extent(key) if data.size else None
+        flat = np.ravel(data, order=self.order)
+        if self.manifest is not None:
+            checksum = slab_checksum(flat, self.order)
+            if full:
+                self.manifest.record_full(self.shape, checksum)
+            else:
+                self.manifest.record(key, checksum)
+        if not data.size:
+            self._check_open()
+        elif extent is None:
             self._mapping()[key[0]:key[1], key[2]:key[3]] = data
-            return
-        offset, nbytes = extent
-        done = os.pwrite(self._descriptor(), np.ravel(data, order=self.order), offset)
-        if done != nbytes:
-            raise self._short("write", done, nbytes, offset)
+        else:
+            offset, nbytes = extent
+            done = os.pwrite(self._descriptor(), flat, offset)
+            if done != nbytes:
+                raise self._short("write", done, nbytes, offset)
 
     # ------------------------------------------------------------------
     # whole-array and column access
     # ------------------------------------------------------------------
     def write_full(self, data: np.ndarray) -> None:
-        """Write the entire local array to the file with one positioned write."""
+        """Write the entire local array to the file with one positioned write
+        (no copy when ``data`` is laid out in the file's order)."""
         data = np.asarray(data, dtype=self.dtype)
         if data.shape != self.shape:
             raise IOEngineError(
                 f"write_full: data shape {data.shape} does not match LAF shape {self.shape}"
             )
-        if self.manifest is not None:
-            self.manifest.record_full(self.shape, slab_checksum(data))
-        if self.nelements == 0:
-            self._check_open()
-            return
-        self._write((0, self.shape[0], 0, self.shape[1]), data)
+        self._write((0, self.shape[0], 0, self.shape[1]), data, full=True)
 
     def column_view(self, start: int, stop: int) -> np.ndarray:
         """Local columns ``[start, stop)``, every row, freshly read from the file.
@@ -411,9 +422,8 @@ class LocalArrayFile:
             return np.zeros(slab.shape, dtype=self.dtype)
         key = self._slab_key(slab)
         data = self._read(key)
-        if self.manifest is not None and self.manifest.verifiable:
-            if self.manifest.matches(key, data) is False:
-                raise self._corruption_error(key)
+        if self.manifest is not None and self.manifest.matches(key, data, self.order) is False:
+            raise self._corruption_error(key)
         return data
 
     def write_slab(self, slab: Slab, data: np.ndarray) -> None:
@@ -424,13 +434,7 @@ class LocalArrayFile:
             raise IOEngineError(
                 f"write_slab: data shape {data.shape} does not match {slab.describe()}"
             )
-        key = self._slab_key(slab)
-        if self.manifest is not None:
-            self.manifest.record(key, slab_checksum(data))
-        if slab.nelements == 0:
-            self._check_open()
-            return
-        self._write(key, data)
+        self._write(self._slab_key(slab), data)
 
     # ------------------------------------------------------------------
     # integrity
@@ -460,7 +464,7 @@ class LocalArrayFile:
             return 0
         if self.nelements:
             for key, expected in self.manifest.entries.items():
-                if slab_checksum(self._read(key)) != expected:
+                if slab_checksum(self._read(key), self.order) != expected:
                     raise self._corruption_error(key)
         return len(self.manifest.entries)
 

@@ -17,10 +17,11 @@ a selection narrower than a tile (a column block, a column panel) draws
 only the columns it spans.
 
 An :class:`Operand` is what :meth:`repro.api.Workload.generate_inputs`
-hands the engines for each input: ``VirtualMachine.create_array`` writes
-each owned rank's block straight into its Local Array File, and the oracle
-(:func:`repro.runtime.executor.verify_outputs`) draws the column panels it
-compares.  No dense global operand exists unless a caller asks for one with
+hands the engines for each input: ``VirtualMachine.create_array`` draws
+each owned rank's block in its Local Array File's storage order and writes
+it straight into the file, and the oracle
+(:func:`repro.runtime.executor.verify_outputs`) draws the column panels
+it compares.  No dense global operand exists unless a caller asks for one with
 ``np.asarray(operand)``.
 """
 
@@ -134,12 +135,15 @@ def _mesh(rows: _Axis, cols: _Axis) -> tuple:
 class Operand:
     """One program input, drawn on demand tile by tile.
 
-    Indexing with ``[rows, cols]`` — each a slice (any step) or an integer
-    index array, combined in the ``np.ix_`` sense — returns a fresh
-    C-ordered array holding exactly the selected elements and draws only
-    the tiles covering them.  ``np.asarray(operand[, dtype])`` draws the
-    whole array, cast tile by tile, so asking for float64 never holds a
-    second copy in the operand's own dtype.
+    :meth:`select` with ``[rows, cols]`` — each a slice (any step) or an
+    integer index array, combined in the ``np.ix_`` sense — returns a fresh
+    array holding exactly the selected elements, laid out in the order the
+    caller asks for, and draws only the tiles covering them.  A tile is
+    drawn column-major, so an ``'F'`` selection is filled by straight
+    copies.  Indexing ``operand[rows, cols]`` is the C-ordered selection in
+    the operand's dtype.  ``np.asarray(operand[, dtype])`` draws the whole
+    array, cast tile by tile, so asking for float64 never holds a second
+    copy in the operand's own dtype.
     """
 
     ndim = 2
@@ -153,18 +157,21 @@ class Operand:
         self._key = (int(seed) % (1 << 96)) << 32 | zlib.crc32(self.name.encode())
 
     def __getitem__(self, key: object) -> np.ndarray:
-        return self._select(key, self.dtype)
+        return self.select(key)
 
     def __array__(self, dtype: object = None, copy: object = None) -> np.ndarray:
         if copy is False:
             raise ValueError(f"operand {self.name!r} is drawn on demand; there is no array to view")
-        return self._select((slice(None), slice(None)), self.dtype if dtype is None else dtype)
+        return self.select((slice(None), slice(None)), dtype)
 
-    def _select(self, key: object, dtype: object) -> np.ndarray:
+    def select(self, key: object, dtype: object = None, order: str = "C") -> np.ndarray:
+        """The elements ``key`` selects, in ``dtype`` (default: the operand's)
+        and allocated in ``order`` (``'C'`` or ``'F'``)."""
         if not (isinstance(key, tuple) and len(key) == 2):
             raise TypeError(f"operand {self.name!r} is indexed as [rows, cols], got {key!r}")
         rows, cols = (_axis(k, extent) for k, extent in zip(key, self.shape, strict=True))
-        out = np.empty((_length(rows), _length(cols)), dtype=dtype)
+        out = np.empty((_length(rows), _length(cols)),
+                       dtype=self.dtype if dtype is None else dtype, order=order)
         col_pieces = [(tj, out_cols, *_span(inside)) for tj, out_cols, inside in _pieces(cols)]
         for ti, out_rows, tile_rows in _pieces(rows):
             height = min(_TILE, self.shape[0] - ti * _TILE)

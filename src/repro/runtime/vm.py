@@ -298,10 +298,13 @@ class VirtualMachine:
         """Write ``rank``'s block of ``initial`` (dense, or an operand that
         draws only that block) to its Local Array File, checksums included.
 
+        The block is cut or drawn straight into the file's storage order, so
+        the file's one positioned write and its checksum take it as it is.
         The one way input data reaches a LAF: :meth:`create_array` calls it
         per owned rank, and recovery re-writes a corrupted rank's block.
         """
-        array.local(rank).laf.write_full(array.descriptor.local_part(initial, rank))
+        laf = array.local(rank).laf
+        laf.write_full(array.descriptor.local_part(initial, rank, laf.order))
 
     @contextlib.contextmanager
     def array_reuse(self) -> Iterator["VirtualMachine"]:

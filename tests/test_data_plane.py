@@ -1,5 +1,9 @@
 """The host data plane: staging, transpose delivery and index translation.
 
+Blocks move in their file's storage order: an input block is drawn in it,
+and a slab is checksummed as it is written or read, with no transposing
+copy (``tracemalloc`` bounds).
+
 None of this is charged — the simulated machine never sees how a dense array
 gets into Local Array Files or how an engine finds a column's owner — so the
 tests pin results against NumPy and *count calls* instead of reading a clock:
@@ -8,6 +12,7 @@ profile, and a call count is a regression guard that repeats exactly.
 """
 
 import collections
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,8 +24,12 @@ from repro.core.pipeline import compile_program
 from repro.hpf import Alignment, ArrayDescriptor, ProcessorGrid, Template
 from repro.hpf import distribution as dist_module
 from repro.hpf.template import DimDistributionSpec
-from repro.runtime import VirtualMachine
+from repro.resilience import SlabManifest
+from repro.runtime import VirtualMachine, operands
 from repro.runtime.executor import run_transpose_plan
+from repro.runtime.laf import LocalArrayFile
+from repro.runtime.operands import Operand
+from repro.runtime.slab import Slab
 
 
 def column_descriptor(n, p, name, spec="block", dtype=np.float32):
@@ -73,9 +82,9 @@ def test_rank_worker_scatters_only_its_own_part(tmp_path, monkeypatch):
     requested = []
     local_part = ArrayDescriptor.local_part
 
-    def recording_local_part(self, source, rank):
-        requested.append(rank)
-        return local_part(self, source, rank)
+    def recording_local_part(self, source, rank, order="C"):
+        requested.append((rank, order))
+        return local_part(self, source, rank, order)
 
     monkeypatch.setattr(ArrayDescriptor, "local_part", recording_local_part)
     with make_vm(4, tmp_path / "worker", rank=2) as worker:
@@ -85,8 +94,56 @@ def test_rank_worker_scatters_only_its_own_part(tmp_path, monkeypatch):
     with make_vm(4, tmp_path / "simulated") as simulated:
         whole = simulated.create_array(desc, dense)
         np.testing.assert_array_equal(whole.local(2).laf.column_view(0, 3), staged)
-    assert requested == [2, 0, 1, 2, 3]
+    assert requested == [(rank, "F") for rank in (2, 0, 1, 2, 3)]
     np.testing.assert_array_equal(staged, dense[:, 6:9])
+
+
+# ---------------------------------------------------------------------------
+# no transposing copy on the data path: blocks are drawn, checksummed and
+# written in their file's storage order
+# ---------------------------------------------------------------------------
+def _peak(action):
+    tracemalloc.start()
+    try:
+        action()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_an_operand_block_is_drawn_straight_into_its_files_order(tmp_path):
+    """Writing a 1024 x 256 float32 operand block into an ``'F'`` LAF holds
+    the block and the tiles being drawn into it: no C-ordered draw
+    transposed for the write, no copy for the checksum."""
+    n, p = 1024, 4
+    desc = column_descriptor(n, p, "x")
+    operand = Operand("x", desc.shape, desc.dtype, 5)
+    block = n * (n // p) * desc.itemsize
+    tile = operands._TILE ** 2 * desc.itemsize
+    operand.select((slice(1), slice(1)))  # the bit generator's first use imports modules
+    with make_vm(p, tmp_path, rank=0) as vm:
+        array = vm.create_array(desc, storage_order="F")
+        peak = _peak(lambda: VirtualMachine.write_initial(array, 0, operand))
+        laf = array.local(0).laf
+        assert laf.manifest.expected((0, n, 0, n // p)) is not None
+        laf.flush()
+        assert laf.path.read_bytes() == operand[:, : n // p].tobytes(order="F")
+    assert peak <= block + 2 * tile + 64 * 1024
+
+
+def test_reading_a_verified_slab_holds_only_the_slab(tmp_path):
+    """``read_slab`` of an ``'F'`` slab with an exact manifest entry checksums
+    the run it read in place: one slab, no C-ordered copy."""
+    laf = LocalArrayFile(tmp_path / "x.dat", (1024, 256), np.float32, order="F",
+                         manifest=SlabManifest(tmp_path / "x.dat.sums.json"))
+    slab = Slab(index=0, row_start=0, row_stop=1024, col_start=64, col_stop=128)
+    data = np.arange(slab.nelements, dtype=np.float32).reshape(slab.shape)
+    laf.write_slab(slab, data)
+    assert laf.manifest.expected((0, 1024, 64, 128)) is not None
+    peak = _peak(lambda: laf.read_slab(slab))
+    np.testing.assert_array_equal(laf.read_slab(slab), data)
+    laf.delete()
+    assert peak <= data.nbytes + 64 * 1024
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 An element's value is a function of (seed, array name, global index) only,
 so any selection equals the same selection of the whole array whatever was
-drawn before it; a Local Array File holds the same bytes whether its block
+drawn before it, and in either memory order; a Local Array File holds the same bytes whether its block
 was cut from a dense array or drawn in place; staging the inputs of an
 N = 1024 run holds less than one dense operand; and a rank draws only the
 tiles covering its own block.
@@ -80,6 +80,10 @@ def test_any_selection_equals_that_selection_of_the_whole_array(case, seed, dtyp
         expected = whole[pick]
         assert first.dtype == expected.dtype == np.dtype(dtype)
         assert first.tobytes() == second.tobytes() == np.ascontiguousarray(expected).tobytes()
+        # drawn in column-major order: the same elements, F-contiguous
+        fortran = operand.select(pick, order="F")
+        assert fortran.flags.f_contiguous and fortran.dtype == first.dtype
+        assert fortran.tobytes(order="C") == first.tobytes()
 
 
 def test_index_array_pairs_select_in_the_np_ix_sense():
@@ -88,6 +92,9 @@ def test_index_array_pairs_select_in_the_np_ix_sense():
     whole = np.asarray(operand)
     np.testing.assert_array_equal(operand[rows, cols], whole[np.ix_(rows, cols)])
     np.testing.assert_array_equal(operand[np.ix_(rows, cols)], whole[np.ix_(rows, cols)])
+    fortran = operand.select(np.ix_(rows, cols), order="F")
+    assert fortran.flags.f_contiguous
+    np.testing.assert_array_equal(fortran, whole[np.ix_(rows, cols)])
 
 
 def test_asarray_casts_tile_by_tile_to_the_asked_dtype():

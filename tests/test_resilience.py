@@ -8,6 +8,8 @@ loop, the scratch reaper and the Session-level error handling
 """
 
 import json
+import os
+import zlib
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from repro.resilience import (
     reap_scratch,
     slab_checksum,
 )
+from repro.resilience import checksums as checksums_module
 from repro.runtime import laf as laf_module
 from repro.runtime.laf import LocalArrayFile
 from repro.runtime.slab import Slab
@@ -42,20 +45,24 @@ def _slab(r0, r1, c0, c1, index=0):
 # checksums and manifests
 # ---------------------------------------------------------------------------
 class TestSlabManifest:
-    def test_checksum_is_storage_order_independent(self):
+    def test_checksum_covers_the_elements_in_the_given_storage_order(self):
         data = np.arange(12, dtype=np.float32).reshape(3, 4)
-        assert slab_checksum(data) == slab_checksum(np.asfortranarray(data))
+        for order in ("F", "C"):
+            expected = slab_checksum(np.frombuffer(data.tobytes(order=order), np.float32), "C")
+            assert slab_checksum(data, order) == expected
+            assert slab_checksum(np.asfortranarray(data), order) == expected
+        assert slab_checksum(data, "F") != slab_checksum(data, "C")
 
     def test_roundtrip_through_sidecar(self, tmp_path):
         path = tmp_path / "laf.dat.sums.json"
         manifest = SlabManifest(path)
         data = np.ones((4, 4), dtype=np.float32)
-        manifest.record((0, 4, 0, 4), slab_checksum(data))
+        manifest.record((0, 4, 0, 4), slab_checksum(data, "F"))
         manifest.save()
         loaded = SlabManifest.load(path)
-        assert loaded.matches((0, 4, 0, 4), data) is True
-        assert loaded.matches((0, 4, 0, 4), data + 1) is False
-        assert loaded.matches((0, 2, 0, 4), data[:2]) is None  # never recorded
+        assert loaded.matches((0, 4, 0, 4), data, "F") is True
+        assert loaded.matches((0, 4, 0, 4), data + 1, "F") is False
+        assert loaded.matches((0, 2, 0, 4), data[:2], "F") is None  # never recorded
 
     def test_overlapping_write_invalidates_stale_entry(self):
         manifest = SlabManifest()
@@ -72,7 +79,7 @@ class TestSlabManifest:
 
     def test_malformed_sidecar_is_rejected(self, tmp_path):
         path = tmp_path / "bad.sums.json"
-        path.write_text(json.dumps({"version": 1}))
+        path.write_text(json.dumps({"version": checksums_module._MANIFEST_VERSION}))
         with pytest.raises(ValueError):
             SlabManifest.load(path)
 
@@ -86,7 +93,18 @@ class TestSlabManifest:
         path.write_text(json.dumps(payload))
         loaded = SlabManifest.load(path)
         assert not loaded.verifiable
-        assert loaded.matches((0, 1, 0, 1), np.zeros((1, 1))) is None
+        assert loaded.matches((0, 1, 0, 1), np.zeros((1, 1)), "F") is None
+
+    def test_version_1_sidecar_is_refused(self, tmp_path):
+        """Version 1 checksummed C-order bytes whatever the file's order: its
+        entries do not describe the stored bytes, so it is not loaded."""
+        path = tmp_path / "laf.dat.sums.json"
+        SlabManifest(path).save()
+        payload = json.loads(path.read_text())
+        payload["version"] = 1
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="version"):
+            SlabManifest.load(path)
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +175,44 @@ class TestLafIntegrity:
             create=False, array_name="x", rank=0, manifest=manifest,
         )
         assert reopened.verify_checksums() == 1
+
+    @pytest.mark.parametrize("order", ["F", "C"])
+    @pytest.mark.parametrize("how", ["write_full", "extent", "not an extent"])
+    def test_a_checksum_is_the_stored_bytes(self, tmp_path, order, how):
+        """Each manifest entry is the CRC of the slab's elements in the file's
+        order; for one extent of the file, also the CRC of its bytes on disk,
+        so a sidecar can be checked against the ``.dat`` file alone."""
+        rows, cols = 6, 8
+        laf = self._laf(tmp_path, shape=(rows, cols), order=order)
+        if how == "write_full":
+            key = (0, rows, 0, cols)
+        elif how == "extent":  # whole columns of an 'F' file, whole rows of a 'C' one
+            key = (0, rows, 2, 5) if order == "F" else (2, 5, 0, cols)
+        else:
+            key = (1, 4, 2, 5)
+        data = np.arange(100, 100 + (key[1] - key[0]) * (key[3] - key[2]),
+                         dtype=np.float32).reshape(key[1] - key[0], key[3] - key[2])
+        if how == "write_full":
+            laf.write_full(data)
+        else:
+            laf.write_slab(_slab(*key), data)
+        laf.flush()
+        crc = (zlib.crc32 if checksums_module.CHECKSUM_ALGORITHM == "crc32"
+               else pytest.importorskip("crc32c").crc32c)
+        assert laf.manifest.entries == {key: crc(data.tobytes(order=order))}
+        if how != "not an extent":
+            # the slab's first and last elements in the file bound one run
+            position = np.arange(rows * cols).reshape(rows, cols, order=order)
+            first = int(position[key[0], key[2]])
+            assert int(position[key[1] - 1, key[3] - 1]) == first + data.size - 1
+            fd = os.open(laf.path, os.O_RDONLY)
+            try:
+                stored = os.pread(fd, data.nbytes, first * data.itemsize)
+            finally:
+                os.close(fd)
+            assert laf.manifest.entries[key] == crc(stored)
+        assert laf.verify_checksums() == 1
+        laf.delete()
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ import pytest
 from repro import Session
 from repro.config import ExecutionMode, RunConfig
 from repro.exceptions import WorkloadError
+from repro.resilience.checksums import CHECKSUM_ALGORITHM
 from tests.scenarios import hpf_source
 
 pytestmark = pytest.mark.skipif(
@@ -129,6 +130,41 @@ class TestKillAndResume:
             resume=vm_dir,
         )
         # Statement 1's checkpoint failed validation, so everything re-ran.
+        assert record.verified is True
+        assert record.resilience["statements_skipped"] == 0.0
+
+    @pytest.mark.parametrize("field", ["algorithm", "version"])
+    def test_checkpoint_it_cannot_verify_is_not_trusted(self, tmp_path, field):
+        """Sidecars written under another checksum algorithm, or under the
+        version 1 definition (C-order bytes), cannot vouch for their files: a
+        corrupted checkpoint behind them must re-run, not be skipped because
+        nothing could check it."""
+        proc = _run_child(tmp_path, crash_after=2)
+        assert proc.returncode == -signal.SIGKILL, proc.stderr
+        vm_dir = _orphaned_vm_dir(tmp_path)
+
+        relabel = {"algorithm": "crc32" if CHECKSUM_ALGORITHM == "crc32c" else "crc32c",
+                   "version": 1}
+        sidecars = sorted(vm_dir.glob("*.sums.json"))
+        assert sidecars
+        for sidecar in sidecars:
+            payload = json.loads(sidecar.read_text())
+            payload[field] = relabel[field]
+            sidecar.write_text(json.dumps(payload))
+        journal = json.loads((vm_dir / "journal.json").read_text())
+        target = journal["statements"][0]["arrays"]["t"]["files"][0]["path"]
+        raw = np.memmap(target, dtype=np.uint8, mode="r+")
+        raw[0] ^= 0xFF
+        del raw
+
+        session = Session(
+            config=RunConfig(scratch_dir=tmp_path), reap_max_age_s=None
+        )
+        record = session.run(
+            session.compile(source=PROGRAM_SOURCE, slab_ratio=0.25),
+            mode="execute",
+            resume=vm_dir,
+        )
         assert record.verified is True
         assert record.resilience["statements_skipped"] == 0.0
 

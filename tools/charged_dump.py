@@ -5,8 +5,9 @@
 parent checkout's ``src/``, once against this tree's — and prints the first
 differing *checked* field per configuration.  No such line means no charged
 number moved between the two trees.  The *data* fields — each gathered
-array's sha256 and ``max_abs_error`` — move whenever the generated inputs
-do, so they never mask a charged field: they are compared last.  Every
+array's sha256 (results and stored inputs) and ``max_abs_error`` — move
+whenever the generated inputs do, so they never mask a charged field: they
+are compared last.  Every
 compare ends with one summary line, ``<n> configurations compared: <k>
 differ in checked fields, <m> in data fields only``, so an empty comparison
 cannot pass for a clean one.  ``verified`` is a checked field, so a flip is
@@ -18,10 +19,13 @@ busy times, counters of every processor, disk and the network), flattened to
 dotted names, plus the run's simulated seconds, time breakdown, I/O
 statistics and per-statement breakdown, and — for an EXECUTE run — its
 ``verified`` flag, ``max_abs_error`` and a sha256 of every result array
-(dtype, shape and bytes), so inputs and results are proven byte-identical
-too, not only the charges.  A run gathers nothing itself: the tool reads
-each result back with ``VirtualMachine.to_dense`` after the run — the final
-one as ``result``, and for a whole program every result that has files.  Every number is written with
+and of every program input the run stored (dtype, shape and bytes), so
+inputs and results are proven byte-identical too, not only the charges — a
+change to how inputs are drawn or written is checked directly, not only
+through the results.  A run gathers nothing itself: the tool reads each
+array back with ``VirtualMachine.to_dense`` after the run — the final
+result as ``result``, for a whole program every result that has files, and
+each stored input as ``input.<name>``.  Every number is written with
 ``repr``, so floats compare exactly.  A configuration the tree refuses
 (compile or run error) records the error text instead.  Every input is
 drawn by ``Workload.generate_inputs``, whichever input shape the tree's
@@ -117,7 +121,8 @@ def digest(array):
 
 
 def gather(vm, compiled):
-    """The results of an EXECUTE run of ``compiled``, read back from ``vm``."""
+    """The results of an EXECUTE run of ``compiled``, and every program input
+    it stored (as ``input.<name>``), read back from ``vm``."""
     if not vm.perform_io:
         return {}
     # a fused-away intermediate has no files
@@ -125,6 +130,8 @@ def gather(vm, compiled):
     gathered = {"result": vm.to_dense(names[-1])}
     if hasattr(compiled, "statements"):  # a whole program: every result
         gathered.update((name, vm.to_dense(name)) for name in names)
+    gathered.update((f"input.{name}", vm.to_dense(name))
+                    for name in compiled.program.input_arrays() if name in vm.arrays)
     return gathered
 
 
