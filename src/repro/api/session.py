@@ -424,7 +424,7 @@ class Session:
             return compiled.workload.execute(compiled, vm, verify)
 
     def estimate(self, point: PointLike) -> RunRecord:
-        """Evaluate one point analytically (``ESTIMATE`` mode)."""
+        """Evaluate one point charge-only (``ESTIMATE`` mode)."""
         return self.run(point, mode=ExecutionMode.ESTIMATE)
 
     def execute(self, point: PointLike, verify: Optional[bool] = None) -> RunRecord:

@@ -13,8 +13,9 @@ and the base class supplies the rest of the contract from it:
 * ``compile(point, params) -> CompiledWorkload`` — lower the IR through the
   full pipeline (analysis → strip-mining → cost model → reorganization →
   node program) via :func:`repro.core.pipeline.compile_program`,
-* ``estimate(compiled, vm) -> RunRecord`` — charge the machine model
-  analytically (``ESTIMATE`` mode) through the generic executor, and
+* ``estimate(compiled, vm) -> RunRecord`` — drive the same engines
+  charge-only on an ``ESTIMATE``-mode VM, so it charges exactly what
+  ``execute`` charges, and
 * ``execute(compiled, vm, verify) -> RunRecord`` — really run the compiled
   node program on a :class:`~repro.runtime.vm.VirtualMachine`
   (``EXECUTE`` mode).
@@ -209,7 +210,7 @@ class CompiledWorkload:
 
     # ------------------------------------------------------------------
     def estimate(self, vm: Optional["VirtualMachine"] = None) -> "RunRecord":
-        """Charge the machine model analytically and return the record."""
+        """Charge the engines on an ``ESTIMATE``-mode VM and return the record."""
         if vm is None:
             from repro.config import ExecutionMode, RunConfig
             from repro.runtime.vm import VirtualMachine
@@ -448,20 +449,9 @@ class Workload(abc.ABC):
         return NodeProgramExecutor(program).run(vm, inputs, verify)
 
     def estimate(self, compiled: CompiledWorkload, vm: "VirtualMachine") -> "RunRecord":
-        """Charge ``vm``'s machine analytically and return the record."""
-        from repro.core.ir import ReductionStatement
-        from repro.runtime.executor import NodeProgramExecutor
-
-        program = self._require_program(compiled)
-        if not self._is_whole_program(program) and isinstance(
-            program.program.statement, ReductionStatement
-        ):
-            result = NodeProgramExecutor(program).estimate(machine=vm.machine)
-        else:
-            # Every other program's loop structure *is* the cost model: make
-            # the engines' charges on the caller's VM without moving data, so
-            # ESTIMATE counters equal an EXECUTE run's exactly.
-            result = self.drive(compiled, vm, None, verify=False)
+        """Drive the engines charge-only on ``vm`` (``ESTIMATE`` mode) and
+        return the record: the counters an ``EXECUTE`` run charges, exactly."""
+        result = self.drive(compiled, vm, None, verify=False)
         return self._record(
             compiled,
             mode="estimate",

@@ -27,12 +27,14 @@ class ExecutionMode(enum.Enum):
         result can be verified against a dense reference.
 
     ``ESTIMATE``
-        Only the cost model runs.  I/O requests, bytes moved, floating point
-        operations and messages are derived analytically from the compiled
-        schedule and converted to seconds using the machine model.  No files
-        are touched and no arithmetic is performed.  This is how the
-        paper-scale experiments (1K x 1K and 2K x 2K arrays on up to 64
-        processors) are regenerated quickly.
+        The same engines run charge-only: every slab loop, column block and
+        collective of the compiled schedule charges the machine model exactly
+        as in ``EXECUTE``, so the I/O requests, bytes moved, floating point
+        operations, messages and simulated seconds are an ``EXECUTE`` run's,
+        field for field.  No files are touched and no arithmetic is
+        performed, which is how the paper-scale experiments (1K x 1K and
+        2K x 2K arrays on up to 64 processors) are regenerated without
+        moving their data.
     """
 
     EXECUTE = "execute"
@@ -53,7 +55,8 @@ class RunConfig:
         Directory that holds the Local Array Files of all simulated
         processors.  Defaults to a per-process temporary directory.
     mode:
-        :class:`ExecutionMode` selecting real execution or analytic estimation.
+        :class:`ExecutionMode` selecting real execution or a charge-only
+        estimate.
     verify:
         When true (and ``mode == EXECUTE``) kernels compare their out-of-core
         result against an in-core dense reference computed with NumPy.

@@ -207,14 +207,6 @@ class ProgramSchedule:
             lines.append(step.pretty())
         return "\n".join(lines)
 
-    def operation_totals(self) -> dict:
-        """Statically counted operations of the whole schedule (summed steps)."""
-        totals: dict = {}
-        for step in self.steps:
-            for key, value in step.node_program.operation_totals().items():
-                totals[key] = totals.get(key, 0.0) + value
-        return totals
-
 
 def generate_program_schedule(
     program: "ProgramIR", compiled_statements: Sequence["CompiledProgram"]

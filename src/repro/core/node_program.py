@@ -10,9 +10,10 @@ The representation serves three purposes:
 
 * it can be **pretty-printed**, giving output directly comparable to the
   paper's figures;
-* it can be **statically counted** — :meth:`NodeProgram.operation_totals`
-  multiplies each operation by the trip counts of its enclosing loops, which
-  the tests cross-check against the analytic cost model; and
+* it can be **statically counted** — the static verifier's walk
+  (:mod:`repro.check`) derives the exact per-processor
+  :class:`~repro.check.ledger.ChargeLedger` from it, which equals the cost
+  model's ``PlanCost``; and
 * it **drives execution** — the executor walks the same structure when
   running the program on the virtual machine (the innermost arithmetic is
   the engines' batched NumPy in :mod:`repro.runtime.executor`).
@@ -214,12 +215,18 @@ class NodeProgram:
 
     # ------------------------------------------------------------------
     def operation_totals(self) -> Dict[str, float]:
-        """Statically executed operation counts (loop trip counts multiplied out).
+        """Nominal operation counts: each op's nominal quantity times the trip
+        counts of its enclosing loops.
 
         Returns a dictionary with, per array, ``read_requests:<array>``,
         ``read_elements:<array>``, ``write_requests:<array>`` and
         ``write_elements:<array>``, plus ``flops``, ``global_sums`` and
-        ``global_sum_elements``.
+        ``global_sum_elements``.  Nominal, not exact: an op inside a slab
+        loop counts a full slab on every trip, so the totals overcount
+        whenever the last slab is partial.  Nothing in the package charges
+        from them — every charge comes from the engines, and the exact
+        static count is :class:`~repro.check.ledger.ChargeLedger` — they
+        stay for the benchmark suite's global-sum replay.
         """
         totals: Dict[str, float] = {"flops": 0.0, "global_sums": 0.0, "global_sum_elements": 0.0}
 

@@ -4,31 +4,31 @@ The executor is the bridge between the compiler (:mod:`repro.core`) and the
 runtime.  Every workload — the paper's GAXPY reduction, elementwise
 statements, transposes, and arbitrary programs entering through the mini-HPF
 frontend — compiles to a :class:`~repro.core.pipeline.CompiledProgram`, and
-this module runs it:
+this module runs it, in either mode of the
+:class:`~repro.runtime.vm.VirtualMachine` it is handed:
 
-* :meth:`NodeProgramExecutor.execute` **executes** the program on a
-  :class:`~repro.runtime.vm.VirtualMachine` (real Local Array Files, real
-  NumPy arithmetic, verified result), driving the slab loops of the
-  compiled access plan with the BLAS-3 batched inner kernels of the fast
-  path; and
-* :meth:`NodeProgramExecutor.estimate` **estimates** a reduction by charging
-  the machine model with the statically counted operations of the generated
-  node program — the fast path used to regenerate the paper-scale
-  experiments without moving gigabytes through the filesystem; every other
-  program is estimated by :meth:`NodeProgramExecutor.run` on an
-  ``ESTIMATE``-mode VM, which makes the same charges as ``EXECUTE`` — each
-  engine's lanes (:meth:`~repro.machine.cluster.Machine.charge_lane`), column
-  blocks and collectives — and moves no data (the loop structure *is* the
-  cost model).
+* ``EXECUTE`` — real Local Array Files, real NumPy arithmetic, a verified
+  result — driving the slab loops of the compiled access plan with the
+  BLAS-3 batched inner kernels of the fast path; and
+* ``ESTIMATE`` — the same engines, charge-only: each engine's lanes
+  (:meth:`~repro.machine.cluster.Machine.charge_lane`), column blocks and
+  collectives are charged exactly as in ``EXECUTE`` and no data moves, so
+  an estimate reports what an execution charges, field for field (the loop
+  structure *is* the cost model).
 
-Both paths report the same :class:`ExecutionResult` structure so experiment
-harnesses can switch between them freely.  Every engine function
-(:func:`run_reduction_column` and friends) has one contract, ``(vm,
-compiled, inputs, verify)``: it takes a compiled program, reads the array
-roles and slab sizes from its analysis and plan, and looks its operands
-up by name in ``inputs`` — dense arrays, or the counter-keyed operands of
-:mod:`repro.runtime.operands` every workload run draws (an operand that is
-absent — an intermediate of a whole program — is already in the VM).
+Every engine builds its slabs, staging and buffers per rank from the
+descriptors' local shapes, so HPF ``BLOCK`` and ``CYCLIC(k)`` distributions
+that give the ranks unequal (even empty) local arrays run like even ones:
+an empty rank charges nothing and still joins every collective.
+
+Both modes report the same :class:`ExecutionResult` structure.  Every
+engine function (:func:`run_reduction_column` and friends) has one
+contract, ``(vm, compiled, inputs, verify)``: it takes a compiled program,
+reads the array roles and slab sizes from its analysis and plan, and looks
+its operands up by name in ``inputs`` — dense arrays, or the counter-keyed
+operands of :mod:`repro.runtime.operands` every workload run draws (an
+operand that is absent — an intermediate of a whole program — is already
+in the VM).
 Whatever ran, one routine (:func:`verify_outputs`) decides whether its
 result is correct, reading it panel by panel where it is stored — no run
 gathers a result — and one loop (:func:`_run_recovering`) recovers a
@@ -56,7 +56,6 @@ import numpy as np
 from repro.config import ExecutionMode, RunConfig
 from repro.exceptions import RuntimeExecutionError, SlabCorruptionError
 from repro.hpf.array_desc import ArrayDescriptor
-from repro.machine.cluster import Machine
 from repro.resilience.checksums import SlabManifest
 from repro.resilience.journal import program_fingerprint
 from repro.runtime.laf import LocalArrayFile
@@ -396,7 +395,7 @@ class ExecutionResult:
     statements: Tuple[Dict[str, float], ...] = ()
     #: host-side resilience counters of the run (retries, corruptions
     #: detected/recovered, statements skipped by a resume) — never part of
-    #: the charged statistics; ``None`` for analytic estimates.
+    #: the charged statistics; ``None`` for ``ESTIMATE`` runs.
     resilience: Optional[Dict[str, float]] = None
     #: cumulative charge totals at each statement boundary of a
     #: whole-program run: ``{"elapsed", "time", "io"}`` per statement.  The
@@ -516,15 +515,13 @@ def _run_recovering(
 # ---------------------------------------------------------------------------
 # shared reduction helpers
 # ---------------------------------------------------------------------------
-def _uniform_local_shape(descriptor: ArrayDescriptor) -> Tuple[int, int]:
-    shapes = set(descriptor.local_shapes())
-    if len(shapes) != 1:
-        raise RuntimeExecutionError(
-            f"the executable kernels require identical local shapes on every processor; "
-            f"array {descriptor.name!r} has {sorted(shapes)} "
-            "(choose an extent divisible by the number of processors)"
-        )
-    return next(iter(shapes))
+def _slab_major(slabs: Mapping[int, Sequence[Slab]]) -> Iterator[Tuple[int, Slab]]:
+    """``(rank, slab)`` of every rank's slabs, slab by slab and rank by rank
+    within a slab: the order a uniform slab loop visits the ranks' files."""
+    for index in range(max(map(len, slabs.values()), default=0)):
+        for rank, rank_slabs in slabs.items():
+            if index < len(rank_slabs):
+                yield rank, rank_slabs[index]
 
 
 def _column_owner_table(descriptor: ArrayDescriptor) -> Tuple[list, list]:
@@ -641,8 +638,6 @@ def _setup_reduction_arrays(
     s_desc = arrays[analysis.streamed]
     b_desc = arrays[analysis.coefficient]
     c_desc = arrays[analysis.result]
-    for desc in (s_desc, b_desc, c_desc):
-        _uniform_local_shape(desc)
     if c_desc.name in (s_desc.name, b_desc.name):
         raise RuntimeExecutionError(
             f"the result array {c_desc.name!r} aliases an operand; in-place "
@@ -718,18 +713,20 @@ def run_reduction_column(
 
     ooc_s, ooc_b, ooc_c = _setup_reduction_arrays(vm, compiled, inputs,
                                                   result_order="F", streamed_order="F")
-    s_desc, c_desc = ooc_s.descriptor, ooc_c.descriptor
-    s_shape = _uniform_local_shape(s_desc)
-    b_shape = _uniform_local_shape(ooc_b.descriptor)
-    c_shape = _uniform_local_shape(c_desc)
+    c_desc = ooc_c.descriptor
     n_rows = c_desc.shape[0]
     itemsize = c_desc.itemsize
 
-    s_slabs = column_slabs(s_shape, s_entry.lines_per_slab)
-    b_slabs = column_slabs(b_shape, b_entry.lines_per_slab)
-    c_slabs = column_slabs(c_shape, c_entry.lines_per_slab)
+    # Every rank's slabs of its own local arrays; a coefficient slab's
+    # columns are the same on every rank (only its reduce rows differ).
+    s_slabs = {rank: column_slabs(ooc_s.descriptor.local_shape(rank), s_entry.lines_per_slab)
+               for rank in vm.ranks}
+    b_slabs = {rank: column_slabs(ooc_b.descriptor.local_shape(rank), b_entry.lines_per_slab)
+               for rank in vm.ranks}
+    c_slabs = [column_slabs(shape, c_entry.lines_per_slab) for shape in c_desc.local_shapes()]
+    b_columns = b_slabs[vm.ranks[0]]
     blocks = _column_blocks(
-        c_desc, [(slab.col_start, slab.col_stop) for slab in b_slabs], c_entry.lines_per_slab
+        c_desc, [(slab.col_start, slab.col_stop) for slab in b_columns], c_entry.lines_per_slab
     )
 
     perform = vm.perform_io
@@ -739,7 +736,7 @@ def run_reduction_column(
     steps = {
         rank: [
             step
-            for s_slab in s_slabs
+            for s_slab in s_slabs[rank]
             for step in (ooc_s.local(rank).fetch_step(s_slab),
                          ("compute", 2.0 * s_slab.nelements))
         ]
@@ -759,28 +756,32 @@ def run_reduction_column(
     products64: Dict[int, np.ndarray] = {}
     c_buffers: Dict[int, np.ndarray] = {}
     if perform:
-        c_width = max(slab.ncols for slab in c_slabs)
+        c_width = max(slab.ncols for slabs in c_slabs for slab in slabs)
         # a block's GEMM: at most one result slab wide, and at least two
         # columns where its coefficient slab is (below)
-        gemm_cols = min(max(c_width, 2), max(slab.ncols for slab in b_slabs))
-        a64 = {rank: np.empty(s_shape, dtype=np.float64) for rank in vm.ranks}
+        gemm_cols = min(max(c_width, 2), max(slab.ncols for slab in b_columns))
+        a64 = {rank: np.empty(ooc_s.descriptor.local_shape(rank), dtype=np.float64)
+               for rank in vm.ranks}
         products64 = {
             rank: np.empty((n_rows, gemm_cols), dtype=np.float64) for rank in vm.ranks
         }
-        c_buffers = {rank: np.zeros((n_rows, c_width), dtype=c_desc.dtype) for rank in vm.ranks}
-        for s_slab in s_slabs:
-            for rank in vm.ranks:
-                a64[rank][:, s_slab.col_slice] = ooc_s.local(rank).load_slab(s_slab)
+        c_buffers = {
+            rank: np.zeros((n_rows, max(slab.ncols for slab in c_slabs[rank])),
+                           dtype=c_desc.dtype)
+            for rank in vm.ranks
+        }
+        for rank, s_slab in _slab_major(s_slabs):
+            a64[rank][:, s_slab.col_slice] = ooc_s.local(rank).load_slab(s_slab)
 
     b_data: Dict[int, Optional[np.ndarray]] = {}
     products: Dict[int, np.ndarray] = {}
     destination: Optional[np.ndarray] = None
-    for b_slab, b_blocks in zip(b_slabs, blocks, strict=True):
+    for index, (b_slab, b_blocks) in enumerate(zip(b_columns, blocks, strict=True)):
         for rank in vm.ranks:
-            b_data[rank] = ooc_b.local(rank).fetch_slab(b_slab)
+            b_data[rank] = ooc_b.local(rank).fetch_slab(b_slabs[rank][index])
         for block in b_blocks:
             lo, hi, owner, local_lo = block
-            c_slab = c_slabs[local_lo // c_entry.lines_per_slab]
+            c_slab = c_slabs[owner][local_lo // c_entry.lines_per_slab]
             destination = None
             # A GEMM rounds each column alike whatever its width, but a
             # one-column product takes BLAS's matrix-vector path, which rounds
@@ -832,16 +833,20 @@ def run_reduction_row(
 
     ooc_s, ooc_b, ooc_c = _setup_reduction_arrays(vm, compiled, inputs,
                                                   result_order="C", streamed_order="C")
-    s_desc, c_desc = ooc_s.descriptor, ooc_c.descriptor
-    s_shape = _uniform_local_shape(s_desc)
-    b_shape = _uniform_local_shape(ooc_b.descriptor)
-    c_shape = _uniform_local_shape(c_desc)
+    c_desc = ooc_c.descriptor
     itemsize = c_desc.itemsize
 
-    s_slabs = row_slabs(s_shape, s_entry.lines_per_slab)
-    b_slabs = column_slabs(b_shape, b_entry.lines_per_slab)
+    # Every rank's slabs of its own local arrays: a streamed row slab has the
+    # same rows on every rank and a coefficient slab the same columns (only
+    # the distributed extent differs).
+    s_slabs = {rank: row_slabs(ooc_s.descriptor.local_shape(rank), s_entry.lines_per_slab)
+               for rank in vm.ranks}
+    b_shapes = {rank: ooc_b.descriptor.local_shape(rank) for rank in vm.ranks}
+    b_slabs = {rank: column_slabs(shape, b_entry.lines_per_slab)
+               for rank, shape in b_shapes.items()}
+    s_rows, b_columns = s_slabs[vm.ranks[0]], b_slabs[vm.ranks[0]]
 
-    blocks = _column_blocks(c_desc, [(slab.col_start, slab.col_stop) for slab in b_slabs])
+    blocks = _column_blocks(c_desc, [(slab.col_start, slab.col_stop) for slab in b_columns])
 
     perform = vm.perform_io
 
@@ -850,23 +855,24 @@ def run_reduction_row(
     # it for every streamed slab; each re-read is charged as the prefix of the
     # (streamed slab, coefficient slab) pair's first column block —
     # identically to a real re-read — and served from memory.
-    for rank in vm.ranks:
-        ooc_b.local(rank).check_extent(b_shape)
-    rereads = [{rank: [ooc_b.local(rank).fetch_step(b_slab)] for rank in vm.ranks}
-               for b_slab in b_slabs]
+    for rank, shape in b_shapes.items():
+        ooc_b.local(rank).check_extent(shape)
+    rereads = [{rank: [ooc_b.local(rank).fetch_step(b_slabs[rank][pair])] for rank in vm.ranks}
+               for pair in range(len(b_columns))]
     b_data: List[Dict[int, np.ndarray]] = []
     panel64 = np.empty(0)
     products64: Dict[int, np.ndarray] = {}
     c_buffer: Dict[int, np.ndarray] = {}
     if perform:
-        b_data = [{rank: ooc_b.local(rank).load_slab(b_slab) for rank in vm.ranks}
-                  for b_slab in b_slabs]
+        b_data = [{rank: ooc_b.local(rank).load_slab(b_slabs[rank][pair]) for rank in vm.ranks}
+                  for pair in range(len(b_columns))]
         # One F-ordered float64 coefficient panel the ranks share, as astype
         # would give it, and per-rank GEMM output buffers, reused across
         # every pair.
-        max_s_rows = max(slab.nrows for slab in s_slabs)
-        max_b_cols = max(slab.ncols for slab in b_slabs)
-        panel64 = np.empty((b_shape[0], max_b_cols), dtype=np.float64, order="F")
+        max_s_rows = max(slab.nrows for slab in s_rows)
+        max_b_cols = max(slab.ncols for slab in b_columns)
+        panel64 = np.empty((max(shape[0] for shape in b_shapes.values()), max_b_cols),
+                           dtype=np.float64, order="F")
         products64 = {
             rank: np.empty((max_s_rows, max_b_cols), dtype=np.float64)
             for rank in vm.ranks
@@ -874,31 +880,32 @@ def run_reduction_row(
         # one row slab of the result per rank, every element of it written
         # by the slab's column blocks before it is stored
         c_buffer = {
-            rank: np.empty((max_s_rows, c_shape[1]), dtype=c_desc.dtype) for rank in vm.ranks
+            rank: np.empty((max_s_rows, c_desc.local_shape(rank)[1]), dtype=c_desc.dtype)
+            for rank in vm.ranks
         }
 
     a64: Dict[int, np.ndarray] = {}
     products: Dict[int, np.ndarray] = {}
     panel = destination = None
-    for s_slab in s_slabs:
+    for row, s_slab in enumerate(s_rows):
         for rank in vm.ranks:
-            a_data = ooc_s.local(rank).fetch_slab(s_slab)
+            a_data = ooc_s.local(rank).fetch_slab(s_slabs[rank][row])
             if perform:
                 # Hoisted conversions: one astype per fetched slab, not per column.
                 a64[rank] = a_data.astype(np.float64)
         del a_data
         # What every result subcolumn charges each rank (Figure 12's inner
         # loop): multiply the resident row slab in.
-        steps = {rank: [("compute", 2.0 * s_slab.nelements)] for rank in vm.ranks}
-        for pair, (b_slab, b_blocks) in enumerate(zip(b_slabs, blocks, strict=True)):
+        steps = {rank: [("compute", 2.0 * s_slabs[rank][row].nelements)] for rank in vm.ranks}
+        for pair, (b_slab, b_blocks) in enumerate(zip(b_columns, blocks, strict=True)):
             if perform:
                 # One BLAS-3 GEMM per rank covers every column of this
                 # coefficient slab against the resident streamed slab.  (One
                 # GEMM over every result column would round some float64
                 # columns differently.)  Each rank's slab is converted into
                 # the shared panel just before its GEMM.
-                panel = panel64[:, : b_slab.ncols]
                 for rank in vm.ranks:
+                    panel = panel64[: b_shapes[rank][0], : b_slab.ncols]
                     np.copyto(panel, b_data[pair][rank])
                     products[rank] = np.matmul(
                         a64[rank], panel, out=products64[rank][: s_slab.nrows, : b_slab.ncols]
@@ -911,14 +918,8 @@ def run_reduction_row(
                                      rows=s_slab.nrows, itemsize=itemsize,
                                      prefix=None if index else rereads[pair])
         # the row slab of the result is complete on every owner: flush it
-        c_row_slab = Slab(
-            index=s_slab.index,
-            row_start=s_slab.row_start,
-            row_stop=s_slab.row_stop,
-            col_start=0,
-            col_stop=c_shape[1],
-        )
         for rank in vm.ranks:
+            c_row_slab = dataclasses.replace(s_slab, col_stop=c_desc.local_shape(rank)[1])
             ooc_c.local(rank).store_slab(
                 c_row_slab, c_buffer[rank][: s_slab.nrows] if perform else None
             )
@@ -955,9 +956,10 @@ def run_reduction_single_operand(
     global sum lands on the owner of the result column.
 
     The charged I/O is one pass over ``a`` plus one write pass over the
-    result; the broadcast traffic is charged per column.  (The analytic
-    ESTIMATE path keeps the paper's re-read model for this degenerate case,
-    so EXECUTE-mode charges are not comparable between the two modes.)
+    result; the broadcast traffic is charged per column.  ``ESTIMATE``
+    charges the same schedule; only the compiler's
+    :class:`~repro.core.cost_model.PlanCost` keeps the paper's re-read model
+    for this degenerate case.
     """
     analysis = compiled.analysis
     plan = compiled.plan
@@ -968,8 +970,7 @@ def run_reduction_single_operand(
     ooc_s, _, ooc_c = _setup_reduction_arrays(vm, compiled, inputs,
                                               result_order="F", streamed_order=order)
     s_desc, c_desc = ooc_s.descriptor, ooc_c.descriptor
-    s_shape = _uniform_local_shape(s_desc)
-    c_shape = _uniform_local_shape(c_desc)
+    s_shapes = {rank: s_desc.local_shape(rank) for rank in vm.ranks}
     n_rows = c_desc.shape[0]
     n_cols = c_desc.shape[1]
     itemsize = c_desc.itemsize
@@ -977,20 +978,21 @@ def run_reduction_single_operand(
 
     # One read pass: stage the full local part of `a` (float64) per rank,
     # charged as one lane of reads per rank.
-    for rank in vm.ranks:
-        ooc_s.local(rank).check_extent(s_shape)
-    lines = lines_per_slab(s_shape, plan.strategy, entry.slab_elements)
+    for rank, shape in s_shapes.items():
+        ooc_s.local(rank).check_extent(shape)
     vm.machine.charge_lane({
-        rank: [([ooc_s.local(rank).fetch_step(slab)], count)
-               for slab, count in slab_runs(s_shape, plan.strategy, lines)]
-        for rank in vm.ranks
+        rank: [([ooc_s.local(rank).fetch_step(slab)], count) for slab, count in
+               slab_runs(shape, plan.strategy,
+                         lines_per_slab(shape, plan.strategy, entry.slab_elements))]
+        for rank, shape in s_shapes.items()
     })
     a64: Dict[int, np.ndarray] = {}
     if perform:
-        a64 = {rank: np.empty(s_shape, dtype=np.float64) for rank in vm.ranks}
-        for slab in make_slabs(s_shape, plan.strategy, entry.slab_elements):
-            for rank in vm.ranks:
-                a64[rank][slab.row_slice, slab.col_slice] = ooc_s.local(rank).load_slab(slab)
+        a64 = {rank: np.empty(shape, dtype=np.float64) for rank, shape in s_shapes.items()}
+        s_slabs = {rank: make_slabs(shape, plan.strategy, entry.slab_elements)
+                   for rank, shape in s_shapes.items()}
+        for rank, slab in _slab_major(s_slabs):
+            a64[rank][slab.row_slice, slab.col_slice] = ooc_s.local(rank).load_slab(slab)
 
     # Global column indices owned by each rank (the reduce dimension of `a`).
     owned_cols = {rank: s_desc.local_slices(rank)[1] for rank in vm.ranks}
@@ -998,13 +1000,9 @@ def run_reduction_single_operand(
     c_owner, c_local_col = _column_owner_table(c_desc)
 
     c_buffers: Dict[int, np.ndarray] = {
-        rank: np.zeros(c_shape, dtype=c_desc.dtype) for rank in vm.ranks
+        rank: np.zeros(c_desc.local_shape(rank), dtype=c_desc.dtype) for rank in vm.ranks
     } if perform else {}
-    c_slabs = column_slabs(c_shape, c_entry.lines_per_slab)
-    c_slab_of_col = {}
-    for slab in c_slabs:
-        for col in range(slab.col_start, slab.col_stop):
-            c_slab_of_col[col] = slab
+    c_slabs = [column_slabs(shape, c_entry.lines_per_slab) for shape in c_desc.local_shapes()]
 
     column_j: Optional[np.ndarray] = None  # a view of the owner's staged `a`
     for j in range(n_cols):
@@ -1023,11 +1021,11 @@ def run_reduction_single_operand(
             contributions = {
                 rank: a64[rank] @ column_j[owned_cols[rank]] for rank in vm.ranks
             }
-        for rank in vm.ranks:
-            vm.machine.charge_compute(rank, 2.0 * s_shape[0] * s_shape[1])
+        for rank, shape in s_shapes.items():
+            vm.machine.charge_compute(rank, 2.0 * shape[0] * shape[1])
         column = vm.comm.global_sum(contributions, shape=(n_rows,), itemsize=itemsize)
         owner, local_j = c_owner[j], c_local_col[j]
-        c_slab = c_slab_of_col[local_j]
+        c_slab = c_slabs[owner][local_j // c_entry.lines_per_slab]
         if perform and owner in c_buffers:
             c_buffers[owner][:, local_j] = column.astype(c_desc.dtype)
             if local_j == c_slab.col_stop - 1:
@@ -1245,7 +1243,7 @@ def _run_statement(
 
 
 class NodeProgramExecutor:
-    """Runs or estimates compiled programs of any statement kind."""
+    """Runs a compiled program of any statement kind, in the VM's mode."""
 
     def __init__(self, compiled: "CompiledProgram"):
         self.compiled = compiled
@@ -1287,76 +1285,9 @@ class NodeProgramExecutor:
         if not vm.perform_io:
             raise RuntimeExecutionError(
                 "NodeProgramExecutor.execute needs a VirtualMachine in EXECUTE mode; "
-                "use estimate() for analytic runs"
+                "run() an ESTIMATE-mode one for a charge-only estimate"
             )
         return self.run(vm, inputs, verify)
-
-    # ------------------------------------------------------------------
-    # analytic estimation
-    # ------------------------------------------------------------------
-    def estimate(self, machine: Optional[Machine] = None) -> ExecutionResult:
-        """Charge a machine with a reduction's statically counted operations.
-
-        The paper-scale fast path: the generated node program's operation
-        totals are charged in bulk.  Elementwise and transpose programs have
-        no bulk charge — their loop structure *is* the cost model — so
-        :meth:`run` them on an ``ESTIMATE``-mode virtual machine instead.
-        """
-        if _statement_kind(self.compiled) != "reduction":
-            raise RuntimeExecutionError(
-                "bulk estimation applies to reduction programs only; drive "
-                "run() with an ESTIMATE-mode VirtualMachine instead"
-            )
-
-        compiled = self.compiled
-        machine = machine or Machine(compiled.nprocs, compiled.params)
-        totals = compiled.node_program.operation_totals()
-        itemsize = compiled.program.arrays[compiled.analysis.streamed].itemsize
-
-        arrays = compiled.program.arrays
-        for name in compiled.analysis.access:
-            read_requests = totals.get(f"read_requests:{name}", 0.0)
-            read_elements = totals.get(f"read_elements:{name}", 0.0)
-            write_requests = totals.get(f"write_requests:{name}", 0.0)
-            write_elements = totals.get(f"write_elements:{name}", 0.0)
-            item = arrays[name].itemsize
-            for rank in range(machine.nprocs):
-                if read_requests or read_elements:
-                    machine.charge_read(rank, int(read_elements * item), int(round(read_requests)))
-                if write_requests or write_elements:
-                    machine.charge_write(rank, int(write_elements * item), int(round(write_requests)))
-
-        flops = totals.get("flops", 0.0)
-        for rank in range(machine.nprocs):
-            machine.charge_compute(rank, flops)
-
-        # Collectives are charged in bulk: the per-collective time multiplied by
-        # the statically counted number of global sums.
-        count = totals.get("global_sums", 0.0)
-        if count and machine.nprocs > 1:
-            elements_each = totals.get("global_sum_elements", 0.0) / count
-            payload = elements_each * itemsize
-            per_collective = machine.params.network.reduce_time(
-                payload, machine.nprocs, nelements=elements_each
-            )
-            rounds = machine.params.network.collective_rounds(machine.nprocs)
-            seconds = count * per_collective
-            machine.network.collectives += int(count)
-            machine.network.messages += int(count * rounds)
-            machine.network.bytes_moved += int(count * rounds * payload)
-            machine.network.busy_time += seconds
-            for rank in range(machine.nprocs):
-                machine.metrics[rank].record_collective(int(count * rounds), int(count * rounds * payload))
-                machine.clocks[rank].advance(seconds, "comm")
-
-        breakdown = machine.time_breakdown()
-        return ExecutionResult(
-            strategy=compiled.node_program.strategy,
-            mode=ExecutionMode.ESTIMATE,
-            simulated_seconds=machine.elapsed(),
-            time_breakdown=breakdown,
-            io_statistics=machine.io_statistics(),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -1670,7 +1601,7 @@ class ProgramExecutor:
         if not vm.perform_io:
             raise RuntimeExecutionError(
                 "ProgramExecutor.execute needs a VirtualMachine in EXECUTE mode; "
-                "use estimate() for analytic runs"
+                "use estimate() for a charge-only run"
             )
         return self.run(vm, inputs, verify)
 

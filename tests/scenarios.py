@@ -63,6 +63,13 @@ SHAPES = {
 }
 
 
+#: every charged field of a ``RunRecord``: what an ESTIMATE and an EXECUTE of
+#: one configuration must agree on, ``==``
+RECORD_CHARGES = ("simulated_seconds", "io_time", "compute_time", "comm_time",
+                  "io_requests_per_proc", "io_read_bytes_per_proc", "io_write_bytes_per_proc",
+                  "statements")
+
+
 #: the mini-HPF type of each element type a mini-HPF scenario may declare
 HPF_TYPES = {"float32": "real", "float64": "double", "int32": "integer"}
 
@@ -221,20 +228,14 @@ def grid(label: str = "", **axes) -> List[Scenario]:
 AXES = {"shape": tuple(sorted(BUILDERS)), "n": (8, 48), "nprocs": (1, 2, 4), "ratio": (0.1, 0.9)}
 
 
-def enumerate_scenarios(count: int, seed: int, *, executable: bool = False) -> Iterator[Scenario]:
-    """``count`` seeded draws from :data:`AXES`.
-
-    ``executable`` rounds ``n`` down to a multiple of ``nprocs``: the
-    executable kernels need identical local shapes on every processor.
-    """
+def enumerate_scenarios(count: int, seed: int) -> Iterator[Scenario]:
+    """``count`` seeded draws from :data:`AXES` (P ∤ N included)."""
     rng = random.Random(seed)
     for index in range(count):
         shape = rng.choice(AXES["shape"])
         n = rng.randrange(AXES["n"][0], AXES["n"][1] + 1)
         nprocs = rng.choice(AXES["nprocs"])
         ratio = rng.uniform(*AXES["ratio"])
-        if executable:
-            n -= n % nprocs
         yield Scenario(shape, n, nprocs, ratio=ratio,
                        label=f"fuzz#{index} {shape} n={n} P={nprocs} r={ratio:.3f}")
 
@@ -280,6 +281,10 @@ ORACLE = {
     "pipeline-strategy": grid("{strategy}", shape="pipeline", n=16, nprocs=4,
                               strategy=("column", "row"), ratio=0.25),
     "cyclic": CYCLIC,
+    # P ∤ N: unequal local arrays (on P = 7 one rank holds none), every
+    # statement kind and the single-operand reduction, BLOCK and CYCLIC(2)
+    "ragged": grid(shape=("gaxpy", "elementwise", "transpose", "pipeline", "square"), n=23,
+                   nprocs=(4, 7), dist=("block", "cyclic(2)"), ratio=0.3),
     # HPF ``integer`` arrays: a GAXPY and a two-statement elementwise program
     "integer": [Scenario("matmul", 32, 4, dtype="int32", ratio=0.5, label="gaxpy"),
                 Scenario("pair", 32, 4, dtype="int32", ratio=0.5, label="pair")],
@@ -302,6 +307,11 @@ CHECKED = {
         Scenario("elementwise", 24, 4, ratio=0.3, label="elementwise-24-4-kwargs3-True"),
         Scenario("transpose", 24, 4, ratio=0.3, label="transpose-24-4-kwargs4-True"),
         Scenario("pipeline", 24, 4, ratio=0.3, label="pipeline-24-4-kwargs5-False"),
+        # P ∤ N: unequal local arrays, and on P = 8 empty ranks
+        Scenario("gaxpy", 23, 4, ratio=0.3, strategy="column", label="gaxpy-23-4-column"),
+        Scenario("gaxpy", 23, 4, ratio=0.3, strategy="row", label="gaxpy-23-4-row"),
+        Scenario("gaxpy", 9, 8, ratio=0.5, strategy="column", label="gaxpy-9-8-column"),
+        Scenario("pipeline", 23, 4, ratio=0.3, label="pipeline-23-4"),
     ] + CYCLIC,
 }
 
@@ -338,8 +348,11 @@ ENGINE = [
 ]
 
 #: configurations refused in some mode, each pinned with its error in tier-1
-REFUSED = (grid(shape=("matmul", "mm_add"), n=23, nprocs=4, dist=("block", "cyclic"), ratio=0.5)
-           + [Scenario("matmul", 24, 4, dist="cyclic(2)", ratio=0.5)])
+REFUSED = [Scenario("matmul", 24, 4, dist="cyclic(2)", ratio=0.5)]
+
+#: P ∤ N: ranks with unequal local arrays, a lone reduction and a program,
+#: BLOCK and CYCLIC; both modes run and charge alike (tests/test_scenarios.py)
+RAGGED = grid(shape=("matmul", "mm_add"), n=23, nprocs=4, dist=("block", "cyclic"), ratio=0.5)
 
 #: tests/test_planner.py: the planner's no-worse guarantee under one budget
 PLANNED = [
@@ -366,4 +379,7 @@ PARITY = [
     Scenario("elementwise", 64, 4, dtype="float64", ratio=0.25, label="elementwise-f64-p4"),
     Scenario("mm_add", 64, 4, ratio=0.25, label="hpf-two-statement-p4"),
     Scenario("pair", 16, 4, ratio=0.25, fusion="on", label="hpf-fused-p4"),
+    # P ∤ N: ranks of 8, 8, 8 and 6 columns; ranks of 4, 4, 4, 4, 4, 3 and 0
+    Scenario("gaxpy", 30, 4, ratio=0.25, strategy="row", label="gaxpy-row-ragged-p4"),
+    Scenario("mm_add", 23, 7, ratio=0.25, label="hpf-two-statement-ragged-p7"),
 ]

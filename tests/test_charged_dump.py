@@ -66,3 +66,25 @@ def test_every_compare_ends_with_a_summary_line(tmp_path, capsys, pair):
         assert lines[:-1] == ["copy-c: io.reads 4 -> 5"]
     else:
         assert lines[:-1] == []
+
+
+@pytest.mark.parametrize("backend", ["simulated", "processes"])
+def test_session_runs_record_what_they_stored(tmp_path, backend):
+    """A run through ``Session`` digests its result and inputs while its VM is
+    open; on the ``processes`` backend each rank worker digests its blocks."""
+    from repro.api import WorkloadPoint
+    from repro.api.workload import Workload
+    from repro.config import RunConfig
+
+    drive = Workload.drive
+    point = WorkloadPoint("gaxpy", n=16, nprocs=2, version="row", slab_ratio=0.5)
+    fields = charged_dump.session_record(point, RunConfig(scratch_dir=tmp_path),
+                                         backend=backend)
+    digests = sorted(key for key in fields if ".sha256." in key)
+    if backend == "simulated":
+        names = ["input.a", "input.b", "result"]
+    else:
+        names = [f"{name}@rank{rank}" for name in ("c", "input.a", "input.b") for rank in (0, 1)]
+    assert digests == [f"record.sha256.{name}" for name in names]
+    assert fields["record.verified"] == "True"
+    assert Workload.drive is drive

@@ -1,12 +1,13 @@
 """Property-based slab fuzzing over random N / P / slab_ratio grids.
 
 Two charge invariants of the compilation pipeline, checked on configurations
-drawn by ``tests/scenarios.py``'s seeded enumerator (executable ones: P | N):
+drawn by ``tests/scenarios.py``'s seeded enumerator (P ∤ N included) and,
+for lone reductions, by a seeded hypothesis strategy:
 
 * **mode equivalence** — ``ESTIMATE`` and ``EXECUTE`` report identical
-  charged I/O counters for every slab-driven workload (the estimate drives
-  the same slab loops charge-only, so any divergence means the executor and
-  the cost accounting disagree about the generated program), and
+  charged counters and simulated seconds for every workload (the estimate
+  drives the same engines charge-only, so any divergence means the
+  executor's two modes disagree about the generated program), and
 * **slab-size invariance** — for single-pass statements (elementwise,
   transpose) the total bytes read and written are independent of the slab
   size: slabbing may change *request counts*, never data volume.
@@ -15,6 +16,7 @@ drawn by ``tests/scenarios.py``'s seeded enumerator (executable ones: P | N):
 import random
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from repro.api import Session, WorkloadPoint
 from repro.config import RunConfig
@@ -24,7 +26,7 @@ from repro.runtime.executor import ProgramExecutor
 from repro.runtime.operands import input_operands
 from repro.runtime.vm import VirtualMachine
 
-from tests.scenarios import enumerate_scenarios
+from tests.scenarios import RECORD_CHARGES, enumerate_scenarios, hpf_source
 
 SEED = 20260726
 
@@ -40,9 +42,8 @@ def _charged(record):
 
 
 def _random_configs(seed, count):
-    """Seeded executable ``(n, nprocs, slab_ratio)`` draws."""
-    return [(s.n, s.nprocs, s.ratio)
-            for s in enumerate_scenarios(count, seed, executable=True)]
+    """Seeded ``(n, nprocs, slab_ratio)`` draws."""
+    return [(s.n, s.nprocs, s.ratio) for s in enumerate_scenarios(count, seed)]
 
 
 # ---------------------------------------------------------------------------
@@ -61,6 +62,38 @@ def test_estimate_equals_execute_charges(tmp_path, workload):
             f"{_charged(execute)}"
         )
         assert execute.verified is True
+
+
+@st.composite
+def reduction_points(draw):
+    """A lone reduction: two-operand (``c = a @ b``) or single-operand
+    (``c = a @ a``), column or row slabs, a slab ratio or a memory budget,
+    BLOCK or CYCLIC over P ∈ {1, 2, 4, 7, 8} processors, P ∤ N included."""
+    n = draw(st.integers(8, 96))
+    nprocs = draw(st.sampled_from((1, 2, 4, 7, 8)))
+    shape = draw(st.sampled_from(("matmul", "square")))
+    dist = draw(st.sampled_from(("block", "cyclic")))
+    version = draw(st.sampled_from(("column", "row")))
+    options = {"source": hpf_source(shape, n, nprocs, dist=dist)}
+    ratio = draw(st.sampled_from((1 / 8, 1 / 4, 0.3, 1 / 2, 3 / 4, 1.0, None)))
+    if ratio is None:
+        options["memory_budget_bytes"] = draw(st.integers(4 * n, 3 * n * n)) * 4
+    return WorkloadPoint("hpf", version=version, slab_ratio=ratio, options=options,
+                         optimize="greedy")
+
+
+@seed(1997)
+@settings(max_examples=24, deadline=None, database=None)
+@given(point=reduction_points())
+def test_reduction_estimate_equals_execute(tmp_path_factory, point):
+    """A lone reduction's ESTIMATE charges exactly what its EXECUTE charges."""
+    scratch = tmp_path_factory.mktemp("reduction")
+    with Session(config=RunConfig(scratch_dir=scratch)) as session:
+        estimate = session.run(point, mode="estimate")
+        execute = session.run(point, mode="execute")
+    assert execute.verified is True
+    for field in RECORD_CHARGES:
+        assert getattr(estimate, field) == getattr(execute, field), field
 
 
 def test_estimate_equals_execute_charges_whole_program(tmp_path):

@@ -11,6 +11,7 @@ from repro.analysis.io_cost import (
     row_slab_fetch_requests,
 )
 from repro.exceptions import CompilationError, CostModelError, MemoryAllocationError
+from repro.check import check_compiled
 from repro.core import (
     ArrayRole,
     CostModel,
@@ -356,22 +357,19 @@ class TestPipeline:
 class TestCodegen:
     @pytest.mark.parametrize("strategy", ["column", "row"])
     @pytest.mark.parametrize("n,p,ratio", [(256, 4, 0.25), (512, 8, 0.5), (1024, 16, 1.0)])
-    def test_operation_totals_match_cost_model(self, strategy, n, p, ratio):
+    def test_charge_ledger_matches_cost_model(self, strategy, n, p, ratio):
         compiled = compile_gaxpy(n, p, slab_ratio=ratio, force_strategy=strategy)
-        totals = compiled.node_program.operation_totals()
+        ledger = check_compiled(compiled).ledger
         cost = compiled.plan.cost
+        assert sorted(ledger.arrays) == sorted(cost.arrays)
         for name, array_cost in cost.arrays.items():
-            assert totals.get(f"read_requests:{name}", 0.0) == pytest.approx(
-                array_cost.fetch_requests, rel=0.01
-            )
-            assert totals.get(f"read_elements:{name}", 0.0) == pytest.approx(
-                array_cost.fetch_elements, rel=0.01
-            )
-            assert totals.get(f"write_requests:{name}", 0.0) == pytest.approx(
-                array_cost.write_requests, rel=0.01
-            )
-        assert totals["flops"] == pytest.approx(cost.flops, rel=0.01)
-        assert totals["global_sums"] == pytest.approx(cost.collective_count, rel=0.01)
+            traffic = ledger.arrays[name]
+            assert traffic.read_requests == array_cost.fetch_requests
+            assert traffic.read_elements == array_cost.fetch_elements
+            assert traffic.write_requests == array_cost.write_requests
+            assert traffic.write_elements == array_cost.write_elements
+        assert ledger.flops == cost.flops
+        assert ledger.collective_count == cost.collective_count
 
     def test_pretty_print_mentions_io_and_global_sum(self):
         compiled = compile_gaxpy(256, 4, slab_ratio=0.25, force_strategy="row")

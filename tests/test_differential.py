@@ -123,6 +123,13 @@ def test_cyclic_distributions_match_oracle(tmp_path, scenario):
     assert_matches_oracle(scenario.compile(), tmp_path)
 
 
+@pytest.mark.parametrize("scenario", ORACLE["ragged"], ids=str)
+def test_ragged_distributions_match_oracle(tmp_path, scenario):
+    """P ∤ N under BLOCK and CYCLIC(2): ranks hold unequal local arrays, and
+    on P = 7 one holds none."""
+    assert_matches_oracle(scenario.compile(), tmp_path)
+
+
 # ---------------------------------------------------------------------------
 # multi-statement programs
 # ---------------------------------------------------------------------------

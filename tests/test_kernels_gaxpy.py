@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.api import WorkloadPoint, get_workload
+from repro.api import Session, WorkloadPoint, get_workload
 from repro.config import ExecutionMode, RunConfig
 from repro.core import compile_gaxpy
 from repro.exceptions import RuntimeExecutionError
@@ -13,6 +13,7 @@ from repro.runtime import NodeProgramExecutor, VirtualMachine, reduction_referen
 from repro.runtime.executor import run_reduction_column, run_reduction_row
 from repro.runtime.operands import Operand
 from repro.runtime.slab import SlabbingStrategy
+from tests.scenarios import RECORD_CHARGES, hpf_source
 
 
 def generate_gaxpy_inputs(n, seed=1994):
@@ -142,15 +143,19 @@ def test_estimate_mode_charges_without_files(tmp_path):
 
 
 def test_executor_estimate_matches_kernel_charges(tmp_path):
-    """The bulk estimator and the loop-by-loop estimate-mode engine agree closely."""
-    compiled = compile_gaxpy(64, 4, slab_ratio=0.25, force_strategy="column")
+    """A Session ESTIMATE charges what the estimate-mode engine and EXECUTE charge."""
+    point = WorkloadPoint("gaxpy", n=64, nprocs=4, version="column", slab_ratio=0.25)
+    with Session(config=RunConfig(scratch_dir=tmp_path)) as session:
+        estimate = session.run(point, mode="estimate")
+        execute = session.run(point, mode="execute")
+        compiled = session.compile(point).program
     with make_vm(4, compiled.params, tmp_path, mode=ExecutionMode.ESTIMATE) as vm:
         kernel_estimate = run_reduction_column(vm, compiled, None, verify=False)
-    bulk = NodeProgramExecutor(compiled).estimate()
-    assert bulk.simulated_seconds == pytest.approx(kernel_estimate.simulated_seconds, rel=0.05)
-    assert bulk.io_statistics["io_requests_per_proc"] == pytest.approx(
-        kernel_estimate.io_statistics["io_requests_per_proc"], rel=0.05
-    )
+    assert execute.verified is True
+    for field in RECORD_CHARGES:
+        assert getattr(estimate, field) == getattr(execute, field), field
+    assert estimate.simulated_seconds == kernel_estimate.simulated_seconds
+    assert estimate.io_requests_per_proc == kernel_estimate.io_statistics["io_requests_per_proc"]
 
 
 # ---------------------------------------------------------------------------
@@ -177,9 +182,10 @@ class TestExecutor:
             with pytest.raises(RuntimeExecutionError):
                 NodeProgramExecutor(compiled).execute(vm, object())
 
-    def test_estimate_describe(self):
+    def test_estimate_describe(self, tmp_path):
         compiled = compile_gaxpy(128, 8, slab_ratio=0.25)
-        result = NodeProgramExecutor(compiled).estimate()
+        with make_vm(8, compiled.params, tmp_path, mode=ExecutionMode.ESTIMATE) as vm:
+            result = NodeProgramExecutor(compiled).run(vm, None, verify=False)
         assert "estimate" in result.describe()
 
     def test_dispatches_to_forced_strategy(self, tmp_path):
@@ -191,14 +197,41 @@ class TestExecutor:
 
 
 # ---------------------------------------------------------------------------
-# engine guards
+# ragged local arrays
 # ---------------------------------------------------------------------------
-def test_uneven_distribution_rejected(tmp_path):
-    compiled = compile_gaxpy(30, 4, slab_ratio=0.5)  # 30 not divisible by 4
-    inputs = {name: np.zeros((30, 30), dtype=np.float32) for name in "ab"}
+@pytest.mark.parametrize("runner", [run_reduction_column, run_reduction_row])
+def test_uneven_distribution_runs_verified(tmp_path, runner):
+    compiled = compile_gaxpy(30, 4, slab_ratio=0.5)  # 30 not divisible by 4: 8, 8, 8, 6
+    assert {shape[1] for shape in compiled.program.arrays["a"].local_shapes()} == {8, 6}
+    inputs = generate_gaxpy_inputs(30)
     with make_vm(4, compiled.params, tmp_path) as vm:
-        with pytest.raises(RuntimeExecutionError):
-            run_reduction_row(vm, compiled, inputs)
+        result = runner(vm, compiled, inputs)
+        c = vm.to_dense("c")
+    assert result.verified is True
+    np.testing.assert_allclose(c, reduction_reference(inputs["a"], inputs["b"]),
+                               rtol=2e-3, atol=1e-3)
+
+
+@pytest.mark.parametrize("shape", ["matmul", "square"])
+@pytest.mark.parametrize("version", ["column", "row"])
+def test_empty_ranks_charge_nothing_and_join_every_collective(tmp_path, shape, version):
+    """BLOCK over N = 9, P = 8 gives ranks of 2, 2, 2, 2 and 1 columns and
+    three empty ones, in every reduction engine (``square`` is ``c = a @ a``)."""
+    point = WorkloadPoint("hpf", version=version, slab_ratio=0.5,
+                          options={"source": hpf_source(shape, 9, 8)})
+    compiled = Session().compile(point)
+    inputs = compiled.workload.generate_inputs(compiled, 7)
+    with make_vm(8, compiled.params, tmp_path) as vm:
+        result = NodeProgramExecutor(compiled.program).run(vm, inputs)
+        metrics = vm.machine.metrics
+    assert result.verified is True
+    shapes = compiled.program.program.arrays["a"].local_shapes()
+    assert [rank for rank, local in enumerate(shapes) if local[1] == 0] == [5, 6, 7]
+    for rank in (5, 6, 7):
+        assert (metrics[rank].io_requests, metrics[rank].bytes_read,
+                metrics[rank].bytes_written, metrics[rank].flops) == (0, 0, 0, 0.0)
+    assert len({counters.collectives for counters in metrics}) == 1
+    assert metrics[0].collectives > 0
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro.api import Session, WorkloadPoint
+from repro.check import check_compiled
 from repro.config import ExecutionMode, RunConfig
 from repro.exceptions import CompilationError, HPFSemanticError
 from repro.core.ir import build_pipeline_ir
@@ -219,14 +220,14 @@ class TestWholeProgramCompilation:
         text = schedule.pretty()
         assert "reuse LAF written by an earlier step" in text
 
-    def test_schedule_totals_sum_statements(self):
+    def test_schedule_ledger_sums_statements(self):
         compiled = compile_program(build_pipeline_ir(N, NPROCS), slab_ratio=0.25)
-        totals = compiled.schedule.operation_totals()
-        per_stmt = [s.node_program.operation_totals() for s in compiled.statements]
-        assert totals["flops"] == pytest.approx(sum(t["flops"] for t in per_stmt))
-        assert totals["read_elements:t"] == pytest.approx(
-            per_stmt[1]["read_elements:t"]
-        )
+        total = check_compiled(compiled).ledger
+        per_stmt = [check_compiled(unit).ledger for unit in compiled.statements]
+        assert total.flops == sum(ledger.flops for ledger in per_stmt)
+        assert total.io_requests == sum(ledger.io_requests for ledger in per_stmt)
+        assert total.arrays["t"].read_elements == per_stmt[1].arrays["t"].read_elements
+        assert total.arrays["t"].write_elements == per_stmt[0].arrays["t"].write_elements
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.api import Lowering, Session, Workload, WorkloadPoint, register_workload, unregister_workload
+from repro.check import check_compiled
 from repro.config import ExecutionMode, RunConfig
 from repro.core.ir import (
     ArrayRef,
@@ -80,25 +81,25 @@ class TestEveryWorkloadLowers:
                 build_transpose_ir(64, 4), slab_elements={"src": 64, "dst": 128}
             )
 
-    def test_elementwise_node_program_matches_cost_model(self):
+    def test_elementwise_ledger_matches_cost_model(self):
         compiled = compile_program(
             build_elementwise_ir(64, 4, op="multiply"),
             slab_elements={"a": 128, "b": 128, "c": 128},
         )
-        totals = compiled.node_program.operation_totals()
+        ledger = check_compiled(compiled).ledger
         cost = compiled.plan.cost
-        assert totals["read_requests:a"] == cost.arrays["a"].fetch_requests
-        assert totals["read_elements:a"] == cost.arrays["a"].fetch_elements
-        assert totals["write_requests:c"] == cost.arrays["c"].write_requests
-        assert totals["flops"] == cost.flops
+        assert ledger.arrays["a"].read_requests == cost.arrays["a"].fetch_requests
+        assert ledger.arrays["a"].read_elements == cost.arrays["a"].fetch_elements
+        assert ledger.arrays["c"].write_requests == cost.arrays["c"].write_requests
+        assert ledger.flops == cost.flops
 
-    def test_transpose_node_program_matches_cost_model(self):
+    def test_transpose_ledger_matches_cost_model(self):
         compiled = compile_program(build_transpose_ir(64, 4), slab_ratio=0.25)
-        totals = compiled.node_program.operation_totals()
+        ledger = check_compiled(compiled).ledger
         cost = compiled.plan.cost
-        assert totals["read_requests:src"] == cost.arrays["src"].fetch_requests
-        assert totals["write_requests:dst"] == cost.arrays["dst"].write_requests
-        assert totals["all_to_alls"] == cost.arrays["src"].fetch_requests
+        assert ledger.arrays["src"].read_requests == cost.arrays["src"].fetch_requests
+        assert ledger.arrays["dst"].write_requests == cost.arrays["dst"].write_requests
+        assert ledger.all_to_all_count == cost.arrays["src"].fetch_requests
         assert "all-to-all" in compiled.node_program.pretty()
 
     def test_new_statement_validation(self):
@@ -314,21 +315,10 @@ class TestBuildIrOnlyWorkload:
 # executor guards
 # ---------------------------------------------------------------------------
 class TestExecutorGuards:
-    def test_bulk_estimate_rejects_machine_for_data_movement(self):
-        from repro.machine import Machine
-
-        compiled = compile_program(build_elementwise_ir(16, 2),
-                                   slab_elements={"a": 32, "b": 32, "c": 32})
-        with pytest.raises(RuntimeExecutionError, match="reduction"):
-            NodeProgramExecutor(compiled).estimate(machine=Machine(2))
-
     def test_data_movement_estimates_on_an_estimate_vm(self):
         compiled = compile_program(build_transpose_ir(16, 2), slab_ratio=0.5)
-        executor = NodeProgramExecutor(compiled)
-        with pytest.raises(RuntimeExecutionError, match="reduction"):
-            executor.estimate()
         vm = VirtualMachine(2, compiled.params, RunConfig(mode=ExecutionMode.ESTIMATE))
-        result = executor.run(vm, None, verify=False)
+        result = NodeProgramExecutor(compiled).run(vm, None, verify=False)
         assert result.simulated_seconds > 0
         assert result.mode is ExecutionMode.ESTIMATE
 

@@ -25,15 +25,17 @@ change to how inputs are drawn or written is checked directly, not only
 through the results.  A run gathers nothing itself: the tool reads each
 array back with ``VirtualMachine.to_dense`` after the run — the final
 result as ``result``, for a whole program every result that has files, and
-each stored input as ``input.<name>``.  Every number is written with
+each stored input as ``input.<name>``; a run through ``Session`` is read
+while its VM is still open (:func:`session_record`), and on the
+``processes`` backend each rank worker digests its own blocks
+(``<name>@rank<r>``).  Every number is written with
 ``repr``, so floats compare exactly.  A configuration the tree refuses
 (compile or run error) records the error text instead.  Every input is
 drawn by ``Workload.generate_inputs``, whichever input shape the tree's
 engines take.
 
 Configurations, all drawn from ``tests/scenarios.py`` and each charged in
-EXECUTE and in ESTIMATE (and, for a lone reduction, the bulk
-``NodeProgramExecutor.estimate``):
+EXECUTE and in ESTIMATE:
 
 * the four sets ``make check-plans`` verifies (``STATIC``, ``EXECUTED``,
   ``FUSED`` and 40 seeded draws of ``enumerate_scenarios``), CYCLIC and
@@ -44,7 +46,8 @@ EXECUTE and in ESTIMATE (and, for a lone reduction, the bulk
   Table 1's points (N = 1024, P = 4, 16, 32, 64) in ESTIMATE, the ``ENGINE``
   sizes in both modes, and the ``PARITY`` in-core point on the ``processes``
   backend;
-* the ``REFUSED`` set through ``Session``, whatever each mode does with it;
+* the ``REFUSED`` and ``RAGGED`` (P ∤ N) sets through ``Session``, whatever
+  each mode does with them;
 * the first ``PARITY`` point run through ``Session`` on the ``processes``
   backend and on the simulated one (the full ``RunRecord`` of each);
 * a seeded-fault set: a lone reduction, a lone elementwise statement, a
@@ -154,9 +157,8 @@ def charged_runs(compiled, scratch):
     """``{mode: fields}`` for one compiled program."""
     from repro.api import get_workload
     from repro.config import ExecutionMode, RunConfig
-    from repro.machine.cluster import Machine
     from repro.runtime import NodeProgramExecutor, VirtualMachine
-    from repro.runtime.executor import ProgramExecutor, _statement_kind
+    from repro.runtime.executor import ProgramExecutor
 
     whole = hasattr(compiled, "statements")
     executor = (ProgramExecutor if whole else NodeProgramExecutor)(compiled)
@@ -173,17 +175,6 @@ def charged_runs(compiled, scratch):
                 runs[mode.value] = run_fields(vm, result, compiled)
         except Exception as exc:  # a refusal is a charged outcome too
             runs[mode.value] = {"error": f"{type(exc).__name__}: {exc}"}
-    if not whole and _statement_kind(compiled) == "reduction":
-        machine = Machine(compiled.nprocs, compiled.params)
-        try:
-            result = executor.estimate(machine)
-            fields = flatten({"processors": machine.processors, "disks": machine.disks,
-                              "network": machine.network, "clocks": machine.clocks,
-                              "metrics": machine.metrics}, "", {})
-            fields["result.simulated_seconds"] = repr(result.simulated_seconds)
-            runs["bulk"] = fields
-        except Exception as exc:
-            runs["bulk"] = {"error": f"{type(exc).__name__}: {exc}"}
     return runs
 
 
@@ -223,16 +214,64 @@ def engine_configs(scenarios, scratch):
             yield f"engine {name} {scenario.label}", runs
 
 
-def session_record(point, config, mode="execute", backend="simulated"):
-    """Every field of the ``RunRecord`` of ``point``, or the refusal's text."""
-    from repro.api import Session
+def local_digests(vm, compiled, sink):
+    """Append to ``sink`` the sha256 of each array a rank worker stored: its
+    own rank's block of every result (``<name>@rank<r>``) and every input
+    (``input.<name>@rank<r>``)."""
+    from repro.runtime.slab import Slab
 
-    try:
-        with Session(config=config, backend=backend) as session:
-            record = session.run(point, mode=mode)
-        return flatten(dataclasses.asdict(record), "record", {})
-    except Exception as exc:  # a refusal is a charged outcome too
-        return {"error": f"{type(exc).__name__}: {exc}"}
+    inputs = set(compiled.program.input_arrays())
+    with open(sink, "a") as handle:
+        for name, array in sorted(vm.arrays.items()):
+            laf = array.locals[vm.rank].laf
+            rows, cols = laf.shape
+            data = laf.read_slab(Slab(index=0, row_start=0, row_stop=rows,
+                                      col_start=0, col_stop=cols))
+            key = f"{'input.' if name in inputs else ''}{name}@rank{vm.rank}"
+            handle.write(json.dumps({key: digest(data)}) + "\n")
+
+
+def session_record(point, config, mode="execute", backend="simulated"):
+    """Every field of the ``RunRecord`` of ``point`` — and, for an EXECUTE
+    run, the sha256 of every result and input it stored — or the refusal's
+    text.
+
+    The digests are taken by wrapping ``Workload.drive`` while the run's VM
+    is still open: in this process as :func:`gather` reads them, and in a
+    ``processes`` rank worker (which inherits the wrapper through ``fork``)
+    one block per rank, appended to a file this process reads back.
+    """
+    from repro.api import Session
+    from repro.api.workload import Workload
+
+    drive = Workload.drive
+    digests = {}
+    with tempfile.TemporaryDirectory() as sink_dir:
+        sink = Path(sink_dir) / "digests.jsonl"
+
+        def recording_drive(self, compiled, vm, inputs, verify):
+            result = drive(self, compiled, vm, inputs, verify)
+            if vm.perform_io and vm.rank is None:
+                digests.update((name, digest(array))
+                               for name, array in gather(vm, compiled.program).items())
+            elif vm.perform_io:
+                local_digests(vm, compiled.program, sink)
+            return result
+
+        Workload.drive = recording_drive
+        try:
+            with Session(config=config, backend=backend) as session:
+                record = session.run(point, mode=mode)
+        except Exception as exc:  # a refusal is a charged outcome too
+            return {"error": f"{type(exc).__name__}: {exc}"}
+        finally:
+            Workload.drive = drive
+        if sink.exists():
+            for line in sink.read_text().splitlines():
+                digests.update(json.loads(line))
+    fields = flatten(dataclasses.asdict(record), "record", {})
+    fields.update(flatten({"sha256": digests}, "record", {}))
+    return fields
 
 
 def session_configs(scenarios, scratch):
@@ -243,10 +282,11 @@ def session_configs(scenarios, scratch):
     for backend in ("simulated", "processes"):
         fields = session_record(scenario.point(), config, backend=backend)
         yield f"session {scenario.label} {backend}", {"execute": fields}
-    for scenario in scenarios.REFUSED:
-        yield f"refused {scenario.label}", {
-            mode: session_record(scenario.point(), config, mode)
-            for mode in ("estimate", "execute")}
+    for name, scenario_set in (("refused", scenarios.REFUSED), ("ragged", scenarios.RAGGED)):
+        for scenario in scenario_set:
+            yield f"{name} {scenario.label}", {
+                mode: session_record(scenario.point(), config, mode)
+                for mode in ("estimate", "execute")}
 
 
 def incore_configs(scenarios, scratch):
