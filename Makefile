@@ -1,11 +1,12 @@
-# Tier-1: the correctness gate every PR must keep green.
-# Tier-2: perf trajectory, tracked in BENCH_*.json across PRs.
+# Tier-1: the correctness gate every change must keep green; it includes
+# the charged corpus check (`make charged`).
+# Host time: the benchmark suite (`make bench-suite`, `make ab`) and the
+# three wall-clock gates (`make host-gates`).
 
 PYTHON ?= python
 
-.PHONY: test test-faults cov lint typecheck check-plans bench \
-	bench-program bench-planner bench-resilience bench-mp bench-service \
-	bench-suite ab diff-parent bench-reset clean-scratch serve
+.PHONY: test test-faults cov lint typecheck check-plans charged host-gates \
+	bench-suite ab clean-scratch serve
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
@@ -49,48 +50,28 @@ typecheck:
 check-plans:
 	PYTHONPATH=src $(PYTHON) tools/check_plans.py
 
-# Measures the fixed EXECUTE-mode GAXPY sweep and appends to
-# BENCH_fastpath.json (the stored baseline is kept; the run fails if any
-# *charged* statistic drifts from it — the fast path may only change host
-# time).  The script guards its own sys.path, so no install is needed.
-bench:
-	$(PYTHON) -m benchmarks.bench_fastpath --json BENCH_fastpath.json
+# Every charged number of a fixed configuration set (tools/charged_dump.py:
+# the check-plans sets, the reduction engines, the refused and ragged sets,
+# processes-backend points, seeded faults and the larger Session points;
+# EXECUTE and ESTIMATE) dumped from this tree and compared with the
+# committed CHARGED.jsonl: the first differing checked field per
+# configuration, then one summary line (configurations compared, how many
+# differ in a checked field, how many in data fields only).  Fails on a
+# checked difference.  Tier-1 runs the same check
+# (tests/test_charged_dump.py).  A change that predicts a charged movement
+# regenerates the file and commits its diff:
+#   python tools/charged_dump.py --out CHARGED.jsonl
+charged:
+	@dir=$$(mktemp -d) && \
+	$(PYTHON) tools/charged_dump.py --out $$dir/tree.jsonl && \
+	$(PYTHON) tools/charged_dump.py --compare CHARGED.jsonl $$dir/tree.jsonl; \
+	status=$$?; rm -rf $$dir; exit $$status
 
-# Whole-program pipeline (t = a @ b; c = t + d): EXECUTE wall clock plus a
-# drift check over the charged statistics, including the per-statement
-# breakdown and the intermediate's charged-once LAF reuse.
-bench-program:
-	$(PYTHON) -m benchmarks.bench_program --json BENCH_program.json
-
-# Plan optimizer: even-split vs cost-model-searched plans on a 3-statement
-# chain under one node memory budget.  Fails unless the optimized plan beats
-# the even split's charged I/O bytes, both plans verify against the oracle,
-# ESTIMATE==EXECUTE counters hold, and no charged statistic drifts from the
-# committed baseline (the search is deterministic).
-bench-planner:
-	$(PYTHON) -m benchmarks.bench_planner --json BENCH_planner.json
-
-# Resilience: checksums-on wall overhead must stay under 5% of the
-# checksums-off fastpath, injected faults must leave every charged statistic
-# bit-identical, and the seeded fault schedule's resilience counters must
-# reproduce the committed baseline exactly.
-bench-resilience:
-	$(PYTHON) -m benchmarks.bench_resilience --json BENCH_resilience.json
-
-# Multi-process backend: the two-statement pipeline run with one OS process
-# per rank must charge statistics bit-identical to the in-process simulator
-# (per-statement breakdown included) and match the committed BENCH_mp.json
-# baseline.  On machines with >= 4 CPUs the process-pool sweep must also be
-# at least 2x faster than the thread pool.
-bench-mp:
-	$(PYTHON) -m benchmarks.bench_mp --json BENCH_mp.json
-
-# Job service: 8 concurrent mixed-tenant jobs over HTTP must return records
-# bit-identical (every charged field) to direct Session.run, match the
-# committed BENCH_service.json baseline, and on machines with >= 4 CPUs the
-# 4-worker service must be at least 2x faster than the serial loop.
-bench-service:
-	$(PYTHON) -m benchmarks.bench_service --json BENCH_service.json
+# Host-time gates (benchmarks/host_gates.py): checksums-on overhead at most
+# 5% on the N = 768 pipeline; on machines with >= 4 CPUs the process-pool
+# sweep and the 4-worker service each at least 2x their serial baselines.
+host-gates:
+	$(PYTHON) -m benchmarks.host_gates
 
 # The benchmark suite BENCHMARK.json names (benchmarks/suite), at its smoke
 # scale: every workload end to end with the suite's own output checks, the
@@ -105,22 +86,6 @@ bench-suite:
 PAIRS ?= 10
 ab:
 	$(PYTHON) tools/ab_pairs.py --parent $(PARENT) --workload $(W) --pairs $(PAIRS)
-
-# Every charged number of the scenario sets of tests/scenarios.py
-# (tools/charged_dump.py: the check-plans sets, the reduction engines, the
-# refused set, a processes-backend point, seeded faults; EXECUTE and
-# ESTIMATE) charged by PARENT's src/ and by this tree's, then the first
-# differing checked field per configuration, then one summary line: how
-# many configurations were compared, how many differ in a checked field and
-# how many in data fields (result sha256, max_abs_error) only.  Prints no
-# per-configuration line when no charged number moved.
-#   make diff-parent PARENT=../parent
-diff-parent:
-	@dir=$$(mktemp -d) && \
-	$(PYTHON) tools/charged_dump.py --src $(PARENT)/src --out $$dir/parent.jsonl && \
-	$(PYTHON) tools/charged_dump.py --out $$dir/tree.jsonl && \
-	$(PYTHON) tools/charged_dump.py --compare $$dir/parent.jsonl $$dir/tree.jsonl; \
-	status=$$?; rm -rf $$dir; exit $$status
 
 # Run the compile-and-run job server (HOST/PORT/WORKERS overridable):
 #   make serve PORT=8642 WORKERS=4
@@ -137,8 +102,3 @@ serve:
 # in the reaper module, and runpy would warn about the double import)
 clean-scratch:
 	PYTHONPATH=src $(PYTHON) -c "from repro.resilience.reaper import main; raise SystemExit(main(['--max-age-s', '0']))"
-
-# Re-record the baseline (after an intentional change to the benchmark
-# configuration, never to paper over a perf regression).
-bench-reset:
-	$(PYTHON) -m benchmarks.bench_fastpath --json BENCH_fastpath.json --reset-baseline

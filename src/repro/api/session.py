@@ -116,7 +116,7 @@ class Session:
         process per rank, with collectives really moving bytes between the
         workers — and :meth:`sweep` with ``workers > 1`` through a process
         pool.  Charged statistics are bit-identical between the two
-        backends (enforced by ``benchmarks/bench_mp.py``).  ``ESTIMATE``
+        backends (enforced by ``tests/test_distributed.py``).  ``ESTIMATE``
         mode is analytic and always runs in-process regardless of backend.
     start_method:
         The :mod:`multiprocessing` start method for the ``"processes"``

@@ -46,6 +46,7 @@ from repro.core.analysis import (
 )
 from repro.core.ir import ProgramIR
 from repro.core.stripmine import SlabPlanEntry
+from repro.machine.cluster import fold
 from repro.machine.parameters import MachineParameters
 from repro.runtime.slab import SlabbingStrategy
 
@@ -171,7 +172,9 @@ def combine_plan_costs(costs: Sequence[PlanCost]) -> PlanCost:
     :class:`ArrayIOCost` carrying the sum of both access patterns — charged
     once each, never regenerated.  ``strategy`` is the shared per-statement
     strategy when all agree and ``None`` for mixed programs; the collective
-    payload is the count-weighted average.
+    payload is the count-weighted average.  Times are left folds in statement
+    order (:func:`~repro.machine.cluster.fold`), the same float on every
+    Python.
     """
     costs = list(costs)
     if not costs:
@@ -202,9 +205,9 @@ def combine_plan_costs(costs: Sequence[PlanCost]) -> PlanCost:
         collective_elements_each=collective_elements,
         itemsize=costs[0].itemsize,
         nprocs=costs[0].nprocs,
-        io_time=sum(cost.io_time for cost in costs),
-        compute_time=sum(cost.compute_time for cost in costs),
-        comm_time=sum(cost.comm_time for cost in costs),
+        io_time=fold(0, [cost.io_time for cost in costs]),
+        compute_time=fold(0, [cost.compute_time for cost in costs]),
+        comm_time=fold(0, [cost.comm_time for cost in costs]),
         label=shared.value if shared is not None else "mixed",
     )
 

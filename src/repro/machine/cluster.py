@@ -32,7 +32,7 @@ from repro.machine.network import NetworkModel
 from repro.machine.parameters import MachineParameters, get_preset, touchstone_delta
 from repro.machine.processor import ProcessorModel
 
-__all__ = ["ColumnLane", "Machine"]
+__all__ = ["ColumnLane", "Machine", "fold"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -57,13 +57,15 @@ class ColumnLane:
     prefix_read_requests: int = 0
 
 
-def _fold(start: float, values: Sequence[float], count: int) -> float:
+def fold(start: float, values: Sequence[float], count: int = 1) -> float:
     """``start`` plus ``values`` repeated ``count`` times, added one at a time,
     left to right.
 
     The scalar ``+=`` loop, run in C: the same additions in the same order,
-    so the same float.  Never ``sum`` (it compensates float sums from Python
-    3.12 on), ``math.fsum`` or ``np.sum`` (pairwise): each rounds differently.
+    so the same float on every Python.  Never ``sum`` (it compensates float
+    sums from Python 3.12 on), ``math.fsum`` or ``np.sum`` (pairwise): each
+    rounds differently.  The machine's clocks fold their charges with it, and
+    the cost model and the plan search their predicted times.
     """
     if count == 1 or not values:
         return functools.reduce(operator.add, values, start)
@@ -81,7 +83,7 @@ _ROW = struct.Struct("7d")
 
 def _fold_row(row: Sequence[float], additions: Sequence[Sequence[float]],
               count: int) -> Tuple[float, ...]:
-    """Each of the seven accumulators of ``row`` folded (:func:`_fold`) with its
+    """Each of the seven accumulators of ``row`` folded (:func:`fold`) with its
     additions; bit-identical pairs — a clock's ``io_time`` and its disk's busy
     time, say — fold once, and one with nothing to add keeps its value."""
     bits = _ROW.pack(*row)
@@ -93,7 +95,7 @@ def _fold_row(row: Sequence[float], additions: Sequence[Sequence[float]],
             continue
         key = (bits[8 * i: 8 * i + 8], values)
         if key not in done:
-            done[key] = _fold(start, values, count)
+            done[key] = fold(start, values, count)
         folded.append(done[key])
     return tuple(folded)
 
@@ -210,7 +212,7 @@ class Machine:
         lane leaves the machine unmoved.  Then every float accumulator — the
         clock's ``now``, ``io_time`` and ``compute_time``, the disk's and the
         processor's busy times and both flop totals — is a left fold
-        (:func:`_fold`) over exactly the additions the scalar calls would make
+        (:func:`fold`) over exactly the additions the scalar calls would make
         to it, in their order, once for all ranks with equal lanes and
         accumulators; the integer counters are added in closed form.  A lane
         meets no synchronisation, so unlike a column block's its ``now``
@@ -305,7 +307,7 @@ class Machine:
         per-column synchronisation never touches — the clock's ``io_time``,
         ``compute_time`` and ``comm_time``, the disk's and the processor's
         busy times, both flop totals and the network's busy time — is a left
-        fold (:func:`_fold`) over the additions the scalar calls would make to
+        fold (:func:`fold`) over the additions the scalar calls would make to
         it, in their order — once for all ranks with equal lanes and
         accumulators, as SPMD ranks mostly are.
 
@@ -361,12 +363,12 @@ class Machine:
                 now[r] += sum_seconds
             done += 1
         if done < ncols:
-            now = [_fold(now[0], seconds[0] + (sum_seconds,), ncols - done)] * nprocs
+            now = [fold(now[0], seconds[0] + (sum_seconds,), ncols - done)] * nprocs
 
         self.network.messages += ncols * rounds
         self.network.bytes_moved += ncols * rounds * nbytes
         self.network.collectives += ncols
-        self.network.busy_time = _fold(self.network.busy_time, (sum_seconds,), ncols)
+        self.network.busy_time = fold(self.network.busy_time, (sum_seconds,), ncols)
         folded: Dict[tuple, tuple] = {}  # ranks with equal lanes and rows fold once
         for r in owned:
             lane = lanes[r]

@@ -50,6 +50,7 @@ from repro.core.pipeline import (
     price_fused_pair,
 )
 from repro.exceptions import CompilationError, CostModelError, MemoryAllocationError
+from repro.machine.cluster import fold
 from repro.machine.parameters import MachineParameters
 from repro.planner.plan_cache import PlanCache, plan_fingerprint
 from repro.planner.space import (
@@ -167,12 +168,13 @@ def _key(parts: Sequence[_Part]) -> CostKey:
     """``(total_time, io_time, io_bytes)`` of the units contributing ``parts``.
 
     Bit for bit what :func:`combine_plan_costs` of the units' costs reports:
-    times are summed in unit order, and element counts are whole numbers, so
-    their sum does not depend on how it is grouped.
+    times are left folds in unit order (:func:`~repro.machine.cluster.fold`),
+    and element counts are whole numbers, so their sum does not depend on
+    how it is grouped.
     """
-    io_time = sum(part[0] for part in parts)
-    compute_time = sum(part[1] for part in parts)
-    comm_time = sum(part[2] for part in parts)
+    io_time = fold(0, [part[0] for part in parts])
+    compute_time = fold(0, [part[1] for part in parts])
+    comm_time = fold(0, [part[2] for part in parts])
     return (io_time + compute_time + comm_time, io_time, sum(part[3] for part in parts))
 
 

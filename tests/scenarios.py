@@ -5,13 +5,14 @@ A :class:`Scenario` is one configuration: a program (an IR builder of
 extent and processor count, element type, distribution, slab spec and forced
 strategy.  The named sets below are what the tier-1 oracle tests,
 ``tools/check_plans.py`` (``make check-plans``) and ``tools/charged_dump.py``
-(``make diff-parent``) draw from; :data:`AXES` is the one table of ranges
-behind both random drivers, the hypothesis strategy :func:`hypothesis_scenarios`
-and the seeded enumerator :func:`enumerate_scenarios`.
+(the committed ``CHARGED.jsonl``) draw from; :data:`AXES` is the one table
+of ranges behind both random drivers, the hypothesis strategy
+:func:`hypothesis_scenarios` and the seeded enumerator
+:func:`enumerate_scenarios`.
 
-Add a scenario to a set here rather than a matrix to a test.  Only API that
-the parent commit of every change also has may be called: ``make
-diff-parent`` imports this module against the parent's ``src/``.
+Add a scenario to a set here rather than a matrix to a test.  A set that
+``tools/charged_dump.py`` dumps moves ``CHARGED.jsonl`` when it changes:
+regenerate the file in the same change.
 """
 
 from __future__ import annotations

@@ -1,4 +1,11 @@
-"""``tools/charged_dump.py --compare`` says what it compared.
+"""The tree charges exactly what the committed ``CHARGED.jsonl`` pins.
+
+:func:`test_tree_charges_what_the_corpus_pins` dumps this tree with
+``tools/charged_dump.py`` in a fresh interpreter and compares the dump with
+the committed corpus: a configuration that differs in a checked field fails
+the test, which names its first such field.  A change that predicts a
+charged movement regenerates the corpus (``python tools/charged_dump.py
+--out CHARGED.jsonl``) and commits its diff.
 
 Every compare ends with one summary line — configurations compared, how many
 differ in a checked field, how many in data fields only — so a comparison of
@@ -6,8 +13,14 @@ nothing cannot pass for a clean one.  The exit status is 1 exactly when some
 configuration differs in a checked field.
 """
 
+import atexit
 import importlib.util
 import json
+import os
+import subprocess
+import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -18,6 +31,35 @@ _SPEC = importlib.util.spec_from_file_location(
 )
 charged_dump = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(charged_dump)
+CORPUS = REPO / "CHARGED.jsonl"
+
+# The dump takes seconds of one CPU, so it starts when this module is
+# collected and runs while the tests before the corpus test do; the test
+# waits for it.  Its files, run scratch included, stay under one directory,
+# removed at exit, and a session that never runs the test kills it first.
+_SCRATCH = tempfile.TemporaryDirectory(prefix="charged-dump-")
+_TREE = Path(_SCRATCH.name) / "tree.jsonl"
+_DUMP = subprocess.Popen([sys.executable, str(REPO / "tools" / "charged_dump.py"),
+                          "--out", str(_TREE)],
+                         cwd=_SCRATCH.name, env={**os.environ, "TMPDIR": _SCRATCH.name})
+
+
+@atexit.register
+def _stop_dump():
+    _DUMP.kill()
+    _DUMP.wait()
+    _SCRATCH.cleanup()
+
+
+def test_tree_charges_what_the_corpus_pins(capsys):
+    assert _DUMP.wait() == 0
+    differing = charged_dump.compare(str(CORPUS), str(_TREE))
+    report = capsys.readouterr().out
+    assert differing == 0, report
+    summary = report.splitlines()[-1]
+    if not summary.endswith(" 0 in data fields only"):
+        warnings.warn(f"{CORPUS.name}: {summary}", stacklevel=1)
+
 
 BEFORE = {
     "gaxpy-a": {"simulated_seconds": "1.5", "result.sha256.c": "aa", "max_abs_error": "0.0"},

@@ -1,6 +1,8 @@
 """Tests for the compiler core: IR, analysis, strip-mining, cost model,
 memory allocation, reorganization, code generation and the pipeline."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -196,7 +198,11 @@ class TestCostModel:
         model = CostModel(touchstone_delta(), p)
         return model.estimate(analysis, strategy, entries)
 
-    @pytest.mark.parametrize("n,p,ratio", [(256, 4, 0.25), (512, 8, 0.5), (1024, 16, 0.125)])
+    @pytest.mark.parametrize("n,p,ratio", [
+        (n, p, ratio)
+        for (n, p), ratio in itertools.product(
+            [(256, 4), (512, 8), (1024, 16), (1024, 64), (2048, 16)], [0.125, 0.25, 0.5, 1.0])
+    ])
     def test_matches_paper_equations(self, n, p, ratio):
         m = int((n * n // p) * ratio)
         column = self._costs(n, p, ratio, "column").arrays["a"]
@@ -206,11 +212,16 @@ class TestCostModel:
         assert row.fetch_requests == pytest.approx(row_slab_fetch_requests(n, p, m), rel=0.01)
         assert row.fetch_elements == pytest.approx(row_slab_fetch_elements(n, p, m), rel=0.01)
 
-    def test_row_cheaper_than_column(self):
-        column = self._costs(512, 8, 0.25, "column")
-        row = self._costs(512, 8, 0.25, "row")
+    @pytest.mark.parametrize("n,p", [(512, 8), (1024, 16)])
+    def test_row_cheaper_than_column(self, n, p):
+        column = self._costs(n, p, 0.25, "column")
+        row = self._costs(n, p, 0.25, "row")
         assert row.io_time < column.io_time / 5
         assert row.total_time < column.total_time
+        # the paper's headline: reorganization cuts the streamed array's I/O N-fold
+        streamed, reorganized = column.arrays["a"], row.arrays["a"]
+        assert streamed.fetch_elements / reorganized.fetch_elements == pytest.approx(n, rel=0.01)
+        assert streamed.fetch_requests / reorganized.fetch_requests == pytest.approx(n, rel=0.01)
 
     def test_dominant_array_is_streamed_under_column(self):
         assert self._costs(512, 8, 0.25, "column").dominant_array() == "a"
@@ -320,10 +331,13 @@ class TestReorganization:
 
 
 class TestPipeline:
-    def test_compile_with_budget_chooses_row(self):
-        compiled = compile_gaxpy(1024, 16, memory_budget_bytes=2 * 1024 * 1024)
+    @pytest.mark.parametrize("p,budget,policy", [
+        (16, 2 * 1024 * 1024, None), (64, 4 * 1024 * 1024, ProportionalAllocation())])
+    def test_compile_with_budget_chooses_row(self, p, budget, policy):
+        compiled = compile_gaxpy(1024, p, memory_budget_bytes=budget, policy=policy)
         assert compiled.strategy is SlabbingStrategy.ROW
         assert compiled.decision is not None
+        assert compiled.decision.predicted_improvement >= 10.0
         assert compiled.predicted_cost.total_time > 0
         assert "row" in compiled.describe()
 
@@ -346,8 +360,10 @@ class TestPipeline:
         with pytest.raises(CompilationError):
             compile_program(program, slab_ratio=0.5, memory_budget_bytes=1024)
 
-    def test_compile_is_fast(self):
-        compiled = compile_gaxpy(2048, 64, slab_ratio=0.125)
+    @pytest.mark.parametrize("p", [64, 16])
+    def test_compile_is_fast(self, p):
+        compiled = compile_gaxpy(2048, p, slab_ratio=0.125)
+        assert compiled.strategy is SlabbingStrategy.ROW
         assert compiled.compile_seconds < 1.0
 
 
@@ -356,7 +372,8 @@ class TestPipeline:
 # ---------------------------------------------------------------------------
 class TestCodegen:
     @pytest.mark.parametrize("strategy", ["column", "row"])
-    @pytest.mark.parametrize("n,p,ratio", [(256, 4, 0.25), (512, 8, 0.5), (1024, 16, 1.0)])
+    @pytest.mark.parametrize("n,p,ratio",
+                             [(256, 4, 0.25), (512, 8, 0.5), (1024, 16, 1.0), (1024, 16, 0.25)])
     def test_charge_ledger_matches_cost_model(self, strategy, n, p, ratio):
         compiled = compile_gaxpy(n, p, slab_ratio=ratio, force_strategy=strategy)
         ledger = check_compiled(compiled).ledger
@@ -370,6 +387,9 @@ class TestCodegen:
             assert traffic.write_elements == array_cost.write_elements
         assert ledger.flops == cost.flops
         assert ledger.collective_count == cost.collective_count
+        totals = compiled.node_program.operation_totals()
+        assert totals["flops"] == cost.flops > 0
+        assert totals["global_sums"] == cost.collective_count > 0
 
     def test_pretty_print_mentions_io_and_global_sum(self):
         compiled = compile_gaxpy(256, 4, slab_ratio=0.25, force_strategy="row")

@@ -553,3 +553,39 @@ class TestSearchLowersOnlyTheWinner:
         assert compiled.planner.candidates_evaluated > len(ir.statements)
         assert calls["generate_node_program"] <= len(compiled.statements)
         assert calls["analyze_program"] == len(ir.statements)
+
+
+# ---------------------------------------------------------------------------
+# predicted times add the same way on every Python
+# ---------------------------------------------------------------------------
+def _compensated_sum(values, start=0):
+    """CPython 3.12's float ``sum``: Neumaier-compensated, unlike 3.10 and 3.11."""
+    total, compensation = float(start), 0.0
+    for value in values:
+        added = total + value
+        if abs(total) >= abs(value):
+            compensation += (total - added) + value
+        else:
+            compensation += (value - added) + total
+        total = added
+    return total + compensation
+
+
+def test_predicted_times_are_left_folds(monkeypatch):
+    """``combine_plan_costs`` and the plan search's ``_key`` add times left to
+    right from 0, so a compensated ``sum`` changes neither."""
+    from repro.core import cost_model
+    from repro.planner import search
+
+    times = (0.1, 0.2, 0.3)
+    folded = (0.1 + 0.2) + 0.3
+    assert _compensated_sum(times) != folded
+    for module in (cost_model, search):
+        monkeypatch.setattr(module, "sum", _compensated_sum, raising=False)
+    costs = [cost_model.PlanCost(strategy=SlabbingStrategy.ROW, arrays={}, flops=0.0,
+                                 collective_count=0.0, collective_elements_each=0.0,
+                                 itemsize=4, nprocs=4, io_time=time, compute_time=0.0,
+                                 comm_time=0.0)
+             for time in times]
+    assert cost_model.combine_plan_costs(costs).io_time == folded
+    assert search._key([(time, 0.0, 0.0, 0.0) for time in times])[1] == folded

@@ -1,41 +1,41 @@
 #!/usr/bin/env python
 """Dump every charged number of a fixed configuration set, and diff two dumps.
 
-``make diff-parent PARENT=<checkout>`` runs this twice — once against the
-parent checkout's ``src/``, once against this tree's — and prints the first
-differing *checked* field per configuration.  No such line means no charged
-number moved between the two trees.  The *data* fields — each gathered
-array's sha256 (results and stored inputs) and ``max_abs_error`` — move
-whenever the generated inputs do, so they never mask a charged field: they
-are compared last.  Every
-compare ends with one summary line, ``<n> configurations compared: <k>
-differ in checked fields, <m> in data fields only``, so an empty comparison
-cannot pass for a clean one.  ``verified`` is a checked field, so a flip is
-printed.
+``CHARGED.jsonl`` at the repository root is this tool's dump of the tree,
+committed.  ``tests/test_charged_dump.py`` (tier-1) and ``make charged`` dump
+the tree again and compare: each configuration that differs in a *checked*
+field prints its first such field, and the check fails.  A change that
+predicts a charged movement regenerates the file (``python
+tools/charged_dump.py --out CHARGED.jsonl``), and the file's diff is the
+reviewed movement.  The *data* fields — each gathered array's sha256
+(results and stored inputs) and ``max_abs_error`` — move whenever the
+generated inputs do, so they never mask a charged field: they are compared
+last, counted, and never fail a compare.  Every compare ends with one
+summary line, ``<n> configurations compared: <k> differ in checked fields,
+<m> in data fields only``, so an empty comparison cannot pass for a clean
+one.  ``verified`` is a checked field, so a flip is printed.
 
-Each output line is one JSON object ``{"config": label, "fields": {...}}``.
-Fields are every quantity of ``VirtualMachine.snapshot_charges()`` (clocks,
-busy times, counters of every processor, disk and the network), flattened to
-dotted names, plus the run's simulated seconds, time breakdown, I/O
-statistics and per-statement breakdown, and — for an EXECUTE run — its
-``verified`` flag, ``max_abs_error`` and a sha256 of every result array
-and of every program input the run stored (dtype, shape and bytes), so
-inputs and results are proven byte-identical too, not only the charges — a
-change to how inputs are drawn or written is checked directly, not only
-through the results.  A run gathers nothing itself: the tool reads each
-array back with ``VirtualMachine.to_dense`` after the run — the final
-result as ``result``, for a whole program every result that has files, and
-each stored input as ``input.<name>``; a run through ``Session`` is read
-while its VM is still open (:func:`session_record`), and on the
-``processes`` backend each rank worker digests its own blocks
-(``<name>@rank<r>``).  Every number is written with
+Each output line is one JSON object ``{"config": label, "fields": {...}}``,
+keys sorted.  Fields are every quantity of
+``VirtualMachine.snapshot_charges()`` (clocks, busy times, counters of every
+processor, disk and the network), flattened to dotted names, plus the run's
+simulated seconds, time breakdown, I/O statistics and per-statement
+breakdown, and — for an EXECUTE run — its ``verified`` flag,
+``max_abs_error`` and a sha256 of every result array and of every program
+input the run stored (dtype, shape and bytes), so inputs and results are
+proven byte-identical too, not only the charges.  A run gathers nothing
+itself: the tool reads each array back with ``VirtualMachine.to_dense``
+after the run — the final result as ``result``, for a whole program every
+result that has files, and each stored input as ``input.<name>``; a run
+through ``Session`` is read while its VM is still open
+(:func:`session_record`), and on the ``processes`` backend each rank worker
+digests its own blocks (``<name>@rank<r>``).  Every number is written with
 ``repr``, so floats compare exactly.  A configuration the tree refuses
-(compile or run error) records the error text instead.  Every input is
-drawn by ``Workload.generate_inputs``, whichever input shape the tree's
-engines take.
+(compile or run error) records the error text instead.  Every input is drawn
+by ``Workload.generate_inputs``.
 
-Configurations, all drawn from ``tests/scenarios.py`` and each charged in
-EXECUTE and in ESTIMATE:
+Configurations, all built from ``tests/scenarios.py``, each charged in
+EXECUTE and in ESTIMATE unless said otherwise:
 
 * the four sets ``make check-plans`` verifies (``STATIC``, ``EXECUTED``,
   ``FUSED`` and 40 seeded draws of ``enumerate_scenarios``), CYCLIC and
@@ -49,18 +49,23 @@ EXECUTE and in ESTIMATE:
 * the ``REFUSED`` and ``RAGGED`` (P ∤ N) sets through ``Session``, whatever
   each mode does with them;
 * the first ``PARITY`` point run through ``Session`` on the ``processes``
-  backend and on the simulated one (the full ``RunRecord`` of each);
+  backend and on the simulated one (EXECUTE);
 * a seeded-fault set: a lone reduction, a lone elementwise statement, a
   fused pair and a three-statement program run through ``Session`` under
-  bit-flip policies that really fire (the full ``RunRecord``, resilience
-  counters included).
+  bit-flip policies that really fire (EXECUTE, resilience counters
+  included);
+* larger points through ``Session`` (:func:`sized_configs`): the GAXPY at
+  N = 256 (column and row), the two-statement pipeline at N = 256 (and on
+  the ``processes`` backend), the three-statement chain under a 48 KiB
+  budget with each optimizer, the pipeline at N = 768 with checksums off,
+  on and under a mixed fault schedule, and the four N = 128 kinds of the
+  service mix.
 
-Usage (from any directory; ``--src`` picks whose ``repro`` is charged, the
-scenario sets are always this checkout's)::
+Usage (from any directory)::
 
-    python tools/charged_dump.py --src <checkout>/src --out parent.jsonl
-    python tools/charged_dump.py --src src --out tree.jsonl
-    python tools/charged_dump.py --compare parent.jsonl tree.jsonl
+    python tools/charged_dump.py --out tree.jsonl
+    python tools/charged_dump.py --compare CHARGED.jsonl tree.jsonl
+    python tools/charged_dump.py --out CHARGED.jsonl   # after a predicted move
 """
 
 from __future__ import annotations
@@ -74,7 +79,7 @@ import tempfile
 import types
 from pathlib import Path
 
-TOOLS = Path(__file__).resolve().parent
+REPO = Path(__file__).resolve().parent.parent
 
 
 def flatten(value, prefix, out):
@@ -92,26 +97,6 @@ def flatten(value, prefix, out):
     else:
         out[prefix] = repr(value)
     return out
-
-
-def load_repro(src):
-    """Import ``repro`` from ``src``, then this checkout's scenario sets."""
-    src = Path(src).resolve()
-    sys.path.insert(0, str(src))
-    import repro  # noqa: F401 — pins the package (and its submodules) to ``src``
-
-    sys.path.insert(0, str(TOOLS.parent))
-    from tests import scenarios
-
-    return src, scenarios
-
-
-def assert_from(src):
-    """Refuse a dump that mixed modules of two trees."""
-    for name, module in list(sys.modules.items()):
-        path = getattr(module, "__file__", None)
-        if name.split(".")[0] == "repro" and path and src not in Path(path).resolve().parents:
-            raise SystemExit(f"{name} was imported from {path}, not from {src}")
 
 
 def digest(array):
@@ -326,22 +311,64 @@ def fault_configs(scenarios, scratch):
         yield f"faults {scenario.label} seed={seed} bitflip={rate}", {"execute": fields}
 
 
-def dump(src, out):
-    src, scenarios = load_repro(src)
+def sized_configs(scenarios, scratch):
+    """Larger points through ``Session``: the full ``RunRecord`` of each."""
+    from repro.config import RunConfig
+    from repro.resilience.faults import FaultPolicy
+
+    Scenario = scenarios.Scenario
+    scratch = Path(scratch)
+    plain = RunConfig(scratch_dir=scratch)
+    both, execute = ("estimate", "execute"), ("execute",)
+    pipeline = Scenario("mm_add", 256, 4, ratio=0.25)
+    large = Scenario("mm_add", 768, 4, ratio=0.25)
+    faults = FaultPolicy(seed=1997, read_error_rate=0.05, write_error_rate=0.02,
+                         disk_full_rate=0.01, torn_write_rate=0.02, bitflip_rate=0.01)
+    service = RunConfig(scratch_dir=scratch, seed=1997)
+    # (label prefix, scenario, run configuration, backend, modes)
+    points = [
+        *(("session", Scenario("gaxpy", 256, 4, ratio=0.25, strategy=strategy), plain,
+           "simulated", execute) for strategy in ("column", "row")),
+        ("session", pipeline, plain, "simulated", both),
+        ("session", pipeline, plain, "processes", execute),
+        *(("session", Scenario("mm_add_mul", 256, 4, budget=48 * 1024, optimizer=optimizer,
+                               fusion=fusion), plain, "simulated", both)
+          for optimizer, fusion in (("none", None), ("greedy", None), ("greedy", "on"))),
+        ("checksums=off", large, RunConfig(scratch_dir=scratch, checksums=False),
+         "simulated", execute),
+        ("checksums=on", large, plain, "simulated", execute),
+        ("faults seed=1997 mixed", large,
+         RunConfig(scratch_dir=scratch, fault_policy=faults, io_retry_backoff_s=0.0),
+         "simulated", execute),
+        *(("service seed=1997", Scenario(shape, 128, 4, ratio=0.25, strategy=strategy),
+           service, "simulated", execute)
+          for shape, strategy in (("gaxpy", "column"), ("gaxpy", "row"),
+                                  ("transpose", None), ("elementwise", None))),
+    ]
+    for prefix, scenario, config, backend, modes in points:
+        yield f"{prefix} {scenario.label} {backend}", {
+            mode: session_record(scenario.point(), config, mode, backend) for mode in modes}
+
+
+def dump(out):
+    sys.path[:0] = [str(REPO / "src"), str(REPO)]
+    from tests import scenarios
+
     with tempfile.TemporaryDirectory() as scratch, open(out, "w") as sink:
         def emit(label, runs):
             for mode, fields in runs.items():
-                sink.write(json.dumps({"config": f"{label} [{mode}]", "fields": fields}) + "\n")
+                sink.write(json.dumps({"config": f"{label} [{mode}]", "fields": fields},
+                                      sort_keys=True) + "\n")
 
         for label, compiled in plan_configs(scenarios):
             if isinstance(compiled, str):
                 emit(label, {"compile": {"error": compiled}})
             else:
                 emit(label, charged_runs(compiled, scratch))
-        for configs in (engine_configs, session_configs, incore_configs, fault_configs):
+        for configs in (engine_configs, session_configs, incore_configs, fault_configs,
+                        sized_configs):
             for label, runs in configs(scenarios, scratch):
                 emit(label, runs)
-    assert_from(src)
 
 
 def read_dump(path):
@@ -388,8 +415,6 @@ def compare(before_path, after_path):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", default=str(TOOLS.parent / "src"),
-                        help="the src/ directory whose repro package is charged")
     parser.add_argument("--out", help="JSON-lines file to write")
     parser.add_argument("--compare", nargs=2, metavar=("BEFORE", "AFTER"),
                         help="diff two dumps instead of writing one")
@@ -398,7 +423,7 @@ def main(argv=None):
         return 1 if compare(*args.compare) else 0
     if not args.out:
         parser.error("--out is required unless --compare is given")
-    dump(args.src, args.out)
+    dump(args.out)
     return 0
 
 

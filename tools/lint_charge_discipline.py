@@ -2,10 +2,11 @@
 """AST lint for the charge-accounting discipline of the runtime.
 
 The simulated machine's counters are the repository's ground truth: the cost
-model predicts them, the static verifier proves them, and the benchmarks pin
-them.  That only works while every byte of file traffic flows through the
-charged engines and no charge depends on the host.  This linter enforces the
-discipline statically (stdlib ``ast`` only, no third-party dependencies):
+model predicts them, the static verifier proves them, and the committed
+``CHARGED.jsonl`` pins them.  That only works while every byte of file
+traffic flows through the charged engines and no charge depends on the host.
+This linter enforces the discipline statically (stdlib ``ast`` only, no
+third-party dependencies):
 
 ``io-confinement``
     Raw file access (``open``, ``os.open``, the positioned and plain
