@@ -1,11 +1,17 @@
 """Host-time gates: the wall-clock checks no charged number can stand for.
 
-Three gates, each a ratio of two wall clocks measured back to back:
+Four gates, each a ratio of two wall clocks measured back to back:
 
 * **checksum overhead** — the N = 768 two-statement pipeline (``t = a @ b;
   c = t + d``, P = 4, slab ratio 1/4) run in EXECUTE with checksums on may
   cost at most 5 % more wall time than with checksums off (the smallest
   on/off ratio of five back-to-back pairs, so host-load drift cancels);
+* **verification cost** — the two points of the suite's ``stream_rw_1k``
+  (a transpose, then an elementwise add; N = 1024, P = 4, slab ratio 1/4)
+  run in EXECUTE and verified may take at most 2x the wall time of the same
+  runs unverified (the smallest verified/unverified ratio of five
+  back-to-back pairs), so checking an O(N^2) result costs less than
+  computing it;
 * **process pool** — a four-point EXECUTE GAXPY sweep (N = 256, P = 4,
   column slabs) on ``backend="processes"`` must be at least 2x faster than
   on the thread pool;
@@ -46,6 +52,8 @@ from tests.scenarios import Scenario  # noqa: E402
 
 MAX_CHECKSUM_OVERHEAD = 0.05
 CHECKSUM_PAIRS = 5
+MAX_VERIFY_RATIO = 2.0
+VERIFY_PAIRS = 5
 MIN_SPEEDUP = 2.0
 MIN_CPUS_FOR_SPEEDUP_GATE = 4
 WORKERS = 4
@@ -72,6 +80,25 @@ def checksum_overhead(scratch: Path) -> float:
         off = execute(False)
         ratios.append(execute(True) / off)
     return min(ratios) - 1.0
+
+
+def verification_ratio(scratch: Path) -> float:
+    """Wall time of the stream points verified over unverified, at the best pair."""
+    points = [Scenario(shape, 1024, 4, ratio=0.25).point()
+              for shape in ("transpose", "elementwise")]
+    with Session(config=RunConfig(scratch_dir=scratch), reap_max_age_s=None) as session:
+        compiled = [session.compile(point) for point in points]
+
+        def execute(verify: bool) -> float:
+            return _wall(lambda: [session.execute(each, verify=verify) for each in compiled])
+
+        for verify in (False, True):  # the first runs of a process pay one-time costs
+            execute(verify)
+        ratios = []
+        for _ in range(VERIFY_PAIRS):
+            off = execute(False)
+            ratios.append(execute(True) / off)
+    return min(ratios)
 
 
 def process_pool_speedup(scratch: Path) -> float:
@@ -130,6 +157,11 @@ def main() -> int:
         failed |= not ok
         print(f"checksum overhead: {overhead * 100:+.1f}% "
               f"(at most {MAX_CHECKSUM_OVERHEAD * 100:.0f}%) {'ok' if ok else 'FAIL'}")
+        ratio = verification_ratio(scratch)
+        ok = ratio <= MAX_VERIFY_RATIO
+        failed |= not ok
+        print(f"verified vs unverified stream: {ratio:.2f}x "
+              f"(at most {MAX_VERIFY_RATIO:.1f}x) {'ok' if ok else 'FAIL'}")
         for name, measure in (("process pool vs threads", process_pool_speedup),
                               ("service vs serial loop", service_speedup)):
             speedup = measure(scratch)

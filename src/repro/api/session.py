@@ -117,7 +117,8 @@ class Session:
         workers — and :meth:`sweep` with ``workers > 1`` through a process
         pool.  Charged statistics are bit-identical between the two
         backends (enforced by ``tests/test_distributed.py``).  ``ESTIMATE``
-        mode is analytic and always runs in-process regardless of backend.
+        mode drives the engines charge-only and always runs in process,
+        regardless of backend.
     start_method:
         The :mod:`multiprocessing` start method for the ``"processes"``
         backend (``"fork"`` | ``"spawn"`` | ``"forkserver"``).  ``None``
@@ -366,12 +367,12 @@ class Session:
         runs from the start.
 
         On a ``backend="processes"`` session, ``EXECUTE``-mode evaluations
-        run one worker process per rank (``ESTIMATE`` stays analytic and
-        in-process).  ``resume=`` is not supported there — checkpoint
-        recovery is a single-process affair — and neither is corruption
-        injection (torn writes / bit flips), whose repair path re-executes
-        collective-bearing statements on a single rank and would deadlock
-        the rank workers.
+        run one worker process per rank (``ESTIMATE`` drives the engines
+        charge-only, in process).  ``resume=`` is not supported there —
+        checkpoint recovery is a single-process affair — and neither is
+        corruption injection (torn writes / bit flips), whose repair path
+        re-executes collective-bearing statements on a single rank and would
+        deadlock the rank workers.
         """
         from repro.runtime.vm import VirtualMachine
 
@@ -388,7 +389,7 @@ class Session:
             verify = self.config.verify
         if resume is not None and mode is not ExecutionMode.EXECUTE:
             raise WorkloadError("resume= needs EXECUTE mode — there is no "
-                                "checkpoint to resume in an analytic estimate")
+                                "checkpoint to resume in a charge-only estimate")
         run_config = self.config.with_mode(mode)
         if scratch_dir is not None:
             run_config = dataclasses.replace(run_config, scratch_dir=Path(scratch_dir))

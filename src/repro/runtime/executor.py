@@ -103,7 +103,13 @@ Inputs = Optional[Mapping[str, "np.ndarray | Operand"]]
 #: N = 1024): the oracle computes, and the comparison holds, a panel at a time
 _PANEL_BYTES = 2 << 20
 
-#: ``(result array, its column slice, freshly allocated float64 reference panel)``
+#: bytes of float64 in one chunk of the allclose sweep (:func:`_panel_close`):
+#: a panel is compared a block of rows at a time, through scratch that stays
+#: in cache and is reused for every chunk of every panel
+_CHUNK_BYTES = 256 << 10
+
+#: ``(result array, its column slice, float64 reference panel)``; the panel is
+#: valid until the next one is requested, and the consumer may overwrite it
 _Panels = Iterator[Tuple[str, slice, np.ndarray]]
 
 
@@ -113,6 +119,19 @@ def _column_panels(shape: Tuple[int, int]) -> Iterator[slice]:
     width = max(1, _PANEL_BYTES // (8 * max(rows, 1)))
     for start in range(0, cols, width):
         yield slice(start, min(start + width, cols))
+
+
+def _buffered_panels(shape: Tuple[int, int]) -> Iterator[Tuple[slice, np.ndarray]]:
+    """:func:`_column_panels` of a ``shape`` result, each with a C-contiguous
+    float64 ``(rows, width)`` array to compute it into: views of one buffer,
+    allocated for the first (widest) panel and reused for the rest."""
+    rows = shape[0]
+    buffer = None
+    for cols in _column_panels(shape):
+        size = rows * (cols.stop - cols.start)
+        if buffer is None:
+            buffer = np.empty(size, dtype=np.float64)
+        yield cols, buffer[:size].reshape(rows, cols.stop - cols.start)
 
 
 def _float64(array: np.ndarray) -> np.ndarray:
@@ -127,17 +146,32 @@ def _reduction_panels(name: str, streamed: np.ndarray, coefficient: np.ndarray) 
         yield name, cols, streamed @ _float64(coefficient[:, cols])
 
 
+def _draw(source: "np.ndarray | Operand", key: Tuple[slice, slice], out: np.ndarray) -> np.ndarray:
+    """``source[key]`` cast into ``out``: an operand draws straight into it."""
+    from repro.runtime.operands import Operand
+
+    if isinstance(source, Operand):
+        return source.select(key, out=out)
+    np.copyto(out, source[key])
+    return out
+
+
 def _elementwise_panels(
-    name: str, op: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    lhs: np.ndarray, rhs: np.ndarray,
+    name: str, op: Callable[..., np.ndarray], lhs: np.ndarray, rhs: np.ndarray,
 ) -> _Panels:
-    for cols in _column_panels(lhs.shape):
-        yield name, cols, op(_float64(lhs[:, cols]), _float64(rhs[:, cols]))
+    """``op`` of two operands in float64 arithmetic, one column panel at a
+    time in a reused buffer: ``lhs`` is cast into it, ``rhs`` as it is read."""
+    for cols, out in _buffered_panels(lhs.shape):
+        panel = (slice(None), cols)
+        yield name, cols, op(_draw(lhs, panel, out), rhs[panel], dtype=np.float64, out=out)
 
 
-def _transpose_panels(name: str, source: np.ndarray) -> _Panels:
-    for cols in _column_panels(source.shape[::-1]):
-        yield name, cols, source[cols, :].T.astype(np.float64)  # a copy, never a view
+def _transpose_panels(name: str, source: "np.ndarray | Operand") -> _Panels:
+    """The transpose of ``source``, one column panel (a block of its rows) at
+    a time, cast to float64 in a reused buffer: an operand draws the rows
+    straight into its transpose, column-major like a tile's stream."""
+    for cols, out in _buffered_panels(source.shape[::-1]):
+        yield name, cols, _draw(source, (cols, slice(None)), out.T).T
 
 
 def reduction_reference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -150,7 +184,7 @@ def reduction_reference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return c
 
 
-_ELEMENTWISE_OPS: Dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
+_ELEMENTWISE_OPS: Dict[str, Callable[..., np.ndarray]] = {
     "add": np.add,
     "multiply": np.multiply,
     "subtract": np.subtract,
@@ -161,9 +195,10 @@ def _reference_panels(program: "ProgramIR", env: Dict[str, np.ndarray]) -> _Pane
     """The in-core NumPy oracle, streamed: every statement result in panels.
 
     Evaluates the statement list in order on ``env`` (array name -> dense
-    data of any dtype, or an operand); each panel is the consumer's to
-    overwrite.  Only a result a later statement reads is also assembled
-    densely, in ``env``, which drops every array after its last reader.
+    data of any dtype, or an operand); each panel is valid until the next
+    is requested, and the consumer may overwrite it.  Only a result a later
+    statement reads is also assembled densely, in ``env`` (each panel copied
+    in before it is yielded), which drops every array after its last reader.
     """
     from repro.core.ir import ElementwiseStatement, ReductionStatement, TransposeStatement
 
@@ -260,30 +295,53 @@ _ALLCLOSE_TOLERANCE = {"elementwise": 1e-4, "fused-elementwise": 1e-4, "transpos
 _FLOAT64_MAX = np.finfo(np.float64).max
 
 
-def _panel_close(got: np.ndarray, reference: np.ndarray, tolerance: float) -> bool:
+def _comparison_scratch() -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The difference, bound and mask arrays of one ``_CHUNK_BYTES`` chunk."""
+    size = max(1, _CHUNK_BYTES // 8)
+    return np.empty(size), np.empty(size), np.empty(size, dtype=bool)
+
+
+def _panel_close(
+    got: np.ndarray, reference: np.ndarray, tolerance: float,
+    scratch: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
+) -> bool:
     """``np.allclose(got, reference, rtol=tolerance, atol=tolerance)`` of one panel.
 
     The same float64 arithmetic as ``np.isclose`` — ``|got - reference| <=
-    atol + rtol * |reference|`` — updated in place in two float64 panel
-    temporaries instead of ``isclose``'s several.  Neither operand is
-    written.  Where ``reference`` is infinite, ``isclose``
-    accepts only equality; clamping the bound to the largest finite float
-    keeps any finite difference under it and rejects an infinite or NaN
-    one, and the equality test runs on the rejected elements alone.  A NaN
-    in either operand is rejected, as by ``isclose``.
+    atol + rtol * |reference|`` — in one sweep over the panel in chunks of
+    ``_CHUNK_BYTES`` of float64 (blocks of whole rows, unless a row is
+    longer), computed in the chunk-sized ``scratch`` arrays
+    (:func:`_comparison_scratch`) instead of ``isclose``'s panel-sized
+    temporaries, and stopping at the first chunk that fails.  Neither operand
+    is written.  Where ``reference`` is infinite, ``isclose`` accepts only
+    equality; clamping the bound to the largest finite float keeps any
+    finite difference under it and rejects an infinite or NaN one, and the
+    equality test runs on the rejected elements alone.  A NaN in either
+    operand is rejected, as by ``isclose``.
     """
+    scratch = _comparison_scratch() if scratch is None else scratch
+    rows, cols = reference.shape
+    width = max(1, min(cols, scratch[0].size))
+    height = max(1, scratch[0].size // width)
     with np.errstate(invalid="ignore"):  # inf - inf, as in isclose
-        difference = np.subtract(got, reference, dtype=np.float64)
-    np.abs(difference, out=difference)
-    bound = np.abs(reference)
-    bound *= tolerance
-    bound += tolerance
-    np.minimum(bound, _FLOAT64_MAX, out=bound)
-    within = np.less_equal(difference, bound)
-    if within.all():
-        return True
-    outside = ~within
-    return bool(np.all(got[outside] == reference[outside]))
+        for left in range(0, cols, width):
+            for top in range(0, rows, height):
+                chunk = (slice(top, top + height), slice(left, left + width))
+                mine, theirs = got[chunk], reference[chunk]
+                diff, limit, mask = (part[:theirs.size].reshape(theirs.shape) for part in scratch)
+                np.subtract(mine, theirs, out=diff, dtype=np.float64)
+                np.abs(diff, out=diff)
+                np.abs(theirs, out=limit)
+                limit *= tolerance
+                limit += tolerance
+                np.minimum(limit, _FLOAT64_MAX, out=limit)
+                np.less_equal(diff, limit, out=mask)
+                if mask.all():
+                    continue
+                np.logical_not(mask, out=mask)
+                if not np.all(mine[mask] == theirs[mask]):
+                    return False
+    return True
 
 
 def _fold_panels(
@@ -294,18 +352,20 @@ def _fold_panels(
     The tolerance half of :func:`verify_outputs`, one panel at a time: the
     output's panel is read — a stored array's from its owners' files
     (:meth:`~repro.runtime.vm.OutOfCoreArray.column_reader`, checksums
-    audited first) — the reference panel is overwritten with its own error,
-    and only the verdict and each array's running maximum error and
-    reference scale outlive them: both panels are dropped before the oracle
-    computes the next one, so one reference panel is alive at a time.
-    Elementwise and transpose results are compared like ``np.allclose``
-    (:func:`_panel_close`).  Reductions and whole programs bound the maximum
-    absolute error relative to the reference's scale and report it:
-    ``1e-3`` for a lone reduction, and per array of a whole program ``1e-3``
-    for items of at most four bytes, ``1e-9`` above.  The maxima fold with
-    ``np.maximum``: unlike ``max`` it keeps a NaN.
+    audited first) — and compared with the reference panel before the next
+    is requested, so only the verdict and each array's running maximum
+    error and reference scale outlive them.  Elementwise and transpose
+    results are compared like ``np.allclose``, a chunk at a time through
+    three scratch arrays allocated once per call (:func:`_panel_close`).
+    Reductions and whole programs overwrite the reference panel with its
+    own error and bound the maximum absolute error relative to the
+    reference's scale and report it: ``1e-3`` for a lone reduction, and per
+    array of a whole program ``1e-3`` for items of at most four bytes,
+    ``1e-9`` above.  The maxima fold with ``np.maximum``: unlike ``max`` it
+    keeps a NaN.
     """
     allclose = _ALLCLOSE_TOLERANCE.get(kind)
+    scratch = _comparison_scratch() if allclose is not None else None
     read = {
         name: output.column_reader() if isinstance(output, OutOfCoreArray)
         else (lambda cols, dense=output: dense[:, cols])
@@ -320,7 +380,7 @@ def _fold_panels(
             unchecked.discard(name)
             got = read[name](cols)
             if allclose is not None:
-                close = close and _panel_close(got, reference, allclose)
+                close = close and _panel_close(got, reference, allclose, scratch)
             else:
                 scale[name] = np.maximum(
                     scale[name], np.maximum(reference.max(), -reference.min())
@@ -329,7 +389,7 @@ def _fold_panels(
                 np.abs(reference, out=reference)
                 error[name] = np.maximum(error[name], reference.max())
             del got
-        # dropped before the oracle computes the next panel
+        # a panel the oracle allocated afresh is dropped before it computes the next
         del reference
     if unchecked:
         raise RuntimeExecutionError(f"the oracle computes no array named {sorted(unchecked)}")
@@ -363,10 +423,12 @@ def verify_outputs(
     inputs, streamed in column panels (:func:`_reference_panels`) so that it
     allocates the float64 copy of a reduction's streamed operand (the one
     operand drawn whole), the intermediates later statements still read and
-    one reference panel with the output panel compared against it — never a
-    whole reference, difference or result.  Returns ``(verified,
-    max_abs_error)`` under the statement kind's tolerance
-    (:func:`_fold_panels`).
+    one reference panel — an elementwise or transpose statement's in one
+    buffer reused for all its panels — with the output panel compared
+    against it, an elementwise or transpose result a chunk at a time through
+    reused scratch — never a whole reference, difference or result.
+    Returns ``(verified, max_abs_error)`` under the statement kind's
+    tolerance (:func:`_fold_panels`).
     """
     from repro.core.pipeline import CompiledWholeProgram
 

@@ -137,8 +137,9 @@ class Operand:
 
     :meth:`select` with ``[rows, cols]`` — each a slice (any step) or an
     integer index array, combined in the ``np.ix_`` sense — returns a fresh
-    array holding exactly the selected elements, laid out in the order the
-    caller asks for, and draws only the tiles covering them.  A tile is
+    array (or fills the caller's ``out``) holding exactly the selected
+    elements, laid out in the order the caller asks for, and draws only the
+    tiles covering them.  A tile is
     drawn column-major, so an ``'F'`` selection is filled by straight
     copies.  Indexing ``operand[rows, cols]`` is the C-ordered selection in
     the operand's dtype.  ``np.asarray(operand[, dtype])`` draws the whole
@@ -164,14 +165,20 @@ class Operand:
             raise ValueError(f"operand {self.name!r} is drawn on demand; there is no array to view")
         return self.select((slice(None), slice(None)), dtype)
 
-    def select(self, key: object, dtype: object = None, order: str = "C") -> np.ndarray:
+    def select(
+        self, key: object, dtype: object = None, order: str = "C", out: np.ndarray | None = None
+    ) -> np.ndarray:
         """The elements ``key`` selects, in ``dtype`` (default: the operand's)
-        and allocated in ``order`` (``'C'`` or ``'F'``)."""
+        and allocated in ``order`` (``'C'`` or ``'F'``) — or written into
+        ``out``, of the selection's shape and in its own dtype, and returned."""
         if not (isinstance(key, tuple) and len(key) == 2):
             raise TypeError(f"operand {self.name!r} is indexed as [rows, cols], got {key!r}")
         rows, cols = (_axis(k, extent) for k, extent in zip(key, self.shape, strict=True))
-        out = np.empty((_length(rows), _length(cols)),
-                       dtype=self.dtype if dtype is None else dtype, order=order)
+        shape = (_length(rows), _length(cols))
+        if out is None:
+            out = np.empty(shape, dtype=self.dtype if dtype is None else dtype, order=order)
+        elif out.shape != shape:
+            raise ValueError(f"out has shape {out.shape}; the selection is {shape}")
         col_pieces = [(tj, out_cols, *_span(inside)) for tj, out_cols, inside in _pieces(cols)]
         for ti, out_rows, tile_rows in _pieces(rows):
             height = min(_TILE, self.shape[0] - ti * _TILE)

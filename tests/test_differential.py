@@ -411,3 +411,39 @@ def test_verification_memory_is_one_operand_copy_plus_panels(n):
         tracemalloc.stop()
     assert verified is True
     assert peak <= 8 * n * n + PANELS * executor._PANEL_BYTES
+
+
+#: the float64 reference panel (the left operand is drawn into it), then:
+#: elementwise — the right operand's float32 panel; both — the comparison's
+#: chunk scratch and a drawn tile
+O_N2_PANELS = {"elementwise": 2.25, "transpose": 1.75}
+
+
+@pytest.mark.parametrize("n", [512, 1024])
+@pytest.mark.parametrize("kind", sorted(O_N2_PANELS))
+def test_verifying_an_elementwise_or_transpose_result_holds_one_reference_panel(kind, n):
+    """Checking a float32 elementwise or transpose result allocates, beyond
+    its arguments, a bounded number of panels whatever ``n`` is: the
+    reference is computed into one float64 panel buffer reused across panels
+    and compared a chunk at a time, with no panel-sized float64 copy of an
+    operand and no panel-sized comparison temporary.  A fresh float64 panel,
+    operand copies and ``isclose``-style temporaries per panel hold over
+    three panels at once."""
+    import tracemalloc
+
+    if kind == "elementwise":
+        compiled = compile_program(build_elementwise_ir(n, 4, dtype="float32"), slab_ratio=0.5)
+        operands = input_operands(compiled.program, 11)
+        outputs = {"c": (_f64(operands["a"]) + _f64(operands["b"])).astype("float32")}
+    else:
+        compiled = compile_program(build_transpose_ir(n, 4, dtype="float32"), slab_ratio=0.5)
+        operands = input_operands(compiled.program, 11)
+        outputs = {"dst": np.ascontiguousarray(np.asarray(operands["src"]).T)}
+    tracemalloc.start()
+    try:
+        verified, _ = verify_outputs(compiled, operands, outputs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert verified is True
+    assert peak <= O_N2_PANELS[kind] * executor._PANEL_BYTES

@@ -104,6 +104,17 @@ def test_asarray_casts_tile_by_tile_to_the_asked_dtype():
     np.testing.assert_array_equal(wide, np.asarray(operand).astype(np.float64))
 
 
+def test_a_selection_into_out_fills_it_in_its_dtype():
+    operand = Operand("a", (TILE + 7, 3 * TILE), "float32", 4)
+    rows = slice(TILE - 2, TILE + 5)
+    buffer = np.full((3 * TILE, 7), np.nan)  # a transposed panel, C-ordered
+    filled = operand.select((rows, slice(None)), out=buffer.T)
+    assert filled.base is buffer and not np.isnan(buffer).any()
+    np.testing.assert_array_equal(buffer.T, operand[rows, :].astype(np.float64))
+    with pytest.raises(ValueError, match="shape"):
+        operand.select((rows, slice(None)), out=buffer)
+
+
 def test_selections_an_operand_does_not_take_are_refused():
     operand = Operand("a", (4, 4), "float32", 4)
     with pytest.raises(TypeError):

@@ -3,8 +3,8 @@
 * the panel reader (``OutOfCoreArray.column_reader``) returns exactly the
   dense columns, for every distribution the scenario sets use and both
   storage orders, and audits checksums before it reads;
-* the in-place tolerance fold gives ``np.allclose``'s verdict, NaN and
-  infinities included;
+* the chunked tolerance sweep gives ``np.allclose``'s verdict, NaN and
+  infinities included, at chunk edges too;
 * an unverified run still detects corruption written into a lone
   statement's result — the checksum audit took over from the gather — and
   recovers from it charge-neutrally;
@@ -118,6 +118,49 @@ def test_the_fold_gives_allclose_verdict(data, dtype, tolerance):
     expected = bool(np.allclose(got, reference, rtol=tolerance, atol=tolerance))
     before = (got.copy(), reference.copy())
     assert _panel_close(got, reference, tolerance) is expected
+    np.testing.assert_array_equal(got, before[0])  # neither operand is touched
+    np.testing.assert_array_equal(reference, before[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), dtype=st.sampled_from([np.float32, np.float64]),
+       tolerance=st.sampled_from([1e-4, 1e-5]), split=st.sampled_from(["rows", "columns"]))
+def test_the_chunked_sweep_gives_allclose_verdict_at_chunk_edges(data, dtype, tolerance, split):
+    """Chunks shrunk to a few rows — or, for a row longer than a chunk, to
+    part of one row — over a panel that spans several chunks and ends in a
+    partial one, with NaN or infinities only in its first or only in its
+    last chunk: the sweep still gives ``np.allclose``'s verdict."""
+    if split == "rows":  # chunks of whole rows; the last has fewer
+        height = data.draw(st.integers(2, 3))
+        cols = width = data.draw(st.integers(1, 6))
+        rows = height * data.draw(st.integers(2, 4)) + data.draw(st.integers(1, height - 1))
+    else:  # one-row chunks of part of a row; the last of each row is narrower
+        height, rows = 1, data.draw(st.integers(1, 3))
+        width = data.draw(st.integers(2, 4))
+        cols = width * data.draw(st.integers(2, 3)) + data.draw(st.integers(1, width - 1))
+    reference = data.draw(arrays(np.float64, (rows, cols), elements=st.floats(-1e3, 1e3)))
+    # all within tolerance, so that the special values decide, or errors
+    # from well inside to well outside it
+    spread = data.draw(st.sampled_from([0.5, 2.0]))
+    factor = data.draw(arrays(np.float64, (rows, cols), elements=st.floats(-spread, spread)))
+    got = (reference + factor * tolerance * (1.0 + np.abs(reference))).astype(dtype)
+    last = ((rows - 1) // height * height, (cols - 1) // width * width)
+    top, left = (0, 0) if data.draw(st.sampled_from(["first", "last"])) == "first" else last
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = data.draw(st.integers(top, min(top + height, rows) - 1))
+        j = data.draw(st.integers(left, min(left + width, cols) - 1))
+        value, where = data.draw(SPECIAL), data.draw(st.sampled_from(["got", "reference", "both"]))
+        if where != "reference":
+            got[i, j] = value
+        if where != "got":
+            reference[i, j] = value
+    expected = bool(np.allclose(got, reference, rtol=tolerance, atol=tolerance))
+    before = (got.copy(), reference.copy())
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(executor, "_CHUNK_BYTES", 8 * height * width)
+        assert _panel_close(got, reference, tolerance) is expected
+        scratch = executor._comparison_scratch()
+        assert _panel_close(got, reference, tolerance, scratch) is expected
     np.testing.assert_array_equal(got, before[0])  # neither operand is touched
     np.testing.assert_array_equal(reference, before[1])
 
